@@ -11,7 +11,8 @@ namespace cubist {
 namespace {
 
 /// Symbolically executes one rank's Figure-5 program (the control flow of
-/// RankBuilder in core/parallel_builder.cpp), emitting planned operations
+/// the tree walk in core/tree_walk.h under the per-rank hooks of
+/// core/parallel_builder.cpp), emitting planned operations
 /// instead of touching data. Any drift between this walk and the real
 /// builder shows up as a ledger-audit failure, which is the point: the
 /// plan is the checkable artifact, the builder is the implementation.

@@ -32,6 +32,16 @@ std::vector<std::int64_t> projection_strides(const Shape& parent_shape,
   return strides;
 }
 
+std::vector<std::vector<std::int64_t>> all_projection_strides(
+    const Shape& parent_shape, std::span<const AggregationTarget> targets) {
+  std::vector<std::vector<std::int64_t>> strides;
+  strides.reserve(targets.size());
+  for (const AggregationTarget& target : targets) {
+    strides.push_back(projection_strides(parent_shape, target));
+  }
+  return strides;
+}
+
 std::int64_t child_bytes_for(const Shape& parent, int aggregated_pos) {
   return parent.size() / parent.extent(aggregated_pos) *
          static_cast<std::int64_t>(sizeof(Value));
@@ -42,8 +52,9 @@ std::int64_t child_bytes_for(const Shape& parent, int aggregated_pos) {
 /// which all contributions to one cell/region of child c fall: stripes
 /// whose length is a multiple of it write disjoint child regions. Walks
 /// the candidate stripe counts downward until the private-accumulator
-/// scratch fits the budget; everything here is a function of shapes (and
-/// `work_cells`), never of the thread count.
+/// scratch fits min(kScanScratchBudgetBytes, sum of `child_bytes`);
+/// everything here is a function of shapes (and `work_cells`), never of
+/// the thread count.
 StripePlan plan_stripes(std::int64_t units, const Shape& space,
                         std::span<const std::int64_t> alias_block,
                         std::span<const std::int64_t> child_bytes,
@@ -54,6 +65,9 @@ StripePlan plan_stripes(std::int64_t units, const Shape& space,
   const std::int64_t desired =
       std::min(kMaxScanStripes, work_cells / kMinCellsPerStripe);
   if (units <= 1 || desired <= 1) return plan;
+  std::int64_t budget = 0;
+  for (const std::int64_t bytes : child_bytes) budget += bytes;
+  budget = std::min(kScanScratchBudgetBytes, budget);
   for (std::int64_t g = std::min(desired, units); g >= 2; --g) {
     const std::int64_t raw = ceil_div(units, g);
     // Align the stripe length to the largest iteration-space stride that
@@ -70,7 +84,7 @@ StripePlan plan_stripes(std::int64_t units, const Shape& space,
       if (len % alias_block[c] != 0) scratch += child_bytes[c];
     }
     scratch *= stripes;
-    if (scratch > kScanScratchBudgetBytes) continue;
+    if (scratch > budget) continue;
     plan.num_stripes = stripes;
     plan.stripe_len = len;
     for (std::size_t c = 0; c < alias_block.size(); ++c) {
@@ -86,9 +100,55 @@ ThreadPool& pool_of(const AggregateOptions& options) {
   return options.pool != nullptr ? *options.pool : ThreadPool::global();
 }
 
-/// Sums `bufs` into `child`, cell by cell, in ascending stripe order —
+/// The operator interface the kernels are written against — all a
+/// distributive aggregate needs: an identity, a combine step, and the
+/// contribution one cell of the scanned parent makes. In raw input
+/// (`kInput`), 0 marks an empty cell, which contributes the identity, and
+/// COUNT maps every other cell to 1; an aggregate view's cells already
+/// hold combined values (the identity where empty) and pass through.
+template <AggregateOp kOp, bool kInput>
+struct OpPolicy {
+  static constexpr Value kIdentity = identity_of(kOp);
+  static void combine(Value& accumulator, Value value) {
+    cubist::combine(kOp, accumulator, value);
+  }
+  static Value contribution(Value cell) {
+    if constexpr (kInput) {
+      return cell == Value{0} ? kIdentity : contribution_of(kOp, cell);
+    } else {
+      return cell;
+    }
+  }
+};
+
+/// Calls `kernel(policy)` with the OpPolicy of `op` at this cell level.
+/// SUM at any level and COUNT over a view are the same plain `+=` (an
+/// empty raw SUM cell contributes its 0 as is), so they share one
+/// instantiation.
+template <typename Kernel>
+AggregationStats with_policy(AggregateOp op, bool input_level,
+                             const Kernel& kernel) {
+  switch (op) {
+    case AggregateOp::kSum:
+      return kernel(OpPolicy<AggregateOp::kSum, false>{});
+    case AggregateOp::kCount:
+      return input_level ? kernel(OpPolicy<AggregateOp::kCount, true>{})
+                         : kernel(OpPolicy<AggregateOp::kSum, false>{});
+    case AggregateOp::kMin:
+      return input_level ? kernel(OpPolicy<AggregateOp::kMin, true>{})
+                         : kernel(OpPolicy<AggregateOp::kMin, false>{});
+    case AggregateOp::kMax:
+      return input_level ? kernel(OpPolicy<AggregateOp::kMax, true>{})
+                         : kernel(OpPolicy<AggregateOp::kMax, false>{});
+  }
+  CUBIST_CHECK(false, "unknown aggregate operator");
+  return {};
+}
+
+/// Combines `bufs` into `child`, cell by cell, in ascending stripe order —
 /// the fixed merge order that makes striped scans bit-identical for any
 /// thread count. Parallel over disjoint cell ranges.
+template <typename P>
 void merge_stripe_buffers(DenseArray* child,
                           const std::vector<DenseArray>& bufs,
                           const AggregateOptions& options) {
@@ -101,18 +161,65 @@ void merge_stripe_buffers(DenseArray* child,
       0, n, std::int64_t{1} << 15,
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
-          Value acc = 0;
-          for (const Value* src : srcs) acc += src[i];
-          out[i] += acc;
+          Value acc = P::kIdentity;
+          for (const Value* src : srcs) P::combine(acc, src[i]);
+          P::combine(out[i], acc);
         }
       },
       options.max_workers);
 }
 
+/// Runs `scan(begin, end, bases)` over the plan's stripes of [0, units).
+/// `bases[c]` is where target c combines: its child, or — for a child
+/// that aliases across stripes — a stripe-private clone filled with the
+/// identity, merged into the child afterwards.
+template <typename P, typename Scan>
+void run_stripes(const StripePlan& plan, std::int64_t units,
+                 std::span<const AggregationTarget> targets,
+                 const AggregateOptions& options, const Scan& scan) {
+  const std::size_t num_targets = targets.size();
+  std::vector<Value*> children(num_targets);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    children[c] = targets[c].child->data();
+  }
+  if (plan.num_stripes <= 1) {
+    scan(0, units, children);
+    return;
+  }
+  std::vector<std::vector<DenseArray>> scratch(num_targets);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    if (plan.aliased[c] == 0) continue;
+    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
+    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
+      scratch[c].emplace_back(targets[c].child->shape(), P::kIdentity);
+    }
+  }
+  pool_of(options).parallel_for(
+      0, plan.num_stripes, 1,
+      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
+        std::vector<Value*> bases = children;
+        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
+          for (std::size_t c = 0; c < num_targets; ++c) {
+            if (plan.aliased[c] != 0) {
+              bases[c] = scratch[c][static_cast<std::size_t>(s)].data();
+            }
+          }
+          const std::int64_t begin = s * plan.stripe_len;
+          scan(begin, std::min(units, begin + plan.stripe_len), bases);
+        }
+      },
+      options.max_workers);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    if (plan.aliased[c] != 0) {
+      merge_stripe_buffers<P>(targets[c].child, scratch[c], options);
+    }
+  }
+}
+
 /// One target's state during a dense row scan.
 struct ScanTarget {
-  /// Accumulation base: the child array or a stripe-private buffer
-  /// (same indexing either way — private buffers clone the child shape).
+  /// Combine base: the child array or a stripe-private buffer (same
+  /// indexing either way — private buffers clone the child shape).
   Value* base = nullptr;
   /// Child stride per parent dimension (0 for the aggregated one).
   const std::int64_t* strides = nullptr;
@@ -120,27 +227,33 @@ struct ScanTarget {
   std::int64_t row_start = 0;
 };
 
-/// Scans parent rows [row_begin, row_end), accumulating every target.
-/// Row-major row order with a fixed per-row target order, so the
+/// Scans parent rows [row_begin, row_end), combining every target into
+/// `bases`. Row-major row order with a fixed per-row target order, so the
 /// arithmetic is independent of how rows are striped across threads
 /// (per child cell, all contributions come from one stripe, in row
 /// order). The inner loops are specialized for the dominant cases: a
-/// row-sum reduction for the innermost-dimension target (delta 0) and
-/// contiguous vector adds for every other target (delta 1), issued
-/// jointly for up to three targets so the parent row is read once.
+/// row reduction for the innermost-dimension target (delta 0) and
+/// contiguous elementwise combines for every other target (delta 1),
+/// issued jointly for up to three targets so the parent row is read once.
+template <typename P>
 void scan_dense_rows(const Value* parent_data, const Shape& outer,
                      std::int64_t inner, std::int64_t row_begin,
-                     std::int64_t row_end, std::vector<ScanTarget>& targets) {
+                     std::int64_t row_end,
+                     const std::vector<std::vector<std::int64_t>>& strides,
+                     std::span<Value* const> bases) {
   const int od = outer.ndim();
   const int m = od + 1;
   std::vector<std::int64_t> idx(static_cast<std::size_t>(od), 0);
   outer.unravel(row_begin, idx.data());
-  for (ScanTarget& t : targets) {
-    t.row_start = 0;
+  std::vector<ScanTarget> targets(bases.size());
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    ScanTarget& t = targets[c];
+    t.base = bases[c];
+    t.strides = strides[c].data();
     for (int d = 0; d < od; ++d) t.row_start += idx[d] * t.strides[d];
   }
   // Split targets by their inner-dimension delta: 0 = the aggregated
-  // dimension is the innermost (row reduction), 1 = contiguous row add.
+  // dimension is the innermost (row reduction), 1 = contiguous row combine.
   std::vector<ScanTarget*> reduce_targets;
   std::vector<ScanTarget*> vec_targets;
   for (ScanTarget& t : targets) {
@@ -155,25 +268,31 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
   for (std::int64_t r = row_begin; r < row_end; ++r) {
     const Value* in = cell;
     if (!reduce_targets.empty()) {
-      Value sum = 0;  // fixed left-to-right order: deterministic
-      for (std::int64_t i = 0; i < inner; ++i) sum += in[i];
-      for (ScanTarget* t : reduce_targets) t->base[t->row_start] += sum;
+      Value acc = P::kIdentity;  // fixed left-to-right order: deterministic
+      for (std::int64_t i = 0; i < inner; ++i) {
+        P::combine(acc, P::contribution(in[i]));
+      }
+      for (ScanTarget* t : reduce_targets) {
+        P::combine(t->base[t->row_start], acc);
+      }
     }
     switch (vec_targets.size()) {
       case 0:
         break;
       case 1: {
         Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) o0[i] += in[i];
+        for (std::int64_t i = 0; i < inner; ++i) {
+          P::combine(o0[i], P::contribution(in[i]));
+        }
         break;
       }
       case 2: {
         Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
         Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
         for (std::int64_t i = 0; i < inner; ++i) {
-          const Value v = in[i];
-          o0[i] += v;
-          o1[i] += v;
+          const Value v = P::contribution(in[i]);
+          P::combine(o0[i], v);
+          P::combine(o1[i], v);
         }
         break;
       }
@@ -182,17 +301,19 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
         Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
         Value* o2 = vec_targets[2]->base + vec_targets[2]->row_start;
         for (std::int64_t i = 0; i < inner; ++i) {
-          const Value v = in[i];
-          o0[i] += v;
-          o1[i] += v;
-          o2[i] += v;
+          const Value v = P::contribution(in[i]);
+          P::combine(o0[i], v);
+          P::combine(o1[i], v);
+          P::combine(o2[i], v);
         }
         break;
       }
       default:
         for (ScanTarget* t : vec_targets) {
           Value* out = t->base + t->row_start;
-          for (std::int64_t i = 0; i < inner; ++i) out[i] += in[i];
+          for (std::int64_t i = 0; i < inner; ++i) {
+            P::combine(out[i], P::contribution(in[i]));
+          }
         }
         break;
     }
@@ -226,6 +347,29 @@ std::vector<int> target_positions(std::span<const AggregationTarget> targets) {
     positions.push_back(target.aggregated_pos);
   }
   return positions;
+}
+
+template <typename P>
+AggregationStats aggregate_dense(const DenseArray& parent,
+                                 std::span<const AggregationTarget> targets,
+                                 const AggregateOptions& options) {
+  const std::vector<std::vector<std::int64_t>> strides =
+      all_projection_strides(parent.shape(), targets);
+  const StripePlan plan =
+      plan_dense_scan(parent.shape(), target_positions(targets));
+  const std::int64_t inner = parent.shape().extent(parent.ndim() - 1);
+  const std::int64_t num_rows =
+      parent.size() / std::max<std::int64_t>(inner, 1);
+  const Shape outer = outer_shape(parent.shape());
+  run_stripes<P>(plan, num_rows, targets, options,
+                 [&](std::int64_t r0, std::int64_t r1,
+                     std::span<Value* const> bases) {
+                   scan_dense_rows<P>(parent.data(), outer, inner, r0, r1,
+                                      strides, bases);
+                 });
+  return {parent.size(),
+          parent.size() * static_cast<std::int64_t>(targets.size()),
+          plan.scratch_bytes};
 }
 
 }  // namespace
@@ -294,91 +438,31 @@ std::int64_t scan_scratch_bound(const Shape& parent,
                  "aggregated position out of range");
     total_child_bytes += parent.size() / parent.extent(a) * bytes_per_cell;
   }
-  return std::min(kScanScratchBudgetBytes,
-                  kMaxScanStripes * total_child_bytes);
+  return std::min(kScanScratchBudgetBytes, total_child_bytes);
 }
 
 AggregationStats aggregate_children(const DenseArray& parent,
                                     std::span<const AggregationTarget> targets,
-                                    const AggregateOptions& options) {
-  const int m = parent.ndim();
-  const std::size_t num_targets = targets.size();
-  if (num_targets == 0) return {};
-  CUBIST_CHECK(m >= 1, "cannot aggregate a scalar parent");
-
-  std::vector<std::vector<std::int64_t>> strides;
-  strides.reserve(num_targets);
-  for (const auto& target : targets) {
-    strides.push_back(projection_strides(parent.shape(), target));
-  }
-  const std::vector<int> positions = target_positions(targets);
-  const StripePlan plan = plan_dense_scan(parent.shape(), positions);
-
-  const std::int64_t inner = parent.shape().extent(m - 1);
-  const std::int64_t num_rows =
-      parent.size() / std::max<std::int64_t>(inner, 1);
-  const Shape outer = outer_shape(parent.shape());
-
-  AggregationStats stats;
-  stats.cells_scanned = parent.size();
-  stats.updates = parent.size() * static_cast<std::int64_t>(num_targets);
-  stats.scratch_bytes = plan.scratch_bytes;
-
-  if (plan.num_stripes <= 1) {
-    std::vector<ScanTarget> scan_targets(num_targets);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      scan_targets[c].base = targets[c].child->data();
-      scan_targets[c].strides = strides[c].data();
-    }
-    scan_dense_rows(parent.data(), outer, inner, 0, num_rows, scan_targets);
-    return stats;
-  }
-
-  // Stripe-private accumulators for children that alias across stripes.
-  std::vector<std::vector<DenseArray>> scratch(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] == 0) continue;
-    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
-    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
-      scratch[c].emplace_back(targets[c].child->shape());
-    }
-  }
-  pool_of(options).parallel_for(
-      0, plan.num_stripes, 1,
-      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
-        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
-          const std::int64_t r0 = s * plan.stripe_len;
-          const std::int64_t r1 =
-              std::min(num_rows, r0 + plan.stripe_len);
-          std::vector<ScanTarget> scan_targets(num_targets);
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            scan_targets[c].base =
-                plan.aliased[c] != 0
-                    ? scratch[c][static_cast<std::size_t>(s)].data()
-                    : targets[c].child->data();
-            scan_targets[c].strides = strides[c].data();
-          }
-          scan_dense_rows(parent.data(), outer, inner, r0, r1, scan_targets);
-        }
-      },
-      options.max_workers);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] != 0) {
-      merge_stripe_buffers(targets[c].child, scratch[c], options);
-    }
-  }
-  return stats;
+                                    const AggregateOptions& options,
+                                    AggregateOp op, bool input_level) {
+  if (targets.empty()) return {};
+  CUBIST_CHECK(parent.ndim() >= 1, "cannot aggregate a scalar parent");
+  return with_policy(op, input_level, [&](auto policy) {
+    return aggregate_dense<decltype(policy)>(parent, targets, options);
+  });
 }
 
 namespace {
 
-/// Scans sparse chunks [chunk_begin, chunk_end), accumulating every
-/// target into `bases` (child arrays or stripe-private clones). Chunk
-/// order and per-chunk nonzero order are fixed, so the arithmetic does
-/// not depend on the striping.
+/// Scans sparse chunks [chunk_begin, chunk_end), combining every target
+/// into `bases` (child arrays or stripe-private clones). Chunk order and
+/// per-chunk nonzero order are fixed, so the arithmetic does not depend
+/// on the striping. An empty `offset_table` sends every chunk down the
+/// decode path.
+template <typename P>
 void scan_sparse_chunks(
     const SparseArray& parent,
-    const std::vector<std::vector<std::int64_t>>& strides, bool use_table,
+    const std::vector<std::vector<std::int64_t>>& strides,
     const std::vector<std::vector<std::int64_t>>& offset_table,
     std::int64_t chunk_begin, std::int64_t chunk_end,
     std::span<Value* const> bases) {
@@ -403,12 +487,12 @@ void scan_sparse_chunks(
       base_ci[c] = projected;
     }
 
-    if (use_table && parent.chunk_is_full(chunk_coords)) {
+    if (!offset_table.empty() && parent.chunk_is_full(chunk_coords)) {
       for (std::size_t i = 0; i < offsets.size(); ++i) {
         const auto off = offsets[i];
-        const Value v = values[i];
+        const Value v = P::contribution(values[i]);
         for (std::size_t c = 0; c < num_targets; ++c) {
-          bases[c][base_ci[c] + offset_table[c][off]] += v;
+          P::combine(bases[c][base_ci[c] + offset_table[c][off]], v);
         }
       }
     } else {
@@ -417,121 +501,92 @@ void scan_sparse_chunks(
       for (std::size_t i = 0; i < offsets.size(); ++i) {
         local_shape.unravel(static_cast<std::int64_t>(offsets[i]),
                             local.data());
-        const Value v = values[i];
+        const Value v = P::contribution(values[i]);
         for (std::size_t c = 0; c < num_targets; ++c) {
           std::int64_t projected = base_ci[c];
           for (int d = 0; d < m; ++d) {
             projected += local[d] * strides[c][d];
           }
-          bases[c][projected] += v;
+          P::combine(bases[c][projected], v);
         }
       }
     }
   }
 }
 
+/// Every interior chunk shares the same shape, so the map (within-chunk
+/// offset) -> (child index contribution) is chunk-invariant. Built once
+/// per target, it makes an interior non-zero cost one table lookup plus
+/// one combine per target. Only worthwhile (and only affordable) for
+/// reasonably small chunks — past the threshold this returns no table and
+/// every chunk takes the decode path instead. The table is integer data,
+/// so its construction parallelizes without ordering concerns.
+std::vector<std::vector<std::int64_t>> chunk_offset_table(
+    const SparseArray& parent,
+    const std::vector<std::vector<std::int64_t>>& strides,
+    const AggregateOptions& options) {
+  constexpr std::int64_t kMaxTableVolume = std::int64_t{1} << 22;
+  const Shape full_chunk_shape{parent.chunk_extents()};
+  const std::int64_t full_volume = full_chunk_shape.size();
+  if (full_volume > kMaxTableVolume) return {};
+  const int m = parent.ndim();
+  const std::size_t num_targets = strides.size();
+  std::vector<std::vector<std::int64_t>> offset_table(num_targets);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    offset_table[c].resize(static_cast<std::size_t>(full_volume));
+  }
+  pool_of(options).parallel_for(
+      0, full_volume, std::int64_t{1} << 14,
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
+        for (std::int64_t off = lo; off < hi; ++off) {
+          full_chunk_shape.unravel(off, local.data());
+          for (std::size_t c = 0; c < num_targets; ++c) {
+            std::int64_t projected = 0;
+            for (int d = 0; d < m; ++d) {
+              projected += local[d] * strides[c][d];
+            }
+            offset_table[c][static_cast<std::size_t>(off)] = projected;
+          }
+        }
+      },
+      options.max_workers);
+  return offset_table;
+}
+
+template <typename P>
+AggregationStats aggregate_sparse(const SparseArray& parent,
+                                  std::span<const AggregationTarget> targets,
+                                  const AggregateOptions& options) {
+  const std::vector<std::vector<std::int64_t>> strides =
+      all_projection_strides(parent.shape(), targets);
+  const std::vector<std::vector<std::int64_t>> offset_table =
+      chunk_offset_table(parent, strides, options);
+  const StripePlan plan =
+      plan_sparse_scan(parent.shape(), parent.chunk_grid(),
+                       target_positions(targets), parent.nnz());
+  run_stripes<P>(plan, parent.num_chunks(), targets, options,
+                 [&](std::int64_t c0, std::int64_t c1,
+                     std::span<Value* const> bases) {
+                   scan_sparse_chunks<P>(parent, strides, offset_table, c0,
+                                         c1, bases);
+                 });
+  return {parent.nnz(),
+          parent.nnz() * static_cast<std::int64_t>(targets.size()),
+          plan.scratch_bytes};
+}
+
 }  // namespace
 
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
-                                    const AggregateOptions& options) {
-  const int m = parent.ndim();
-  const std::size_t num_targets = targets.size();
-  if (num_targets == 0) return {};
-  CUBIST_CHECK(m >= 1, "cannot aggregate a scalar parent");
-
-  std::vector<std::vector<std::int64_t>> strides;
-  strides.reserve(num_targets);
-  for (const auto& target : targets) {
-    strides.push_back(projection_strides(parent.shape(), target));
-  }
-
-  // Fast path: every interior chunk shares the same shape, so the map
-  // (within-chunk offset) -> (child index contribution) is chunk-invariant.
-  // Build it once per target; interior non-zeros then cost one table lookup
-  // plus one add per target. Only worthwhile (and only affordable) for
-  // reasonably small chunks — past the threshold every chunk takes the
-  // decode path instead of allocating a giant table. The table is integer
-  // data, so its construction parallelizes without ordering concerns.
-  constexpr std::int64_t kMaxTableVolume = std::int64_t{1} << 22;
-  const Shape full_chunk_shape{parent.chunk_extents()};
-  const std::int64_t full_volume = full_chunk_shape.size();
-  const bool use_table = full_volume <= kMaxTableVolume;
-  std::vector<std::vector<std::int64_t>> offset_table(num_targets);
-  if (use_table) {
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      offset_table[c].resize(static_cast<std::size_t>(full_volume));
-    }
-    pool_of(options).parallel_for(
-        0, full_volume, std::int64_t{1} << 14,
-        [&](std::int64_t lo, std::int64_t hi) {
-          std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
-          for (std::int64_t off = lo; off < hi; ++off) {
-            full_chunk_shape.unravel(off, local.data());
-            for (std::size_t c = 0; c < num_targets; ++c) {
-              std::int64_t projected = 0;
-              for (int d = 0; d < m; ++d) {
-                projected += local[d] * strides[c][d];
-              }
-              offset_table[c][static_cast<std::size_t>(off)] = projected;
-            }
-          }
-        },
-        options.max_workers);
-  }
-
-  const std::vector<int> positions = target_positions(targets);
-  const StripePlan plan = plan_sparse_scan(parent.shape(),
-                                           parent.chunk_grid(), positions,
-                                           parent.nnz());
-  AggregationStats stats;
-  stats.cells_scanned = parent.nnz();
-  stats.updates =
-      stats.cells_scanned * static_cast<std::int64_t>(num_targets);
-  stats.scratch_bytes = plan.scratch_bytes;
-
-  if (plan.num_stripes <= 1) {
-    std::vector<Value*> bases(num_targets);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      bases[c] = targets[c].child->data();
-    }
-    scan_sparse_chunks(parent, strides, use_table, offset_table, 0,
-                       parent.num_chunks(), bases);
-    return stats;
-  }
-
-  std::vector<std::vector<DenseArray>> scratch(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] == 0) continue;
-    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
-    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
-      scratch[c].emplace_back(targets[c].child->shape());
-    }
-  }
-  pool_of(options).parallel_for(
-      0, plan.num_stripes, 1,
-      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
-        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
-          const std::int64_t c0 = s * plan.stripe_len;
-          const std::int64_t c1 =
-              std::min(parent.num_chunks(), c0 + plan.stripe_len);
-          std::vector<Value*> bases(num_targets);
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            bases[c] = plan.aliased[c] != 0
-                           ? scratch[c][static_cast<std::size_t>(s)].data()
-                           : targets[c].child->data();
-          }
-          scan_sparse_chunks(parent, strides, use_table, offset_table, c0,
-                             c1, bases);
-        }
-      },
-      options.max_workers);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] != 0) {
-      merge_stripe_buffers(targets[c].child, scratch[c], options);
-    }
-  }
-  return stats;
+                                    const AggregateOptions& options,
+                                    AggregateOp op) {
+  if (targets.empty()) return {};
+  CUBIST_CHECK(parent.ndim() >= 1, "cannot aggregate a scalar parent");
+  return with_policy(op, /*input_level=*/true, [&](auto policy) {
+    return aggregate_sparse<decltype(policy)>(parent, targets, options);
+  });
 }
 
 namespace {

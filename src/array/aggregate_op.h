@@ -2,8 +2,10 @@
 //
 // The cube operator is defined for any distributive aggregate; cubist
 // supports SUM, COUNT, MIN and MAX end to end (sequential, parallel,
-// tiled). AVG is derived: build a SUM cube and a COUNT cube in two passes
-// and divide (`average_of`).
+// tiled). An operator is exactly what the one striped kernel family in
+// aggregate.h needs: an identity, a combine step, and the contribution of
+// one input cell. AVG is derived: build a SUM cube and a COUNT cube in two
+// passes and divide (`average_of`).
 //
 // Empty-cell semantics: a zero cell of a dense array and an absent cell
 // of a sparse array both mean "no measurement". While an aggregate view
@@ -13,14 +15,10 @@
 // with 0 at write-back so persisted views never contain infinities.
 #pragma once
 
-#include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 
-#include "array/aggregate.h"
 #include "array/dense_array.h"
-#include "array/sparse_array.h"
 
 namespace cubist {
 
@@ -48,7 +46,8 @@ constexpr Value identity_of(AggregateOp op) {
   return Value{0};
 }
 
-/// accumulator <- accumulator (op) contribution.
+/// accumulator <- accumulator (op) contribution. MIN/MAX store
+/// unconditionally so the kernels' inner loops stay vectorizable.
 constexpr void combine(AggregateOp op, Value& accumulator, Value value) {
   switch (op) {
     case AggregateOp::kSum:
@@ -56,42 +55,26 @@ constexpr void combine(AggregateOp op, Value& accumulator, Value value) {
       accumulator += value;
       break;
     case AggregateOp::kMin:
-      if (value < accumulator) accumulator = value;
+      accumulator = value < accumulator ? value : accumulator;
       break;
     case AggregateOp::kMax:
-      if (value > accumulator) accumulator = value;
+      accumulator = value > accumulator ? value : accumulator;
       break;
   }
 }
 
-/// The contribution a single *input* cell makes (COUNT maps values to 1;
-/// the others pass the value through).
+/// The contribution a single non-empty *input* cell makes (COUNT maps
+/// values to 1; the others pass the value through).
 constexpr Value contribution_of(AggregateOp op, Value value) {
   return op == AggregateOp::kCount ? Value{1} : value;
 }
 
-/// Fills `array` with the operator's identity (builders call this right
-/// after allocating a child view).
+/// Fills `array` with the operator's identity.
 void fill_identity(AggregateOp op, DenseArray& array);
 
 /// Replaces leftover identity cells with 0 before a view is written back.
 /// No-op for SUM/COUNT.
 void finalize_view(AggregateOp op, DenseArray& array);
-
-/// Multi-way simultaneous aggregation under `op`. `input_level` selects
-/// the cell semantics: true means `parent` holds raw input (empty = 0 /
-/// absent; COUNT counts cells), false means `parent` is itself an
-/// aggregate view whose empty cells hold the identity.
-AggregationStats aggregate_children_op(
-    const DenseArray& parent, std::span<const AggregationTarget> targets,
-    AggregateOp op, bool input_level);
-AggregationStats aggregate_children_op(
-    const SparseArray& parent, std::span<const AggregationTarget> targets,
-    AggregateOp op);
-
-/// Elementwise combine of two partial aggregate views (the parallel
-/// reduction step): dst <- dst (op) src.
-void combine_arrays(AggregateOp op, DenseArray& dst, const DenseArray& src);
 
 /// AVG derived from a SUM view and a COUNT view of the same shape
 /// (cells with count 0 yield 0).

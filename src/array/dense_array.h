@@ -17,10 +17,10 @@ class DenseArray {
  public:
   DenseArray() = default;
 
-  /// Zero-initialized array of the given shape.
-  explicit DenseArray(Shape shape)
+  /// Array of the given shape with every cell set to `fill`.
+  explicit DenseArray(Shape shape, Value fill = Value{0})
       : shape_(std::move(shape)),
-        data_(static_cast<std::size_t>(shape_.size()), Value{0}) {}
+        data_(static_cast<std::size_t>(shape_.size()), fill) {}
 
   const Shape& shape() const { return shape_; }
   int ndim() const { return shape_.ndim(); }

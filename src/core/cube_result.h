@@ -30,7 +30,7 @@ class CubeResult {
   const DenseArray& view(DimSet view) const;
 
   /// Removes and returns a stored view (for consumers that repackage the
-  /// cube, e.g. the tiled builder stitching slab results).
+  /// cube).
   DenseArray take(DimSet view);
 
   /// Mutable access (e.g. stitching slab portions into a full view).

@@ -1,12 +1,14 @@
-// Parallel data cube construction over the aggregation tree (Figure 5).
+// Parallel data cube construction over the aggregation tree (Figure 5):
+// the shared walk of core/tree_walk.h with a reducing finalize-child hook.
 //
 // SPMD over a ProcGrid: every rank owns a block of the input and locally
 // aggregates ALL children of the current node in one scan; each child's
-// partial blocks are then sum-reduced along the aggregated dimension onto
-// the lead processors (grid coordinate 0 along that dimension), which alone
-// carry the child's subtree further. The first level — the dominant part of
-// the computation — is thus fully parallel, while deeper levels run on the
-// shrinking lead sets, exactly as the paper describes.
+// partial blocks are then reduced under the operator along the aggregated
+// dimension onto the lead processors (grid coordinate 0 along that
+// dimension), which alone carry the child's subtree further. The first
+// level — the dominant part of the computation — is thus fully parallel,
+// while deeper levels run on the shrinking lead sets, exactly as the paper
+// describes.
 //
 // Every reduction is tagged with the target view's mask, so the runtime
 // ledger yields measured communication volume per view — directly

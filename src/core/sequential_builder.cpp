@@ -1,148 +1,38 @@
 #include "core/sequential_builder.h"
 
-#include <algorithm>
-#include <map>
-#include <vector>
-
-#include "array/aggregate.h"
-#include "array/aggregate_op.h"
 #include "common/error.h"
-#include "lattice/aggregation_tree.h"
-#include "lattice/memory_sim.h"
+#include "core/tree_walk.h"
 
 namespace cubist {
 namespace {
 
-class Builder {
- public:
-  Builder(std::vector<std::int64_t> sizes, AggregateOp op,
-          const AggregateOptions& agg_options)
-      : sizes_(std::move(sizes)),
-        n_(static_cast<int>(sizes_.size())),
-        op_(op),
-        agg_options_(agg_options),
-        tree_(n_),
-        result_(sizes_) {}
-
-  template <typename Root>
-  CubeResult run(const Root& root, BuildStats* stats) {
-    const DimSet root_view = tree_.root();
-    compute_children(root_view, root, /*input_level=*/true);
-    descend(root_view);
-    CUBIST_ASSERT(live_.empty(), "views left unwritten");
-    CUBIST_ASSERT(result_.num_views() + 1 == (std::size_t{1} << n_),
-                  "cube incomplete");
-    if (stats != nullptr) {
-      stats_.peak_live_bytes = ledger_.peak_bytes();
-      *stats = stats_;
-    }
-    return std::move(result_);
+template <typename Root>
+CubeResult build(const Root& root, BuildStats* stats, AggregateOp op,
+                 const AggregateOptions& agg_options) {
+  TreeWalk<> walk(root.ndim(), op, agg_options);
+  CubeResult result(root.shape().extents());
+  for (auto& [mask, view] : walk.run(root)) {
+    finalize_view(op, view);
+    result.put(DimSet::from_mask(mask), std::move(view));
   }
-
- private:
-  /// One scan of `parent_array` producing every aggregation-tree child of
-  /// `view` (maximal cache and memory reuse). `input_level` is true only
-  /// for the root scan (raw-input cell semantics for non-SUM operators).
-  template <typename Parent>
-  void compute_children(DimSet view, const Parent& parent_array,
-                        bool input_level) {
-    const std::vector<int> view_dims = view.dims();
-    std::vector<AggregationTarget> targets;
-    for (DimSet child : tree_.children(view)) {
-      const int aggregated = view.minus(child).min_dim();
-      // Position of the aggregated dimension within the parent's dims.
-      int pos = 0;
-      while (view_dims[pos] != aggregated) ++pos;
-      auto [it, inserted] = live_.try_emplace(
-          child.mask(), DenseArray(parent_array.shape().without_dim(pos)));
-      CUBIST_ASSERT(inserted, "child already live");
-      if (op_ != AggregateOp::kSum) {
-        fill_identity(op_, it->second);
-      }
-      ledger_.alloc(it->second.bytes());
-      targets.push_back(AggregationTarget{pos, &it->second});
-    }
-    const AggregationStats scan =
-        scan_parent(parent_array, targets, input_level);
-    stats_.cells_scanned += scan.cells_scanned;
-    stats_.updates += scan.updates;
-    stats_.peak_scratch_bytes =
-        std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
-  }
-
-  AggregationStats scan_parent(const DenseArray& parent,
-                               std::span<const AggregationTarget> targets,
-                               bool input_level) {
-    if (op_ == AggregateOp::kSum) {
-      // Specialized fast path: striped over the pool.
-      return aggregate_children(parent, targets, agg_options_);
-    }
-    return aggregate_children_op(parent, targets, op_, input_level);
-  }
-
-  AggregationStats scan_parent(const SparseArray& parent,
-                               std::span<const AggregationTarget> targets,
-                               bool /*input_level*/) {
-    if (op_ == AggregateOp::kSum) {
-      return aggregate_children(parent, targets, agg_options_);
-    }
-    return aggregate_children_op(parent, targets, op_);
-  }
-
-  /// Figure 3's right-to-left child walk below an already-computed node.
-  void descend(DimSet view) {
-    const std::vector<DimSet> kids = tree_.children(view);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      if (tree_.is_leaf(*it)) {
-        write_back(*it);
-      } else {
-        evaluate(*it);
-      }
-    }
-  }
-
-  /// Figure 3's Evaluate() for a non-root node whose array is live.
-  void evaluate(DimSet view) {
-    compute_children(view, live_.at(view.mask()), /*input_level=*/false);
-    descend(view);
-    write_back(view);
-  }
-
-  void write_back(DimSet view) {
-    auto it = live_.find(view.mask());
-    CUBIST_ASSERT(it != live_.end(), "write-back of non-live view");
-    ledger_.release(it->second.bytes());
-    stats_.written_bytes += it->second.bytes();
-    finalize_view(op_, it->second);
-    result_.put(view, std::move(it->second));
-    live_.erase(it);
-  }
-
-  std::vector<std::int64_t> sizes_;
-  int n_;
-  AggregateOp op_;
-  AggregateOptions agg_options_;
-  AggregationTree tree_;
-  CubeResult result_;
-  std::map<std::uint32_t, DenseArray> live_;
-  MemoryLedger ledger_;
-  BuildStats stats_;
-};
+  CUBIST_ASSERT(result.num_views() + 1 == (std::size_t{1} << root.ndim()),
+                "cube incomplete");
+  if (stats != nullptr) *stats = walk.stats();
+  return result;
+}
 
 }  // namespace
 
 CubeResult build_cube_sequential(const DenseArray& root, BuildStats* stats,
                                  AggregateOp op,
                                  const AggregateOptions& agg_options) {
-  Builder builder(root.shape().extents(), op, agg_options);
-  return builder.run(root, stats);
+  return build(root, stats, op, agg_options);
 }
 
 CubeResult build_cube_sequential(const SparseArray& root, BuildStats* stats,
                                  AggregateOp op,
                                  const AggregateOptions& agg_options) {
-  Builder builder(root.shape().extents(), op, agg_options);
-  return builder.run(root, stats);
+  return build(root, stats, op, agg_options);
 }
 
 }  // namespace cubist

@@ -1,12 +1,8 @@
-// Sequential data cube construction over the aggregation tree (Figure 3).
-//
-// Evaluate(l): one scan of l produces ALL of l's children simultaneously;
-// children are then visited right to left, leaves written back immediately,
-// internal nodes recursed into; l itself is written back last. The only
-// traffic is reading the input once and writing each computed view once,
-// and the live intermediate results never exceed the Theorem-1 bound
-// (sum of the first-level view sizes) — both properties are asserted by
-// the test suite against the stats reported here.
+// Sequential data cube construction over the aggregation tree (Figure 3):
+// the shared walk of core/tree_walk.h with every child kept. The live
+// intermediate results never exceed the Theorem-1 bound (sum of the
+// first-level view sizes), asserted by the test suite against the stats
+// reported here.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +34,10 @@ struct BuildStats {
 
 /// Builds the full cube from a dense root array. The result holds every
 /// proper view (the root view is the input itself and is not duplicated).
-/// `op` selects the aggregate (extension; the paper fixes SUM — SUM keeps
-/// the specialized fast kernels). `agg_options` controls intra-scan
-/// parallelism (pool + per-call worker cap); the defaults use the global
-/// pool. Results are bit-identical for every options setting.
+/// `op` selects the aggregate (extension; the paper fixes SUM — every
+/// operator runs the same striped kernels). `agg_options` controls
+/// intra-scan parallelism (pool + per-call worker cap); the defaults use
+/// the global pool. Results are bit-identical for every options setting.
 CubeResult build_cube_sequential(const DenseArray& root,
                                  BuildStats* stats = nullptr,
                                  AggregateOp op = AggregateOp::kSum,

@@ -1,11 +1,10 @@
 #include "tiling/tiled_builder.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.h"
 #include "common/mathutil.h"
-#include "core/sequential_builder.h"
+#include "core/tree_walk.h"
 #include "io/generators.h"
 #include "lattice/cube_lattice.h"
 #include "lattice/memory_sim.h"
@@ -60,7 +59,7 @@ TilingPlan plan_tiling(const std::vector<std::int64_t>& sizes,
 }
 
 CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
-                            TiledBuildStats* stats) {
+                            TiledBuildStats* stats, AggregateOp op) {
   const std::vector<std::int64_t> sizes = root.shape().extents();
   const int n = root.ndim();
   CUBIST_CHECK(plan.tile_extent >= 1 && plan.tile_extent <= sizes[0],
@@ -69,9 +68,9 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
   TiledBuildStats totals;
   totals.tiles = ceil_div(sizes[0], plan.tile_extent);
 
-  // Views lacking dimension 0 accumulate across slabs; everything else is
-  // emitted per slab into its final place.
-  std::map<std::uint32_t, DenseArray> persistent;
+  // Views lacking dimension 0 combine across slabs under the operator;
+  // everything else is emitted per slab into its final place.
+  ViewBlocks persistent;
   const std::int64_t persistent_bytes =
       persistent_cells(sizes) * static_cast<std::int64_t>(sizeof(Value));
 
@@ -87,8 +86,9 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
     std::vector<std::int64_t> chunks = default_chunks(slab.extents());
     const SparseArray slab_root = extract_block(root, slab, std::move(chunks));
 
-    BuildStats slab_stats;
-    CubeResult slab_cube = build_cube_sequential(slab_root, &slab_stats);
+    TreeWalk<> walk(n, op, AggregateOptions{});
+    ViewBlocks slab_views = walk.run(slab_root);
+    const BuildStats& slab_stats = walk.stats();
     totals.cells_scanned += slab_stats.cells_scanned;
     totals.updates += slab_stats.updates;
     totals.peak_live_bytes =
@@ -97,8 +97,8 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
     totals.peak_scratch_bytes =
         std::max(totals.peak_scratch_bytes, slab_stats.peak_scratch_bytes);
 
-    for (DimSet view : slab_cube.stored_views()) {
-      DenseArray slab_view = slab_cube.take(view);
+    for (auto& [mask, slab_view] : slab_views) {
+      const DimSet view = DimSet::from_mask(mask);
       if (view.contains(0)) {
         // Dimension 0 is the slowest-varying dimension of the view, so the
         // slab's portion is one contiguous stretch of the full array.
@@ -113,10 +113,13 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
                   full.data() + offset);
         totals.written_bytes += slab_view.bytes();
       } else {
-        auto [it, inserted] = persistent.try_emplace(view.mask(),
+        auto [it, inserted] = persistent.try_emplace(mask,
                                                      std::move(slab_view));
         if (!inserted) {
-          it->second.accumulate(slab_view);
+          Value* acc = it->second.data();
+          for (std::int64_t i = 0; i < slab_view.size(); ++i) {
+            combine(op, acc[i], slab_view[i]);
+          }
         }
       }
     }
@@ -124,6 +127,10 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
   for (auto& [mask, array] : persistent) {
     totals.written_bytes += array.bytes();
     result.put(DimSet::from_mask(mask), std::move(array));
+  }
+  // Only now is every view complete, so each is finalized exactly once.
+  for (DimSet view : result.stored_views()) {
+    finalize_view(op, result.mutable_view(view));
   }
   if (stats != nullptr) {
     *stats = totals;

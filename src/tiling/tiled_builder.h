@@ -5,7 +5,7 @@
 // along dimension 0 (the largest, under the canonical ordering). Views
 // retaining dimension 0 are produced slab by slab and written out as soon
 // as a slab's portion is complete, so only 1/T of them is ever live; views
-// lacking dimension 0 accumulate across slabs. Because the aggregation
+// lacking dimension 0 combine across slabs. Because the aggregation
 // tree minimizes the live set, it minimizes the number of slabs required —
 // the property the paper claims for tiling. This is a deliberately
 // simplified (single-dimension) variant of the authors' follow-up tiling
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "array/aggregate_op.h"
 #include "array/sparse_array.h"
 #include "core/cube_result.h"
 
@@ -46,10 +47,12 @@ struct TiledBuildStats {
   std::int64_t peak_scratch_bytes = 0;
 };
 
-/// Builds the full cube slab by slab under `plan`. The result is
-/// identical to build_cube_sequential's (asserted by tests); only the
-/// memory/I/O profile differs.
+/// Builds the full cube slab by slab under `plan`, each slab through the
+/// shared aggregation-tree walk under `op`. The result is identical to
+/// build_cube_sequential's under the same operator (asserted by tests);
+/// only the memory/I/O profile differs.
 CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
-                            TiledBuildStats* stats = nullptr);
+                            TiledBuildStats* stats = nullptr,
+                            AggregateOp op = AggregateOp::kSum);
 
 }  // namespace cubist

@@ -30,16 +30,19 @@ std::vector<int> all_positions(int ndim) {
   return positions;
 }
 
-/// Aggregates every single-dimension child of `parent` with a pool of
-/// `threads` and returns the children.
+constexpr AggregateOp kAllOps[] = {AggregateOp::kSum, AggregateOp::kCount,
+                                   AggregateOp::kMin, AggregateOp::kMax};
+
+/// Aggregates every single-dimension child of the raw input `parent`
+/// under `op` with a pool of `threads` and returns the children.
 template <typename ParentT>
-std::vector<DenseArray> children_with_pool(const ParentT& parent,
-                                           int threads) {
+std::vector<DenseArray> children_with_pool(
+    const ParentT& parent, int threads, AggregateOp op = AggregateOp::kSum) {
   ThreadPool pool(threads);
   std::vector<DenseArray> children;
   children.reserve(static_cast<std::size_t>(parent.ndim()));
   for (int pos = 0; pos < parent.ndim(); ++pos) {
-    children.emplace_back(parent.shape().without_dim(pos));
+    children.emplace_back(parent.shape().without_dim(pos), identity_of(op));
   }
   std::vector<AggregationTarget> targets;
   for (int pos = 0; pos < parent.ndim(); ++pos) {
@@ -47,20 +50,21 @@ std::vector<DenseArray> children_with_pool(const ParentT& parent,
   }
   AggregateOptions options;
   options.pool = &pool;
-  aggregate_children(parent, targets, options);
+  aggregate_children(parent, targets, options, op);
   return children;
 }
 
 void expect_bit_identical(const std::vector<DenseArray>& expected,
-                          const std::vector<DenseArray>& actual,
-                          int threads) {
+                          const std::vector<DenseArray>& actual, int threads,
+                          AggregateOp op = AggregateOp::kSum) {
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t c = 0; c < expected.size(); ++c) {
     ASSERT_EQ(expected[c].size(), actual[c].size());
     EXPECT_EQ(std::memcmp(expected[c].data(), actual[c].data(),
                           static_cast<std::size_t>(expected[c].bytes())),
               0)
-        << "child " << c << " differs with " << threads << " threads";
+        << to_string(op) << " child " << c << " differs with " << threads
+        << " threads";
   }
 }
 
@@ -71,10 +75,14 @@ TEST(AggregateDeterminismTest, DenseBitIdenticalAcrossPoolSizes) {
   const std::vector<int> positions = all_positions(3);
   ASSERT_GT(plan_dense_scan(parent.shape(), positions).num_stripes, 1);
 
-  const std::vector<DenseArray> reference = children_with_pool(parent, 1);
-  for (const int threads : pool_sizes()) {
-    expect_bit_identical(reference, children_with_pool(parent, threads),
-                         threads);
+  for (const AggregateOp op : kAllOps) {
+    const std::vector<DenseArray> reference =
+        children_with_pool(parent, 1, op);
+    for (const int threads : pool_sizes()) {
+      expect_bit_identical(reference,
+                           children_with_pool(parent, threads, op), threads,
+                           op);
+    }
   }
 }
 
@@ -118,10 +126,14 @@ TEST(AggregateDeterminismTest, SparseBitIdenticalAcrossPoolSizes) {
                 .num_stripes,
             1);
 
-  const std::vector<DenseArray> reference = children_with_pool(parent, 1);
-  for (const int threads : pool_sizes()) {
-    expect_bit_identical(reference, children_with_pool(parent, threads),
-                         threads);
+  for (const AggregateOp op : kAllOps) {
+    const std::vector<DenseArray> reference =
+        children_with_pool(parent, 1, op);
+    for (const int threads : pool_sizes()) {
+      expect_bit_identical(reference,
+                           children_with_pool(parent, threads, op), threads,
+                           op);
+    }
   }
 }
 
@@ -184,6 +196,11 @@ TEST(AggregateDeterminismTest, StripePlanIsIndependentOfThreadCount) {
   EXPECT_LE(plan.num_stripes, kMaxScanStripes);
   EXPECT_LE(plan.scratch_bytes, kScanScratchBudgetBytes);
   EXPECT_LE(plan.scratch_bytes, scan_scratch_bound(big, positions));
+  // Scratch never outgrows the children it feeds.
+  const std::int64_t child_bytes =
+      3 * 48 * 48 * static_cast<std::int64_t>(sizeof(Value));
+  EXPECT_LE(plan.scratch_bytes, child_bytes);
+  EXPECT_EQ(scan_scratch_bound(big, positions), child_bytes);
   EXPECT_GE(plan.stripe_len * plan.num_stripes, 48 * 48);
 
   const Shape tiny{{4, 4, 4}};

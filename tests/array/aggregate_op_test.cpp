@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "array/aggregate.h"
+#include "common/thread_pool.h"
 #include "test_util.h"
 
 namespace cubist {
@@ -10,25 +14,52 @@ namespace {
 constexpr AggregateOp kAllOps[] = {AggregateOp::kSum, AggregateOp::kCount,
                                    AggregateOp::kMin, AggregateOp::kMax};
 
-/// Reference: aggregate `parent` (raw input semantics) along `pos` under
-/// `op` with a plain loop over non-empty cells.
-DenseArray brute_force_op(const DenseArray& parent, int pos, AggregateOp op) {
+/// Reference: aggregate `parent` along `pos` under `op` with a plain loop
+/// over non-empty cells. Raw input (`input_level`) marks empty cells with
+/// 0 and contributes contribution_of(op, cell); a live view marks them
+/// with the identity and contributes the cell itself.
+DenseArray brute_force_op(const DenseArray& parent, int pos, AggregateOp op,
+                          bool input_level = true) {
   DenseArray out{parent.shape().without_dim(pos)};
   fill_identity(op, out);
+  const Value empty = input_level ? Value{0} : identity_of(op);
   const int m = parent.ndim();
   std::vector<std::int64_t> idx(static_cast<std::size_t>(m));
   std::vector<std::int64_t> child_idx;
   for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
-    if (parent[linear] == Value{0}) continue;  // empty input cell
+    const Value cell = parent[linear];
+    if (cell == empty) continue;
     parent.shape().unravel(linear, idx.data());
     child_idx.clear();
     for (int d = 0; d < m; ++d) {
       if (d != pos) child_idx.push_back(idx[d]);
     }
-    combine(op, out.at(child_idx), contribution_of(op, parent[linear]));
+    combine(op, out.at(child_idx),
+            input_level ? contribution_of(op, cell) : cell);
   }
   finalize_view(op, out);
   return out;
+}
+
+/// Every single-dimension child of `parent` from ONE scan of the
+/// operator-generic kernel on a pool of `threads`, finalized.
+std::vector<DenseArray> kernel_children(const DenseArray& parent,
+                                        AggregateOp op, bool input_level,
+                                        int threads) {
+  std::vector<DenseArray> children;
+  for (int pos = 0; pos < parent.ndim(); ++pos) {
+    children.emplace_back(parent.shape().without_dim(pos), identity_of(op));
+  }
+  std::vector<AggregationTarget> targets;
+  for (int pos = 0; pos < parent.ndim(); ++pos) {
+    targets.push_back({pos, &children[static_cast<std::size_t>(pos)]});
+  }
+  ThreadPool pool(threads);
+  AggregateOptions options;
+  options.pool = &pool;
+  aggregate_children(parent, targets, options, op, input_level);
+  for (DenseArray& child : children) finalize_view(op, child);
+  return children;
 }
 
 TEST(AggregateOpTest, ToStringNames) {
@@ -88,11 +119,42 @@ TEST_P(AggregateOpKernelTest, DenseInputLevelMatchesBruteForce) {
     DenseArray child{parent.shape().without_dim(pos)};
     fill_identity(op, child);
     const AggregationTarget target{pos, &child};
-    aggregate_children_op(parent, std::span(&target, 1), op,
-                          /*input_level=*/true);
+    aggregate_children(parent, std::span(&target, 1), {}, op,
+                       /*input_level=*/true);
     finalize_view(op, child);
     EXPECT_EQ(child, brute_force_op(parent, pos, op))
         << to_string(op) << " pos=" << pos;
+  }
+}
+
+TEST_P(AggregateOpKernelTest, StripedAliasedScanMatchesBruteForce) {
+  // Big enough to stripe, with a child that aliases across stripes, so
+  // the identity-filled private accumulators and the operator merge run
+  // — at both cell levels, on a multi-thread pool.
+  const AggregateOp op = GetParam();
+  DenseArray parent = testing::random_dense({48, 32, 16}, 0.4, 12);
+  ASSERT_GE(parent.size(), 2 * kMinCellsPerStripe);
+  const std::vector<int> positions = {0, 1, 2};
+  const StripePlan plan = plan_dense_scan(parent.shape(), positions);
+  ASSERT_GT(plan.num_stripes, 1);
+  ASSERT_NE(std::count(plan.aliased.begin(), plan.aliased.end(), 1), 0);
+
+  std::vector<DenseArray> children =
+      kernel_children(parent, op, /*input_level=*/true, 3);
+  for (int pos = 0; pos < 3; ++pos) {
+    EXPECT_EQ(children[static_cast<std::size_t>(pos)],
+              brute_force_op(parent, pos, op))
+        << to_string(op) << " input pos=" << pos;
+  }
+  // The same cells as a live view: empty cells hold the identity.
+  for (std::int64_t i = 0; i < parent.size(); ++i) {
+    if (parent[i] == Value{0}) parent[i] = identity_of(op);
+  }
+  children = kernel_children(parent, op, /*input_level=*/false, 3);
+  for (int pos = 0; pos < 3; ++pos) {
+    EXPECT_EQ(children[static_cast<std::size_t>(pos)],
+              brute_force_op(parent, pos, op, /*input_level=*/false))
+        << to_string(op) << " view pos=" << pos;
   }
 }
 
@@ -107,8 +169,8 @@ TEST_P(AggregateOpKernelTest, SparseMatchesDense) {
     fill_identity(op, from_sparse);
     const AggregationTarget dense_target{pos, &from_dense};
     const AggregationTarget sparse_target{pos, &from_sparse};
-    aggregate_children_op(dense, std::span(&dense_target, 1), op, true);
-    aggregate_children_op(sparse, std::span(&sparse_target, 1), op);
+    aggregate_children(dense, std::span(&dense_target, 1), {}, op, true);
+    aggregate_children(sparse, std::span(&sparse_target, 1), {}, op);
     EXPECT_EQ(from_dense, from_sparse) << to_string(op) << " pos=" << pos;
   }
 }
@@ -123,12 +185,12 @@ TEST_P(AggregateOpKernelTest, TwoLevelAggregationIsConsistent) {
   DenseArray mid{parent.shape().without_dim(2)};
   fill_identity(op, mid);
   const AggregationTarget t1{2, &mid};
-  aggregate_children_op(parent, std::span(&t1, 1), op, true);
+  aggregate_children(parent, std::span(&t1, 1), {}, op, true);
   // Level 2: drop dim 1 (of the remaining {0,1}).
   DenseArray final_view{mid.shape().without_dim(1)};
   fill_identity(op, final_view);
   const AggregationTarget t2{1, &final_view};
-  aggregate_children_op(mid, std::span(&t2, 1), op, /*input_level=*/false);
+  aggregate_children(mid, std::span(&t2, 1), {}, op, /*input_level=*/false);
   finalize_view(op, final_view);
 
   // Brute force in one shot.
@@ -149,25 +211,6 @@ INSTANTIATE_TEST_SUITE_P(Ops, AggregateOpKernelTest,
                          [](const auto& param_info) {
                            return to_string(param_info.param);
                          });
-
-TEST(AggregateOpTest, CombineArrays) {
-  DenseArray a{Shape{{3}}};
-  DenseArray b{Shape{{3}}};
-  a[0] = 1;
-  a[1] = 5;
-  b[0] = 4;
-  b[1] = 2;
-  DenseArray a_min = a;
-  combine_arrays(AggregateOp::kMin, a_min, b);
-  // Note: cell 2 is 0 in both (raw zeros combine as values here; the
-  // builders use identity-filled live arrays so this never sees raw 0s).
-  EXPECT_EQ(a_min[0], 1.0);
-  EXPECT_EQ(a_min[1], 2.0);
-  DenseArray a_sum = a;
-  combine_arrays(AggregateOp::kSum, a_sum, b);
-  EXPECT_EQ(a_sum[0], 5.0);
-  EXPECT_EQ(a_sum[1], 7.0);
-}
 
 TEST(AggregateOpTest, AverageOf) {
   DenseArray sum{Shape{{3}}};

@@ -1,5 +1,5 @@
 // End-to-end tests of the generalized aggregate operators through the
-// sequential and parallel builders.
+// sequential, parallel and tiled builders.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include "core/sequential_builder.h"
 #include "core/verify.h"
 #include "io/generators.h"
+#include "tiling/tiled_builder.h"
 
 namespace cubist {
 namespace {
@@ -88,6 +89,28 @@ TEST_P(BuilderOpsTest, ParallelMatchesSequentialAcrossGrids) {
     EXPECT_EQ(compare_cubes(expected, *report.cube), "")
         << to_string(op) << " grid " << ProcGrid(splits).to_string();
   }
+}
+
+TEST_P(BuilderOpsTest, TiledMatchesReference) {
+  const AggregateOp op = GetParam();
+  constexpr std::int64_t kTileExtent = 3;  // slabs [0,3) [3,6) [6,8)
+  DenseArray dense = generate_sparse_global(test_spec()).to_dense();
+  // Cell (y, z) = (0, 0) of view {1, 2} — which lacks dimension 0 — gets
+  // data from the first slab only. Finalizing slabs before combining them
+  // would turn the other slabs' empty cells into 0s, and MIN would read 0.
+  for (std::int64_t x = 0; x < 8; ++x) dense.at({x, 0, 0}) = 0;
+  dense.at({1, 0, 0}) = 7;
+  const SparseArray root = SparseArray::from_dense(dense, {4, 4, 4});
+  TilingPlan plan;
+  plan.tile_extent = kTileExtent;
+  TiledBuildStats stats;
+  const CubeResult tiled = build_cube_tiled(root, plan, &stats, op);
+  EXPECT_EQ(stats.tiles, 3);
+  EXPECT_EQ(compare_cubes(reference_op_cube(root, op), tiled), "")
+      << to_string(op);
+  EXPECT_EQ(tiled.query(DimSet::of({1, 2}), {0, 0}),
+            op == AggregateOp::kCount ? 1.0 : 7.0)
+      << to_string(op);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, BuilderOpsTest, ::testing::ValuesIn(kAllOps),

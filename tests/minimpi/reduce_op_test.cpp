@@ -16,16 +16,19 @@ CostModel fast_model() {
   return model;
 }
 
+// Both fields are 64-bit so the struct has no padding: gtest names each case
+// after the parameter's raw bytes, and padding would put garbage in the name.
 struct ReduceCase {
-  int group_size;
+  std::int64_t group_size;
   std::int64_t message_cap;
 };
 
 class ChunkedReduceTest : public ::testing::TestWithParam<ReduceCase> {};
 
 TEST_P(ChunkedReduceTest, SumMatchesWholeBlockForAnyCap) {
-  const auto [p, cap] = GetParam();
-  Runtime::run(p, fast_model(), [p = p, cap = cap](Comm& comm) {
+  const int p = static_cast<int>(GetParam().group_size);
+  const std::int64_t cap = GetParam().message_cap;
+  Runtime::run(p, fast_model(), [p, cap](Comm& comm) {
     std::vector<int> group(static_cast<std::size_t>(p));
     std::iota(group.begin(), group.end(), 0);
     DenseArray data{Shape{{37}}};  // deliberately not a multiple of caps
