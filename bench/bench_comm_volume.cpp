@@ -188,6 +188,39 @@ LinkCost sweep_inter_link() {
   return link;
 }
 
+/// Ranks per node of the sweep's two-tier points.
+constexpr int kTwoTierRanksPerNode = 3;
+
+/// Publishes the cost model the comm benches run under as
+/// "cost_model/<path>" keys of the JSON `context` block, so
+/// tools/bench_report.py --comm records the values this binary actually
+/// used. Reals always print with a decimal point, integers without.
+void publish_cost_model() {
+  const auto real = [](const std::string& key, double value) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%#.17g", value);
+    ::benchmark::AddCustomContext("cost_model/" + key, text);
+  };
+  const auto integer = [](const std::string& key, std::int64_t value) {
+    ::benchmark::AddCustomContext("cost_model/" + key,
+                                  std::to_string(value));
+  };
+  const CostModel model = paper_model();
+  const LinkCost inter = sweep_inter_link();
+  real("update_rate_per_s", model.update_rate);
+  real("scan_rate_per_s", model.scan_rate);
+  real("intra_link/latency_s", model.latency);
+  real("intra_link/overhead_s", model.overhead);
+  real("intra_link/bandwidth_Bps", model.bandwidth);
+  real("two_tier_inter_link/latency_s", inter.latency);
+  real("two_tier_inter_link/overhead_s", inter.overhead);
+  real("two_tier_inter_link/bandwidth_Bps", inter.bandwidth);
+  integer("two_tier_ranks_per_node", kTwoTierRanksPerNode);
+  integer("tuner/bytes_per_element", sizeof(Value));
+  real("tuner/switch_margin", kTunerSwitchMargin);
+  integer("tuner/ring_pipeline_factor", kRingPipelineFactor);
+}
+
 /// One sweep cell: a full construction with the reduction algorithm
 /// forced (or kAuto for the tuner), fully certified — static schedule
 /// verifier pre-flight, post-run ledger + wire audits against the tuned
@@ -282,9 +315,9 @@ void register_benchmarks() {
   // views with group sizes 4 and 2). Topology axis: flat vs 3 ranks/node.
   const SweepPoint sweep_points[] = {
       {"g8-flat", {3, 0, 0, 0}, 0},
-      {"g8-2tier", {3, 0, 0, 0}, 3},
+      {"g8-2tier", {3, 0, 0, 0}, kTwoTierRanksPerNode},
       {"g4x2-flat", {2, 1, 0, 0}, 0},
-      {"g4x2-2tier", {2, 1, 0, 0}, 3},
+      {"g4x2-2tier", {2, 1, 0, 0}, kTwoTierRanksPerNode},
   };
   for (const auto& sizes : {fig7_sizes, smoke_sizes}) {
     const std::string shape = sizes == smoke_sizes ? "smoke" : "fig7";
@@ -357,6 +390,7 @@ int main(int argc, char** argv) {
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
+  cubist::bench::publish_cost_model();
   cubist::bench::register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();

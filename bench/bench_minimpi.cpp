@@ -43,7 +43,7 @@ void BM_ReduceSum(benchmark::State& state) {
       for (int i = 0; i < p; ++i) group[static_cast<std::size_t>(i)] = i;
       DenseArray data{Shape{{block}}};
       data.fill(static_cast<Value>(comm.rank()));
-      comm.reduce_sum(group, data, 1);
+      comm.reduce(group, data, 1, AggregateOp::kSum);
     });
   }
   state.SetBytesProcessed(state.iterations() * (p - 1) * block *

@@ -99,15 +99,12 @@ class RankPlanner {
   }
 
   /// The chunk-pipelined reduction of Comm::reduce, as planned
-  /// operations. The schedule (binomial / ring / two-level; kAuto via
-  /// the tuner) comes from the SAME generator the runtime executes
+  /// operations: the SAME reduce_program the runtime executes
   /// (minimpi/collectives.h), resolved on the same static inputs — so
-  /// whatever the tuner picks is exactly what gets verified. Chunk-
-  /// outer, step-inner: each chunk runs the whole per-member schedule
-  /// before the next chunk starts. Zero-size blocks plan nothing (the
-  /// runtime skips the wire entirely). Planned element counts are
-  /// LOGICAL (dense) sizes; the adaptive wire codec only ever shrinks
-  /// them, which is what the wire audit certifies.
+  /// whatever the tuner picks is exactly what gets verified. Zero-size
+  /// blocks plan nothing (the runtime skips the wire entirely). Planned
+  /// element counts are LOGICAL (dense) sizes; the adaptive wire codec
+  /// only ever shrinks them, which is what the wire audit certifies.
   void plan_reduce(const std::vector<int>& group, DimSet child) {
     const int g = static_cast<int>(group.size());
     int me = -1;
@@ -121,28 +118,23 @@ class RankPlanner {
         spec_.reduce_algorithm, group, total, spec_.reduce_message_elements,
         spec_.model, spec_.reduce_density_hint, spec_.encode_wire);
     (*algorithm_by_view_)[child.mask()] = algorithm;
-    const std::int64_t piece = reduce_chunk_elements(
-        algorithm, total, g, spec_.reduce_message_elements);
-    const std::vector<ReduceStep> steps =
-        reduce_chunk_steps(algorithm, group, me, spec_.model.topology);
-    for (std::int64_t offset = 0; offset < total; offset += piece) {
-      const std::int64_t count = std::min(piece, total - offset);
-      for (const ReduceStep& step : steps) {
-        if (step.kind == ReduceStep::Kind::kSend) {
-          plan_.ops.push_back({PlannedOp::Kind::kSend, step.peer,
-                               child.mask(), count, offset});
-          (*elements_by_view_)[child.mask()] += count;
-        } else {
-          // Each receive is immediately folded into the local block: the
-          // combine is a first-class IR event because its ORDER (fixed
-          // step order, deterministic by construction for every
-          // algorithm) is exactly what the interleaving checker
-          // certifies.
-          plan_.ops.push_back({PlannedOp::Kind::kRecv, step.peer,
-                               child.mask(), count, offset});
-          plan_.ops.push_back({PlannedOp::Kind::kCombine, step.peer,
-                               child.mask(), count, offset});
-        }
+    for (const ReduceOp& op :
+         reduce_program(algorithm, group, me, total,
+                        spec_.reduce_message_elements, spec_.model.topology)) {
+      if (op.step.kind == ReduceStep::Kind::kSend) {
+        plan_.ops.push_back({PlannedOp::Kind::kSend, op.step.peer,
+                             child.mask(), op.count, op.offset});
+        (*elements_by_view_)[child.mask()] += op.count;
+      } else {
+        // Each receive is immediately folded into the local block: the
+        // combine is a first-class IR event because its ORDER (fixed
+        // step order, deterministic by construction for every
+        // algorithm) is exactly what the interleaving checker
+        // certifies.
+        plan_.ops.push_back({PlannedOp::Kind::kRecv, op.step.peer,
+                             child.mask(), op.count, op.offset});
+        plan_.ops.push_back({PlannedOp::Kind::kCombine, op.step.peer,
+                             child.mask(), op.count, op.offset});
       }
     }
   }

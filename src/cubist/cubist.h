@@ -38,7 +38,6 @@
 #include "analysis/interleaving_checker.h"  // DPOR interleaving model checker
 #include "analysis/schedule_ir.h"        // typed schedule event IR
 #include "analysis/schedule_verifier.h"  // schedule verifier + ledger audit
-#include "analysis/trace_bridge.h"       // obs capture -> EventTrace
 #include "baselines/tree_builder.h"  // prior-work spanning-tree baselines
 #include "common/dimset.h"         // lattice node = set of dimensions
 #include "common/mathutil.h"

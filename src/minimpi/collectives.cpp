@@ -5,23 +5,11 @@
 #include <map>
 #include <utility>
 
+#include "array/shape.h"
 #include "common/error.h"
 
 namespace cubist {
 namespace {
-
-/// Wire bytes per element (sizeof the runtime's Value type; kept as a
-/// local constant so minimpi does not depend on the array layer).
-constexpr double kBytesPerElement = 8.0;
-
-/// Switch away from binomial only on a predicted win of at least this
-/// factor — the tuner's guard against model error making kAuto slower
-/// than the incumbent.
-constexpr double kSwitchMargin = 0.95;
-
-/// With no explicit message cap, the ring splits the block into about
-/// this many pieces per chain hop span so fill latency amortizes.
-constexpr std::int64_t kRingPipelineFactor = 2;
 
 /// Binomial-tree steps for the member at `pos` of the sub-group listed
 /// by `member_indices` (indices into `group`), appended to `out` in
@@ -173,6 +161,28 @@ std::int64_t reduce_chunk_elements(ReduceAlgorithm algorithm,
   return total_elements == 0 ? 1 : total_elements;
 }
 
+std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
+                                     std::span<const int> group,
+                                     int me_index,
+                                     std::int64_t total_elements,
+                                     std::int64_t max_message_elements,
+                                     const Topology& topology) {
+  const std::vector<ReduceStep> steps =
+      reduce_chunk_steps(algorithm, group, me_index, topology);
+  const std::int64_t piece =
+      reduce_chunk_elements(algorithm, total_elements,
+                            static_cast<int>(group.size()),
+                            max_message_elements);
+  std::vector<ReduceOp> program;
+  for (std::int64_t offset = 0; offset < total_elements; offset += piece) {
+    const std::int64_t count = std::min(piece, total_elements - offset);
+    for (const ReduceStep& step : steps) {
+      program.push_back({step, offset, count});
+    }
+  }
+  return program;
+}
+
 double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                std::span<const int> group,
                                std::int64_t total_elements,
@@ -181,8 +191,6 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                bool encode_wire) {
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return 0.0;
-  const std::int64_t piece = reduce_chunk_elements(
-      algorithm, total_elements, g, max_message_elements);
   const double density = std::clamp(density_hint, 0.0, 1.0);
   // The adaptive codec ships narrow integers for dense chunks (~0.5x)
   // and run-skips identity cells for sparse ones; a clamped density is a
@@ -190,27 +198,16 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
   const double wire_factor =
       encode_wire ? std::clamp(density, 0.05, 0.5) : 1.0;
 
-  struct Op {
-    ReduceStep step;
-    std::int64_t count = 0;
-  };
-  std::vector<std::vector<Op>> program(static_cast<std::size_t>(g));
+  std::vector<std::vector<ReduceOp>> programs(static_cast<std::size_t>(g));
   for (int i = 0; i < g; ++i) {
-    const std::vector<ReduceStep> steps =
-        reduce_chunk_steps(algorithm, group, i, model.topology);
-    for (std::int64_t offset = 0; offset < total_elements; offset += piece) {
-      const std::int64_t count = std::min(piece, total_elements - offset);
-      for (const ReduceStep& step : steps) {
-        program[static_cast<std::size_t>(i)].push_back({step, count});
-      }
-    }
+    programs[static_cast<std::size_t>(i)] =
+        reduce_program(algorithm, group, i, total_elements,
+                       max_message_elements, model.topology);
   }
 
-  // Deterministic replay under the runtime's charging rules: a send
-  // occupies the sender for overhead + wire transfer and arrives one
-  // link latency later; a receive waits for the arrival, then pays the
-  // combine at update_rate. Channels are FIFO per (src, dst), exactly
-  // like the transport.
+  // Deterministic replay: each member runs its program until it blocks on
+  // a message still in flight. Channels are FIFO per (src, dst), exactly
+  // like the transport, and every charge is the runtime's own.
   std::vector<double> clock(static_cast<std::size_t>(g), 0.0);
   std::vector<std::size_t> pc(static_cast<std::size_t>(g), 0);
   std::map<std::pair<int, int>, std::deque<double>> arrivals;
@@ -218,32 +215,32 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
   while (progress) {
     progress = false;
     for (int i = 0; i < g; ++i) {
-      auto& ops = program[static_cast<std::size_t>(i)];
+      const std::vector<ReduceOp>& program =
+          programs[static_cast<std::size_t>(i)];
       double& t = clock[static_cast<std::size_t>(i)];
-      while (pc[static_cast<std::size_t>(i)] < ops.size()) {
-        const Op& op = ops[pc[static_cast<std::size_t>(i)]];
-        const LinkCost link = model.link(group[i], op.step.peer);
+      std::size_t& next = pc[static_cast<std::size_t>(i)];
+      for (; next < program.size(); ++next) {
+        const ReduceOp& op = program[next];
+        const auto elements = static_cast<double>(op.count);
         if (op.step.kind == ReduceStep::Kind::kSend) {
           const double wire_bytes =
-              static_cast<double>(op.count) * kBytesPerElement * wire_factor;
-          t += link.overhead + link.transfer_seconds(wire_bytes);
-          arrivals[{group[i], op.step.peer}].push_back(t + link.latency);
+              elements * static_cast<double>(sizeof(Value)) * wire_factor;
+          arrivals[{group[i], op.step.peer}].push_back(
+              model.charge_send(t, group[i], op.step.peer, wire_bytes));
         } else {
           std::deque<double>& queue = arrivals[{op.step.peer, group[i]}];
           if (queue.empty()) break;  // blocked on an in-flight message
-          t = std::max(t, queue.front());
+          CostModel::charge_receive(t, queue.front());
           queue.pop_front();
-          const double updates = static_cast<double>(op.count) * density;
-          t += model.seconds_for_updates(updates);
+          model.charge_combine(t, elements * density);
         }
-        ++pc[static_cast<std::size_t>(i)];
         progress = true;
       }
     }
   }
   for (int i = 0; i < g; ++i) {
     CUBIST_ASSERT(pc[static_cast<std::size_t>(i)] ==
-                      program[static_cast<std::size_t>(i)].size(),
+                      programs[static_cast<std::size_t>(i)].size(),
                   "reduce schedule simulation deadlocked");
   }
   return *std::max_element(clock.begin(), clock.end());
@@ -258,10 +255,6 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return ReduceAlgorithm::kBinomial;
 
-  const double binomial_seconds = simulate_reduce_seconds(
-      ReduceAlgorithm::kBinomial, group, total_elements,
-      max_message_elements, model, density_hint, encode_wire);
-
   std::vector<ReduceAlgorithm> candidates;
   if (g >= 3) candidates.push_back(ReduceAlgorithm::kRing);
   if (model.topology.two_tier()) {
@@ -274,14 +267,19 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
     }
     if (spans_nodes) candidates.push_back(ReduceAlgorithm::kTwoLevel);
   }
+  if (candidates.empty()) return ReduceAlgorithm::kBinomial;
 
+  const double binomial_seconds = simulate_reduce_seconds(
+      ReduceAlgorithm::kBinomial, group, total_elements,
+      max_message_elements, model, density_hint, encode_wire);
   ReduceAlgorithm best = ReduceAlgorithm::kBinomial;
   double best_seconds = binomial_seconds;
   for (ReduceAlgorithm candidate : candidates) {
     const double seconds = simulate_reduce_seconds(
         candidate, group, total_elements, max_message_elements, model,
         density_hint, encode_wire);
-    if (seconds < best_seconds && seconds < binomial_seconds * kSwitchMargin) {
+    if (seconds < best_seconds &&
+        seconds < binomial_seconds * kTunerSwitchMargin) {
       best = candidate;
       best_seconds = seconds;
     }

@@ -28,9 +28,13 @@
 // the interleaving checker / HB auditor certify tuned schedules exactly
 // as they certify binomial.
 //
-// The generator below is the single source of truth for each schedule:
-// Comm::reduce executes it and analysis/comm_plan.cpp plans it, so plan
-// and runtime agree by construction, not by parallel maintenance.
+// `reduce_program` is the single source of truth for what one reduction
+// does, and CostModel's charge_* functions for what it costs. The program
+// has four callers: Comm::reduce executes it, analysis/comm_plan.cpp
+// plans it, simulate_reduce_seconds replays it under the runtime's own
+// charging functions, and the test-only arrival-order fault path takes
+// its binomial tree from reduce_chunk_steps. Plan, runtime and tuner
+// therefore agree by construction, not by parallel maintenance.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +80,16 @@ std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
                                            int me_index,
                                            const Topology& topology);
 
+/// The tuner's guard against model error: it switches away from binomial
+/// only when a challenger's predicted makespan is below this fraction of
+/// binomial's.
+inline constexpr double kTunerSwitchMargin = 0.95;
+
+/// With no explicit message cap, the ring splits the block into this many
+/// pieces per chain hop, i.e. about kRingPipelineFactor * (g-1) chunks, so
+/// the chain's fill latency amortizes.
+inline constexpr std::int64_t kRingPipelineFactor = 2;
+
 /// Chunk size in elements for a block of `total_elements` reduced over
 /// `group_size` members. A non-zero `max_message_elements` always wins;
 /// with no cap, binomial and two-level ship the whole block per message
@@ -86,11 +100,32 @@ std::int64_t reduce_chunk_elements(ReduceAlgorithm algorithm,
                                    int group_size,
                                    std::int64_t max_message_elements);
 
+/// One operation of a member's reduction program: `step` applied to the
+/// `count` block elements starting at `offset`.
+struct ReduceOp {
+  ReduceStep step;
+  std::int64_t offset = 0;
+  std::int64_t count = 0;
+};
+
+/// The whole reduction program of group member `me_index` for a block of
+/// `total_elements`, in execution order: chunks of reduce_chunk_elements()
+/// in the outer loop, the member's reduce_chunk_steps() in the inner loop,
+/// so an interior member forwards chunk i before chunk i+1 arrives.
+/// `algorithm` must be forced. Empty for an empty block or a singleton
+/// group.
+std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
+                                     std::span<const int> group,
+                                     int me_index,
+                                     std::int64_t total_elements,
+                                     std::int64_t max_message_elements,
+                                     const Topology& topology);
+
 /// Predicted makespan of one reduction under `algorithm` (must be
-/// forced): a deterministic event-driven replay of the generated
-/// schedule under the same LogP charging rules as the runtime's virtual
-/// clock, with per-edge link costs from `model`. `density_hint` scales
-/// the estimated wire bytes (when `encode_wire`) and combine updates.
+/// forced): a deterministic event-driven replay of every member's
+/// reduce_program, charged by the same CostModel functions the runtime's
+/// virtual clock calls. `density_hint` scales the estimated wire bytes
+/// (when `encode_wire`) and combine updates.
 double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                std::span<const int> group,
                                std::int64_t total_elements,
@@ -100,8 +135,9 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
 
 /// The tuner: cheapest predicted algorithm for this call. Binomial is
 /// the incumbent — an alternative is picked only when its predicted
-/// makespan beats binomial's by a safety margin, so `kAuto` never does
-/// worse than forced binomial by more than model error.
+/// makespan beats binomial's by kTunerSwitchMargin, so `kAuto` never
+/// does worse than forced binomial by more than model error. With no
+/// challenger (a pair on a flat topology) nothing is simulated.
 ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
                                         std::int64_t total_elements,
                                         std::int64_t max_message_elements,

@@ -1,7 +1,7 @@
 #include "minimpi/comm.h"
 
-#include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "array/wire_codec.h"
 #include "common/error.h"
@@ -35,28 +35,13 @@ void Comm::charge_compute(std::int64_t cells_scanned, std::int64_t updates) {
 }
 
 std::uint64_t Comm::trace(const TraceEvent& event) {
-  const bool hb = state_.tracing();
-  const bool timeline = obs::Tracer::enabled();
-  if (!hb && !timeline) return kNoTraceSeq;
-  const std::uint64_t seq = trace_seq_++;
-  if (hb) {
-    [[maybe_unused]] const std::uint64_t index =
-        state_.record_event(rank_, event);
-    CUBIST_DCHECK(index == seq, "event trace index diverged from trace_seq_");
-  }
-  if (timeline) {
-    // Mirror onto this rank's obs track. The bridge relies on comm
-    // instants appearing in seq order per thread (they do: one emitter,
-    // one counter) and on match/operand seqs riding along as tags;
-    // kNoTraceSeq is representable as -1.
+  if (obs::Tracer::enabled()) {
     obs::Instant("comm", to_string(event.kind))
         .tag("peer", static_cast<std::int64_t>(event.peer))
         .tag("tag", static_cast<std::int64_t>(event.tag))
-        .tag("units", event.units)
-        .tag("match", static_cast<std::int64_t>(event.match_seq))
-        .tag("operand", static_cast<std::int64_t>(event.operand_seq));
+        .tag("units", event.units);
   }
-  return seq;
+  return state_.tracing() ? state_.record_event(rank_, event) : kNoTraceSeq;
 }
 
 void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
@@ -64,16 +49,12 @@ void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
   CUBIST_CHECK(dst >= 0 && dst < size(), "bad destination rank " << dst);
   CUBIST_CHECK(dst != rank_, "self-send is not supported");
   const auto wire_bytes = static_cast<std::int64_t>(payload.size());
-  // Sender is occupied for the per-message overhead plus the injection of
-  // what actually hits the link (the wire bytes); the receiver may consume
-  // the message one wire latency later. Every cost is the EDGE's — an
-  // inter-node message pays the topology's expensive link class.
-  const LinkCost link = state_.model().link(rank_, dst);
-  clock_ +=
-      link.overhead + link.transfer_seconds(static_cast<double>(wire_bytes));
+  // Charged at what actually hits the link (the wire bytes), on the
+  // edge's link class.
   Message message;
   message.payload = std::move(payload);
-  message.arrival_time = clock_ + link.latency;
+  message.arrival_time = state_.model().charge_send(
+      clock_, rank_, dst, static_cast<double>(wire_bytes));
   message.trace_seq =
       trace({TraceEventKind::kSend, dst, tag, logical_bytes});
   state_.ledger().record(tag, logical_bytes, wire_bytes);
@@ -92,7 +73,7 @@ std::vector<std::byte> Comm::recv_bytes(int src, std::uint64_t tag) {
   CUBIST_CHECK(src >= 0 && src < size(), "bad source rank " << src);
   CUBIST_CHECK(src != rank_, "self-receive is not supported");
   Message message = state_.transport().receive(rank_, src, tag);
-  clock_ = std::max(clock_, message.arrival_time);
+  CostModel::charge_receive(clock_, message.arrival_time);
   TraceEvent event{TraceEventKind::kRecv, src, tag,
                    static_cast<std::int64_t>(message.payload.size())};
   event.match_seq = message.trace_seq;
@@ -103,7 +84,7 @@ std::vector<std::byte> Comm::recv_bytes(int src, std::uint64_t tag) {
 std::pair<int, std::vector<std::byte>> Comm::recv_wire_any(
     std::uint64_t tag, const std::function<bool(int)>& accept) {
   auto [source, message] = state_.transport().receive_any(rank_, tag, accept);
-  clock_ = std::max(clock_, message.arrival_time);
+  CostModel::charge_receive(clock_, message.arrival_time);
   TraceEvent event{TraceEventKind::kRecvAny, source, tag,
                    static_cast<std::int64_t>(message.payload.size())};
   event.match_seq = message.trace_seq;
@@ -141,15 +122,19 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   const std::int64_t total = data.size();
   // Zero-size blocks (and singleton groups) never touch the wire.
   if (total == 0 || g == 1) return;
-  // Resolve the schedule (kAuto through the cost tuner) on static inputs
+  const CostModel& model = state_.model();
+  // The arrival-order fault is defined over the binomial tree. Otherwise
+  // the schedule resolves (kAuto through the cost tuner) on static inputs
   // only, so analysis/comm_plan.cpp resolves to the identical choice.
-  const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
-      options.algorithm, group, total, options.max_message_elements,
-      state_.model(), options.density_hint, options.wire.enabled);
-  const std::int64_t piece = reduce_chunk_elements(
-      algorithm, total, g, options.max_message_elements);
-  const std::vector<ReduceStep> steps =
-      reduce_chunk_steps(algorithm, group, me, state_.model().topology);
+  const bool arrival_order_fault =
+      options.fault == ReduceOptions::Fault::kArrivalOrderCombine;
+  const ReduceAlgorithm algorithm =
+      arrival_order_fault
+          ? ReduceAlgorithm::kBinomial
+          : resolve_reduce_algorithm(options.algorithm, group, total,
+                                     options.max_message_elements, model,
+                                     options.density_hint,
+                                     options.wire.enabled);
 
   // Timeline span for the whole collective; the certified drift ratio is
   // produced by the barrier-aligned calibration replay
@@ -165,131 +150,65 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     if (obs::drift_enabled()) {
       span.tag("sim_seconds",
                simulate_reduce_seconds(algorithm, group, total,
-                                       options.max_message_elements,
-                                       state_.model(), options.density_hint,
+                                       options.max_message_elements, model,
+                                       options.density_hint,
                                        options.wire.enabled));
     }
   }
 
-  // Chunk-outer pipeline: each chunk runs its full schedule (fold from
-  // below, then — for non-root members — ship upward) before the next
-  // chunk starts, so a member forwards chunk i while chunk i+1 is still
-  // in flight from its children. Per destination cell the combine order
-  // is the schedule's fixed step order, identical for every chunk size —
-  // the chunking is invisible in the output bits.
-  for (std::int64_t offset = 0; offset < total; offset += piece) {
-    const std::int64_t count = std::min(piece, total - offset);
-    const std::span<Value> chunk(data.data() + offset,
-                                 static_cast<std::size_t>(count));
-    if (options.fault == ReduceOptions::Fault::kArrivalOrderCombine) {
-      // The fault path exists to exercise the HB auditor on the classic
-      // arrival-order bug; it is defined over the binomial children.
-      reduce_chunk_arrival_order(group, me, chunk, tag, op, options);
-      continue;
-    }
-    for (const ReduceStep& step : steps) {
-      if (step.kind == ReduceStep::Kind::kSend) {
-        send_wire(step.peer, tag,
-                  count * static_cast<std::int64_t>(sizeof(Value)),
-                  encode_chunk(chunk, op, options.wire));
-      } else {
-        const std::vector<std::byte> payload = recv_bytes(step.peer, tag);
-        const std::int64_t updates =
-            combine_chunk(op, chunk, payload, options.combine_pool,
-                          options.combine_workers);
-        TraceEvent combined{TraceEventKind::kCombine, step.peer, tag, count};
-        combined.operand_seq = last_recv_seq_;
-        trace(combined);
-        // Charge the combine to the receiver's clock: one op per combined
-        // element (run-skipped identity cells cost nothing).
-        charge_compute(0, updates);
+  // TEST-ONLY fault state: per binomial child, the offset of the chunk it
+  // delivers next (-1 for every other rank).
+  std::vector<std::int64_t> child_next_offset;
+  if (arrival_order_fault) {
+    child_next_offset.assign(static_cast<std::size_t>(size()), -1);
+    for (const ReduceStep& step : reduce_chunk_steps(
+             ReduceAlgorithm::kBinomial, group, me, model.topology)) {
+      if (step.kind == ReduceStep::Kind::kRecvCombine) {
+        child_next_offset[static_cast<std::size_t>(step.peer)] = 0;
       }
     }
   }
-  if (span.active()) span.tag("clock_delta_seconds", clock_ - clock_at_entry);
-}
 
-void Comm::reduce_chunk_arrival_order(std::span<const int> group, int me,
-                                      std::span<Value> chunk,
-                                      std::uint64_t tag, AggregateOp op,
-                                      const ReduceOptions& options) {
-  // TEST-ONLY (ReduceOptions::Fault::kArrivalOrderCombine): the binomial
-  // schedule's children for this member, folded in virtual-arrival order
-  // through a wildcard receive instead of the fixed step order. The
-  // shipped totals are unchanged — only the fold ORDER becomes
-  // timing-dependent, which is exactly the bug the happens-before auditor
-  // must catch.
-  const int g = static_cast<int>(group.size());
-  int parent = -1;
-  std::vector<bool> pending(static_cast<std::size_t>(size()), false);
-  int sources = 0;
-  for (int step = 1; step < g; step <<= 1) {
-    if ((me & step) != 0) {
-      parent = group[me - step];
-      break;
+  // Per destination cell the combine order is the program's fixed step
+  // order, identical for every chunk size — the chunking is invisible in
+  // the output bits.
+  for (const ReduceOp& next :
+       reduce_program(algorithm, group, me, total,
+                      options.max_message_elements, model.topology)) {
+    const std::span<Value> chunk(data.data() + next.offset,
+                                 static_cast<std::size_t>(next.count));
+    if (next.step.kind == ReduceStep::Kind::kSend) {
+      send_wire(next.step.peer, tag,
+                next.count * static_cast<std::int64_t>(sizeof(Value)),
+                encode_chunk(chunk, op, options.wire));
+      continue;
     }
-    if (me + step < g) {
-      pending[static_cast<std::size_t>(group[me + step])] = true;
-      ++sources;
+    int source = next.step.peer;
+    std::vector<std::byte> payload;
+    if (!arrival_order_fault) {
+      payload = recv_bytes(source, tag);
+    } else {
+      // The fault: fold whichever child's operand for this chunk arrived
+      // first, through a wildcard receive, instead of the step's fixed
+      // source. Totals are unchanged; only the fold ORDER becomes
+      // timing-dependent, which is the bug the happens-before auditor
+      // must catch.
+      std::tie(source, payload) = recv_wire_any(tag, [&](int src) {
+        return child_next_offset[static_cast<std::size_t>(src)] ==
+               next.offset;
+      });
+      child_next_offset[static_cast<std::size_t>(source)] += next.count;
     }
-  }
-  const auto accept = [&](int src) {
-    return pending[static_cast<std::size_t>(src)];
-  };
-  for (; sources > 0; --sources) {
-    auto [src, payload] = recv_wire_any(tag, accept);
-    pending[static_cast<std::size_t>(src)] = false;
     const std::int64_t updates = combine_chunk(
         op, chunk, payload, options.combine_pool, options.combine_workers);
-    TraceEvent combined{TraceEventKind::kCombine, src, tag,
-                        static_cast<std::int64_t>(chunk.size())};
+    TraceEvent combined{TraceEventKind::kCombine, source, tag, next.count};
     combined.operand_seq = last_recv_seq_;
     trace(combined);
-    charge_compute(0, updates);
+    // One update per combined element (run-skipped identity cells cost
+    // nothing).
+    model.charge_combine(clock_, static_cast<double>(updates));
   }
-  if (parent >= 0) {
-    send_wire(parent, tag,
-              static_cast<std::int64_t>(chunk.size() * sizeof(Value)),
-              encode_chunk(chunk, op, options.wire));
-  }
-}
-
-void Comm::reduce(std::span<const int> group, DenseArray& data,
-                  std::uint64_t tag, AggregateOp op,
-                  std::int64_t max_message_elements) {
-  ReduceOptions options;
-  options.max_message_elements = max_message_elements;
-  reduce(group, data, tag, op, options);
-}
-
-void Comm::reduce_sum(std::span<const int> group, DenseArray& data,
-                      std::uint64_t tag) {
-  reduce(group, data, tag, AggregateOp::kSum);
-}
-
-void Comm::bcast(std::span<const int> group, std::vector<std::byte>& data,
-                 std::uint64_t tag) {
-  const int g = static_cast<int>(group.size());
-  CUBIST_CHECK(g >= 1, "empty broadcast group");
-  const int me = index_in_group(group, rank_);
-  CUBIST_CHECK(me >= 0, "rank " << rank_ << " not in broadcast group");
-
-  // Binomial tree from group[0], rounds with doubling step: in round
-  // `step`, every member me < step forwards to me + step. A member's
-  // receive round (step = most significant bit of me) precedes all of its
-  // send rounds, so receive first, then forward with increasing steps.
-  int msb = 0;
-  for (int step = 1; step <= me; step <<= 1) {
-    msb = step;
-  }
-  if (me != 0) {
-    data = recv_bytes(group[me - msb], tag);
-  }
-  for (int step = (me == 0) ? 1 : (msb << 1); step < g; step <<= 1) {
-    if (me + step < g) {
-      send_bytes(group[me + step], tag, data);
-    }
-  }
+  if (span.active()) span.tag("clock_delta_seconds", clock_ - clock_at_entry);
 }
 
 std::vector<std::vector<std::byte>> Comm::gather_bytes(

@@ -1,6 +1,6 @@
 // Comm: the per-rank communication endpoint of the minimpi runtime.
 //
-// A deliberately MPI-shaped API (blocking matched send/recv, binomial
+// A deliberately MPI-shaped API (blocking matched send/recv, tuned
 // collectives) so the parallel cube builder reads like the MPI program the
 // paper's authors ran, while every byte is counted (VolumeLedger) and a
 // LogP-style virtual clock tracks simulated parallel time (CostModel).
@@ -61,10 +61,11 @@ struct ReduceOptions {
   /// trace. Never set outside tests.
   enum class Fault {
     kNone,
-    /// Receivers consume and fold operands in virtual-arrival order via a
-    /// wildcard receive instead of the fixed binomial step order: totals
-    /// stay right (the ledger audit passes) but the combine order — and
-    /// with it the floating-point bits — depends on timing.
+    /// The reduce runs the binomial program, but receivers consume and
+    /// fold each chunk's operands in virtual-arrival order via a wildcard
+    /// receive instead of the fixed step order: totals stay right (the
+    /// ledger audit passes) but the combine order — and with it the
+    /// floating-point bits — depends on timing.
     kArrivalOrderCombine,
   };
   Fault fault = Fault::kNone;
@@ -112,14 +113,16 @@ class Comm {
   /// elementwise combination under `op`; other members' arrays hold
   /// partials and should be considered consumed.
   ///
-  /// The block is split into chunks of `options.max_message_elements` and
-  /// each chunk runs the whole binomial schedule before the next chunk
-  /// starts: an interior member combines and forwards chunk i up the tree
-  /// before chunk i+1 arrives from below, so the virtual clock sees the
-  /// rounds overlap (per-chunk arrival times, not whole-block
-  /// serialization). Each chunk's payload is adaptively encoded under
-  /// `options.wire`; the ledger records logical and wire bytes per
-  /// message, and the clock charges the transfer at wire size.
+  /// The member executes its reduce_program: the block is split into
+  /// chunks (reduce_chunk_elements) and each chunk runs the member's whole
+  /// schedule step list before the next chunk starts, so an interior
+  /// member combines and forwards chunk i before chunk i+1 arrives from
+  /// below and the virtual clock sees the rounds overlap (per-chunk
+  /// arrival times, not whole-block serialization). Each chunk's payload
+  /// is adaptively encoded under `options.wire`; the ledger records
+  /// logical and wire bytes per message, and the clock charges the
+  /// transfer at wire size through CostModel's charge_* functions, the
+  /// same ones simulate_reduce_seconds replays.
   ///
   /// Determinism: every receive is fixed-source, so per destination cell
   /// the combine order is the chosen schedule's step order, identical
@@ -128,19 +131,7 @@ class Comm {
   ///
   /// Zero-size blocks return immediately without touching the wire.
   void reduce(std::span<const int> group, DenseArray& data, std::uint64_t tag,
-              AggregateOp op, const ReduceOptions& options);
-
-  /// reduce() with default options but an explicit chunk cap.
-  void reduce(std::span<const int> group, DenseArray& data, std::uint64_t tag,
-              AggregateOp op, std::int64_t max_message_elements = 0);
-
-  /// reduce() specialized to SUM, whole-block messages.
-  void reduce_sum(std::span<const int> group, DenseArray& data,
-                  std::uint64_t tag);
-
-  /// Binomial broadcast of `data` from group[0] to all of `group`.
-  void bcast(std::span<const int> group, std::vector<std::byte>& data,
-             std::uint64_t tag);
+              AggregateOp op, const ReduceOptions& options = {});
 
   /// Gathers each rank's payload at `root` (returns empty elsewhere).
   /// Must be called by every rank in the runtime.
@@ -171,18 +162,12 @@ class Comm {
   /// happens-before auditor sees every arrival-order-dependent match.
   std::pair<int, std::vector<std::byte>> recv_wire_any(
       std::uint64_t tag, const std::function<bool(int)>& accept);
-  /// One chunk of reduce() under Fault::kArrivalOrderCombine (test-only):
-  /// same children, same parent, but operands folded in arrival order.
-  void reduce_chunk_arrival_order(std::span<const int> group, int me,
-                                  std::span<Value> chunk, std::uint64_t tag,
-                                  AggregateOp op,
-                                  const ReduceOptions& options);
   /// The single event-record choke point. When HB tracing is on, appends
-  /// to this rank's EventTrace; when the obs tracer is on, mirrors the
-  /// event as a tagged "comm" instant on this rank's timeline — one
-  /// capture feeds both the happens-before auditor (via
-  /// analysis/trace_bridge.h) and the Perfetto view. Returns the event's
-  /// per-rank sequence number (kNoTraceSeq when neither sink is active).
+  /// to this rank's EventTrace — the run's one comm record, which the
+  /// happens-before auditor reads; when the obs tracer is on, displays
+  /// the event as a "comm" instant (peer, tag, units) on this rank's
+  /// timeline. Returns the event's EventTrace index (kNoTraceSeq when HB
+  /// tracing is off).
   std::uint64_t trace(const TraceEvent& event);
 
   RuntimeState& state_;
@@ -190,9 +175,6 @@ class Comm {
   double clock_ = 0.0;
   std::int64_t logical_bytes_sent_ = 0;
   std::int64_t wire_bytes_sent_ = 0;
-  /// Per-rank event sequence, advanced by trace() whichever sink is on;
-  /// equals the EventTrace index whenever HB tracing is enabled.
-  std::uint64_t trace_seq_ = 0;
   /// Trace index of this rank's most recent receive — the operand
   /// provenance recorded by reduce()'s combine events.
   std::uint64_t last_recv_seq_ = kNoTraceSeq;

@@ -21,6 +21,12 @@
 // link; when `topology` maps ranks onto nodes, edges that cross a node
 // boundary are priced by `topology.inter` instead. `link(a, b)` is the
 // per-edge lookup every send and every tuner estimate goes through.
+//
+// The three message charges (charge_send / charge_receive /
+// charge_combine) are defined here once: Comm applies them to a rank's
+// live clock and the collective tuner's replay (minimpi/collectives.h)
+// applies them to simulated clocks, so a prediction is the runtime's rule
+// by construction.
 #pragma once
 
 #include <algorithm>
@@ -72,6 +78,26 @@ struct CostModel {
   double max_latency() const {
     return topology.two_tier() ? std::max(latency, topology.inter.latency)
                                : latency;
+  }
+
+  /// Send of `wire_bytes` from rank `src` to rank `dst`: the sender's
+  /// `clock` is busy for the edge's overhead plus the transfer, and the
+  /// message arrives one edge latency later. Returns the arrival time.
+  double charge_send(double& clock, int src, int dst,
+                     double wire_bytes) const {
+    const LinkCost edge = link(src, dst);
+    clock += edge.overhead + edge.transfer_seconds(wire_bytes);
+    return clock + edge.latency;
+  }
+
+  /// Receive: a message cannot be consumed before it arrives.
+  static void charge_receive(double& clock, double arrival) {
+    clock = std::max(clock, arrival);
+  }
+
+  /// Fold of a received operand that took `updates` element updates.
+  void charge_combine(double& clock, double updates) const {
+    clock += seconds_for_updates(updates);
   }
 };
 

@@ -15,12 +15,6 @@ namespace cubist {
 
 RunReport Runtime::run(int num_ranks, const CostModel& model,
                        const std::function<void(Comm&)>& fn,
-                       bool record_trace) {
-  return run(num_ranks, model, fn, record_trace, nullptr);
-}
-
-RunReport Runtime::run(int num_ranks, const CostModel& model,
-                       const std::function<void(Comm&)>& fn,
                        bool record_trace,
                        const TransportFactory& make_transport) {
   CUBIST_CHECK(num_ranks >= 1, "need at least one rank");

@@ -39,17 +39,13 @@ class Runtime {
   /// Runs `fn(comm)` on `num_ranks` ranks and reports. Rethrows the first
   /// rank exception after shutting down the others. With `record_trace`,
   /// every rank's sends/receives/combines/barriers are recorded into
-  /// RunReport::trace for offline happens-before auditing.
+  /// RunReport::trace for offline happens-before auditing. Messages move
+  /// over the transport `make_transport` builds (called once per run);
+  /// a null factory selects the in-process mailbox transport.
   static RunReport run(int num_ranks, const CostModel& model,
                        const std::function<void(Comm&)>& fn,
-                       bool record_trace = false);
-
-  /// run() over an injected transport adaptor (null factory = the default
-  /// in-process mailbox transport). The factory is called once per run.
-  static RunReport run(int num_ranks, const CostModel& model,
-                       const std::function<void(Comm&)>& fn,
-                       bool record_trace,
-                       const TransportFactory& make_transport);
+                       bool record_trace = false,
+                       const TransportFactory& make_transport = nullptr);
 };
 
 }  // namespace cubist

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "cubist/cubist.h"
 
@@ -23,6 +24,42 @@ ParallelOptions gated_options() {
   options.model_check = true;
   options.audit_hb = true;
   return options;
+}
+
+/// One comm op as "kind peer view elements", the common ground of a
+/// planned op and a recorded event.
+std::string describe(const char* kind, int peer, std::uint64_t view,
+                     std::int64_t elements) {
+  return std::string(kind) + " peer=" + std::to_string(peer) +
+         " view=" + std::to_string(view) +
+         " elements=" + std::to_string(elements);
+}
+
+/// A rank's construction events (tags below kGatherTagBase), with send and
+/// receive units converted from bytes to elements (the codec must be off
+/// so a receive's wire bytes are its logical bytes).
+std::vector<std::string> recorded_construction_ops(
+    const std::vector<TraceEvent>& events) {
+  std::vector<std::string> out;
+  for (const TraceEvent& event : events) {
+    if (event.tag >= kGatherTagBase) continue;
+    const std::int64_t elements =
+        event.kind == TraceEventKind::kCombine
+            ? event.units
+            : event.units / static_cast<std::int64_t>(sizeof(Value));
+    out.push_back(describe(to_string(event.kind), event.peer, event.tag,
+                           elements));
+  }
+  return out;
+}
+
+std::vector<std::string> planned_ops(const RankPlan& plan) {
+  std::vector<std::string> out;
+  for (const PlannedOp& op : plan.ops) {
+    out.push_back(describe(to_string(op.kind), op.peer, op.wire_tag(),
+                           op.elements));
+  }
+  return out;
 }
 
 TEST(AnalysisGateTest, VerifiedAndAuditedRunMatchesReference) {
@@ -108,6 +145,78 @@ TEST(AnalysisGateTest, HbAuditGateAcceptsGatheredRuns) {
   const HbAuditReport hb = audit_event_trace(report.run.trace);
   EXPECT_TRUE(hb.ok()) << hb.to_string();
   EXPECT_GT(hb.message_edges, 0);
+}
+
+TEST(AnalysisGateTest, CommEventStructureIsDeterministicAcrossRuns) {
+  // The run's EventTrace is the one comm record: two audited builds of the
+  // same input on a miniature Figure-7 shape (4-D, p = 4) record the same
+  // events — kinds, peers, tags, units and the match/operand links.
+  SparseSpec spec;
+  spec.sizes = {8, 8, 4, 4};
+  spec.density = 0.5;
+  spec.seed = 7;
+  ParallelOptions options;
+  options.encode_wire = true;
+  options.audit_hb = true;
+  const auto traced_build = [&] {
+    return run_parallel_cube(spec.sizes, {1, 1, 0, 0}, CostModel{},
+                             provider_of(spec), /*collect_result=*/false,
+                             options)
+        .run.trace;
+  };
+  const EventTrace first = traced_build();
+  const EventTrace second = traced_build();
+  ASSERT_EQ(first.ranks.size(), 4u);
+  EXPECT_GT(first.total_events(), 0);
+  EXPECT_EQ(first.ranks, second.ranks);
+}
+
+TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
+  // The planner and the runtime walk one reduction program, so per rank
+  // the recorded construction events equal the planned ops one for one —
+  // kind, peer, view and elements — under every forced algorithm, with
+  // and without a message cap. A 4 x 2 grid gives groups of 4 (where the
+  // algorithms differ) and of 2; two-level runs on 2-rank nodes.
+  SparseSpec spec;
+  spec.sizes = {8, 6, 4};
+  spec.density = 0.4;
+  spec.seed = 19;
+  const std::vector<int> log_splits = {2, 1, 0};
+  for (ReduceAlgorithm algorithm :
+       {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
+        ReduceAlgorithm::kTwoLevel}) {
+    CostModel model;
+    if (algorithm == ReduceAlgorithm::kTwoLevel) {
+      model.topology.ranks_per_node = 2;
+    }
+    for (std::int64_t cap : {std::int64_t{0}, std::int64_t{7}}) {
+      ParallelOptions options;
+      options.reduce_algorithm = algorithm;
+      options.reduce_message_elements = cap;
+      options.encode_wire = false;
+      options.audit_hb = true;
+      const auto report =
+          run_parallel_cube(spec.sizes, log_splits, model, provider_of(spec),
+                            /*collect_result=*/false, options);
+
+      ScheduleSpec sched;
+      sched.sizes = spec.sizes;
+      sched.log_splits = log_splits;
+      sched.reduce_message_elements = cap;
+      sched.reduce_algorithm = algorithm;
+      sched.encode_wire = false;
+      sched.model = model;
+      const CommPlan plan = build_comm_plan(sched);
+      ASSERT_EQ(report.run.trace.ranks.size(), plan.ranks.size());
+      for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
+        const std::vector<std::string> planned = planned_ops(plan.ranks[r]);
+        EXPECT_FALSE(planned.empty()) << "rank " << r;
+        EXPECT_EQ(recorded_construction_ops(report.run.trace.ranks[r]),
+                  planned)
+            << to_string(algorithm) << " cap " << cap << " rank " << r;
+      }
+    }
+  }
 }
 
 TEST(AnalysisGateTest, StandaloneVerifierCertifiesDriverSchedule) {

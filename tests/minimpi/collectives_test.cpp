@@ -292,32 +292,53 @@ TEST(CollectivesTunerTest, AutoNeverPredictedWorseThanBinomial) {
 }
 
 /// The simulator is not a heuristic — it replays the generated schedule
-/// under the runtime's exact charging rules. With the wire codec off and
-/// fully dense data the runtime's virtual-clock makespan must match the
-/// prediction to the last bit, for every algorithm, on both topologies.
+/// under the runtime's own charging functions. With the wire codec off
+/// and fully dense data the runtime's virtual-clock makespan must match
+/// the prediction to the last bit, for every algorithm, on both
+/// topologies: capped at 128 elements, uncapped (where the ring splits
+/// the block into 2(g-1) chunks), and for a scattered group whose members
+/// straddle the two-tier nodes out of rank order.
 TEST(CollectivesTunerTest, SimulatorMatchesRuntimeVirtualClock) {
   constexpr std::int64_t kElements = 1000;
-  constexpr std::int64_t kCap = 128;
-  for (const CostModel& model : {paper_like_model(), two_tier_model()}) {
+  struct Case {
+    CostModel model;
+    std::vector<int> group;
+    std::int64_t cap;
+  };
+  const std::vector<Case> cases{
+      {paper_like_model(), iota_group(8), 128},
+      {two_tier_model(), iota_group(8), 128},
+      {paper_like_model(), iota_group(8), 0},
+      {two_tier_model(), iota_group(8), 0},
+      {two_tier_model(), {1, 5, 3, 7}, 128},
+      {two_tier_model(), {1, 5, 3, 7}, 0},
+  };
+  for (const Case& c : cases) {
     for (ReduceAlgorithm algorithm :
          {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
           ReduceAlgorithm::kTwoLevel}) {
-      const RunReport report = Runtime::run(8, model, [&](Comm& comm) {
-        const std::vector<int> group = iota_group(8);
+      // Ranks outside the group stay idle at clock zero, so the makespan
+      // is the group's.
+      const RunReport report = Runtime::run(8, c.model, [&](Comm& comm) {
+        if (std::find(c.group.begin(), c.group.end(), comm.rank()) ==
+            c.group.end()) {
+          return;
+        }
         DenseArray data{Shape{{kElements}}};
         data.fill(static_cast<Value>(comm.rank() + 1));
         ReduceOptions options;
         options.algorithm = algorithm;
-        options.max_message_elements = kCap;
+        options.max_message_elements = c.cap;
         options.wire.enabled = false;
-        comm.reduce(group, data, 1, AggregateOp::kSum, options);
+        comm.reduce(c.group, data, 1, AggregateOp::kSum, options);
       });
       const double predicted = simulate_reduce_seconds(
-          algorithm, iota_group(8), kElements, kCap, model,
+          algorithm, c.group, kElements, c.cap, c.model,
           /*density_hint=*/1.0, /*encode_wire=*/false);
       EXPECT_DOUBLE_EQ(report.makespan_seconds, predicted)
           << to_string(algorithm)
-          << (model.topology.two_tier() ? " two-tier" : " flat");
+          << (c.model.topology.two_tier() ? " two-tier" : " flat")
+          << " group of " << c.group.size() << " cap " << c.cap;
     }
   }
 }

@@ -96,7 +96,7 @@ TEST_P(ReduceSumTest, GroupOfAnySizeSumsToLead) {
     for (std::int64_t i = 0; i < 4; ++i) {
       data[i] = static_cast<Value>(comm.rank() * 10 + i);
     }
-    comm.reduce_sum(group, data, /*tag=*/1);
+    comm.reduce(group, data, /*tag=*/1, AggregateOp::kSum);
     if (comm.rank() == 0) {
       for (std::int64_t i = 0; i < 4; ++i) {
         // sum over r of (10 r + i) = 10 p(p-1)/2 + p i
@@ -116,7 +116,7 @@ TEST(ReduceSumTest, SubgroupReductionLeavesOthersUntouched) {
     data.fill(static_cast<Value>(comm.rank() + 1));
     if (comm.rank() < 2) {
       const std::vector<int> group{0, 1};
-      comm.reduce_sum(group, data, 9);
+      comm.reduce(group, data, 9, AggregateOp::kSum);
       if (comm.rank() == 0) {
         EXPECT_EQ(data[0], 3.0);  // 1 + 2
       }
@@ -134,7 +134,7 @@ TEST(ReduceSumTest, VolumeMatchesBinomialTree) {
       std::vector<int> group(static_cast<std::size_t>(g));
       std::iota(group.begin(), group.end(), 0);
       DenseArray data{Shape{{block}}};
-      comm.reduce_sum(group, data, 2);
+      comm.reduce(group, data, 2, AggregateOp::kSum);
     });
     EXPECT_EQ(report.volume.total_bytes,
               (g - 1) * block * static_cast<std::int64_t>(sizeof(Value)))
@@ -149,35 +149,11 @@ TEST(ReduceSumTest, RankOutsideGroupThrows) {
                    [](Comm& comm) {
                      const std::vector<int> group{0};
                      DenseArray data{Shape{{2}}};
-                     comm.reduce_sum(group, data, 1);  // rank 1 not in group
+                     // rank 1 not in group
+                     comm.reduce(group, data, 1, AggregateOp::kSum);
                    }),
       InvalidArgument);
 }
-
-class BcastTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BcastTest, EveryMemberGetsRootPayload) {
-  const int p = GetParam();
-  Runtime::run(p, fast_model(), [p](Comm& comm) {
-    std::vector<int> group(static_cast<std::size_t>(p));
-    std::iota(group.begin(), group.end(), 0);
-    std::vector<std::byte> data;
-    if (comm.rank() == 0) {
-      for (int i = 0; i < 5; ++i) {
-        data.push_back(static_cast<std::byte>(i * 3));
-      }
-    }
-    comm.bcast(group, data, 11);
-    ASSERT_EQ(data.size(), 5u);
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(data[static_cast<std::size_t>(i)],
-                static_cast<std::byte>(i * 3));
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupSizes, BcastTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 16));
 
 TEST(GatherTest, RootCollectsAllPayloads) {
   Runtime::run(4, fast_model(), [](Comm& comm) {
@@ -227,7 +203,7 @@ TEST(ReduceSumTest, SingletonGroupTouchesNoWire) {
     const std::vector<int> group{comm.rank()};
     DenseArray data{Shape{{8}}};
     data.fill(1.0);
-    comm.reduce_sum(group, data, 6);
+    comm.reduce(group, data, 6, AggregateOp::kSum);
     EXPECT_EQ(data[0], 1.0);
     EXPECT_EQ(comm.logical_bytes_sent(), 0);
     EXPECT_EQ(comm.wire_bytes_sent(), 0);
@@ -386,7 +362,7 @@ TEST(VirtualClockTest, DeterministicAcrossRuns) {
     DenseArray data{Shape{{64}}};
     data.fill(static_cast<Value>(comm.rank()));
     comm.charge_compute(1000 * (comm.rank() + 1), 500);
-    comm.reduce_sum(group, data, 1);
+    comm.reduce(group, data, 1, AggregateOp::kSum);
     comm.barrier();
   };
   const RunReport a = Runtime::run(8, CostModel{}, job);

@@ -16,6 +16,12 @@ CostModel fast_model() {
   return model;
 }
 
+ReduceOptions capped(std::int64_t max_message_elements) {
+  ReduceOptions options;
+  options.max_message_elements = max_message_elements;
+  return options;
+}
+
 // Both fields are 64-bit so the struct has no padding: gtest names each case
 // after the parameter's raw bytes, and padding would put garbage in the name.
 struct ReduceCase {
@@ -35,7 +41,7 @@ TEST_P(ChunkedReduceTest, SumMatchesWholeBlockForAnyCap) {
     for (std::int64_t i = 0; i < data.size(); ++i) {
       data[i] = static_cast<Value>((comm.rank() + 1) * (i + 1));
     }
-    comm.reduce(group, data, 1, AggregateOp::kSum, cap);
+    comm.reduce(group, data, 1, AggregateOp::kSum, capped(cap));
     if (comm.rank() == 0) {
       const auto sum_ranks = static_cast<Value>(p * (p + 1) / 2);
       for (std::int64_t i = 0; i < data.size(); ++i) {
@@ -56,7 +62,7 @@ TEST(ChunkedReduceTest, MessageCountScalesWithCap) {
     const RunReport report = Runtime::run(2, fast_model(), [cap](Comm& comm) {
       const std::vector<int> group{0, 1};
       DenseArray data{Shape{{37}}};
-      comm.reduce(group, data, 1, AggregateOp::kSum, cap);
+      comm.reduce(group, data, 1, AggregateOp::kSum, capped(cap));
     });
     const std::int64_t expected_messages =
         cap == 0 ? 1 : (37 + cap - 1) / cap;
@@ -136,7 +142,7 @@ TEST(ChunkedReduceTest, NegativeCapRejected) {
                               const std::vector<int> group{0, 1};
                               DenseArray data{Shape{{4}}};
                               comm.reduce(group, data, 1, AggregateOp::kSum,
-                                          -1);
+                                          capped(-1));
                             }),
                InvalidArgument);
 }

@@ -115,7 +115,7 @@ TEST(TransportInjectionTest, RuntimeRunsCollectivesOverACustomAdaptor) {
         std::iota(group.begin(), group.end(), 0);
         DenseArray data{Shape{{8}}};
         data.fill(static_cast<Value>(comm.rank() + 1));
-        comm.reduce_sum(group, data, 1);
+        comm.reduce(group, data, 1, AggregateOp::kSum);
         if (comm.rank() == 0) root_sum = data[0];
       },
       /*record_trace=*/false,

@@ -10,7 +10,7 @@ BENCH_comm.json:
   {
     "schema": "cubist-bench-comm/2",
     "shape": "fig7",          # 64^4; --smoke switches to 16^4
-    "cost_model": { ... },    # LogP + topology params the sweep ran under
+    "cost_model": { ... },    # LogP/topology/tuner params, from the binary
     "rows": [
       {"name": "BM_CommEngine/fig7/d25/enc", "density_pct": 25,
        "encode": 1, "logical_MB": ..., "wire_MB": ..., "sim_s": ...}, ...
@@ -164,24 +164,6 @@ DRIFT_GAUGES = (
     "cubist_drift_query_cost_vs_cells",
 )
 
-# The parameters the comm benches run under, recorded in BENCH_comm.json so
-# the numbers are reproducible from the artifact alone. Mirrors
-# bench/bench_util.h paper_model(), bench/bench_comm_volume.cpp
-# sweep_inter_link(), and the tuner constants in
-# src/minimpi/collectives.cpp — keep in sync when retuning.
-COMM_COST_MODEL = {
-    "update_rate_per_s": 1.1e6,
-    "scan_rate_per_s": 1.1e6,
-    "intra_link": {"latency_s": 1e-4, "overhead_s": 5e-6,
-                   "bandwidth_Bps": 20e6},
-    "two_tier_inter_link": {"latency_s": 2e-3, "overhead_s": 5e-5,
-                            "bandwidth_Bps": 2.5e6},
-    "two_tier_ranks_per_node": 3,
-    "tuner": {"bytes_per_element": 8, "switch_margin": 0.95,
-              "ring_pipeline_factor": 2},
-}
-
-
 def find_binary(explicit, bench_name):
     if explicit:
         if not os.path.isfile(explicit):
@@ -268,6 +250,26 @@ def compute_speedups(runs):
     return speedups
 
 
+def cost_model_from_context(raw):
+    """The cost model bench_comm_volume ran under, rebuilt from the
+    "cost_model/<path>" keys it publishes in the JSON context block (a
+    decimal point or exponent marks a real, anything else an integer)."""
+    model = {}
+    for key, text in raw.get("context", {}).items():
+        path = key.split("/")
+        if path[0] != "cost_model":
+            continue
+        node = model
+        for part in path[1:-1]:
+            node = node.setdefault(part, {})
+        is_real = any(c in text for c in ".eE")
+        node[path[-1]] = float(text) if is_real else int(text)
+    if not model:
+        sys.exit("bench_comm_volume published no cost_model context; "
+                 "rebuild it")
+    return model
+
+
 def comm_report(args):
     """--comm mode: BM_CommEngine counters -> BENCH_comm.json."""
     shape = "smoke" if args.smoke else "fig7"
@@ -322,7 +324,7 @@ def comm_report(args):
         "generated_by": "tools/bench_report.py --comm",
         "smoke": args.smoke,
         "shape": shape,
-        "cost_model": COMM_COST_MODEL,
+        "cost_model": cost_model_from_context(raw),
         "rows": rows,
         "summary": summary,
         "algorithm_sweep": sweep_rows,
