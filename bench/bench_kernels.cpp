@@ -1,9 +1,10 @@
 // Microbenchmarks of the aggregation kernels — real wall time, real
 // throughput (google-benchmark's bread and butter, no virtual clock).
 //
-// Covers: dense multi-way aggregation vs number of simultaneous targets,
-// sparse chunk-offset aggregation vs chunk extent and density, the
-// generic projection kernel, and the hash-sparse generator.
+// Covers: dense multi-way aggregation vs number of simultaneous targets
+// (SUM, plus COUNT, MIN and MAX at one point), sparse chunk-offset
+// aggregation vs chunk extent and density, the generic projection
+// kernel, and the hash-sparse generator.
 #include "bench_util.h"
 
 namespace cubist::bench {
@@ -35,7 +36,7 @@ const DenseArray& dense_fixture(const std::vector<std::int64_t>& sizes,
 /// Arg 0: simultaneous targets; arg 1: dimensionality (3 => 48^3,
 /// 4 => 32x32x32x16). Runs on the global pool, so CUBIST_THREADS selects
 /// the parallelism (tools/bench_report.py sweeps it).
-void BM_DenseMultiway(benchmark::State& state) {
+void dense_multiway(benchmark::State& state, AggregateOp op) {
   const auto num_targets = static_cast<std::size_t>(state.range(0));
   const std::vector<std::int64_t> sizes =
       state.range(1) == 4 ? std::vector<std::int64_t>{32, 32, 32, 16}
@@ -45,19 +46,26 @@ void BM_DenseMultiway(benchmark::State& state) {
   std::vector<AggregationTarget> targets;
   children.reserve(num_targets);
   for (std::size_t pos = 0; pos < num_targets; ++pos) {
-    children.emplace_back(parent.shape().without_dim(static_cast<int>(pos)));
+    children.emplace_back(parent.shape().without_dim(static_cast<int>(pos)),
+                          identity_of(op));
   }
   for (std::size_t pos = 0; pos < num_targets; ++pos) {
     targets.push_back({static_cast<int>(pos), &children[pos]});
   }
   for (auto _ : state) {
-    const AggregationStats stats = aggregate_children(parent, targets);
+    const AggregationStats stats =
+        aggregate_children(parent, targets, AggregateOptions{}, op);
     benchmark::DoNotOptimize(stats);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * parent.size() *
                           static_cast<std::int64_t>(num_targets));
   state.counters["threads"] =
       static_cast<double>(ThreadPool::global().size());
+}
+
+void BM_DenseMultiway(benchmark::State& state) {
+  dense_multiway(state, AggregateOp::kSum);
 }
 BENCHMARK(BM_DenseMultiway)
     ->Args({1, 3})
@@ -68,6 +76,19 @@ BENCHMARK(BM_DenseMultiway)
     ->Args({3, 4})
     ->Args({4, 4})
     ->Unit(benchmark::kMillisecond);
+
+/// The other operators' kernel policies at the 3-target 4-D point, named
+/// BM_DenseMultiway/<op>/3/4 beside the SUM rows.
+[[maybe_unused]] const bool kOperatorPointsRegistered = [] {
+  for (AggregateOp op :
+       {AggregateOp::kCount, AggregateOp::kMin, AggregateOp::kMax}) {
+    const std::string name = "BM_DenseMultiway/" + to_string(op);
+    benchmark::RegisterBenchmark(name.c_str(), dense_multiway, op)
+        ->Args({3, 4})
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 void BM_SparseMultiwayChunks(benchmark::State& state) {
   const std::int64_t chunk = state.range(0);

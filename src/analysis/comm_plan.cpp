@@ -10,12 +10,11 @@
 namespace cubist {
 namespace {
 
-/// Symbolically executes one rank's Figure-5 program (the control flow of
-/// the tree walk in core/tree_walk.h under the per-rank hooks of
-/// core/parallel_builder.cpp), emitting planned operations
-/// instead of touching data. Any drift between this walk and the real
-/// builder shows up as a ledger-audit failure, which is the point: the
-/// plan is the checkable artifact, the builder is the implementation.
+/// One rank's Figure-5 program as planned events: a visitor of
+/// AggregationTree::walk, the walk the builders' TreeWalk runs, so the
+/// plan's event order is the run's by construction. Where the per-rank
+/// hooks of core/parallel_builder.cpp touch data, this emits planned
+/// allocations, reduce operations, releases and write-backs.
 class RankPlanner {
  public:
   RankPlanner(const ScheduleSpec& spec, const ProcGrid& grid,
@@ -30,9 +29,52 @@ class RankPlanner {
                std::map<std::uint32_t, ReduceAlgorithm>& algorithm_by_view) {
     elements_by_view_ = &elements_by_view;
     algorithm_by_view_ = &algorithm_by_view;
-    compute_children(tree_.root());
-    descend(tree_.root());
+    tree_.walk(*this);
     return std::move(plan_);
+  }
+
+  /// The scan of `view`: every child block is allocated, and the scan's
+  /// transient stripe-scratch ceiling is charged (the kernels'
+  /// deterministic stripe policy; see docs/PERFORMANCE.md). The bound
+  /// only depends on the parent block's shape, so the plan stays valid
+  /// for every chunk layout, density, and thread count.
+  void scan(DimSet view, const std::vector<DimSet>& children) {
+    const std::vector<int> view_dims = view.dims();
+    std::vector<int> aggregated_positions;
+    for (DimSet child : children) {
+      const int aggregated = view.minus(child).min_dim();
+      int pos = 0;
+      while (view_dims[pos] != aggregated) ++pos;
+      aggregated_positions.push_back(pos);
+      plan_.memory.push_back({PlannedMemoryEvent::Kind::kAlloc, child.mask(),
+                              view_bytes(child)});
+    }
+    std::vector<std::int64_t> parent_extents;
+    parent_extents.reserve(view_dims.size());
+    for (int d : view_dims) parent_extents.push_back(block_.extent(d));
+    plan_.max_scan_scratch_bytes =
+        std::max(plan_.max_scan_scratch_bytes,
+                 scan_scratch_bound(Shape{parent_extents},
+                                    aggregated_positions,
+                                    spec_.bytes_per_cell));
+  }
+
+  /// Reduces `child` over the axis group of its aggregated dimension; only
+  /// the lead ranks keep it.
+  bool finalize(DimSet view, DimSet child) {
+    const int aggregated = view.minus(child).min_dim();
+    const std::vector<int> group = grid_.axis_group(rank_, aggregated);
+    if (group.size() > 1) {
+      plan_reduce(group, child);
+    }
+    return grid_.is_lead(rank_, aggregated);
+  }
+
+  /// Frees `view`'s block; a kept view is one of this rank's results.
+  void retire(DimSet view, bool keep) {
+    plan_.memory.push_back(
+        {PlannedMemoryEvent::Kind::kRelease, view.mask(), view_bytes(view)});
+    if (keep) plan_.final_views.push_back(view.mask());
   }
 
  private:
@@ -46,56 +88,6 @@ class RankPlanner {
 
   std::int64_t view_bytes(DimSet view) const {
     return view_cells(view) * spec_.bytes_per_cell;
-  }
-
-  void compute_children(DimSet view) {
-    const std::vector<int> view_dims = view.dims();
-    std::vector<int> aggregated_positions;
-    for (DimSet child : tree_.children(view)) {
-      const int aggregated = view.minus(child).min_dim();
-      int pos = 0;
-      while (view_dims[pos] != aggregated) ++pos;
-      aggregated_positions.push_back(pos);
-      plan_.memory.push_back({PlannedMemoryEvent::Kind::kAlloc, child.mask(),
-                              view_bytes(child)});
-    }
-    if (aggregated_positions.empty()) return;
-    // Charge the scan's transient stripe-scratch ceiling (the kernels'
-    // deterministic stripe policy; see docs/PERFORMANCE.md). The bound
-    // only depends on the parent block's shape, so the plan stays valid
-    // for every chunk layout, density, and thread count.
-    std::vector<std::int64_t> parent_extents;
-    parent_extents.reserve(view_dims.size());
-    for (int d : view_dims) parent_extents.push_back(block_.extent(d));
-    plan_.max_scan_scratch_bytes =
-        std::max(plan_.max_scan_scratch_bytes,
-                 scan_scratch_bound(Shape{parent_extents},
-                                    aggregated_positions,
-                                    spec_.bytes_per_cell));
-  }
-
-  void descend(DimSet view) {
-    const std::vector<DimSet> kids = tree_.children(view);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      const DimSet child = *it;
-      const int aggregated = view.minus(child).min_dim();
-      const std::vector<int> group = grid_.axis_group(rank_, aggregated);
-      if (group.size() > 1) {
-        plan_reduce(group, child);
-      }
-      if (grid_.is_lead(rank_, aggregated)) {
-        if (tree_.is_leaf(child)) {
-          write_back(child);
-        } else {
-          compute_children(child);
-          descend(child);
-          write_back(child);
-        }
-      } else {
-        plan_.memory.push_back({PlannedMemoryEvent::Kind::kRelease,
-                                child.mask(), view_bytes(child)});
-      }
-    }
   }
 
   /// The chunk-pipelined reduction of Comm::reduce, as planned
@@ -137,12 +129,6 @@ class RankPlanner {
                              child.mask(), op.count, op.offset});
       }
     }
-  }
-
-  void write_back(DimSet view) {
-    plan_.memory.push_back(
-        {PlannedMemoryEvent::Kind::kRelease, view.mask(), view_bytes(view)});
-    plan_.final_views.push_back(view.mask());
   }
 
   const ScheduleSpec& spec_;

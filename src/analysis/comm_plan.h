@@ -1,11 +1,13 @@
 // Static communication plan for the Figure-5 parallel schedule.
 //
 // `build_comm_plan` symbolically executes the per-rank SPMD program of
-// `build_cube_parallel_rank` — the aggregation-tree walk, the binomial
-// reductions onto the lead processors, the write-backs and discards —
-// without touching any data. The result is, per rank, the exact ordered
-// list of planned sends/receives (peer, view tag, payload elements) and
-// the exact ordered list of view-block allocations/releases. The schedule
+// `build_cube_parallel_rank` without touching any data: it visits
+// AggregationTree::walk, the walk the builders run, and plans each
+// child's reduction onto the lead processors with reduce_program, the
+// tuned reduction program Comm::reduce executes. The result is, per rank,
+// the exact ordered list of planned sends/receives/combines (peer, view
+// tag, payload elements), the exact ordered list of view-block
+// allocations/releases and the views it writes back. The schedule
 // verifier checks this plan against the paper's closed forms (Lemma 1,
 // Theorems 3 and 4) and proves it deadlock-free; the post-run auditor
 // diffs the runtime's VolumeLedger against it.

@@ -84,7 +84,6 @@ std::map<std::uint32_t, DenseArray> build_cube_parallel_rank(
   reduce_options.density_hint = options.reduce_density_hint;
   reduce_options.max_message_elements = options.reduce_message_elements;
   reduce_options.wire.enabled = options.encode_wire;
-  reduce_options.wire.density_threshold = options.wire_density_threshold;
   reduce_options.combine_pool = pool;
   reduce_options.combine_workers = agg_options.max_workers;
 
@@ -93,12 +92,7 @@ std::map<std::uint32_t, DenseArray> build_cube_parallel_rank(
   ViewBlocks views = walk.run(local_root);
   for (auto& [mask, view] : views) finalize_view(options.op, view);
   if (stats != nullptr) {
-    const BuildStats& walked = walk.stats();
-    stats->peak_live_bytes = walked.peak_live_bytes;
-    stats->written_bytes = walked.written_bytes;
-    stats->cells_scanned = walked.cells_scanned;
-    stats->updates = walked.updates;
-    stats->peak_scratch_bytes = walked.peak_scratch_bytes;
+    static_cast<BuildStats&>(*stats) = walk.stats();
     stats->logical_bytes_sent = comm.logical_bytes_sent();
     stats->wire_bytes_sent = comm.wire_bytes_sent();
     stats->build_clock_seconds = comm.clock();

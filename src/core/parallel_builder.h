@@ -61,9 +61,6 @@ struct ParallelOptions {
   /// and measured wire bytes equal logical bytes exactly. Either way the
   /// output bits are identical — the codec is lossless.
   bool encode_wire = true;
-  /// Non-identity fraction at or below which run encodings compete
-  /// (WirePolicy::density_threshold).
-  double wire_density_threshold = 0.5;
   /// Pool for the intra-rank scans and the receiver-side reduction
   /// combine (nullptr = ThreadPool::global()). A pure performance knob;
   /// tests inject fixed-size pools to pin the determinism contract.
@@ -92,17 +89,9 @@ struct ParallelOptions {
   bool audit_hb = false;
 };
 
-/// Per-rank accounting of one parallel construction.
-struct ParallelBuildStats {
-  /// High-water mark of live computed view blocks on this rank (bytes).
-  std::int64_t peak_live_bytes = 0;
-  /// Bytes of final view blocks written back on this rank.
-  std::int64_t written_bytes = 0;
-  std::int64_t cells_scanned = 0;
-  std::int64_t updates = 0;
-  /// High-water mark of this rank's transient stripe-private accumulator
-  /// bytes across its scans (a max, not a sum — released per scan).
-  std::int64_t peak_scratch_bytes = 0;
+/// Per-rank accounting of one parallel construction: the walk's
+/// BuildStats for this rank's blocks plus its communication.
+struct ParallelBuildStats : BuildStats {
   /// Dense-equivalent bytes this rank sent during construction — the
   /// paper's communication-volume measure for this rank.
   std::int64_t logical_bytes_sent = 0;

@@ -6,6 +6,7 @@
 #include "array/aggregate.h"
 #include "common/error.h"
 #include "common/mathutil.h"
+#include "lattice/cube_lattice.h"
 
 namespace cubist {
 namespace {
@@ -36,12 +37,15 @@ PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
   const std::vector<std::int64_t> sizes = input->shape().extents();
   const int n = input->ndim();
   const DimSet root = DimSet::full(n);
-  PartialCube cube(std::move(input), sizes);
-  BuildStats totals;
-
-  // Deduplicate and order by descending size so ancestors exist first.
+  // Deduplicate; the routing table also rejects the root and views out of
+  // the lattice.
   std::sort(views.begin(), views.end());
   views.erase(std::unique(views.begin(), views.end()), views.end());
+  PartialCube cube(std::move(input), sizes,
+                   AncestorTable::build(CubeLattice(sizes), views));
+  BuildStats totals;
+
+  // Order by descending size so ancestors exist first.
   std::sort(views.begin(), views.end(), [&](DimSet a, DimSet b) {
     const std::int64_t ca = view_cells(sizes, a);
     const std::int64_t cb = view_cells(sizes, b);
@@ -50,8 +54,6 @@ PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
   });
 
   for (DimSet view : views) {
-    CUBIST_CHECK(view != root, "the root is the input; do not select it");
-    CUBIST_CHECK(view.is_subset_of(root), "view out of lattice");
     std::vector<std::int64_t> extents;
     for (int d : view.dims()) {
       extents.push_back(sizes[d]);
@@ -119,22 +121,9 @@ const DenseArray& PartialCube::view(DimSet view) const {
   return it->second;
 }
 
-std::optional<DimSet> PartialCube::best_ancestor(DimSet view) const {
-  std::optional<DimSet> best;
-  for (const auto& [mask, array] : views_) {
-    const DimSet candidate = DimSet::from_mask(mask);
-    if (view.is_subset_of(candidate) &&
-        (!best ||
-         view_cells(sizes_, candidate) < view_cells(sizes_, *best))) {
-      best = candidate;
-    }
-  }
-  return best;
-}
-
 Value PartialCube::query(DimSet view, const std::vector<std::int64_t>& coords,
                          std::int64_t* cells_scanned) const {
-  return query_from(best_ancestor(view), view, coords, cells_scanned);
+  return query_from(routes_.route(view), view, coords, cells_scanned);
 }
 
 Value PartialCube::query_from(std::optional<DimSet> from, DimSet view,
@@ -247,7 +236,7 @@ DenseArray PartialCube::materialize_from(std::optional<DimSet> from,
 
 DenseArray PartialCube::materialize(DimSet view,
                                     std::int64_t* cells_scanned) const {
-  return materialize_from(best_ancestor(view), view, cells_scanned);
+  return materialize_from(routes_.route(view), view, cells_scanned);
 }
 
 }  // namespace cubist

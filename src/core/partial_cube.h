@@ -2,9 +2,11 @@
 //
 // Materializes only a chosen subset of views (see view_selection.h); any
 // group-by on any view is still answerable, routed to the smallest
-// materialized ancestor and aggregated on the fly. The query cost in
-// cells matches the linear model the selection optimizes, so the
-// storage/latency trade-off is directly measurable (bench_partial).
+// materialized ancestor and aggregated on the fly. The routes are one
+// AncestorTable, built with the cube, so every query is one table lookup.
+// The query cost in cells matches the linear model the selection
+// optimizes, so the storage/latency trade-off is directly measurable
+// (bench_partial).
 //
 // The input is held through a shared_ptr: re-plan cycles build the next
 // generation's cube from the SAME input array (input_ptr()), so swapping
@@ -22,6 +24,7 @@
 #include "common/dimset.h"
 #include "core/cube_result.h"
 #include "core/sequential_builder.h"
+#include "lattice/ancestor_table.h"
 
 namespace cubist {
 
@@ -60,6 +63,10 @@ class PartialCube {
   /// Direct access to a materialized view.
   const DenseArray& view(DimSet view) const;
 
+  /// Each view's cheapest materialized ancestor (or the input): the
+  /// routes query() and materialize() take.
+  const AncestorTable& routes() const { return routes_; }
+
   /// Point group-by on ANY view of the lattice. If the view is
   /// materialized this is one lookup; otherwise the smallest materialized
   /// ancestor is aggregated over its free dimensions at the fixed
@@ -69,9 +76,7 @@ class PartialCube {
               std::int64_t* cells_scanned = nullptr) const;
 
   /// Point group-by routed through a caller-chosen source: `from` must be
-  /// a materialized superset of `view` (nullopt = the raw input). An
-  /// AncestorTable feeds this so serving skips the per-query linear scan
-  /// of the materialized set that query() performs.
+  /// a materialized superset of `view` (nullopt = the raw input).
   Value query_from(std::optional<DimSet> from, DimSet view,
                    const std::vector<std::int64_t>& coords,
                    std::int64_t* cells_scanned = nullptr) const;
@@ -84,23 +89,21 @@ class PartialCube {
   DenseArray materialize_from(std::optional<DimSet> from, DimSet view,
                               std::int64_t* cells_scanned = nullptr) const;
 
-  /// Convenience: materialize_from() routed via the smallest materialized
-  /// ancestor.
+  /// Convenience: materialize_from() routed via routes().
   DenseArray materialize(DimSet view,
                          std::int64_t* cells_scanned = nullptr) const;
 
  private:
   PartialCube(std::shared_ptr<const SparseArray> input,
-              std::vector<std::int64_t> sizes)
-      : input_(std::move(input)), sizes_(std::move(sizes)) {}
-
-  /// The smallest materialized superset of `view`, if any (else the
-  /// query falls through to the input).
-  std::optional<DimSet> best_ancestor(DimSet view) const;
+              std::vector<std::int64_t> sizes, AncestorTable routes)
+      : input_(std::move(input)),
+        sizes_(std::move(sizes)),
+        routes_(std::move(routes)) {}
 
   std::shared_ptr<const SparseArray> input_;
   std::vector<std::int64_t> sizes_;
   std::map<std::uint32_t, DenseArray> views_;
+  AncestorTable routes_;
 };
 
 }  // namespace cubist

@@ -1,16 +1,17 @@
-// The aggregation-tree walk behind every cube builder: Figure 3, whose
-// p > 1 case is Figure 5.
+// The builders' side of the aggregation-tree walk: Figure 3, whose p > 1
+// case is Figure 5, run over real arrays.
 //
-// Evaluate(l): one scan of (this rank's block of) l produces ALL of l's
-// aggregation-tree children at once; the children are then visited right
-// to left. Each child first passes the finalize-child hook: for p = 1 it
-// keeps every child; for p > 1 it reduces the child's partial blocks along
-// the aggregated dimension and keeps the child only on the lead ranks. A
-// kept leaf is written back at once, a kept internal node is evaluated
-// recursively, and l itself is written back last. The only traffic is
-// reading the input once and writing each computed view once, and the live
-// views never exceed the Theorem-1 bound (Theorem 4 per rank) — both
-// asserted by the test suite against the stats reported here.
+// The order is AggregationTree::walk's, the one the static planner and
+// the memory simulator also go through; TreeWalk is its visitor. Each
+// scan of (this rank's block of) a node produces ALL of its children at
+// once. Each child then passes the finalize-child hook: for p = 1 it keeps
+// every child; for p > 1 it reduces the child's partial blocks along the
+// aggregated dimension and keeps the child only on the lead ranks. A kept
+// child's subtree is walked before the child is written back; a dropped
+// child is freed at once. The only traffic is reading the input once and
+// writing each computed view once, and the live views never exceed the
+// Theorem-1 bound (Theorem 4 per rank) — both asserted by the test suite
+// against the stats reported here.
 #pragma once
 
 #include <algorithm>
@@ -65,8 +66,8 @@ class TreeWalk {
   /// SparseArray) and returns every kept proper view, unfinalized.
   template <typename Root>
   ViewBlocks run(const Root& root) {
-    compute_children(tree_.root(), root, /*input_level=*/true);
-    descend(tree_.root());
+    Visit<Root> visit{*this, root};
+    tree_.walk(visit);
     CUBIST_ASSERT(live_.empty(), "views left unwritten");
     stats_.peak_live_bytes = ledger_.peak_bytes();
     return std::move(done_);
@@ -75,14 +76,37 @@ class TreeWalk {
   const BuildStats& stats() const { return stats_; }
 
  private:
-  /// One scan of `parent` producing every aggregation-tree child of
-  /// `view`, each starting at the operator's identity. `input_level` is
-  /// true only for the root scan (raw-input cell semantics).
+  /// AggregationTree::walk's visitor: scans the raw input at the root and
+  /// live views below it.
+  template <typename Root>
+  struct Visit {
+    TreeWalk& walk;
+    const Root& input;
+
+    void scan(DimSet view, const std::vector<DimSet>& children) {
+      if (view == walk.tree_.root()) {
+        walk.compute_children(view, children, input, /*input_level=*/true);
+      } else {
+        walk.compute_children(view, children, walk.live_.at(view.mask()),
+                              /*input_level=*/false);
+      }
+    }
+    bool finalize(DimSet view, DimSet child) {
+      return walk.hooks_.finalize_child(view, child,
+                                        walk.live_.at(child.mask()));
+    }
+    void retire(DimSet view, bool keep) { walk.retire(view, keep); }
+  };
+
+  /// One scan of `parent` producing `children` of `view`, each starting
+  /// at the operator's identity. `input_level` is true only for the root
+  /// scan (raw-input cell semantics).
   template <typename Parent>
-  void compute_children(DimSet view, const Parent& parent, bool input_level) {
+  void compute_children(DimSet view, const std::vector<DimSet>& children,
+                        const Parent& parent, bool input_level) {
     const std::vector<int> view_dims = view.dims();
     std::vector<AggregationTarget> targets;
-    for (DimSet child : tree_.children(view)) {
+    for (DimSet child : children) {
       const int aggregated = view.minus(child).min_dim();
       // Position of the aggregated dimension within the parent's dims.
       int pos = 0;
@@ -106,28 +130,6 @@ class TreeWalk {
     stats_.updates += scan.updates;
     stats_.peak_scratch_bytes =
         std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
-  }
-
-  /// The right-to-left child walk below a just-scanned node.
-  void descend(DimSet view) {
-    const std::vector<DimSet> kids = tree_.children(view);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      const DimSet child = *it;
-      const bool keep =
-          hooks_.finalize_child(view, child, live_.at(child.mask()));
-      if (keep && !tree_.is_leaf(child)) {
-        evaluate(child);
-      } else {
-        retire(child, keep);
-      }
-    }
-  }
-
-  /// Evaluate() for a non-root node whose array is live.
-  void evaluate(DimSet view) {
-    compute_children(view, live_.at(view.mask()), /*input_level=*/false);
-    descend(view);
-    retire(view, /*keep=*/true);
   }
 
   /// Takes `view` out of the live set: written back into the result if

@@ -1,5 +1,7 @@
 #include "lattice/aggregation_tree.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace cubist {
@@ -32,31 +34,19 @@ int AggregationTree::aggregated_dim(DimSet view) const {
   return view.complement(n_).max_dim();
 }
 
-void AggregationTree::evaluate(DimSet view,
-                               std::vector<ScheduleEvent>& out) const {
-  const std::vector<DimSet> kids = children(view);
-  if (!kids.empty()) {
-    out.push_back({ScheduleEvent::Kind::kComputeChildren, view});
-  }
-  // Right to left: the right-most child is the one whose subtree is
-  // evaluated first (paper Figure 3); this ordering is what makes the
-  // Theorem-1 memory bound hold.
-  for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-    if (is_leaf(*it)) {
-      out.push_back({ScheduleEvent::Kind::kWriteBack, *it});
-    } else {
-      evaluate(*it, out);
-    }
-  }
-  if (view != root()) {
-    out.push_back({ScheduleEvent::Kind::kWriteBack, view});
-  }
-}
-
 std::vector<ScheduleEvent> AggregationTree::schedule() const {
-  std::vector<ScheduleEvent> out;
-  evaluate(root(), out);
-  return out;
+  struct Recorder {
+    std::vector<ScheduleEvent> events;
+    void scan(DimSet view, const std::vector<DimSet>& /*children*/) {
+      events.push_back({ScheduleEvent::Kind::kComputeChildren, view});
+    }
+    bool finalize(DimSet /*view*/, DimSet /*child*/) { return true; }
+    void retire(DimSet view, bool /*keep*/) {
+      events.push_back({ScheduleEvent::Kind::kWriteBack, view});
+    }
+  } recorder;
+  walk(recorder);
+  return std::move(recorder.events);
 }
 
 std::vector<DimSet> AggregationTree::completion_order() const {

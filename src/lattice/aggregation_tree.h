@@ -10,6 +10,13 @@
 //     results by the sum of the first-level view sizes (Theorem 1), which
 //     is also a lower bound for any tree (Theorem 2).
 //
+// That traversal is written once, as walk(): the Figure-3 Evaluate, with
+// Figure 5 as its per-rank case for p > 1. It has three callers, each a
+// visitor: the builders' TreeWalk (core/tree_walk.h) scans real arrays,
+// the static planner (analysis/comm_plan.cpp) emits the planned reduce,
+// memory and write-back events of one rank, and schedule() records the
+// event sequence the memory simulator replays.
+//
 // The tree is expressed over dimension *positions* 0..n-1; instantiating it
 // for a particular ordering of physical dimensions is the job of the core
 // layer (the paper's "parameterized by the ordering of dimensions").
@@ -59,17 +66,39 @@ class AggregationTree {
   /// parent: the largest position missing from `view`.
   int aggregated_dim(DimSet view) const;
 
-  /// The Figure-3 execution order: Evaluate(root) emits kComputeChildren
-  /// for each internal node and kWriteBack for every non-root view, with
-  /// children recursed right to left. This sequence drives both the real
-  /// builders and the memory simulator.
+  /// Evaluate(root) of Figure 3 (Figure 5 per rank). For every internal
+  /// node `visit.scan(view, children)` runs once, with the children left
+  /// to right. The children are then taken right to left:
+  /// `keep = visit.finalize(view, child)`; a kept child is walked in turn
+  /// (a leaf returns at once); then `visit.retire(child, keep)` takes it
+  /// out of the live set. The root is never retired. Right to left is
+  /// the order the Theorem-1/4 memory bounds hold for.
+  template <typename Visitor>
+  void walk(Visitor& visit) const {
+    walk_subtree(root(), visit);
+  }
+
+  /// walk() with every child kept, as events: kComputeChildren per
+  /// internal node and kWriteBack per non-root view. The memory simulator
+  /// replays this sequence.
   std::vector<ScheduleEvent> schedule() const;
 
-  /// All 2^n views in the order they are completed (write-back order).
+  /// Every proper view (2^n - 1; the root is the input) in the order
+  /// it is completed (write-back order).
   std::vector<DimSet> completion_order() const;
 
  private:
-  void evaluate(DimSet view, std::vector<ScheduleEvent>& out) const;
+  template <typename Visitor>
+  void walk_subtree(DimSet view, Visitor& visit) const {
+    const std::vector<DimSet> kids = children(view);
+    if (kids.empty()) return;
+    visit.scan(view, kids);
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      const bool keep = visit.finalize(view, *it);
+      if (keep) walk_subtree(*it, visit);
+      visit.retire(*it, keep);
+    }
+  }
 
   int n_;
 };

@@ -4,13 +4,14 @@
 // Given the subset of lattice views a PartialCube materializes, the table
 // answers "which materialized view should a query on view V read?" for
 // all 2^n views at once: the cheapest materialized ancestor (fewest
-// cells, ties toward the lowest mask — the exact order
-// PartialCube::best_ancestor resolves), or the raw input when nothing
+// cells, ties toward the lowest mask), or the raw input when nothing
 // covers V. It is built by one dynamic-programming pass down the lattice:
 // V's candidates are V itself (if materialized) plus the routes of its
 // immediate supersets, so the fallback chain is exactly the Theorem-7
-// minimal-parent chain up to the root. Serving consults the table per
-// query instead of scanning the materialized set.
+// minimal-parent chain up to the root. Each PartialCube builds its table
+// once (PartialCube::routes()); every query and on-the-fly projection,
+// served or direct, is one lookup instead of a scan of the materialized
+// set.
 #pragma once
 
 #include <cstdint>

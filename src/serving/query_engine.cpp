@@ -15,6 +15,10 @@
 namespace cubist::serving {
 namespace {
 
+/// Rank-error bound of the latency sketches (fraction of count): p999 is
+/// resolved to ±0.2% of observations.
+constexpr double kSketchEpsilon = 0.002;
+
 /// Preformatted `kind="..."` label for per-class instruments.
 std::string kind_label(int kind) {
   std::string label = "kind=\"";
@@ -90,11 +94,7 @@ QueryEngine::QueryEngine(std::shared_ptr<const PartialCube> snapshot,
   num_view_slots_ = lattice.num_views();
   view_freq_ = std::make_unique<std::atomic<std::int64_t>[]>(
       static_cast<std::size_t>(num_view_slots_));
-  const std::vector<DimSet> views = snapshot->materialized_views();
-  partial_snapshot_.store(
-      std::make_shared<const PartialSnapshot>(PartialSnapshot{
-          std::move(snapshot), AncestorTable::build(lattice, views)}),
-      std::memory_order_release);
+  partial_snapshot_ = std::move(snapshot);
 }
 
 void QueryEngine::init_telemetry() {
@@ -132,13 +132,13 @@ void QueryEngine::init_telemetry() {
         "cubist_serving_cells_scanned",
         "cells scanned computing answers (cache hits scan nothing)", label);
     class_latency_[static_cast<std::size_t>(i)] = &registry_->histogram(
-        "cubist_serving_latency_us", options_.sketch_epsilon,
+        "cubist_serving_latency_us", kSketchEpsilon,
         options_.sketch_max_count, "query latency in microseconds", label);
   }
   // One histogram over every query regardless of class (class sketches
   // cannot be merged after the fact).
   overall_latency_ = &registry_->histogram(
-      "cubist_serving_latency_us", options_.sketch_epsilon,
+      "cubist_serving_latency_us", kSketchEpsilon,
       options_.sketch_max_count, "query latency in microseconds",
       "kind=\"all\"");
   query_drift_ = &obs::query_cost_vs_cells_gauge(*registry_);
@@ -153,7 +153,8 @@ const CubeResult& QueryEngine::snapshot() const {
 std::shared_ptr<const PartialCube> QueryEngine::partial_snapshot() const {
   CUBIST_CHECK(serves_partial(),
                "partial_snapshot() needs a PartialCube engine");
-  return partial_snapshot_.load(std::memory_order_acquire)->cube;
+  const std::lock_guard<std::mutex> lock(partial_mutex_);
+  return partial_snapshot_;
 }
 
 QueryResult QueryEngine::compute(const Query& query,
@@ -171,11 +172,10 @@ QueryResult QueryEngine::compute(const Query& query,
   return result;
 }
 
-QueryResult QueryEngine::compute_partial(const PartialSnapshot& snap,
+QueryResult QueryEngine::compute_partial(const PartialCube& cube,
                                          const Query& query,
                                          std::int64_t* cells) const {
-  const PartialCube& cube = *snap.cube;
-  const std::optional<DimSet> route = snap.routes.route(query.view);
+  const std::optional<DimSet> route = cube.routes().route(query.view);
   if (query.kind == QueryKind::kPoint) {
     QueryResult result;
     result.kind = query.kind;
@@ -202,17 +202,17 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
   span.tag("kind", query_kind_name(query.kind))
       .tag("view", static_cast<std::int64_t>(query.view.mask()));
   queries_->increment();
-  std::shared_ptr<const PartialSnapshot> snap;
+  std::shared_ptr<const PartialCube> snap;
   std::uint32_t routed_mask = query.view.mask();
   bool ancestor_routed = false;
   if (serves_partial()) {
     // Pin one generation for the whole query; replan() swaps underneath
     // without ever invalidating it.
-    snap = partial_snapshot_.load(std::memory_order_acquire);
+    snap = partial_snapshot();
     view_freq_[query.view.mask()].fetch_add(1, std::memory_order_relaxed);
-    const std::optional<DimSet> route = snap->routes.route(query.view);
+    const std::optional<DimSet> route = snap->routes().route(query.view);
     if (!route) {
-      routed_mask = DimSet::full(snap->cube->ndims()).mask();
+      routed_mask = DimSet::full(snap->ndims()).mask();
       routed_input_->increment();
       span.tag("route", "input");
     } else if (*route == query.view) {
@@ -264,7 +264,7 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
     query_drift_->record(
         static_cast<double>(cells),
         static_cast<double>(
-            snap->cube->view(DimSet::from_mask(routed_mask)).size()));
+            snap->view(DimSet::from_mask(routed_mask)).size()));
   }
   if (cacheable) {
     cache_->put(key, result, static_cast<double>(cells));
@@ -310,9 +310,8 @@ QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
   const std::lock_guard<std::mutex> lock(replan_mutex_);
   obs::Span span("serving", "replan");
   span.tag("budget_bytes", budget_bytes);
-  const std::shared_ptr<const PartialSnapshot> current =
-      partial_snapshot_.load(std::memory_order_acquire);
-  const PartialCube& cube = *current->cube;
+  const std::shared_ptr<const PartialCube> current = partial_snapshot();
+  const PartialCube& cube = *current;
   const CubeLattice lattice(cube.sizes());
   ViewSelection selection = select_views_weighted(
       lattice, budget_bytes, view_frequencies(),
@@ -331,11 +330,12 @@ QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
   report.certified_bytes = certified;
   report.materialized_bytes = next_cube->materialized_bytes();
   report.build_cells_scanned = build_stats.cells_scanned;
-  partial_snapshot_.store(
-      std::make_shared<const PartialSnapshot>(PartialSnapshot{
-          std::move(next_cube),
-          AncestorTable::build(lattice, selection.views)}),
-      std::memory_order_release);
+  {
+    // `current` still holds the old generation, so it is never freed
+    // under the lock.
+    const std::lock_guard<std::mutex> swap_lock(partial_mutex_);
+    partial_snapshot_ = std::move(next_cube);
+  }
   obs::Instant("serving", "snapshot.swap")
       .tag("views", static_cast<std::int64_t>(selection.views.size()))
       .tag("materialized_bytes", report.materialized_bytes);

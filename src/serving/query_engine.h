@@ -7,22 +7,24 @@
 //    (shared_ptr<const CubeResult>) or a partially materialized one
 //    (shared_ptr<const PartialCube>); every query computes from an
 //    immutable snapshot — concurrent readers share nothing mutable on
-//    the cube read path and take no locks there.
+//    the cube read path and take no locks there. Pinning a partial
+//    generation copies one shared_ptr under a mutex held for that copy
+//    only.
 //
-//  * Minimal-ancestor routing (partial snapshots). A precomputed
-//    AncestorTable resolves every query's view to its cheapest
-//    materialized ancestor (Theorem-7 minimal-parent chain as fallback);
-//    unmaterialized views are projected out of the routed ancestor — or
-//    the raw input — on the fly. ServingStats records cells_scanned per
-//    query class plus routing outcomes, so the linear cost model the
-//    view selection optimizes is directly observable.
+//  * Minimal-ancestor routing (partial snapshots). The cube's own
+//    AncestorTable (PartialCube::routes()) resolves every query's view to
+//    its cheapest materialized ancestor (Theorem-7 minimal-parent chain
+//    as fallback); unmaterialized views are projected out of the routed
+//    ancestor — or the raw input — on the fly. ServingStats records
+//    cells_scanned per query class plus routing outcomes, so the linear
+//    cost model the view selection optimizes is directly observable.
 //
 //  * Workload feedback. A lock-cheap per-view frequency counter (one
 //    relaxed fetch_add per query) records which views the stream hits;
 //    replan() feeds it to the frequency-weighted benefit-per-byte greedy
 //    (select_views_weighted), certifies the chosen set against the byte
 //    budget via the memory verifier, rebuilds a PartialCube from the
-//    SAME shared input, and atomically swaps the snapshot — in-flight
+//    SAME shared input, and swaps the snapshot pointer — in-flight
 //    queries keep the old generation alive, same immutability contract
 //    as a refresh.
 //
@@ -63,7 +65,6 @@
 #include "obs/metrics.h"
 #include "core/cube_result.h"
 #include "core/partial_cube.h"
-#include "lattice/ancestor_table.h"
 #include "serving/query.h"
 #include "serving/slice_cache.h"
 
@@ -77,10 +78,8 @@ struct QueryEngineOptions {
   int max_workers = 0;
   /// Byte budget for the hot-slice cache; 0 disables caching.
   std::int64_t cache_budget_bytes = std::int64_t{64} << 20;
-  /// Rank-error bound of the latency sketches (fraction of count). The
-  /// default resolves p999 to ±0.2% of observations.
-  double sketch_epsilon = 0.002;
-  /// Observation count the sketch error bound must survive.
+  /// Observation count the latency sketches' rank-error bound
+  /// (kSketchEpsilon in query_engine.cpp) must survive.
   std::int64_t sketch_max_count = 2'000'000;
   /// Registry the engine's instruments (cubist_serving_*) register in.
   /// nullptr = an engine-private registry, so two engines in one process
@@ -133,10 +132,10 @@ class QueryEngine {
                        QueryEngineOptions options = {});
 
   /// Serves a partially materialized cube: queries on any lattice view
-  /// are routed to their cheapest materialized ancestor via a
-  /// precomputed AncestorTable and the residual dimensions are
-  /// aggregated on the fly. Answers are identical to the full-cube
-  /// engine's for every routing path.
+  /// are routed to their cheapest materialized ancestor via the cube's
+  /// routes() and the residual dimensions are aggregated on the fly.
+  /// Answers are identical to the full-cube engine's for every routing
+  /// path.
   explicit QueryEngine(std::shared_ptr<const PartialCube> snapshot,
                        QueryEngineOptions options = {});
 
@@ -170,7 +169,7 @@ class QueryEngine {
 
   bool serves_partial() const { return view_freq_ != nullptr; }
   /// The current partial-cube generation (partial engines only). Swapped
-  /// atomically by replan(); callers get a consistent pinned snapshot.
+  /// by replan(); callers get a consistent pinned snapshot.
   std::shared_ptr<const PartialCube> partial_snapshot() const;
 
   /// Observed per-view query counts, indexed by view mask — the feedback
@@ -189,18 +188,13 @@ class QueryEngine {
   /// Re-plans the materialized set under `budget_bytes` from the
   /// observed view frequencies: weighted benefit-per-byte selection,
   /// byte-budget certification through the memory verifier, rebuild from
-  /// the shared input, atomic snapshot swap. Concurrent queries are
-  /// never blocked — each pins one generation for its whole execution.
+  /// the shared input, snapshot pointer swap. Concurrent queries never
+  /// wait for the rebuild — each pins one generation for its whole
+  /// execution.
   /// Partial engines only.
   ReplanReport replan(std::int64_t budget_bytes);
 
  private:
-  /// One atomically swappable serving generation.
-  struct PartialSnapshot {
-    std::shared_ptr<const PartialCube> cube;
-    AncestorTable routes;
-  };
-
   /// Option validation, registry/instrument and cache setup shared by
   /// both ctors.
   void init_telemetry();
@@ -208,12 +202,17 @@ class QueryEngine {
   /// cells scanned (the cache cost weight).
   QueryResult compute(const Query& query, std::int64_t* cells) const;
   /// Computes the answer from a pinned partial generation.
-  QueryResult compute_partial(const PartialSnapshot& snap,
-                              const Query& query, std::int64_t* cells) const;
+  QueryResult compute_partial(const PartialCube& cube, const Query& query,
+                              std::int64_t* cells) const;
   void record_latency(QueryKind kind, double micros);
 
   std::shared_ptr<const CubeResult> snapshot_;  // full mode only
-  std::atomic<std::shared_ptr<const PartialSnapshot>> partial_snapshot_;
+  // Partial mode: the current generation. partial_mutex_ guards only the
+  // pointer: readers copy it, replan() replaces it. (libstdc++ 12's
+  // atomic<shared_ptr>::load unlocks with relaxed order, so its store
+  // formally races with an earlier load; TSan reports it.)
+  std::shared_ptr<const PartialCube> partial_snapshot_;
+  mutable std::mutex partial_mutex_;
   QueryEngineOptions options_;
   std::unique_ptr<SliceCache> cache_;
   // Per-view query counts (partial mode; size = 2^ndims). A plain array

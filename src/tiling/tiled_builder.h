@@ -17,6 +17,7 @@
 #include "array/aggregate_op.h"
 #include "array/sparse_array.h"
 #include "core/cube_result.h"
+#include "core/sequential_builder.h"
 
 namespace cubist {
 
@@ -35,16 +36,11 @@ struct TilingPlan {
 TilingPlan plan_tiling(const std::vector<std::int64_t>& sizes,
                        std::int64_t memory_budget);
 
-/// Work/memory/I/O accounting of a tiled run.
-struct TiledBuildStats {
-  std::int64_t peak_live_bytes = 0;
-  /// Bytes written back, including per-slab partial write-outs.
-  std::int64_t written_bytes = 0;
-  std::int64_t cells_scanned = 0;
-  std::int64_t updates = 0;
+/// Work/memory/I/O accounting of a tiled run. `written_bytes` includes
+/// the per-slab partial write-outs, and `peak_scratch_bytes` is the
+/// high-water across all slabs.
+struct TiledBuildStats : BuildStats {
   std::int64_t tiles = 1;
-  /// High-water mark of transient scan-scratch bytes across all slabs.
-  std::int64_t peak_scratch_bytes = 0;
 };
 
 /// Builds the full cube slab by slab under `plan`, each slab through the

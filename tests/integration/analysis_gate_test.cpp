@@ -267,5 +267,59 @@ TEST(AnalysisGateTest, MeasuredScratchStaysUnderTheStaticBound) {
   EXPECT_GT(verified.max_scan_scratch_bytes, 0);
 }
 
+TEST(AnalysisGateTest, PlannedMemoryMatchesMeasuredPerRank) {
+  // The planner and the builders visit one aggregation-tree walk, so each
+  // rank's planned allocations and releases, replayed through a ledger,
+  // peak exactly where the run's live blocks peaked, and the views the
+  // plan writes back are the bytes the run wrote back — rank by rank,
+  // including uneven blocks and a 4-D grid.
+  struct Case {
+    std::vector<std::int64_t> sizes;
+    std::vector<int> log_splits;
+  };
+  for (const Case& c : {Case{{64, 48, 32}, {1, 1, 0}},
+                        Case{{7, 5, 3}, {1, 1, 1}},
+                        Case{{8, 8, 4, 4}, {1, 1, 0, 0}}}) {
+    SparseSpec spec;
+    spec.sizes = c.sizes;
+    spec.density = 0.4;
+    spec.seed = 23;
+    const auto report = run_parallel_cube(spec.sizes, c.log_splits,
+                                          CostModel{}, provider_of(spec),
+                                          /*collect_result=*/false);
+
+    ScheduleSpec sched;
+    sched.sizes = spec.sizes;
+    sched.log_splits = c.log_splits;
+    const CommPlan plan = build_comm_plan(sched);
+    const ProcGrid grid(c.log_splits);
+    ASSERT_EQ(report.rank_stats.size(), plan.ranks.size());
+    for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
+      const RankPlan& rank_plan = plan.ranks[r];
+      MemoryLedger ledger;
+      for (const PlannedMemoryEvent& event : rank_plan.memory) {
+        if (event.kind == PlannedMemoryEvent::Kind::kAlloc) {
+          ledger.alloc(event.bytes);
+        } else {
+          ledger.release(event.bytes);
+        }
+      }
+      EXPECT_EQ(ledger.live_bytes(), 0) << "rank " << r;
+      EXPECT_EQ(ledger.peak_bytes(), report.rank_stats[r].peak_live_bytes)
+          << "rank " << r;
+
+      const BlockRange block = grid.block(static_cast<int>(r), spec.sizes);
+      std::int64_t final_bytes = 0;
+      for (std::uint32_t mask : rank_plan.final_views) {
+        std::int64_t cells = 1;
+        for (int d : DimSet::from_mask(mask).dims()) cells *= block.extent(d);
+        final_bytes += cells * static_cast<std::int64_t>(sizeof(Value));
+      }
+      EXPECT_EQ(final_bytes, report.rank_stats[r].written_bytes)
+          << "rank " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cubist

@@ -11,9 +11,9 @@
 namespace cubist {
 namespace {
 
-/// Reference routing: linear scan of the materialized set, smallest
-/// cells first with ties toward the lowest mask — the semantics
-/// PartialCube::best_ancestor implements.
+/// Reference routing, independent of the table: a linear scan of the
+/// materialized set, smallest cells first with ties toward the lowest
+/// mask.
 std::optional<DimSet> brute_force_route(const CubeLattice& lattice,
                                         const std::vector<DimSet>& views,
                                         DimSet query) {
