@@ -65,8 +65,10 @@ int main(int argc, char** argv) {
               cube.query(DimSet(), {}));
   std::printf("Q2  sales of item 0 (top seller):      %.0f\n",
               cube.query(DimSet::of({kItem}), {0}));
-  std::printf("Q3  sales at branch 5, week 10:        %.0f\n",
-              cube.query(DimSet::of({kBranch, kWeek}), {5, 10}));
+  const std::int64_t q3_week = *weeks / 3;  // week 10 of the default 32
+  std::printf("Q3  sales at branch 5, week %2lld:        %.0f\n",
+              static_cast<long long>(q3_week),
+              cube.query(DimSet::of({kBranch, kWeek}), {5, q3_week}));
   std::printf("Q4  item 3 at branch 2, all weeks:     %.0f\n",
               cube.query(DimSet::of({kItem, kBranch}), {3, 2}));
   std::printf("Q5  segment 1 in week 0:               %.0f\n",

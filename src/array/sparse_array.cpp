@@ -73,7 +73,29 @@ void SparseArray::push(const std::int64_t* index, Value value) {
   Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
   chunk.offsets.push_back(offset);
   chunk.values.push_back(value);
-  ++nnz_;
+}
+
+void SparseArray::set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
+                            std::vector<Value> values) {
+  CUBIST_CHECK(chunk_id >= 0 && chunk_id < num_chunks(),
+               "chunk id " << chunk_id << " out of range");
+  CUBIST_CHECK(!finalized_, "set_chunk after finalize");
+  CUBIST_CHECK(offsets.size() == values.size(),
+               "chunk " << chunk_id << ": offset and value counts differ");
+  std::vector<std::int64_t> coords(static_cast<std::size_t>(ndim()));
+  chunk_grid_.unravel(chunk_id, coords.data());
+  const std::int64_t volume = checked_product(chunk_shape_at(coords));
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    CUBIST_CHECK(i == 0 || offsets[i - 1] < offsets[i],
+                 "chunk " << chunk_id << ": offsets do not ascend strictly");
+    CUBIST_CHECK(values[i] != Value{0}, "chunk " << chunk_id << ": zero value");
+  }
+  CUBIST_CHECK(offsets.empty() || offsets.back() < volume,
+               "chunk " << chunk_id << ": offset past its " << volume
+                        << " cells");
+  Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
+  chunk.offsets = std::move(offsets);
+  chunk.values = std::move(values);
 }
 
 void SparseArray::finalize() {
@@ -108,6 +130,10 @@ void SparseArray::finalize() {
       sorted_chunk.values.push_back(chunk.values[i]);
     }
     chunk = std::move(sorted_chunk);
+  }
+  nnz_ = 0;
+  for (const Chunk& chunk : chunks_) {
+    nnz_ += static_cast<std::int64_t>(chunk.offsets.size());
   }
   finalized_ = true;
 }

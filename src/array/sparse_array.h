@@ -5,6 +5,11 @@
 // is the row-major linear index relative to the chunk's own extents. This is
 // exactly the "chunk-offset compression" of Zhao et al. that the paper's
 // experiments use for the input dataset.
+//
+// An array is filled either a whole chunk at a time through set_chunk()
+// (the generators, extract_block and read_sparse do this) or a cell at a
+// time through push(), and is then sealed with finalize(), which validates
+// every chunk and recounts nnz().
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,7 @@ class SparseArray {
   const Shape& chunk_grid() const { return chunk_grid_; }
   std::int64_t num_chunks() const { return chunk_grid_.size(); }
 
+  /// Non-zero count, recounted from the chunks by finalize().
   std::int64_t nnz() const { return nnz_; }
   /// Fraction of cells that are non-zero (the paper's "sparsity" knob).
   double density() const {
@@ -49,9 +55,9 @@ class SparseArray {
     return nnz_ * static_cast<std::int64_t>(sizeof(Offset) + sizeof(Value));
   }
 
-  /// Appends a non-zero cell. Within one chunk, cells must arrive in
-  /// ascending offset order (global row-major iteration guarantees this);
-  /// `finalize()` verifies. Zero values are dropped silently.
+  /// Appends a non-zero cell. Cells may arrive in any order; `finalize()`
+  /// sorts each chunk and rejects duplicates. Zero values are dropped
+  /// silently.
   void push(const std::int64_t* index, Value value);
   void push(const std::vector<std::int64_t>& index, Value value) {
     CUBIST_CHECK(static_cast<int>(index.size()) == ndim(),
@@ -59,7 +65,17 @@ class SparseArray {
     push(index.data(), value);
   }
 
-  /// Validates per-chunk offset ordering; call once after the last push().
+  /// Fills chunk `chunk_id` (row-major over the chunk grid) with its
+  /// non-zeros, replacing whatever it held. `offsets` are row-major within
+  /// the chunk's own clipped extents; they must ascend strictly and stay
+  /// below the chunk's volume, and every value must be non-zero. Throws
+  /// InvalidArgument otherwise, or when the id is out of range or the array
+  /// is finalized. Distinct chunks may be set concurrently.
+  void set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
+                 std::vector<Value> values);
+
+  /// Validates per-chunk offset ordering (sorting chunks filled out of
+  /// order by push()) and recounts nnz(); call once after the last fill.
   void finalize();
 
   /// Invokes fn(index, value) for every non-zero, in chunk order.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "analysis/comm_plan.h"
 #include "analysis/hb_auditor.h"
@@ -18,12 +19,13 @@
 namespace cubist {
 namespace {
 
-/// Copies a gathered view block into its place in the global view array.
-/// `view_dims` are the retained dimensions (ascending); `block` is the
-/// source rank's block of the *root*, restricted here to those dimensions.
+/// Copies a gathered view block into its place in the global view array,
+/// one innermost row at a time. `view_dims` are the retained dimensions
+/// (ascending); `root_block` is the source rank's block of the *root*,
+/// restricted here to those dimensions. `payload` is the block row-major.
 void place_block(DenseArray& global_view, const std::vector<int>& view_dims,
                  const BlockRange& root_block,
-                 const std::vector<Value>& payload) {
+                 std::span<const Value> payload) {
   const int m = static_cast<int>(view_dims.size());
   if (m == 0) {
     CUBIST_ASSERT(payload.size() == 1, "scalar block size mismatch");
@@ -40,16 +42,17 @@ void place_block(DenseArray& global_view, const std::vector<int>& view_dims,
   }
   CUBIST_ASSERT(static_cast<std::int64_t>(payload.size()) == cells,
                 "view block size mismatch");
-  const Shape local_shape{extent};
-  std::vector<std::int64_t> local(static_cast<std::size_t>(m));
-  std::vector<std::int64_t> global(static_cast<std::size_t>(m));
-  for (std::int64_t linear = 0; linear < cells; ++linear) {
-    local_shape.unravel(linear, local.data());
-    for (int i = 0; i < m; ++i) {
-      global[i] = lo[i] + local[i];
+  const Shape& shape = global_view.shape();
+  const std::int64_t row = extent[m - 1];
+  std::vector<std::int64_t> global = lo;
+  for (std::int64_t done = 0; done < cells; done += row) {
+    std::copy_n(payload.begin() + done, row,
+                global_view.data() + shape.linear_index(global.data()));
+    int i = m - 2;
+    for (; i >= 0; --i) {
+      if (++global[i] < lo[i] + extent[i]) break;
+      global[i] = lo[i];
     }
-    global_view[global_view.shape().linear_index(global.data())] =
-        payload[static_cast<std::size_t>(linear)];
   }
 }
 
@@ -149,15 +152,16 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
         }()};
         for (int src = 0; src < p; ++src) {
           if (!grid.is_lead_for(src, aggregated)) continue;
-          std::vector<Value> payload;
+          const BlockRange block = grid.block(src, sizes);
           if (src == 0) {
             const DenseArray& mine = local_views.at(mask);
-            payload.assign(mine.data(), mine.data() + mine.size());
+            place_block(global_view, view.dims(), block,
+                        std::span<const Value>(
+                            mine.data(), static_cast<std::size_t>(mine.size())));
           } else {
-            payload = comm.recv_values(src, tag);
+            place_block(global_view, view.dims(), block,
+                        comm.recv_values(src, tag));
           }
-          place_block(global_view, view.dims(), grid.block(src, sizes),
-                      payload);
         }
         std::lock_guard lock(assemble_mutex);
         assembled->put(view, std::move(global_view));

@@ -100,25 +100,27 @@ class TreeWalk {
 
   /// One scan of `parent` producing `children` of `view`, each starting
   /// at the operator's identity. `input_level` is true only for the root
-  /// scan (raw-input cell semantics).
+  /// scan (raw-input cell semantics). The children are allocated inside
+  /// the scan hook, so a hook that times the scan times their fill too.
   template <typename Parent>
   void compute_children(DimSet view, const std::vector<DimSet>& children,
                         const Parent& parent, bool input_level) {
-    const std::vector<int> view_dims = view.dims();
-    std::vector<AggregationTarget> targets;
-    for (DimSet child : children) {
-      const int aggregated = view.minus(child).min_dim();
-      // Position of the aggregated dimension within the parent's dims.
-      int pos = 0;
-      while (view_dims[pos] != aggregated) ++pos;
-      auto [it, inserted] = live_.try_emplace(
-          child.mask(), parent.shape().without_dim(pos), identity_of(op_));
-      CUBIST_ASSERT(inserted, "child already live");
-      ledger_.alloc(it->second.bytes());
-      targets.push_back(AggregationTarget{pos, &it->second});
-    }
     const AggregationStats scan =
-        hooks_.scan(view, input_level, targets.size(), [&] {
+        hooks_.scan(view, input_level, children.size(), [&] {
+          const std::vector<int> view_dims = view.dims();
+          std::vector<AggregationTarget> targets;
+          for (DimSet child : children) {
+            const int aggregated = view.minus(child).min_dim();
+            // Position of the aggregated dimension within the parent's dims.
+            int pos = 0;
+            while (view_dims[pos] != aggregated) ++pos;
+            auto [it, inserted] = live_.try_emplace(
+                child.mask(), parent.shape().without_dim(pos),
+                identity_of(op_));
+            CUBIST_ASSERT(inserted, "child already live");
+            ledger_.alloc(it->second.bytes());
+            targets.push_back(AggregationTarget{pos, &it->second});
+          }
           if constexpr (std::is_same_v<Parent, SparseArray>) {
             return aggregate_children(parent, targets, agg_options_, op_);
           } else {

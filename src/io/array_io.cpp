@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "common/mathutil.h"
 
 namespace cubist {
 namespace {
@@ -119,31 +120,22 @@ SparseArray read_sparse(const std::string& path) {
            chunk_extents.size() * sizeof(std::int64_t));
   SparseArray array{Shape{extents}, chunk_extents};
 
-  // Re-inject non-zeros chunk by chunk through the public push() so every
-  // invariant is revalidated on load.
-  const int n = array.ndim();
-  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> index(static_cast<std::size_t>(n));
+  // Each chunk goes through set_chunk(), which revalidates its entries.
+  std::vector<std::int64_t> chunk_coords(extents.size());
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
     const auto count = read_pod<std::int64_t>(in);
-    CUBIST_CHECK(count >= 0, "negative chunk count");
+    array.chunk_grid().unravel(c, chunk_coords.data());
+    const std::int64_t volume =
+        checked_product(array.chunk_shape_at(chunk_coords));
+    CUBIST_CHECK(count >= 0 && count <= volume,
+                 "chunk " << c << " claims " << count << " entries in "
+                          << volume << " cells");
     std::vector<SparseArray::Offset> offsets(
         static_cast<std::size_t>(count));
     std::vector<Value> values(static_cast<std::size_t>(count));
     read_raw(in, offsets.data(), offsets.size() * sizeof(SparseArray::Offset));
     read_raw(in, values.data(), values.size() * sizeof(Value));
-    array.chunk_grid().unravel(c, chunk_coords.data());
-    const auto base = array.chunk_base(chunk_coords);
-    const Shape local_shape{array.chunk_shape_at(chunk_coords)};
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-      CUBIST_CHECK(static_cast<std::int64_t>(offsets[i]) < local_shape.size(),
-                   "offset out of chunk bounds");
-      local_shape.unravel(static_cast<std::int64_t>(offsets[i]), index.data());
-      for (int d = 0; d < n; ++d) {
-        index[d] += base[d];
-      }
-      array.push(index.data(), values[i]);
-    }
+    array.set_chunk(c, std::move(offsets), std::move(values));
   }
   array.finalize();
   return array;

@@ -4,12 +4,16 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/mathutil.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace cubist {
 namespace {
 
 constexpr std::uint64_t kValueSalt = 0x5eed5a17u;
+/// Cells one generation task walks at least (several small chunks share one).
+constexpr std::int64_t kCellsPerTask = std::int64_t{1} << 14;
 
 /// Per-cell population rule shared by all generators: a pure function of
 /// (seed, global linear index [, coordinates for the Zipf skew]).
@@ -133,39 +137,63 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
                                   const BlockRange& block) {
   const Shape global_shape{spec.sizes};
   const int n = global_shape.ndim();
-  CUBIST_CHECK(block.ndim() == n, "block rank mismatch");
+  CUBIST_CHECK(n >= 1 && block.ndim() == n, "block rank mismatch");
+  for (int d = 0; d < n; ++d) {
+    CUBIST_CHECK(block.hi(d) <= global_shape.extent(d),
+                 "block " << block.to_string() << " exceeds the array in dim "
+                          << d);
+  }
   const CellRule rule(spec);
 
   SparseArray out(block.local_shape(), chunks_or_default(spec));
-  // Walk the block in local row-major order; global linear index is the
-  // per-row base plus the inner-dimension offset (global stride 1).
-  std::vector<std::int64_t> gidx(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> lidx(static_cast<std::size_t>(n), 0);
-  const std::int64_t inner_extent = block.extent(n - 1);
-  const std::int64_t rows = block.size() / inner_extent;
-  for (std::int64_t row = 0; row < rows; ++row) {
-    for (int d = 0; d < n; ++d) {
-      gidx[d] = block.lo(d) + lidx[d];
-    }
-    std::int64_t row_base = 0;
-    for (int d = 0; d < n - 1; ++d) {
-      row_base += gidx[d] * global_shape.stride(d);
-    }
-    for (std::int64_t i = 0; i < inner_extent; ++i) {
-      lidx[n - 1] = i;
-      gidx[n - 1] = block.lo(n - 1) + i;
-      const Value v =
-          rule.value_at(gidx.data(), row_base + gidx[n - 1]);
-      if (v != Value{0}) {
-        out.push(lidx.data(), v);
-      }
-    }
-    lidx[n - 1] = 0;
-    for (int d = n - 2; d >= 0; --d) {
-      if (++lidx[d] < block.extent(d)) break;
-      lidx[d] = 0;
-    }
-  }
+  // One task per chunk: it walks the chunk's own cells in row-major order,
+  // so its offsets ascend by construction, and writes only its own chunk.
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kCellsPerTask / checked_product(out.chunk_extents()));
+  ThreadPool::global().parallel_for(
+      0, out.num_chunks(), grain, [&](std::int64_t lo, std::int64_t hi) {
+        std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
+        std::vector<std::int64_t> origin(static_cast<std::size_t>(n));
+        std::vector<std::int64_t> gidx(static_cast<std::size_t>(n));
+        std::vector<SparseArray::Offset> offsets;
+        std::vector<Value> values;
+        for (std::int64_t chunk_id = lo; chunk_id < hi; ++chunk_id) {
+          out.chunk_grid().unravel(chunk_id, coords.data());
+          const std::vector<std::int64_t> base = out.chunk_base(coords);
+          const std::vector<std::int64_t> extents = out.chunk_shape_at(coords);
+          for (int d = 0; d < n; ++d) {
+            origin[d] = block.lo(d) + base[d];
+            gidx[d] = origin[d];
+          }
+          offsets.clear();
+          values.clear();
+          SparseArray::Offset offset = 0;
+          // Row by row: the global linear index is the row's base plus the
+          // inner coordinate (global stride 1).
+          for (;;) {
+            std::int64_t row_base = 0;
+            for (int d = 0; d < n - 1; ++d) {
+              row_base += gidx[d] * global_shape.stride(d);
+            }
+            for (std::int64_t i = 0; i < extents[n - 1]; ++i, ++offset) {
+              gidx[n - 1] = origin[n - 1] + i;
+              const Value v = rule.value_at(gidx.data(), row_base + gidx[n - 1]);
+              if (v != Value{0}) {
+                offsets.push_back(offset);
+                values.push_back(v);
+              }
+            }
+            int d = n - 2;
+            for (; d >= 0; --d) {
+              if (++gidx[d] < origin[d] + extents[d]) break;
+              gidx[d] = origin[d];
+            }
+            if (d < 0) break;
+          }
+          out.set_chunk(chunk_id, {offsets.begin(), offsets.end()},
+                        {values.begin(), values.end()});
+        }
+      });
   out.finalize();
   return out;
 }
@@ -181,14 +209,49 @@ DenseArray generate_dense(const std::vector<std::int64_t>& sizes,
 
 SparseArray extract_block(const SparseArray& global, const BlockRange& block,
                           std::vector<std::int64_t> chunk_extents) {
-  CUBIST_CHECK(block.ndim() == global.ndim(), "block rank mismatch");
+  const int n = global.ndim();
+  CUBIST_CHECK(block.ndim() == n, "block rank mismatch");
   SparseArray out(block.local_shape(), std::move(chunk_extents));
-  std::vector<std::int64_t> local(static_cast<std::size_t>(global.ndim()));
-  global.for_each_nonzero([&](const std::int64_t* index, Value value) {
-    if (!block.contains(index)) return;
-    block.to_local(index, local.data());
-    out.push(local.data(), value);
-  });
+  std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
+  std::vector<std::int64_t> target(static_cast<std::size_t>(n));
+  std::vector<std::int64_t> index(static_cast<std::size_t>(n));
+  for (std::int64_t source = 0; source < global.num_chunks(); ++source) {
+    const auto offsets = global.chunk_offsets(source);
+    if (offsets.empty()) continue;
+    global.chunk_grid().unravel(source, coords.data());
+    const std::vector<std::int64_t> base = global.chunk_base(coords);
+    const std::vector<std::int64_t> extents = global.chunk_shape_at(coords);
+    // A source chunk that is exactly one destination chunk is handed over
+    // as is: both number its cells row-major over the same extents.
+    bool meets = true;
+    bool whole = true;
+    for (int d = 0; d < n; ++d) {
+      const std::int64_t at = base[d] - block.lo(d);
+      const std::int64_t step = out.chunk_extents()[d];
+      meets = meets && at < block.extent(d) && at + extents[d] > 0;
+      whole = whole && at >= 0 && at % step == 0 &&
+              extents[d] == std::min(step, block.extent(d) - at);
+      target[d] = whole ? at / step : 0;
+    }
+    if (!meets) continue;
+    const auto values = global.chunk_values(source);
+    if (whole) {
+      out.set_chunk(out.chunk_grid().linear_index(target.data()),
+                    {offsets.begin(), offsets.end()},
+                    {values.begin(), values.end()});
+      continue;
+    }
+    // A chunk across the block's edge, or under a different chunking, is
+    // decoded cell by cell.
+    const Shape chunk_shape{extents};
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      chunk_shape.unravel(static_cast<std::int64_t>(offsets[i]), index.data());
+      for (int d = 0; d < n; ++d) index[d] += base[d];
+      if (!block.contains(index.data())) continue;
+      block.to_local(index.data(), index.data());
+      out.push(index.data(), values[i]);
+    }
+  }
   out.finalize();
   return out;
 }

@@ -7,6 +7,11 @@
 // global array — the parallel results can be compared bit-exactly against
 // the sequential cube. Values are small integers (1..9) stored as doubles;
 // double sums of small integers are exact and order-independent.
+//
+// Generation fills the array chunk by chunk, one task per chunk on
+// ThreadPool::global() (under the minimpi runtime, within the calling
+// rank's share of it). Each task writes only its own chunk, so the output
+// is the same for any pool size.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +45,8 @@ std::vector<std::int64_t> default_chunks(
 /// The whole array, in global coordinates.
 SparseArray generate_sparse_global(const SparseSpec& spec);
 
-/// One processor's block, in local coordinates (extents = block.extents()).
+/// One processor's block, in local coordinates (extents = block.extents()),
+/// chunked like the global array. The block must lie inside spec.sizes.
 SparseArray generate_sparse_block(const SparseSpec& spec,
                                   const BlockRange& block);
 
@@ -50,7 +56,9 @@ DenseArray generate_dense(const std::vector<std::int64_t>& sizes,
 
 /// Extracts a rectangular block of `global` into a block-local sparse
 /// array (used for slicing a generated global array across ranks and for
-/// the tiling extension).
+/// the tiling extension). Source chunks that miss the block are skipped;
+/// one that is exactly a destination chunk is copied whole, and the rest
+/// are decoded cell by cell.
 SparseArray extract_block(const SparseArray& global, const BlockRange& block,
                           std::vector<std::int64_t> chunk_extents);
 

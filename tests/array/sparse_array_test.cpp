@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "common/error.h"
 #include "test_util.h"
 
 namespace cubist {
@@ -120,6 +123,104 @@ TEST(SparseArrayTest, BytesAccountsOffsetsAndValues) {
   s.finalize();
   EXPECT_EQ(s.bytes(), 2 * static_cast<std::int64_t>(sizeof(SparseArray::Offset) +
                                                      sizeof(Value)));
+}
+
+TEST(SparseArrayTest, SetChunkFillsAWholeChunk) {
+  // 10x7 with 4x4 chunks: chunk 5 is the clipped 2x3 corner at (8, 4).
+  SparseArray s{Shape{{10, 7}}, {4, 4}};
+  s.set_chunk(0, {0, 5, 15}, {1.0, 2.0, 3.0});
+  s.set_chunk(5, {0, 5}, {4.0, 5.0});
+  s.finalize();
+  EXPECT_EQ(s.nnz(), 5);
+  const DenseArray dense = s.to_dense();
+  EXPECT_EQ(dense.at({0, 0}), 1.0);
+  EXPECT_EQ(dense.at({1, 1}), 2.0);
+  EXPECT_EQ(dense.at({3, 3}), 3.0);
+  EXPECT_EQ(dense.at({8, 4}), 4.0);
+  EXPECT_EQ(dense.at({9, 6}), 5.0);
+
+  SparseArray pushed{Shape{{10, 7}}, {4, 4}};
+  for (const auto& [index, value] :
+       std::vector<std::pair<std::vector<std::int64_t>, Value>>{
+           {{0, 0}, 1.0}, {{1, 1}, 2.0}, {{3, 3}, 3.0}, {{8, 4}, 4.0},
+           {{9, 6}, 5.0}}) {
+    pushed.push(index, value);
+  }
+  pushed.finalize();
+  EXPECT_EQ(testing::chunk_difference(s, pushed), "");
+}
+
+TEST(SparseArrayTest, SetChunkReplacesTheChunkAndFinalizeRecountsNnz) {
+  SparseArray s{Shape{{8}}, {4}};
+  s.push(std::vector<std::int64_t>{1}, 1.0);
+  s.push(std::vector<std::int64_t>{6}, 6.0);
+  s.set_chunk(0, {2, 3}, {2.0, 3.0});
+  s.finalize();
+  EXPECT_EQ(s.nnz(), 3);
+  const auto offsets = s.chunk_offsets(0);
+  EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
+            (std::vector<SparseArray::Offset>{2, 3}));
+}
+
+TEST(SparseArrayTest, SetChunkRejectsAnOutOfRangeId) {
+  SparseArray s{Shape{{8, 8}}, {4, 4}};
+  EXPECT_THROW(s.set_chunk(-1, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_chunk(4, {0}, {1.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, SetChunkRejectsAFinalizedArray) {
+  SparseArray s{Shape{{8}}, {8}};
+  s.finalize();
+  EXPECT_THROW(s.set_chunk(0, {0}, {1.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, SetChunkRejectsMismatchedCounts) {
+  SparseArray s{Shape{{8}}, {8}};
+  EXPECT_THROW(s.set_chunk(0, {0, 1}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_chunk(0, {0}, {1.0, 2.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, SetChunkRejectsOffsetsThatDoNotAscendStrictly) {
+  SparseArray s{Shape{{8}}, {8}};
+  EXPECT_THROW(s.set_chunk(0, {3, 1}, {1.0, 2.0}), InvalidArgument);
+  EXPECT_THROW(s.set_chunk(0, {3, 3}, {1.0, 2.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, SetChunkRejectsAnOffsetThatReachesTheChunkVolume) {
+  // Chunk 5 of 10x7 under 4x4 chunks is clipped to 2x3 = 6 cells.
+  SparseArray s{Shape{{10, 7}}, {4, 4}};
+  EXPECT_THROW(s.set_chunk(5, {6}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_chunk(0, {0, 16}, {1.0, 2.0}), InvalidArgument);
+  s.set_chunk(5, {5}, {1.0});
+  s.finalize();
+  EXPECT_EQ(s.nnz(), 1);
+}
+
+TEST(SparseArrayTest, SetChunkRejectsAZeroValue) {
+  SparseArray s{Shape{{8}}, {8}};
+  EXPECT_THROW(s.set_chunk(0, {1, 2}, {1.0, 0.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, DistinctChunksCanBeSetConcurrently) {
+  const DenseArray dense = testing::random_dense({16, 12, 9}, 0.3, 21);
+  const SparseArray reference = SparseArray::from_dense(dense, {4, 4, 4});
+  SparseArray s{dense.shape(), {4, 4, 4}};
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::int64_t c = t; c < s.num_chunks(); c += kThreads) {
+        const auto offsets = reference.chunk_offsets(c);
+        const auto values = reference.chunk_values(c);
+        s.set_chunk(c, {offsets.begin(), offsets.end()},
+                    {values.begin(), values.end()});
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  s.finalize();
+  EXPECT_EQ(testing::chunk_difference(s, reference), "");
+  EXPECT_EQ(s.to_dense(), dense);
 }
 
 }  // namespace

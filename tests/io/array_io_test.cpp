@@ -99,6 +99,59 @@ TEST_F(ArrayIoTest, TruncatedFileRejected) {
   EXPECT_THROW(read_dense(file), InvalidArgument);
 }
 
+/// Writes a one-chunk CBSP file by hand: `count` as the chunk's entry
+/// count, followed by `offsets` and `values` as given.
+void write_one_chunk_file(const std::string& file, std::int64_t extent,
+                          std::int64_t count,
+                          const std::vector<SparseArray::Offset>& offsets,
+                          const std::vector<Value>& values) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  const auto put = [&out](const void* data, std::size_t bytes) {
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(bytes));
+  };
+  const std::uint32_t version = 1;
+  const std::uint32_t ndim = 1;
+  put("CBSP", 4);
+  put(&version, sizeof version);
+  put(&ndim, sizeof ndim);
+  put(&extent, sizeof extent);  // shape
+  put(&extent, sizeof extent);  // chunk extents: one chunk
+  put(&count, sizeof count);
+  put(offsets.data(), offsets.size() * sizeof(SparseArray::Offset));
+  put(values.data(), values.size() * sizeof(Value));
+}
+
+TEST_F(ArrayIoTest, HandWrittenChunkLoads) {
+  const std::string file = track(path("hand.bin"));
+  write_one_chunk_file(file, 8, 2, {1, 6}, {3.0, 4.0});
+  const SparseArray loaded = read_sparse(file);
+  EXPECT_EQ(loaded.nnz(), 2);
+  EXPECT_EQ(loaded.to_dense()[6], 4.0);
+}
+
+TEST_F(ArrayIoTest, ChunkCountAboveItsVolumeRejected) {
+  const std::string file = track(path("count.bin"));
+  write_one_chunk_file(file, 8, 9, {0, 1, 2, 3, 4, 5, 6, 7, 7},
+                       std::vector<Value>(9, 1.0));
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+  // A count no file could back is refused before anything is allocated.
+  write_one_chunk_file(file, 8, std::int64_t{1} << 60, {}, {});
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, DescendingChunkOffsetsRejected) {
+  const std::string file = track(path("descending.bin"));
+  write_one_chunk_file(file, 8, 2, {5, 2}, {1.0, 2.0});
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, ChunkOffsetAtItsVolumeRejected) {
+  const std::string file = track(path("volume.bin"));
+  write_one_chunk_file(file, 8, 1, {8}, {1.0});
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
 TEST_F(ArrayIoTest, MissingFileRejected) {
   EXPECT_THROW(read_dense(path("does_not_exist.bin")), InvalidArgument);
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "minimpi/proc_grid.h"
+#include "test_util.h"
 
 namespace cubist {
 namespace {
@@ -14,6 +17,48 @@ SparseSpec spec_8x8x8(double density, std::uint64_t seed) {
   spec.density = density;
   spec.seed = seed;
   return spec;
+}
+
+/// The uniform population rule, applied one cell at a time in the block's
+/// row-major order and pushed: an independent statement of what
+/// generate_sparse_block must produce when spec.zipf_theta is 0.
+SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
+  const Shape global{spec.sizes};
+  const Shape local = block.local_shape();
+  SparseArray out(local, spec.chunk_extents.empty()
+                             ? default_chunks(spec.sizes)
+                             : spec.chunk_extents);
+  const auto threshold = static_cast<std::uint64_t>(
+      spec.density * 18446744073709551616.0 /* 2^64 */);
+  std::vector<std::int64_t> lidx(spec.sizes.size());
+  std::vector<std::int64_t> gidx(spec.sizes.size());
+  for (std::int64_t linear = 0; linear < local.size(); ++linear) {
+    local.unravel(linear, lidx.data());
+    for (std::size_t d = 0; d < lidx.size(); ++d) {
+      gidx[d] = block.lo(static_cast<int>(d)) + lidx[d];
+    }
+    const auto cell = static_cast<std::uint64_t>(global.linear_index(gidx.data()));
+    if (spec.density < 1.0 && cell_hash(spec.seed, cell) >= threshold) continue;
+    out.push(lidx.data(),
+             static_cast<Value>(1 + cell_hash(spec.seed ^ 0x5eed5a17u, cell) % 9));
+  }
+  out.finalize();
+  return out;
+}
+
+/// extract_block as one filter over every non-zero of `global`, pushed
+/// cell by cell.
+SparseArray reference_extract(const SparseArray& global, const BlockRange& block,
+                              std::vector<std::int64_t> chunk_extents) {
+  SparseArray out(block.local_shape(), std::move(chunk_extents));
+  std::vector<std::int64_t> local(static_cast<std::size_t>(global.ndim()));
+  global.for_each_nonzero([&](const std::int64_t* index, Value value) {
+    if (!block.contains(index)) return;
+    block.to_local(index, local.data());
+    out.push(local.data(), value);
+  });
+  out.finalize();
+  return out;
 }
 
 TEST(GeneratorsTest, DefaultChunksClipToExtent) {
@@ -136,6 +181,155 @@ TEST(GeneratorsTest, InvalidDensityRejected) {
   EXPECT_THROW(generate_sparse_global(spec), InvalidArgument);
   spec.density = -0.1;
   EXPECT_THROW(generate_sparse_global(spec), InvalidArgument);
+}
+
+TEST(GeneratorsTest, BlocksMatchARowMajorReferenceChunkForChunk) {
+  struct Case {
+    std::vector<std::int64_t> sizes;
+    std::vector<std::int64_t> chunks;  // empty = default_chunks
+    BlockRange block;
+  };
+  const std::vector<Case> cases = {
+      {{16, 16, 16}, {}, BlockRange({0, 0, 0}, {16, 16, 16})},
+      {{1, 7, 13, 5}, {}, BlockRange({0, 0, 0, 0}, {1, 7, 13, 5})},
+      {{1, 7, 13, 5}, {1, 3, 4, 2}, BlockRange({0, 2, 5, 1}, {1, 7, 11, 5})},
+      {{100}, {}, BlockRange({0}, {100})},
+      {{100}, {7}, BlockRange({13}, {99})},
+      {{33, 17}, {5, 4}, BlockRange({0, 0}, {33, 17})},
+      {{33, 17}, {5, 4}, BlockRange({6, 3}, {31, 16})},
+      {{24, 20, 18}, {}, BlockRange({16, 4, 0}, {24, 20, 9})},
+  };
+  for (const Case& c : cases) {
+    for (double density : {0.0, 0.05, 0.3, 1.0}) {
+      SparseSpec spec;
+      spec.sizes = c.sizes;
+      spec.density = density;
+      spec.seed = 31;
+      spec.chunk_extents = c.chunks;
+      const SparseArray generated = generate_sparse_block(spec, c.block);
+      EXPECT_EQ(testing::chunk_difference(generated,
+                                          reference_block(spec, c.block)),
+                "")
+          << c.block.to_string() << " density " << density;
+    }
+  }
+}
+
+TEST(GeneratorsTest, ZipfBlocksMatchExtractionFromTheGlobalArray) {
+  SparseSpec spec;
+  spec.sizes = {24, 20, 18};
+  spec.density = 0.2;
+  spec.seed = 37;
+  spec.zipf_theta = 0.9;
+  const SparseArray global = generate_sparse_global(spec);
+  for (const BlockRange& block :
+       {BlockRange({0, 0, 0}, {24, 20, 18}), BlockRange({0, 0, 0}, {16, 16, 16}),
+        BlockRange({16, 4, 0}, {24, 20, 9}), BlockRange({3, 5, 7}, {21, 19, 17})}) {
+    EXPECT_EQ(testing::chunk_difference(
+                  generate_sparse_block(spec, block),
+                  extract_block(global, block, default_chunks(spec.sizes))),
+              "")
+        << block.to_string();
+  }
+}
+
+TEST(GeneratorsTest, PoolAndInlineGenerationAreIdentical) {
+  SparseSpec spec;
+  spec.sizes = {40, 24, 17};
+  spec.density = 0.3;
+  spec.seed = 43;
+  spec.chunk_extents = {4, 8, 5};
+  const BlockRange block({3, 0, 2}, {37, 24, 17});
+  const SparseArray pooled = generate_sparse_global(spec);
+  const SparseArray pooled_block = generate_sparse_block(spec, block);
+  spec.zipf_theta = 1.1;
+  const SparseArray pooled_zipf = generate_sparse_global(spec);
+  spec.zipf_theta = 0.0;
+  // Registering size() ranks leaves each a budget of one thread: inline.
+  const ThreadPool::ScopedActiveRanks inline_only(ThreadPool::global().size());
+  EXPECT_EQ(testing::chunk_difference(pooled, generate_sparse_global(spec)), "");
+  EXPECT_EQ(testing::chunk_difference(pooled_block,
+                                      generate_sparse_block(spec, block)),
+            "");
+  spec.zipf_theta = 1.1;
+  EXPECT_EQ(testing::chunk_difference(pooled_zipf, generate_sparse_global(spec)),
+            "");
+}
+
+TEST(GeneratorsTest, BlockOutsideTheArrayRejected) {
+  const SparseSpec spec = spec_8x8x8(0.5, 1);
+  EXPECT_THROW(generate_sparse_block(spec, BlockRange({0, 0, 4}, {8, 8, 9})),
+               InvalidArgument);
+  EXPECT_THROW(generate_sparse_block(spec, BlockRange({0, 0}, {8, 8})),
+               InvalidArgument);
+}
+
+TEST(ExtractBlockTest, ChunkAlignedBlocksMatchTheReference) {
+  // 16x16x8x8 split (2,2,1,1): every rank block is whole 4-cell chunks,
+  // so every source chunk is handed over as is.
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 47;
+  spec.chunk_extents = {4, 4, 4, 4};
+  const SparseArray global = generate_sparse_global(spec);
+  const ProcGrid grid({1, 1, 0, 0});
+  std::int64_t total = 0;
+  for (int rank = 0; rank < grid.size(); ++rank) {
+    const BlockRange block = grid.block(rank, spec.sizes);
+    const SparseArray extracted = extract_block(global, block, {4, 4, 4, 4});
+    EXPECT_EQ(testing::chunk_difference(
+                  extracted, reference_extract(global, block, {4, 4, 4, 4})),
+              "")
+        << block.to_string();
+    total += extracted.nnz();
+  }
+  EXPECT_EQ(total, global.nnz());
+}
+
+TEST(ExtractBlockTest, UnalignedBlocksMatchTheReference) {
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 53;
+  spec.chunk_extents = {4, 4, 4, 4};
+  const SparseArray global = generate_sparse_global(spec);
+  // Partly aligned (dims 2 and 3 copy-sized, dims 0 and 1 not), wholly
+  // unaligned, and a one-cell block.
+  for (const BlockRange& block :
+       {BlockRange({4, 2, 0, 0}, {8, 14, 8, 8}),
+        BlockRange({3, 5, 1, 2}, {13, 16, 8, 7}),
+        BlockRange({15, 0, 7, 3}, {16, 1, 8, 4})}) {
+    EXPECT_EQ(testing::chunk_difference(
+                  extract_block(global, block, {4, 4, 4, 4}),
+                  reference_extract(global, block, {4, 4, 4, 4})),
+              "")
+        << block.to_string();
+  }
+}
+
+TEST(ExtractBlockTest, DifferentDestinationChunkingMatchesTheReference) {
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 59;
+  spec.chunk_extents = {4, 4, 4, 4};
+  const SparseArray global = generate_sparse_global(spec);
+  for (const BlockRange& block :
+       {BlockRange({0, 0, 0, 0}, {16, 16, 8, 8}),
+        BlockRange({8, 0, 0, 0}, {16, 8, 8, 8}),
+        BlockRange({3, 5, 1, 2}, {13, 16, 8, 7})}) {
+    for (const std::vector<std::int64_t>& chunks :
+         {std::vector<std::int64_t>{3, 5, 8, 2},
+          std::vector<std::int64_t>{8, 8, 8, 8},
+          std::vector<std::int64_t>{2, 2, 4, 4}}) {
+      EXPECT_EQ(testing::chunk_difference(
+                    extract_block(global, block, chunks),
+                    reference_extract(global, block, chunks)),
+                "")
+          << block.to_string();
+    }
+  }
 }
 
 TEST(ExtractBlockTest, MatchesDirectGeneration) {

@@ -1,7 +1,10 @@
 // Shared helpers for the cubist test suite.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "array/dense_array.h"
@@ -32,6 +35,34 @@ inline DenseArray iota_dense(const std::vector<std::int64_t>& extents) {
     array[i] = static_cast<Value>(i + 1);
   }
   return array;
+}
+
+/// The first difference between two sparse arrays, compared chunk for
+/// chunk (shape, chunking, every chunk's offsets and values, nnz); empty
+/// when they are identical.
+inline std::string chunk_difference(const SparseArray& a,
+                                    const SparseArray& b) {
+  std::ostringstream out;
+  if (a.shape() != b.shape() || a.chunk_extents() != b.chunk_extents()) {
+    out << "shapes or chunkings differ: " << a.shape().to_string() << " vs "
+        << b.shape().to_string();
+  } else if (a.nnz() != b.nnz()) {
+    out << "nnz " << a.nnz() << " vs " << b.nnz();
+  } else {
+    for (std::int64_t c = 0; c < a.num_chunks(); ++c) {
+      const auto ao = a.chunk_offsets(c);
+      const auto bo = b.chunk_offsets(c);
+      const auto av = a.chunk_values(c);
+      const auto bv = b.chunk_values(c);
+      if (!std::equal(ao.begin(), ao.end(), bo.begin(), bo.end()) ||
+          !std::equal(av.begin(), av.end(), bv.begin(), bv.end())) {
+        out << "chunk " << c << " differs (" << ao.size() << " vs "
+            << bo.size() << " entries)";
+        break;
+      }
+    }
+  }
+  return out.str();
 }
 
 }  // namespace cubist::testing
