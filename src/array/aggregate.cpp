@@ -517,10 +517,12 @@ void scan_sparse_chunks(
 /// Every interior chunk shares the same shape, so the map (within-chunk
 /// offset) -> (child index contribution) is chunk-invariant. Built once
 /// per target, it makes an interior non-zero cost one table lookup plus
-/// one combine per target. Only worthwhile (and only affordable) for
-/// reasonably small chunks — past the threshold this returns no table and
-/// every chunk takes the decode path instead. The table is integer data,
-/// so its construction parallelizes without ordering concerns.
+/// one combine per target. It is only worthwhile when the scan's
+/// non-zeros at least match the table's entries per target, and only
+/// affordable for reasonably small chunks; otherwise this returns no
+/// table and every chunk takes the decode path, which combines in the
+/// same order. The table is integer data, so its construction
+/// parallelizes without ordering concerns.
 std::vector<std::vector<std::int64_t>> chunk_offset_table(
     const SparseArray& parent,
     const std::vector<std::vector<std::int64_t>>& strides,
@@ -528,7 +530,7 @@ std::vector<std::vector<std::int64_t>> chunk_offset_table(
   constexpr std::int64_t kMaxTableVolume = std::int64_t{1} << 22;
   const Shape full_chunk_shape{parent.chunk_extents()};
   const std::int64_t full_volume = full_chunk_shape.size();
-  if (full_volume > kMaxTableVolume) return {};
+  if (full_volume > kMaxTableVolume || parent.nnz() < full_volume) return {};
   const int m = parent.ndim();
   const std::size_t num_targets = strides.size();
   std::vector<std::vector<std::int64_t>> offset_table(num_targets);

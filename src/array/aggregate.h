@@ -140,10 +140,12 @@ AggregationStats aggregate_children(const DenseArray& parent,
                                     bool input_level = true);
 
 /// Scans a chunk-offset sparse parent (raw input) once, combining every
-/// target under `op`. Uses a per-chunk-shape offset table so interior
-/// chunks cost one lookup and one combine per (non-zero, target). Striped
-/// over whole chunks per plan_sparse_scan; bit-identical results for any
-/// pool size.
+/// target under `op`. When the parent holds at least as many non-zeros as
+/// a full chunk has cells, a per-chunk-shape offset table makes interior
+/// chunks cost one lookup and one combine per (non-zero, target);
+/// otherwise every chunk decodes its offsets, with the same result.
+/// Striped over whole chunks per plan_sparse_scan; bit-identical results
+/// for any pool size.
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {},
@@ -152,9 +154,10 @@ AggregationStats aggregate_children(const SparseArray& parent,
 /// Generic projection: aggregates away every parent dimension NOT listed
 /// in `kept_positions` (ascending positions into the parent's dimension
 /// list) in a single scan. `out` must have the kept extents and is
-/// accumulated into. Used by the naive all-from-root baseline and the
-/// reference verifier — deliberately an independent code path from the
-/// multi-way kernels (and deliberately scalar).
+/// accumulated into. Deliberately an independent, scalar code path from
+/// the multi-way kernels. Its callers are the reference verifier, the
+/// naive all-from-root baseline and PartialCube's on-the-fly
+/// projections; no builder calls it (tools/lint.py rule 9).
 AggregationStats project(const DenseArray& parent,
                          const std::vector<int>& kept_positions,
                          DenseArray* out);

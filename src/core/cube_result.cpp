@@ -47,10 +47,22 @@ DenseArray& CubeResult::mutable_view(DimSet view) {
 
 Value CubeResult::query(DimSet view_set,
                         const std::vector<std::int64_t>& coords) const {
-  const DenseArray& array = view(view_set);
-  CUBIST_CHECK(static_cast<int>(coords.size()) == view_set.size(),
+  check_point(view_set, coords);
+  return view(view_set).at(coords);
+}
+
+void CubeResult::check_point(DimSet view,
+                             const std::vector<std::int64_t>& coords) const {
+  CUBIST_CHECK(view.is_subset_of(DimSet::full(ndims())),
+               "view out of lattice");
+  const std::vector<int> dims = view.dims();
+  CUBIST_CHECK(coords.size() == dims.size(),
                "coordinate count must match view dimensionality");
-  return array.at(coords);
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    CUBIST_CHECK(coords[i] >= 0 && coords[i] < sizes_[dims[i]],
+                 "coordinate " << coords[i] << " out of range on dimension "
+                               << dims[i]);
+  }
 }
 
 std::vector<DimSet> CubeResult::stored_views() const {

@@ -38,8 +38,14 @@ class CubeResult {
 
   /// Group-by lookup: the aggregate for `view` at the given coordinates
   /// (one coordinate per retained dimension, ascending dimension order;
-  /// empty for the `all` scalar).
+  /// empty for the `all` scalar). Checked by check_point().
   Value query(DimSet view, const std::vector<std::int64_t>& coords) const;
+
+  /// Rejects a point on `view` unless `view` is in the lattice, `coords`
+  /// holds one coordinate per retained dimension and each lies in
+  /// [0, extent). Needs no stored view, so it also guards routes that
+  /// answer from another view or from the raw input.
+  void check_point(DimSet view, const std::vector<std::int64_t>& coords) const;
 
   /// Masks of all stored views, ascending.
   std::vector<DimSet> stored_views() const;

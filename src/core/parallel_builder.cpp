@@ -87,7 +87,8 @@ std::map<std::uint32_t, DenseArray> build_cube_parallel_rank(
   reduce_options.combine_pool = pool;
   reduce_options.combine_workers = agg_options.max_workers;
 
-  TreeWalk<RankHooks> walk(n, options.op, agg_options,
+  TreeWalk<RankHooks> walk(n, AggregationTree(n).completion_order(),
+                           options.op, agg_options,
                            RankHooks{comm, grid, options.op, reduce_options});
   ViewBlocks views = walk.run(local_root);
   for (auto& [mask, view] : views) finalize_view(options.op, view);

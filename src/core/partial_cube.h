@@ -8,14 +8,17 @@
 // optimizes, so the storage/latency trade-off is directly measurable
 // (bench_partial).
 //
+// The views are built by the aggregation-tree walk of the full-cube
+// builders (core/tree_walk.h), pruned to the selection, and held in a
+// CubeResult.
+//
 // The input is held through a shared_ptr: re-plan cycles build the next
 // generation's cube from the SAME input array (input_ptr()), so swapping
 // selections never doubles the input's footprint — only the materialized
-// views (peak_live_bytes) differ between generations.
+// views differ between generations.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,10 +33,13 @@ namespace cubist {
 
 class PartialCube {
  public:
-  /// Materializes `views` from the sparse input. Each view is computed
-  /// from its smallest materialized strict superset (or the input), in
-  /// descending-size order, so construction reuses prior results. The
-  /// input is shared, not copied, to answer queries no view covers.
+  /// Materializes `views` from the sparse input in one aggregation-tree
+  /// walk (SUM) told to keep only them: a node is scanned only for the
+  /// children whose subtree holds a selected view, and an unselected
+  /// intermediate is freed once its subtree is done. `stats` is the
+  /// walk's own, so peak_live_bytes is measured (input excluded) and
+  /// stays within the Theorem-1 bound. The input is shared, not copied,
+  /// to answer queries no view covers.
   static PartialCube build(std::shared_ptr<const SparseArray> input,
                            std::vector<DimSet> views,
                            BuildStats* stats = nullptr);
@@ -45,7 +51,7 @@ class PartialCube {
                            BuildStats* stats = nullptr);
 
   int ndims() const { return input_->ndim(); }
-  const std::vector<std::int64_t>& sizes() const { return sizes_; }
+  const std::vector<std::int64_t>& sizes() const { return views_.sizes(); }
 
   const SparseArray& input() const { return *input_; }
   /// The shared input array; pass to build() to re-plan without copying.
@@ -53,15 +59,15 @@ class PartialCube {
     return input_;
   }
 
-  bool is_materialized(DimSet view) const {
-    return views_.count(view.mask()) != 0;
+  bool is_materialized(DimSet view) const { return views_.has(view); }
+  std::vector<DimSet> materialized_views() const {
+    return views_.stored_views();
   }
-  std::vector<DimSet> materialized_views() const;
   /// Storage held by materialized views, in bytes (input excluded).
   std::int64_t materialized_bytes() const;
 
   /// Direct access to a materialized view.
-  const DenseArray& view(DimSet view) const;
+  const DenseArray& view(DimSet view) const { return views_.view(view); }
 
   /// Each view's cheapest materialized ancestor (or the input): the
   /// routes query() and materialize() take.
@@ -76,7 +82,8 @@ class PartialCube {
               std::int64_t* cells_scanned = nullptr) const;
 
   /// Point group-by routed through a caller-chosen source: `from` must be
-  /// a materialized superset of `view` (nullopt = the raw input).
+  /// a materialized superset of `view` (nullopt = the raw input). Every
+  /// route first checks the coordinates against the cube's extents.
   Value query_from(std::optional<DimSet> from, DimSet view,
                    const std::vector<std::int64_t>& coords,
                    std::int64_t* cells_scanned = nullptr) const;
@@ -97,12 +104,11 @@ class PartialCube {
   PartialCube(std::shared_ptr<const SparseArray> input,
               std::vector<std::int64_t> sizes, AncestorTable routes)
       : input_(std::move(input)),
-        sizes_(std::move(sizes)),
+        views_(std::move(sizes)),
         routes_(std::move(routes)) {}
 
   std::shared_ptr<const SparseArray> input_;
-  std::vector<std::int64_t> sizes_;
-  std::map<std::uint32_t, DenseArray> views_;
+  CubeResult views_;
   AncestorTable routes_;
 };
 

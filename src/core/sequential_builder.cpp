@@ -9,13 +9,14 @@ namespace {
 template <typename Root>
 CubeResult build(const Root& root, BuildStats* stats, AggregateOp op,
                  const AggregateOptions& agg_options) {
-  TreeWalk<> walk(root.ndim(), op, agg_options);
+  const int n = root.ndim();
+  TreeWalk<> walk(n, AggregationTree(n).completion_order(), op, agg_options);
   CubeResult result(root.shape().extents());
   for (auto& [mask, view] : walk.run(root)) {
     finalize_view(op, view);
     result.put(DimSet::from_mask(mask), std::move(view));
   }
-  CUBIST_ASSERT(result.num_views() + 1 == (std::size_t{1} << root.ndim()),
+  CUBIST_ASSERT(result.num_views() + 1 == (std::size_t{1} << n),
                 "cube incomplete");
   if (stats != nullptr) *stats = walk.stats();
   return result;

@@ -12,6 +12,13 @@
 // writing each computed view once, and the live views never exceed the
 // Theorem-1 bound (Theorem 4 per rank) — both asserted by the test suite
 // against the stats reported here.
+//
+// The walk's input is the set of views to produce: every proper view for
+// the builders, the materialized set for a PartialCube. A node is scanned
+// only for the children whose subtree holds a selected view, and only
+// selected views are written back; an unselected intermediate is freed
+// once its subtree is done. That live set is a subset of the full walk's
+// at every step, so the same bounds hold.
 #pragma once
 
 #include <algorithm>
@@ -58,12 +65,32 @@ struct KeepEveryChild {
 template <typename Hooks = KeepEveryChild>
 class TreeWalk {
  public:
-  TreeWalk(int n, AggregateOp op, const AggregateOptions& agg_options,
-           Hooks hooks = {})
-      : tree_(n), op_(op), agg_options_(agg_options), hooks_(std::move(hooks)) {}
+  /// `views` are the proper views to produce, in any order.
+  TreeWalk(int n, const std::vector<DimSet>& views, AggregateOp op,
+           const AggregateOptions& agg_options, Hooks hooks = {})
+      : tree_(n),
+        selected_(std::size_t{1} << n, 0),
+        needed_(std::size_t{1} << n, 0),
+        op_(op),
+        agg_options_(agg_options),
+        hooks_(std::move(hooks)) {
+    for (DimSet view : views) {
+      CUBIST_CHECK(view.is_subset_of(tree_.root()) && view != tree_.root(),
+                   "view " << view.to_string() << " is not a proper view");
+      selected_[view.mask()] = 1;
+    }
+    // Bottom up: every child's mask is below its parent's.
+    for (std::size_t mask = 0; mask < needed_.size(); ++mask) {
+      needed_[mask] = selected_[mask];
+      for (DimSet child : tree_.children(
+               DimSet::from_mask(static_cast<std::uint32_t>(mask)))) {
+        needed_[mask] |= needed_[child.mask()];
+      }
+    }
+  }
 
-  /// Walks the whole tree below `root` (raw input: a DenseArray or a
-  /// SparseArray) and returns every kept proper view, unfinalized.
+  /// Walks the tree below `root` (raw input: a DenseArray or a
+  /// SparseArray) and returns every kept selected view, unfinalized.
   template <typename Root>
   ViewBlocks run(const Root& root) {
     Visit<Root> visit{*this, root};
@@ -77,25 +104,36 @@ class TreeWalk {
 
  private:
   /// AggregationTree::walk's visitor: scans the raw input at the root and
-  /// live views below it.
+  /// live views below it, each for its children whose subtree holds a
+  /// selected view. The other children are never live.
   template <typename Root>
   struct Visit {
     TreeWalk& walk;
     const Root& input;
 
     void scan(DimSet view, const std::vector<DimSet>& children) {
+      std::vector<DimSet> needed;
+      for (DimSet child : children) {
+        if (walk.needed_[child.mask()]) needed.push_back(child);
+      }
+      if (needed.empty()) return;
       if (view == walk.tree_.root()) {
-        walk.compute_children(view, children, input, /*input_level=*/true);
+        walk.compute_children(view, needed, input, /*input_level=*/true);
       } else {
-        walk.compute_children(view, children, walk.live_.at(view.mask()),
+        walk.compute_children(view, needed, walk.live_.at(view.mask()),
                               /*input_level=*/false);
       }
     }
     bool finalize(DimSet view, DimSet child) {
-      return walk.hooks_.finalize_child(view, child,
+      return walk.needed_[child.mask()] &&
+             walk.hooks_.finalize_child(view, child,
                                         walk.live_.at(child.mask()));
     }
-    void retire(DimSet view, bool keep) { walk.retire(view, keep); }
+    void retire(DimSet view, bool keep) {
+      if (walk.needed_[view.mask()]) {
+        walk.retire(view, keep && walk.selected_[view.mask()]);
+      }
+    }
   };
 
   /// One scan of `parent` producing `children` of `view`, each starting
@@ -149,6 +187,8 @@ class TreeWalk {
   }
 
   AggregationTree tree_;
+  std::vector<std::uint8_t> selected_;  // per view mask: write it back
+  std::vector<std::uint8_t> needed_;    // per view mask: subtree selects
   AggregateOp op_;
   AggregateOptions agg_options_;
   Hooks hooks_;

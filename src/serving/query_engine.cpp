@@ -330,6 +330,12 @@ QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
   report.certified_bytes = certified;
   report.materialized_bytes = next_cube->materialized_bytes();
   report.build_cells_scanned = build_stats.cells_scanned;
+  // Both sides sum the selected views' bytes. A build that wrote back
+  // more than it was certified for fails here, before the swap, and the
+  // old generation keeps serving.
+  CUBIST_ASSERT(report.materialized_bytes <= certified,
+                "replan materialized " << report.materialized_bytes
+                                       << " bytes, certified " << certified);
   {
     // `current` still holds the old generation, so it is never freed
     // under the lock.

@@ -188,9 +188,9 @@ class QueryEngine {
   /// Re-plans the materialized set under `budget_bytes` from the
   /// observed view frequencies: weighted benefit-per-byte selection,
   /// byte-budget certification through the memory verifier, rebuild from
-  /// the shared input, snapshot pointer swap. Concurrent queries never
-  /// wait for the rebuild — each pins one generation for its whole
-  /// execution.
+  /// the shared input (asserted against the certificate), pointer swap.
+  /// Concurrent queries never wait for the rebuild — each pins one
+  /// generation for its whole execution.
   /// Partial engines only.
   ReplanReport replan(std::int64_t budget_bytes);
 

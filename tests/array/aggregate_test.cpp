@@ -175,6 +175,45 @@ TEST(AggregateSparseTest, HugeChunkFallsBackToDecodePath) {
   }
 }
 
+TEST(AggregateSparseTest, OffsetTableRuleKeepsChildrenAndStats) {
+  // The same data chunked two ways: one chunk of 2160 cells holds fewer
+  // non-zeros than its volume (no offset table, every chunk decodes);
+  // 4x4x3 chunks hold far fewer cells than the non-zeros (table for
+  // interior chunks, decode for the clipped ones). Both must match the
+  // dense kernel under every operator.
+  const DenseArray dense = testing::random_dense({20, 18, 6}, 0.3, 41);
+  const SparseArray one_chunk = SparseArray::from_dense(dense, {20, 18, 6});
+  const SparseArray small_chunks = SparseArray::from_dense(dense, {4, 4, 3});
+  ASSERT_LT(one_chunk.nnz(), 20 * 18 * 6);
+  ASSERT_GT(small_chunks.nnz(), 4 * 4 * 3);
+  for (AggregateOp op : {AggregateOp::kSum, AggregateOp::kCount,
+                         AggregateOp::kMin, AggregateOp::kMax}) {
+    std::vector<DenseArray> expected;
+    std::vector<AggregationTarget> dense_targets;
+    expected.reserve(3);
+    for (int pos = 0; pos < 3; ++pos) {
+      expected.emplace_back(dense.shape().without_dim(pos), identity_of(op));
+      dense_targets.push_back({pos, &expected.back()});
+    }
+    aggregate_children(dense, dense_targets, {}, op);
+    for (const SparseArray* sparse : {&one_chunk, &small_chunks}) {
+      std::vector<DenseArray> children;
+      std::vector<AggregationTarget> targets;
+      children.reserve(3);
+      for (int pos = 0; pos < 3; ++pos) {
+        children.emplace_back(dense.shape().without_dim(pos), identity_of(op));
+        targets.push_back({pos, &children.back()});
+      }
+      const AggregationStats stats =
+          aggregate_children(*sparse, targets, {}, op);
+      EXPECT_EQ(children, expected)
+          << to_string(op) << ", " << sparse->num_chunks() << " chunks";
+      EXPECT_EQ(stats.cells_scanned, sparse->nnz());
+      EXPECT_EQ(stats.updates, sparse->nnz() * 3);
+    }
+  }
+}
+
 // --- generic projection ---
 
 TEST(ProjectTest, KeepAllIsIdentityCopy) {

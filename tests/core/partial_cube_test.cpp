@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "common/rng.h"
+#include "core/verify.h"
 #include "core/view_selection.h"
 #include "io/generators.h"
 #include "lattice/memory_sim.h"
@@ -28,7 +32,7 @@ TEST(PartialCubeTest, MaterializedViewsAreDirect) {
   EXPECT_FALSE(cube.is_materialized(DimSet::of({0})));
   EXPECT_EQ(cube.materialized_views().size(), 2u);
   std::int64_t cells = 0;
-  const CubeResult full = build_cube_sequential(input);
+  const CubeResult full = reference_cube(input);
   EXPECT_EQ(cube.view(DimSet::of({0, 1})), full.view(DimSet::of({0, 1})));
   EXPECT_EQ(cube.view(DimSet::of({2})), full.view(DimSet::of({2})));
   const Value direct = cube.query(DimSet::of({2}), {3}, &cells);
@@ -38,7 +42,7 @@ TEST(PartialCubeTest, MaterializedViewsAreDirect) {
 
 TEST(PartialCubeTest, EveryViewQueryMatchesFullCube) {
   const SparseArray input = make_input();
-  const CubeResult full = build_cube_sequential(input);
+  const CubeResult full = reference_cube(input);
   const CubeLattice lattice(input.shape().extents());
   // A selection that leaves plenty of views unmaterialized.
   PartialCube cube = PartialCube::build(
@@ -59,7 +63,7 @@ TEST(PartialCubeTest, EveryViewQueryMatchesFullCube) {
 
 TEST(PartialCubeTest, QueryFallsThroughToInputWhenNoAncestor) {
   const SparseArray input = make_input();
-  const CubeResult full = build_cube_sequential(input);
+  const CubeResult full = reference_cube(input);
   PartialCube cube = PartialCube::build(input, {DimSet::of({2})});
   // {0,1} has no materialized ancestor (only {2} is stored).
   std::int64_t cells = 0;
@@ -85,16 +89,19 @@ TEST(PartialCubeTest, QueryCostMatchesLinearCostModel) {
                             lattice.view_cells(DimSet::of({1, 2}))));
 }
 
-TEST(PartialCubeTest, BuildReusesSmallestAncestors) {
-  // Selecting a chain {0,1} > {0} > {} must build each from the previous,
-  // so total scanned cells stay far below 3 input scans.
+TEST(PartialCubeTest, BuildWalksTheAggregationTreePrunedToTheSelection) {
+  // The chain {0,1} > {0} > {} is built by the aggregation-tree walk: one
+  // input scan yields {1,2}, {0,2} and {0,1}; {0} comes from {0,2}, and
+  // {} from {2}, which comes from {1,2}. {1} is on no path to a selected
+  // view, so {1,2}'s scan skips it.
   const SparseArray input = make_input();
   BuildStats stats;
-  PartialCube::build(input,
-                     {DimSet::of({0, 1}), DimSet::of({0}), DimSet()}, &stats);
-  const std::int64_t chain_cost =
-      input.nnz() + 12 * 8 /* scan {0,1} */ + 12 /* scan {0} */;
-  EXPECT_EQ(stats.cells_scanned, chain_cost);
+  const PartialCube cube = PartialCube::build(
+      input, {DimSet::of({0, 1}), DimSet::of({0}), DimSet()}, &stats);
+  const std::int64_t walk_cost = input.nnz() + 12 * 6 /* scan {0,2} */ +
+                                 8 * 6 /* scan {1,2} */ + 6 /* scan {2} */;
+  EXPECT_EQ(stats.cells_scanned, walk_cost);
+  EXPECT_EQ(stats.written_bytes, cube.materialized_bytes());
 }
 
 TEST(PartialCubeTest, MaterializedBytesSumViews) {
@@ -144,6 +151,8 @@ TEST(PartialCubeTest, PeakAccountingExcludesTheSharedInput) {
   // input shared, the peak while both generations are alive is input +
   // the two materialized sets — NOT two inputs. Replaying the ledger
   // with the old by-copy behavior exceeds exactly by the input's bytes.
+  // Both selections are children of the root, so each walk's measured
+  // peak is exactly its materialized bytes.
   const auto input = std::make_shared<const SparseArray>(make_input());
   const std::int64_t input_bytes = input->bytes();
   BuildStats first_stats;
@@ -168,7 +177,7 @@ TEST(PartialCubeTest, PeakAccountingExcludesTheSharedInput) {
 
 TEST(PartialCubeTest, MaterializeMatchesFullCubeOnEveryView) {
   const SparseArray input = make_input();
-  const CubeResult full = build_cube_sequential(input);
+  const CubeResult full = reference_cube(input);
   const CubeLattice lattice(input.shape().extents());
   PartialCube cube = PartialCube::build(
       input, {DimSet::of({0, 1}), DimSet::of({1, 2})});
@@ -226,6 +235,84 @@ TEST(PartialCubeTest, GreedySelectionBeatsWorstSelectionOnMeasuredCost) {
     return total;
   };
   EXPECT_LT(measured_total(greedy), measured_total(bad));
+}
+
+/// Every proper view of an n-dimensional lattice.
+std::vector<DimSet> every_proper_view(int n) {
+  std::vector<DimSet> views;
+  for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
+    views.push_back(DimSet::from_mask(mask));
+  }
+  return views;
+}
+
+TEST(PartialCubeTest, PrunedWalkMatchesTheReferenceOnEverySelection) {
+  // Shapes with extents of 1 and non-powers of two; empty, half-full and
+  // full inputs; selections from empty to every proper view.
+  const std::vector<std::vector<std::int64_t>> shapes{
+      {1, 5, 3}, {7, 1, 4, 2}, {12, 8, 6}, {3, 5, 2, 1, 4}};
+  for (const std::vector<std::int64_t>& sizes : shapes) {
+    const int n = static_cast<int>(sizes.size());
+    const CubeLattice lattice(sizes);
+    const DimSet root = DimSet::full(n);
+    const std::vector<DimSet> all = every_proper_view(n);
+    Xoshiro256ss rng(static_cast<std::uint64_t>(n * 1000 + sizes[0]));
+    std::vector<std::vector<DimSet>> selections{
+        {}, {DimSet()}, {all[1 + rng.next_below(all.size() - 1)]}};
+    std::vector<DimSet> chain;
+    for (int d = n - 1; d >= 0; --d) {
+      chain.push_back((chain.empty() ? root : chain.back()).without(d));
+    }
+    selections.push_back(chain);
+    for (int i = 0; i < 5; ++i) {
+      std::vector<DimSet> subset;
+      for (DimSet view : all) {
+        if (rng.next_below(2) == 0) subset.push_back(view);
+      }
+      selections.push_back(subset);
+    }
+    selections.push_back(all);
+
+    for (double density : {0.0, 0.3, 1.0}) {
+      SparseSpec spec;
+      spec.sizes = sizes;
+      spec.density = density;
+      spec.seed = 17;
+      const SparseArray input = generate_sparse_global(spec);
+      const CubeResult expected = reference_cube(input);
+      BuildStats full_stats;
+      build_cube_sequential(input, &full_stats);
+      for (const std::vector<DimSet>& views : selections) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shape of " << n << " dims, first extent " << sizes[0]
+                     << ", density " << density << ", " << views.size()
+                     << " views");
+        BuildStats stats;
+        const PartialCube cube = PartialCube::build(input, views, &stats);
+        std::vector<DimSet> sorted = views;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(cube.materialized_views(), sorted);
+        for (DimSet view : sorted) {
+          EXPECT_EQ(cube.view(view), expected.view(view)) << view.to_string();
+        }
+        EXPECT_EQ(stats.written_bytes, cube.materialized_bytes());
+        EXPECT_LE(stats.peak_live_bytes,
+                  sequential_memory_bound(
+                      lattice, static_cast<std::int64_t>(sizeof(Value))));
+        EXPECT_LE(stats.cells_scanned, full_stats.cells_scanned);
+        if (views.empty()) {
+          EXPECT_EQ(stats.cells_scanned, 0);
+        }
+        if (views.size() == all.size()) {
+          EXPECT_EQ(stats.peak_live_bytes, full_stats.peak_live_bytes);
+          EXPECT_EQ(stats.written_bytes, full_stats.written_bytes);
+          EXPECT_EQ(stats.cells_scanned, full_stats.cells_scanned);
+          EXPECT_EQ(stats.updates, full_stats.updates);
+          EXPECT_EQ(stats.peak_scratch_bytes, full_stats.peak_scratch_bytes);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

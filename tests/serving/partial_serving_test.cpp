@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/olap_query.h"
 #include "core/sequential_builder.h"
+#include "core/verify.h"
 #include "core/view_selection.h"
 #include "io/generators.h"
 #include "lattice/cube_lattice.h"
@@ -52,7 +54,7 @@ std::vector<QueryResult> run_partial_cell(
 TEST(PartialServingTest, EquivalenceMatrixAcrossSelectionsAndPools) {
   const auto input = make_input({8, 6, 5});
   const CubeLattice lattice(input->shape().extents());
-  auto full = std::make_shared<const CubeResult>(build_cube_sequential(*input));
+  auto full = std::make_shared<const CubeResult>(reference_cube(*input));
 
   WorkloadSpec spec;
   spec.skew = WorkloadSpec::Skew::kZipfian;
@@ -247,8 +249,7 @@ TEST(PartialServingTest, ReplanSwapsSnapshotsUnderConcurrentQueries) {
     options.pool = &pool;
     options.cache_budget_bytes = 0;
     QueryEngine oracle(
-        std::make_shared<const CubeResult>(build_cube_sequential(*input)),
-        options);
+        std::make_shared<const CubeResult>(reference_cube(*input)), options);
     for (const Query& query : batch) expected.push_back(*oracle.execute(query));
   }
 
@@ -301,10 +302,42 @@ TEST(PartialServingTest, ReplanWithZeroBudgetServesEverythingFromInput) {
   const QueryEngine::ReplanReport report = engine.replan(0);
   EXPECT_TRUE(report.views.empty());
   EXPECT_EQ(report.materialized_bytes, 0);
-  const CubeResult full = build_cube_sequential(*input);
+  const CubeResult full = reference_cube(*input);
   const auto result = engine.execute(Query::top_k(DimSet::of({0}), 2));
   EXPECT_EQ(result->topk, top_k(full.view(DimSet::of({0})), 2));
   EXPECT_EQ(engine.stats().routed_input, 1);
+}
+
+TEST(PartialServingTest, EveryRouteRejectsMalformedPoints) {
+  // Dimension 1 has extent 8, so {5, 10} is outside {0,1} although its
+  // row-major offset (50) lies inside the view's 96 cells: each
+  // coordinate must be checked against its own extent, on every route.
+  const auto input = make_input({12, 8, 6, 4});
+  const DimSet ab = DimSet::of({0, 1});
+  const DimSet abc = DimSet::of({0, 1, 2});
+  const std::vector<std::vector<std::int64_t>> malformed{
+      {12, 0}, {0, 8}, {-1, 0}, {0, -1}, {3}, {1, 2, 3}, {5, 10}};
+  const PartialCube cube = PartialCube::build(input, {ab, abc});
+  for (const std::vector<std::int64_t>& coords : malformed) {
+    for (std::optional<DimSet> from :
+         {std::optional<DimSet>(ab), std::optional<DimSet>(abc),
+          std::optional<DimSet>()}) {
+      EXPECT_THROW(cube.query_from(from, ab, coords), InvalidArgument)
+          << coords.size() << " coords";
+    }
+  }
+  // The partial engine, with {0,1} served directly, from {0,1,2}, and
+  // from the input.
+  for (const std::vector<DimSet>& views :
+       {std::vector<DimSet>{ab}, std::vector<DimSet>{abc},
+        std::vector<DimSet>{}}) {
+    QueryEngine engine(
+        std::make_shared<const PartialCube>(PartialCube::build(input, views)));
+    for (const std::vector<std::int64_t>& coords : malformed) {
+      EXPECT_THROW(engine.execute(Query::point(ab, coords)), InvalidArgument)
+          << views.size() << " views, " << coords.size() << " coords";
+    }
+  }
 }
 
 TEST(PartialServingTest, FullCubeEngineRejectsPartialAccessors) {

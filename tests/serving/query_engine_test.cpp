@@ -115,6 +115,20 @@ TEST(QueryEngineTest, RejectsInvalidQueries) {
                InvalidArgument);
 }
 
+TEST(QueryEngineTest, RejectsMalformedPoints) {
+  // Extents {6, 5, 4}: each coordinate is checked against its dimension,
+  // not against the view's buffer ({2, 7} would land inside it).
+  QueryEngine engine(small_cube());
+  const DimSet ab = DimSet::of({0, 1});
+  for (const std::vector<std::int64_t>& coords :
+       std::vector<std::vector<std::int64_t>>{
+           {6, 0}, {0, 5}, {-1, 0}, {0, -1}, {3}, {1, 2, 3}, {5, 10},
+           {2, 7}}) {
+    EXPECT_THROW(engine.execute(Query::point(ab, coords)), InvalidArgument)
+        << coords.size() << " coords";
+  }
+}
+
 TEST(QueryEngineTest, LatencyTelemetryCountsPerClassAndStaysBounded) {
   auto cube = small_cube();
   QueryEngine engine(cube);

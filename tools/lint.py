@@ -37,12 +37,19 @@ deliberately looser):
      (steady_clock) and the disabled-tracer overhead contract stays
      auditable; scattered ad-hoc clocks are how double-timing and
      mixed-epoch timestamps creep in.
+  9. No call to `project(` outside its definition (src/array/aggregate.h,
+     src/array/aggregate.cpp), the reference verifier
+     (src/core/verify.cpp), the naive baseline (src/baselines/) and
+     PartialCube's on-the-fly projections (src/core/partial_cube.cpp).
+     `project` is the scalar one-view scan kept as an independent oracle;
+     every builder runs the aggregation-tree walk and the multi-way
+     kernels, so none may grow a second scan path.
 
 Usage:  python3 tools/lint.py  [--root REPO_ROOT]  [--self-test]  [FILE ...]
 With FILE arguments only those files are linted; naming a file that is
 unreadable or not a .h/.cpp source is itself an error (exit 2).
 --self-test lints synthetic sources that must (and must not) trip the
-boundary rules, proving the rules still fire.
+boundary rules (6-9), proving the rules still fire.
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = bad
 invocation.
 """
@@ -71,6 +78,14 @@ CHRONO_ALLOWED_FILES = {"src/common/timer.h"}
 CHRONO_ALLOWED_PREFIX = "src/obs/"
 CHRONO_USE = re.compile(r"(?<![\w_])std\s*::\s*chrono(?![\w_])")
 CHRONO_INCLUDE = re.compile(r"#\s*include\s*<chrono>")
+PROJECT_ALLOWED_FILES = {
+    "src/array/aggregate.h",
+    "src/array/aggregate.cpp",
+    "src/core/verify.cpp",
+    "src/core/partial_cube.cpp",
+}
+PROJECT_ALLOWED_PREFIX = "src/baselines/"
+PROJECT_CALL = re.compile(r"(?<![\w_])project\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -193,12 +208,21 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
                     "Timer or the obs tracer so all measurements share one "
                     "clock and the overhead contract stays auditable")
 
+    if (rel.startswith("src/") and rel not in PROJECT_ALLOWED_FILES
+            and not rel.startswith(PROJECT_ALLOWED_PREFIX)):
+        for match in PROJECT_CALL.finditer(code):
+            problems.append(
+                f"{rel}:{line_of(code, match.start())}: `project(` outside "
+                "the oracle, the naive baseline and PartialCube — build "
+                "views with the aggregation-tree walk and the multi-way "
+                "kernels")
+
     check_macro_messages(rel, code, problems)
 
 
 def self_test() -> int:
-    """Lints synthetic sources that must (and must not) trip the transport
-    boundary rules. Returns 0 when every expectation holds."""
+    """Lints synthetic sources that must (and must not) trip the boundary
+    rules. Returns 0 when every expectation holds."""
     import tempfile
 
     cases = [
@@ -235,6 +259,21 @@ def self_test() -> int:
          None),
         ("src/core/chrono_comment.cpp",
          "// std::chrono is banned outside src/obs/ and timer.h\n",
+         None),
+        # The scalar projection is confined to the oracle, the baseline
+        # and PartialCube; names that merely contain it stay clean.
+        ("src/core/rogue_builder.cpp",
+         "void f() { project(view, kept, &out); }\n",
+         "`project(` outside the oracle"),
+        ("src/core/partial_cube.cpp",
+         "void f() { project(view, kept, &out); }\n",
+         None),
+        ("src/baselines/tree_builder.cpp",
+         "void f() { track(project(a, kept, &out)); }\n",
+         None),
+        ("src/core/project_comment.cpp",
+         "// project(parent, kept, &out) is the oracle's scan\n"
+         "auto s = projection_strides(shape); int projected(0);\n",
          None),
     ]
     failures = []
