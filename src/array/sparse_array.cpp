@@ -70,16 +70,18 @@ void SparseArray::push(const std::int64_t* index, Value value) {
   if (value == Value{0}) return;
   Offset offset;
   const std::int64_t chunk_id = locate(index, &offset);
-  Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
-  chunk.offsets.push_back(offset);
-  chunk.values.push_back(value);
+  if (pushed_.empty()) pushed_.resize(chunks_.size());
+  Chunk& cells = pushed_[static_cast<std::size_t>(chunk_id)];
+  cells.offsets.push_back(offset);
+  cells.values.push_back(value);
 }
 
-void SparseArray::set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
-                            std::vector<Value> values) {
+void SparseArray::check_chunk(std::int64_t chunk_id,
+                              std::span<const Offset> offsets,
+                              std::span<const Value> values) const {
   CUBIST_CHECK(chunk_id >= 0 && chunk_id < num_chunks(),
                "chunk id " << chunk_id << " out of range");
-  CUBIST_CHECK(!finalized_, "set_chunk after finalize");
+  CUBIST_CHECK(!finalized_, "chunk set after finalize");
   CUBIST_CHECK(offsets.size() == values.size(),
                "chunk " << chunk_id << ": offset and value counts differ");
   std::vector<std::int64_t> coords(static_cast<std::size_t>(ndim()));
@@ -93,47 +95,71 @@ void SparseArray::set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
   CUBIST_CHECK(offsets.empty() || offsets.back() < volume,
                "chunk " << chunk_id << ": offset past its " << volume
                         << " cells");
-  Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
-  chunk.offsets = std::move(offsets);
-  chunk.values = std::move(values);
+}
+
+void SparseArray::store_chunk(std::int64_t chunk_id, ChunkRef chunk) {
+  const auto c = static_cast<std::size_t>(chunk_id);
+  chunks_[c] = std::move(chunk);
+  if (!pushed_.empty()) pushed_[c] = Chunk{};
+}
+
+void SparseArray::set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
+                            std::vector<Value> values) {
+  check_chunk(chunk_id, offsets, values);
+  store_chunk(chunk_id, offsets.empty()
+                            ? nullptr
+                            : std::make_shared<const Chunk>(Chunk{
+                                  std::move(offsets), std::move(values)}));
+}
+
+void SparseArray::share_chunk(std::int64_t chunk_id, const SparseArray& source,
+                              std::int64_t source_chunk) {
+  CUBIST_CHECK(source_chunk >= 0 && source_chunk < source.num_chunks(),
+               "source chunk id " << source_chunk << " out of range");
+  check_chunk(chunk_id, source.chunk_offsets(source_chunk),
+              source.chunk_values(source_chunk));
+  store_chunk(chunk_id, source.chunks_[static_cast<std::size_t>(source_chunk)]);
 }
 
 void SparseArray::finalize() {
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    Chunk& chunk = chunks_[c];
-    bool sorted = true;
-    for (std::size_t i = 1; i < chunk.offsets.size(); ++i) {
-      CUBIST_CHECK(chunk.offsets[i - 1] != chunk.offsets[i],
-                   "chunk " << c << " has a duplicate offset");
-      if (chunk.offsets[i - 1] > chunk.offsets[i]) {
-        sorted = false;
-        break;
+  for (std::size_t c = 0; c < pushed_.size(); ++c) {
+    Chunk& cells = pushed_[c];
+    if (cells.offsets.empty()) continue;
+    // Pushed cells join the chunk's set ones in a new chunk: the set chunk
+    // may be shared, so it is never edited.
+    if (const ChunkRef& set = chunks_[c]) {
+      cells.offsets.insert(cells.offsets.begin(), set->offsets.begin(),
+                           set->offsets.end());
+      cells.values.insert(cells.values.begin(), set->values.begin(),
+                          set->values.end());
+    }
+    if (!std::is_sorted(cells.offsets.begin(), cells.offsets.end())) {
+      // Cells can arrive out of chunk order (e.g. extract_block walks the
+      // source's chunks, not the destination's); restore the canonical
+      // ascending-offset layout.
+      std::vector<std::size_t> order(cells.offsets.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return cells.offsets[a] < cells.offsets[b];
+      });
+      Chunk sorted_chunk;
+      sorted_chunk.offsets.reserve(cells.offsets.size());
+      sorted_chunk.values.reserve(cells.values.size());
+      for (std::size_t i : order) {
+        sorted_chunk.offsets.push_back(cells.offsets[i]);
+        sorted_chunk.values.push_back(cells.values[i]);
       }
+      cells = std::move(sorted_chunk);
     }
-    if (sorted) continue;
-    // Cells can arrive out of chunk order (e.g. extract_block walks the
-    // source's chunks, not the destination's); restore the canonical
-    // ascending-offset layout.
-    std::vector<std::size_t> order(chunk.offsets.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return chunk.offsets[a] < chunk.offsets[b];
-    });
-    Chunk sorted_chunk;
-    sorted_chunk.offsets.reserve(chunk.offsets.size());
-    sorted_chunk.values.reserve(chunk.values.size());
-    for (std::size_t i : order) {
-      CUBIST_CHECK(sorted_chunk.offsets.empty() ||
-                       sorted_chunk.offsets.back() != chunk.offsets[i],
-                   "chunk " << c << " has a duplicate offset");
-      sorted_chunk.offsets.push_back(chunk.offsets[i]);
-      sorted_chunk.values.push_back(chunk.values[i]);
-    }
-    chunk = std::move(sorted_chunk);
+    CUBIST_CHECK(std::adjacent_find(cells.offsets.begin(),
+                                    cells.offsets.end()) == cells.offsets.end(),
+                 "chunk " << c << " has a duplicate offset");
+    chunks_[c] = std::make_shared<const Chunk>(std::move(cells));
   }
+  pushed_ = std::vector<Chunk>();
   nnz_ = 0;
-  for (const Chunk& chunk : chunks_) {
-    nnz_ += static_cast<std::int64_t>(chunk.offsets.size());
+  for (std::int64_t c = 0; c < num_chunks(); ++c) {
+    nnz_ += static_cast<std::int64_t>(chunk_offsets(c).size());
   }
   finalized_ = true;
 }
@@ -176,14 +202,14 @@ void SparseArray::for_each_nonzero(
     const auto base = chunk_base(chunk_coords);
     const auto extents = chunk_shape_at(chunk_coords);
     const Shape local_shape{extents};
-    const Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
-    for (std::size_t i = 0; i < chunk.offsets.size(); ++i) {
-      local_shape.unravel(static_cast<std::int64_t>(chunk.offsets[i]),
-                          index.data());
+    const auto offsets = chunk_offsets(chunk_id);
+    const auto values = chunk_values(chunk_id);
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      local_shape.unravel(static_cast<std::int64_t>(offsets[i]), index.data());
       for (int d = 0; d < ndim(); ++d) {
         index[d] += base[d];
       }
-      fn(index.data(), chunk.values[i]);
+      fn(index.data(), values[i]);
     }
   }
 }

@@ -7,13 +7,21 @@
 // experiments use for the input dataset.
 //
 // An array is filled either a whole chunk at a time through set_chunk()
-// (the generators, extract_block and read_sparse do this) or a cell at a
-// time through push(), and is then sealed with finalize(), which validates
-// every chunk and recounts nnz().
+// (the generators and read_sparse do this) or share_chunk() (extract_block),
+// or a cell at a time through push(), and is then sealed with finalize(),
+// which folds the pushed cells into their chunks and recounts nnz().
+//
+// A chunk is immutable once set: it is held by reference count, copying an
+// array shares its chunks, share_chunk() hands one to another array, and
+// the last array that holds a chunk frees it. Nothing writes a chunk after
+// it is set (push() and finalize() build a new one), so arrays that share
+// chunks can be read and dropped from any threads without locks. bytes()
+// counts a shared chunk in every array that holds it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,7 +58,7 @@ class SparseArray {
   double density() const {
     return static_cast<double>(nnz_) / static_cast<double>(shape_.size());
   }
-  /// Heap footprint: offsets + values.
+  /// Heap footprint: offsets + values, counting shared chunks in full.
   std::int64_t bytes() const {
     return nnz_ * static_cast<std::int64_t>(sizeof(Offset) + sizeof(Value));
   }
@@ -74,8 +82,16 @@ class SparseArray {
   void set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
                  std::vector<Value> values);
 
-  /// Validates per-chunk offset ordering (sorting chunks filled out of
-  /// order by push()) and recounts nnz(); call once after the last fill.
+  /// Sets chunk `chunk_id` to chunk `source_chunk` of `source` without
+  /// copying it: both arrays then hold the same immutable chunk. The
+  /// chunk passes set_chunk()'s checks against this array's chunk
+  /// geometry, so it must number its cells row-major over the same
+  /// extents. `source` may be read concurrently by other sharers.
+  void share_chunk(std::int64_t chunk_id, const SparseArray& source,
+                   std::int64_t source_chunk);
+
+  /// Folds the cells push() appended into new chunks (sorted, rejecting
+  /// duplicates) and recounts nnz(); call once after the last fill.
   void finalize();
 
   /// Invokes fn(index, value) for every non-zero, in chunk order.
@@ -101,10 +117,14 @@ class SparseArray {
   bool chunk_is_full(const std::vector<std::int64_t>& chunk_coords) const;
 
   std::span<const Offset> chunk_offsets(std::int64_t chunk_id) const {
-    return chunks_[static_cast<std::size_t>(chunk_id)].offsets;
+    const ChunkRef& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
+    return chunk ? std::span<const Offset>(chunk->offsets)
+                 : std::span<const Offset>();
   }
   std::span<const Value> chunk_values(std::int64_t chunk_id) const {
-    return chunks_[static_cast<std::size_t>(chunk_id)].values;
+    const ChunkRef& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
+    return chunk ? std::span<const Value>(chunk->values)
+                 : std::span<const Value>();
   }
 
  private:
@@ -112,14 +132,24 @@ class SparseArray {
     std::vector<Offset> offsets;
     std::vector<Value> values;
   };
+  /// A set chunk; null for an empty one.
+  using ChunkRef = std::shared_ptr<const Chunk>;
 
   /// Chunk grid coordinates and within-chunk offset of a global index.
   std::int64_t locate(const std::int64_t* index, Offset* offset_out) const;
+  /// set_chunk()'s validation of one chunk's entries.
+  void check_chunk(std::int64_t chunk_id, std::span<const Offset> offsets,
+                   std::span<const Value> values) const;
+  /// Stores a validated chunk, dropping cells pushed to it before.
+  void store_chunk(std::int64_t chunk_id, ChunkRef chunk);
 
   Shape shape_;
   std::vector<std::int64_t> chunk_extents_;
   Shape chunk_grid_;
-  std::vector<Chunk> chunks_;
+  std::vector<ChunkRef> chunks_;
+  /// Cells push() appended, per chunk, until finalize() folds them in;
+  /// empty unless push() was called.
+  std::vector<Chunk> pushed_;
   std::int64_t nnz_ = 0;
   bool finalized_ = false;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -22,16 +23,12 @@ namespace {
 /// Copies a gathered view block into its place in the global view array,
 /// one innermost row at a time. `view_dims` are the retained dimensions
 /// (ascending); `root_block` is the source rank's block of the *root*,
-/// restricted here to those dimensions. `payload` is the block row-major.
+/// restricted here to those dimensions. `payload` is the block's Values
+/// row-major, as raw bytes (a received message or a rank's own view).
 void place_block(DenseArray& global_view, const std::vector<int>& view_dims,
                  const BlockRange& root_block,
-                 std::span<const Value> payload) {
+                 std::span<const std::byte> payload) {
   const int m = static_cast<int>(view_dims.size());
-  if (m == 0) {
-    CUBIST_ASSERT(payload.size() == 1, "scalar block size mismatch");
-    global_view[0] += payload[0];
-    return;
-  }
   std::vector<std::int64_t> lo(static_cast<std::size_t>(m));
   std::vector<std::int64_t> extent(static_cast<std::size_t>(m));
   std::int64_t cells = 1;
@@ -40,14 +37,18 @@ void place_block(DenseArray& global_view, const std::vector<int>& view_dims,
     extent[i] = root_block.extent(view_dims[i]);
     cells *= extent[i];
   }
-  CUBIST_ASSERT(static_cast<std::int64_t>(payload.size()) == cells,
+  CUBIST_ASSERT(payload.size() ==
+                    static_cast<std::size_t>(cells) * sizeof(Value),
                 "view block size mismatch");
   const Shape& shape = global_view.shape();
-  const std::int64_t row = extent[m - 1];
+  // The scalar view is one row of one cell.
+  const std::int64_t row = m == 0 ? 1 : extent[m - 1];
+  const std::size_t row_bytes = static_cast<std::size_t>(row) * sizeof(Value);
   std::vector<std::int64_t> global = lo;
   for (std::int64_t done = 0; done < cells; done += row) {
-    std::copy_n(payload.begin() + done, row,
-                global_view.data() + shape.linear_index(global.data()));
+    std::memcpy(global_view.data() + shape.linear_index(global.data()),
+                payload.data() + static_cast<std::size_t>(done) * sizeof(Value),
+                row_bytes);
     int i = m - 2;
     for (; i >= 0; --i) {
       if (++global[i] < lo[i] + extent[i]) break;
@@ -156,11 +157,11 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
           if (src == 0) {
             const DenseArray& mine = local_views.at(mask);
             place_block(global_view, view.dims(), block,
-                        std::span<const Value>(
-                            mine.data(), static_cast<std::size_t>(mine.size())));
+                        std::as_bytes(std::span<const Value>(
+                            mine.data(), static_cast<std::size_t>(mine.size()))));
           } else {
             place_block(global_view, view.dims(), block,
-                        comm.recv_values(src, tag));
+                        comm.recv_bytes(src, tag));
           }
         }
         std::lock_guard lock(assemble_mutex);

@@ -31,7 +31,9 @@ inline constexpr std::uint64_t kGatherTagBase = std::uint64_t{1} << 32;
 
 /// Produces rank `rank`'s input block (in local coordinates, extents equal
 /// to `block.extents()`). Called concurrently from all ranks; must be
-/// thread-safe and deterministic.
+/// thread-safe and deterministic. The block may share its immutable chunks
+/// with the provider's own data (extract_block does), so the rank reads
+/// them in place; it never writes them.
 using BlockProvider =
     std::function<SparseArray(int rank, const BlockRange& block)>;
 

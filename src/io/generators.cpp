@@ -211,6 +211,11 @@ SparseArray extract_block(const SparseArray& global, const BlockRange& block,
                           std::vector<std::int64_t> chunk_extents) {
   const int n = global.ndim();
   CUBIST_CHECK(block.ndim() == n, "block rank mismatch");
+  for (int d = 0; d < n; ++d) {
+    CUBIST_CHECK(block.hi(d) <= global.shape().extent(d),
+                 "block " << block.to_string() << " exceeds the array in dim "
+                          << d);
+  }
   SparseArray out(block.local_shape(), std::move(chunk_extents));
   std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
   std::vector<std::int64_t> target(static_cast<std::size_t>(n));
@@ -221,8 +226,8 @@ SparseArray extract_block(const SparseArray& global, const BlockRange& block,
     global.chunk_grid().unravel(source, coords.data());
     const std::vector<std::int64_t> base = global.chunk_base(coords);
     const std::vector<std::int64_t> extents = global.chunk_shape_at(coords);
-    // A source chunk that is exactly one destination chunk is handed over
-    // as is: both number its cells row-major over the same extents.
+    // A source chunk that is exactly one destination chunk is shared, not
+    // copied: both number its cells row-major over the same extents.
     bool meets = true;
     bool whole = true;
     for (int d = 0; d < n; ++d) {
@@ -234,15 +239,14 @@ SparseArray extract_block(const SparseArray& global, const BlockRange& block,
       target[d] = whole ? at / step : 0;
     }
     if (!meets) continue;
-    const auto values = global.chunk_values(source);
     if (whole) {
-      out.set_chunk(out.chunk_grid().linear_index(target.data()),
-                    {offsets.begin(), offsets.end()},
-                    {values.begin(), values.end()});
+      out.share_chunk(out.chunk_grid().linear_index(target.data()), global,
+                      source);
       continue;
     }
     // A chunk across the block's edge, or under a different chunking, is
     // decoded cell by cell.
+    const auto values = global.chunk_values(source);
     const Shape chunk_shape{extents};
     for (std::size_t i = 0; i < offsets.size(); ++i) {
       chunk_shape.unravel(static_cast<std::int64_t>(offsets[i]), index.data());

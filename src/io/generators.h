@@ -56,9 +56,11 @@ DenseArray generate_dense(const std::vector<std::int64_t>& sizes,
 
 /// Extracts a rectangular block of `global` into a block-local sparse
 /// array (used for slicing a generated global array across ranks and for
-/// the tiling extension). Source chunks that miss the block are skipped;
-/// one that is exactly a destination chunk is copied whole, and the rest
-/// are decoded cell by cell.
+/// the tiling extension). The block must lie inside the array. Source
+/// chunks that miss the block are skipped; one that is exactly a
+/// destination chunk is shared with the result, not copied (the result
+/// keeps it alive after `global` is gone), and the rest are decoded cell
+/// by cell.
 SparseArray extract_block(const SparseArray& global, const BlockRange& block,
                           std::vector<std::int64_t> chunk_extents);
 

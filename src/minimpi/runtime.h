@@ -2,8 +2,10 @@
 //
 // This is the reproduction's stand-in for `mpirun -np p` on the paper's
 // cluster (see DESIGN.md §2). Ranks share nothing except the counted
-// message channels; an exception in any rank aborts the whole run (all
-// blocked receivers wake with AbortedError) and is rethrown to the caller.
+// message channels and the read-only input chunks their blocks may share;
+// views and messages move only through those channels. An exception in any
+// rank aborts the whole run (all blocked receivers wake with AbortedError)
+// and is rethrown to the caller.
 #pragma once
 
 #include <functional>

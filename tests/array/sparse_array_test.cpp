@@ -223,5 +223,75 @@ TEST(SparseArrayTest, DistinctChunksCanBeSetConcurrently) {
   EXPECT_EQ(s.to_dense(), dense);
 }
 
+TEST(SparseArrayTest, CopiesShareChunks) {
+  const SparseArray original = SparseArray::from_dense(
+      testing::random_dense({12, 9, 7}, 0.4, 23), {4, 4, 4});
+  const SparseArray copy = original;
+  std::int64_t shared = 0;
+  for (std::int64_t c = 0; c < original.num_chunks(); ++c) {
+    if (original.chunk_offsets(c).empty()) continue;
+    EXPECT_EQ(copy.chunk_offsets(c).data(), original.chunk_offsets(c).data());
+    EXPECT_EQ(copy.chunk_values(c).data(), original.chunk_values(c).data());
+    ++shared;
+  }
+  EXPECT_GT(shared, 0);
+  // bytes() counts a shared chunk in every array that holds it.
+  EXPECT_EQ(copy.bytes(), original.bytes());
+  EXPECT_EQ(copy.nnz(), original.nnz());
+}
+
+TEST(SparseArrayTest, ShareChunkPassesTheSetChunkChecks) {
+  // 10x7 with 4x4 chunks: chunk 0 has 16 cells, chunk 5 is the 2x3 corner.
+  SparseArray source{Shape{{10, 7}}, {4, 4}};
+  source.set_chunk(0, {0, 15}, {1.0, 2.0});
+  source.finalize();
+  SparseArray s{Shape{{10, 7}}, {4, 4}};
+  EXPECT_THROW(s.share_chunk(5, source, 0), InvalidArgument);  // offset 15 >= 6
+  EXPECT_THROW(s.share_chunk(-1, source, 0), InvalidArgument);
+  EXPECT_THROW(s.share_chunk(6, source, 0), InvalidArgument);
+  EXPECT_THROW(s.share_chunk(0, source, 6), InvalidArgument);
+  EXPECT_THROW(s.share_chunk(0, source, -1), InvalidArgument);
+  s.share_chunk(0, source, 0);
+  s.share_chunk(5, source, 5);  // an empty chunk shares as empty
+  s.finalize();
+  EXPECT_EQ(s.nnz(), 2);
+  EXPECT_EQ(s.chunk_offsets(0).data(), source.chunk_offsets(0).data());
+  EXPECT_EQ(testing::chunk_difference(s, source), "");
+  EXPECT_THROW(s.share_chunk(1, source, 0), InvalidArgument);  // finalized
+}
+
+TEST(SparseArrayTest, PushIntoASharedChunkLeavesTheSourceUnchanged) {
+  SparseArray source{Shape{{8}}, {4}};
+  source.set_chunk(0, {1, 3}, {1.0, 3.0});
+  source.finalize();
+  const SparseArray::Offset* source_offsets = source.chunk_offsets(0).data();
+
+  SparseArray s{Shape{{8}}, {4}};
+  s.share_chunk(0, source, 0);
+  s.push(std::vector<std::int64_t>{2}, 2.0);
+  s.push(std::vector<std::int64_t>{0}, 5.0);
+  s.finalize();
+  const auto offsets = s.chunk_offsets(0);
+  const auto values = s.chunk_values(0);
+  EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
+            (std::vector<SparseArray::Offset>{0, 1, 2, 3}));
+  EXPECT_EQ(std::vector<Value>(values.begin(), values.end()),
+            (std::vector<Value>{5.0, 1.0, 2.0, 3.0}));
+  EXPECT_EQ(s.nnz(), 4);
+
+  EXPECT_EQ(source.chunk_offsets(0).data(), source_offsets);
+  const auto kept = source.chunk_offsets(0);
+  EXPECT_EQ(std::vector<SparseArray::Offset>(kept.begin(), kept.end()),
+            (std::vector<SparseArray::Offset>{1, 3}));
+  EXPECT_EQ(source.nnz(), 2);
+
+  // A pushed duplicate of a shared cell is rejected like any other.
+  SparseArray dup{Shape{{8}}, {4}};
+  dup.share_chunk(0, source, 0);
+  dup.push(std::vector<std::int64_t>{3}, 4.0);
+  EXPECT_THROW(dup.finalize(), InvalidArgument);
+  EXPECT_EQ(source.chunk_offsets(0).size(), 2u);
+}
+
 }  // namespace
 }  // namespace cubist

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <latch>
+#include <optional>
+#include <span>
+#include <thread>
+
+#include "array/aggregate.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -44,6 +51,42 @@ SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
   }
   out.finalize();
   return out;
+}
+
+/// FNV-1a digest of each chunk's offsets and values, in chunk order.
+std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
+  std::vector<std::uint64_t> digests;
+  for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::span<const std::byte> bytes) {
+      for (std::byte b : bytes) {
+        h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+      }
+    };
+    mix(std::as_bytes(array.chunk_offsets(c)));
+    mix(std::as_bytes(array.chunk_values(c)));
+    digests.push_back(h);
+  }
+  return digests;
+}
+
+/// Every child of `block` (one per aggregated dimension), from one scan.
+std::vector<DenseArray> children_of(const SparseArray& block) {
+  std::vector<DenseArray> children;
+  children.reserve(static_cast<std::size_t>(block.ndim()));
+  std::vector<AggregationTarget> targets;
+  for (int pos = 0; pos < block.ndim(); ++pos) {
+    targets.push_back(
+        {pos, &children.emplace_back(block.shape().without_dim(pos))});
+  }
+  aggregate_children(block, targets);
+  return children;
+}
+
+bool bit_identical(const DenseArray& a, const DenseArray& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(Value)) == 0;
 }
 
 /// extract_block as one filter over every non-zero of `global`, pushed
@@ -264,6 +307,16 @@ TEST(GeneratorsTest, BlockOutsideTheArrayRejected) {
                InvalidArgument);
 }
 
+TEST(ExtractBlockTest, BlockOutsideTheArrayRejected) {
+  const SparseArray global = generate_sparse_global(spec_8x8x8(0.5, 1));
+  EXPECT_THROW(extract_block(global, BlockRange({0, 0, 4}, {8, 8, 9}), {8, 8, 5}),
+               InvalidArgument);
+  EXPECT_THROW(extract_block(global, BlockRange({8, 0, 0}, {9, 8, 8}), {1, 8, 8}),
+               InvalidArgument);
+  EXPECT_THROW(extract_block(global, BlockRange({0, 0}, {8, 8}), {8, 8}),
+               InvalidArgument);
+}
+
 TEST(ExtractBlockTest, ChunkAlignedBlocksMatchTheReference) {
   // 16x16x8x8 split (2,2,1,1): every rank block is whole 4-cell chunks,
   // so every source chunk is handed over as is.
@@ -350,6 +403,146 @@ TEST(ExtractBlockTest, WholeArrayExtractionIsIdentity) {
       extract_block(global, whole, {3, 3, 3});  // different chunking
   EXPECT_EQ(extracted.to_dense(), global.to_dense());
   EXPECT_EQ(extracted.nnz(), global.nnz());
+}
+
+TEST(ExtractBlockTest, AlignedChunksShareTheSourceStorage) {
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 61;
+  spec.chunk_extents = {4, 4, 4, 4};
+  const SparseArray global = generate_sparse_global(spec);
+  const ProcGrid grid({1, 1, 0, 0});
+  std::vector<std::int64_t> coords(4);
+  std::vector<std::int64_t> source_coords(4);
+  for (int rank = 0; rank < grid.size(); ++rank) {
+    const BlockRange block = grid.block(rank, spec.sizes);
+    const SparseArray extracted = extract_block(global, block, {4, 4, 4, 4});
+    std::int64_t shared = 0;
+    for (std::int64_t c = 0; c < extracted.num_chunks(); ++c) {
+      if (extracted.chunk_offsets(c).empty()) continue;
+      extracted.chunk_grid().unravel(c, coords.data());
+      for (int d = 0; d < 4; ++d) source_coords[d] = coords[d] + block.lo(d) / 4;
+      const std::int64_t source =
+          global.chunk_grid().linear_index(source_coords.data());
+      EXPECT_EQ(extracted.chunk_offsets(c).data(),
+                global.chunk_offsets(source).data())
+          << block.to_string() << " chunk " << c;
+      EXPECT_EQ(extracted.chunk_values(c).data(),
+                global.chunk_values(source).data())
+          << block.to_string() << " chunk " << c;
+      ++shared;
+    }
+    EXPECT_EQ(shared, extracted.num_chunks()) << block.to_string();
+  }
+}
+
+TEST(ExtractBlockTest, BlockOutlivesItsSource) {
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 67;
+  spec.chunk_extents = {4, 4, 4, 4};
+  std::optional<SparseArray> global(generate_sparse_global(spec));
+  std::vector<SparseArray> extracted;
+  std::vector<SparseArray> references;
+  // Whole chunks only, whole and straddling chunks, and a re-chunking.
+  for (const auto& [block, chunks] :
+       {std::pair{BlockRange({8, 0, 0, 0}, {16, 8, 8, 8}),
+                  std::vector<std::int64_t>{4, 4, 4, 4}},
+        std::pair{BlockRange({0, 0, 0, 0}, {16, 16, 8, 6}),
+                  std::vector<std::int64_t>{4, 4, 4, 4}},
+        std::pair{BlockRange({0, 0, 0, 0}, {16, 16, 8, 8}),
+                  std::vector<std::int64_t>{8, 8, 8, 8}}}) {
+    extracted.push_back(extract_block(*global, block, chunks));
+    references.push_back(reference_extract(*global, block, chunks));
+  }
+  global.reset();
+  for (std::size_t i = 0; i < extracted.size(); ++i) {
+    EXPECT_EQ(testing::chunk_difference(extracted[i], references[i]), "")
+        << "block " << i;
+  }
+}
+
+TEST(ExtractBlockTest, PushAndFinalizeLeaveEverySourceChunkUnchanged) {
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 71;
+  spec.chunk_extents = {4, 4, 4, 4};
+  const SparseArray global = generate_sparse_global(spec);
+  const std::vector<std::uint64_t> before = chunk_digests(global);
+  // Dimension 3 keeps [0, 6): its first chunk is whole and shared, its
+  // second straddles the edge and is pushed cell by cell.
+  const BlockRange block({0, 0, 0, 0}, {16, 16, 8, 6});
+  const SparseArray extracted = extract_block(global, block, {4, 4, 4, 4});
+  EXPECT_EQ(testing::chunk_difference(
+                extracted, reference_extract(global, block, {4, 4, 4, 4})),
+            "");
+  EXPECT_EQ(chunk_digests(global), before);
+
+  // Pushing into the shared chunks of a copy builds new chunks too.
+  SparseArray copy(extracted.shape(), extracted.chunk_extents());
+  for (std::int64_t c = 0; c < extracted.num_chunks(); ++c) {
+    copy.share_chunk(c, extracted, c);
+  }
+  const std::vector<std::uint64_t> extracted_before = chunk_digests(extracted);
+  const DenseArray dense = extracted.to_dense();
+  std::vector<std::int64_t> index(4);
+  for (std::int64_t linear = 0; linear < dense.size(); linear += 97) {
+    dense.shape().unravel(linear, index.data());
+    if (dense[linear] == Value{0}) copy.push(index.data(), 1.0);
+  }
+  copy.finalize();
+  EXPECT_GT(copy.nnz(), extracted.nnz());
+  EXPECT_EQ(chunk_digests(extracted), extracted_before);
+  EXPECT_EQ(chunk_digests(global), before);
+}
+
+TEST(ExtractBlockTest, ConcurrentSharersAndASourceDropMatchOneThread) {
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.25;
+  spec.seed = 73;
+  spec.chunk_extents = {4, 4, 4, 4};
+  std::optional<SparseArray> global(generate_sparse_global(spec));
+  const ProcGrid grid({1, 1, 0, 0});
+  constexpr int kThreads = 4;
+  std::vector<std::vector<DenseArray>> expected;
+  {
+    const ThreadPool::ScopedActiveRanks inline_only(ThreadPool::global().size());
+    for (int t = 0; t < kThreads; ++t) {
+      expected.push_back(children_of(extract_block(
+          *global, grid.block(t, spec.sizes), {4, 4, 4, 4})));
+    }
+  }
+  std::vector<std::vector<DenseArray>> children(kThreads);
+  std::latch extracted(kThreads);
+  {
+    const ThreadPool::ScopedActiveRanks ranks(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::optional<SparseArray> block(extract_block(
+            *global, grid.block(t, spec.sizes), {4, 4, 4, 4}));
+        extracted.count_down();
+        children[static_cast<std::size_t>(t)] = children_of(*block);
+        block.reset();
+      });
+    }
+    // Every block holds its chunks now; drop the source while the threads
+    // scan and drop them.
+    extracted.wait();
+    global.reset();
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(children[t].size(), expected[t].size());
+    for (std::size_t pos = 0; pos < expected[t].size(); ++pos) {
+      EXPECT_TRUE(bit_identical(children[t][pos], expected[t][pos]))
+          << "rank " << t << " child " << pos;
+    }
+  }
 }
 
 }  // namespace

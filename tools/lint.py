@@ -44,12 +44,16 @@ deliberately looser):
      `project` is the scalar one-view scan kept as an independent oracle;
      every builder runs the aggregation-tree walk and the multi-way
      kernels, so none may grow a second scan path.
+ 10. No `const_cast` in src/.  Shared SparseArray chunks, served
+     PartialCube generations and cached QueryResults are read from many
+     threads without locks; that is only safe while nothing writes
+     through a const handle.
 
 Usage:  python3 tools/lint.py  [--root REPO_ROOT]  [--self-test]  [FILE ...]
 With FILE arguments only those files are linted; naming a file that is
 unreadable or not a .h/.cpp source is itself an error (exit 2).
 --self-test lints synthetic sources that must (and must not) trip the
-boundary rules (6-9), proving the rules still fire.
+boundary rules (6-10), proving the rules still fire.
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = bad
 invocation.
 """
@@ -86,6 +90,7 @@ PROJECT_ALLOWED_FILES = {
 }
 PROJECT_ALLOWED_PREFIX = "src/baselines/"
 PROJECT_CALL = re.compile(r"(?<![\w_])project\s*\(")
+CONST_CAST = re.compile(r"(?<![\w_])const_cast\s*<")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -217,6 +222,13 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
                 "views with the aggregation-tree walk and the multi-way "
                 "kernels")
 
+    if rel.startswith("src/"):
+        for match in CONST_CAST.finditer(code):
+            problems.append(
+                f"{rel}:{line_of(code, match.start())}: `const_cast` — "
+                "shared chunks, served generations and cached results are "
+                "read without locks; never write through a const handle")
+
     check_macro_messages(rel, code, problems)
 
 
@@ -274,6 +286,18 @@ def self_test() -> int:
         ("src/core/project_comment.cpp",
          "// project(parent, kept, &out) is the oracle's scan\n"
          "auto s = projection_strides(shape); int projected(0);\n",
+         None),
+        # Nothing writes through a const handle; the word in a comment or
+        # inside an identifier is fine.
+        ("src/array/rogue_cast.cpp",
+         "void f(const Chunk* c) { const_cast<Chunk*>(c)->values.clear(); }\n",
+         "`const_cast`"),
+        ("src/io/rogue_cast_spaced.cpp",
+         "auto* p = const_cast <int*>(q);\n",
+         "`const_cast`"),
+        ("src/array/cast_comment.cpp",
+         "// never const_cast<Chunk*> a shared chunk\n"
+         "int no_const_cast_here = 0; bool my_const_cast(int);\n",
          None),
     ]
     failures = []
