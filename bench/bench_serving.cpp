@@ -329,7 +329,7 @@ void BM_PartialServing(benchmark::State& state,
     QueryEngine engine(static_cube, options);
     for (const Query& query : stream) engine.execute(query);
     replan = engine.replan(budget_bytes);
-    adaptive_cube = engine.partial_snapshot();
+    adaptive_cube = engine.generation();
   }
   CUBIST_ASSERT(replan.certified_bytes <= budget_bytes,
                 "adaptive selection exceeded its certified budget");

@@ -24,7 +24,8 @@ class CubeResult {
   void put(DimSet view, DenseArray array);
 
   bool has(DimSet view) const { return views_.count(view.mask()) != 0; }
-  /// Number of views stored (the complete cube has 2^n, incl. the root).
+  /// Number of views stored (a complete cube has the 2^n - 1 proper
+  /// views; no builder stores the root).
   std::size_t num_views() const { return views_.size(); }
 
   const DenseArray& view(DimSet view) const;

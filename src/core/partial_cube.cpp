@@ -28,15 +28,15 @@ PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
   const std::vector<std::int64_t> sizes = input->shape().extents();
   // The routing table rejects the root and views out of the lattice;
   // duplicates collapse into one flag in the table and the walk.
-  PartialCube cube(std::move(input), sizes,
-                   AncestorTable::build(CubeLattice(sizes), views));
-  TreeWalk<> walk(cube.ndims(), views, AggregateOp::kSum, AggregateOptions{});
-  for (auto& [mask, view] : walk.run(*cube.input_)) {
+  AncestorTable routes = AncestorTable::build(CubeLattice(sizes), views);
+  auto cube = std::make_shared<CubeResult>(sizes);
+  TreeWalk<> walk(input->ndim(), views, AggregateOp::kSum, AggregateOptions{});
+  for (auto& [mask, view] : walk.run(*input)) {
     finalize_view(AggregateOp::kSum, view);
-    cube.views_.put(DimSet::from_mask(mask), std::move(view));
+    cube->put(DimSet::from_mask(mask), std::move(view));
   }
   if (stats != nullptr) *stats = walk.stats();
-  return cube;
+  return PartialCube(std::move(input), std::move(cube), std::move(routes));
 }
 
 PartialCube PartialCube::build(SparseArray input, std::vector<DimSet> views,
@@ -45,10 +45,32 @@ PartialCube PartialCube::build(SparseArray input, std::vector<DimSet> views,
                std::move(views), stats);
 }
 
+PartialCube PartialCube::adopt(std::shared_ptr<const CubeResult> cube) {
+  CUBIST_CHECK(cube != nullptr, "PartialCube needs a cube");
+  const CubeLattice lattice(cube->sizes());
+  std::vector<DimSet> views;
+  for (DimSet view : lattice.all_views()) {
+    if (view == DimSet::full(lattice.ndims())) continue;
+    CUBIST_CHECK(cube->has(view),
+                 "an adopted cube needs every proper view; it lacks "
+                     << view.to_string());
+    views.push_back(view);
+  }
+  AncestorTable routes = AncestorTable::build(lattice, views);
+  return PartialCube(nullptr, std::move(cube), std::move(routes));
+}
+
+const std::shared_ptr<const SparseArray>& PartialCube::input_ptr() const {
+  CUBIST_CHECK(input_ != nullptr,
+               "an adopted cube has no input to answer the root view from "
+               "or to re-plan from");
+  return input_;
+}
+
 std::int64_t PartialCube::materialized_bytes() const {
   std::int64_t bytes = 0;
-  for (DimSet view : views_.stored_views()) {
-    bytes += views_.view(view).bytes();
+  for (DimSet view : views_->stored_views()) {
+    bytes += views_->view(view).bytes();
   }
   return bytes;
 }
@@ -61,13 +83,13 @@ Value PartialCube::query(DimSet view, const std::vector<std::int64_t>& coords,
 Value PartialCube::query_from(std::optional<DimSet> from, DimSet view,
                               const std::vector<std::int64_t>& coords,
                               std::int64_t* cells_scanned) const {
-  views_.check_point(view, coords);
+  views_->check_point(view, coords);
   if (!from) {
     // Fall through to the sparse input: one pass over the non-zeros.
     const std::vector<int> dims = view.dims();
     Value total = 0;
     std::int64_t scanned = 0;
-    input_->for_each_nonzero([&](const std::int64_t* idx, Value v) {
+    input().for_each_nonzero([&](const std::int64_t* idx, Value v) {
       ++scanned;
       for (std::size_t i = 0; i < dims.size(); ++i) {
         if (idx[dims[i]] != coords[i]) return;
@@ -81,7 +103,7 @@ Value PartialCube::query_from(std::optional<DimSet> from, DimSet view,
   CUBIST_CHECK(view.is_subset_of(*from),
                "source " << from->to_string() << " does not cover view "
                          << view.to_string());
-  const DenseArray& source = views_.view(*from);
+  const DenseArray& source = views_->view(*from);
   if (*from == view) {
     if (cells_scanned != nullptr) *cells_scanned = 1;
     return source.at(coords);
@@ -137,20 +159,22 @@ DenseArray PartialCube::materialize_from(std::optional<DimSet> from,
                                          std::int64_t* cells_scanned) const {
   const DimSet root = DimSet::full(ndims());
   CUBIST_CHECK(view.is_subset_of(root), "view out of lattice");
+  if (from) {
+    CUBIST_CHECK(view.is_subset_of(*from),
+                 "source " << from->to_string() << " does not cover view "
+                           << view.to_string());
+  }
+  // Resolved before the output is allocated, so a root-view query on an
+  // adopted cube fails without allocating the root.
+  const SparseArray* input_array = from ? nullptr : &input();
   std::vector<std::int64_t> extents;
   for (int d : view.dims()) {
     extents.push_back(sizes()[d]);
   }
   DenseArray out{Shape{extents}};
-  AggregationStats scan;
-  if (from) {
-    CUBIST_CHECK(view.is_subset_of(*from),
-                 "source " << from->to_string() << " does not cover view "
-                           << view.to_string());
-    scan = project(views_.view(*from), kept_positions(*from, view), &out);
-  } else {
-    scan = project(*input_, kept_positions(root, view), &out);
-  }
+  const AggregationStats scan =
+      from ? project(views_->view(*from), kept_positions(*from, view), &out)
+           : project(*input_array, kept_positions(root, view), &out);
   if (cells_scanned != nullptr) *cells_scanned = scan.cells_scanned;
   return out;
 }

@@ -10,7 +10,8 @@
 //
 // The views are built by the aggregation-tree walk of the full-cube
 // builders (core/tree_walk.h), pruned to the selection, and held in a
-// CubeResult.
+// shared CubeResult. A complete cube from any builder is adopted as the
+// selection of every proper view, sharing its views and holding no input.
 //
 // The input is held through a shared_ptr: re-plan cycles build the next
 // generation's cube from the SAME input array (input_ptr()), so swapping
@@ -50,24 +51,34 @@ class PartialCube {
   static PartialCube build(SparseArray input, std::vector<DimSet> views,
                            BuildStats* stats = nullptr);
 
-  int ndims() const { return input_->ndim(); }
-  const std::vector<std::int64_t>& sizes() const { return views_.sizes(); }
+  /// Takes a complete cube (every proper view, as every builder and
+  /// reference_cube return) as the every-view selection, sharing it
+  /// without a copy: every view routes to itself, and there is no input. A cube missing a proper view is
+  /// rejected, since projecting it from an ancestor would sum, which is
+  /// wrong for a MIN or MAX cube, and a CubeResult does not record its
+  /// operator.
+  static PartialCube adopt(std::shared_ptr<const CubeResult> cube);
 
-  const SparseArray& input() const { return *input_; }
+  int ndims() const { return views_->ndims(); }
+  const std::vector<std::int64_t>& sizes() const { return views_->sizes(); }
+
   /// The shared input array; pass to build() to re-plan without copying.
-  const std::shared_ptr<const SparseArray>& input_ptr() const {
-    return input_;
-  }
+  /// An adopted cube has none, so both throw InvalidArgument there: that
+  /// rejects root-view queries and re-plans.
+  const std::shared_ptr<const SparseArray>& input_ptr() const;
+  const SparseArray& input() const { return *input_ptr(); }
 
-  bool is_materialized(DimSet view) const { return views_.has(view); }
+  /// The materialized views; adopt() shares the cube it was given.
+  const CubeResult& views() const { return *views_; }
+  bool is_materialized(DimSet view) const { return views_->has(view); }
   std::vector<DimSet> materialized_views() const {
-    return views_.stored_views();
+    return views_->stored_views();
   }
   /// Storage held by materialized views, in bytes (input excluded).
   std::int64_t materialized_bytes() const;
 
   /// Direct access to a materialized view.
-  const DenseArray& view(DimSet view) const { return views_.view(view); }
+  const DenseArray& view(DimSet view) const { return views_->view(view); }
 
   /// Each view's cheapest materialized ancestor (or the input): the
   /// routes query() and materialize() take.
@@ -102,13 +113,13 @@ class PartialCube {
 
  private:
   PartialCube(std::shared_ptr<const SparseArray> input,
-              std::vector<std::int64_t> sizes, AncestorTable routes)
+              std::shared_ptr<const CubeResult> views, AncestorTable routes)
       : input_(std::move(input)),
-        views_(std::move(sizes)),
+        views_(std::move(views)),
         routes_(std::move(routes)) {}
 
-  std::shared_ptr<const SparseArray> input_;
-  CubeResult views_;
+  std::shared_ptr<const SparseArray> input_;  // null for an adopted cube
+  std::shared_ptr<const CubeResult> views_;
   AncestorTable routes_;
 };
 

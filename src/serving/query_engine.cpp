@@ -76,32 +76,42 @@ std::int64_t direct_cells(const Query& query, const DenseArray& view) {
                 "unknown QueryKind " << static_cast<int>(query.kind));
 }
 
+/// Computes the answer from a pinned generation along `route`; `cells`
+/// reports the cells scanned (the cache cost weight).
+QueryResult compute(const PartialCube& cube, const Query& query,
+                    std::optional<DimSet> route, std::int64_t* cells) {
+  if (query.kind == QueryKind::kPoint) {
+    QueryResult result;
+    result.kind = query.kind;
+    result.scalar = cube.query_from(route, query.view, query.coords, cells);
+    return result;
+  }
+  if (route && *route == query.view) {
+    const DenseArray& view = cube.view(query.view);
+    QueryResult result = apply_to_view(query, view);
+    *cells = direct_cells(query, view);
+    return result;
+  }
+  // Unmaterialized view: project the routed ancestor (or the raw input)
+  // down to it in one scan, then answer from the scratch array. The scan
+  // dominates the cost — |ancestor| cells (or nnz) — which is exactly
+  // what query_cost() charges this view.
+  const DenseArray scratch = cube.materialize_from(route, query.view, cells);
+  return apply_to_view(query, scratch);
+}
+
 }  // namespace
 
-QueryEngine::QueryEngine(std::shared_ptr<const CubeResult> snapshot,
+QueryEngine::QueryEngine(std::shared_ptr<const PartialCube> generation,
                          QueryEngineOptions options)
-    : snapshot_(std::move(snapshot)), options_(options) {
-  CUBIST_CHECK(snapshot_ != nullptr, "engine needs a cube snapshot");
-  init_telemetry();
-}
-
-QueryEngine::QueryEngine(std::shared_ptr<const PartialCube> snapshot,
-                         QueryEngineOptions options)
-    : options_(options) {
-  CUBIST_CHECK(snapshot != nullptr, "engine needs a cube snapshot");
-  init_telemetry();
-  const CubeLattice lattice(snapshot->sizes());
-  num_view_slots_ = lattice.num_views();
-  view_freq_ = std::make_unique<std::atomic<std::int64_t>[]>(
-      static_cast<std::size_t>(num_view_slots_));
-  partial_snapshot_ = std::move(snapshot);
-}
-
-void QueryEngine::init_telemetry() {
+    : generation_(std::move(generation)), options_(options) {
+  CUBIST_CHECK(generation_ != nullptr, "engine needs a cube generation");
   CUBIST_CHECK(options_.cache_budget_bytes >= 0,
                "cache budget must be non-negative");
   CUBIST_CHECK(options_.max_workers >= 0,
                "max_workers must be non-negative");
+  view_freq_ = std::vector<std::atomic<std::int64_t>>(
+      std::size_t{1} << generation_->ndims());
   if (options_.pool == nullptr) options_.pool = &ThreadPool::global();
   registry_ = options_.registry;
   if (registry_ == nullptr) {
@@ -144,56 +154,15 @@ void QueryEngine::init_telemetry() {
   query_drift_ = &obs::query_cost_vs_cells_gauge(*registry_);
 }
 
-const CubeResult& QueryEngine::snapshot() const {
-  CUBIST_CHECK(snapshot_ != nullptr,
-               "snapshot() is only valid on a full-cube engine");
-  return *snapshot_;
-}
+QueryEngine::QueryEngine(std::shared_ptr<const CubeResult> cube,
+                         QueryEngineOptions options)
+    : QueryEngine(std::make_shared<const PartialCube>(
+                      PartialCube::adopt(std::move(cube))),
+                  options) {}
 
-std::shared_ptr<const PartialCube> QueryEngine::partial_snapshot() const {
-  CUBIST_CHECK(serves_partial(),
-               "partial_snapshot() needs a PartialCube engine");
-  const std::lock_guard<std::mutex> lock(partial_mutex_);
-  return partial_snapshot_;
-}
-
-QueryResult QueryEngine::compute(const Query& query,
-                                 std::int64_t* cells) const {
-  if (query.kind == QueryKind::kPoint) {
-    QueryResult result;
-    result.kind = query.kind;
-    result.scalar = snapshot_->query(query.view, query.coords);
-    *cells = 1;
-    return result;
-  }
-  const DenseArray& view = snapshot_->view(query.view);
-  QueryResult result = apply_to_view(query, view);
-  *cells = direct_cells(query, view);
-  return result;
-}
-
-QueryResult QueryEngine::compute_partial(const PartialCube& cube,
-                                         const Query& query,
-                                         std::int64_t* cells) const {
-  const std::optional<DimSet> route = cube.routes().route(query.view);
-  if (query.kind == QueryKind::kPoint) {
-    QueryResult result;
-    result.kind = query.kind;
-    result.scalar = cube.query_from(route, query.view, query.coords, cells);
-    return result;
-  }
-  if (route && *route == query.view) {
-    const DenseArray& view = cube.view(query.view);
-    QueryResult result = apply_to_view(query, view);
-    *cells = direct_cells(query, view);
-    return result;
-  }
-  // Unmaterialized view: project the routed ancestor (or the raw input)
-  // down to it in one scan, then answer from the scratch array. The scan
-  // dominates the cost — |ancestor| cells (or nnz) — which is exactly
-  // what query_cost() charges this view.
-  const DenseArray scratch = cube.materialize_from(route, query.view, cells);
-  return apply_to_view(query, scratch);
+std::shared_ptr<const PartialCube> QueryEngine::generation() const {
+  const std::lock_guard<std::mutex> lock(generation_mutex_);
+  return generation_;
 }
 
 std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
@@ -202,31 +171,27 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
   span.tag("kind", query_kind_name(query.kind))
       .tag("view", static_cast<std::int64_t>(query.view.mask()));
   queries_->increment();
-  std::shared_ptr<const PartialCube> snap;
+  // Pin one generation for the whole query; replan() swaps underneath
+  // without ever invalidating it.
+  const std::shared_ptr<const PartialCube> cube = generation();
+  // route() rejects a view outside the lattice before its counter slot
+  // is indexed.
+  const std::optional<DimSet> route = cube->routes().route(query.view);
+  view_freq_[query.view.mask()].fetch_add(1, std::memory_order_relaxed);
   std::uint32_t routed_mask = query.view.mask();
   bool ancestor_routed = false;
-  if (serves_partial()) {
-    // Pin one generation for the whole query; replan() swaps underneath
-    // without ever invalidating it.
-    snap = partial_snapshot();
-    view_freq_[query.view.mask()].fetch_add(1, std::memory_order_relaxed);
-    const std::optional<DimSet> route = snap->routes().route(query.view);
-    if (!route) {
-      routed_mask = DimSet::full(snap->ndims()).mask();
-      routed_input_->increment();
-      span.tag("route", "input");
-    } else if (*route == query.view) {
-      routed_direct_->increment();
-      span.tag("route", "direct");
-    } else {
-      routed_mask = route->mask();
-      ancestor_routed = true;
-      routed_ancestor_->increment();
-      span.tag("route", "ancestor");
-    }
-  } else {
+  if (!route) {
+    routed_mask = DimSet::full(cube->ndims()).mask();
+    routed_input_->increment();
+    span.tag("route", "input");
+  } else if (*route == query.view) {
     routed_direct_->increment();
     span.tag("route", "direct");
+  } else {
+    routed_mask = route->mask();
+    ancestor_routed = true;
+    routed_ancestor_->increment();
+    span.tag("route", "ancestor");
   }
   // Point queries bypass the cache: one array load is cheaper than one
   // cache probe, and memoizing 8-byte scalars only churns the index.
@@ -249,8 +214,8 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
         .tag("view", static_cast<std::int64_t>(routed_mask));
   }
   std::int64_t cells = 0;
-  auto result = std::make_shared<const QueryResult>(
-      snap ? compute_partial(*snap, query, &cells) : compute(query, &cells));
+  auto result =
+      std::make_shared<const QueryResult>(compute(*cube, query, route, &cells));
   class_cells_[static_cast<std::size_t>(query.kind)]->add(cells);
   span.tag("cells", cells);
   // Drift gauge #3: on the ancestor-projection path materialize_from
@@ -261,10 +226,8 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
   // design and are excluded.
   if (ancestor_routed && query.kind != QueryKind::kPoint &&
       obs::drift_enabled()) {
-    query_drift_->record(
-        static_cast<double>(cells),
-        static_cast<double>(
-            snap->view(DimSet::from_mask(routed_mask)).size()));
+    query_drift_->record(static_cast<double>(cells),
+                         static_cast<double>(cube->view(*route).size()));
   }
   if (cacheable) {
     cache_->put(key, result, static_cast<double>(cells));
@@ -294,9 +257,7 @@ std::vector<std::shared_ptr<const QueryResult>> QueryEngine::execute_batch(
 }
 
 std::vector<std::int64_t> QueryEngine::view_frequencies() const {
-  CUBIST_CHECK(serves_partial(),
-               "view_frequencies() needs a PartialCube engine");
-  std::vector<std::int64_t> freq(static_cast<std::size_t>(num_view_slots_));
+  std::vector<std::int64_t> freq(view_freq_.size());
   for (std::size_t i = 0; i < freq.size(); ++i) {
     freq[i] = view_freq_[i].load(std::memory_order_relaxed);
   }
@@ -304,15 +265,16 @@ std::vector<std::int64_t> QueryEngine::view_frequencies() const {
 }
 
 QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
-  CUBIST_CHECK(serves_partial(), "replan() needs a PartialCube engine");
   // Serialize re-planners; readers are never blocked — each pins the
   // generation current at its start and finishes against it.
   const std::lock_guard<std::mutex> lock(replan_mutex_);
   obs::Span span("serving", "replan");
   span.tag("budget_bytes", budget_bytes);
-  const std::shared_ptr<const PartialCube> current = partial_snapshot();
-  const PartialCube& cube = *current;
-  const CubeLattice lattice(cube.sizes());
+  const std::shared_ptr<const PartialCube> current = generation();
+  // An adopted cube has no input to rebuild from: input_ptr() throws
+  // before any work, and the current generation keeps serving.
+  const std::shared_ptr<const SparseArray>& input = current->input_ptr();
+  const CubeLattice lattice(current->sizes());
   ViewSelection selection = select_views_weighted(
       lattice, budget_bytes, view_frequencies(),
       static_cast<std::int64_t>(sizeof(Value)));
@@ -324,7 +286,7 @@ QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
                               static_cast<std::int64_t>(sizeof(Value)));
   BuildStats build_stats;
   auto next_cube = std::make_shared<const PartialCube>(
-      PartialCube::build(cube.input_ptr(), selection.views, &build_stats));
+      PartialCube::build(input, selection.views, &build_stats));
   ReplanReport report;
   report.budget_bytes = budget_bytes;
   report.certified_bytes = certified;
@@ -339,8 +301,8 @@ QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
   {
     // `current` still holds the old generation, so it is never freed
     // under the lock.
-    const std::lock_guard<std::mutex> swap_lock(partial_mutex_);
-    partial_snapshot_ = std::move(next_cube);
+    const std::lock_guard<std::mutex> swap_lock(generation_mutex_);
+    generation_ = std::move(next_cube);
   }
   obs::Instant("serving", "snapshot.swap")
       .tag("views", static_cast<std::int64_t>(selection.views.size()))

@@ -1,32 +1,30 @@
-// QueryEngine: concurrent OLAP serving over an immutable cube snapshot.
+// QueryEngine: concurrent OLAP serving over an immutable cube generation.
 //
-// The engine layers four pieces over CubeResult / PartialCube +
-// core/olap_query:
+// The engine layers four pieces over PartialCube + core/olap_query:
 //
-//  * Snapshot reads. The engine serves either a full cube
-//    (shared_ptr<const CubeResult>) or a partially materialized one
-//    (shared_ptr<const PartialCube>); every query computes from an
-//    immutable snapshot — concurrent readers share nothing mutable on
-//    the cube read path and take no locks there. Pinning a partial
-//    generation copies one shared_ptr under a mutex held for that copy
-//    only.
+//  * Generation reads. The engine serves one shared_ptr<const
+//    PartialCube> generation: a selection built from a shared input, or
+//    a complete CubeResult adopted as the every-view selection
+//    (PartialCube::adopt, no copy). Every query pins the current
+//    generation by copying one shared_ptr under a mutex held for that
+//    copy only, then computes from immutable data without locks.
 //
-//  * Minimal-ancestor routing (partial snapshots). The cube's own
-//    AncestorTable (PartialCube::routes()) resolves every query's view to
-//    its cheapest materialized ancestor (Theorem-7 minimal-parent chain
-//    as fallback); unmaterialized views are projected out of the routed
-//    ancestor — or the raw input — on the fly. ServingStats records
-//    cells_scanned per query class plus routing outcomes, so the linear
-//    cost model the view selection optimizes is directly observable.
+//  * Minimal-ancestor routing. The generation's AncestorTable
+//    (PartialCube::routes()) resolves every query's view to its cheapest
+//    materialized ancestor (Theorem-7 minimal-parent chain as fallback);
+//    unmaterialized views are projected out of the routed ancestor — or
+//    the raw input — on the fly. ServingStats records cells_scanned per
+//    query class plus routing outcomes, so the linear cost model the
+//    view selection optimizes is directly observable.
 //
 //  * Workload feedback. A lock-cheap per-view frequency counter (one
 //    relaxed fetch_add per query) records which views the stream hits;
 //    replan() feeds it to the frequency-weighted benefit-per-byte greedy
 //    (select_views_weighted), certifies the chosen set against the byte
 //    budget via the memory verifier, rebuilds a PartialCube from the
-//    SAME shared input, and swaps the snapshot pointer — in-flight
-//    queries keep the old generation alive, same immutability contract
-//    as a refresh.
+//    SAME shared input, and swaps the generation pointer — in-flight
+//    queries keep the old generation alive. An adopted cube has no input
+//    to rebuild from, so replan() rejects it.
 //
 //  * Hot-slice caching + latency telemetry. Computed results are
 //    memoized in a cost-weighted SliceCache keyed by the ROUTED view
@@ -48,7 +46,7 @@
 // Batches run through the shared ThreadPool's chunked parallel_for (one
 // query per chunk), inheriting its exception propagation and per-rank
 // budget behavior; `max_workers` caps a batch's concurrency, modeling N
-// concurrent clients. Determinism contract: for a fixed snapshot, the
+// concurrent clients. Determinism contract: for a fixed generation, the
 // results of a batch are bit-identical for every pool size and with the
 // cache on or off (tests/serving/serving_determinism_test.cpp and
 // tests/serving/partial_serving_test.cpp).
@@ -115,9 +113,9 @@ struct ServingStats {
   std::int64_t cells_scanned = 0;
   std::array<std::int64_t, kNumQueryKinds> class_cells_scanned{};
   /// Routing outcomes — every query is classified against the routing
-  /// table, cache hits included (full-cube snapshots always count as
-  /// direct): served from the query's own materialized view, from a
-  /// materialized ancestor, or from the raw input.
+  /// table, cache hits included (an adopted full cube serves every proper
+  /// view directly): served from the query's own materialized view, from
+  /// a materialized ancestor, or from the raw input.
   std::int64_t routed_direct = 0;
   std::int64_t routed_ancestor = 0;
   std::int64_t routed_input = 0;
@@ -125,22 +123,20 @@ struct ServingStats {
 
 class QueryEngine {
  public:
-  /// Serves a fully materialized cube. `snapshot` must be non-null; the
-  /// engine shares ownership, so the cube outlives every in-flight
-  /// query.
-  explicit QueryEngine(std::shared_ptr<const CubeResult> snapshot,
+  /// Serves `generation`: queries on any lattice view are routed to
+  /// their cheapest materialized ancestor via its routes() and the
+  /// residual dimensions are aggregated on the fly. `generation` must be
+  /// non-null; the engine shares ownership, so it outlives every
+  /// in-flight query.
+  explicit QueryEngine(std::shared_ptr<const PartialCube> generation,
                        QueryEngineOptions options = {});
 
-  /// Serves a partially materialized cube: queries on any lattice view
-  /// are routed to their cheapest materialized ancestor via the cube's
-  /// routes() and the residual dimensions are aggregated on the fly.
-  /// Answers are identical to the full-cube engine's for every routing
-  /// path.
-  explicit QueryEngine(std::shared_ptr<const PartialCube> snapshot,
+  /// Serves a complete cube through PartialCube::adopt.
+  explicit QueryEngine(std::shared_ptr<const CubeResult> cube,
                        QueryEngineOptions options = {});
 
-  /// Executes one query (validating it against the snapshot; rejections
-  /// throw InvalidArgument). Returns a shared result — possibly served
+  /// Executes one query (validating it against the generation;
+  /// rejections throw InvalidArgument). Returns a shared result — possibly served
   /// from cache, always bit-identical to a fresh computation.
   std::shared_ptr<const QueryResult> execute(const Query& query);
 
@@ -162,18 +158,16 @@ class QueryEngine {
   /// without the quantile-sketch work; cheap enough to sample per query.
   std::int64_t cells_scanned_total() const;
 
-  /// Full-cube snapshot accessor; only valid when the engine was built
-  /// over a CubeResult.
-  const CubeResult& snapshot() const;
+  /// The current generation's views, valid until the next replan().
+  const CubeResult& snapshot() const { return generation()->views(); }
   bool cache_enabled() const { return cache_ != nullptr; }
 
-  bool serves_partial() const { return view_freq_ != nullptr; }
-  /// The current partial-cube generation (partial engines only). Swapped
-  /// by replan(); callers get a consistent pinned snapshot.
-  std::shared_ptr<const PartialCube> partial_snapshot() const;
+  /// The current generation. Swapped by replan(); callers get a
+  /// consistent pinned snapshot.
+  std::shared_ptr<const PartialCube> generation() const;
 
   /// Observed per-view query counts, indexed by view mask — the feedback
-  /// signal replan() optimizes (partial engines only).
+  /// signal replan() optimizes.
   std::vector<std::int64_t> view_frequencies() const;
 
   /// Outcome of one replan() cycle.
@@ -190,35 +184,24 @@ class QueryEngine {
   /// byte-budget certification through the memory verifier, rebuild from
   /// the shared input (asserted against the certificate), pointer swap.
   /// Concurrent queries never wait for the rebuild — each pins one
-  /// generation for its whole execution.
-  /// Partial engines only.
+  /// generation for its whole execution. A generation without an input
+  /// (an adopted cube) is rejected with InvalidArgument.
   ReplanReport replan(std::int64_t budget_bytes);
 
  private:
-  /// Option validation, registry/instrument and cache setup shared by
-  /// both ctors.
-  void init_telemetry();
-  /// Computes the answer from the full snapshot; `cells` reports the
-  /// cells scanned (the cache cost weight).
-  QueryResult compute(const Query& query, std::int64_t* cells) const;
-  /// Computes the answer from a pinned partial generation.
-  QueryResult compute_partial(const PartialCube& cube, const Query& query,
-                              std::int64_t* cells) const;
   void record_latency(QueryKind kind, double micros);
 
-  std::shared_ptr<const CubeResult> snapshot_;  // full mode only
-  // Partial mode: the current generation. partial_mutex_ guards only the
-  // pointer: readers copy it, replan() replaces it. (libstdc++ 12's
+  // The current generation. generation_mutex_ guards only the pointer:
+  // readers copy it, replan() replaces it. (libstdc++ 12's
   // atomic<shared_ptr>::load unlocks with relaxed order, so its store
   // formally races with an earlier load; TSan reports it.)
-  std::shared_ptr<const PartialCube> partial_snapshot_;
-  mutable std::mutex partial_mutex_;
+  std::shared_ptr<const PartialCube> generation_;
+  mutable std::mutex generation_mutex_;
   QueryEngineOptions options_;
   std::unique_ptr<SliceCache> cache_;
-  // Per-view query counts (partial mode; size = 2^ndims). A plain array
-  // of relaxed atomics: one uncontended fetch_add per query.
-  std::unique_ptr<std::atomic<std::int64_t>[]> view_freq_;
-  std::int64_t num_view_slots_ = 0;
+  // Per-view query counts (size = 2^ndims), relaxed atomics: one
+  // uncontended fetch_add per query.
+  std::vector<std::atomic<std::int64_t>> view_freq_;
   std::mutex replan_mutex_;  // serializes re-planners, never readers
   // Registry-backed telemetry: every counter/histogram below is an
   // instrument owned by registry_; stats() reads them back.

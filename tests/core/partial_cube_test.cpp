@@ -146,6 +146,24 @@ TEST(PartialCubeTest, SharedInputIsNotCopiedAcrossGenerations) {
   EXPECT_EQ(input.use_count(), 3);
 }
 
+TEST(PartialCubeTest, AdoptSharesACompleteCubeWithoutAnInput) {
+  const SparseArray input = make_input();
+  const auto full = std::make_shared<const CubeResult>(reference_cube(input));
+  const PartialCube cube = PartialCube::adopt(full);
+  EXPECT_EQ(&cube.views(), full.get());
+  const DimSet root = DimSet::full(3);
+  for (DimSet view : CubeLattice(input.shape().extents()).all_views()) {
+    if (view == root) continue;
+    EXPECT_EQ(cube.routes().route(view), view) << view.to_string();
+    EXPECT_EQ(cube.materialize(view), full->view(view)) << view.to_string();
+  }
+  // The root view is the input, which an adopted cube does not hold.
+  EXPECT_THROW(cube.input(), InvalidArgument);
+  EXPECT_THROW(cube.query(root, {0, 0, 0}), InvalidArgument);
+  EXPECT_THROW(cube.materialize(root), InvalidArgument);
+  EXPECT_THROW(PartialCube::adopt(nullptr), InvalidArgument);
+}
+
 TEST(PartialCubeTest, PeakAccountingExcludesTheSharedInput) {
   // peak_scratch_bytes-style accounting of a re-plan cycle: with the
   // input shared, the peak while both generations are alive is input +

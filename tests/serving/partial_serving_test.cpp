@@ -1,10 +1,12 @@
 // Partial-materialization serving: the equivalence matrix (any selected
-// subset, any routing path, any pool size — bit-identical to the
-// full-cube answers), exact agreement between query_cost() and measured
-// cells_scanned, workload feedback counters, and replan()'s atomic
-// snapshot swap under concurrent queries. The TSan CI preset runs the
-// swap test with real concurrency, proving readers never synchronize
-// with re-planners beyond the snapshot pointer.
+// subset, any routing path, any pool size — bit-identical to answers
+// computed from reference_cube by the core OLAP operators, outside the
+// engine), exact agreement between query_cost() and measured
+// cells_scanned, workload feedback counters, replan()'s atomic
+// generation swap under concurrent queries, and an adopted full cube.
+// The TSan CI preset runs the swap test with real concurrency, proving
+// readers never synchronize with re-planners beyond the generation
+// pointer.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,6 +37,32 @@ std::shared_ptr<const SparseArray> make_input(
   return std::make_shared<const SparseArray>(generate_sparse_global(spec));
 }
 
+/// The oracle: answers `query` from a complete cube with the core OLAP
+/// operators, sharing no routing or projection code with the engine.
+QueryResult answer(const CubeResult& cube, const Query& query) {
+  QueryResult result;
+  result.kind = query.kind;
+  switch (query.kind) {
+    case QueryKind::kPoint:
+      result.scalar = cube.query(query.view, query.coords);
+      break;
+    case QueryKind::kSlice:
+      result.array = slice(cube.view(query.view), query.dim, query.index);
+      break;
+    case QueryKind::kDice:
+      result.array = dice(cube.view(query.view), query.lo, query.hi);
+      break;
+    case QueryKind::kRollup:
+      result.array = rollup(cube.view(query.view), query.dim, query.mapping,
+                            query.coarse_extent);
+      break;
+    case QueryKind::kTopK:
+      result.topk = top_k(cube.view(query.view), query.k);
+      break;
+  }
+  return result;
+}
+
 std::vector<QueryResult> run_partial_cell(
     const std::shared_ptr<const PartialCube>& cube,
     const std::vector<Query>& batch, int pool_size, bool cache_on) {
@@ -54,7 +82,7 @@ std::vector<QueryResult> run_partial_cell(
 TEST(PartialServingTest, EquivalenceMatrixAcrossSelectionsAndPools) {
   const auto input = make_input({8, 6, 5});
   const CubeLattice lattice(input->shape().extents());
-  auto full = std::make_shared<const CubeResult>(reference_cube(*input));
+  const CubeResult full = reference_cube(*input);
 
   WorkloadSpec spec;
   spec.skew = WorkloadSpec::Skew::kZipfian;
@@ -63,16 +91,8 @@ TEST(PartialServingTest, EquivalenceMatrixAcrossSelectionsAndPools) {
   WorkloadGenerator workload(input->shape().extents(), spec);
   const std::vector<Query> batch = workload.batch(400);
 
-  // Oracle: the full-cube engine, single-threaded, uncached.
   std::vector<QueryResult> baseline;
-  {
-    ThreadPool pool(1);
-    QueryEngineOptions options;
-    options.pool = &pool;
-    options.cache_budget_bytes = 0;
-    QueryEngine oracle(full, options);
-    for (const Query& query : batch) baseline.push_back(*oracle.execute(query));
-  }
+  for (const Query& query : batch) baseline.push_back(answer(full, query));
 
   std::vector<std::vector<DimSet>> selections;
   selections.push_back({});  // everything routes to the input
@@ -219,7 +239,7 @@ TEST(PartialServingTest, ReplanMaterializesTheObservedHotViews) {
   EXPECT_EQ(report.materialized_bytes, report.certified_bytes);
   ASSERT_FALSE(report.views.empty());
   EXPECT_EQ(report.views.front(), DimSet::of({1, 2}));
-  EXPECT_TRUE(engine.partial_snapshot()->is_materialized(DimSet::of({1, 2})));
+  EXPECT_TRUE(engine.generation()->is_materialized(DimSet::of({1, 2})));
   // The hot view now serves directly.
   const ServingStats before = engine.stats();
   engine.execute(Query::top_k(DimSet::of({1, 2}), 3));
@@ -229,7 +249,7 @@ TEST(PartialServingTest, ReplanMaterializesTheObservedHotViews) {
 
 TEST(PartialServingTest, ReplanSwapsSnapshotsUnderConcurrentQueries) {
   // Readers pin a generation; replan() swaps underneath. Results must
-  // stay bit-identical to the full-cube oracle throughout — no torn
+  // stay bit-identical to the reference-cube oracle throughout — no torn
   // reads, no stale-but-wrong answers. TSan verifies the memory orders.
   const auto input = make_input({8, 6, 5});
   const CubeLattice lattice(input->shape().extents());
@@ -242,16 +262,9 @@ TEST(PartialServingTest, ReplanSwapsSnapshotsUnderConcurrentQueries) {
   const std::vector<Query> batch = workload.batch(300);
 
   // Oracle answers, computed once outside the engine.
+  const CubeResult full = reference_cube(*input);
   std::vector<QueryResult> expected;
-  {
-    ThreadPool pool(1);
-    QueryEngineOptions options;
-    options.pool = &pool;
-    options.cache_budget_bytes = 0;
-    QueryEngine oracle(
-        std::make_shared<const CubeResult>(reference_cube(*input)), options);
-    for (const Query& query : batch) expected.push_back(*oracle.execute(query));
-  }
+  for (const Query& query : batch) expected.push_back(answer(full, query));
 
   const auto cube = std::make_shared<const PartialCube>(
       PartialCube::build(input, select_views_greedy(lattice, 2).views));
@@ -279,13 +292,18 @@ TEST(PartialServingTest, ReplanSwapsSnapshotsUnderConcurrentQueries) {
       EXPECT_LE(report.certified_bytes, full_bytes / (round + 2));
     }
   });
-  for (int round = 0; round < 6; ++round) {
-    const auto results = engine.execute_batch(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(*results[i], expected[i]) << "round=" << round << " i=" << i;
+  // A failed ASSERT returns from the lambda only, so the replanner is
+  // still joined instead of destroyed joinable (which would abort).
+  const auto serve_rounds = [&] {
+    for (int round = 0; round < 6; ++round) {
+      const auto results = engine.execute_batch(batch);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_EQ(*results[i], expected[i]) << "round=" << round << " i=" << i;
+      }
     }
-  }
+  };
+  serve_rounds();
   replanner.join();
 }
 
@@ -340,19 +358,45 @@ TEST(PartialServingTest, EveryRouteRejectsMalformedPoints) {
   }
 }
 
-TEST(PartialServingTest, FullCubeEngineRejectsPartialAccessors) {
+TEST(PartialServingTest, AdoptedFullCubeServesEveryProperViewDirectly) {
   const auto input = make_input({6, 5, 4});
+  const CubeLattice lattice(input->shape().extents());
+  const DimSet root = DimSet::full(3);
   auto full = std::make_shared<const CubeResult>(build_cube_sequential(*input));
   QueryEngine engine(full);
-  EXPECT_FALSE(engine.serves_partial());
-  EXPECT_THROW(engine.view_frequencies(), InvalidArgument);
+  for (DimSet view : lattice.all_views()) {
+    if (view == root) continue;
+    engine.execute(Query::top_k(view, 2));
+    engine.execute(Query::top_k(view, 3));
+    // The engine serves the cube it was given; nothing was copied.
+    EXPECT_EQ(&engine.snapshot().view(view), &full->view(view))
+        << view.to_string();
+  }
+  const ServingStats stats = engine.stats();
+  EXPECT_EQ(stats.routed_direct, 14);
+  EXPECT_EQ(stats.routed_ancestor + stats.routed_input, 0);
+  const std::vector<std::int64_t> freq = engine.view_frequencies();
+  for (DimSet view : lattice.all_views()) {
+    EXPECT_EQ(freq[view.mask()], view == root ? 0 : 2) << view.to_string();
+  }
+
+  // No input: nothing to re-plan from and no root view to answer.
   EXPECT_THROW(engine.replan(1 << 20), InvalidArgument);
-  EXPECT_THROW(engine.partial_snapshot(), InvalidArgument);
-  const auto partial = std::make_shared<const PartialCube>(
-      PartialCube::build(input, {DimSet::of({0})}));
-  QueryEngine partial_engine(partial);
-  EXPECT_TRUE(partial_engine.serves_partial());
-  EXPECT_THROW(partial_engine.snapshot(), InvalidArgument);
+  EXPECT_THROW(engine.execute(Query::top_k(root, 2)), InvalidArgument);
+  EXPECT_THROW(engine.execute(Query::point(root, {0, 0, 0})),
+               InvalidArgument);
+  const DimSet ab = DimSet::of({0, 1});
+  EXPECT_EQ(engine.execute(Query::point(ab, {2, 3}))->scalar,
+            full->query(ab, {2, 3}));
+  EXPECT_EQ(engine.generation()->views().num_views(), 7u);
+
+  // A cube missing a proper view is not adopted: projecting it from an
+  // ancestor would sum, which is wrong for a MIN or MAX cube.
+  CubeResult partial = build_cube_sequential(*input);
+  partial.take(DimSet::of({2}));
+  EXPECT_THROW(
+      PartialCube::adopt(std::make_shared<const CubeResult>(std::move(partial))),
+      InvalidArgument);
 }
 
 }  // namespace

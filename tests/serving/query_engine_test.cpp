@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "core/olap_query.h"
 #include "core/sequential_builder.h"
+#include "io/generators.h"
 #include "serving/workload.h"
 #include "test_util.h"
 
@@ -95,12 +96,11 @@ TEST(QueryEngineTest, BatchPreservesOrderAndMatchesSerial) {
   }
 }
 
-TEST(QueryEngineTest, RejectsInvalidQueries) {
-  auto cube = small_cube();
-  QueryEngine engine(cube);
+/// Rejections every engine over a {6, 5, 4} cube must raise.
+void expect_rejects_invalid_queries(QueryEngine& engine) {
   // Out-of-range slice dim, bad index, non-surjective rollup, bad point.
   const DimSet ab = DimSet::of({0, 1});
-  // A view the cube does not store (3-d cube has no dim 5).
+  // A view outside the lattice (3-d cube has no dim 5).
   EXPECT_THROW(engine.execute(Query::slice(DimSet::of({5}), 0, 0)),
                InvalidArgument);
   EXPECT_THROW(engine.execute(Query::slice(ab, 5, 0)), InvalidArgument);
@@ -109,10 +109,34 @@ TEST(QueryEngineTest, RejectsInvalidQueries) {
                InvalidArgument);
   EXPECT_THROW(engine.execute(Query::point(ab, {1})), InvalidArgument);
   EXPECT_THROW(engine.execute(Query::top_k(ab, -2)), InvalidArgument);
+}
+
+TEST(QueryEngineTest, RejectsInvalidQueries) {
+  QueryEngine engine(small_cube());
+  expect_rejects_invalid_queries(engine);
   EXPECT_THROW(QueryEngine(std::shared_ptr<const CubeResult>()),
                InvalidArgument);
   EXPECT_THROW(QueryEngine(std::shared_ptr<const PartialCube>()),
                InvalidArgument);
+}
+
+TEST(QueryEngineTest, PartialCubeEngineRejectsInvalidQueries) {
+  // The same rejections with {0,1} served directly and from the input.
+  // The out-of-lattice view must be rejected before its frequency
+  // counter is touched: the counters have one slot per lattice view.
+  SparseSpec spec;
+  spec.sizes = {6, 5, 4};
+  spec.density = 0.5;
+  spec.seed = 11;
+  const auto input =
+      std::make_shared<const SparseArray>(generate_sparse_global(spec));
+  for (const std::vector<DimSet>& views :
+       {std::vector<DimSet>{DimSet::of({0, 1})}, std::vector<DimSet>{}}) {
+    QueryEngine engine(
+        std::make_shared<const PartialCube>(PartialCube::build(input, views)));
+    expect_rejects_invalid_queries(engine);
+    EXPECT_EQ(engine.view_frequencies().size(), 8u);
+  }
 }
 
 TEST(QueryEngineTest, RejectsMalformedPoints) {
