@@ -224,10 +224,9 @@ void publish_cost_model() {
 /// One sweep cell: a full construction with the reduction algorithm
 /// forced (or kAuto for the tuner), fully certified — static schedule
 /// verifier pre-flight, post-run ledger + wire audits against the tuned
-/// plan, and the happens-before auditor over the recorded trace.
-/// (Exhaustive interleaving certification of the same tuned schedules
-/// runs in CI via `cubist-analyze --figure7 --algorithm=...`, where the
-/// shapes are small enough to enumerate every arrival order.)
+/// plan, and the happens-before auditor over the recorded trace. The
+/// verifier's one replay covers every arrival order, since every receive
+/// names its source (docs/ANALYSIS.md).
 void BM_AlgorithmSweep(benchmark::State& state,
                        const std::vector<std::int64_t>& sizes,
                        const std::vector<int>& splits, int ranks_per_node,

@@ -70,68 +70,12 @@ void BM_Barrier(benchmark::State& state) {
 BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->Arg(16)->Unit(
     benchmark::kMillisecond);
 
-/// Head-of-line blocking at a gather root: virtual-clock makespan of a
-/// fixed rank-order receive loop versus the arrival-order (match-any)
-/// receive gather_bytes now uses, when rank 1 straggles and the root does
-/// per-payload work between receives. This one measures the virtual
-/// clock, not harness overhead: arrival-order lets the root process the
-/// fast ranks' payloads while the straggler's transfer is in flight.
-void BM_GatherArrivalOrder(benchmark::State& state) {
-  const int p = static_cast<int>(state.range(0));
-  const double straggle = 4.0;     // rank 1's virtual head start
-  const double per_payload = 0.5;  // root-side seconds per payload
-  CostModel model = free_model();
-  model.latency = 1e-4;
-  const auto makespan = [&](bool match_any) {
-    return Runtime::run(p, model, [&](Comm& comm) {
-      if (comm.rank() == 0) {
-        // Drain the fast ranks' ready signals first so their payloads are
-        // queued before any match-any pick; the straggler's payload loses
-        // every arrival-time comparison either way, so the schedule is
-        // deterministic.
-        for (int r = 2; r < p; ++r) comm.recv_bytes(r, 2);
-        for (int i = 1; i < p; ++i) {
-          if (match_any) {
-            comm.recv_bytes_any(1);
-          } else {
-            comm.recv_bytes(i, 1);
-          }
-          comm.advance_clock(per_payload);
-        }
-      } else {
-        if (comm.rank() == 1) comm.advance_clock(straggle);
-        comm.send_values(0, 1, std::vector<Value>(64, 1.0));
-        if (comm.rank() != 1) {
-          comm.send_values(0, 2, std::vector<Value>{1.0});
-        }
-      }
-    }).makespan_seconds;
-  };
-  double fixed = 0.0;
-  double any = 0.0;
-  for (auto _ : state) {
-    fixed = makespan(/*match_any=*/false);
-    any = makespan(/*match_any=*/true);
-    state.SetIterationTime(any);
-  }
-  state.counters["fixed_clock_s"] = fixed;
-  state.counters["matchany_clock_s"] = any;
-  state.counters["clock_speedup"] = any > 0 ? fixed / any : 0.0;
-}
-BENCHMARK(BM_GatherArrivalOrder)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 /// Two-tier topology reduce: virtual-clock makespan of a whole-group
 /// reduction on a cluster-of-SMPs (3 ranks per node, inter-node link an
 /// order of magnitude worse), forced binomial vs two-level hierarchical
-/// vs the tuner. Like BM_GatherArrivalOrder this measures the virtual
-/// clock, not harness overhead: the two-level schedule crosses the slow
-/// inter-node links once per node instead of once per binomial round.
+/// vs the tuner. This one measures the virtual clock, not harness
+/// overhead: the two-level schedule crosses the slow inter-node links
+/// once per node instead of once per binomial round.
 void BM_ReduceTwoTier(benchmark::State& state) {
   const int p = 8;
   const std::int64_t block = state.range(0);

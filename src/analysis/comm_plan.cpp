@@ -118,11 +118,9 @@ class RankPlanner {
                              child.mask(), op.count, op.offset});
         (*elements_by_view_)[child.mask()] += op.count;
       } else {
-        // Each receive is immediately folded into the local block: the
-        // combine is a first-class IR event because its ORDER (fixed
-        // step order, deterministic by construction for every
-        // algorithm) is exactly what the interleaving checker
-        // certifies.
+        // Each receive is immediately folded into the local block, in
+        // the program's fixed step order: the combine is a first-class
+        // IR event, as it is in the run's EventTrace.
         plan_.ops.push_back({PlannedOp::Kind::kRecv, op.step.peer,
                              child.mask(), op.count, op.offset});
         plan_.ops.push_back({PlannedOp::Kind::kCombine, op.step.peer,

@@ -41,7 +41,7 @@ struct ScheduleSpec {
   /// Reduction schedule, as in ReduceOptions::algorithm. kAuto resolves
   /// through the same tuner on the same static inputs as the runtime, so
   /// the plan IS the tuned schedule the ranks will execute — whatever the
-  /// tuner picks is what gets verified and model checked.
+  /// tuner picks is what gets verified.
   ReduceAlgorithm reduce_algorithm = ReduceAlgorithm::kBinomial;
   /// Tuner inputs mirrored from ReduceOptions / ParallelOptions: the
   /// static density hint, the wire-codec switch, and the cost model whose
@@ -53,8 +53,8 @@ struct ScheduleSpec {
 
 /// One planned operation of a rank, in program order. Planned ops ARE
 /// schedule-IR events (analysis/schedule_ir.h): typed send / recv /
-/// recv-any / combine with view, chunk offset and wire tag — the alias
-/// keeps the historical name used throughout the verifier and its tests.
+/// combine with view, chunk offset and wire tag — the alias keeps the
+/// historical name used throughout the verifier and its tests.
 using PlannedOp = CommEvent;
 
 /// One planned view-block lifetime transition of a rank, in program order.
@@ -97,9 +97,9 @@ struct CommPlan {
 
   std::int64_t total_elements() const;
   std::int64_t total_messages() const;
-  /// The plan's communication events as a standalone schedule IR — the
-  /// input of the interleaving model checker (memory events and write-back
-  /// bookkeeping are not part of the interleaving semantics).
+  /// The plan's communication events as a standalone schedule IR (memory
+  /// events and write-back bookkeeping are not part of it) — what
+  /// apply_schedule_mutation seeds bugs into.
   ScheduleIR ir() const;
 };
 

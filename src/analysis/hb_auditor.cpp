@@ -1,6 +1,5 @@
 #include "analysis/hb_auditor.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -15,7 +14,6 @@ namespace {
 struct TraceRef {
   int rank = -1;
   std::uint64_t index = 0;
-  bool operator==(const TraceRef&) const = default;
   bool operator<(const TraceRef& o) const {
     return rank != o.rank ? rank < o.rank : index < o.index;
   }
@@ -46,21 +44,6 @@ void add_violation(HbAuditReport& report, ViolationCode code, int rank,
   report.violations.push_back(std::move(violation));
 }
 
-using Clock = std::vector<std::int64_t>;
-
-bool leq(const Clock& a, const Clock& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) return false;
-  }
-  return true;
-}
-
-void join(Clock& into, const Clock& other) {
-  for (std::size_t i = 0; i < into.size(); ++i) {
-    into[i] = std::max(into[i], other[i]);
-  }
-}
-
 class Auditor {
  public:
   Auditor(const EventTrace& trace, HbAuditReport& report)
@@ -71,8 +54,7 @@ class Auditor {
   void run() {
     report_.events = trace_.total_events();
     validate_structure();
-    const bool clocks_ok = compute_clocks();
-    if (clocks_ok) check_races();
+    replay();
   }
 
  private:
@@ -94,8 +76,7 @@ class Auditor {
       const std::vector<TraceEvent>& events = events_of(r);
       for (std::uint64_t i = 0; i < events.size(); ++i) {
         const TraceEvent& e = events[i];
-        if (e.kind == TraceEventKind::kRecv ||
-            e.kind == TraceEventKind::kRecvAny) {
+        if (e.kind == TraceEventKind::kRecv) {
           validate_receive(r, i, e, consumed_by);
         } else if (e.kind == TraceEventKind::kCombine) {
           validate_combine(r, i, e);
@@ -178,8 +159,7 @@ class Auditor {
     ++report_.combines_checked;
     const std::vector<TraceEvent>& events = events_of(r);
     if (e.operand_seq == kNoTraceSeq || e.operand_seq >= i ||
-        (events[e.operand_seq].kind != TraceEventKind::kRecv &&
-         events[e.operand_seq].kind != TraceEventKind::kRecvAny) ||
+        events[e.operand_seq].kind != TraceEventKind::kRecv ||
         events[e.operand_seq].tag != e.tag) {
       std::ostringstream msg;
       msg << "combine operand provenance broken: " << describe(trace_, {r, i})
@@ -190,18 +170,12 @@ class Auditor {
     }
   }
 
-  /// Sweeps all ranks forward, joining clocks across message edges and at
-  /// global barriers. Returns false when causality stalls (only possible
-  /// on malformed traces; the stall is reported unless a structural
-  /// violation already explains it).
-  bool compute_clocks() {
-    if (p_ == 0) return true;
-    std::vector<Clock> vc(static_cast<std::size_t>(p_),
-                          Clock(static_cast<std::size_t>(p_), 0));
-    send_clock_.resize(static_cast<std::size_t>(p_));
-    for (int r = 0; r < p_; ++r) {
-      send_clock_[static_cast<std::size_t>(r)].resize(events_of(r).size());
-    }
+  /// Sweeps all ranks forward along the trace's happens-before order:
+  /// program order, message edges (a receive waits until its matched
+  /// send is swept) and global barriers (the g-th barrier of every rank
+  /// is one round). Causality only stalls on a malformed trace; the stall
+  /// is reported unless a structural violation already explains it.
+  void replay() {
     std::vector<std::uint64_t> cursor(static_cast<std::size_t>(p_), 0);
     const auto done = [&](int r) {
       return cursor[static_cast<std::size_t>(r)] >= events_of(r).size();
@@ -209,25 +183,15 @@ class Auditor {
     while (true) {
       bool progress = false;
       for (int r = 0; r < p_; ++r) {
-        Clock& clock = vc[static_cast<std::size_t>(r)];
         while (!done(r)) {
           const std::uint64_t i = cursor[static_cast<std::size_t>(r)];
           const TraceEvent& e = events_of(r)[i];
           if (e.kind == TraceEventKind::kBarrier) break;
-          if ((e.kind == TraceEventKind::kRecv ||
-               e.kind == TraceEventKind::kRecvAny) &&
-              !is_bad(r, i)) {
-            // The matched send must have been swept already.
+          if (e.kind == TraceEventKind::kRecv && !is_bad(r, i)) {
             if (cursor[static_cast<std::size_t>(e.peer)] <= e.match_seq) {
               break;
             }
-            join(clock,
-                 send_clock_[static_cast<std::size_t>(e.peer)][e.match_seq]);
             ++report_.message_edges;
-          }
-          clock[static_cast<std::size_t>(r)] += 1;
-          if (e.kind == TraceEventKind::kSend) {
-            send_clock_[static_cast<std::size_t>(r)][i] = clock;
           }
           ++cursor[static_cast<std::size_t>(r)];
           progress = true;
@@ -246,90 +210,25 @@ class Auditor {
             events_of(r)[cursor[static_cast<std::size_t>(r)]];
         if (e.kind != TraceEventKind::kBarrier) all_at_barrier = false;
       }
-      if (all_done) return true;
+      if (all_done) return;
       if (all_at_barrier) {
-        // A global barrier: everyone joins everyone.
-        Clock joint(static_cast<std::size_t>(p_), 0);
-        for (const Clock& clock : vc) join(joint, clock);
-        for (int r = 0; r < p_; ++r) {
-          Clock& clock = vc[static_cast<std::size_t>(r)];
-          clock = joint;
-          clock[static_cast<std::size_t>(r)] += 1;
-          ++cursor[static_cast<std::size_t>(r)];
-        }
+        for (std::uint64_t& at : cursor) ++at;
         ++report_.barrier_rounds;
         continue;
       }
       // Stalled: some rank waits on an edge that can never resolve.
       if (report_.violations.empty()) {
-        std::ostringstream msg;
-        msg << "happens-before sweep stalled; first blocked rank";
         for (int r = 0; r < p_; ++r) {
           if (done(r)) continue;
-          msg << ": "
+          std::ostringstream msg;
+          msg << "happens-before replay stalled; first blocked rank: "
               << describe(trace_, {r, cursor[static_cast<std::size_t>(r)]});
           add_violation(report_, ViolationCode::kMalformedTrace, r, 0, 0,
                         msg.str());
           break;
         }
       }
-      return false;
-    }
-  }
-
-  /// A combine whose operand arrived through a wildcard receive races if
-  /// any OTHER send into the same (rank, tag) stream is concurrent with
-  /// the consumed one: the match — and therefore the fold order — was
-  /// decided by timing. Fixed-source receives cannot race (FIFO per
-  /// channel makes their match interleaving-independent).
-  void check_races() {
-    std::map<std::pair<int, std::uint64_t>, std::vector<TraceRef>>
-        sends_by_stream;
-    for (int r = 0; r < p_; ++r) {
-      const std::vector<TraceEvent>& events = events_of(r);
-      for (std::uint64_t i = 0; i < events.size(); ++i) {
-        if (events[i].kind == TraceEventKind::kSend) {
-          sends_by_stream[{events[i].peer, events[i].tag}].push_back({r, i});
-        }
-      }
-    }
-    std::set<std::pair<TraceRef, TraceRef>> reported;
-    for (int r = 0; r < p_; ++r) {
-      const std::vector<TraceEvent>& events = events_of(r);
-      for (std::uint64_t i = 0; i < events.size(); ++i) {
-        const TraceEvent& e = events[i];
-        if (e.kind != TraceEventKind::kCombine || is_bad(r, i)) continue;
-        const TraceEvent& operand = events[e.operand_seq];
-        if (operand.kind != TraceEventKind::kRecvAny ||
-            is_bad(r, e.operand_seq)) {
-          continue;
-        }
-        const TraceRef consumed{operand.peer, operand.match_seq};
-        const Clock& consumed_clock =
-            send_clock_[static_cast<std::size_t>(consumed.rank)]
-                       [consumed.index];
-        const auto stream = sends_by_stream.find({r, e.tag});
-        if (stream == sends_by_stream.end()) continue;
-        for (const TraceRef& other : stream->second) {
-          if (other == consumed) continue;
-          ++report_.races_checked;
-          const Clock& other_clock =
-              send_clock_[static_cast<std::size_t>(other.rank)][other.index];
-          if (leq(consumed_clock, other_clock) ||
-              leq(other_clock, consumed_clock)) {
-            continue;  // ordered: the match could not have gone both ways
-          }
-          const auto pair = std::minmax(consumed, other);
-          if (!reported.insert({pair.first, pair.second}).second) continue;
-          std::ostringstream msg;
-          msg << "unordered combine race: " << describe(trace_, {r, i})
-              << " folded the operand of " << describe(trace_, consumed)
-              << " while " << describe(trace_, other)
-              << " was concurrent with it (no happens-before order)";
-          add_violation(report_, ViolationCode::kUnorderedCombineRace, r, 0,
-                        0, msg.str());
-        }
-      }
+      return;
     }
   }
 
@@ -337,8 +236,6 @@ class Auditor {
   HbAuditReport& report_;
   const int p_;
   std::set<std::pair<int, std::uint64_t>> bad_;
-  /// Vector clock AFTER each send event (empty for other kinds).
-  std::vector<std::vector<Clock>> send_clock_;
 };
 
 }  // namespace
@@ -347,8 +244,7 @@ std::string HbAuditReport::to_string() const {
   std::ostringstream out;
   out << (ok() ? "trace OK" : "trace INVALID") << " (" << events
       << " events, " << message_edges << " message edges, " << barrier_rounds
-      << " barrier rounds, " << combines_checked << " combines, "
-      << races_checked << " race pairs checked)";
+      << " barrier rounds, " << combines_checked << " combines)";
   for (const Violation& violation : violations) {
     out << "\n" << violation.to_string();
   }
@@ -361,7 +257,7 @@ std::string HbAuditReport::to_json() const {
       << ",\"message_edges\":" << message_edges
       << ",\"barrier_rounds\":" << barrier_rounds
       << ",\"combines_checked\":" << combines_checked
-      << ",\"races_checked\":" << races_checked << ",\"violations\":[";
+      << ",\"violations\":[";
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const Violation& violation = violations[i];
     if (i > 0) out << ",";

@@ -1,10 +1,8 @@
 #include "analysis/schedule_ir.h"
 
-#include <algorithm>
-#include <deque>
 #include <map>
 #include <sstream>
-#include <tuple>
+#include <utility>
 
 #include "common/dimset.h"
 #include "common/error.h"
@@ -16,60 +14,6 @@ std::string view_label(std::uint32_t mask) {
   return DimSet::from_mask(mask).to_string();
 }
 
-/// Identifies one wildcard-able receive site: every fixed-source receive
-/// of `rank` for the same (view, offset) stream.
-struct RecvSite {
-  int rank = -1;
-  std::uint32_t view = 0;
-  std::int64_t offset = 0;
-  std::vector<std::size_t> recv_indices;  // in program order
-};
-
-/// Earliest receive site of the IR with at least `min_sources` distinct
-/// fixed sources (rank-major, then program order). Returns an empty site
-/// (rank == -1) when none exists.
-RecvSite find_multi_source_site(const ScheduleIR& ir, int min_sources) {
-  for (int r = 0; r < ir.num_ranks; ++r) {
-    const std::vector<CommEvent>& events =
-        ir.ranks[static_cast<std::size_t>(r)].events;
-    std::map<std::pair<std::uint32_t, std::int64_t>, RecvSite> sites;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const CommEvent& e = events[i];
-      if (e.kind != CommEvent::Kind::kRecv) continue;
-      RecvSite& site = sites[{e.view, e.offset}];
-      site.rank = r;
-      site.view = e.view;
-      site.offset = e.offset;
-      site.recv_indices.push_back(i);
-    }
-    const RecvSite* best = nullptr;
-    for (const auto& [key, site] : sites) {
-      if (static_cast<int>(site.recv_indices.size()) < min_sources) continue;
-      if (best == nullptr ||
-          site.recv_indices.front() < best->recv_indices.front()) {
-        best = &site;
-      }
-    }
-    if (best != nullptr) return *best;
-  }
-  return {};
-}
-
-/// Converts every fixed receive of `site` into a wildcard, and clears the
-/// operand source of the combine that consumes each one.
-void wildcard_site(ScheduleIR& ir, const RecvSite& site) {
-  std::vector<CommEvent>& events =
-      ir.ranks[static_cast<std::size_t>(site.rank)].events;
-  for (std::size_t i : site.recv_indices) {
-    events[i].kind = CommEvent::Kind::kRecvAny;
-    events[i].peer = -1;
-    if (i + 1 < events.size() &&
-        events[i + 1].kind == CommEvent::Kind::kCombine) {
-      events[i + 1].peer = -1;
-    }
-  }
-}
-
 }  // namespace
 
 const char* to_string(CommEvent::Kind kind) {
@@ -78,8 +22,6 @@ const char* to_string(CommEvent::Kind kind) {
       return "send";
     case CommEvent::Kind::kRecv:
       return "recv";
-    case CommEvent::Kind::kRecvAny:
-      return "recv_any";
     case CommEvent::Kind::kCombine:
       return "combine";
   }
@@ -92,8 +34,6 @@ const char* to_string(ScheduleMutation mutation) {
       return "none";
     case ScheduleMutation::kDropSend:
       return "drop_send";
-    case ScheduleMutation::kArrivalOrderCombine:
-      return "arrival_order_combine";
     case ScheduleMutation::kTagCollision:
       return "tag_collision";
   }
@@ -125,72 +65,12 @@ std::string ScheduleIR::describe(int rank, std::size_t index) const {
     case CommEvent::Kind::kRecv:
       out << " <- r" << e.peer;
       break;
-    case CommEvent::Kind::kRecvAny:
-      out << " <- any";
-      break;
     case CommEvent::Kind::kCombine:
-      out << (e.peer >= 0 ? " of r" : " of any");
-      if (e.peer >= 0) out << e.peer;
+      out << " of r" << e.peer;
       break;
   }
   if (e.tag != kTagFromView) out << " tag=" << e.tag;
   return out.str();
-}
-
-std::vector<IrEdge> dependency_edges(const ScheduleIR& ir) {
-  std::vector<IrEdge> edges;
-  for (int r = 0; r < ir.num_ranks; ++r) {
-    const std::vector<CommEvent>& events =
-        ir.ranks[static_cast<std::size_t>(r)].events;
-    for (std::size_t i = 1; i < events.size(); ++i) {
-      edges.push_back({IrEdge::Kind::kProgram, r, i - 1, r, i});
-    }
-  }
-  // Canonical replay pairing sends with receives: FIFO per (src, dst,
-  // tag) channel; wildcards take the lowest source with a ready message.
-  const int p = ir.num_ranks;
-  std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::size_t>>
-      in_flight;
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int r = 0; r < p; ++r) {
-      const std::vector<CommEvent>& events =
-          ir.ranks[static_cast<std::size_t>(r)].events;
-      while (cursor[static_cast<std::size_t>(r)] < events.size()) {
-        const std::size_t i = cursor[static_cast<std::size_t>(r)];
-        const CommEvent& e = events[i];
-        if (e.kind == CommEvent::Kind::kSend) {
-          in_flight[{r, e.peer, e.wire_tag()}].push_back(i);
-        } else if (e.kind == CommEvent::Kind::kRecv) {
-          auto it = in_flight.find({e.peer, r, e.wire_tag()});
-          if (it == in_flight.end() || it->second.empty()) break;  // blocked
-          edges.push_back(
-              {IrEdge::Kind::kMessage, e.peer, it->second.front(), r, i});
-          it->second.pop_front();
-        } else if (e.kind == CommEvent::Kind::kRecvAny) {
-          int src = -1;
-          for (int candidate = 0; candidate < p; ++candidate) {
-            auto it = in_flight.find({candidate, r, e.wire_tag()});
-            if (it != in_flight.end() && !it->second.empty()) {
-              src = candidate;
-              break;
-            }
-          }
-          if (src < 0) break;  // blocked
-          auto it = in_flight.find({src, r, e.wire_tag()});
-          edges.push_back(
-              {IrEdge::Kind::kMessage, src, it->second.front(), r, i});
-          it->second.pop_front();
-        }
-        // kCombine is local: program order already covers it.
-        ++cursor[static_cast<std::size_t>(r)];
-        progress = true;
-      }
-    }
-  }
-  return edges;
 }
 
 std::string apply_schedule_mutation(ScheduleIR& ir,
@@ -215,64 +95,34 @@ std::string apply_schedule_mutation(ScheduleIR& ir,
       }
       return "";
     }
-    case ScheduleMutation::kArrivalOrderCombine: {
-      const RecvSite site = find_multi_source_site(ir, /*min_sources=*/2);
-      if (site.rank < 0) return "";
-      wildcard_site(ir, site);
-      std::ostringstream out;
-      out << "rank " << site.rank << " now combines view "
-          << view_label(site.view) << "@" << site.offset << " operands ("
-          << site.recv_indices.size() << " sources) in arrival order";
-      return out.str();
-    }
     case ScheduleMutation::kTagCollision: {
-      const RecvSite site = find_multi_source_site(ir, /*min_sources=*/2);
-      if (site.rank < 0) return "";
-      const std::vector<CommEvent>& events =
-          ir.ranks[static_cast<std::size_t>(site.rank)].events;
-      // A colliding stream: some later message into the same rank whose
-      // (view, offset) differs from the site's. With chunk pipelining the
-      // site's own wire tag is already shared by every other chunk of the
-      // view, so a later chunk from one of the site's sources collides
-      // naturally; a different view is retagged into the site's stream.
-      const std::uint64_t site_tag =
-          events[site.recv_indices.front()].wire_tag();
-      for (std::size_t i = site.recv_indices.back() + 1; i < events.size();
-           ++i) {
-        const CommEvent& later = events[i];
-        if (!later.is_receive()) continue;
-        if (later.view == site.view && later.offset == site.offset) continue;
-        const bool needs_retag = later.wire_tag() != site_tag;
-        const int src = later.peer;
-        const std::uint32_t collide_view = later.view;
-        const std::int64_t collide_offset = later.offset;
-        if (needs_retag) {
-          if (src < 0) continue;  // already a wildcard; pick another stream
-          // Retag the matching send at the source into the site's stream.
-          std::vector<CommEvent>& src_events =
-              ir.ranks[static_cast<std::size_t>(src)].events;
-          bool retagged = false;
-          for (CommEvent& send : src_events) {
-            if (send.kind == CommEvent::Kind::kSend &&
-                send.peer == site.rank && send.view == collide_view &&
-                send.offset == collide_offset) {
-              send.tag = site_tag;
-              retagged = true;
-            }
+      // The first two receives of one rank on one (source, wire tag)
+      // channel whose chunks differ: swapped, each consumes the other
+      // chunk's message, since the channel still delivers in send order.
+      for (int r = 0; r < ir.num_ranks; ++r) {
+        std::vector<CommEvent>& events =
+            ir.ranks[static_cast<std::size_t>(r)].events;
+        std::map<std::pair<int, std::uint64_t>, std::size_t> first;
+        for (std::size_t j = 0; j < events.size(); ++j) {
+          if (events[j].kind != CommEvent::Kind::kRecv) continue;
+          const auto [it, fresh] =
+              first.try_emplace({events[j].peer, events[j].wire_tag()}, j);
+          const std::size_t i = it->second;
+          if (fresh || events[i].offset == events[j].offset) continue;
+          std::ostringstream out;
+          out << "rank " << r << " receives view "
+              << view_label(events[i].view) << "@" << events[j].offset
+              << " before @" << events[i].offset << " from rank "
+              << events[i].peer << " under the shared wire tag "
+              << events[i].wire_tag();
+          std::swap(events[i], events[j]);
+          if (j + 1 < events.size() &&
+              events[i + 1].kind == CommEvent::Kind::kCombine &&
+              events[j + 1].kind == CommEvent::Kind::kCombine) {
+            std::swap(events[i + 1], events[j + 1]);
           }
-          if (!retagged) continue;
-          ir.ranks[static_cast<std::size_t>(site.rank)]
-              .events[i]
-              .tag = site_tag;
+          return out.str();
         }
-        wildcard_site(ir, site);
-        std::ostringstream out;
-        out << "rank " << site.rank << " wildcards view "
-            << view_label(site.view) << "@" << site.offset << "; "
-            << view_label(collide_view) << "@" << collide_offset
-            << (needs_retag ? " retagged into" : " already shares")
-            << " its wire tag " << site_tag;
-        return out.str();
       }
       return "";
     }

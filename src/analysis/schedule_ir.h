@@ -1,19 +1,17 @@
 // Schedule IR: a shape-agnostic event language for collective schedules.
 //
-// Any collective (the binomial tree of Comm::reduce today; ring or
-// hierarchical shapes later) is expressed as per-rank programs of typed
-// events — kSend / kRecv / kRecvAny / kCombine — each carrying the
-// logical view stream, the chunk offset within the view block, the
-// payload size and the wire tag. The planner (comm_plan.cpp) emits this
-// IR, the schedule verifier certifies Lemma-1/Theorem-3/4 invariants over
-// it, and the interleaving model checker explores every arrival order of
-// it. Dependency edges (program order plus deterministic FIFO message
-// matching) are derivable, so consumers never hard-code a topology.
+// Any collective (the binomial tree, pipelined ring and two-level
+// schedules of Comm::reduce) is expressed as per-rank programs of typed
+// events — kSend / kRecv / kCombine — each carrying the logical view
+// stream, the chunk offset within the view block, the payload size and
+// the wire tag. Every receive names its source, as every runtime receive
+// does. The planner (comm_plan.cpp) emits this IR and the schedule
+// verifier certifies Lemma-1/Theorem-3/4 invariants over it, so
+// consumers never hard-code a topology.
 //
-// `apply_schedule_mutation` seeds the three classic distributed-reduction
-// bugs (dropped send, arrival-order combine, wildcard tag collision) into
-// a well-formed IR. It exists only so tests and `cubist-analyze
-// --self-test` can prove the checker and the happens-before auditor catch
+// `apply_schedule_mutation` seeds two classic distributed-reduction bugs
+// (dropped send, tag collision) into a well-formed IR. It exists only so
+// tests and `cubist-analyze --self-test` can prove the verifier catches
 // them; production code never mutates an IR.
 #pragma once
 
@@ -24,8 +22,8 @@
 namespace cubist {
 
 /// Sentinel for `CommEvent::tag`: the wire tag equals the view mask
-/// (the planner's default — a distinct tag only appears in mutated IRs
-/// modelling tag-collision bugs).
+/// (the planner's default; a distinct tag only appears in hand-mutated
+/// IRs).
 inline constexpr std::uint64_t kTagFromView = ~std::uint64_t{0};
 
 /// One typed schedule event of a rank, in program order.
@@ -37,22 +35,16 @@ struct CommEvent {
   enum class Kind {
     /// Ship `elements` cells of `view` at `offset` to rank `peer`.
     kSend,
-    /// Consume the matching message from rank `peer` (fixed source).
+    /// Consume the next message of the (`peer`, wire tag) channel.
     kRecv,
-    /// Consume the earliest-arrival message carrying this wire tag from
-    /// ANY source — the Mailbox::receive_any wildcard. The only event
-    /// kind whose match depends on arrival order.
-    kRecvAny,
     /// Fold the operand delivered by the immediately preceding receive
-    /// of this rank into the local block at `offset` (local compute; the
-    /// model checker tracks it because combine order is where
-    /// nondeterminism would become wrong bits).
+    /// of this rank into the local block at `offset` (local compute).
     kCombine,
   };
 
   Kind kind = Kind::kSend;
-  /// Destination rank (kSend), source rank (kRecv, kCombine operand
-  /// origin), or -1 (kRecvAny: source decided at runtime).
+  /// Destination rank (kSend) or source rank (kRecv, kCombine operand
+  /// origin).
   int peer = -1;
   /// Logical stream: the target view's dimension mask.
   std::uint32_t view = 0;
@@ -60,13 +52,10 @@ struct CommEvent {
   std::int64_t elements = 0;
   /// Chunk offset (in elements) within the view block.
   std::int64_t offset = 0;
-  /// Wire tag used for Mailbox matching; kTagFromView means `view`.
+  /// Wire tag the receive matches on; kTagFromView means `view`.
   std::uint64_t tag = kTagFromView;
 
   std::uint64_t wire_tag() const { return tag == kTagFromView ? view : tag; }
-  bool is_receive() const {
-    return kind == Kind::kRecv || kind == Kind::kRecvAny;
-  }
 
   bool operator==(const CommEvent&) const = default;
 };
@@ -88,44 +77,16 @@ struct ScheduleIR {
   std::string describe(int rank, std::size_t index) const;
 };
 
-/// Explicit dependency edge between two IR events.
-struct IrEdge {
-  enum class Kind {
-    /// Same-rank program order (consecutive events).
-    kProgram,
-    /// Cross-rank message edge: a send happens-before its receive.
-    kMessage,
-  };
-  Kind kind = Kind::kProgram;
-  int from_rank = -1;
-  std::size_t from_index = 0;
-  int to_rank = -1;
-  std::size_t to_index = 0;
-
-  bool operator==(const IrEdge&) const = default;
-};
-
-/// Derives the IR's dependency edges: per-rank program order plus the
-/// message edges of the canonical replay (FIFO per (src, dst, tag)
-/// channel; wildcard receives match the lowest ready source). For a
-/// well-formed IR this pairs every send with exactly one receive; on a
-/// broken IR the unmatched remainder is simply omitted — the verifier and
-/// model checker, not this helper, produce the diagnostics.
-std::vector<IrEdge> dependency_edges(const ScheduleIR& ir);
-
-/// The three seeded bugs of the mutation-detection suite.
+/// The seeded bugs of the mutation-detection suite.
 enum class ScheduleMutation {
   kNone,
   /// Delete one send whose receiver then blocks forever: the classic
   /// dropped-message deadlock.
   kDropSend,
-  /// Replace a rank's fixed-source receive pair for one (view, offset)
-  /// with wildcard receives: combines then fold in arrival order, which
-  /// is nondeterministic whenever the operands do not commute bit-wise.
-  kArrivalOrderCombine,
-  /// Retag one view's messages into another view's wildcard stream: a
-  /// wildcard receive can then steal the colliding message and combine
-  /// the wrong view's cells.
+  /// Swap two chunk receives one rank takes from one source for one view
+  /// (with the combines that fold them). The channel is still FIFO, so
+  /// the first receive consumes the other chunk's message under the
+  /// shared wire tag and folds it at the wrong offset.
   kTagCollision,
 };
 

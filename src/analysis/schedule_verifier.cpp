@@ -44,11 +44,11 @@ struct InFlightMsg {
 /// message must belong to the receive's logical stream (same view and
 /// chunk offset — a mismatch means two streams collide on one wire tag).
 void check_match(const InFlightMsg& got, const PlannedOp& op, int rank,
-                 int source, AnalysisReport& report) {
+                 AnalysisReport& report) {
   if (got.view != op.view || got.offset != op.offset) {
     std::ostringstream msg;
     msg << "rank " << rank << " receives view " << view_name(op.view) << "@"
-        << op.offset << " but the matching send from rank " << source
+        << op.offset << " but the matching send from rank " << op.peer
         << " carries view " << view_name(got.view) << "@" << got.offset
         << " under the same wire tag";
     add_violation(report, ViolationCode::kTagCollision, rank, op.view,
@@ -59,7 +59,7 @@ void check_match(const InFlightMsg& got, const PlannedOp& op, int rank,
   if (got.elements != op.elements) {
     std::ostringstream msg;
     msg << "rank " << rank << " expects " << op.elements
-        << " elements from rank " << source << " for view "
+        << " elements from rank " << op.peer << " for view "
         << view_name(op.view) << " but the matching send carries "
         << got.elements;
     add_violation(report, ViolationCode::kMessageSizeMismatch, rank, op.view,
@@ -68,12 +68,13 @@ void check_match(const InFlightMsg& got, const PlannedOp& op, int rank,
 }
 
 /// Replays the per-rank programs under the runtime's semantics (sends
-/// never block; receives block on a FIFO (source, wire-tag) match;
-/// wildcard receives take any ready source; combines are local) and
-/// reports unmatched traffic, payload-size disagreements, wire-tag
-/// collisions, and — on a stall — the wait-for-graph cycle. This replay
-/// follows ONE canonical interleaving; the interleaving model checker
-/// (analysis/interleaving_checker.h) covers all the others.
+/// never block; receives block on a FIFO (source, wire-tag) channel;
+/// combines are local) and reports unmatched traffic, payload-size
+/// disagreements, wire-tag collisions, and — on a stall — the wait-for-
+/// graph cycle. The replay follows one canonical interleaving, and that
+/// decides every other: a receive can only take the head of its one
+/// channel, so each receive matches the same send in every interleaving
+/// and a receive that blocks here blocks in all of them.
 void check_transport(const CommPlan& plan, AnalysisReport& report) {
   const int p = plan.num_ranks;
   // In-flight messages per (src, dst, wire tag) channel, FIFO.
@@ -95,20 +96,7 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
         } else if (op.kind == PlannedOp::Kind::kRecv) {
           auto it = in_flight.find({op.peer, r, op.wire_tag()});
           if (it == in_flight.end() || it->second.empty()) break;  // blocked
-          check_match(it->second.front(), op, r, op.peer, report);
-          it->second.pop_front();
-        } else if (op.kind == PlannedOp::Kind::kRecvAny) {
-          int src = -1;
-          for (int candidate = 0; candidate < p; ++candidate) {
-            auto it = in_flight.find({candidate, r, op.wire_tag()});
-            if (it != in_flight.end() && !it->second.empty()) {
-              src = candidate;
-              break;
-            }
-          }
-          if (src < 0) break;  // blocked
-          auto it = in_flight.find({src, r, op.wire_tag()});
-          check_match(it->second.front(), op, r, src, report);
+          check_match(it->second.front(), op, r, report);
           it->second.pop_front();
         }
         // kCombine is local compute: always executable.
@@ -180,12 +168,8 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
     const PlannedOp& op = rank_plan.ops[cursor[static_cast<std::size_t>(r)]];
     std::ostringstream msg;
     msg << "rank " << r << " blocks forever receiving " << op.elements
-        << " elements of view " << view_name(op.view) << " from ";
-    if (op.kind == PlannedOp::Kind::kRecvAny) {
-      msg << "any source (wire tag " << op.wire_tag() << ")";
-    } else {
-      msg << "rank " << op.peer;
-    }
+        << " elements of view " << view_name(op.view) << " from rank "
+        << op.peer;
     add_violation(report, ViolationCode::kUnmatchedRecv, r, op.view,
                   op.elements, 0, msg.str());
   }
@@ -407,12 +391,6 @@ const char* to_string(ViolationCode code) {
       return "unknown_view_tag";
     case ViolationCode::kTagCollision:
       return "tag_collision";
-    case ViolationCode::kNondeterministicCombine:
-      return "nondeterministic_combine";
-    case ViolationCode::kUnorderedCombineRace:
-      return "unordered_combine_race";
-    case ViolationCode::kStateSpaceBudgetExceeded:
-      return "state_space_budget_exceeded";
     case ViolationCode::kMalformedTrace:
       return "malformed_trace";
   }

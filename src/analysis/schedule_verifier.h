@@ -4,10 +4,13 @@
 //
 // Checked invariants (see docs/ANALYSIS.md):
 //   * Transport safety — every planned send is consumed by exactly one
-//     matching receive, payload sizes agree, and the schedule is
-//     deadlock-free. Sends in minimpi never block, so the only hazard is
-//     a receive cycle; the verifier replays the per-rank programs and, on
-//     a stall, extracts the wait-for-graph cycle for the diagnostic.
+//     matching receive of its own stream, payload sizes agree, and the
+//     schedule is deadlock-free. Sends in minimpi never block and every
+//     receive names its source, so the only hazard is a receive cycle,
+//     and every interleaving matches the same send to every receive
+//     (Kahn's determinacy): one replay of the per-rank programs decides
+//     them all. On a stall it extracts the wait-for-graph cycle for the
+//     diagnostic.
 //   * Communication volume — per-edge planned volume equals Lemma 1's
 //     closed form (2^{k_m} - 1) * prod_{j notin Y} D_j, and the total
 //     equals Theorem 3's sum. Exact, not approximate: uneven balanced
@@ -59,19 +62,9 @@ enum class ViolationCode {
   /// Traffic planned or measured under a tag that is no lattice view.
   kUnknownViewTag,
   /// A receive matched a message from a different logical stream (wrong
-  /// view or chunk offset): two streams collide on one wire tag and a
-  /// wildcard receive can steal across them.
+  /// view or chunk offset): two streams share one wire tag and the
+  /// receive consumed the other's message.
   kTagCollision,
-  /// Two interleavings of the same schedule fold combine operands in
-  /// different orders — the cube bits depend on arrival timing.
-  kNondeterministicCombine,
-  /// A runtime combine consumed a wildcard-received operand while another
-  /// matching send was concurrent (not happens-before-ordered) with the
-  /// one consumed: a message-level race observed in the event trace.
-  kUnorderedCombineRace,
-  /// The interleaving exploration hit its transition budget before
-  /// covering the state space; nothing is proven.
-  kStateSpaceBudgetExceeded,
   /// A recorded event trace is internally inconsistent (bad match index,
   /// duplicate consumption, stalled causality) — recording bug or tamper.
   kMalformedTrace,

@@ -66,26 +66,18 @@ struct ParallelOptions {
   /// tests inject fixed-size pools to pin the determinism contract.
   ThreadPool* pool = nullptr;
   /// Pre-flight gate (src/analysis): before any rank launches, statically
-  /// certify the schedule — matched sends/recvs, deadlock freedom, Lemma
-  /// 1 / Theorem 3 volumes, Theorem 4 memory bound. Violations throw
-  /// InternalError from run_parallel_cube.
+  /// certify the schedule — matched sends/recvs, deadlock freedom under
+  /// every arrival order, Lemma 1 / Theorem 3 volumes, Theorem 4 memory
+  /// bound. Violations throw InternalError from run_parallel_cube.
   bool verify_schedule = kScheduleAnalysisDefault;
   /// Post-run auditor: diff the measured per-view ledger bytes against
   /// the static plan; any divergence throws InternalError.
   bool audit_volume = false;
-  /// Pre-flight model check (analysis/interleaving_checker.h): exhaustively
-  /// explore every arrival interleaving of the planned reduction schedule
-  /// and prove deadlock freedom and combine determinism under all of them.
-  /// Exhaustive exploration only scales to small configs, so the gate is
-  /// skipped silently when the grid exceeds kModelCheckMaxRanks or the plan
-  /// exceeds kModelCheckMaxEvents; within bounds, violations throw
-  /// InternalError.
-  bool model_check = kScheduleAnalysisDefault;
   /// Post-run happens-before auditor (analysis/hb_auditor.h): record every
-  /// send/receive/combine/barrier during the run, rebuild the
-  /// happens-before graph offline and hard-fail (InternalError) on any
-  /// structural damage or unordered conflicting combine pair. Off by
-  /// default — recording keeps the full event trace in memory.
+  /// send/receive/combine/barrier during the run, replay the trace's
+  /// happens-before order offline and hard-fail (InternalError) on any
+  /// structural damage. Off by default — recording keeps the full event
+  /// trace in memory.
   bool audit_hb = false;
 };
 

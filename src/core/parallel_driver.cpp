@@ -9,7 +9,6 @@
 
 #include "analysis/comm_plan.h"
 #include "analysis/hb_auditor.h"
-#include "analysis/interleaving_checker.h"
 #include "analysis/schedule_verifier.h"
 #include "common/error.h"
 #include "lattice/volume_model.h"
@@ -83,30 +82,16 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
   schedule_spec.reduce_density_hint = options.reduce_density_hint;
   schedule_spec.encode_wire = options.encode_wire;
   schedule_spec.model = model;
-  const bool model_check = options.model_check && p <= kModelCheckMaxRanks;
   std::optional<CommPlan> plan;
   {
     obs::Span span("build", "plan_and_verify");
     span.tag("ranks", static_cast<std::int64_t>(p));
-    if (options.verify_schedule || model_check) {
-      plan.emplace(build_comm_plan(schedule_spec));
-    }
     if (options.verify_schedule) {
+      plan.emplace(build_comm_plan(schedule_spec));
       const AnalysisReport preflight = verify_schedule(schedule_spec, *plan);
       CUBIST_ASSERT(preflight.ok(),
                     "pre-flight schedule verification failed:\n"
                         << preflight.to_string());
-    }
-    if (model_check) {
-      const ScheduleIR ir = plan->ir();
-      if (ir.total_events() <= kModelCheckMaxEvents) {
-        obs::Span check_span("build", "model_check");
-        check_span.tag("events", ir.total_events());
-        const InterleavingReport interleavings = check_interleavings(ir);
-        CUBIST_ASSERT(interleavings.ok(),
-                      "pre-flight interleaving model check failed:\n"
-                          << interleavings.to_string());
-      }
     }
   }
 

@@ -34,8 +34,7 @@
 #include "array/shape.h"           // extents + strides
 #include "array/sparse_array.h"    // chunk-offset sparse format
 #include "analysis/comm_plan.h"          // static Figure-5 schedule plan
-#include "analysis/hb_auditor.h"         // happens-before race auditor
-#include "analysis/interleaving_checker.h"  // DPOR interleaving model checker
+#include "analysis/hb_auditor.h"         // recorded-trace auditor
 #include "analysis/schedule_ir.h"        // typed schedule event IR
 #include "analysis/schedule_verifier.h"  // schedule verifier + ledger audit
 #include "baselines/tree_builder.h"  // prior-work spanning-tree baselines

@@ -25,16 +25,15 @@
 // Lemma-1 dense volume — so the static verifier's per-view EQUALITY
 // check holds for whichever schedule the tuner picks. All receives are
 // fixed-source, so combine order is deterministic by construction and
-// the interleaving checker / HB auditor certify tuned schedules exactly
-// as they certify binomial.
+// the schedule verifier's one replay certifies tuned schedules exactly
+// as it certifies binomial.
 //
 // `reduce_program` is the single source of truth for what one reduction
 // does, and CostModel's charge_* functions for what it costs. The program
-// has four callers: Comm::reduce executes it, analysis/comm_plan.cpp
-// plans it, simulate_reduce_seconds replays it under the runtime's own
-// charging functions, and the test-only arrival-order fault path takes
-// its binomial tree from reduce_chunk_steps. Plan, runtime and tuner
-// therefore agree by construction, not by parallel maintenance.
+// has three callers: Comm::reduce executes it, analysis/comm_plan.cpp
+// plans it, and simulate_reduce_seconds replays it under the runtime's
+// own charging functions. Plan, runtime and tuner therefore agree by
+// construction, not by parallel maintenance.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "minimpi/comm.h"
 
 #include <cstring>
-#include <tuple>
 
 #include "array/wire_codec.h"
 #include "common/error.h"
@@ -81,22 +80,6 @@ std::vector<std::byte> Comm::recv_bytes(int src, std::uint64_t tag) {
   return std::move(message.payload);
 }
 
-std::pair<int, std::vector<std::byte>> Comm::recv_wire_any(
-    std::uint64_t tag, const std::function<bool(int)>& accept) {
-  auto [source, message] = state_.transport().receive_any(rank_, tag, accept);
-  CostModel::charge_receive(clock_, message.arrival_time);
-  TraceEvent event{TraceEventKind::kRecvAny, source, tag,
-                   static_cast<std::int64_t>(message.payload.size())};
-  event.match_seq = message.trace_seq;
-  last_recv_seq_ = trace(event);
-  return {source, std::move(message.payload)};
-}
-
-std::pair<int, std::vector<std::byte>> Comm::recv_bytes_any(
-    std::uint64_t tag) {
-  return recv_wire_any(tag, nullptr);
-}
-
 void Comm::send_values(int dst, std::uint64_t tag,
                        std::span<const Value> data) {
   send_bytes(dst, tag, std::as_bytes(data));
@@ -123,18 +106,11 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   // Zero-size blocks (and singleton groups) never touch the wire.
   if (total == 0 || g == 1) return;
   const CostModel& model = state_.model();
-  // The arrival-order fault is defined over the binomial tree. Otherwise
-  // the schedule resolves (kAuto through the cost tuner) on static inputs
+  // The schedule resolves (kAuto through the cost tuner) on static inputs
   // only, so analysis/comm_plan.cpp resolves to the identical choice.
-  const bool arrival_order_fault =
-      options.fault == ReduceOptions::Fault::kArrivalOrderCombine;
-  const ReduceAlgorithm algorithm =
-      arrival_order_fault
-          ? ReduceAlgorithm::kBinomial
-          : resolve_reduce_algorithm(options.algorithm, group, total,
-                                     options.max_message_elements, model,
-                                     options.density_hint,
-                                     options.wire.enabled);
+  const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
+      options.algorithm, group, total, options.max_message_elements, model,
+      options.density_hint, options.wire.enabled);
 
   // Timeline span for the whole collective; the certified drift ratio is
   // produced by the barrier-aligned calibration replay
@@ -156,19 +132,6 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     }
   }
 
-  // TEST-ONLY fault state: per binomial child, the offset of the chunk it
-  // delivers next (-1 for every other rank).
-  std::vector<std::int64_t> child_next_offset;
-  if (arrival_order_fault) {
-    child_next_offset.assign(static_cast<std::size_t>(size()), -1);
-    for (const ReduceStep& step : reduce_chunk_steps(
-             ReduceAlgorithm::kBinomial, group, me, model.topology)) {
-      if (step.kind == ReduceStep::Kind::kRecvCombine) {
-        child_next_offset[static_cast<std::size_t>(step.peer)] = 0;
-      }
-    }
-  }
-
   // Per destination cell the combine order is the program's fixed step
   // order, identical for every chunk size — the chunking is invisible in
   // the output bits.
@@ -183,25 +146,11 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
                 encode_chunk(chunk, op, options.wire));
       continue;
     }
-    int source = next.step.peer;
-    std::vector<std::byte> payload;
-    if (!arrival_order_fault) {
-      payload = recv_bytes(source, tag);
-    } else {
-      // The fault: fold whichever child's operand for this chunk arrived
-      // first, through a wildcard receive, instead of the step's fixed
-      // source. Totals are unchanged; only the fold ORDER becomes
-      // timing-dependent, which is the bug the happens-before auditor
-      // must catch.
-      std::tie(source, payload) = recv_wire_any(tag, [&](int src) {
-        return child_next_offset[static_cast<std::size_t>(src)] ==
-               next.offset;
-      });
-      child_next_offset[static_cast<std::size_t>(source)] += next.count;
-    }
+    const std::vector<std::byte> payload = recv_bytes(next.step.peer, tag);
     const std::int64_t updates = combine_chunk(
         op, chunk, payload, options.combine_pool, options.combine_workers);
-    TraceEvent combined{TraceEventKind::kCombine, source, tag, next.count};
+    TraceEvent combined{TraceEventKind::kCombine, next.step.peer, tag,
+                        next.count};
     combined.operand_seq = last_recv_seq_;
     trace(combined);
     // One update per combined element (run-skipped identity cells cost
@@ -209,35 +158,6 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     model.charge_combine(clock_, static_cast<double>(updates));
   }
   if (span.active()) span.tag("clock_delta_seconds", clock_ - clock_at_entry);
-}
-
-std::vector<std::vector<std::byte>> Comm::gather_bytes(
-    int root, std::uint64_t tag, std::span<const std::byte> payload) {
-  if (rank_ != root) {
-    send_bytes(root, tag, payload);
-    return {};
-  }
-  std::vector<std::vector<std::byte>> gathered(
-      static_cast<std::size_t>(size()));
-  gathered[static_cast<std::size_t>(root)].assign(payload.begin(),
-                                                  payload.end());
-  // Consume in virtual arrival order rather than rank order: with fixed
-  // rank order a slow rank 1 head-of-line-blocks the root while later
-  // ranks' messages sit queued; match-any lets the root overlap its
-  // per-payload processing with the stragglers' transfers. Sources we
-  // have already heard from are excluded so a fast rank's next same-tag
-  // message can never be consumed by this gather.
-  std::vector<bool> seen(static_cast<std::size_t>(size()), false);
-  seen[static_cast<std::size_t>(root)] = true;
-  const auto pending = [&](int src) {
-    return !seen[static_cast<std::size_t>(src)];
-  };
-  for (int remaining = size() - 1; remaining > 0; --remaining) {
-    auto [src, bytes] = recv_wire_any(tag, pending);
-    seen[static_cast<std::size_t>(src)] = true;
-    gathered[static_cast<std::size_t>(src)] = std::move(bytes);
-  }
-  return gathered;
 }
 
 void Comm::barrier() {

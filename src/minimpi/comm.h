@@ -8,9 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "array/aggregate_op.h"
@@ -54,21 +52,6 @@ struct ReduceOptions {
   /// Per-call concurrency cap for the combine (0 = pool policy). The cube
   /// builder passes its per-rank budget here.
   int combine_workers = 1;
-
-  /// TEST-ONLY fault injection for the race-detection suite: makes the
-  /// runtime commit a classic distributed-reduction bug on purpose so
-  /// tests can prove the happens-before auditor catches it in a recorded
-  /// trace. Never set outside tests.
-  enum class Fault {
-    kNone,
-    /// The reduce runs the binomial program, but receivers consume and
-    /// fold each chunk's operands in virtual-arrival order via a wildcard
-    /// receive instead of the fixed step order: totals stay right (the
-    /// ledger audit passes) but the combine order — and with it the
-    /// floating-point bits — depends on timing.
-    kArrivalOrderCombine,
-  };
-  Fault fault = Fault::kNone;
 };
 
 class Comm {
@@ -92,16 +75,13 @@ class Comm {
   /// Blocking send. The tag identifies the logical stream (the cube
   /// builder uses the target view's dimension mask) and keys the ledger.
   void send_bytes(int dst, std::uint64_t tag, std::span<const std::byte> data);
-  /// Blocking receive, matched by (src, tag), FIFO within a match.
+  /// Blocking receive, matched by (src, tag), FIFO within a match. Every
+  /// receive names its source: there is no wildcard receive, so which
+  /// send a receive consumes never depends on arrival order.
   std::vector<std::byte> recv_bytes(int src, std::uint64_t tag);
 
   void send_values(int dst, std::uint64_t tag, std::span<const Value> data);
   std::vector<Value> recv_values(int src, std::uint64_t tag);
-
-  /// Blocking receive matched by tag only; among everything queued, takes
-  /// the message with the earliest virtual arrival (so a slow sender never
-  /// head-of-line-blocks a fast one). Returns (source, payload).
-  std::pair<int, std::vector<std::byte>> recv_bytes_any(std::uint64_t tag);
 
   // --- collectives (implemented over send/recv, so volume is counted) ---
 
@@ -133,11 +113,6 @@ class Comm {
   void reduce(std::span<const int> group, DenseArray& data, std::uint64_t tag,
               AggregateOp op, const ReduceOptions& options = {});
 
-  /// Gathers each rank's payload at `root` (returns empty elsewhere).
-  /// Must be called by every rank in the runtime.
-  std::vector<std::vector<std::byte>> gather_bytes(
-      int root, std::uint64_t tag, std::span<const std::byte> payload);
-
   /// Global barrier; also synchronizes virtual clocks to the max plus a
   /// log2(p) latency term.
   void barrier();
@@ -155,13 +130,6 @@ class Comm {
   /// size, and records `logical_bytes` next to it in the ledger.
   void send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
                  std::vector<std::byte> payload);
-  /// The one wildcard-receive primitive: earliest-arrival match under
-  /// `tag` among sources `accept` admits (null = all), clock-synced and
-  /// event-trace-recorded. Every match-any consumer (recv_bytes_any,
-  /// gather_bytes, the fault-injected reduce) goes through here so the
-  /// happens-before auditor sees every arrival-order-dependent match.
-  std::pair<int, std::vector<std::byte>> recv_wire_any(
-      std::uint64_t tag, const std::function<bool(int)>& accept);
   /// The single event-record choke point. When HB tracing is on, appends
   /// to this rank's EventTrace — the run's one comm record, which the
   /// happens-before auditor reads; when the obs tracer is on, displays

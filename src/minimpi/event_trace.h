@@ -5,9 +5,8 @@
 // another rank's vector, and the trace is only read after all rank
 // threads have joined). Messages carry the sender-side event index of
 // their send, so a receive records exactly which send it matched — the
-// cross-rank edges from which the happens-before auditor
-// (analysis/hb_auditor.h) rebuilds the HB graph offline and detects
-// message-level races that TSan's memory-level instrumentation cannot.
+// cross-rank edges the happens-before auditor (analysis/hb_auditor.h)
+// validates offline.
 #pragma once
 
 #include <cstdint>
@@ -20,14 +19,11 @@ inline constexpr std::uint64_t kNoTraceSeq = ~std::uint64_t{0};
 
 enum class TraceEventKind {
   kSend,
-  /// Fixed-source receive (Mailbox::receive).
+  /// Fixed-source receive (Transport::receive), the only receive kind.
   kRecv,
-  /// Wildcard receive (Mailbox::receive_any): the only kind whose match
-  /// depends on arrival order.
-  kRecvAny,
   /// Elementwise fold of a received operand into the local block.
   kCombine,
-  /// Global barrier; the g-th barrier of every rank joins their clocks.
+  /// Global barrier; the g-th barrier of every rank is one round.
   kBarrier,
 };
 
@@ -38,13 +34,13 @@ const char* to_string(TraceEventKind kind);
 /// combines, zero for barriers.
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kSend;
-  /// Destination (kSend), matched source (kRecv/kRecvAny), operand source
-  /// (kCombine), or -1 (kBarrier).
+  /// Destination (kSend), source (kRecv), operand source (kCombine), or
+  /// -1 (kBarrier).
   int peer = -1;
   std::uint64_t tag = 0;
   std::int64_t units = 0;
-  /// kRecv/kRecvAny: event index, WITHIN THE SENDER's trace, of the send
-  /// whose message this receive consumed.
+  /// kRecv: event index, WITHIN THE SENDER's trace, of the send whose
+  /// message this receive consumed.
   std::uint64_t match_seq = kNoTraceSeq;
   /// kCombine: event index, within THIS rank's trace, of the receive that
   /// delivered the operand.
@@ -72,8 +68,6 @@ inline const char* to_string(TraceEventKind kind) {
       return "send";
     case TraceEventKind::kRecv:
       return "recv";
-    case TraceEventKind::kRecvAny:
-      return "recv_any";
     case TraceEventKind::kCombine:
       return "combine";
     case TraceEventKind::kBarrier:

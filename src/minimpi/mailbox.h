@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -30,44 +29,6 @@ class Mailbox {
       queues_[{source, tag}].push_back(std::move(message));
     }
     ready_.notify_all();
-  }
-
-  /// Blocks until a message with `tag` from ANY source is available, then
-  /// returns the one with the earliest virtual arrival time (ties broken
-  /// toward the lowest source rank, and FIFO within a source). This is the
-  /// match-any receive that lets collectives consume messages in arrival
-  /// order instead of a fixed rank order — see Comm::gather_bytes. When
-  /// `accept_source` is set, sources it rejects are invisible to the match
-  /// (a collective uses this to ignore a source it has already heard from,
-  /// so a fast rank's NEXT same-tag message cannot be consumed early).
-  std::pair<int, Message> receive_any(
-      std::uint64_t tag,
-      const std::function<bool(int)>& accept_source = nullptr) {
-    std::unique_lock lock(mutex_);
-    const auto best_source = [&]() -> int {
-      int source = -1;
-      double best_arrival = 0.0;
-      for (auto& [key, queue] : queues_) {
-        if (key.second != tag || queue.empty()) continue;
-        if (accept_source && !accept_source(key.first)) continue;
-        if (source < 0 || queue.front().arrival_time < best_arrival) {
-          source = key.first;
-          best_arrival = queue.front().arrival_time;
-        }
-      }
-      return source;
-    };
-    int source = -1;
-    ready_.wait(lock, [&] {
-      if (aborted_) return true;
-      source = best_source();
-      return source >= 0;
-    });
-    if (aborted_) throw AbortedError();
-    auto& queue = queues_[{source, tag}];
-    Message message = std::move(queue.front());
-    queue.pop_front();
-    return {source, std::move(message)};
   }
 
   /// Blocks until a message from `source` with `tag` is available.

@@ -29,12 +29,6 @@ class MailboxTransport final : public Transport {
     return box(rank).receive(src, tag);
   }
 
-  std::pair<int, Message> receive_any(
-      int rank, std::uint64_t tag,
-      const std::function<bool(int)>& accept_source) override {
-    return box(rank).receive_any(tag, accept_source);
-  }
-
   void abort() override {
     for (auto& mailbox : mailboxes_) {
       mailbox->abort();

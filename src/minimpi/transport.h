@@ -7,12 +7,14 @@
 // fake for tests — pluggable without touching the collectives, the
 // ledger or the verifier (see DESIGN.md, "Transport adaptor").
 //
-// Contract every adaptor must honor (the verifier and model checker
-// assume it):
+// Contract every adaptor must honor (the schedule verifier's one
+// canonical replay assumes it):
+//   * deliver never blocks;
 //   * per (source, destination, tag) channel delivery is FIFO;
-//   * receive blocks until a match or abort() (then throws AbortedError);
-//   * receive_any returns the queued match with the earliest virtual
-//     arrival time, ties toward the lowest source rank;
+//   * receive names its source: it blocks on that one (source, tag)
+//     channel until a message or abort() (then throws AbortedError).
+//     There is no wildcard receive, so which send a receive consumes never
+//     depends on arrival order;
 //   * abort() wakes every blocked receiver, permanently.
 #pragma once
 
@@ -21,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace cubist {
@@ -56,13 +57,6 @@ class Transport {
 
   /// Blocks `rank` until a message from `src` with `tag` is available.
   virtual Message receive(int rank, int src, std::uint64_t tag) = 0;
-
-  /// Blocks `rank` until a message with `tag` from ANY source admitted by
-  /// `accept_source` (null = all) is available; returns the one with the
-  /// earliest virtual arrival. Returns (source, message).
-  virtual std::pair<int, Message> receive_any(
-      int rank, std::uint64_t tag,
-      const std::function<bool(int)>& accept_source) = 0;
 
   /// Wakes every blocked receiver with AbortedError, permanently.
   virtual void abort() = 0;

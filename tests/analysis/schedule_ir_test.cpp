@@ -1,7 +1,6 @@
-// The schedule IR is the planner's ops verbatim, its dependency edges
-// recover program order plus canonical message matching, and the three
-// seeded mutations are expressible exactly when the schedule has a site
-// for them.
+// The schedule IR is the planner's ops verbatim, and the two seeded
+// mutations are expressible exactly when the schedule has a site for
+// them.
 #include <gtest/gtest.h>
 
 #include "cubist/cubist.h"
@@ -51,7 +50,7 @@ TEST(ScheduleIrTest, EveryReceiveFeedsACombine) {
   const ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
   for (const RankProgram& rank : ir.ranks) {
     for (std::size_t i = 0; i < rank.events.size(); ++i) {
-      if (!rank.events[i].is_receive()) continue;
+      if (rank.events[i].kind != CommEvent::Kind::kRecv) continue;
       ASSERT_LT(i + 1, rank.events.size());
       const CommEvent& combine = rank.events[i + 1];
       EXPECT_EQ(combine.kind, CommEvent::Kind::kCombine);
@@ -69,38 +68,6 @@ TEST(ScheduleIrTest, WireTagDefaultsToViewMask) {
   EXPECT_EQ(event.wire_tag(), 99u);
 }
 
-TEST(ScheduleIrTest, DependencyEdgesPairEverySend) {
-  const ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {1, 1, 0}));
-  const std::vector<IrEdge> edges = dependency_edges(ir);
-  std::int64_t program = 0;
-  std::int64_t message = 0;
-  for (const IrEdge& edge : edges) {
-    if (edge.kind == IrEdge::Kind::kProgram) {
-      EXPECT_EQ(edge.from_rank, edge.to_rank);
-      EXPECT_EQ(edge.from_index + 1, edge.to_index);
-      ++program;
-    } else {
-      const CommEvent& from =
-          ir.ranks[static_cast<std::size_t>(edge.from_rank)]
-              .events[edge.from_index];
-      const CommEvent& to = ir.ranks[static_cast<std::size_t>(edge.to_rank)]
-                                .events[edge.to_index];
-      EXPECT_EQ(from.kind, CommEvent::Kind::kSend);
-      EXPECT_TRUE(to.is_receive());
-      EXPECT_EQ(from.wire_tag(), to.wire_tag());
-      ++message;
-    }
-  }
-  std::int64_t expected_program = 0;
-  for (const RankProgram& rank : ir.ranks) {
-    if (!rank.events.empty()) {
-      expected_program += static_cast<std::int64_t>(rank.events.size()) - 1;
-    }
-  }
-  EXPECT_EQ(program, expected_program);
-  EXPECT_EQ(message, count_kind(ir, CommEvent::Kind::kSend));
-}
-
 TEST(ScheduleIrTest, DropSendRemovesExactlyOneSend) {
   ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}));
   const std::int64_t sends = count_kind(ir, CommEvent::Kind::kSend);
@@ -110,31 +77,53 @@ TEST(ScheduleIrTest, DropSendRemovesExactlyOneSend) {
   EXPECT_EQ(count_kind(ir, CommEvent::Kind::kSend), sends - 1);
 }
 
-TEST(ScheduleIrTest, ArrivalOrderMutationWildcardsAMultiSourceSite) {
-  ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}));
-  ASSERT_EQ(count_kind(ir, CommEvent::Kind::kRecvAny), 0);
-  const std::string note =
-      apply_schedule_mutation(ir, ScheduleMutation::kArrivalOrderCombine);
-  EXPECT_FALSE(note.empty());
-  EXPECT_GE(count_kind(ir, CommEvent::Kind::kRecvAny), 2);
-}
-
 TEST(ScheduleIrTest, TagCollisionMutationCreatesACollidingWildcardStream) {
-  ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
+  // The mutation swaps two chunk receives of one view from one source,
+  // with their combines: the same events, in another order on one rank.
+  const ScheduleIR clean = ir_of(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
+  ScheduleIR ir = clean;
   const std::string note =
       apply_schedule_mutation(ir, ScheduleMutation::kTagCollision);
   EXPECT_FALSE(note.empty());
-  EXPECT_GE(count_kind(ir, CommEvent::Kind::kRecvAny), 2);
+  int changed_ranks = 0;
+  for (int r = 0; r < ir.num_ranks; ++r) {
+    const std::vector<CommEvent>& before =
+        clean.ranks[static_cast<std::size_t>(r)].events;
+    const std::vector<CommEvent>& after =
+        ir.ranks[static_cast<std::size_t>(r)].events;
+    if (before == after) continue;
+    ++changed_ranks;
+    std::vector<std::size_t> moved;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      if (after[i] != before[i]) moved.push_back(i);
+    }
+    // Two receives and the two combines that follow them.
+    ASSERT_EQ(moved.size(), 4u);
+    EXPECT_EQ(after[moved[0]], before[moved[2]]);
+    EXPECT_EQ(after[moved[2]], before[moved[0]]);
+    EXPECT_EQ(after[moved[0]].kind, CommEvent::Kind::kRecv);
+    EXPECT_EQ(after[moved[0]].peer, after[moved[2]].peer);
+    EXPECT_EQ(after[moved[0]].wire_tag(), after[moved[2]].wire_tag());
+    EXPECT_NE(after[moved[0]].offset, after[moved[2]].offset);
+    EXPECT_EQ(after[moved[1]].kind, CommEvent::Kind::kCombine);
+    EXPECT_EQ(after[moved[1]].offset, after[moved[0]].offset);
+  }
+  EXPECT_EQ(changed_ranks, 1);
+  EXPECT_EQ(count_kind(ir, CommEvent::Kind::kRecv),
+            count_kind(clean, CommEvent::Kind::kRecv));
 }
 
 TEST(ScheduleIrTest, MutationsInexpressibleWithoutCommunication) {
   for (ScheduleMutation mutation :
-       {ScheduleMutation::kDropSend, ScheduleMutation::kArrivalOrderCombine,
-        ScheduleMutation::kTagCollision}) {
+       {ScheduleMutation::kDropSend, ScheduleMutation::kTagCollision}) {
     ScheduleIR ir = ir_of(spec_of({4, 4}, {0, 0}));
     EXPECT_EQ(apply_schedule_mutation(ir, mutation), "")
         << to_string(mutation);
   }
+  // Unchunked, each source sends each view once: no two receives share
+  // a channel, so there is no pair to swap.
+  ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}));
+  EXPECT_EQ(apply_schedule_mutation(ir, ScheduleMutation::kTagCollision), "");
 }
 
 TEST(ScheduleIrTest, DescribeRendersEvents) {

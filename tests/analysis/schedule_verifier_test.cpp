@@ -1,9 +1,13 @@
 // The verifier certifies known-good schedules and pins a diagnostic on
 // each class of mutation: dropped receives, dropped sends, wrong lead
-// placement, off-by-one volumes, receive cycles, memory-bound breaches.
+// placement, off-by-one volumes, receive cycles, memory-bound and
+// scan-scratch breaches, tag collisions, and traffic or results under a
+// tag that is no view. Every violation code has its own report name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "cubist/cubist.h"
 
@@ -199,6 +203,105 @@ TEST(ScheduleVerifierTest, MemoryMutationsTripTheorem4Checks) {
         << report.to_string();
     EXPECT_FALSE(has_violation(report, ViolationCode::kMemoryLeak));
   }
+}
+
+TEST(ScheduleVerifierTest, ScanScratchAboveTheBudgetIsFlagged) {
+  const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
+  CommPlan plan = build_comm_plan(spec);
+  plan.ranks[1].max_scan_scratch_bytes = kScanScratchBudgetBytes + 1;
+  const AnalysisReport report = verify_schedule(spec, plan);
+  EXPECT_EQ(report.max_scan_scratch_bytes, kScanScratchBudgetBytes + 1);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  const Violation& v = report.violations[0];
+  EXPECT_EQ(v.code, ViolationCode::kMemoryBoundExceeded);
+  EXPECT_EQ(v.rank, 1);
+  EXPECT_EQ(v.expected, kScanScratchBudgetBytes);
+  EXPECT_EQ(v.actual, kScanScratchBudgetBytes + 1);
+  EXPECT_NE(v.message.find("scan-scratch"), std::string::npos);
+}
+
+TEST(ScheduleVerifierTest, TagCollisionMutationIsATagCollision) {
+  // Two chunk receives of one view from one source, swapped: the FIFO
+  // channel hands each the other chunk's message under the shared wire
+  // tag. Sends, volumes, memory and leads are untouched, so the stream
+  // check is the only thing that can see it.
+  const ScheduleSpec spec = spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4);
+  CommPlan plan = build_comm_plan(spec);
+  ScheduleIR ir = plan.ir();
+  ASSERT_NE(apply_schedule_mutation(ir, ScheduleMutation::kTagCollision), "");
+  for (int r = 0; r < plan.num_ranks; ++r) {
+    plan.ranks[static_cast<std::size_t>(r)].ops =
+        ir.ranks[static_cast<std::size_t>(r)].events;
+  }
+  const AnalysisReport report = verify_schedule(spec, plan);
+  ASSERT_EQ(report.violations.size(), 2u) << report.to_string();
+  for (const Violation& v : report.violations) {
+    EXPECT_EQ(v.code, ViolationCode::kTagCollision) << v.to_string();
+    EXPECT_EQ(v.rank, 0);
+  }
+}
+
+TEST(ScheduleVerifierTest, NonViewTagsInThePlanAreFlagged) {
+  const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
+  CommPlan plan = build_comm_plan(spec);
+  // Retag rank 1's first send and the receive (and combine) that take it
+  // to the root's mask, which is no proper view. Both sides agree, so the
+  // transport still matches; only the volume check can see the tag.
+  const std::uint32_t root_mask = DimSet::full(2).mask();
+  const std::size_t send = find_op(plan.ranks[1].ops, PlannedOp::Kind::kSend);
+  ASSERT_NE(send, static_cast<std::size_t>(-1));
+  PlannedOp& sent = plan.ranks[1].ops[send];
+  ASSERT_EQ(sent.peer, 0);
+  const std::uint32_t view = sent.view;
+  for (PlannedOp& op : plan.ranks[0].ops) {
+    if (op.kind != PlannedOp::Kind::kSend && op.peer == 1 &&
+        op.view == view && op.offset == sent.offset) {
+      op.view = root_mask;
+    }
+  }
+  sent.view = root_mask;
+  const AnalysisReport report = verify_schedule(spec, plan);
+  EXPECT_FALSE(has_violation(report, ViolationCode::kUnmatchedSend));
+  EXPECT_FALSE(has_violation(report, ViolationCode::kUnmatchedRecv));
+  EXPECT_TRUE(has_violation(report, ViolationCode::kUnknownViewTag))
+      << report.to_string();
+  for (const Violation& v : report.violations) {
+    if (v.code == ViolationCode::kUnknownViewTag) {
+      EXPECT_EQ(v.view_mask, root_mask);
+      EXPECT_EQ(v.actual, sent.elements);
+    }
+  }
+  // The view that lost the traffic falls short of Lemma 1.
+  EXPECT_TRUE(has_violation(report, ViolationCode::kEdgeVolumeMismatch));
+
+  // A rank that writes back the root's mask as a result is flagged too.
+  CommPlan finals = build_comm_plan(spec);
+  finals.ranks[0].final_views.push_back(root_mask);
+  const AnalysisReport written = verify_schedule(spec, finals);
+  ASSERT_EQ(written.violations.size(), 1u) << written.to_string();
+  EXPECT_EQ(written.violations[0].code, ViolationCode::kUnknownViewTag);
+  EXPECT_EQ(written.violations[0].rank, 0);
+}
+
+TEST(ScheduleVerifierTest, EveryViolationCodeHasADistinctName) {
+  // kMalformedTrace is the last code: the value past it has no name.
+  const int codes = static_cast<int>(ViolationCode::kMalformedTrace) + 1;
+  EXPECT_STREQ(to_string(static_cast<ViolationCode>(codes)), "unknown");
+  std::set<std::string> names;
+  for (int i = 0; i < codes; ++i) {
+    const auto code = static_cast<ViolationCode>(i);
+    const std::string name = to_string(code);
+    EXPECT_NE(name, "unknown") << "code " << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    AnalysisReport report;
+    Violation violation;
+    violation.code = code;
+    report.violations.push_back(violation);
+    EXPECT_NE(report.to_json().find("\"code\":\"" + name + "\""),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_EQ(names.size(), 14u);
 }
 
 TEST(ScheduleVerifierTest, AuditAcceptsExactLedgerAndCatchesOverCount) {

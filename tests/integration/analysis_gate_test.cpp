@@ -21,7 +21,6 @@ ParallelOptions gated_options() {
   ParallelOptions options;
   options.verify_schedule = true;
   options.audit_volume = true;
-  options.model_check = true;
   options.audit_hb = true;
   return options;
 }
@@ -101,29 +100,6 @@ TEST(AnalysisGateTest, AuditHoldsForUnevenExtents) {
   spec.density = 0.5;
   spec.seed = 29;
   EXPECT_NO_THROW(run_parallel_cube(spec.sizes, {1, 1, 1}, CostModel{},
-                                    provider_of(spec),
-                                    /*collect_result=*/false,
-                                    gated_options()));
-}
-
-TEST(AnalysisGateTest, ModelCheckGateCertifiesSmallGrids) {
-  // Within the exhaustive regime (<= kModelCheckMaxRanks) the driver's
-  // pre-flight model check explores every interleaving; the same check is
-  // directly accessible for tooling, with real DPOR pruning.
-  ScheduleSpec sched;
-  sched.sizes = {8, 8, 4};
-  sched.log_splits = {1, 1, 0};
-  const InterleavingReport interleavings =
-      check_interleavings(build_comm_plan(sched).ir());
-  EXPECT_TRUE(interleavings.ok()) << interleavings.to_string();
-  EXPECT_TRUE(interleavings.stats.exhausted);
-  EXPECT_GT(interleavings.stats.transitions_pruned, 0);
-
-  SparseSpec spec;
-  spec.sizes = sched.sizes;
-  spec.density = 0.3;
-  spec.seed = 5;
-  EXPECT_NO_THROW(run_parallel_cube(spec.sizes, sched.log_splits, CostModel{},
                                     provider_of(spec),
                                     /*collect_result=*/false,
                                     gated_options()));

@@ -1,8 +1,9 @@
 // Delivery-order independence, end to end: the cube's output BITS are
 // identical no matter which rank runs ahead. Per-rank start skews drive
-// the virtual clock — and with it Mailbox arrival order and every
-// match-any decision — through all permutations of rank priority on a
-// 2x2 grid; the serialized views must be bit-identical every time.
+// the virtual clock, and with it the order in which messages arrive,
+// through all permutations of rank priority on a 2x2 grid; the
+// serialized views must be bit-identical every time. Every receive
+// names its source, so arrival order cannot reach the result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,11 +77,10 @@ TEST(ArrivalOrderTest, ChunkedPipelineIsAlsoOrderInvariant) {
   const std::vector<int> log_splits = {1, 1};
 
   // Same property through the public driver, chunk-pipelined, with the
-  // full analysis gate (verifier + model check + HB audit) enabled.
+  // full analysis gate (verifier + HB audit) enabled.
   ParallelOptions options;
   options.reduce_message_elements = 4;
   options.verify_schedule = true;
-  options.model_check = true;
   options.audit_hb = true;
   const BlockProvider provider = [&](int, const BlockRange& block) {
     return generate_sparse_block(spec, block);

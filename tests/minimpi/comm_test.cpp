@@ -155,48 +155,6 @@ TEST(ReduceSumTest, RankOutsideGroupThrows) {
       InvalidArgument);
 }
 
-TEST(GatherTest, RootCollectsAllPayloads) {
-  Runtime::run(4, fast_model(), [](Comm& comm) {
-    std::vector<std::byte> mine{static_cast<std::byte>(comm.rank() + 1)};
-    const auto gathered = comm.gather_bytes(0, 21, mine);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(gathered.size(), 4u);
-      for (int r = 0; r < 4; ++r) {
-        ASSERT_EQ(gathered[static_cast<std::size_t>(r)].size(), 1u);
-        EXPECT_EQ(gathered[static_cast<std::size_t>(r)][0],
-                  static_cast<std::byte>(r + 1));
-      }
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-  });
-}
-
-TEST(GatherTest, NonZeroRootCollects) {
-  Runtime::run(4, fast_model(), [](Comm& comm) {
-    std::vector<std::byte> mine{static_cast<std::byte>(comm.rank() * 2)};
-    const auto gathered = comm.gather_bytes(2, 22, mine);
-    if (comm.rank() == 2) {
-      ASSERT_EQ(gathered.size(), 4u);
-      for (int r = 0; r < 4; ++r) {
-        EXPECT_EQ(gathered[static_cast<std::size_t>(r)][0],
-                  static_cast<std::byte>(r * 2));
-      }
-    }
-  });
-}
-
-TEST(GatherTest, EmptyPayloadsSupported) {
-  Runtime::run(2, fast_model(), [](Comm& comm) {
-    const auto gathered = comm.gather_bytes(0, 23, {});
-    if (comm.rank() == 0) {
-      ASSERT_EQ(gathered.size(), 2u);
-      EXPECT_TRUE(gathered[0].empty());
-      EXPECT_TRUE(gathered[1].empty());
-    }
-  });
-}
-
 TEST(ReduceSumTest, SingletonGroupTouchesNoWire) {
   // Same early-out as zero-size blocks: nothing to combine, no messages.
   const RunReport report = Runtime::run(2, fast_model(), [](Comm& comm) {
@@ -262,49 +220,6 @@ TEST(CommTest, RawSendsCountWireEqualLogical) {
   EXPECT_EQ(report.volume.total_wire_bytes, report.volume.total_bytes);
   EXPECT_EQ(report.volume.wire_bytes_by_tag.at(3),
             report.volume.bytes_by_tag.at(3));
-}
-
-TEST(CommTest, RecvAnyPrefersEarliestVirtualArrival) {
-  Runtime::run(3, fast_model(), [](Comm& comm) {
-    if (comm.rank() == 0) {
-      // Wait for both "sent" signals first so both tag-9 messages are
-      // queued (per-source FIFO) before the match-any picks by arrival.
-      comm.recv_values(1, 10);
-      comm.recv_values(2, 10);
-      const auto [first, p1] = comm.recv_bytes_any(9);
-      const auto [second, p2] = comm.recv_bytes_any(9);
-      EXPECT_EQ(first, 2);   // sent at virtual clock 0
-      EXPECT_EQ(second, 1);  // sent at virtual clock 5
-      EXPECT_EQ(p1.size(), sizeof(Value));
-    } else {
-      if (comm.rank() == 1) comm.advance_clock(5.0);
-      comm.send_values(0, 9,
-                       std::vector<Value>{static_cast<Value>(comm.rank())});
-      comm.send_values(0, 10, std::vector<Value>{0.0});
-    }
-  });
-}
-
-TEST(GatherTest, BackToBackSameTagGathersStaySeparated) {
-  // A fast rank's round-1 payload is already queued while the root still
-  // collects round 0 on the same tag; the match-any must not cross rounds
-  // (it excludes sources it has already heard from).
-  Runtime::run(3, fast_model(), [](Comm& comm) {
-    for (int round = 0; round < 2; ++round) {
-      std::vector<std::byte> mine{
-          static_cast<std::byte>(10 * round + comm.rank())};
-      const auto gathered = comm.gather_bytes(0, 33, mine);
-      if (comm.rank() == 0) {
-        ASSERT_EQ(gathered.size(), 3u);
-        for (int r = 0; r < 3; ++r) {
-          ASSERT_EQ(gathered[static_cast<std::size_t>(r)].size(), 1u);
-          EXPECT_EQ(gathered[static_cast<std::size_t>(r)][0],
-                    static_cast<std::byte>(10 * round + r))
-              << "round " << round << " rank " << r;
-        }
-      }
-    }
-  });
 }
 
 TEST(VirtualClockTest, ComputeChargesAdvanceClock) {

@@ -31,21 +31,6 @@ TEST(MailboxTransportTest, ChannelsAreFifoPerSourceAndTag) {
   EXPECT_EQ(transport->receive(1, 0, 7).payload.size(), 2u);
 }
 
-TEST(MailboxTransportTest, ReceiveAnyPicksEarliestArrival) {
-  const std::unique_ptr<Transport> transport = make_mailbox_transport(3);
-  transport->deliver(2, 0, 9, {bytes_of(1), 2.0, 0});
-  transport->deliver(2, 1, 9, {bytes_of(2), 1.0, 0});
-  auto [src, message] = transport->receive_any(2, 9, nullptr);
-  EXPECT_EQ(src, 1);
-  EXPECT_DOUBLE_EQ(message.arrival_time, 1.0);
-  // An accept filter excludes the remaining source's queue entirely.
-  transport->deliver(2, 1, 9, {bytes_of(3), 0.0, 1});
-  auto [src2, message2] =
-      transport->receive_any(2, 9, [](int s) { return s == 0; });
-  EXPECT_EQ(src2, 0);
-  EXPECT_DOUBLE_EQ(message2.arrival_time, 2.0);
-}
-
 TEST(MailboxTransportTest, AbortWakesBlockedReceivers) {
   const std::unique_ptr<Transport> transport = make_mailbox_transport(2);
   std::atomic<bool> threw{false};
@@ -85,13 +70,6 @@ class CountingTransport : public Transport {
   Message receive(int rank, int src, std::uint64_t tag) override {
     receives_.fetch_add(1);
     return inner_->receive(rank, src, tag);
-  }
-
-  std::pair<int, Message> receive_any(
-      int rank, std::uint64_t tag,
-      const std::function<bool(int)>& accept_source) override {
-    receives_.fetch_add(1);
-    return inner_->receive_any(rank, tag, accept_source);
   }
 
   void abort() override { inner_->abort(); }

@@ -1,23 +1,25 @@
 // cubist-analyze — schedule certification from the command line.
 //
 // For a given construction shape (global extents, grid exponents, message
-// chunking) the tool builds the static communication plan, certifies it
-// with the replay verifier (Lemma 1 / Theorem 3 / Theorem 4), then
-// exhaustively model checks every arrival interleaving of the schedule IR
-// (deadlock freedom + combine determinism, with DPOR sleep-set pruning).
-// Findings, interleavings explored and the DPOR reduction ratio are
+// chunking, reduction algorithm) the tool builds the static communication
+// plan and certifies it with the replay verifier: transport safety
+// (matched sends and receives, no deadlock, no stream crossing a shared
+// wire tag) and the Lemma 1 / Theorem 3 / Theorem 4 closed forms. Every
+// receive names its source and sends never block, so the verifier's one
+// replay decides every arrival order (docs/ANALYSIS.md). Findings are
 // printed and optionally written as JSON for CI artifacts.
 //
 //   $ cubist-analyze --sizes=4x4x4 --log-splits=1x1x0
-//   $ cubist-analyze --figure7 --json=model_check.json
+//   $ cubist-analyze --figure7 --json=figure7.json
 //   $ cubist-analyze --self-test
 //   $ cubist-analyze --sizes=4x4x4 --log-splits=2x0x0 --mutate=drop-send
 //
-// --self-test proves the analyses actually detect the three classic
-// seeded bugs (dropped send, arrival-order combine, wildcard tag
-// collision): each is planted via apply_schedule_mutation (static leg)
-// and via runtime fault injection / trace tampering (happens-before leg),
-// and the run fails unless every plant is caught.
+// --self-test proves the analyses actually detect the seeded bugs: a
+// dropped send and a tag collision are planted in the plan via
+// apply_schedule_mutation (the replay verifier must catch both), and a
+// dropped send and a cross-tag consumption are planted in a recorded
+// trace (the happens-before auditor must catch both). It fails unless
+// every plant is caught and both unmutated controls pass.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -26,7 +28,6 @@
 
 #include "analysis/comm_plan.h"
 #include "analysis/hb_auditor.h"
-#include "analysis/interleaving_checker.h"
 #include "analysis/schedule_verifier.h"
 #include "array/dense_array.h"
 #include "common/args.h"
@@ -60,14 +61,9 @@ std::vector<int> parse_ints(const std::string& text, const char* flag) {
 ScheduleMutation parse_mutation(const std::string& name) {
   if (name.empty() || name == "none") return ScheduleMutation::kNone;
   if (name == "drop-send") return ScheduleMutation::kDropSend;
-  if (name == "arrival-order-combine") {
-    return ScheduleMutation::kArrivalOrderCombine;
-  }
   CUBIST_CHECK(name == "tag-collision",
                "unknown --mutate value '"
-                   << name
-                   << "' (none | drop-send | arrival-order-combine | "
-                      "tag-collision)");
+                   << name << "' (none | drop-send | tag-collision)");
   return ScheduleMutation::kTagCollision;
 }
 
@@ -91,21 +87,15 @@ struct CaseResult {
   ScheduleMutation mutation = ScheduleMutation::kNone;
   std::string mutation_note;
   std::int64_t events = 0;
-  /// Replay verifier result — only run on unmutated plans (a seeded bug
-  /// trivially breaks the volume closed forms; the interesting question
-  /// is whether the model checker catches it).
-  std::string verify_json;
-  bool verify_ok = true;
-  InterleavingReport interleavings;
+  AnalysisReport report;
 
   bool ok() const {
-    return verify_ok && interleavings.ok() &&
+    return report.ok() &&
            (mutation == ScheduleMutation::kNone || !mutation_note.empty());
   }
 };
 
-CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation,
-                    std::int64_t max_transitions) {
+CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation) {
   CaseResult result;
   result.shape = shape;
   result.mutation = mutation;
@@ -121,28 +111,21 @@ CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation,
                                  spec.model.overhead,
                                  spec.model.bandwidth / 8};
   }
-  const CommPlan plan = build_comm_plan(spec);
-
-  if (mutation == ScheduleMutation::kNone) {
-    const AnalysisReport verify = verify_schedule(spec, plan);
-    result.verify_ok = verify.ok();
-    result.verify_json = verify.to_json();
-  }
-
+  CommPlan plan = build_comm_plan(spec);
   ScheduleIR ir = plan.ir();
   if (mutation != ScheduleMutation::kNone) {
     result.mutation_note = apply_schedule_mutation(ir, mutation);
     if (result.mutation_note.empty()) {
-      result.mutation_note.clear();
       std::printf("  (mutation %s not expressible on this shape)\n",
                   to_string(mutation));
     }
+    for (int r = 0; r < plan.num_ranks; ++r) {
+      plan.ranks[static_cast<std::size_t>(r)].ops =
+          ir.ranks[static_cast<std::size_t>(r)].events;
+    }
   }
   result.events = ir.total_events();
-
-  InterleavingOptions options;
-  if (max_transitions > 0) options.max_transitions = max_transitions;
-  result.interleavings = check_interleavings(ir, options);
+  result.report = verify_schedule(spec, plan);
   return result;
 }
 
@@ -159,11 +142,8 @@ void print_case(const CaseResult& result) {
   if (!result.mutation_note.empty()) {
     std::printf("  seeded: %s\n", result.mutation_note.c_str());
   }
-  if (result.mutation == ScheduleMutation::kNone) {
-    std::printf("  replay verifier: %s\n",
-                result.verify_ok ? "OK" : "VIOLATIONS");
-  }
-  std::printf("  %s\n", result.interleavings.to_string().c_str());
+  std::printf("  %lld events; %s\n", static_cast<long long>(result.events),
+              result.report.to_string().c_str());
 }
 
 std::string case_to_json(const CaseResult& result) {
@@ -182,15 +162,13 @@ std::string case_to_json(const CaseResult& result) {
       << ",\"mutation\":\"" << to_string(result.mutation)
       << "\",\"mutation_note\":\"" << json_escape(result.mutation_note)
       << "\",\"events\":" << result.events << ",\"ok\":"
-      << (result.ok() ? "true" : "false") << ",\"verifier\":"
-      << (result.verify_json.empty() ? "null" : result.verify_json)
-      << ",\"interleavings\":" << result.interleavings.to_json() << "}";
+      << (result.ok() ? "true" : "false")
+      << ",\"verifier\":" << result.report.to_json() << "}";
   return out.str();
 }
 
-/// The Figure-7 shape matrix, scaled to the exhaustively checkable
-/// regime: every grid uses at most kModelCheckMaxRanks processors, and
-/// each shape runs both unchunked and chunk-pipelined.
+/// The Figure-7 shape matrix, scaled down to grids of at most 4
+/// processors; each shape runs both unchunked and chunk-pipelined.
 std::vector<ShapeCase> figure7_matrix() {
   struct Base {
     const char* name;
@@ -226,9 +204,8 @@ bool has_code(const std::vector<Violation>& violations, ViolationCode code) {
   return false;
 }
 
-/// Records one reduce over ranks {0..3} (rank-dependent data so combine
-/// order is observable) and returns the event trace.
-EventTrace traced_reduce(ReduceOptions::Fault fault) {
+/// Records one reduce over ranks {0..3} and returns the event trace.
+EventTrace traced_reduce() {
   const std::vector<int> group = {0, 1, 2, 3};
   const RunReport run = Runtime::run(
       4, CostModel{},
@@ -237,94 +214,73 @@ EventTrace traced_reduce(ReduceOptions::Fault fault) {
         for (std::int64_t i = 0; i < block.size(); ++i) {
           block[i] = static_cast<Value>(comm.rank() + 1);
         }
-        ReduceOptions options;
-        options.fault = fault;
-        comm.reduce(group, block, /*tag=*/1, AggregateOp::kSum, options);
+        comm.reduce(group, block, /*tag=*/1, AggregateOp::kSum);
         comm.barrier();
       },
       /*record_trace=*/true);
   return run.trace;
 }
 
-int self_test(std::int64_t max_transitions) {
+/// A copy of `trace` whose first receive is changed by `tamper` (an
+/// unchanged copy if it has none, which the self-test reports as missed).
+EventTrace tamper_first_receive(EventTrace trace,
+                                void (*tamper)(TraceEvent&)) {
+  for (std::vector<TraceEvent>& rank_events : trace.ranks) {
+    for (TraceEvent& event : rank_events) {
+      if (event.kind == TraceEventKind::kRecv) {
+        tamper(event);
+        return trace;
+      }
+    }
+  }
+  return trace;
+}
+
+int self_test() {
   int failures = 0;
   const auto expect = [&](bool passed, const char* what) {
-    std::printf("  %-60s %s\n", what, passed ? "caught" : "MISSED");
+    std::printf("  %-60s %s\n", what, passed ? "pass" : "FAIL");
     if (!passed) ++failures;
   };
 
-  std::printf("static leg: seeded IR mutations through the model checker\n");
+  std::printf("static leg: seeded plan mutations through the replay "
+              "verifier\n");
   const ShapeCase plain{"self-test", {4, 4, 4}, {2, 0, 0}, 0};
   const ShapeCase chunked{"self-test-chunked", {4, 4, 4}, {2, 0, 0}, 4};
 
-  CaseResult dropped =
-      run_case(plain, ScheduleMutation::kDropSend, max_transitions);
+  expect(run_case(chunked, ScheduleMutation::kNone).ok(),
+         "clean plan verifies clean (control)");
+
+  const CaseResult dropped = run_case(plain, ScheduleMutation::kDropSend);
   expect(!dropped.mutation_note.empty() &&
-             has_code(dropped.interleavings.violations,
-                      ViolationCode::kDeadlock),
-         "drop-send -> deadlock under some interleaving");
+             has_code(dropped.report.violations,
+                      ViolationCode::kUnmatchedRecv),
+         "drop-send -> receiver blocks forever");
 
-  CaseResult arrival =
-      run_case(plain, ScheduleMutation::kArrivalOrderCombine, max_transitions);
-  expect(!arrival.mutation_note.empty() &&
-             has_code(arrival.interleavings.violations,
-                      ViolationCode::kNondeterministicCombine),
-         "arrival-order-combine -> nondeterministic combine");
-
-  CaseResult collision =
-      run_case(chunked, ScheduleMutation::kTagCollision, max_transitions);
+  const CaseResult collision =
+      run_case(chunked, ScheduleMutation::kTagCollision);
   expect(!collision.mutation_note.empty() &&
-             has_code(collision.interleavings.violations,
+             has_code(collision.report.violations,
                       ViolationCode::kTagCollision),
-         "tag-collision -> wildcard steals across streams");
+         "tag-collision -> receive consumes another stream's message");
 
-  std::printf("runtime leg: seeded traces through the happens-before "
+  std::printf("runtime leg: tampered traces through the happens-before "
               "auditor\n");
-  const HbAuditReport raced =
-      audit_event_trace(traced_reduce(ReduceOptions::Fault::kArrivalOrderCombine));
-  expect(has_code(raced.violations, ViolationCode::kUnorderedCombineRace),
-         "arrival-order fault -> unordered combine race");
-
-  EventTrace clean = traced_reduce(ReduceOptions::Fault::kNone);
-  const HbAuditReport sane = audit_event_trace(clean);
-  expect(sane.ok(), "clean trace audits clean (control)");
+  const EventTrace clean = traced_reduce();
+  expect(audit_event_trace(clean).ok(), "clean trace audits clean (control)");
 
   // Dropped send, modelled at the trace level: a receive whose matched
   // send vanished from the wire record.
-  EventTrace dropped_trace = clean;
-  bool tampered = false;
-  for (std::vector<TraceEvent>& rank_events : dropped_trace.ranks) {
-    for (TraceEvent& event : rank_events) {
-      if (event.kind == TraceEventKind::kRecv) {
-        event.match_seq = kNoTraceSeq;
-        tampered = true;
-        break;
-      }
-    }
-    if (tampered) break;
-  }
-  const HbAuditReport unmatched = audit_event_trace(dropped_trace);
-  expect(tampered && has_code(unmatched.violations,
-                              ViolationCode::kUnmatchedRecv),
+  const HbAuditReport unmatched = audit_event_trace(tamper_first_receive(
+      clean, [](TraceEvent& event) { event.match_seq = kNoTraceSeq; }));
+  expect(has_code(unmatched.violations, ViolationCode::kUnmatchedRecv),
          "dropped send in trace -> unmatched receive");
 
   // Tag collision, modelled at the trace level: a receive that consumed a
   // message recorded under a different wire tag.
-  EventTrace collided_trace = clean;
-  tampered = false;
-  for (std::vector<TraceEvent>& rank_events : collided_trace.ranks) {
-    for (TraceEvent& event : rank_events) {
-      if (event.kind == TraceEventKind::kRecv) {
-        event.tag += 1;
-        tampered = true;
-        break;
-      }
-    }
-    if (tampered) break;
-  }
-  const HbAuditReport crossed = audit_event_trace(collided_trace);
-  expect(tampered &&
-             has_code(crossed.violations, ViolationCode::kTagCollision),
+  const HbAuditReport crossed = audit_event_trace(tamper_first_receive(
+      clean, [](TraceEvent& event) { event.tag += 1; }));
+  expect(has_code(crossed.violations, ViolationCode::kTagCollision),
          "tag collision in trace -> cross-stream consumption");
 
   std::printf(failures == 0 ? "self-test OK\n"
@@ -337,16 +293,13 @@ int self_test(std::int64_t max_transitions) {
 
 int main(int argc, char** argv) {
   ArgParser args("cubist-analyze",
-                 "certify a parallel cube schedule: replay verification + "
-                 "exhaustive interleaving model checking");
+                 "certify a parallel cube schedule with the replay verifier");
   const auto* sizes_text =
       args.add_string("sizes", "4x4x4", "global extents, e.g. 4x4x4");
   const auto* splits_text = args.add_string(
       "log-splits", "1x1x0", "grid exponents per dimension, e.g. 1x1x0");
   const auto* chunk = args.add_int(
       "chunk-elements", 0, "reduction message cap in elements (0 = whole block)");
-  const auto* max_transitions = args.add_int(
-      "max-transitions", 0, "model-checker transition budget (0 = default)");
   const auto* algorithm_text = args.add_string(
       "algorithm", "binomial",
       "reduction schedule to certify: binomial | ring | two-level | auto");
@@ -354,19 +307,18 @@ int main(int argc, char** argv) {
       "ranks-per-node", 0,
       "two-tier topology: consecutive ranks per node (0 = flat)");
   const auto* mutate_text = args.add_string(
-      "mutate", "none",
-      "seed a bug first: drop-send | arrival-order-combine | tag-collision");
+      "mutate", "none", "seed a bug first: drop-send | tag-collision");
   const auto* json_path =
       args.add_string("json", "", "write the machine-readable report here");
   const auto* figure7 = args.add_bool(
       "figure7", false, "certify the scaled Figure-7 shape matrix");
   const auto* run_self_test = args.add_bool(
       "self-test", false,
-      "prove the checker and auditor detect the three seeded bugs");
+      "prove the verifier and auditor detect the seeded bugs");
   if (!args.parse(argc, argv)) return 1;
 
   if (*run_self_test) {
-    return self_test(*max_transitions);
+    return self_test();
   }
 
   ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
@@ -399,7 +351,7 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\"tool\":\"cubist-analyze\",\"results\":[";
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const CaseResult result = run_case(cases[i], mutation, *max_transitions);
+    const CaseResult result = run_case(cases[i], mutation);
     print_case(result);
     all_ok = all_ok && result.ok();
     json << (i > 0 ? "," : "") << case_to_json(result);
