@@ -243,8 +243,7 @@ void BM_AlgorithmSweep(benchmark::State& state,
   options.reduce_algorithm = algorithm;
   options.reduce_density_hint = density;
   options.verify_schedule = true;
-  options.audit_volume = true;
-  options.audit_hb = true;
+  options.audit = true;
   ParallelCubeReport report;
   for (auto _ : state) {
     report = run_parallel_cube(sizes, splits, model, provider,

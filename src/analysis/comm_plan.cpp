@@ -10,11 +10,20 @@
 namespace cubist {
 namespace {
 
+/// Cells of `block` restricted to the retained dimensions of `view` (a
+/// rank's block of a view: each aggregation removes one dimension).
+std::int64_t block_cells(const BlockRange& block, DimSet view) {
+  std::int64_t cells = 1;
+  for (int d : view.dims()) cells *= block.extent(d);
+  return cells;
+}
+
 /// One rank's Figure-5 program as planned events: a visitor of
 /// AggregationTree::walk, the walk the builders' TreeWalk runs, so the
 /// plan's event order is the run's by construction. Where the per-rank
 /// hooks of core/parallel_builder.cpp touch data, this emits planned
-/// allocations, reduce operations, releases and write-backs.
+/// allocations, reduce operations, releases and write-backs, and, when
+/// the result is collected, the gather's sends and rank 0's receives.
 class RankPlanner {
  public:
   RankPlanner(const ScheduleSpec& spec, const ProcGrid& grid,
@@ -30,6 +39,7 @@ class RankPlanner {
     elements_by_view_ = &elements_by_view;
     algorithm_by_view_ = &algorithm_by_view;
     tree_.walk(*this);
+    if (spec_.collect_result && rank_ == 0) plan_gather_receives();
     return std::move(plan_);
   }
 
@@ -70,24 +80,40 @@ class RankPlanner {
     return grid_.is_lead(rank_, aggregated);
   }
 
-  /// Frees `view`'s block; a kept view is one of this rank's results.
+  /// Frees `view`'s block; a kept view is one of this rank's results,
+  /// written back at once: a collecting lead other than rank 0 sends it
+  /// to rank 0 (rank 0 places its own blocks locally).
   void retire(DimSet view, bool keep) {
     plan_.memory.push_back(
         {PlannedMemoryEvent::Kind::kRelease, view.mask(), view_bytes(view)});
-    if (keep) plan_.final_views.push_back(view.mask());
+    if (!keep) return;
+    plan_.final_views.push_back(view.mask());
+    if (spec_.collect_result && rank_ != 0) {
+      plan_.ops.push_back({PlannedOp::Kind::kSend, 0, view.mask(),
+                           block_cells(block_, view), 0,
+                           kGatherTagBase | view.mask()});
+    }
   }
 
  private:
-  /// Cells of this rank's block of `view` (the root block restricted to
-  /// the retained dimensions; each aggregation removes one dimension).
-  std::int64_t view_cells(DimSet view) const {
-    std::int64_t cells = 1;
-    for (int d : view.dims()) cells *= block_.extent(d);
-    return cells;
+  /// Rank 0's receives of the other leads' blocks, after its walk: view
+  /// by view in ascending mask, source by source in ascending rank.
+  void plan_gather_receives() {
+    const int n = grid_.ndims();
+    for (std::uint32_t mask = 0; mask < DimSet::full(n).mask(); ++mask) {
+      const DimSet view = DimSet::from_mask(mask);
+      for (int src = 1; src < grid_.size(); ++src) {
+        if (!grid_.is_lead_for(src, view.complement(n))) continue;
+        plan_.ops.push_back(
+            {PlannedOp::Kind::kRecv, src, mask,
+             block_cells(grid_.block(src, spec_.sizes), view), 0,
+             kGatherTagBase | mask});
+      }
+    }
   }
 
   std::int64_t view_bytes(DimSet view) const {
-    return view_cells(view) * spec_.bytes_per_cell;
+    return block_cells(block_, view) * spec_.bytes_per_cell;
   }
 
   /// The chunk-pipelined reduction of Comm::reduce, as planned
@@ -104,7 +130,7 @@ class RankPlanner {
       if (group[i] == rank_) me = i;
     }
     CUBIST_ASSERT(me >= 0, "rank not in its own axis group");
-    const std::int64_t total = view_cells(child);
+    const std::int64_t total = block_cells(block_, child);
     if (total == 0 || g == 1) return;
     const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
         spec_.reduce_algorithm, group, total, spec_.reduce_message_elements,
@@ -155,18 +181,6 @@ std::int64_t CommPlan::total_messages() const {
     }
   }
   return messages;
-}
-
-ScheduleIR CommPlan::ir() const {
-  ScheduleIR out;
-  out.num_ranks = num_ranks;
-  out.ranks.reserve(ranks.size());
-  for (const RankPlan& rank : ranks) {
-    RankProgram program;
-    program.events = rank.ops;
-    out.ranks.push_back(std::move(program));
-  }
-  return out;
 }
 
 CommPlan build_comm_plan(const ScheduleSpec& spec) {

@@ -4,13 +4,18 @@
 // `build_cube_parallel_rank` without touching any data: it visits
 // AggregationTree::walk, the walk the builders run, and plans each
 // child's reduction onto the lead processors with reduce_program, the
-// tuned reduction program Comm::reduce executes. The result is, per rank,
-// the exact ordered list of planned sends/receives/combines (peer, view
-// tag, payload elements), the exact ordered list of view-block
-// allocations/releases and the views it writes back. The schedule
-// verifier checks this plan against the paper's closed forms (Lemma 1,
-// Theorems 3 and 4) and proves it deadlock-free; the post-run auditor
-// diffs the runtime's VolumeLedger against it.
+// tuned reduction program Comm::reduce executes. When the result is
+// collected it also plans the gather: each lead other than rank 0 sends a
+// view block to rank 0 the moment it writes the view back, and rank 0,
+// after its walk, receives the other leads' blocks view by view
+// (ascending mask), source by source (ascending rank). The result is, per
+// rank, the exact ordered list of planned sends/receives/combines (peer,
+// view, chunk offset, payload elements, wire tag), the exact ordered list
+// of view-block allocations/releases and the views it writes back. The
+// schedule verifier checks this plan against the paper's closed forms
+// (Lemma 1, Theorems 3 and 4) and proves the whole program deadlock-free;
+// the post-run audits check the recorded trace and the runtime's
+// VolumeLedger against it.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +30,12 @@
 
 namespace cubist {
 
+/// Tag space of the result gather: a lead ships its block of view `mask`
+/// under kGatherTagBase | mask. View masks stay below 2^32, so the
+/// construction tags (the view masks themselves) never collide with it,
+/// and the Lemma-1/Theorem-3 volumes count the tags below it only.
+inline constexpr std::uint64_t kGatherTagBase = std::uint64_t{1} << 32;
+
 /// The inputs that determine a parallel construction schedule: the global
 /// extents, the processor grid exponents (dimension d split 2^{k_d} ways)
 /// and the message-size cap of the reductions. Mirrors the arguments of
@@ -32,6 +43,10 @@ namespace cubist {
 struct ScheduleSpec {
   std::vector<std::int64_t> sizes;
   std::vector<int> log_splits;
+  /// Whether the views are gathered onto rank 0 (run_parallel_cube's
+  /// `collect_result`). Off, the views stay distributed on their leads,
+  /// as in the paper, and the plan holds construction traffic only.
+  bool collect_result = false;
   /// Cap on elements per reduction message (0 = whole block per message),
   /// as in ParallelOptions::reduce_message_elements. Changes message
   /// counts, never volumes.
@@ -54,7 +69,8 @@ struct ScheduleSpec {
 /// One planned operation of a rank, in program order. Planned ops ARE
 /// schedule-IR events (analysis/schedule_ir.h): typed send / recv /
 /// combine with view, chunk offset and wire tag — the alias keeps the
-/// historical name used throughout the verifier and its tests.
+/// historical name used throughout the verifier and its tests. A gather
+/// send or receive carries tag kGatherTagBase | view and has no combine.
 using PlannedOp = CommEvent;
 
 /// One planned view-block lifetime transition of a rank, in program order.
@@ -86,7 +102,8 @@ struct CommPlan {
   int num_ranks = 0;
   std::vector<RankPlan> ranks;
   /// Planned reduction volume per view (sum of send payloads under the
-  /// view's tag) — the static counterpart of the runtime ledger. A derived
+  /// view's construction tag; the gather is not counted) — the static
+  /// counterpart of the runtime ledger. A derived
   /// summary: verify_schedule recomputes volumes from `ranks[].ops`, so
   /// mutating the ops does not require keeping this map in sync.
   std::map<std::uint32_t, std::int64_t> elements_by_view;
@@ -95,12 +112,10 @@ struct CommPlan {
   /// reports surface. Informational summary like elements_by_view.
   std::map<std::uint32_t, ReduceAlgorithm> algorithm_by_view;
 
+  /// Planned construction volume (the sum of elements_by_view).
   std::int64_t total_elements() const;
+  /// Planned sends, gather included.
   std::int64_t total_messages() const;
-  /// The plan's communication events as a standalone schedule IR (memory
-  /// events and write-back bookkeeping are not part of it) — what
-  /// apply_schedule_mutation seeds bugs into.
-  ScheduleIR ir() const;
 };
 
 /// Builds the exact plan the parallel builder will execute for `spec`.

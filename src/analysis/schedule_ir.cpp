@@ -4,8 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/comm_plan.h"
 #include "common/dimset.h"
-#include "common/error.h"
 
 namespace cubist {
 namespace {
@@ -15,18 +15,6 @@ std::string view_label(std::uint32_t mask) {
 }
 
 }  // namespace
-
-const char* to_string(CommEvent::Kind kind) {
-  switch (kind) {
-    case CommEvent::Kind::kSend:
-      return "send";
-    case CommEvent::Kind::kRecv:
-      return "recv";
-    case CommEvent::Kind::kCombine:
-      return "combine";
-  }
-  return "unknown";
-}
 
 const char* to_string(ScheduleMutation mutation) {
   switch (mutation) {
@@ -40,24 +28,10 @@ const char* to_string(ScheduleMutation mutation) {
   return "unknown";
 }
 
-std::int64_t ScheduleIR::total_events() const {
-  std::int64_t total = 0;
-  for (const RankProgram& program : ranks) {
-    total += static_cast<std::int64_t>(program.events.size());
-  }
-  return total;
-}
-
-std::string ScheduleIR::describe(int rank, std::size_t index) const {
-  CUBIST_CHECK(rank >= 0 && rank < num_ranks, "rank out of range");
-  const std::vector<CommEvent>& events =
-      ranks[static_cast<std::size_t>(rank)].events;
-  CUBIST_CHECK(index < events.size(), "event index out of range");
-  const CommEvent& e = events[index];
+std::string to_string(const CommEvent& e) {
   std::ostringstream out;
-  out << "r" << rank << "[" << index << "] " << cubist::to_string(e.kind)
-      << " view " << view_label(e.view) << "@" << e.offset << " x"
-      << e.elements;
+  out << cubist::to_string(e.kind) << " view " << view_label(e.view) << "@"
+      << e.offset << " x" << e.elements;
   switch (e.kind) {
     case CommEvent::Kind::kSend:
       out << " -> r" << e.peer;
@@ -73,7 +47,7 @@ std::string ScheduleIR::describe(int rank, std::size_t index) const {
   return out.str();
 }
 
-std::string apply_schedule_mutation(ScheduleIR& ir,
+std::string apply_schedule_mutation(CommPlan& plan,
                                     ScheduleMutation mutation) {
   switch (mutation) {
     case ScheduleMutation::kNone:
@@ -82,13 +56,13 @@ std::string apply_schedule_mutation(ScheduleIR& ir,
       // Delete the LAST send of the highest sending rank: its stream stays
       // FIFO-consistent up to the drop, so the receiver blocks forever on
       // exactly the dropped message.
-      for (int r = ir.num_ranks - 1; r >= 0; --r) {
+      for (int r = plan.num_ranks - 1; r >= 0; --r) {
         std::vector<CommEvent>& events =
-            ir.ranks[static_cast<std::size_t>(r)].events;
+            plan.ranks[static_cast<std::size_t>(r)].ops;
         for (std::size_t i = events.size(); i-- > 0;) {
           if (events[i].kind != CommEvent::Kind::kSend) continue;
           std::ostringstream out;
-          out << "dropped " << ir.describe(r, i);
+          out << "dropped r" << r << "[" << i << "] " << to_string(events[i]);
           events.erase(events.begin() + static_cast<std::ptrdiff_t>(i));
           return out.str();
         }
@@ -99,9 +73,9 @@ std::string apply_schedule_mutation(ScheduleIR& ir,
       // The first two receives of one rank on one (source, wire tag)
       // channel whose chunks differ: swapped, each consumes the other
       // chunk's message, since the channel still delivers in send order.
-      for (int r = 0; r < ir.num_ranks; ++r) {
+      for (int r = 0; r < plan.num_ranks; ++r) {
         std::vector<CommEvent>& events =
-            ir.ranks[static_cast<std::size_t>(r)].events;
+            plan.ranks[static_cast<std::size_t>(r)].ops;
         std::map<std::pair<int, std::uint64_t>, std::size_t> first;
         for (std::size_t j = 0; j < events.size(); ++j) {
           if (events[j].kind != CommEvent::Kind::kRecv) continue;

@@ -188,9 +188,11 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
 }
 
 /// Per-edge volumes against Lemma 1 and the total against Theorem 3.
-/// Volumes are recomputed from the planned send operations (the ground
+/// Volumes are recomputed from the planned construction sends (the ground
 /// truth) rather than read from the plan's summary map, so mutations to
-/// the ops — including test-injected ones — are always caught.
+/// the ops — including test-injected ones — are always caught. The
+/// gather's sends (tags from kGatherTagBase up) are result collection,
+/// which the closed forms leave out.
 void check_volume(const ScheduleSpec& spec, const CommPlan& plan,
                   AnalysisReport& report) {
   const int n = static_cast<int>(spec.sizes.size());
@@ -198,7 +200,8 @@ void check_volume(const ScheduleSpec& spec, const CommPlan& plan,
   std::map<std::uint32_t, std::int64_t> planned_by_view;
   for (const RankPlan& rank : plan.ranks) {
     for (const PlannedOp& op : rank.ops) {
-      if (op.kind == PlannedOp::Kind::kSend) {
+      if (op.kind == PlannedOp::Kind::kSend &&
+          op.wire_tag() < kGatherTagBase) {
         planned_by_view[op.view] += op.elements;
       }
     }
@@ -337,9 +340,102 @@ void check_leads(const ScheduleSpec& spec, const CommPlan& plan,
   }
 }
 
+/// One-line rendering of a recorded event.
+std::string describe(const TraceEvent& e) {
+  std::ostringstream out;
+  out << to_string(e.kind) << " peer " << e.peer << " tag " << e.tag << " @"
+      << e.offset << " x" << e.units;
+  if (e.match_seq != kNoTraceSeq) out << " consumed #" << e.match_seq;
+  if (e.operand_seq != kNoTraceSeq) out << " operand #" << e.operand_seq;
+  return out.str();
+}
+
+/// One field of an event: its name, the planned and the recorded value.
+struct Field {
+  const char* name = nullptr;
+  std::int64_t planned = 0;
+  std::int64_t recorded = 0;
+};
+
+/// The first field in which recorded event `e` departs from planned `op`
+/// (name null when none does). `match` is the send the plan pairs with a
+/// receive and `operand` the receive a combine folds (kNoTraceSeq for the
+/// other kinds, whose recorded links must be absent too).
+Field first_divergence(const ScheduleSpec& spec, const EventTrace& trace,
+                       const PlannedOp& op, const TraceEvent& e,
+                       std::uint64_t match, std::uint64_t operand) {
+  const auto seq = [](std::uint64_t index) {
+    return index == kNoTraceSeq ? std::int64_t{-1}
+                                : static_cast<std::int64_t>(index);
+  };
+  // A receive records wire bytes: its logical size is that of the send it
+  // consumed, by then known to be the planned `match` (a send of the
+  // plan, so `op.peer` is a rank of the trace).
+  std::int64_t size = e.units;
+  if (op.kind == PlannedOp::Kind::kRecv) {
+    size = -1;
+    if (match != kNoTraceSeq) {
+      const std::vector<TraceEvent>& sender =
+          trace.ranks[static_cast<std::size_t>(op.peer)];
+      if (match < sender.size()) size = sender[match].units;
+    }
+  }
+  const std::int64_t planned_size =
+      op.kind == PlannedOp::Kind::kCombine
+          ? op.elements
+          : op.elements * spec.bytes_per_cell;
+  for (const Field& field : {
+           Field{"kind", static_cast<std::int64_t>(op.kind),
+                 static_cast<std::int64_t>(e.kind)},
+           Field{"peer", op.peer, e.peer},
+           Field{"wire tag", static_cast<std::int64_t>(op.wire_tag()),
+                 static_cast<std::int64_t>(e.tag)},
+           Field{"chunk offset", op.offset, e.offset},
+           Field{"consumed send", seq(match), seq(e.match_seq)},
+           Field{"operand", seq(operand), seq(e.operand_seq)},
+           Field{"logical size", planned_size, size},
+       }) {
+    if (field.planned != field.recorded) return field;
+  }
+  return {};
+}
+
+/// `map`'s value at `key`, 0 when absent.
+std::int64_t value_at(const std::map<std::uint32_t, std::int64_t>& map,
+                      std::uint32_t key) {
+  const auto it = map.find(key);
+  return it == map.end() ? std::int64_t{0} : it->second;
+}
+
+/// A post-run audit's report, with the plan's summary filled in.
+AnalysisReport audit_report(const ScheduleSpec& spec, const CommPlan& plan) {
+  AnalysisReport report;
+  report.planned_total_elements = plan.total_elements();
+  report.planned_messages = plan.total_messages();
+  report.predicted_total_elements =
+      total_volume_elements(spec.sizes, spec.log_splits);
+  return report;
+}
+
+/// Flags measured `what` under a tag at or above `root_mask`, which is no
+/// proper lattice view.
+void check_view_tags(const std::map<std::uint32_t, std::int64_t>& measured,
+                     std::uint32_t root_mask, const char* what,
+                     AnalysisReport& report) {
+  for (const auto& [mask, bytes] : measured) {
+    if (mask < root_mask || bytes == 0) continue;
+    std::ostringstream msg;
+    msg << "ledger recorded " << bytes << " " << what << " under tag "
+        << mask << " which is not a proper lattice view";
+    add_violation(report, ViolationCode::kUnknownViewTag, kNoRank, mask, 0,
+                  bytes, msg.str());
+  }
+}
+
 }  // namespace
 
 std::string json_escape(const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::ostringstream out;
   for (char c : text) {
     switch (c) {
@@ -354,7 +450,7 @@ std::string json_escape(const std::string& text) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
+          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
         } else {
           out << c;
         }
@@ -391,8 +487,8 @@ const char* to_string(ViolationCode code) {
       return "unknown_view_tag";
     case ViolationCode::kTagCollision:
       return "tag_collision";
-    case ViolationCode::kMalformedTrace:
-      return "malformed_trace";
+    case ViolationCode::kTraceMismatch:
+      return "trace_mismatch";
   }
   return "unknown";
 }
@@ -474,100 +570,136 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec) {
   return verify_schedule(spec, build_comm_plan(spec));
 }
 
-AnalysisReport audit_measured_volume(
-    const ScheduleSpec& spec,
-    const std::map<std::uint32_t, std::int64_t>& measured_bytes_by_view) {
-  const CommPlan plan = build_comm_plan(spec);
-  AnalysisReport report;
-  report.planned_total_elements = plan.total_elements();
-  report.planned_messages = plan.total_messages();
-  report.predicted_total_elements =
-      total_volume_elements(spec.sizes, spec.log_splits);
-  const int n = static_cast<int>(spec.sizes.size());
-  const std::uint32_t root_mask = DimSet::full(n).mask();
-  for (std::uint32_t mask = 0; mask < root_mask; ++mask) {
-    const auto planned_it = plan.elements_by_view.find(mask);
-    const std::int64_t planned_bytes =
-        (planned_it == plan.elements_by_view.end() ? std::int64_t{0}
-                                                   : planned_it->second) *
-        spec.bytes_per_cell;
-    const auto measured_it = measured_bytes_by_view.find(mask);
-    const std::int64_t measured_bytes =
-        measured_it == measured_bytes_by_view.end() ? std::int64_t{0}
-                                                    : measured_it->second;
-    if (planned_bytes != measured_bytes) {
-      std::ostringstream msg;
-      msg << "view " << view_name(mask) << ": ledger measured "
-          << measured_bytes << " bytes, static plan predicts "
-          << planned_bytes;
-      add_violation(report, ViolationCode::kLedgerVolumeMismatch, kNoRank,
-                    mask, planned_bytes, measured_bytes, msg.str());
+AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
+                           const EventTrace& trace) {
+  CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks),
+               "plan rank list size mismatch");
+  AnalysisReport report = audit_report(spec, plan);
+  if (trace.ranks.size() != plan.ranks.size()) {
+    std::ostringstream msg;
+    msg << "the trace records " << trace.ranks.size()
+        << " ranks, the plan has " << plan.ranks.size();
+    add_violation(report, ViolationCode::kTraceMismatch, kNoRank, kNoView,
+                  static_cast<std::int64_t>(plan.ranks.size()),
+                  static_cast<std::int64_t>(trace.ranks.size()), msg.str());
+    return report;
+  }
+  // The planned sends of each (source, destination, wire tag) channel, in
+  // order: the channel's k-th receive takes its k-th send.
+  std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
+      channels;
+  for (int r = 0; r < plan.num_ranks; ++r) {
+    const std::vector<PlannedOp>& ops =
+        plan.ranks[static_cast<std::size_t>(r)].ops;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind == PlannedOp::Kind::kSend) {
+        channels[{r, ops[i].peer, ops[i].wire_tag()}].push_back(i);
+      }
     }
   }
-  for (const auto& [mask, bytes] : measured_bytes_by_view) {
-    if (mask >= root_mask && bytes != 0) {
+  for (int r = 0; r < plan.num_ranks; ++r) {
+    const std::vector<PlannedOp>& ops =
+        plan.ranks[static_cast<std::size_t>(r)].ops;
+    const std::vector<TraceEvent>& events =
+        trace.ranks[static_cast<std::size_t>(r)];
+    const std::size_t common = std::min(ops.size(), events.size());
+    std::uint64_t last_recv = kNoTraceSeq;
+    std::size_t i = 0;
+    for (; i < common; ++i) {
+      std::uint64_t match = kNoTraceSeq;
+      std::uint64_t operand = kNoTraceSeq;
+      if (ops[i].kind == PlannedOp::Kind::kRecv) {
+        std::deque<std::uint64_t>& sends =
+            channels[{ops[i].peer, r, ops[i].wire_tag()}];
+        if (!sends.empty()) {
+          match = sends.front();
+          sends.pop_front();
+        }
+        last_recv = i;
+      } else if (ops[i].kind == PlannedOp::Kind::kCombine) {
+        operand = last_recv;
+      }
+      const Field d =
+          first_divergence(spec, trace, ops[i], events[i], match, operand);
+      if (d.name == nullptr) continue;
       std::ostringstream msg;
-      msg << "ledger recorded " << bytes << " bytes under tag " << mask
-          << " which is not a proper lattice view";
-      add_violation(report, ViolationCode::kUnknownViewTag, kNoRank, mask, 0,
-                    bytes, msg.str());
+      msg << "rank " << r << " event " << i << " differs in its " << d.name
+          << ": recorded " << describe(events[i]) << ", planned "
+          << to_string(ops[i]);
+      add_violation(report, ViolationCode::kTraceMismatch, r, ops[i].view,
+                    d.planned, d.recorded, msg.str());
+      break;
     }
+    if (i < common || ops.size() == events.size()) continue;
+    std::ostringstream msg;
+    msg << "rank " << r << " records " << events.size()
+        << " events, the plan has " << ops.size() << "; first ";
+    if (ops.size() > events.size()) {
+      msg << "missing: planned " << to_string(ops[common]);
+    } else {
+      msg << "extra: recorded " << describe(events[common]);
+    }
+    add_violation(report, ViolationCode::kTraceMismatch, r,
+                  ops.size() > events.size() ? ops[common].view : kNoView,
+                  static_cast<std::int64_t>(ops.size()),
+                  static_cast<std::int64_t>(events.size()), msg.str());
   }
   return report;
 }
 
+AnalysisReport audit_measured_volume(
+    const ScheduleSpec& spec, const CommPlan& plan,
+    const std::map<std::uint32_t, std::int64_t>& measured_bytes_by_view) {
+  AnalysisReport report = audit_report(spec, plan);
+  const std::uint32_t root_mask =
+      DimSet::full(static_cast<int>(spec.sizes.size())).mask();
+  for (std::uint32_t mask = 0; mask < root_mask; ++mask) {
+    const std::int64_t planned =
+        value_at(plan.elements_by_view, mask) * spec.bytes_per_cell;
+    const std::int64_t measured = value_at(measured_bytes_by_view, mask);
+    if (planned == measured) continue;
+    std::ostringstream msg;
+    msg << "view " << view_name(mask) << ": ledger measured " << measured
+        << " bytes, static plan predicts " << planned;
+    add_violation(report, ViolationCode::kLedgerVolumeMismatch, kNoRank, mask,
+                  planned, measured, msg.str());
+  }
+  check_view_tags(measured_bytes_by_view, root_mask, "bytes", report);
+  return report;
+}
+
 AnalysisReport audit_wire_volume(
-    const ScheduleSpec& spec,
+    const ScheduleSpec& spec, const CommPlan& plan,
     const std::map<std::uint32_t, std::int64_t>& measured_wire_bytes_by_view,
     bool require_equal) {
-  const CommPlan plan = build_comm_plan(spec);
-  AnalysisReport report;
-  report.planned_total_elements = plan.total_elements();
-  report.planned_messages = plan.total_messages();
-  report.predicted_total_elements =
-      total_volume_elements(spec.sizes, spec.log_splits);
-  const int n = static_cast<int>(spec.sizes.size());
-  const std::uint32_t root_mask = DimSet::full(n).mask();
+  AnalysisReport report = audit_report(spec, plan);
+  const std::uint32_t root_mask =
+      DimSet::full(static_cast<int>(spec.sizes.size())).mask();
   for (std::uint32_t mask = 0; mask < root_mask; ++mask) {
     // The per-edge bound is the planned (dense, logical) volume; the
     // volume check proves it equals Lemma 1's closed form.
-    const auto planned_it = plan.elements_by_view.find(mask);
-    const std::int64_t bound_bytes =
-        (planned_it == plan.elements_by_view.end() ? std::int64_t{0}
-                                                   : planned_it->second) *
-        spec.bytes_per_cell;
-    if (bound_bytes > 0) {
-      report.dense_bound_bytes_by_view[mask] = bound_bytes;
-    }
-    const auto measured_it = measured_wire_bytes_by_view.find(mask);
-    const std::int64_t wire_bytes =
-        measured_it == measured_wire_bytes_by_view.end() ? std::int64_t{0}
-                                                         : measured_it->second;
-    if (wire_bytes > bound_bytes) {
+    const std::int64_t bound =
+        value_at(plan.elements_by_view, mask) * spec.bytes_per_cell;
+    if (bound > 0) report.dense_bound_bytes_by_view[mask] = bound;
+    const std::int64_t wire = value_at(measured_wire_bytes_by_view, mask);
+    if (wire > bound) {
       std::ostringstream msg;
-      msg << "view " << view_name(mask) << ": measured " << wire_bytes
-          << " wire bytes, above the dense Lemma 1 bound of " << bound_bytes;
+      msg << "view " << view_name(mask) << ": measured " << wire
+          << " wire bytes, above the dense Lemma 1 bound of " << bound;
       add_violation(report, ViolationCode::kWireVolumeExceedsBound, kNoRank,
-                    mask, bound_bytes, wire_bytes, msg.str());
-    } else if (require_equal && wire_bytes != bound_bytes) {
+                    mask, bound, wire, msg.str());
+    } else if (require_equal && wire != bound) {
       std::ostringstream msg;
-      msg << "view " << view_name(mask) << ": measured " << wire_bytes
+      msg << "view " << view_name(mask) << ": measured " << wire
           << " wire bytes with encoding disabled, expected exactly the "
              "dense volume of "
-          << bound_bytes;
+          << bound;
       add_violation(report, ViolationCode::kLedgerVolumeMismatch, kNoRank,
-                    mask, bound_bytes, wire_bytes, msg.str());
+                    mask, bound, wire, msg.str());
     }
   }
-  for (const auto& [mask, bytes] : measured_wire_bytes_by_view) {
-    if (mask >= root_mask && bytes != 0) {
-      std::ostringstream msg;
-      msg << "ledger recorded " << bytes << " wire bytes under tag " << mask
-          << " which is not a proper lattice view";
-      add_violation(report, ViolationCode::kUnknownViewTag, kNoRank, mask, 0,
-                    bytes, msg.str());
-    }
-  }
+  check_view_tags(measured_wire_bytes_by_view, root_mask, "wire bytes",
+                  report);
   return report;
 }
 

@@ -1,20 +1,20 @@
 // Schedule verifier: proves the paper's guarantees about a planned
-// parallel construction *before* executing it, and audits the runtime's
-// measured communication against the plan afterwards.
+// parallel construction *before* executing it, and audits the run
+// against the plan afterwards.
 //
 // Checked invariants (see docs/ANALYSIS.md):
-//   * Transport safety — every planned send is consumed by exactly one
-//     matching receive of its own stream, payload sizes agree, and the
-//     schedule is deadlock-free. Sends in minimpi never block and every
-//     receive names its source, so the only hazard is a receive cycle,
-//     and every interleaving matches the same send to every receive
-//     (Kahn's determinacy): one replay of the per-rank programs decides
-//     them all. On a stall it extracts the wait-for-graph cycle for the
-//     diagnostic.
-//   * Communication volume — per-edge planned volume equals Lemma 1's
-//     closed form (2^{k_m} - 1) * prod_{j notin Y} D_j, and the total
-//     equals Theorem 3's sum. Exact, not approximate: uneven balanced
-//     splits cancel when summing over reduction groups.
+//   * Transport safety — every planned send, the result gather's
+//     included, is consumed by exactly one matching receive of its own
+//     stream, payload sizes agree, and the schedule is deadlock-free.
+//     Sends in minimpi never block and every receive names its source,
+//     so the only hazard is a receive cycle, and every interleaving
+//     matches the same send to every receive (Kahn's determinacy): one
+//     replay of the per-rank programs decides them all. On a stall it
+//     extracts the wait-for-graph cycle for the diagnostic.
+//   * Communication volume — per-edge planned construction volume equals
+//     Lemma 1's closed form (2^{k_m} - 1) * prod_{j notin Y} D_j, and the
+//     total equals Theorem 3's sum. Exact, not approximate: uneven
+//     balanced splits cancel when summing over reduction groups.
 //   * Memory — replaying each rank's view-block lifetimes never exceeds
 //     Theorem 4's per-processor bound sum_i prod_{j != i} ceil(D_j /
 //     2^{k_j}) and leaks nothing.
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "analysis/comm_plan.h"
+#include "minimpi/event_trace.h"
 
 namespace cubist {
 
@@ -65,9 +66,11 @@ enum class ViolationCode {
   /// view or chunk offset): two streams share one wire tag and the
   /// receive consumed the other's message.
   kTagCollision,
-  /// A recorded event trace is internally inconsistent (bad match index,
-  /// duplicate consumption, stalled causality) — recording bug or tamper.
-  kMalformedTrace,
+  /// A recorded event trace departs from the certified plan: an event
+  /// differs in kind, peer, wire tag, chunk offset or size, a receive
+  /// consumed another send than planned, a combine folds another operand,
+  /// or events are missing or extra.
+  kTraceMismatch,
 };
 
 const char* to_string(ViolationCode code);
@@ -131,19 +134,29 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec, const CommPlan& plan);
 /// Builds the plan for `spec` and verifies it.
 AnalysisReport verify_schedule(const ScheduleSpec& spec);
 
+/// Post-run audit: the recorded trace must equal `plan` (built for
+/// `spec`) event for event on every rank — kind, peer, wire tag, chunk
+/// offset, logical size (a receive's through the send it consumed), the
+/// send each receive consumed and each combine's operand. With `plan`
+/// certified, that equality is the whole runtime check (docs/ANALYSIS.md,
+/// "Trace equals plan"). Reports each rank's first divergence as
+/// kTraceMismatch.
+AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
+                           const EventTrace& trace);
+
 /// Post-run audit: diffs measured per-view bytes (the runtime ledger's
-/// construction tags) against the static plan for `spec`.
+/// construction tags) against `plan`, the static plan for `spec`.
 AnalysisReport audit_measured_volume(
-    const ScheduleSpec& spec,
+    const ScheduleSpec& spec, const CommPlan& plan,
     const std::map<std::uint32_t, std::int64_t>& measured_bytes_by_view);
 
 /// Post-run wire audit: certifies measured per-view WIRE bytes against the
-/// dense Lemma-1 per-edge bound — never above it, and (with
+/// dense Lemma-1 per-edge bound of `plan` — never above it, and (with
 /// `require_equal`, the encoding-disabled case) exactly on it. This is the
 /// gate that proves the adaptive codec's savings are real savings below
 /// the closed form, not accounting drift.
 AnalysisReport audit_wire_volume(
-    const ScheduleSpec& spec,
+    const ScheduleSpec& spec, const CommPlan& plan,
     const std::map<std::uint32_t, std::int64_t>& measured_wire_bytes_by_view,
     bool require_equal);
 

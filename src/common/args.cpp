@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -138,6 +139,42 @@ std::string ArgParser::usage() const {
         << " (default: " << flag.default_text << ")\n";
   }
   return out.str();
+}
+
+std::vector<std::int64_t> parse_x_list(const std::string& text,
+                                       const std::string& flag) {
+  std::vector<std::int64_t> values;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = text.find('x', begin);
+    const std::string token = text.substr(begin, end - begin);
+    std::size_t used = 0;
+    std::int64_t value = 0;
+    try {
+      value = std::stoll(token, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    CUBIST_CHECK(!token.empty() && used == token.size(),
+                 "bad token '" << token << "' in --" << flag << "='" << text
+                               << "' (want e.g. 16x12x8)");
+    values.push_back(value);
+    if (end == std::string::npos) return values;
+    begin = end + 1;
+  }
+}
+
+std::vector<int> parse_x_int_list(const std::string& text,
+                                  const std::string& flag) {
+  std::vector<int> values;
+  for (std::int64_t value : parse_x_list(text, flag)) {
+    CUBIST_CHECK(value >= std::numeric_limits<int>::min() &&
+                     value <= std::numeric_limits<int>::max(),
+                 "value " << value << " in --" << flag << "='" << text
+                          << "' does not fit in an int");
+    values.push_back(static_cast<int>(value));
+  }
+  return values;
 }
 
 }  // namespace cubist

@@ -2,7 +2,8 @@
 //
 // Supports `--name=value`, `--name value` and boolean `--name` forms plus
 // automatic --help generation. Intentionally tiny: the binaries in
-// examples/ and bench/ have a handful of numeric knobs each.
+// examples/ and bench/ have a handful of numeric knobs each. The checked
+// `x`-list parsers read shape-valued flags such as --sizes=16x12x8.
 #pragma once
 
 #include <cstdint>
@@ -60,5 +61,15 @@ class ArgParser {
   std::vector<std::unique_ptr<bool>> bool_storage_;
   std::vector<std::unique_ptr<std::string>> string_storage_;
 };
+
+/// Parses an `x`-separated integer list such as "16x12x8", the value of
+/// --`flag`. Raises InvalidArgument on an empty or non-numeric token
+/// (so on an empty list too) and on a value outside std::int64_t.
+std::vector<std::int64_t> parse_x_list(const std::string& text,
+                                       const std::string& flag);
+
+/// parse_x_list for values that must fit in an int (grid exponents).
+std::vector<int> parse_x_int_list(const std::string& text,
+                                  const std::string& flag);
 
 }  // namespace cubist

@@ -8,19 +8,23 @@
 // dimension), which alone carry the child's subtree further. The first
 // level — the dominant part of the computation — is thus fully parallel,
 // while deeper levels run on the shrinking lead sets, exactly as the paper
-// describes.
+// describes. Each lead writes a view back the moment it completes: it
+// finalizes the block and, when the result is collected, ships it to
+// rank 0 (or, on rank 0, places it into the assembled cube) and frees it,
+// so no rank holds a finished view past its write-back.
 //
 // Every reduction is tagged with the target view's mask, so the runtime
 // ledger yields measured communication volume per view — directly
-// comparable with Lemma 1 / Theorem 3.
+// comparable with Lemma 1 / Theorem 3. The write-back ships under
+// kGatherTagBase | mask (analysis/comm_plan.h), outside that tag space.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <vector>
 
-#include "array/dense_array.h"
 #include "array/sparse_array.h"
+#include "core/cube_result.h"
 #include "core/sequential_builder.h"
 #include "minimpi/comm.h"
 #include "minimpi/proc_grid.h"
@@ -66,43 +70,40 @@ struct ParallelOptions {
   /// tests inject fixed-size pools to pin the determinism contract.
   ThreadPool* pool = nullptr;
   /// Pre-flight gate (src/analysis): before any rank launches, statically
-  /// certify the schedule — matched sends/recvs, deadlock freedom under
-  /// every arrival order, Lemma 1 / Theorem 3 volumes, Theorem 4 memory
-  /// bound. Violations throw InternalError from run_parallel_cube.
+  /// certify the whole program, the result gather included — matched
+  /// sends/recvs, deadlock freedom under every arrival order, Lemma 1 /
+  /// Theorem 3 volumes, Theorem 4 memory bound. Violations throw
+  /// InternalError from run_parallel_cube.
   bool verify_schedule = kScheduleAnalysisDefault;
-  /// Post-run auditor: diff the measured per-view ledger bytes against
-  /// the static plan; any divergence throws InternalError.
-  bool audit_volume = false;
-  /// Post-run happens-before auditor (analysis/hb_auditor.h): record every
-  /// send/receive/combine/barrier during the run, replay the trace's
-  /// happens-before order offline and hard-fail (InternalError) on any
-  /// structural damage. Off by default — recording keeps the full event
-  /// trace in memory.
-  bool audit_hb = false;
+  /// Post-run audits against the certified plan (analysis/
+  /// schedule_verifier.h; on, the pre-flight gate runs too): the recorded
+  /// event trace must equal it event for event, and the measured logical
+  /// and wire bytes must match its volumes; any divergence throws
+  /// InternalError. Off by default: recording keeps the whole trace.
+  bool audit = false;
 };
 
 /// Per-rank accounting of one parallel construction: the walk's
-/// BuildStats for this rank's blocks plus its communication.
+/// BuildStats for this rank's blocks plus its virtual clock.
 struct ParallelBuildStats : BuildStats {
-  /// Dense-equivalent bytes this rank sent during construction — the
-  /// paper's communication-volume measure for this rank.
-  std::int64_t logical_bytes_sent = 0;
-  /// Bytes this rank actually put on the link after wire encoding
-  /// (<= logical_bytes_sent; == with encode_wire off).
-  std::int64_t wire_bytes_sent = 0;
-  /// Virtual clock when this rank finished construction (before any
-  /// result gathering).
+  /// Virtual clock when this rank finished construction. The result
+  /// gather never moves it: the write-back's sends are charged off it, and
+  /// rank 0 receives only after reading it.
   double build_clock_seconds = 0.0;
 };
 
 /// Runs Figure 5 on this rank. `local_root` is the rank's block of the
 /// input (in local coordinates); its extents must match
-/// grid.block(rank, global_sizes). Returns the final local blocks of every
-/// view this rank leads, keyed by view mask. Must be called by all ranks.
-std::map<std::uint32_t, DenseArray> build_cube_parallel_rank(
+/// grid.block(rank, global_sizes). Each view this rank leads is finalized
+/// and freed at its write-back. With `collect_result`, every lead other
+/// than rank 0 ships the block to rank 0 there, and rank 0 places its own
+/// blocks into the cube, receives the other leads' blocks after its walk
+/// and returns the assembled cube; every other call returns nullopt. Must
+/// be called by all ranks.
+std::optional<CubeResult> build_cube_parallel_rank(
     Comm& comm, const ProcGrid& grid,
     const std::vector<std::int64_t>& global_sizes,
-    const SparseArray& local_root, ParallelBuildStats* stats = nullptr,
-    const ParallelOptions& options = {});
+    const SparseArray& local_root, bool collect_result,
+    ParallelBuildStats* stats = nullptr, const ParallelOptions& options = {});
 
 }  // namespace cubist

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <mutex>
 #include <optional>
-#include <span>
 
-#include "analysis/comm_plan.h"
-#include "analysis/hb_auditor.h"
 #include "analysis/schedule_verifier.h"
 #include "common/error.h"
 #include "lattice/volume_model.h"
@@ -17,46 +12,22 @@
 #include "obs/trace.h"
 
 namespace cubist {
-namespace {
 
-/// Copies a gathered view block into its place in the global view array,
-/// one innermost row at a time. `view_dims` are the retained dimensions
-/// (ascending); `root_block` is the source rank's block of the *root*,
-/// restricted here to those dimensions. `payload` is the block's Values
-/// row-major, as raw bytes (a received message or a rank's own view).
-void place_block(DenseArray& global_view, const std::vector<int>& view_dims,
-                 const BlockRange& root_block,
-                 std::span<const std::byte> payload) {
-  const int m = static_cast<int>(view_dims.size());
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(m));
-  std::vector<std::int64_t> extent(static_cast<std::size_t>(m));
-  std::int64_t cells = 1;
-  for (int i = 0; i < m; ++i) {
-    lo[i] = root_block.lo(view_dims[i]);
-    extent[i] = root_block.extent(view_dims[i]);
-    cells *= extent[i];
-  }
-  CUBIST_ASSERT(payload.size() ==
-                    static_cast<std::size_t>(cells) * sizeof(Value),
-                "view block size mismatch");
-  const Shape& shape = global_view.shape();
-  // The scalar view is one row of one cell.
-  const std::int64_t row = m == 0 ? 1 : extent[m - 1];
-  const std::size_t row_bytes = static_cast<std::size_t>(row) * sizeof(Value);
-  std::vector<std::int64_t> global = lo;
-  for (std::int64_t done = 0; done < cells; done += row) {
-    std::memcpy(global_view.data() + shape.linear_index(global.data()),
-                payload.data() + static_cast<std::size_t>(done) * sizeof(Value),
-                row_bytes);
-    int i = m - 2;
-    for (; i >= 0; --i) {
-      if (++global[i] < lo[i] + extent[i]) break;
-      global[i] = lo[i];
-    }
-  }
+ScheduleSpec schedule_spec_of(const std::vector<std::int64_t>& sizes,
+                              const std::vector<int>& log_splits,
+                              const CostModel& model, bool collect_result,
+                              const ParallelOptions& options) {
+  ScheduleSpec spec;
+  spec.sizes = sizes;
+  spec.log_splits = log_splits;
+  spec.collect_result = collect_result;
+  spec.reduce_message_elements = options.reduce_message_elements;
+  spec.reduce_algorithm = options.reduce_algorithm;
+  spec.reduce_density_hint = options.reduce_density_hint;
+  spec.encode_wire = options.encode_wire;
+  spec.model = model;
+  return spec;
 }
-
-}  // namespace
 
 ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
                                      const std::vector<int>& log_splits,
@@ -71,24 +42,19 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
   const int p = grid.size();
   const int n = static_cast<int>(sizes.size());
 
-  ScheduleSpec schedule_spec;
-  schedule_spec.sizes = sizes;
-  schedule_spec.log_splits = log_splits;
-  schedule_spec.reduce_message_elements = options.reduce_message_elements;
-  // Mirror every input the collective tuner reads, so the plan resolves
-  // kAuto to exactly the schedule the ranks will execute (and the post-run
-  // audits rebuild the same plan).
-  schedule_spec.reduce_algorithm = options.reduce_algorithm;
-  schedule_spec.reduce_density_hint = options.reduce_density_hint;
-  schedule_spec.encode_wire = options.encode_wire;
-  schedule_spec.model = model;
+  // One plan for the whole program, the gather included: the pre-flight
+  // gate certifies it and every post-run audit checks the run against it,
+  // so auditing implies the gate (a trace equal to an uncertified plan
+  // would prove nothing).
+  const ScheduleSpec spec =
+      schedule_spec_of(sizes, log_splits, model, collect_result, options);
   std::optional<CommPlan> plan;
   {
     obs::Span span("build", "plan_and_verify");
     span.tag("ranks", static_cast<std::int64_t>(p));
-    if (options.verify_schedule) {
-      plan.emplace(build_comm_plan(schedule_spec));
-      const AnalysisReport preflight = verify_schedule(schedule_spec, *plan);
+    if (options.verify_schedule || options.audit) {
+      plan.emplace(build_comm_plan(spec));
+      const AnalysisReport preflight = verify_schedule(spec, *plan);
       CUBIST_ASSERT(preflight.ok(),
                     "pre-flight schedule verification failed:\n"
                         << preflight.to_string());
@@ -101,11 +67,6 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
   }
   report.rank_stats.resize(static_cast<std::size_t>(p));
   std::atomic<std::int64_t> total_nnz{0};
-  std::optional<CubeResult> assembled;
-  if (collect_result) {
-    assembled.emplace(sizes);
-  }
-  std::mutex assemble_mutex;  // only rank 0 writes, but keep it simple
 
   obs::Span run_span("build", "parallel_run");
   run_span.tag("ranks", static_cast<std::int64_t>(p))
@@ -116,57 +77,13 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
     total_nnz.fetch_add(local_root.nnz());
 
     ParallelBuildStats stats;
-    std::map<std::uint32_t, DenseArray> local_views = build_cube_parallel_rank(
-        comm, grid, sizes, local_root, &stats, options);
+    std::optional<CubeResult> cube = build_cube_parallel_rank(
+        comm, grid, sizes, local_root, collect_result, &stats, options);
     report.rank_stats[static_cast<std::size_t>(rank)] = stats;
-
-    if (!collect_result) return;
-    obs::Span gather_span("build", "gather");
-    comm.barrier();
-    // Gather: for every proper view (ascending mask), each lead ships its
-    // block to rank 0, which assembles the global array. Lead sets and
-    // block geometry are deterministic, so no metadata travels.
-    for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
-      const DimSet view = DimSet::from_mask(mask);
-      const DimSet aggregated = view.complement(n);
-      const std::uint64_t tag = kGatherTagBase | mask;
-      if (rank == 0) {
-        DenseArray global_view{[&] {
-          std::vector<std::int64_t> extents;
-          for (int d : view.dims()) extents.push_back(sizes[d]);
-          return Shape{extents};
-        }()};
-        for (int src = 0; src < p; ++src) {
-          if (!grid.is_lead_for(src, aggregated)) continue;
-          const BlockRange block = grid.block(src, sizes);
-          if (src == 0) {
-            const DenseArray& mine = local_views.at(mask);
-            place_block(global_view, view.dims(), block,
-                        std::as_bytes(std::span<const Value>(
-                            mine.data(), static_cast<std::size_t>(mine.size()))));
-          } else {
-            place_block(global_view, view.dims(), block,
-                        comm.recv_bytes(src, tag));
-          }
-        }
-        std::lock_guard lock(assemble_mutex);
-        assembled->put(view, std::move(global_view));
-      } else if (grid.is_lead_for(rank, aggregated)) {
-        const DenseArray& mine = local_views.at(mask);
-        comm.send_values(
-            0, tag,
-            std::span<const Value>(mine.data(),
-                                   static_cast<std::size_t>(mine.size())));
-      }
-    }
-  }, /*record_trace=*/options.audit_hb);
+    // Only rank 0 returns the cube, and the report is read after the join.
+    if (cube) report.cube = std::move(cube);
+  }, /*record_trace=*/options.audit);
   run_span.end();
-  if (options.audit_hb) {
-    obs::Span span("build", "hb_audit");
-    const HbAuditReport hb = audit_event_trace(report.run.trace);
-    CUBIST_ASSERT(hb.ok(),
-                  "post-run happens-before audit failed:\n" << hb.to_string());
-  }
 
   report.total_nnz = total_nnz.load();
   double makespan = 0.0;
@@ -188,20 +105,20 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
       report.construction_wire_bytes += bytes;
     }
   }
-  if (options.audit_volume) {
-    obs::Span span("build", "volume_audit");
-    const AnalysisReport audit =
-        audit_measured_volume(schedule_spec, report.bytes_by_view);
-    CUBIST_ASSERT(audit.ok(),
-                  "post-run volume audit failed:\n" << audit.to_string());
-    // Certify the wire side against the dense Lemma-1 per-edge bound:
-    // never above it, and exactly on it when the codec is off.
-    const AnalysisReport wire_audit =
-        audit_wire_volume(schedule_spec, report.wire_bytes_by_view,
-                          /*require_equal=*/!options.encode_wire);
-    CUBIST_ASSERT(wire_audit.ok(),
-                  "post-run wire-volume audit failed:\n"
-                      << wire_audit.to_string());
+  if (options.audit) {
+    obs::Span span("build", "audit");
+    // The trace must be the certified program, event for event; the
+    // measured volumes must be the plan's, and the wire side must stay
+    // under the dense Lemma-1 per-edge bound (exactly on it with the
+    // codec off).
+    for (const AnalysisReport& audit :
+         {audit_trace(spec, *plan, report.run.trace),
+          audit_measured_volume(spec, *plan, report.bytes_by_view),
+          audit_wire_volume(spec, *plan, report.wire_bytes_by_view,
+                            /*require_equal=*/!options.encode_wire)}) {
+      CUBIST_ASSERT(audit.ok(), "post-run audit failed:\n"
+                                    << audit.to_string());
+    }
   }
 
   // Live telemetry of the static certificates: per-view wire bytes over
@@ -239,7 +156,6 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
              "high-water aggregation scratch bytes across ranks")
       .set_max(static_cast<double>(peak_scratch));
 
-  report.cube = std::move(assembled);
   return report;
 }
 

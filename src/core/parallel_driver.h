@@ -3,13 +3,16 @@
 // Wraps the SPMD rank program (Figure 5) in a Runtime run: generates or
 // receives each rank's input block through a caller-supplied provider,
 // builds the cube, and optionally gathers the distributed view blocks onto
-// rank 0 to assemble a queryable CubeResult.
+// rank 0 to assemble a queryable CubeResult. The gather is the rank
+// program's write-back, so the one plan the driver verifies before the run
+// (and audits the run against afterwards) covers it too.
 //
 // Accounting separates the construction phase from result collection:
 // construction reductions are tagged with view masks (< 2^32); gather
 // traffic uses tags >= kGatherTagBase, so the reported construction volume
 // matches the paper's communication-volume quantity (the paper's algorithm
-// leaves views distributed on the lead processors).
+// leaves views distributed on the lead processors), and the gather's
+// charges stay off each rank's construction clock.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/comm_plan.h"
 #include "array/block.h"
 #include "array/sparse_array.h"
 #include "core/cube_result.h"
@@ -25,9 +29,6 @@
 #include "minimpi/runtime.h"
 
 namespace cubist {
-
-/// Tag space reserved for result collection (view masks stay below 2^32).
-inline constexpr std::uint64_t kGatherTagBase = std::uint64_t{1} << 32;
 
 /// Produces rank `rank`'s input block (in local coordinates, extents equal
 /// to `block.extents()`). Called concurrently from all ranks; must be
@@ -41,7 +42,8 @@ using BlockProvider =
 struct ParallelCubeReport {
   /// Simulated parallel construction time: max over ranks of the virtual
   /// clock at construction completion (excludes input generation and
-  /// result gathering).
+  /// result gathering; RunReport::makespan_seconds includes rank 0's
+  /// gather receives).
   double construction_seconds = 0.0;
   /// Measured construction communication volume in LOGICAL
   /// (dense-equivalent) bytes — the paper's quantity (sum over view tags;
@@ -64,11 +66,20 @@ struct ParallelCubeReport {
   std::int64_t total_nnz = 0;
   /// Resolved reduction schedule per view (the tuner's pick under kAuto),
   /// from the static plan. Filled only when the plan was built, i.e. when
-  /// the verify_schedule gate ran.
+  /// the verify_schedule gate or the post-run audits ran.
   std::map<std::uint32_t, ReduceAlgorithm> reduce_algorithm_by_view;
   /// Assembled cube (only when collect_result was true).
   std::optional<CubeResult> cube;
 };
+
+/// The static schedule inputs of a run_parallel_cube call: the spec its
+/// plan is built from, verified and audited against. Mirrors every input
+/// the collective tuner reads, so the plan resolves kAuto to exactly the
+/// schedule the ranks execute.
+ScheduleSpec schedule_spec_of(const std::vector<std::int64_t>& sizes,
+                              const std::vector<int>& log_splits,
+                              const CostModel& model, bool collect_result,
+                              const ParallelOptions& options);
 
 /// Runs Figure 5 on 2^(sum log_splits) thread-ranks.
 ParallelCubeReport run_parallel_cube(

@@ -8,10 +8,13 @@
 // every child; for p > 1 it reduces the child's partial blocks along the
 // aggregated dimension and keeps the child only on the lead ranks. A kept
 // child's subtree is walked before the child is written back; a dropped
-// child is freed at once. The only traffic is reading the input once and
-// writing each computed view once, and the live views never exceed the
-// Theorem-1 bound (Theorem 4 per rank) — both asserted by the test suite
-// against the stats reported here.
+// child is freed at once. The write-back hook keeps the view in the
+// walk's result (the sequential and tiled builders, PartialCube) or takes
+// it: the per-rank hooks ship it to rank 0 or place it into rank 0's cube,
+// and the walk frees it at once. The only traffic is reading
+// the input once and writing each computed view once, and the live views
+// never exceed the Theorem-1 bound (Theorem 4 per rank) — both asserted
+// by the test suite against the stats reported here.
 //
 // The walk's input is the set of views to produce: every proper view for
 // the builders, the materialized set for a PartialCube. A node is scanned
@@ -38,8 +41,8 @@
 namespace cubist {
 
 /// Views a walk kept, keyed by view mask. Cells without data still hold
-/// the operator's identity: the builders apply finalize_view once, after
-/// any cross-slab combine.
+/// the operator's identity: the sequential builders apply finalize_view
+/// once, after any cross-slab combine.
 using ViewBlocks = std::map<std::uint32_t, DenseArray>;
 
 /// Figure 3's hooks (p = 1): scans run bare and every child is kept. Also
@@ -58,8 +61,10 @@ struct KeepEveryChild {
                       DenseArray& /*block*/) {
     return true;
   }
-  /// Observes a kept view as it leaves the live set.
-  void write_back(DimSet /*view*/, const DenseArray& /*block*/) {}
+  /// Called once per kept view as it leaves the live set: true keeps it
+  /// in the walk's result, false when the hook wrote it back itself (the
+  /// walk then frees it at once).
+  bool write_back(DimSet /*view*/, DenseArray& /*block*/) { return true; }
 };
 
 template <typename Hooks = KeepEveryChild>
@@ -90,7 +95,8 @@ class TreeWalk {
   }
 
   /// Walks the tree below `root` (raw input: a DenseArray or a
-  /// SparseArray) and returns every kept selected view, unfinalized.
+  /// SparseArray) and returns every selected view the write-back hook
+  /// kept, unfinalized.
   template <typename Root>
   ViewBlocks run(const Root& root) {
     Visit<Root> visit{*this, root};
@@ -172,16 +178,17 @@ class TreeWalk {
         std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
   }
 
-  /// Takes `view` out of the live set: written back into the result if
-  /// kept, else dropped.
+  /// Takes `view` out of the live set: written back if kept (into the
+  /// result unless the hook took it), else dropped.
   void retire(DimSet view, bool keep) {
     auto it = live_.find(view.mask());
     CUBIST_ASSERT(it != live_.end(), "retiring a non-live view");
     ledger_.release(it->second.bytes());
     if (keep) {
-      hooks_.write_back(view, it->second);
       stats_.written_bytes += it->second.bytes();
-      done_.emplace(view.mask(), std::move(it->second));
+      if (hooks_.write_back(view, it->second)) {
+        done_.emplace(view.mask(), std::move(it->second));
+      }
     }
     live_.erase(it);
   }

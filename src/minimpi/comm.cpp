@@ -44,7 +44,7 @@ std::uint64_t Comm::trace(const TraceEvent& event) {
 }
 
 void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
-                     std::vector<std::byte> payload) {
+                     std::int64_t offset, std::vector<std::byte> payload) {
   CUBIST_CHECK(dst >= 0 && dst < size(), "bad destination rank " << dst);
   CUBIST_CHECK(dst != rank_, "self-send is not supported");
   const auto wire_bytes = static_cast<std::int64_t>(payload.size());
@@ -54,17 +54,16 @@ void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
   message.payload = std::move(payload);
   message.arrival_time = state_.model().charge_send(
       clock_, rank_, dst, static_cast<double>(wire_bytes));
+  message.offset = offset;
   message.trace_seq =
-      trace({TraceEventKind::kSend, dst, tag, logical_bytes});
+      trace({TraceEventKind::kSend, dst, tag, logical_bytes, offset});
   state_.ledger().record(tag, logical_bytes, wire_bytes);
-  logical_bytes_sent_ += logical_bytes;
-  wire_bytes_sent_ += wire_bytes;
   state_.transport().deliver(dst, rank_, tag, std::move(message));
 }
 
 void Comm::send_bytes(int dst, std::uint64_t tag,
                       std::span<const std::byte> data) {
-  send_wire(dst, tag, static_cast<std::int64_t>(data.size()),
+  send_wire(dst, tag, static_cast<std::int64_t>(data.size()), /*offset=*/0,
             std::vector<std::byte>(data.begin(), data.end()));
 }
 
@@ -74,7 +73,8 @@ std::vector<std::byte> Comm::recv_bytes(int src, std::uint64_t tag) {
   Message message = state_.transport().receive(rank_, src, tag);
   CostModel::charge_receive(clock_, message.arrival_time);
   TraceEvent event{TraceEventKind::kRecv, src, tag,
-                   static_cast<std::int64_t>(message.payload.size())};
+                   static_cast<std::int64_t>(message.payload.size()),
+                   message.offset};
   event.match_seq = message.trace_seq;
   last_recv_seq_ = trace(event);
   return std::move(message.payload);
@@ -143,14 +143,14 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     if (next.step.kind == ReduceStep::Kind::kSend) {
       send_wire(next.step.peer, tag,
                 next.count * static_cast<std::int64_t>(sizeof(Value)),
-                encode_chunk(chunk, op, options.wire));
+                next.offset, encode_chunk(chunk, op, options.wire));
       continue;
     }
     const std::vector<std::byte> payload = recv_bytes(next.step.peer, tag);
     const std::int64_t updates = combine_chunk(
         op, chunk, payload, options.combine_pool, options.combine_workers);
     TraceEvent combined{TraceEventKind::kCombine, next.step.peer, tag,
-                        next.count};
+                        next.count, next.offset};
     combined.operand_seq = last_recv_seq_;
     trace(combined);
     // One update per combined element (run-skipped identity cells cost
@@ -160,9 +160,6 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   if (span.active()) span.tag("clock_delta_seconds", clock_ - clock_at_entry);
 }
 
-void Comm::barrier() {
-  clock_ = state_.barrier(clock_);
-  trace({TraceEventKind::kBarrier, -1, 0, 0});
-}
+void Comm::barrier() { clock_ = state_.barrier(clock_); }
 
 }  // namespace cubist

@@ -65,7 +65,10 @@ class Comm {
   // --- virtual clock ---
 
   double clock() const { return clock_; }
-  void advance_clock(double seconds) { clock_ += seconds; }
+  /// Sets this rank's virtual clock. Tests skew ranks with it, and the
+  /// cube builder's write-back restores the construction clock after a
+  /// result-collection send (core/parallel_builder.cpp).
+  void set_clock(double seconds) { clock_ = seconds; }
   /// Charges `updates` aggregation updates and `cells` scan decodes to the
   /// virtual clock using the run's cost model.
   void charge_compute(std::int64_t cells_scanned, std::int64_t updates);
@@ -114,35 +117,27 @@ class Comm {
               AggregateOp op, const ReduceOptions& options = {});
 
   /// Global barrier; also synchronizes virtual clocks to the max plus a
-  /// log2(p) latency term.
+  /// log2(p) latency term. Not a communication event: the trace does not
+  /// record it.
   void barrier();
 
-  // --- wire telemetry (this rank's sends only) ---
-
-  /// Dense-equivalent bytes this rank has sent.
-  std::int64_t logical_bytes_sent() const { return logical_bytes_sent_; }
-  /// Bytes this rank actually put on the link (<= logical; == when the
-  /// wire codec is disabled).
-  std::int64_t wire_bytes_sent() const { return wire_bytes_sent_; }
-
  private:
-  /// The one send primitive: ships `payload`, charges the clock at wire
-  /// size, and records `logical_bytes` next to it in the ledger.
+  /// The one send primitive: ships `payload` (the chunk at `offset`
+  /// elements of its block), charges the clock at wire size, and records
+  /// `logical_bytes` next to it in the ledger.
   void send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
-                 std::vector<std::byte> payload);
-  /// The single event-record choke point. When HB tracing is on, appends
-  /// to this rank's EventTrace — the run's one comm record, which the
-  /// happens-before auditor reads; when the obs tracer is on, displays
-  /// the event as a "comm" instant (peer, tag, units) on this rank's
-  /// timeline. Returns the event's EventTrace index (kNoTraceSeq when HB
-  /// tracing is off).
+                 std::int64_t offset, std::vector<std::byte> payload);
+  /// The single event-record choke point. When the run records a trace,
+  /// appends to this rank's EventTrace — the run's one comm record, which
+  /// the driver's post-run audit compares with the certified plan; when
+  /// the obs tracer is on, displays the event as a "comm" instant (peer,
+  /// tag, units) on this rank's timeline. Returns the event's EventTrace
+  /// index (kNoTraceSeq when the run records no trace).
   std::uint64_t trace(const TraceEvent& event);
 
   RuntimeState& state_;
   int rank_;
   double clock_ = 0.0;
-  std::int64_t logical_bytes_sent_ = 0;
-  std::int64_t wire_bytes_sent_ = 0;
   /// Trace index of this rank's most recent receive — the operand
   /// provenance recorded by reduce()'s combine events.
   std::uint64_t last_recv_seq_ = kNoTraceSeq;

@@ -1,12 +1,12 @@
 // EventTrace: the runtime's per-rank communication event record.
 //
-// When tracing is on, every rank appends its sends, receives, combines
-// and barriers to its OWN event vector (no locks: a rank never writes
-// another rank's vector, and the trace is only read after all rank
-// threads have joined). Messages carry the sender-side event index of
-// their send, so a receive records exactly which send it matched — the
-// cross-rank edges the happens-before auditor (analysis/hb_auditor.h)
-// validates offline.
+// When tracing is on, every rank appends its sends, receives and combines
+// to its OWN event vector (no locks: a rank never writes another rank's
+// vector, and the trace is only read after all rank threads have joined).
+// Messages carry the sender-side event index of their send, so a receive
+// records exactly which send it matched. The driver's post-run audit
+// (analysis/schedule_verifier.h, audit_trace) checks the record against
+// the certified plan event for event.
 #pragma once
 
 #include <cstdint>
@@ -17,28 +17,34 @@ namespace cubist {
 /// Sentinel for "no associated event index".
 inline constexpr std::uint64_t kNoTraceSeq = ~std::uint64_t{0};
 
+/// The kinds of communication event, shared by the recorded trace and
+/// the planned schedule IR (analysis/schedule_ir.h).
 enum class TraceEventKind {
+  /// Ship a payload to `peer`. Never blocks.
   kSend,
-  /// Fixed-source receive (Transport::receive), the only receive kind.
+  /// Consume the next message of the (`peer`, tag) channel. Every
+  /// receive names its source (Transport::receive).
   kRecv,
-  /// Elementwise fold of a received operand into the local block.
+  /// Fold the operand delivered by the immediately preceding receive of
+  /// this rank into the local block (local compute).
   kCombine,
-  /// Global barrier; the g-th barrier of every rank is one round.
-  kBarrier,
 };
 
 const char* to_string(TraceEventKind kind);
 
 /// One recorded event. `units` is the payload size: logical bytes for
 /// sends, wire payload bytes for receives, combined elements for
-/// combines, zero for barriers.
+/// combines.
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kSend;
-  /// Destination (kSend), source (kRecv), operand source (kCombine), or
-  /// -1 (kBarrier).
+  /// Destination (kSend), source (kRecv) or operand source (kCombine).
   int peer = -1;
   std::uint64_t tag = 0;
   std::int64_t units = 0;
+  /// Chunk offset, in elements, within the view block: the sent chunk's
+  /// (kSend), the consumed message's (kRecv) or the folded one's
+  /// (kCombine). Zero for whole-block messages.
+  std::int64_t offset = 0;
   /// kRecv: event index, WITHIN THE SENDER's trace, of the send whose
   /// message this receive consumed.
   std::uint64_t match_seq = kNoTraceSeq;
@@ -70,8 +76,6 @@ inline const char* to_string(TraceEventKind kind) {
       return "recv";
     case TraceEventKind::kCombine:
       return "combine";
-    case TraceEventKind::kBarrier:
-      return "barrier";
   }
   return "unknown";
 }

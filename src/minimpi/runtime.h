@@ -32,7 +32,8 @@ struct RunReport {
   /// of all ranks serialized).
   double wall_seconds = 0.0;
   /// Per-rank communication event record (empty unless the run was
-  /// started with record_trace) — the happens-before auditor's input.
+  /// started with record_trace) — what the driver's post-run audit
+  /// compares with the certified plan.
   EventTrace trace;
 };
 
@@ -40,8 +41,8 @@ class Runtime {
  public:
   /// Runs `fn(comm)` on `num_ranks` ranks and reports. Rethrows the first
   /// rank exception after shutting down the others. With `record_trace`,
-  /// every rank's sends/receives/combines/barriers are recorded into
-  /// RunReport::trace for offline happens-before auditing. Messages move
+  /// every rank's sends, receives and combines are recorded into
+  /// RunReport::trace, in program order, for offline audit. Messages move
   /// over the transport `make_transport` builds (called once per run);
   /// a null factory selects the in-process mailbox transport.
   static RunReport run(int num_ranks, const CostModel& model,

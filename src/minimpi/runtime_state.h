@@ -37,7 +37,7 @@ class RuntimeState {
   Transport& transport() { return *transport_; }
   VolumeLedger& ledger() { return ledger_; }
 
-  // --- event tracing (for the happens-before auditor) ---
+  // --- event tracing (for the driver's post-run trace audit) ---
 
   bool tracing() const { return tracing_; }
   /// Appends `event` to `rank`'s trace and returns its index. Lock-free

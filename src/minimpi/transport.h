@@ -37,11 +37,13 @@ class AbortedError : public std::runtime_error {
 /// receiver may consume it (sender clock at send + latency + transfer).
 /// `trace_seq` is the sender-side event-trace index of the send when the
 /// runtime records traces (see minimpi/event_trace.h), so the matching
-/// receive can record exactly which send it consumed.
+/// receive can record exactly which send it consumed; `offset` is the
+/// chunk offset the send recorded, which the receive records too.
 struct Message {
   std::vector<std::byte> payload;
   double arrival_time = 0.0;
   std::uint64_t trace_seq = ~std::uint64_t{0};
+  std::int64_t offset = 0;
 };
 
 class Transport {

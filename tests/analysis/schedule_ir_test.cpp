@@ -1,6 +1,6 @@
-// The schedule IR is the planner's ops verbatim, and the two seeded
-// mutations are expressible exactly when the schedule has a site for
-// them.
+// The schedule IR is the planner's ops verbatim — each rank's
+// RankPlan::ops — and the two seeded mutations are expressible exactly
+// when the schedule has a site for them.
 #include <gtest/gtest.h>
 
 #include "cubist/cubist.h"
@@ -17,14 +17,10 @@ ScheduleSpec spec_of(std::vector<std::int64_t> sizes,
   return spec;
 }
 
-ScheduleIR ir_of(const ScheduleSpec& spec) {
-  return build_comm_plan(spec).ir();
-}
-
-std::int64_t count_kind(const ScheduleIR& ir, CommEvent::Kind kind) {
+std::int64_t count_kind(const CommPlan& plan, CommEvent::Kind kind) {
   std::int64_t count = 0;
-  for (const RankProgram& rank : ir.ranks) {
-    for (const CommEvent& event : rank.events) {
+  for (const RankPlan& rank : plan.ranks) {
+    for (const CommEvent& event : rank.ops) {
       if (event.kind == kind) ++count;
     }
   }
@@ -32,31 +28,34 @@ std::int64_t count_kind(const ScheduleIR& ir, CommEvent::Kind kind) {
 }
 
 TEST(ScheduleIrTest, IrIsThePlanOpsVerbatim) {
-  const ScheduleSpec spec = spec_of({4, 4, 4}, {1, 1, 0});
+  // One event per send, one per receive and one per combine: the plan's
+  // ops are the whole IR, with the gather's sends and receives in it.
+  ScheduleSpec spec = spec_of({4, 4, 4}, {1, 1, 0});
+  spec.collect_result = true;
   const CommPlan plan = build_comm_plan(spec);
-  const ScheduleIR ir = plan.ir();
-  ASSERT_EQ(ir.num_ranks, plan.num_ranks);
-  ASSERT_EQ(static_cast<int>(ir.ranks.size()), plan.num_ranks);
-  for (int r = 0; r < plan.num_ranks; ++r) {
-    EXPECT_EQ(ir.ranks[static_cast<std::size_t>(r)].events,
-              plan.ranks[static_cast<std::size_t>(r)].ops);
+  ASSERT_EQ(static_cast<int>(plan.ranks.size()), plan.num_ranks);
+  std::int64_t events = 0;
+  for (const RankPlan& rank : plan.ranks) {
+    events += static_cast<std::int64_t>(rank.ops.size());
   }
-  EXPECT_EQ(ir.total_events(),
-            plan.total_messages() * 2 +
-                count_kind(ir, CommEvent::Kind::kCombine));
+  EXPECT_EQ(events, plan.total_messages() * 2 +
+                        count_kind(plan, CommEvent::Kind::kCombine));
+  EXPECT_EQ(count_kind(plan, CommEvent::Kind::kRecv), plan.total_messages());
 }
 
 TEST(ScheduleIrTest, EveryReceiveFeedsACombine) {
-  const ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
-  for (const RankProgram& rank : ir.ranks) {
-    for (std::size_t i = 0; i < rank.events.size(); ++i) {
-      if (rank.events[i].kind != CommEvent::Kind::kRecv) continue;
-      ASSERT_LT(i + 1, rank.events.size());
-      const CommEvent& combine = rank.events[i + 1];
+  const CommPlan plan =
+      build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
+  for (const RankPlan& rank : plan.ranks) {
+    const std::vector<CommEvent>& events = rank.ops;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind != CommEvent::Kind::kRecv) continue;
+      ASSERT_LT(i + 1, events.size());
+      const CommEvent& combine = events[i + 1];
       EXPECT_EQ(combine.kind, CommEvent::Kind::kCombine);
-      EXPECT_EQ(combine.view, rank.events[i].view);
-      EXPECT_EQ(combine.offset, rank.events[i].offset);
-      EXPECT_EQ(combine.elements, rank.events[i].elements);
+      EXPECT_EQ(combine.view, events[i].view);
+      EXPECT_EQ(combine.offset, events[i].offset);
+      EXPECT_EQ(combine.elements, events[i].elements);
     }
   }
 }
@@ -69,28 +68,29 @@ TEST(ScheduleIrTest, WireTagDefaultsToViewMask) {
 }
 
 TEST(ScheduleIrTest, DropSendRemovesExactlyOneSend) {
-  ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}));
-  const std::int64_t sends = count_kind(ir, CommEvent::Kind::kSend);
+  CommPlan plan = build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}));
+  const std::int64_t sends = count_kind(plan, CommEvent::Kind::kSend);
   const std::string note =
-      apply_schedule_mutation(ir, ScheduleMutation::kDropSend);
+      apply_schedule_mutation(plan, ScheduleMutation::kDropSend);
   EXPECT_FALSE(note.empty());
-  EXPECT_EQ(count_kind(ir, CommEvent::Kind::kSend), sends - 1);
+  EXPECT_EQ(count_kind(plan, CommEvent::Kind::kSend), sends - 1);
 }
 
 TEST(ScheduleIrTest, TagCollisionMutationCreatesACollidingWildcardStream) {
   // The mutation swaps two chunk receives of one view from one source,
   // with their combines: the same events, in another order on one rank.
-  const ScheduleIR clean = ir_of(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
-  ScheduleIR ir = clean;
+  const CommPlan clean =
+      build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
+  CommPlan plan = clean;
   const std::string note =
-      apply_schedule_mutation(ir, ScheduleMutation::kTagCollision);
+      apply_schedule_mutation(plan, ScheduleMutation::kTagCollision);
   EXPECT_FALSE(note.empty());
   int changed_ranks = 0;
-  for (int r = 0; r < ir.num_ranks; ++r) {
+  for (int r = 0; r < plan.num_ranks; ++r) {
     const std::vector<CommEvent>& before =
-        clean.ranks[static_cast<std::size_t>(r)].events;
+        clean.ranks[static_cast<std::size_t>(r)].ops;
     const std::vector<CommEvent>& after =
-        ir.ranks[static_cast<std::size_t>(r)].events;
+        plan.ranks[static_cast<std::size_t>(r)].ops;
     if (before == after) continue;
     ++changed_ranks;
     std::vector<std::size_t> moved;
@@ -109,29 +109,35 @@ TEST(ScheduleIrTest, TagCollisionMutationCreatesACollidingWildcardStream) {
     EXPECT_EQ(after[moved[1]].offset, after[moved[0]].offset);
   }
   EXPECT_EQ(changed_ranks, 1);
-  EXPECT_EQ(count_kind(ir, CommEvent::Kind::kRecv),
+  EXPECT_EQ(count_kind(plan, CommEvent::Kind::kRecv),
             count_kind(clean, CommEvent::Kind::kRecv));
 }
 
 TEST(ScheduleIrTest, MutationsInexpressibleWithoutCommunication) {
   for (ScheduleMutation mutation :
        {ScheduleMutation::kDropSend, ScheduleMutation::kTagCollision}) {
-    ScheduleIR ir = ir_of(spec_of({4, 4}, {0, 0}));
-    EXPECT_EQ(apply_schedule_mutation(ir, mutation), "")
+    CommPlan plan = build_comm_plan(spec_of({4, 4}, {0, 0}));
+    EXPECT_EQ(apply_schedule_mutation(plan, mutation), "")
         << to_string(mutation);
   }
   // Unchunked, each source sends each view once: no two receives share
   // a channel, so there is no pair to swap.
-  ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {2, 0, 0}));
-  EXPECT_EQ(apply_schedule_mutation(ir, ScheduleMutation::kTagCollision), "");
+  CommPlan plan = build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}));
+  EXPECT_EQ(apply_schedule_mutation(plan, ScheduleMutation::kTagCollision),
+            "");
 }
 
 TEST(ScheduleIrTest, DescribeRendersEvents) {
-  const ScheduleIR ir = ir_of(spec_of({4, 4, 4}, {1, 1, 0}));
-  for (int r = 0; r < ir.num_ranks; ++r) {
-    const RankProgram& rank = ir.ranks[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < rank.events.size(); ++i) {
-      EXPECT_FALSE(ir.describe(r, i).empty());
+  ScheduleSpec spec = spec_of({4, 4, 4}, {1, 1, 0});
+  spec.collect_result = true;
+  for (const RankPlan& rank : build_comm_plan(spec).ranks) {
+    for (const CommEvent& event : rank.ops) {
+      const std::string text = to_string(event);
+      EXPECT_EQ(text.rfind(to_string(event.kind), 0), 0u) << text;
+      // Only the gather's events carry a tag of their own.
+      EXPECT_EQ(text.find(" tag=") != std::string::npos,
+                event.wire_tag() >= kGatherTagBase)
+          << text;
     }
   }
 }

@@ -227,12 +227,8 @@ TEST(ScheduleVerifierTest, TagCollisionMutationIsATagCollision) {
   // check is the only thing that can see it.
   const ScheduleSpec spec = spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4);
   CommPlan plan = build_comm_plan(spec);
-  ScheduleIR ir = plan.ir();
-  ASSERT_NE(apply_schedule_mutation(ir, ScheduleMutation::kTagCollision), "");
-  for (int r = 0; r < plan.num_ranks; ++r) {
-    plan.ranks[static_cast<std::size_t>(r)].ops =
-        ir.ranks[static_cast<std::size_t>(r)].events;
-  }
+  ASSERT_NE(apply_schedule_mutation(plan, ScheduleMutation::kTagCollision),
+            "");
   const AnalysisReport report = verify_schedule(spec, plan);
   ASSERT_EQ(report.violations.size(), 2u) << report.to_string();
   for (const Violation& v : report.violations) {
@@ -284,8 +280,8 @@ TEST(ScheduleVerifierTest, NonViewTagsInThePlanAreFlagged) {
 }
 
 TEST(ScheduleVerifierTest, EveryViolationCodeHasADistinctName) {
-  // kMalformedTrace is the last code: the value past it has no name.
-  const int codes = static_cast<int>(ViolationCode::kMalformedTrace) + 1;
+  // kTraceMismatch is the last code: the value past it has no name.
+  const int codes = static_cast<int>(ViolationCode::kTraceMismatch) + 1;
   EXPECT_STREQ(to_string(static_cast<ViolationCode>(codes)), "unknown");
   std::set<std::string> names;
   for (int i = 0; i < codes; ++i) {
@@ -311,12 +307,12 @@ TEST(ScheduleVerifierTest, AuditAcceptsExactLedgerAndCatchesOverCount) {
   for (const auto& [mask, elements] : plan.elements_by_view) {
     measured[mask] = elements * spec.bytes_per_cell;
   }
-  EXPECT_TRUE(audit_measured_volume(spec, measured).ok());
+  EXPECT_TRUE(audit_measured_volume(spec, plan, measured).ok());
 
   // Inject an over-count on one view.
   ASSERT_FALSE(measured.empty());
   measured.begin()->second += spec.bytes_per_cell;
-  const AnalysisReport report = audit_measured_volume(spec, measured);
+  const AnalysisReport report = audit_measured_volume(spec, plan, measured);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kLedgerVolumeMismatch))
       << report.to_string();
@@ -330,7 +326,7 @@ TEST(ScheduleVerifierTest, AuditFlagsUnknownTags) {
     measured[mask] = elements * spec.bytes_per_cell;
   }
   measured[0xdeadbeefu] = 64;  // traffic under a tag that is no view
-  const AnalysisReport report = audit_measured_volume(spec, measured);
+  const AnalysisReport report = audit_measured_volume(spec, plan, measured);
   EXPECT_TRUE(has_violation(report, ViolationCode::kUnknownViewTag))
       << report.to_string();
 }
@@ -344,16 +340,19 @@ TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
   }
   // At the bound: fine with or without require_equal (the encoding-off
   // contract is wire == logical == bound).
-  EXPECT_TRUE(audit_wire_volume(spec, wire, /*require_equal=*/true).ok());
-  EXPECT_TRUE(audit_wire_volume(spec, wire, /*require_equal=*/false).ok());
+  EXPECT_TRUE(
+      audit_wire_volume(spec, plan, wire, /*require_equal=*/true).ok());
+  EXPECT_TRUE(
+      audit_wire_volume(spec, plan, wire, /*require_equal=*/false).ok());
 
   // Below the bound: what the adaptive codec produces. OK only when
   // equality is not required.
   std::map<std::uint32_t, std::int64_t> shrunk = wire;
   shrunk.begin()->second /= 2;
-  EXPECT_TRUE(audit_wire_volume(spec, shrunk, /*require_equal=*/false).ok());
+  EXPECT_TRUE(
+      audit_wire_volume(spec, plan, shrunk, /*require_equal=*/false).ok());
   const AnalysisReport strict =
-      audit_wire_volume(spec, shrunk, /*require_equal=*/true);
+      audit_wire_volume(spec, plan, shrunk, /*require_equal=*/true);
   EXPECT_FALSE(strict.ok());
   EXPECT_TRUE(has_violation(strict, ViolationCode::kLedgerVolumeMismatch))
       << strict.to_string();
@@ -368,7 +367,7 @@ TEST(ScheduleVerifierTest, WireAuditFlagsBytesAboveTheDenseBound) {
   }
   wire.begin()->second += 1;  // one byte over Lemma 1's dense volume
   const AnalysisReport report =
-      audit_wire_volume(spec, wire, /*require_equal=*/false);
+      audit_wire_volume(spec, plan, wire, /*require_equal=*/false);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kWireVolumeExceedsBound))
       << report.to_string();
@@ -376,7 +375,7 @@ TEST(ScheduleVerifierTest, WireAuditFlagsBytesAboveTheDenseBound) {
   std::map<std::uint32_t, std::int64_t> unknown;
   unknown[0xdeadbeefu] = 8;  // wire traffic under a tag that is no view
   EXPECT_TRUE(has_violation(
-      audit_wire_volume(spec, unknown, /*require_equal=*/false),
+      audit_wire_volume(spec, plan, unknown, /*require_equal=*/false),
       ViolationCode::kUnknownViewTag));
 }
 
@@ -391,7 +390,8 @@ TEST(ScheduleVerifierTest, DenseBoundsAreReportedAndSerialized) {
             std::string::npos);
 
   const AnalysisReport audited =
-      audit_wire_volume(spec, verified.dense_bound_bytes_by_view,
+      audit_wire_volume(spec, build_comm_plan(spec),
+                        verified.dense_bound_bytes_by_view,
                         /*require_equal=*/true);
   EXPECT_TRUE(audited.ok()) << audited.to_string();
   EXPECT_EQ(audited.dense_bound_bytes_by_view,
@@ -413,6 +413,81 @@ TEST(ScheduleVerifierTest, ReportRendersHumanAndJson) {
   EXPECT_NE(broken.to_string().find("schedule INVALID"), std::string::npos);
   EXPECT_NE(broken.to_json().find("\"ok\":false"), std::string::npos);
   EXPECT_NE(broken.to_json().find("unmatched_send"), std::string::npos);
+}
+
+TEST(ScheduleVerifierTest, JsonEscapesViolationMessages) {
+  AnalysisReport report;
+  Violation violation;
+  violation.message = "quote \" backslash \\ newline \n control \x01 end";
+  report.violations.push_back(violation);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("quote \\\" backslash \\\\ newline \\n control "
+                      "\\u0001 end"),
+            std::string::npos)
+      << json;
+  // No raw control byte survives into the JSON text.
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0);
+}
+
+TEST(ScheduleVerifierTest, GatheredSchedulesAreCertifiedWhole) {
+  // With the result collected, the plan holds the gather too: the replay
+  // proves it matched and deadlock-free, while Lemma 1 and Theorem 3 still
+  // count construction traffic only.
+  for (ScheduleSpec spec :
+       {spec_of({16, 8, 8}, {1, 1, 0}), spec_of({7, 5, 3}, {1, 1, 1}),
+        spec_of({16, 8}, {1, 1}, /*cap=*/3), spec_of({4, 4}, {0, 0})}) {
+    const CommPlan construction = build_comm_plan(spec);
+    spec.collect_result = true;
+    const CommPlan whole = build_comm_plan(spec);
+    const AnalysisReport report = verify_schedule(spec, whole);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_EQ(report.planned_total_elements,
+              report.predicted_total_elements);
+    EXPECT_EQ(whole.elements_by_view, construction.elements_by_view);
+    // One gather message per (view, lead other than rank 0).
+    const ProcGrid grid(spec.log_splits);
+    const int n = grid.ndims();
+    std::int64_t remote_blocks = 0;
+    for (std::uint32_t mask = 0; mask + 1 < (1u << n); ++mask) {
+      for (int r = 1; r < grid.size(); ++r) {
+        if (grid.is_lead_for(r, DimSet::from_mask(mask).complement(n))) {
+          ++remote_blocks;
+        }
+      }
+    }
+    EXPECT_EQ(whole.total_messages(),
+              construction.total_messages() + remote_blocks);
+  }
+}
+
+TEST(ScheduleVerifierTest, DroppedGatherSendBlocksRankZero) {
+  ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
+  spec.collect_result = true;
+  CommPlan plan = build_comm_plan(spec);
+  // Rank 3 leads the view that aggregates only the unsplit dimension 2:
+  // drop the send that ships it to rank 0.
+  std::vector<PlannedOp>& ops = plan.ranks[3].ops;
+  const auto gather = std::find_if(
+      ops.begin(), ops.end(),
+      [](const PlannedOp& op) { return op.wire_tag() >= kGatherTagBase; });
+  ASSERT_NE(gather, ops.end());
+  EXPECT_EQ(gather->peer, 0);
+  EXPECT_EQ(gather->wire_tag(), kGatherTagBase | gather->view);
+  ops.erase(gather);
+  const AnalysisReport report = verify_schedule(spec, plan);
+  const auto blocked = std::find_if(
+      report.violations.begin(), report.violations.end(),
+      [](const Violation& v) {
+        return v.code == ViolationCode::kUnmatchedRecv;
+      });
+  ASSERT_NE(blocked, report.violations.end()) << report.to_string();
+  EXPECT_EQ(blocked->rank, 0);
+  // The construction volumes are untouched.
+  EXPECT_FALSE(has_violation(report, ViolationCode::kEdgeVolumeMismatch));
 }
 
 TEST(ScheduleVerifierTest, RejectsPlanGridMismatch) {

@@ -111,5 +111,21 @@ TEST(ArgParserTest, UsageListsFlagsAndDefaults) {
   EXPECT_NE(usage.find("does things"), std::string::npos);
 }
 
+TEST(XListTest, ParsesShapesAndRejectsMalformedTokens) {
+  EXPECT_EQ(parse_x_list("16x12x8", "sizes"),
+            (std::vector<std::int64_t>{16, 12, 8}));
+  EXPECT_EQ(parse_x_list("7", "sizes"), (std::vector<std::int64_t>{7}));
+  EXPECT_EQ(parse_x_int_list("1x1x0", "log-splits"),
+            (std::vector<int>{1, 1, 0}));
+  for (const char* bad : {"", "4xax4", "4xx4", "4x", "x4", "4x4.5",
+                          "99999999999999999999"}) {
+    EXPECT_THROW(parse_x_list(bad, "sizes"), InvalidArgument) << bad;
+  }
+  EXPECT_THROW(parse_x_int_list("1x1x4294967296", "log-splits"),
+               InvalidArgument);
+  EXPECT_THROW(parse_x_int_list("-2147483649", "log-splits"),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace cubist

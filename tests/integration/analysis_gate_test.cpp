@@ -1,5 +1,6 @@
 // End-to-end: the driver's pre-flight schedule verification and post-run
-// ledger audit both pass on real parallel constructions — theory and
+// audits pass on real parallel constructions — the recorded trace is the
+// certified program event for event, result gather included, theory and
 // runtime agree byte-for-byte — and the verified cube is still correct.
 #include <gtest/gtest.h>
 
@@ -20,45 +21,15 @@ BlockProvider provider_of(const SparseSpec& spec) {
 ParallelOptions gated_options() {
   ParallelOptions options;
   options.verify_schedule = true;
-  options.audit_volume = true;
-  options.audit_hb = true;
+  options.audit = true;
   return options;
 }
 
-/// One comm op as "kind peer view elements", the common ground of a
-/// planned op and a recorded event.
-std::string describe(const char* kind, int peer, std::uint64_t view,
-                     std::int64_t elements) {
-  return std::string(kind) + " peer=" + std::to_string(peer) +
-         " view=" + std::to_string(view) +
-         " elements=" + std::to_string(elements);
-}
-
-/// A rank's construction events (tags below kGatherTagBase), with send and
-/// receive units converted from bytes to elements (the codec must be off
-/// so a receive's wire bytes are its logical bytes).
-std::vector<std::string> recorded_construction_ops(
-    const std::vector<TraceEvent>& events) {
-  std::vector<std::string> out;
-  for (const TraceEvent& event : events) {
-    if (event.tag >= kGatherTagBase) continue;
-    const std::int64_t elements =
-        event.kind == TraceEventKind::kCombine
-            ? event.units
-            : event.units / static_cast<std::int64_t>(sizeof(Value));
-    out.push_back(describe(to_string(event.kind), event.peer, event.tag,
-                           elements));
-  }
-  return out;
-}
-
-std::vector<std::string> planned_ops(const RankPlan& plan) {
-  std::vector<std::string> out;
-  for (const PlannedOp& op : plan.ops) {
-    out.push_back(describe(to_string(op.kind), op.peer, op.wire_tag(),
-                           op.elements));
-  }
-  return out;
+/// How many of `events` carry a gather tag.
+std::int64_t gather_events(const std::vector<TraceEvent>& events) {
+  return std::count_if(events.begin(), events.end(), [](const TraceEvent& e) {
+    return e.tag >= kGatherTagBase;
+  });
 }
 
 TEST(AnalysisGateTest, VerifiedAndAuditedRunMatchesReference) {
@@ -105,9 +76,9 @@ TEST(AnalysisGateTest, AuditHoldsForUnevenExtents) {
                                     gated_options()));
 }
 
-TEST(AnalysisGateTest, HbAuditGateAcceptsGatheredRuns) {
-  // audit_hb records the full run — construction, barrier, result gather —
-  // and the offline happens-before rebuild must accept all of it.
+TEST(AnalysisGateTest, AuditGateAcceptsGatheredRuns) {
+  // The audit records the full run — construction and the write-back
+  // gather — and the trace must equal the certified plan, gather included.
   SparseSpec spec;
   spec.sizes = {8, 6, 4};
   spec.density = 0.4;
@@ -117,26 +88,37 @@ TEST(AnalysisGateTest, HbAuditGateAcceptsGatheredRuns) {
   const auto report =
       run_parallel_cube(spec.sizes, {1, 1, 0}, CostModel{}, provider_of(spec),
                         /*collect_result=*/true, options);
-  EXPECT_GT(report.run.trace.total_events(), 0);
-  const HbAuditReport hb = audit_event_trace(report.run.trace);
-  EXPECT_TRUE(hb.ok()) << hb.to_string();
-  EXPECT_GT(hb.message_edges, 0);
+  const ScheduleSpec sched =
+      schedule_spec_of(spec.sizes, {1, 1, 0}, CostModel{},
+                       /*collect_result=*/true, options);
+  const CommPlan plan = build_comm_plan(sched);
+  const AnalysisReport audit = audit_trace(sched, plan, report.run.trace);
+  EXPECT_TRUE(audit.ok()) << audit.to_string();
+  // Rank 0 receives one block per (view, other lead); each is a send of
+  // that lead.
+  std::int64_t sends = 0;
+  for (std::size_t r = 1; r < report.run.trace.ranks.size(); ++r) {
+    sends += gather_events(report.run.trace.ranks[r]);
+  }
+  EXPECT_GT(sends, 0);
+  EXPECT_EQ(gather_events(report.run.trace.ranks[0]), sends);
 }
 
 TEST(AnalysisGateTest, CommEventStructureIsDeterministicAcrossRuns) {
   // The run's EventTrace is the one comm record: two audited builds of the
   // same input on a miniature Figure-7 shape (4-D, p = 4) record the same
-  // events — kinds, peers, tags, units and the match/operand links.
+  // events — kinds, peers, tags, offsets, units and the match/operand
+  // links, the gather's included.
   SparseSpec spec;
   spec.sizes = {8, 8, 4, 4};
   spec.density = 0.5;
   spec.seed = 7;
   ParallelOptions options;
   options.encode_wire = true;
-  options.audit_hb = true;
+  options.audit = true;
   const auto traced_build = [&] {
     return run_parallel_cube(spec.sizes, {1, 1, 0, 0}, CostModel{},
-                             provider_of(spec), /*collect_result=*/false,
+                             provider_of(spec), /*collect_result=*/true,
                              options)
         .run.trace;
   };
@@ -148,11 +130,13 @@ TEST(AnalysisGateTest, CommEventStructureIsDeterministicAcrossRuns) {
 }
 
 TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
-  // The planner and the runtime walk one reduction program, so per rank
-  // the recorded construction events equal the planned ops one for one —
-  // kind, peer, view and elements — under every forced algorithm, with
-  // and without a message cap. A 4 x 2 grid gives groups of 4 (where the
-  // algorithms differ) and of 2; two-level runs on 2-rank nodes.
+  // The planner and the runtime walk one program, so per rank the
+  // recorded trace equals the certified plan event for event — kind,
+  // peer, wire tag, offset, size, matches and operands, gather included —
+  // under every reduce algorithm, with and without a message cap, the
+  // codec on and off, and with and without the gather. A 4 x 2 grid gives
+  // groups of 4 (where the algorithms differ) and of 2; two-level and
+  // auto run on 2-rank nodes.
   SparseSpec spec;
   spec.sizes = {8, 6, 4};
   spec.density = 0.4;
@@ -160,36 +144,45 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
   const std::vector<int> log_splits = {2, 1, 0};
   for (ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-        ReduceAlgorithm::kTwoLevel}) {
+        ReduceAlgorithm::kTwoLevel, ReduceAlgorithm::kAuto}) {
     CostModel model;
-    if (algorithm == ReduceAlgorithm::kTwoLevel) {
+    if (algorithm == ReduceAlgorithm::kTwoLevel ||
+        algorithm == ReduceAlgorithm::kAuto) {
       model.topology.ranks_per_node = 2;
     }
     for (std::int64_t cap : {std::int64_t{0}, std::int64_t{7}}) {
-      ParallelOptions options;
-      options.reduce_algorithm = algorithm;
-      options.reduce_message_elements = cap;
-      options.encode_wire = false;
-      options.audit_hb = true;
-      const auto report =
-          run_parallel_cube(spec.sizes, log_splits, model, provider_of(spec),
-                            /*collect_result=*/false, options);
+      for (bool codec : {false, true}) {
+        for (bool collect : {false, true}) {
+          ParallelOptions options;
+          options.reduce_algorithm = algorithm;
+          options.reduce_message_elements = cap;
+          options.encode_wire = codec;
+          options.audit = true;
+          const auto report =
+              run_parallel_cube(spec.sizes, log_splits, model,
+                                provider_of(spec), collect, options);
+          const std::string where = std::string(to_string(algorithm)) +
+                                    " cap " + std::to_string(cap) +
+                                    " codec " + std::to_string(codec) +
+                                    " collect " + std::to_string(collect);
 
-      ScheduleSpec sched;
-      sched.sizes = spec.sizes;
-      sched.log_splits = log_splits;
-      sched.reduce_message_elements = cap;
-      sched.reduce_algorithm = algorithm;
-      sched.encode_wire = false;
-      sched.model = model;
-      const CommPlan plan = build_comm_plan(sched);
-      ASSERT_EQ(report.run.trace.ranks.size(), plan.ranks.size());
-      for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
-        const std::vector<std::string> planned = planned_ops(plan.ranks[r]);
-        EXPECT_FALSE(planned.empty()) << "rank " << r;
-        EXPECT_EQ(recorded_construction_ops(report.run.trace.ranks[r]),
-                  planned)
-            << to_string(algorithm) << " cap " << cap << " rank " << r;
+          const ScheduleSpec sched =
+              schedule_spec_of(spec.sizes, log_splits, model, collect, options);
+          const CommPlan plan = build_comm_plan(sched);
+          const AnalysisReport verified = verify_schedule(sched, plan);
+          EXPECT_TRUE(verified.ok()) << where << "\n" << verified.to_string();
+          const AnalysisReport audit =
+              audit_trace(sched, plan, report.run.trace);
+          EXPECT_TRUE(audit.ok()) << where << "\n" << audit.to_string();
+          ASSERT_EQ(report.run.trace.ranks.size(), plan.ranks.size());
+          for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
+            EXPECT_EQ(report.run.trace.ranks[r].size(),
+                      plan.ranks[r].ops.size())
+                << where << " rank " << r;
+          }
+          EXPECT_EQ(gather_events(report.run.trace.ranks[0]) > 0, collect)
+              << where;
+        }
       }
     }
   }

@@ -1,9 +1,9 @@
 // Delivery-order independence, end to end: the cube's output BITS are
 // identical no matter which rank runs ahead. Per-rank start skews drive
 // the virtual clock, and with it the order in which messages arrive,
-// through all permutations of rank priority on a 2x2 grid; the
-// serialized views must be bit-identical every time. Every receive
-// names its source, so arrival order cannot reach the result.
+// through all permutations of rank priority on a 2x2 grid; the cube rank 0
+// assembles from the leads' write-backs must be bit-identical every time.
+// Every receive names its source, so arrival order cannot reach the result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,38 +14,37 @@
 namespace cubist {
 namespace {
 
-/// Runs the 2x2-grid construction with rank r skewed forward by
-/// skew[r] * 0.125 virtual seconds, then serializes every rank's led view
-/// blocks (ascending mask, raw bytes) into one deterministic blob.
+/// Runs the 2x2-grid construction, result gather included, with rank r
+/// skewed forward by skew[r] * 0.125 virtual seconds, then serializes the
+/// cube rank 0 assembled (ascending mask, raw bytes) into one blob.
 std::vector<std::byte> build_with_skews(const SparseSpec& spec,
                                         const std::vector<int>& skews) {
   const std::vector<int> log_splits = {1, 1};
   const ProcGrid grid(log_splits);
-  std::vector<std::vector<std::byte>> per_rank(
-      static_cast<std::size_t>(grid.size()));
+  std::optional<CubeResult> assembled;
   Runtime::run(grid.size(), CostModel{}, [&](Comm& comm) {
     const int rank = comm.rank();
-    comm.advance_clock(static_cast<double>(
-                           skews[static_cast<std::size_t>(rank)]) *
-                       0.125);
+    comm.set_clock(static_cast<double>(skews[static_cast<std::size_t>(rank)]) *
+                   0.125);
     const SparseArray local_root =
         generate_sparse_block(spec, grid.block(rank, spec.sizes));
-    const std::map<std::uint32_t, DenseArray> views =
-        build_cube_parallel_rank(comm, grid, spec.sizes, local_root);
-    std::vector<std::byte>& blob = per_rank[static_cast<std::size_t>(rank)];
-    for (const auto& [mask, block] : views) {
-      const auto* mask_bytes = reinterpret_cast<const std::byte*>(&mask);
-      blob.insert(blob.end(), mask_bytes, mask_bytes + sizeof(mask));
-      const auto* data = reinterpret_cast<const std::byte*>(block.data());
-      blob.insert(blob.end(), data,
-                  data + static_cast<std::size_t>(block.bytes()));
-    }
+    std::optional<CubeResult> cube = build_cube_parallel_rank(
+        comm, grid, spec.sizes, local_root, /*collect_result=*/true);
+    EXPECT_EQ(cube.has_value(), rank == 0);
+    if (cube) assembled = std::move(cube);
   });
-  std::vector<std::byte> all;
-  for (const std::vector<std::byte>& blob : per_rank) {
-    all.insert(all.end(), blob.begin(), blob.end());
+  std::vector<std::byte> blob;
+  if (!assembled) return blob;
+  for (DimSet view : assembled->stored_views()) {
+    const std::uint32_t mask = view.mask();
+    const auto* mask_bytes = reinterpret_cast<const std::byte*>(&mask);
+    blob.insert(blob.end(), mask_bytes, mask_bytes + sizeof(mask));
+    const DenseArray& block = assembled->view(view);
+    const auto* data = reinterpret_cast<const std::byte*>(block.data());
+    blob.insert(blob.end(), data,
+                data + static_cast<std::size_t>(block.bytes()));
   }
-  return all;
+  return blob;
 }
 
 TEST(ArrivalOrderTest, CubeBitsInvariantUnderAllDeliveryOrders) {
@@ -77,11 +76,11 @@ TEST(ArrivalOrderTest, ChunkedPipelineIsAlsoOrderInvariant) {
   const std::vector<int> log_splits = {1, 1};
 
   // Same property through the public driver, chunk-pipelined, with the
-  // full analysis gate (verifier + HB audit) enabled.
+  // full analysis gate (verifier + post-run audits) enabled.
   ParallelOptions options;
   options.reduce_message_elements = 4;
   options.verify_schedule = true;
-  options.audit_hb = true;
+  options.audit = true;
   const BlockProvider provider = [&](int, const BlockRange& block) {
     return generate_sparse_block(spec, block);
   };

@@ -56,7 +56,7 @@ CubeResult build_with(const SparseSpec& spec, const std::vector<int>& splits,
   options.reduce_message_elements = chunk;
   options.pool = pool;
   options.verify_schedule = true;
-  options.audit_volume = true;
+  options.audit = true;
   auto report = run_parallel_cube(spec.sizes, splits, model, provider_of(spec),
                                   /*collect_result=*/true, options);
   EXPECT_LE(report.construction_wire_bytes, report.construction_bytes);
@@ -146,7 +146,7 @@ TEST(CommDeterminismTest, EncodedRunMatchesReferenceCube) {
   options.encode_wire = true;
   options.reduce_message_elements = 64;
   options.verify_schedule = true;
-  options.audit_volume = true;
+  options.audit = true;
   const auto report =
       run_parallel_cube(spec.sizes, {1, 1, 0}, CostModel{}, provider_of(spec),
                         /*collect_result=*/true, options);

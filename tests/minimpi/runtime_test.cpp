@@ -68,7 +68,7 @@ TEST(RuntimeTest, WallTimeIsMeasured) {
 
 TEST(RuntimeTest, MakespanIsMaxRankClock) {
   const RunReport report = Runtime::run(4, CostModel{}, [](Comm& comm) {
-    comm.advance_clock(static_cast<double>(10 - comm.rank()));
+    comm.set_clock(static_cast<double>(10 - comm.rank()));
   });
   EXPECT_DOUBLE_EQ(report.makespan_seconds, 10.0);
   EXPECT_DOUBLE_EQ(report.rank_seconds[3], 7.0);

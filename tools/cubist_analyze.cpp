@@ -2,7 +2,8 @@
 //
 // For a given construction shape (global extents, grid exponents, message
 // chunking, reduction algorithm) the tool builds the static communication
-// plan and certifies it with the replay verifier: transport safety
+// plan of the whole program — construction and the result gather onto
+// rank 0 — and certifies it with the replay verifier: transport safety
 // (matched sends and receives, no deadlock, no stream crossing a shared
 // wire tag) and the Lemma 1 / Theorem 3 / Theorem 4 closed forms. Every
 // receive names its source and sends never block, so the verifier's one
@@ -16,10 +17,12 @@
 //
 // --self-test proves the analyses actually detect the seeded bugs: a
 // dropped send and a tag collision are planted in the plan via
-// apply_schedule_mutation (the replay verifier must catch both), and a
-// dropped send and a cross-tag consumption are planted in a recorded
-// trace (the happens-before auditor must catch both). It fails unless
-// every plant is caught and both unmutated controls pass.
+// apply_schedule_mutation (the replay verifier must catch both), and four
+// tamperings are planted in the trace of one small recorded build (the
+// post-run audit must find each departure from the build's certified
+// plan). It fails unless every plant is caught and both unmutated
+// controls pass.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -27,36 +30,15 @@
 #include <vector>
 
 #include "analysis/comm_plan.h"
-#include "analysis/hb_auditor.h"
 #include "analysis/schedule_verifier.h"
-#include "array/dense_array.h"
 #include "common/args.h"
 #include "common/error.h"
-#include "minimpi/runtime.h"
+#include "core/parallel_driver.h"
+#include "io/generators.h"
 
 using namespace cubist;
 
 namespace {
-
-std::vector<std::int64_t> parse_int64s(const std::string& text,
-                                       const char* flag) {
-  std::vector<std::int64_t> values;
-  std::stringstream in(text);
-  std::string token;
-  while (std::getline(in, token, 'x')) {
-    values.push_back(std::stoll(token));
-  }
-  CUBIST_CHECK(!values.empty(), "could not parse --" << flag);
-  return values;
-}
-
-std::vector<int> parse_ints(const std::string& text, const char* flag) {
-  std::vector<int> values;
-  for (std::int64_t v : parse_int64s(text, flag)) {
-    values.push_back(static_cast<int>(v));
-  }
-  return values;
-}
 
 ScheduleMutation parse_mutation(const std::string& name) {
   if (name.empty() || name == "none") return ScheduleMutation::kNone;
@@ -103,6 +85,7 @@ CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation) {
   ScheduleSpec spec;
   spec.sizes = shape.sizes;
   spec.log_splits = shape.log_splits;
+  spec.collect_result = true;
   spec.reduce_message_elements = shape.chunk_elements;
   spec.reduce_algorithm = shape.algorithm;
   if (shape.ranks_per_node > 0) {
@@ -112,19 +95,16 @@ CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation) {
                                  spec.model.bandwidth / 8};
   }
   CommPlan plan = build_comm_plan(spec);
-  ScheduleIR ir = plan.ir();
   if (mutation != ScheduleMutation::kNone) {
-    result.mutation_note = apply_schedule_mutation(ir, mutation);
+    result.mutation_note = apply_schedule_mutation(plan, mutation);
     if (result.mutation_note.empty()) {
       std::printf("  (mutation %s not expressible on this shape)\n",
                   to_string(mutation));
     }
-    for (int r = 0; r < plan.num_ranks; ++r) {
-      plan.ranks[static_cast<std::size_t>(r)].ops =
-          ir.ranks[static_cast<std::size_t>(r)].events;
-    }
   }
-  result.events = ir.total_events();
+  for (const RankPlan& rank : plan.ranks) {
+    result.events += static_cast<std::int64_t>(rank.ops.size());
+  }
   result.report = verify_schedule(spec, plan);
   return result;
 }
@@ -204,36 +184,66 @@ bool has_code(const std::vector<Violation>& violations, ViolationCode code) {
   return false;
 }
 
-/// Records one reduce over ranks {0..3} and returns the event trace.
-EventTrace traced_reduce() {
-  const std::vector<int> group = {0, 1, 2, 3};
-  const RunReport run = Runtime::run(
-      4, CostModel{},
-      [&](Comm& comm) {
-        DenseArray block(Shape{{8}});
-        for (std::int64_t i = 0; i < block.size(); ++i) {
-          block[i] = static_cast<Value>(comm.rank() + 1);
-        }
-        comm.reduce(group, block, /*tag=*/1, AggregateOp::kSum);
-        comm.barrier();
-      },
-      /*record_trace=*/true);
-  return run.trace;
+/// One small gathered, chunk-pipelined build recorded with the audit on,
+/// and the plan it was certified against.
+struct RecordedBuild {
+  ScheduleSpec spec;
+  CommPlan plan;
+  EventTrace trace;
+};
+
+RecordedBuild record_build() {
+  SparseSpec input;
+  input.sizes = {4, 4, 4};
+  input.density = 0.5;
+  input.seed = 3;
+  const std::vector<int> log_splits = {1, 1, 0};
+  ParallelOptions options;
+  options.reduce_algorithm = ReduceAlgorithm::kBinomial;
+  options.reduce_message_elements = 2;
+  options.verify_schedule = true;
+  options.audit = true;
+  RecordedBuild out;
+  out.spec = schedule_spec_of(input.sizes, log_splits, CostModel{},
+                              /*collect_result=*/true, options);
+  out.plan = build_comm_plan(out.spec);
+  out.trace = run_parallel_cube(
+                  input.sizes, log_splits, CostModel{},
+                  [&](int, const BlockRange& block) {
+                    return generate_sparse_block(input, block);
+                  },
+                  /*collect_result=*/true, options)
+                  .run.trace;
+  return out;
 }
 
-/// A copy of `trace` whose first receive is changed by `tamper` (an
-/// unchanged copy if it has none, which the self-test reports as missed).
-EventTrace tamper_first_receive(EventTrace trace,
-                                void (*tamper)(TraceEvent&)) {
-  for (std::vector<TraceEvent>& rank_events : trace.ranks) {
-    for (TraceEvent& event : rank_events) {
-      if (event.kind == TraceEventKind::kRecv) {
-        tamper(event);
-        return trace;
+/// Rank 0's first receive in `trace` (nullptr if it has none, which the
+/// self-test then reports as a missed plant).
+TraceEvent* first_receive(EventTrace& trace) {
+  for (TraceEvent& event : trace.ranks[0]) {
+    if (event.kind == TraceEventKind::kRecv) return &event;
+  }
+  return nullptr;
+}
+
+/// Swaps the offsets of the first two sends of one stream that carry
+/// different chunks; false if the trace has none.
+bool swap_send_offsets(EventTrace& trace) {
+  for (std::vector<TraceEvent>& events : trace.ranks) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      for (std::size_t j = i + 1; j < events.size(); ++j) {
+        TraceEvent& a = events[i];
+        TraceEvent& b = events[j];
+        if (a.kind == TraceEventKind::kSend &&
+            b.kind == TraceEventKind::kSend && a.peer == b.peer &&
+            a.tag == b.tag && a.offset != b.offset) {
+          std::swap(a.offset, b.offset);
+          return true;
+        }
       }
     }
   }
-  return trace;
+  return false;
 }
 
 int self_test() {
@@ -264,24 +274,38 @@ int self_test() {
                       ViolationCode::kTagCollision),
          "tag-collision -> receive consumes another stream's message");
 
-  std::printf("runtime leg: tampered traces through the happens-before "
-              "auditor\n");
-  const EventTrace clean = traced_reduce();
-  expect(audit_event_trace(clean).ok(), "clean trace audits clean (control)");
+  std::printf("runtime leg: tampered traces of a recorded build against "
+              "its certified plan\n");
+  const RecordedBuild build = record_build();
+  const auto caught = [&](const EventTrace& trace) {
+    return has_code(audit_trace(build.spec, build.plan, trace).violations,
+                    ViolationCode::kTraceMismatch);
+  };
+  expect(audit_trace(build.spec, build.plan, build.trace).ok(),
+         "clean trace equals its plan (control)");
 
-  // Dropped send, modelled at the trace level: a receive whose matched
-  // send vanished from the wire record.
-  const HbAuditReport unmatched = audit_event_trace(tamper_first_receive(
-      clean, [](TraceEvent& event) { event.match_seq = kNoTraceSeq; }));
-  expect(has_code(unmatched.violations, ViolationCode::kUnmatchedRecv),
-         "dropped send in trace -> unmatched receive");
+  EventTrace vanished = build.trace;
+  TraceEvent* recv = first_receive(vanished);
+  if (recv != nullptr) recv->match_seq = kNoTraceSeq;
+  expect(recv != nullptr && caught(vanished),
+         "receive whose matched send vanished -> reported");
 
-  // Tag collision, modelled at the trace level: a receive that consumed a
-  // message recorded under a different wire tag.
-  const HbAuditReport crossed = audit_event_trace(tamper_first_receive(
-      clean, [](TraceEvent& event) { event.tag += 1; }));
-  expect(has_code(crossed.violations, ViolationCode::kTagCollision),
-         "tag collision in trace -> cross-stream consumption");
+  EventTrace retagged = build.trace;
+  recv = first_receive(retagged);
+  if (recv != nullptr) recv->tag += 1;
+  expect(recv != nullptr && caught(retagged),
+         "receive retagged to another stream -> reported");
+
+  EventTrace swapped = build.trace;
+  expect(swap_send_offsets(swapped) && caught(swapped),
+         "send whose chunk offset is swapped -> reported");
+
+  EventTrace truncated = build.trace;
+  const bool gathered = !truncated.ranks[0].empty() &&
+                        truncated.ranks[0].back().tag >= kGatherTagBase;
+  if (gathered) truncated.ranks[0].pop_back();
+  expect(gathered && caught(truncated),
+         "rank 0's last gather receive dropped -> reported");
 
   std::printf(failures == 0 ? "self-test OK\n"
                             : "self-test FAILED (%d missed)\n",
@@ -317,53 +341,60 @@ int main(int argc, char** argv) {
       "prove the verifier and auditor detect the seeded bugs");
   if (!args.parse(argc, argv)) return 1;
 
-  if (*run_self_test) {
-    return self_test();
-  }
+  // Malformed input (a bad --sizes token, an unknown --algorithm, a grid
+  // the verifier rejects) ends the run with a one-line error.
+  try {
+    if (*run_self_test) {
+      return self_test();
+    }
 
-  ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
-  CUBIST_CHECK(parse_reduce_algorithm(*algorithm_text, &algorithm),
-               "unknown --algorithm value '"
-                   << *algorithm_text
-                   << "' (binomial | ring | two-level | auto)");
-  CUBIST_CHECK(*ranks_per_node >= 0, "negative --ranks-per-node");
+    ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
+    CUBIST_CHECK(parse_reduce_algorithm(*algorithm_text, &algorithm),
+                 "unknown --algorithm value '"
+                     << *algorithm_text
+                     << "' (binomial | ring | two-level | auto)");
+    CUBIST_CHECK(*ranks_per_node >= 0, "negative --ranks-per-node");
 
-  std::vector<ShapeCase> cases;
-  if (*figure7) {
-    cases = figure7_matrix();
-  } else {
-    ShapeCase shape;
-    shape.name = "cli";
-    shape.sizes = parse_int64s(*sizes_text, "sizes");
-    shape.log_splits = parse_ints(*splits_text, "log-splits");
-    shape.chunk_elements = *chunk;
-    CUBIST_CHECK(shape.sizes.size() == shape.log_splits.size(),
-                 "--sizes and --log-splits must have equal length");
-    cases.push_back(std::move(shape));
-  }
-  for (ShapeCase& shape : cases) {
-    shape.algorithm = algorithm;
-    shape.ranks_per_node = static_cast<int>(*ranks_per_node);
-  }
-  const ScheduleMutation mutation = parse_mutation(*mutate_text);
+    std::vector<ShapeCase> cases;
+    if (*figure7) {
+      cases = figure7_matrix();
+    } else {
+      ShapeCase shape;
+      shape.name = "cli";
+      shape.sizes = parse_x_list(*sizes_text, "sizes");
+      shape.log_splits = parse_x_int_list(*splits_text, "log-splits");
+      shape.chunk_elements = *chunk;
+      CUBIST_CHECK(shape.sizes.size() == shape.log_splits.size(),
+                   "--sizes and --log-splits must have equal length");
+      cases.push_back(std::move(shape));
+    }
+    for (ShapeCase& shape : cases) {
+      shape.algorithm = algorithm;
+      shape.ranks_per_node = static_cast<int>(*ranks_per_node);
+    }
+    const ScheduleMutation mutation = parse_mutation(*mutate_text);
 
-  bool all_ok = true;
-  std::ostringstream json;
-  json << "{\"tool\":\"cubist-analyze\",\"results\":[";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const CaseResult result = run_case(cases[i], mutation);
-    print_case(result);
-    all_ok = all_ok && result.ok();
-    json << (i > 0 ? "," : "") << case_to_json(result);
-  }
-  json << "],\"ok\":" << (all_ok ? "true" : "false") << "}";
+    bool all_ok = true;
+    std::ostringstream json;
+    json << "{\"tool\":\"cubist-analyze\",\"results\":[";
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const CaseResult result = run_case(cases[i], mutation);
+      print_case(result);
+      all_ok = all_ok && result.ok();
+      json << (i > 0 ? "," : "") << case_to_json(result);
+    }
+    json << "],\"ok\":" << (all_ok ? "true" : "false") << "}";
 
-  if (!json_path->empty()) {
-    std::ofstream out(*json_path);
-    CUBIST_CHECK(out.good(), "cannot write --json file " << *json_path);
-    out << json.str() << "\n";
-    std::printf("wrote %s\n", json_path->c_str());
+    if (!json_path->empty()) {
+      std::ofstream out(*json_path);
+      CUBIST_CHECK(out.good(), "cannot write --json file " << *json_path);
+      out << json.str() << "\n";
+      std::printf("wrote %s\n", json_path->c_str());
+    }
+    std::printf("%s\n", all_ok ? "ALL SHAPES CERTIFIED" : "VIOLATIONS FOUND");
+    return all_ok ? 0 : 1;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
-  std::printf("%s\n", all_ok ? "ALL SHAPES CERTIFIED" : "VIOLATIONS FOUND");
-  return all_ok ? 0 : 1;
 }

@@ -1,10 +1,10 @@
 // cubist-trace — one observed workload, every observability artifact.
 //
 // Runs the full pipeline with tracing and drift gauges on: a parallel
-// cube construction (schedule verification, HB audit, wire-volume
-// audit), the barrier-aligned reduce-drift calibration sweep, and a
-// Zipfian partial-cube serving session with a mid-stream replan. It then
-// writes
+// cube construction (schedule verification, trace-equals-plan audit,
+// wire-volume audit), the barrier-aligned reduce-drift calibration sweep,
+// and a Zipfian partial-cube serving session with a mid-stream replan. It
+// then writes
 //
 //   trace.json    — Chrome trace-event timeline (Perfetto-loadable)
 //                   spanning build -> reduce -> serving,
@@ -40,36 +40,6 @@
 using namespace cubist;
 
 namespace {
-
-std::vector<std::int64_t> parse_int64s(const std::string& text,
-                                       const char* flag) {
-  std::vector<std::int64_t> values;
-  std::stringstream in(text);
-  std::string token;
-  while (std::getline(in, token, 'x')) {
-    std::size_t used = 0;
-    std::int64_t value = 0;
-    try {
-      value = std::stoll(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    CUBIST_CHECK(used == token.size() && !token.empty(),
-                 "bad token '" << token << "' in --" << flag << "='" << text
-                               << "' (want e.g. 16x12x8)");
-    values.push_back(value);
-  }
-  CUBIST_CHECK(!values.empty(), "could not parse --" << flag);
-  return values;
-}
-
-std::vector<int> parse_ints(const std::string& text, const char* flag) {
-  std::vector<int> values;
-  for (std::int64_t v : parse_int64s(text, flag)) {
-    values.push_back(static_cast<int>(v));
-  }
-  return values;
-}
 
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
@@ -116,10 +86,9 @@ int run(const std::vector<std::int64_t>& sizes,
   spec.seed = 7;
   ParallelOptions options;
   options.encode_wire = true;
-  // Record the run's comm event trace and audit it for happens-before
-  // races, and audit the measured volumes; either failure throws.
-  options.audit_hb = true;
-  options.audit_volume = true;
+  // Record the run's comm event trace and require it to equal the
+  // certified plan, and audit the measured volumes; any failure throws.
+  options.audit = true;
   const ParallelCubeReport report = run_parallel_cube(
       sizes, log_splits, model,
       [&spec](int, const BlockRange& block) {
@@ -127,7 +96,7 @@ int run(const std::vector<std::int64_t>& sizes,
       },
       /*collect_result=*/true, options);
 
-  std::printf("build: makespan=%.6fs wire=%lld B; HB audit ok "
+  std::printf("build: makespan=%.6fs wire=%lld B; trace equals plan "
               "(%lld events)\n",
               report.construction_seconds,
               static_cast<long long>(report.construction_wire_bytes),
@@ -234,8 +203,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 2;
 
   try {
-    std::vector<std::int64_t> sizes = parse_int64s(*sizes_flag, "sizes");
-    std::vector<int> log_splits = parse_ints(*splits_flag, "log-splits");
+    std::vector<std::int64_t> sizes = parse_x_list(*sizes_flag, "sizes");
+    std::vector<int> log_splits = parse_x_int_list(*splits_flag, "log-splits");
     std::int64_t num_queries = *queries;
     if (*smoke) {
       sizes = {8, 8, 8};

@@ -20,12 +20,12 @@ deliberately looser):
   4. Every CUBIST_CHECK / CUBIST_ASSERT / CUBIST_DCHECK carries a message
      operand (a bare condition gives useless diagnostics).
   5. No file-scope `using namespace` in src/.
-  6. No direct message-channel traffic (`.receive(` / `.receive_any(` /
-     `.deliver(` / `.mailbox(`) outside src/minimpi/comm.cpp and the
-     transport adaptor (src/minimpi/transport.cpp).  Comm's primitives
-     are the single choke point that stamps virtual-clock arrival times
-     and records the event trace the happens-before auditor replays; a
-     bypass would make runs unauditable.
+  6. No direct message-channel traffic (`.receive(` / `.deliver(` /
+     `.mailbox(`) outside src/minimpi/comm.cpp and the transport adaptor
+     (src/minimpi/transport.cpp).  Comm's primitives are the single choke
+     point that stamps virtual-clock arrival times and records the event
+     trace the driver's post-run audit compares with the certified plan;
+     a bypass would make runs unauditable.
   7. No use of the `Mailbox` class outside the transport adaptor
      boundary (src/minimpi/mailbox.h itself and the mailbox transport,
      src/minimpi/transport.cpp).  Everything else must go through the
@@ -48,12 +48,18 @@ deliberately looser):
      PartialCube generations and cached QueryResults are read from many
      threads without locks; that is only safe while nothing writes
      through a const handle.
+ 11. No Comm point-to-point call (`send_bytes(` / `send_values(` /
+     `recv_bytes(` / `recv_values(`) in src/ outside src/minimpi/ and
+     src/core/parallel_builder.cpp.  That file is the one rank program
+     build_comm_plan mirrors, so every message the library sends is in
+     the certified plan; a second message path beside it would run
+     unverified and fail the post-run trace audit.
 
 Usage:  python3 tools/lint.py  [--root REPO_ROOT]  [--self-test]  [FILE ...]
 With FILE arguments only those files are linted; naming a file that is
 unreadable or not a .h/.cpp source is itself an error (exit 2).
 --self-test lints synthetic sources that must (and must not) trip the
-boundary rules (6-10), proving the rules still fire.
+boundary rules (6-11), proving the rules still fire.
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = bad
 invocation.
 """
@@ -71,8 +77,7 @@ CHANNEL_CALL_ALLOWED_FILES = {
     "src/minimpi/comm.cpp",
     "src/minimpi/transport.cpp",
 }
-CHANNEL_CALL = re.compile(
-    r"(?:\.|->)\s*(?:receive(?:_any)?|deliver|mailbox)\s*\(")
+CHANNEL_CALL = re.compile(r"(?:\.|->)\s*(?:receive|deliver|mailbox)\s*\(")
 MAILBOX_TYPE_ALLOWED_FILES = {
     "src/minimpi/mailbox.h",
     "src/minimpi/transport.cpp",
@@ -91,6 +96,10 @@ PROJECT_ALLOWED_FILES = {
 PROJECT_ALLOWED_PREFIX = "src/baselines/"
 PROJECT_CALL = re.compile(r"(?<![\w_])project\s*\(")
 CONST_CAST = re.compile(r"(?<![\w_])const_cast\s*<")
+POINT_TO_POINT_ALLOWED_FILES = {"src/core/parallel_builder.cpp"}
+POINT_TO_POINT_ALLOWED_PREFIX = "src/minimpi/"
+POINT_TO_POINT_CALL = re.compile(
+    r"(?<![\w_])(?:send_bytes|send_values|recv_bytes|recv_values)\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -229,6 +238,15 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
                 "shared chunks, served generations and cached results are "
                 "read without locks; never write through a const handle")
 
+    if (rel.startswith("src/") and rel not in POINT_TO_POINT_ALLOWED_FILES
+            and not rel.startswith(POINT_TO_POINT_ALLOWED_PREFIX)):
+        for match in POINT_TO_POINT_CALL.finditer(code):
+            problems.append(
+                f"{rel}:{line_of(code, match.start())}: Comm point-to-point "
+                "call outside src/minimpi/ and the rank program "
+                "(src/core/parallel_builder.cpp) — every message must be "
+                "one build_comm_plan certifies")
+
     check_macro_messages(rel, code, problems)
 
 
@@ -250,8 +268,11 @@ def self_test() -> int:
          "void f() { box.deliver(0, 1, m); }\n",
          "direct message-channel traffic"),
         ("src/minimpi/comm.cpp",
-         "void f() { t.receive_any(0, tag, accept); }\n",
+         "void f() { t.receive(rank, src, tag); }\n",
          None),
+        ("src/core/rogue3.cpp",
+         "Message m = transport->receive(rank, src, tag);\n",
+         "direct message-channel traffic"),
         # Comments and strings must not trip the type rule.
         ("src/core/commented.cpp",
          "// Mailbox is banned here\nconst char* s = \"Mailbox\";\n",
@@ -298,6 +319,25 @@ def self_test() -> int:
         ("src/array/cast_comment.cpp",
          "// never const_cast<Chunk*> a shared chunk\n"
          "int no_const_cast_here = 0; bool my_const_cast(int);\n",
+         None),
+        # Messages leave a rank only from the certified rank program and
+        # the runtime itself.
+        ("src/core/parallel_driver.cpp",
+         "void f(Comm& comm) { comm.send_values(0, tag, block); }\n",
+         "Comm point-to-point call outside src/minimpi/"),
+        ("src/core/parallel_driver.cpp",
+         "auto b = comm.recv_bytes(src, kGatherTagBase | mask);\n",
+         "Comm point-to-point call outside src/minimpi/"),
+        ("src/core/parallel_builder.cpp",
+         "void f(Comm& comm) {\n  comm.send_values(0, tag, block);\n"
+         "  auto b = comm.recv_bytes(src, tag);\n}\n",
+         None),
+        ("src/minimpi/drift_calibration.cpp",
+         "void f(Comm& comm) { comm.send_bytes(1, tag, payload); }\n",
+         None),
+        ("src/core/p2p_comment.cpp",
+         "// comm.send_values(0, tag, block) happens in parallel_builder\n"
+         "int resend_values(int); auto r = my_recv_bytes(3);\n",
          None),
     ]
     failures = []
