@@ -62,6 +62,26 @@ void expect_magic(std::ifstream& in, const char magic[4],
   CUBIST_CHECK(version == kVersion, "unsupported version " << version);
 }
 
+/// Bytes from the read position to the end of the file.
+std::int64_t bytes_left(std::ifstream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  CUBIST_CHECK(in.good() && here >= 0 && end >= here,
+               "cannot tell the file's size");
+  return static_cast<std::int64_t>(end - here);
+}
+
+/// A length field is trusted only once the file could hold what it claims:
+/// `count` records of `record_bytes` each within the `left` bytes unread.
+void check_fits(std::int64_t count, std::int64_t record_bytes,
+                std::int64_t left, const char* what) {
+  CUBIST_CHECK(count <= left / record_bytes,
+               "file claims " << count << ' ' << what << " in its last "
+                              << left << " bytes");
+}
+
 std::vector<std::int64_t> read_extents(std::ifstream& in) {
   const auto ndim = read_pod<std::uint32_t>(in);
   CUBIST_CHECK(ndim >= 1 && ndim <= 32, "bad dimension count " << ndim);
@@ -89,7 +109,10 @@ void write_dense(const DenseArray& array, const std::string& path) {
 DenseArray read_dense(const std::string& path) {
   std::ifstream in = open_in(path);
   expect_magic(in, "CBDN", path);
-  DenseArray array{Shape{read_extents(in)}};
+  std::vector<std::int64_t> extents = read_extents(in);
+  check_fits(checked_product(extents), sizeof(Value), bytes_left(in),
+             "cells");
+  DenseArray array{Shape{std::move(extents)}};
   read_raw(in, array.data(),
            static_cast<std::size_t>(array.size()) * sizeof(Value));
   return array;
@@ -118,18 +141,33 @@ SparseArray read_sparse(const std::string& path) {
   std::vector<std::int64_t> chunk_extents(extents.size());
   read_raw(in, chunk_extents.data(),
            chunk_extents.size() * sizeof(std::int64_t));
+  // Every chunk spends at least its 8-byte entry count, so the file must
+  // hold the whole chunk grid before the array allocates a slot a chunk.
+  checked_product(extents);  // every extent is positive
+  checked_product(chunk_extents);
+  std::vector<std::int64_t> grid(extents.size());
+  for (std::size_t d = 0; d < extents.size(); ++d) {
+    grid[d] = (extents[d] - 1) / chunk_extents[d] + 1;
+  }
+  std::int64_t left = bytes_left(in);
+  check_fits(checked_product(grid), sizeof(std::int64_t), left, "chunks");
   SparseArray array{Shape{extents}, chunk_extents};
 
   // Each chunk goes through set_chunk(), which revalidates its entries.
+  constexpr std::int64_t kEntryBytes =
+      sizeof(SparseArray::Offset) + sizeof(Value);
   std::vector<std::int64_t> chunk_coords(extents.size());
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
     const auto count = read_pod<std::int64_t>(in);
+    left -= static_cast<std::int64_t>(sizeof count);
     array.chunk_grid().unravel(c, chunk_coords.data());
     const std::int64_t volume =
         checked_product(array.chunk_shape_at(chunk_coords));
     CUBIST_CHECK(count >= 0 && count <= volume,
                  "chunk " << c << " claims " << count << " entries in "
                           << volume << " cells");
+    check_fits(count, kEntryBytes, left, "entries");
+    left -= count * kEntryBytes;
     std::vector<SparseArray::Offset> offsets(
         static_cast<std::size_t>(count));
     std::vector<Value> values(static_cast<std::size_t>(count));

@@ -1,6 +1,7 @@
 #include "io/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.h"
@@ -14,15 +15,23 @@ namespace {
 constexpr std::uint64_t kValueSalt = 0x5eed5a17u;
 /// Cells one generation task walks at least (several small chunks share one).
 constexpr std::int64_t kCellsPerTask = std::int64_t{1} << 14;
+/// Consecutive cells of a row whose keep tests fold into one mask word.
+constexpr std::int64_t kMaskCells = 64;
 
-/// Per-cell population rule shared by all generators: a pure function of
-/// (seed, global linear index [, coordinates for the Zipf skew]).
+/// The population rule shared by all generators. A cell is kept when
+/// cell_hash(seed, global linear index) < p x 2^64, and always when p = 1;
+/// p is the density, under the Zipf skew times a calibrated multiplier and
+/// the weights of the cell's coordinates, clamped to 1. A kept cell's value
+/// is a second hash of its index. Both are pure functions of the spec and
+/// the cell, so every partition of the array sees the same cells.
 class CellRule {
  public:
   explicit CellRule(const SparseSpec& spec)
       : seed_(spec.seed), density_(spec.density) {
     CUBIST_CHECK(spec.density >= 0.0 && spec.density <= 1.0,
                  "density must be in [0,1]");
+    keep_all_ = density_ >= 1.0;
+    threshold_ = keep_all_ ? 0 : threshold_of(density_);
     if (spec.zipf_theta > 0.0) {
       weights_.reserve(spec.sizes.size());
       for (std::int64_t extent : spec.sizes) {
@@ -42,31 +51,60 @@ class CellRule {
     }
   }
 
-  /// Value of the cell at `global_index` (coordinates only needed when the
-  /// Zipf skew is active); 0 means empty.
-  Value value_at(const std::int64_t* coords, std::int64_t global_index) const {
-    double p = density_;
-    if (!weights_.empty()) {
-      p *= multiplier_;
-      for (std::size_t d = 0; d < weights_.size(); ++d) {
-        p *= weights_[d][static_cast<std::size_t>(coords[d])];
+  /// The Zipf p of a row's cells before the inner weight: the density
+  /// times the multiplier and the weights of `outer` (the row's first
+  /// n - 1 coordinates), multiplied left to right.
+  double row_density(const std::int64_t* outer) const {
+    double p = density_ * multiplier_;
+    for (std::size_t d = 0; d + 1 < weights_.size(); ++d) {
+      p *= weights_[d][static_cast<std::size_t>(outer[d])];
+    }
+    return p;
+  }
+
+  /// Bit i is set when the cell at global index `first + i` is kept, for
+  /// i < count <= 64. The cells are consecutive in one row; the first has
+  /// inner coordinate `inner`, and `row_p` is the row's row_density().
+  /// No branch depends on a cell's hash (hence `|`, not `||`): one taken
+  /// for a quarter of the cells, as at 25% density, mispredicts often.
+  std::uint64_t keep_mask(double row_p, std::uint64_t first,
+                          std::int64_t inner, int count) const {
+    std::uint64_t mask = 0;
+    if (weights_.empty()) {
+      if (keep_all_) return ~std::uint64_t{0} >> (kMaskCells - count);
+      for (int i = 0; i < count; ++i) {
+        const bool keep =
+            cell_hash(seed_, first + static_cast<std::uint64_t>(i)) <
+            threshold_;
+        mask |= static_cast<std::uint64_t>(keep) << i;
       }
-      p = std::min(p, 1.0);
+      return mask;
     }
-    const auto threshold = static_cast<std::uint64_t>(
-        p * 18446744073709551616.0 /* 2^64 */);
-    if (p < 1.0 &&
-        cell_hash(seed_, static_cast<std::uint64_t>(global_index)) >=
-            threshold) {
-      return Value{0};
+    const double* inner_weights =
+        weights_.back().data() + static_cast<std::size_t>(inner);
+    for (int i = 0; i < count; ++i) {
+      const double p = std::min(row_p * inner_weights[i], 1.0);
+      const bool sure = p >= 1.0;
+      const bool keep =
+          sure | (cell_hash(seed_, first + static_cast<std::uint64_t>(i)) <
+                  threshold_of(sure ? 0.0 : p));
+      mask |= static_cast<std::uint64_t>(keep) << i;
     }
-    return static_cast<Value>(
-        1 + cell_hash(seed_ ^ kValueSalt,
-                      static_cast<std::uint64_t>(global_index)) %
-                9);
+    return mask;
+  }
+
+  /// Value of the kept cell at `global_index`: 1..9.
+  Value value(std::uint64_t global_index) const {
+    return static_cast<Value>(1 + cell_hash(seed_ ^ kValueSalt, global_index) %
+                                      9);
   }
 
  private:
+  /// p x 2^64 as an integer, for p < 1 (at p = 1 the conversion overflows).
+  static std::uint64_t threshold_of(double p) {
+    return static_cast<std::uint64_t>(p * 18446744073709551616.0 /* 2^64 */);
+  }
+
   /// Clamping min(1, p) loses mass when the skew pushes p above 1, so the
   /// raw expected density falls short of the target. Calibrate a scalar
   /// multiplier on a fixed deterministic cell sample (a pure function of
@@ -106,6 +144,9 @@ class CellRule {
 
   std::uint64_t seed_;
   double density_;
+  /// The uniform rule's p >= 1 test and p x 2^64, decided once.
+  bool keep_all_ = false;
+  std::uint64_t threshold_ = 0;
   double multiplier_ = 1.0;
   std::vector<std::vector<double>> weights_;
 };
@@ -155,6 +196,8 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
         std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
         std::vector<std::int64_t> origin(static_cast<std::size_t>(n));
         std::vector<std::int64_t> gidx(static_cast<std::size_t>(n));
+        // The task's kept cells, grown a mask word at a time (never a cell
+        // at a time) and reused from chunk to chunk.
         std::vector<SparseArray::Offset> offsets;
         std::vector<Value> values;
         for (std::int64_t chunk_id = lo; chunk_id < hi; ++chunk_id) {
@@ -167,22 +210,42 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
           }
           offsets.clear();
           values.clear();
-          SparseArray::Offset offset = 0;
-          // Row by row: the global linear index is the row's base plus the
-          // inner coordinate (global stride 1).
+          const std::int64_t row_length = extents[n - 1];
+          SparseArray::Offset row_offset = 0;
           for (;;) {
-            std::int64_t row_base = 0;
+            // The global linear index of a row's cell is the row's base
+            // plus its inner coordinate (global stride 1).
+            std::int64_t row_base = origin[n - 1];
             for (int d = 0; d < n - 1; ++d) {
               row_base += gidx[d] * global_shape.stride(d);
             }
-            for (std::int64_t i = 0; i < extents[n - 1]; ++i, ++offset) {
-              gidx[n - 1] = origin[n - 1] + i;
-              const Value v = rule.value_at(gidx.data(), row_base + gidx[n - 1]);
-              if (v != Value{0}) {
-                offsets.push_back(offset);
-                values.push_back(v);
+            const double row_p = rule.row_density(gidx.data());
+            for (std::int64_t i = 0; i < row_length; i += kMaskCells) {
+              const auto first = static_cast<std::uint64_t>(row_base + i);
+              std::uint64_t mask = rule.keep_mask(
+                  row_p, first, origin[n - 1] + i,
+                  static_cast<int>(std::min(kMaskCells, row_length - i)));
+              std::size_t kept = offsets.size();
+              const std::size_t size =
+                  kept + static_cast<std::size_t>(std::popcount(mask));
+              if (size > offsets.capacity()) {
+                // Powers of two, as push_back's doubling gives, so a task's
+                // freed buffers fit the next task's; capacities grown from
+                // the size fragment the heap and raise peak RSS.
+                offsets.reserve(std::bit_ceil(size));
+                values.reserve(std::bit_ceil(size));
+              }
+              offsets.resize(size);
+              values.resize(size);
+              for (; mask != 0; mask &= mask - 1, ++kept) {
+                const int bit = std::countr_zero(mask);
+                offsets[kept] = row_offset +
+                                static_cast<SparseArray::Offset>(i + bit);
+                values[kept] =
+                    rule.value(first + static_cast<std::uint64_t>(bit));
               }
             }
+            row_offset += static_cast<SparseArray::Offset>(row_length);
             int d = n - 2;
             for (; d >= 0; --d) {
               if (++gidx[d] < origin[d] + extents[d]) break;

@@ -11,7 +11,11 @@
 // Generation fills the array chunk by chunk, one task per chunk on
 // ThreadPool::global() (under the minimpi runtime, within the calling
 // rank's share of it). Each task writes only its own chunk, so the output
-// is the same for any pool size.
+// is the same for any pool size. A task decides its chunk a row at a
+// time: the keep tests of up to 64 consecutive cells fold into one bit
+// mask with no branch per cell, and only the kept cells' values are
+// hashed. The uniform threshold is computed once per spec; under the Zipf
+// skew the outer dimensions' weights are multiplied once per row.
 #pragma once
 
 #include <cstdint>

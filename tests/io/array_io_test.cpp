@@ -140,6 +140,44 @@ TEST_F(ArrayIoTest, ChunkCountAboveItsVolumeRejected) {
   EXPECT_THROW(read_sparse(file), InvalidArgument);
 }
 
+/// Writes a file's header by hand: `magic`, the version, `ndim` and the
+/// i64 fields of `header` (the extents, then a CBSP file's chunk extents),
+/// followed by `tail` zero bytes.
+void write_header_file(const std::string& file, const char* magic,
+                       std::uint32_t ndim,
+                       const std::vector<std::int64_t>& header,
+                       std::size_t tail) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  const std::uint32_t version = 1;
+  out.write(magic, 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof version);
+  out.write(reinterpret_cast<const char*>(&ndim), sizeof ndim);
+  out.write(reinterpret_cast<const char*>(header.data()),
+            static_cast<std::streamsize>(header.size() * sizeof(std::int64_t)));
+  out.write(std::string(tail, '\0').data(),
+            static_cast<std::streamsize>(tail));
+}
+
+TEST_F(ArrayIoTest, DenseCellCountBeyondTheFileRejected) {
+  const std::string file = track(path("dense_claim.bin"));
+  // 32 bytes claiming 2^31 x 2^31 cells.
+  write_header_file(file, "CBDN", 2,
+                    {std::int64_t{1} << 31, std::int64_t{1} << 31}, 4);
+  EXPECT_THROW(read_dense(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, SparseChunkGridBeyondTheFileRejected) {
+  const std::string file = track(path("sparse_claim.bin"));
+  // 48 bytes claiming a 2^31 x 2^31 grid of one-cell chunks.
+  write_header_file(file, "CBSP", 2,
+                    {std::int64_t{1} << 31, std::int64_t{1} << 31, 1, 1}, 4);
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+  // One 2^20-cell chunk claiming 2^20 entries that the file does not hold.
+  write_one_chunk_file(file, std::int64_t{1} << 20, std::int64_t{1} << 20, {},
+                       {});
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
 TEST_F(ArrayIoTest, DescendingChunkOffsetsRejected) {
   const std::string file = track(path("descending.bin"));
   write_one_chunk_file(file, 8, 2, {5, 2}, {1.0, 2.0});

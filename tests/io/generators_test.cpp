@@ -35,8 +35,13 @@ SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
   SparseArray out(local, spec.chunk_extents.empty()
                              ? default_chunks(spec.sizes)
                              : spec.chunk_extents);
-  const auto threshold = static_cast<std::uint64_t>(
-      spec.density * 18446744073709551616.0 /* 2^64 */);
+  // Every cell is kept at density 1, where density x 2^64 would overflow
+  // the conversion.
+  const bool keep_all = spec.density >= 1.0;
+  const auto threshold =
+      keep_all ? 0
+               : static_cast<std::uint64_t>(
+                     spec.density * 18446744073709551616.0 /* 2^64 */);
   std::vector<std::int64_t> lidx(spec.sizes.size());
   std::vector<std::int64_t> gidx(spec.sizes.size());
   for (std::int64_t linear = 0; linear < local.size(); ++linear) {
@@ -45,7 +50,7 @@ SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
       gidx[d] = block.lo(static_cast<int>(d)) + lidx[d];
     }
     const auto cell = static_cast<std::uint64_t>(global.linear_index(gidx.data()));
-    if (spec.density < 1.0 && cell_hash(spec.seed, cell) >= threshold) continue;
+    if (!keep_all && cell_hash(spec.seed, cell) >= threshold) continue;
     out.push(lidx.data(),
              static_cast<Value>(1 + cell_hash(spec.seed ^ 0x5eed5a17u, cell) % 9));
   }
@@ -68,6 +73,17 @@ std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
     digests.push_back(h);
   }
   return digests;
+}
+
+/// FNV-1a of the chunk digests: one 64-bit digest of the whole array.
+std::uint64_t array_digest(const SparseArray& array) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint64_t digest : chunk_digests(array)) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      h = (h ^ ((digest >> shift) & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
 }
 
 /// Every child of `block` (one per aggregated dimension), from one scan.
@@ -297,6 +313,63 @@ TEST(GeneratorsTest, PoolAndInlineGenerationAreIdentical) {
   spec.zipf_theta = 1.1;
   EXPECT_EQ(testing::chunk_difference(pooled_zipf, generate_sparse_global(spec)),
             "");
+}
+
+TEST(GeneratorsTest, GeneratedBytesMatchPinnedDigests) {
+  // nnz and array_digest of each spec as the per-cell rule generated them
+  // (one keep test, then one value hash, per cell). The Zipf path has no
+  // other independent reference, so any change to its bytes shows here.
+  struct Pinned {
+    const char* name;
+    std::vector<std::int64_t> sizes;
+    std::vector<std::int64_t> chunks;  // empty = default_chunks
+    double density;
+    double zipf_theta;
+    std::vector<std::int64_t> lo;  // the block; empty = the whole array
+    std::vector<std::int64_t> hi;
+    std::int64_t nnz;
+    std::uint64_t digest;
+  };
+  const std::vector<Pinned> pinned = {
+      {"uniform 0", {24, 20, 18}, {}, 0.0, 0.0, {}, {}, 0, 0xaf3449a2699d5925},
+      {"uniform 0.05", {24, 20, 18}, {}, 0.05, 0.0, {}, {},
+       429, 0x622edc4fa3535b45},
+      {"uniform 0.25", {24, 20, 18}, {}, 0.25, 0.0, {}, {},
+       2154, 0xdd0ce601eb3127c9},
+      {"uniform 1", {24, 20, 18}, {}, 1.0, 0.0, {}, {},
+       8640, 0x6db9f5d38ea4443d},
+      {"zipf 0.8", {24, 20, 18}, {}, 0.25, 0.8, {}, {},
+       2169, 0x794553f161652daf},
+      {"zipf 1.1", {24, 20, 18}, {}, 0.25, 1.1, {}, {},
+       2208, 0xf5ca1594bfe2b3ac},
+      {"ragged", {40, 24, 17}, {4, 8, 5}, 0.3, 0.0, {}, {},
+       4983, 0xf95ed03c17245932},
+      {"ragged block", {40, 24, 17}, {4, 8, 5}, 0.3, 0.0, {3, 0, 2},
+       {37, 24, 17}, 3710, 0x066ac128a5e7797e},
+      {"zipf block", {40, 24, 17}, {4, 8, 5}, 0.3, 1.1, {3, 5, 2},
+       {37, 24, 17}, 1288, 0x8ff49c14c50be466},
+      {"long rows", {5, 150}, {5, 150}, 0.25, 0.0, {}, {},
+       183, 0xeffb23dc5b0536bb},
+      {"zipf long rows", {6, 130}, {4, 130}, 0.25, 1.1, {1, 3}, {6, 130}, 115,
+       0x29af825bc1d88e44},
+      {"zipf 1-D", {300}, {300}, 0.1, 0.8, {}, {}, 24, 0xae16c5ea46e34f98},
+      {"5-D one chunk", {16, 16, 16, 16, 8}, {}, 0.25, 0.0, {}, {},
+       130768, 0xd6032b1074b9a020},
+  };
+  for (const Pinned& p : pinned) {
+    SparseSpec spec;
+    spec.sizes = p.sizes;
+    spec.chunk_extents = p.chunks;
+    spec.density = p.density;
+    spec.zipf_theta = p.zipf_theta;
+    spec.seed = 97;
+    const SparseArray array =
+        p.lo.empty() ? generate_sparse_global(spec)
+                     : generate_sparse_block(spec, BlockRange(p.lo, p.hi));
+    EXPECT_EQ(array.nnz(), p.nnz) << p.name;
+    EXPECT_EQ(array_digest(array), p.digest)
+        << p.name << ": 0x" << std::hex << array_digest(array);
+  }
 }
 
 TEST(GeneratorsTest, BlockOutsideTheArrayRejected) {
