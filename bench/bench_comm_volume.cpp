@@ -1,5 +1,5 @@
 // Lemma 1 / Theorem 3 validation: measured communication volume (exact
-// byte counts from the runtime ledger) versus the closed-form prediction,
+// byte counts from the run's event trace) versus the closed-form prediction,
 // across every partition of 8 and 16 processors over a 4-D cube.
 //
 // The table's "match" column must read "yes" on every row — the
@@ -15,8 +15,8 @@ const std::vector<std::int64_t> kSizes{32, 32, 32, 32};
 
 FigureTable& volume_table() {
   static FigureTable table(
-      "Communication volume: measured (ledger) vs Theorem 3 closed form, "
-      "32^4 dataset",
+      "Communication volume: measured (event trace) vs Theorem 3 closed "
+      "form, 32^4 dataset",
       {"grid", "p", "predicted_MB", "measured_MB", "match", "sim_time_s"});
   return table;
 }
@@ -223,10 +223,10 @@ void publish_cost_model() {
 
 /// One sweep cell: a full construction with the reduction algorithm
 /// forced (or kAuto for the tuner), fully certified — static schedule
-/// verifier pre-flight, post-run ledger + wire audits against the tuned
-/// plan, and the happens-before auditor over the recorded trace. The
-/// verifier's one replay covers every arrival order, since every receive
-/// names its source (docs/ANALYSIS.md).
+/// verifier pre-flight, then the post-run audit: the recorded trace must
+/// equal the tuned plan, with no send over its logical size on the wire.
+/// The verifier's one replay covers every arrival order, since every
+/// receive names its source (docs/ANALYSIS.md).
 void BM_AlgorithmSweep(benchmark::State& state,
                        const std::vector<std::int64_t>& sizes,
                        const std::vector<int>& splits, int ranks_per_node,

@@ -79,7 +79,7 @@ FigureTable& measured_table() {
 
 /// End-to-end check of Theorem 6 on MEASURED bytes: build the cube of the
 /// same data under the best (descending) and worst (ascending) physical
-/// orderings and compare the runtime ledger.
+/// orderings and compare the measured per-view volumes.
 void BM_OrderingMeasured(benchmark::State& state) {
   const bool descending = state.range(0) == 0;
   std::vector<std::int64_t> sizes = kSizes;

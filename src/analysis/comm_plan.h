@@ -14,8 +14,7 @@
 // of view-block allocations/releases and the views it writes back. The
 // schedule verifier checks this plan against the paper's closed forms
 // (Lemma 1, Theorems 3 and 4) and proves the whole program deadlock-free;
-// the post-run audits check the recorded trace and the runtime's
-// VolumeLedger against it.
+// the post-run audit checks the run's recorded event trace against it.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +102,10 @@ struct CommPlan {
   std::vector<RankPlan> ranks;
   /// Planned reduction volume per view (sum of send payloads under the
   /// view's construction tag; the gather is not counted) — the static
-  /// counterpart of the runtime ledger. A derived
-  /// summary: verify_schedule recomputes volumes from `ranks[].ops`, so
-  /// mutating the ops does not require keeping this map in sync.
+  /// counterpart of the run's per-tag volume (RunReport::volume). A
+  /// derived summary: verify_schedule recomputes volumes from
+  /// `ranks[].ops`, so mutating the ops does not require keeping this map
+  /// in sync.
   std::map<std::uint32_t, std::int64_t> elements_by_view;
   /// Resolved reduction schedule per view (the tuner's pick under kAuto,
   /// the forced algorithm otherwise) — the attribution record the bench

@@ -345,6 +345,7 @@ std::string describe(const TraceEvent& e) {
   std::ostringstream out;
   out << to_string(e.kind) << " peer " << e.peer << " tag " << e.tag << " @"
       << e.offset << " x" << e.units;
+  if (e.kind == TraceEventKind::kSend) out << " wire " << e.wire;
   if (e.match_seq != kNoTraceSeq) out << " consumed #" << e.match_seq;
   if (e.operand_seq != kNoTraceSeq) out << " operand #" << e.operand_seq;
   return out.str();
@@ -400,36 +401,25 @@ Field first_divergence(const ScheduleSpec& spec, const EventTrace& trace,
   return {};
 }
 
-/// `map`'s value at `key`, 0 when absent.
-std::int64_t value_at(const std::map<std::uint32_t, std::int64_t>& map,
-                      std::uint32_t key) {
-  const auto it = map.find(key);
-  return it == map.end() ? std::int64_t{0} : it->second;
-}
-
-/// A post-run audit's report, with the plan's summary filled in.
-AnalysisReport audit_report(const ScheduleSpec& spec, const CommPlan& plan) {
-  AnalysisReport report;
-  report.planned_total_elements = plan.total_elements();
-  report.planned_messages = plan.total_messages();
-  report.predicted_total_elements =
-      total_volume_elements(spec.sizes, spec.log_splits);
-  return report;
-}
-
-/// Flags measured `what` under a tag at or above `root_mask`, which is no
-/// proper lattice view.
-void check_view_tags(const std::map<std::uint32_t, std::int64_t>& measured,
-                     std::uint32_t root_mask, const char* what,
-                     AnalysisReport& report) {
-  for (const auto& [mask, bytes] : measured) {
-    if (mask < root_mask || bytes == 0) continue;
-    std::ostringstream msg;
-    msg << "ledger recorded " << bytes << " " << what << " under tag "
-        << mask << " which is not a proper lattice view";
-    add_violation(report, ViolationCode::kUnknownViewTag, kNoRank, mask, 0,
-                  bytes, msg.str());
-  }
+/// Checks recorded send `e`, event `index` of `rank`, against the codec's
+/// per-message contract: its wire size never exceeds its logical size,
+/// and equals it with the codec off. Reports a departure and returns
+/// true; returns false when there is none (or `e` is no send).
+bool check_wire(const ScheduleSpec& spec, int rank, std::size_t index,
+                const PlannedOp& op, const TraceEvent& e,
+                AnalysisReport& report) {
+  if (e.kind != TraceEventKind::kSend) return false;
+  const bool over = e.wire > e.units;
+  if (!over && (spec.encode_wire || e.wire == e.units)) return false;
+  std::ostringstream msg;
+  msg << "rank " << rank << " event " << index << " puts " << e.wire
+      << " bytes on the wire for " << e.units << " logical bytes"
+      << (over ? "" : " with the codec off") << ": recorded " << describe(e);
+  add_violation(report,
+                over ? ViolationCode::kWireVolumeExceedsBound
+                     : ViolationCode::kTraceMismatch,
+                rank, op.view, e.units, e.wire, msg.str());
+  return true;
 }
 
 }  // namespace
@@ -479,8 +469,6 @@ const char* to_string(ViolationCode code) {
       return "memory_leak";
     case ViolationCode::kWrongLead:
       return "wrong_lead";
-    case ViolationCode::kLedgerVolumeMismatch:
-      return "ledger_volume_mismatch";
     case ViolationCode::kWireVolumeExceedsBound:
       return "wire_volume_exceeds_bound";
     case ViolationCode::kUnknownViewTag:
@@ -574,7 +562,11 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                            const EventTrace& trace) {
   CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks),
                "plan rank list size mismatch");
-  AnalysisReport report = audit_report(spec, plan);
+  AnalysisReport report;
+  report.planned_total_elements = plan.total_elements();
+  report.planned_messages = plan.total_messages();
+  report.predicted_total_elements =
+      total_volume_elements(spec.sizes, spec.log_splits);
   if (trace.ranks.size() != plan.ranks.size()) {
     std::ostringstream msg;
     msg << "the trace records " << trace.ranks.size()
@@ -621,7 +613,10 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
       }
       const Field d =
           first_divergence(spec, trace, ops[i], events[i], match, operand);
-      if (d.name == nullptr) continue;
+      if (d.name == nullptr) {
+        if (check_wire(spec, r, i, ops[i], events[i], report)) break;
+        continue;
+      }
       std::ostringstream msg;
       msg << "rank " << r << " event " << i << " differs in its " << d.name
           << ": recorded " << describe(events[i]) << ", planned "
@@ -644,62 +639,6 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                   static_cast<std::int64_t>(ops.size()),
                   static_cast<std::int64_t>(events.size()), msg.str());
   }
-  return report;
-}
-
-AnalysisReport audit_measured_volume(
-    const ScheduleSpec& spec, const CommPlan& plan,
-    const std::map<std::uint32_t, std::int64_t>& measured_bytes_by_view) {
-  AnalysisReport report = audit_report(spec, plan);
-  const std::uint32_t root_mask =
-      DimSet::full(static_cast<int>(spec.sizes.size())).mask();
-  for (std::uint32_t mask = 0; mask < root_mask; ++mask) {
-    const std::int64_t planned =
-        value_at(plan.elements_by_view, mask) * spec.bytes_per_cell;
-    const std::int64_t measured = value_at(measured_bytes_by_view, mask);
-    if (planned == measured) continue;
-    std::ostringstream msg;
-    msg << "view " << view_name(mask) << ": ledger measured " << measured
-        << " bytes, static plan predicts " << planned;
-    add_violation(report, ViolationCode::kLedgerVolumeMismatch, kNoRank, mask,
-                  planned, measured, msg.str());
-  }
-  check_view_tags(measured_bytes_by_view, root_mask, "bytes", report);
-  return report;
-}
-
-AnalysisReport audit_wire_volume(
-    const ScheduleSpec& spec, const CommPlan& plan,
-    const std::map<std::uint32_t, std::int64_t>& measured_wire_bytes_by_view,
-    bool require_equal) {
-  AnalysisReport report = audit_report(spec, plan);
-  const std::uint32_t root_mask =
-      DimSet::full(static_cast<int>(spec.sizes.size())).mask();
-  for (std::uint32_t mask = 0; mask < root_mask; ++mask) {
-    // The per-edge bound is the planned (dense, logical) volume; the
-    // volume check proves it equals Lemma 1's closed form.
-    const std::int64_t bound =
-        value_at(plan.elements_by_view, mask) * spec.bytes_per_cell;
-    if (bound > 0) report.dense_bound_bytes_by_view[mask] = bound;
-    const std::int64_t wire = value_at(measured_wire_bytes_by_view, mask);
-    if (wire > bound) {
-      std::ostringstream msg;
-      msg << "view " << view_name(mask) << ": measured " << wire
-          << " wire bytes, above the dense Lemma 1 bound of " << bound;
-      add_violation(report, ViolationCode::kWireVolumeExceedsBound, kNoRank,
-                    mask, bound, wire, msg.str());
-    } else if (require_equal && wire != bound) {
-      std::ostringstream msg;
-      msg << "view " << view_name(mask) << ": measured " << wire
-          << " wire bytes with encoding disabled, expected exactly the "
-             "dense volume of "
-          << bound;
-      add_violation(report, ViolationCode::kLedgerVolumeMismatch, kNoRank,
-                    mask, bound, wire, msg.str());
-    }
-  }
-  check_view_tags(measured_wire_bytes_by_view, root_mask, "wire bytes",
-                  report);
   return report;
 }
 

@@ -54,13 +54,12 @@ enum class ViolationCode {
   kMemoryLeak,
   /// A view finalized on a non-lead rank, or never finalized on a lead.
   kWrongLead,
-  /// Measured ledger bytes for a view differ from the static plan.
-  kLedgerVolumeMismatch,
-  /// Measured wire bytes for a view exceed the dense Lemma-1 bound (the
-  /// adaptive codec guarantees wire <= logical per message, so this can
-  /// only fire on an accounting or codec bug).
+  /// A recorded send put more bytes on the wire than its logical size
+  /// (the adaptive codec guarantees wire <= logical per message, so this
+  /// can only fire on an accounting or codec bug).
   kWireVolumeExceedsBound,
-  /// Traffic planned or measured under a tag that is no lattice view.
+  /// Traffic planned, or a view finalized, under a tag that is no
+  /// lattice view.
   kUnknownViewTag,
   /// A receive matched a message from a different logical stream (wrong
   /// view or chunk offset): two streams share one wire tag and the
@@ -69,7 +68,8 @@ enum class ViolationCode {
   /// A recorded event trace departs from the certified plan: an event
   /// differs in kind, peer, wire tag, chunk offset or size, a receive
   /// consumed another send than planned, a combine folds another operand,
-  /// or events are missing or extra.
+  /// events are missing or extra, or — with the codec off — a send's wire
+  /// size differs from its logical size.
   kTraceMismatch,
 };
 
@@ -113,10 +113,9 @@ struct AnalysisReport {
   /// a scan, so it is reported next to — not inside — the Theorem 4
   /// bound, and is itself capped by kScanScratchBudgetBytes.
   std::int64_t max_scan_scratch_bytes = 0;
-  /// The dense Lemma-1 volume bound per reduction edge, in bytes — what
-  /// the wire audit certifies measured wire bytes against (views with a
-  /// zero bound are omitted). Filled by verify_schedule and
-  /// audit_wire_volume.
+  /// The dense Lemma-1 volume bound per reduction edge, in bytes — what a
+  /// view's measured wire bytes stay at or under (views with a zero bound
+  /// are omitted). Filled by verify_schedule.
   std::map<std::uint32_t, std::int64_t> dense_bound_bytes_by_view;
 
   bool ok() const { return violations.empty(); }
@@ -137,27 +136,15 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec);
 /// Post-run audit: the recorded trace must equal `plan` (built for
 /// `spec`) event for event on every rank — kind, peer, wire tag, chunk
 /// offset, logical size (a receive's through the send it consumed), the
-/// send each receive consumed and each combine's operand. With `plan`
-/// certified, that equality is the whole runtime check (docs/ANALYSIS.md,
-/// "Trace equals plan"). Reports each rank's first divergence as
-/// kTraceMismatch.
+/// send each receive consumed and each combine's operand — and every
+/// send's wire size must stay at or below its logical size (exactly on
+/// it with `spec.encode_wire` off). With `plan` certified, that is the
+/// whole runtime check (docs/ANALYSIS.md, "Trace equals plan"): the
+/// measured per-view volume is the plan's, hence Lemma 1's, and the
+/// per-view wire bytes stay at or under the dense bound. Reports each
+/// rank's first departure: a send over its logical size as
+/// kWireVolumeExceedsBound, anything else as kTraceMismatch.
 AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                            const EventTrace& trace);
-
-/// Post-run audit: diffs measured per-view bytes (the runtime ledger's
-/// construction tags) against `plan`, the static plan for `spec`.
-AnalysisReport audit_measured_volume(
-    const ScheduleSpec& spec, const CommPlan& plan,
-    const std::map<std::uint32_t, std::int64_t>& measured_bytes_by_view);
-
-/// Post-run wire audit: certifies measured per-view WIRE bytes against the
-/// dense Lemma-1 per-edge bound of `plan` — never above it, and (with
-/// `require_equal`, the encoding-disabled case) exactly on it. This is the
-/// gate that proves the adaptive codec's savings are real savings below
-/// the closed form, not accounting drift.
-AnalysisReport audit_wire_volume(
-    const ScheduleSpec& spec, const CommPlan& plan,
-    const std::map<std::uint32_t, std::int64_t>& measured_wire_bytes_by_view,
-    bool require_equal);
 
 }  // namespace cubist

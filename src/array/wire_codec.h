@@ -49,8 +49,8 @@ class ThreadPool;
 
 /// Encoding policy of one reduction (ParallelOptions plumbs this through).
 struct WirePolicy {
-  /// Master switch. Disabled, the reduce path ships raw Values and the
-  /// ledger's wire bytes equal the logical bytes exactly.
+  /// Master switch. Disabled, the reduce path ships raw Values and each
+  /// send's wire bytes equal its logical bytes exactly.
   bool enabled = true;
   /// Non-identity fraction at or below which the run encodings compete;
   /// denser chunks only consider kRaw/kDenseNarrow (skipping the run

@@ -13,8 +13,8 @@
 // rank 0 (or, on rank 0, places it into the assembled cube) and frees it,
 // so no rank holds a finished view past its write-back.
 //
-// Every reduction is tagged with the target view's mask, so the runtime
-// ledger yields measured communication volume per view — directly
+// Every reduction is tagged with the target view's mask, so the run's
+// volume report yields measured communication volume per view — directly
 // comparable with Lemma 1 / Theorem 3. The write-back ships under
 // kGatherTagBase | mask (analysis/comm_plan.h), outside that tag space.
 #pragma once
@@ -75,11 +75,14 @@ struct ParallelOptions {
   /// Theorem 3 volumes, Theorem 4 memory bound. Violations throw
   /// InternalError from run_parallel_cube.
   bool verify_schedule = kScheduleAnalysisDefault;
-  /// Post-run audits against the certified plan (analysis/
-  /// schedule_verifier.h; on, the pre-flight gate runs too): the recorded
-  /// event trace must equal it event for event, and the measured logical
-  /// and wire bytes must match its volumes; any divergence throws
-  /// InternalError. Off by default: recording keeps the whole trace.
+  /// Post-run audit against the certified plan (analysis/
+  /// schedule_verifier.h; on, the pre-flight gate runs too): the run's
+  /// event trace must equal it event for event, and no send may put more
+  /// bytes on the wire than its logical size (exactly that size with the
+  /// codec off); any divergence throws InternalError. Every run records
+  /// its trace, so this switch gates only building and certifying the
+  /// plan and comparing the trace with it. Off by default: that is a plan
+  /// build and a verifier replay per run.
   bool audit = false;
 };
 

@@ -1,8 +1,8 @@
 // The builders' side of the aggregation-tree walk: Figure 3, whose p > 1
 // case is Figure 5, run over real arrays.
 //
-// The order is AggregationTree::walk's, the one the static planner and
-// the memory simulator also go through; TreeWalk is its visitor. Each
+// The order is AggregationTree::walk's, the one the static planner also
+// goes through; TreeWalk is its visitor. Each
 // scan of (this rank's block of) a node produces ALL of its children at
 // once. Each child then passes the finalize-child hook: for p = 1 it keeps
 // every child; for p > 1 it reduces the child's partial blocks along the

@@ -51,7 +51,6 @@
 #include "core/parallel_driver.h"    // end-to-end parallel runs
 #include "core/partial_cube.h"       // partial materialization
 #include "core/partition.h"          // Figure 6 / Theorem 8
-#include "core/refresh.h"            // incremental cube maintenance
 #include "core/sequential_builder.h" // Figure 3
 #include "core/verify.h"             // reference cube + comparison
 #include "core/view_selection.h"     // HRU greedy view selection

@@ -14,8 +14,9 @@
 // Figure 5 as its per-rank case for p > 1. It has three callers, each a
 // visitor: the builders' TreeWalk (core/tree_walk.h) scans real arrays,
 // the static planner (analysis/comm_plan.cpp) emits the planned reduce,
-// memory and write-back events of one rank, and schedule() records the
-// event sequence the memory simulator replays.
+// memory and write-back events of one rank (the verifier replays the
+// memory events against Theorems 1/4), and schedule() records the walk as
+// events, whose write-backs give completion_order().
 //
 // The tree is expressed over dimension *positions* 0..n-1; instantiating it
 // for a particular ordering of physical dimensions is the job of the core
@@ -79,8 +80,7 @@ class AggregationTree {
   }
 
   /// walk() with every child kept, as events: kComputeChildren per
-  /// internal node and kWriteBack per non-root view. The memory simulator
-  /// replays this sequence.
+  /// internal node and kWriteBack per non-root view.
   std::vector<ScheduleEvent> schedule() const;
 
   /// Every proper view (2^n - 1; the root is the input) in the order

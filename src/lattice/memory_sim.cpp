@@ -5,34 +5,6 @@
 
 namespace cubist {
 
-MemorySimResult simulate_aggregation_schedule(
-    const CubeLattice& lattice, const AggregationTree& tree,
-    std::span<const ScheduleEvent> schedule, std::int64_t bytes_per_cell) {
-  CUBIST_CHECK(lattice.ndims() == tree.ndims(), "dimension count mismatch");
-  MemoryLedger ledger;
-  MemorySimResult result;
-  for (const ScheduleEvent& event : schedule) {
-    switch (event.kind) {
-      case ScheduleEvent::Kind::kComputeChildren:
-        for (DimSet child : tree.children(event.view)) {
-          ledger.alloc(lattice.view_cells(child) * bytes_per_cell);
-        }
-        break;
-      case ScheduleEvent::Kind::kWriteBack: {
-        const std::int64_t bytes =
-            lattice.view_cells(event.view) * bytes_per_cell;
-        ledger.release(bytes);
-        result.written_bytes += bytes;
-        break;
-      }
-    }
-  }
-  CUBIST_ASSERT(ledger.live_bytes() == 0,
-                "schedule leaks " << ledger.live_bytes() << " bytes");
-  result.peak_bytes = ledger.peak_bytes();
-  return result;
-}
-
 std::int64_t sequential_memory_bound(const CubeLattice& lattice,
                                      std::int64_t bytes_per_cell) {
   std::int64_t cells = 0;

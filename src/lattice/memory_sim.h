@@ -1,17 +1,15 @@
-// Live-memory accounting and schedule simulation (paper Theorems 1/2/4/5).
+// Live-memory accounting and the paper's memory bounds (Theorems 1/2/4/5).
 //
 // `MemoryLedger` is the shared accounting primitive: builders feed it real
-// allocations and write-backs; `simulate_aggregation_schedule` replays a
-// Figure-3 schedule symbolically (no data), so planners can predict the
-// peak before allocating anything.
+// allocations and write-backs, and the schedule verifier feeds it each
+// rank's planned ones (analysis/comm_plan.h), so the Figure-3 walk's peak
+// is predicted before anything is allocated.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/dimset.h"
-#include "lattice/aggregation_tree.h"
 #include "lattice/cube_lattice.h"
 
 namespace cubist {
@@ -32,22 +30,6 @@ class MemoryLedger {
   std::int64_t live_ = 0;
   std::int64_t peak_ = 0;
 };
-
-/// Result of a symbolic schedule replay.
-struct MemorySimResult {
-  /// Peak bytes of live computed views (the root input is NOT counted,
-  /// matching the theorems' "results" accounting).
-  std::int64_t peak_bytes = 0;
-  /// Total bytes written back (every non-root view exactly once).
-  std::int64_t written_bytes = 0;
-};
-
-/// Replays a Figure-3 style schedule: kComputeChildren(view) allocates all
-/// of `view`'s aggregation-tree children; kWriteBack(view) releases it.
-/// `bytes_per_cell` is sizeof(Value) for real arrays.
-MemorySimResult simulate_aggregation_schedule(
-    const CubeLattice& lattice, const AggregationTree& tree,
-    std::span<const ScheduleEvent> schedule, std::int64_t bytes_per_cell);
 
 /// Theorem 1 / Theorem 2: the tight bound on live result memory,
 ///   sum_i prod_{j != i} D_j cells,

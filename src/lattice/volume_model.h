@@ -29,7 +29,8 @@ std::int64_t edge_volume_elements(const std::vector<std::int64_t>& sizes,
                                   DimSet aggregated);
 
 /// Expected volume per view (keyed by the *view* mask, i.e. the retained
-/// dimensions) — what the runtime's per-tag ledger must match exactly.
+/// dimensions) — what the run's per-tag volume (RunReport::volume) must
+/// match exactly.
 std::map<std::uint32_t, std::int64_t> volume_by_view_elements(
     const std::vector<std::int64_t>& sizes,
     const std::vector<int>& log_splits);

@@ -40,7 +40,7 @@ std::uint64_t Comm::trace(const TraceEvent& event) {
         .tag("tag", static_cast<std::int64_t>(event.tag))
         .tag("units", event.units);
   }
-  return state_.tracing() ? state_.record_event(rank_, event) : kNoTraceSeq;
+  return state_.record_event(rank_, event);
 }
 
 void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
@@ -55,9 +55,9 @@ void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
   message.arrival_time = state_.model().charge_send(
       clock_, rank_, dst, static_cast<double>(wire_bytes));
   message.offset = offset;
-  message.trace_seq =
-      trace({TraceEventKind::kSend, dst, tag, logical_bytes, offset});
-  state_.ledger().record(tag, logical_bytes, wire_bytes);
+  TraceEvent event{TraceEventKind::kSend, dst, tag, logical_bytes, offset};
+  event.wire = wire_bytes;
+  message.trace_seq = trace(event);
   state_.transport().deliver(dst, rank_, tag, std::move(message));
 }
 

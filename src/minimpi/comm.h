@@ -2,8 +2,9 @@
 //
 // A deliberately MPI-shaped API (blocking matched send/recv, tuned
 // collectives) so the parallel cube builder reads like the MPI program the
-// paper's authors ran, while every byte is counted (VolumeLedger) and a
-// LogP-style virtual clock tracks simulated parallel time (CostModel).
+// paper's authors ran, while every message is recorded in the run's event
+// trace (its logical and wire bytes counted) and a LogP-style virtual
+// clock tracks simulated parallel time (CostModel).
 #pragma once
 
 #include <cstddef>
@@ -76,7 +77,8 @@ class Comm {
   // --- point to point ---
 
   /// Blocking send. The tag identifies the logical stream (the cube
-  /// builder uses the target view's dimension mask) and keys the ledger.
+  /// builder uses the target view's dimension mask) and keys the run's
+  /// per-tag volume.
   void send_bytes(int dst, std::uint64_t tag, std::span<const std::byte> data);
   /// Blocking receive, matched by (src, tag), FIFO within a match. Every
   /// receive names its source: there is no wildcard receive, so which
@@ -102,7 +104,7 @@ class Comm {
   /// member combines and forwards chunk i before chunk i+1 arrives from
   /// below and the virtual clock sees the rounds overlap (per-chunk
   /// arrival times, not whole-block serialization). Each chunk's payload
-  /// is adaptively encoded under `options.wire`; the ledger records
+  /// is adaptively encoded under `options.wire`; each send event records
   /// logical and wire bytes per message, and the clock charges the
   /// transfer at wire size through CostModel's charge_* functions, the
   /// same ones simulate_reduce_seconds replays.
@@ -124,15 +126,15 @@ class Comm {
  private:
   /// The one send primitive: ships `payload` (the chunk at `offset`
   /// elements of its block), charges the clock at wire size, and records
-  /// `logical_bytes` next to it in the ledger.
+  /// a send event carrying `logical_bytes` and the payload's wire size.
   void send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
                  std::int64_t offset, std::vector<std::byte> payload);
-  /// The single event-record choke point. When the run records a trace,
-  /// appends to this rank's EventTrace — the run's one comm record, which
-  /// the driver's post-run audit compares with the certified plan; when
-  /// the obs tracer is on, displays the event as a "comm" instant (peer,
-  /// tag, units) on this rank's timeline. Returns the event's EventTrace
-  /// index (kNoTraceSeq when the run records no trace).
+  /// The single event-record choke point. Appends to this rank's
+  /// EventTrace — the run's one comm record, from which the run's volume
+  /// is derived and which the driver's post-run audit compares with the
+  /// certified plan; when the obs tracer is on, displays the event as a
+  /// "comm" instant (peer, tag, units) on this rank's timeline. Returns
+  /// the event's EventTrace index.
   std::uint64_t trace(const TraceEvent& event);
 
   RuntimeState& state_;

@@ -82,8 +82,7 @@ int calibrate_reduce_drift(const CostModel& model,
           comm.reduce(group, block, /*tag=*/1, AggregateOp::kSum, options);
           advance[static_cast<std::size_t>(comm.rank())] =
               comm.clock() - entry;
-        },
-        /*record_trace=*/false);
+        });
 
     const double observed = *std::max_element(advance.begin(), advance.end());
     const ReduceAlgorithm resolved = resolve_reduce_algorithm(

@@ -1,10 +1,12 @@
-// EventTrace: the runtime's per-rank communication event record.
+// EventTrace: the runtime's one record of communication.
 //
-// When tracing is on, every rank appends its sends, receives and combines
-// to its OWN event vector (no locks: a rank never writes another rank's
-// vector, and the trace is only read after all rank threads have joined).
-// Messages carry the sender-side event index of their send, so a receive
-// records exactly which send it matched. The driver's post-run audit
+// Every run records it: each rank appends its sends, receives and
+// combines to its OWN event vector (no locks: a rank never writes another
+// rank's vector, and the trace is only read after all rank threads have
+// joined). Messages carry the sender-side event index of their send, so a
+// receive records exactly which send it matched. A send records both of
+// its sizes, so the run's volume report (RunReport::volume) is derived
+// from the send events after the join, and the driver's post-run audit
 // (analysis/schedule_verifier.h, audit_trace) checks the record against
 // the certified plan event for event.
 #pragma once
@@ -34,7 +36,7 @@ const char* to_string(TraceEventKind kind);
 
 /// One recorded event. `units` is the payload size: logical bytes for
 /// sends, wire payload bytes for receives, combined elements for
-/// combines.
+/// combines. A send also records its wire bytes in `wire`.
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kSend;
   /// Destination (kSend), source (kRecv) or operand source (kCombine).
@@ -45,6 +47,9 @@ struct TraceEvent {
   /// (kSend), the consumed message's (kRecv) or the folded one's
   /// (kCombine). Zero for whole-block messages.
   std::int64_t offset = 0;
+  /// kSend: the bytes the payload occupied on the link after wire
+  /// encoding — never above `units`, and equal to it with the codec off.
+  std::int64_t wire = 0;
   /// kRecv: event index, WITHIN THE SENDER's trace, of the send whose
   /// message this receive consumed.
   std::uint64_t match_seq = kNoTraceSeq;

@@ -9,18 +9,51 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "minimpi/runtime_state.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cubist {
+namespace {
+
+/// The run's volume, summed over the send events of `trace`.
+VolumeReport volume_of(const EventTrace& trace) {
+  VolumeReport volume;
+  for (const std::vector<TraceEvent>& events : trace.ranks) {
+    for (const TraceEvent& event : events) {
+      if (event.kind != TraceEventKind::kSend) continue;
+      volume.total_messages += 1;
+      volume.total_bytes += event.units;
+      volume.total_wire_bytes += event.wire;
+      volume.bytes_by_tag[event.tag] += event.units;
+      volume.wire_bytes_by_tag[event.tag] += event.wire;
+    }
+  }
+  return volume;
+}
+
+/// Adds one run's volume to the process-wide export counters (cumulative
+/// across runs, as Prometheus counters are meant to be).
+void export_volume(const VolumeReport& volume) {
+  static obs::Counter& logical = obs::Registry::global().counter(
+      "cubist_comm_logical_bytes", "dense-equivalent bytes sent between ranks");
+  static obs::Counter& wire = obs::Registry::global().counter(
+      "cubist_comm_wire_bytes", "encoded bytes actually put on the link");
+  static obs::Counter& messages = obs::Registry::global().counter(
+      "cubist_comm_messages", "messages sent between ranks");
+  logical.add(volume.total_bytes);
+  wire.add(volume.total_wire_bytes);
+  messages.add(volume.total_messages);
+}
+
+}  // namespace
 
 RunReport Runtime::run(int num_ranks, const CostModel& model,
                        const std::function<void(Comm&)>& fn,
-                       bool record_trace,
                        const TransportFactory& make_transport) {
   CUBIST_CHECK(num_ranks >= 1, "need at least one rank");
   CUBIST_CHECK(fn != nullptr, "null rank function");
 
-  RuntimeState state(num_ranks, model, record_trace,
+  RuntimeState state(num_ranks, model,
                      make_transport ? make_transport(num_ranks) : nullptr);
   std::vector<double> rank_seconds(static_cast<std::size_t>(num_ranks), 0.0);
 
@@ -66,8 +99,9 @@ RunReport Runtime::run(int num_ranks, const CostModel& model,
 
   RunReport report;
   report.wall_seconds = timer.elapsed_seconds();
-  report.volume = state.ledger().snapshot();
   report.trace = state.take_trace();
+  report.volume = volume_of(report.trace);
+  export_volume(report.volume);
   report.rank_seconds = std::move(rank_seconds);
   report.makespan_seconds = *std::max_element(report.rank_seconds.begin(),
                                               report.rank_seconds.end());

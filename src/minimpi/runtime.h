@@ -8,46 +8,70 @@
 // and is rethrown to the caller.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "minimpi/comm.h"
 #include "minimpi/cost_model.h"
 #include "minimpi/event_trace.h"
-#include "minimpi/ledger.h"
 #include "minimpi/transport.h"
 
 namespace cubist {
 
+/// Communication totals of one run, broken down by tag — the paper's
+/// measured volume (Lemma 1, Theorem 3). The cube builder tags each
+/// reduction with the view's dimension mask, so the per-tag maps
+/// decompose the volume per lattice node. LOGICAL bytes are the dense
+/// payload size (elements * sizeof(Value)), the quantity the closed forms
+/// bound; WIRE bytes are what the encoded payload occupied on the link.
+/// The codec never ships more than the dense payload, so wire <= logical
+/// holds per message (equal with the codec off).
+struct VolumeReport {
+  /// Logical (dense-equivalent) bytes — the paper's volume measure.
+  std::int64_t total_bytes = 0;
+  /// Bytes actually shipped after wire encoding (== total_bytes when the
+  /// codec is disabled).
+  std::int64_t total_wire_bytes = 0;
+  std::int64_t total_messages = 0;
+  /// Logical bytes per tag (tag = view mask in the cube builder).
+  std::map<std::uint64_t, std::int64_t> bytes_by_tag;
+  /// Wire bytes per tag.
+  std::map<std::uint64_t, std::int64_t> wire_bytes_by_tag;
+};
+
 /// Outcome of one SPMD run.
 struct RunReport {
-  /// Exact communication accounting (bytes/messages, per tag).
+  /// Exact communication accounting (bytes/messages, per tag), derived
+  /// from the send events of `trace` after the rank threads joined.
   VolumeReport volume;
   /// Simulated parallel execution time: max over ranks of the final
   /// virtual clock.
   double makespan_seconds = 0.0;
   /// Final virtual clock per rank.
   std::vector<double> rank_seconds;
-  /// Real wall-clock time of the run (1-core host: roughly the total work
-  /// of all ranks serialized).
+  /// Real wall-clock time of the run. The ranks are threads sharing the
+  /// host's cores (and the process-wide pool), so it is not the virtual
+  /// makespan.
   double wall_seconds = 0.0;
-  /// Per-rank communication event record (empty unless the run was
-  /// started with record_trace) — what the driver's post-run audit
-  /// compares with the certified plan.
+  /// Per-rank communication event record, one vector per rank — the
+  /// run's one comm record, which the driver's post-run audit compares
+  /// with the certified plan.
   EventTrace trace;
 };
 
 class Runtime {
  public:
   /// Runs `fn(comm)` on `num_ranks` ranks and reports. Rethrows the first
-  /// rank exception after shutting down the others. With `record_trace`,
-  /// every rank's sends, receives and combines are recorded into
-  /// RunReport::trace, in program order, for offline audit. Messages move
+  /// rank exception after shutting down the others. Every rank's sends,
+  /// receives and combines are recorded into RunReport::trace, in program
+  /// order; RunReport::volume is derived from its sends and added to the
+  /// process-wide `cubist_comm_*` counters once per run. Messages move
   /// over the transport `make_transport` builds (called once per run);
   /// a null factory selects the in-process mailbox transport.
   static RunReport run(int num_ranks, const CostModel& model,
                        const std::function<void(Comm&)>& fn,
-                       bool record_trace = false,
                        const TransportFactory& make_transport = nullptr);
 };
 

@@ -15,31 +15,27 @@
 
 #include "minimpi/cost_model.h"
 #include "minimpi/event_trace.h"
-#include "minimpi/ledger.h"
 #include "minimpi/transport.h"
 
 namespace cubist {
 
 class RuntimeState {
  public:
-  RuntimeState(int size, CostModel model, bool record_trace = false,
+  RuntimeState(int size, CostModel model,
                std::unique_ptr<Transport> transport = nullptr)
       : size_(size),
         model_(model),
-        tracing_(record_trace),
         transport_(transport ? std::move(transport)
                              : make_mailbox_transport(size)) {
-    if (tracing_) trace_.ranks.resize(static_cast<std::size_t>(size));
+    trace_.ranks.resize(static_cast<std::size_t>(size));
   }
 
   int size() const { return size_; }
   const CostModel& model() const { return model_; }
   Transport& transport() { return *transport_; }
-  VolumeLedger& ledger() { return ledger_; }
 
-  // --- event tracing (for the driver's post-run trace audit) ---
+  // --- the event trace: the run's one comm record ---
 
-  bool tracing() const { return tracing_; }
   /// Appends `event` to `rank`'s trace and returns its index. Lock-free
   /// by construction: each rank thread appends only to its own vector,
   /// and the trace is read only after every rank thread has joined.
@@ -88,10 +84,8 @@ class RuntimeState {
  private:
   int size_;
   CostModel model_;
-  const bool tracing_;
   std::unique_ptr<Transport> transport_;
   EventTrace trace_;
-  VolumeLedger ledger_;
   std::atomic<bool> aborted_{false};
 
   std::mutex barrier_mutex_;

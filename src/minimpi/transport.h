@@ -5,7 +5,7 @@
 // original in-process mailbox (make_mailbox_transport), and the seam is
 // what makes other backends — shared-memory rings, sockets, a recording
 // fake for tests — pluggable without touching the collectives, the
-// ledger or the verifier (see DESIGN.md, "Transport adaptor").
+// event trace or the verifier (see DESIGN.md, "Transport adaptor").
 //
 // Contract every adaptor must honor (the schedule verifier's one
 // canonical replay assumes it):
@@ -35,9 +35,9 @@ class AbortedError : public std::runtime_error {
 
 /// A message in flight. `arrival_time` is the virtual time at which the
 /// receiver may consume it (sender clock at send + latency + transfer).
-/// `trace_seq` is the sender-side event-trace index of the send when the
-/// runtime records traces (see minimpi/event_trace.h), so the matching
-/// receive can record exactly which send it consumed; `offset` is the
+/// `trace_seq` is the sender-side event-trace index of the send (see
+/// minimpi/event_trace.h), so the matching receive can record exactly
+/// which send it consumed; `offset` is the
 /// chunk offset the send recorded, which the receive records too.
 struct Message {
   std::vector<std::byte> payload;

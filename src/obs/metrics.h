@@ -6,7 +6,7 @@
 // around a QuantileSketch — the same bounded-memory sketch serving has
 // always used). A `MetricsSnapshot` renders every instrument through one
 // path as JSON ("cubist-metrics/1") or Prometheus text exposition, so
-// `VolumeLedger`, `ServingStats`, cache stats, and scratch high-water all
+// the comm volume, `ServingStats`, cache stats, and scratch high-water all
 // export identically instead of each hand-rolling a struct.
 //
 // Drift gauges are the paper-specific instrument: each one accumulates

@@ -175,9 +175,10 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
   // without ever invalidating it.
   const std::shared_ptr<const PartialCube> cube = generation();
   // route() rejects a view outside the lattice before its counter slot
-  // is indexed.
+  // is indexed. The view is counted only once its query has an answer, so
+  // a rejected query never steers replan().
   const std::optional<DimSet> route = cube->routes().route(query.view);
-  view_freq_[query.view.mask()].fetch_add(1, std::memory_order_relaxed);
+  std::atomic<std::int64_t>& view_freq = view_freq_[query.view.mask()];
   std::uint32_t routed_mask = query.view.mask();
   bool ancestor_routed = false;
   if (!route) {
@@ -205,6 +206,7 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
     key += '|';
     key += query.cache_key();
     if (std::shared_ptr<const QueryResult> hit = cache_->get(key)) {
+      view_freq.fetch_add(1, std::memory_order_relaxed);
       obs::Instant("serving", "cache.hit")
           .tag("view", static_cast<std::int64_t>(routed_mask));
       record_latency(query.kind, timer.elapsed_seconds() * 1e6);
@@ -216,6 +218,7 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
   std::int64_t cells = 0;
   auto result =
       std::make_shared<const QueryResult>(compute(*cube, query, route, &cells));
+  view_freq.fetch_add(1, std::memory_order_relaxed);
   class_cells_[static_cast<std::size_t>(query.kind)]->add(cells);
   span.tag("cells", cells);
   // Drift gauge #3: on the ancestor-projection path materialize_from

@@ -18,7 +18,8 @@
 //    view selection optimizes is directly observable.
 //
 //  * Workload feedback. A lock-cheap per-view frequency counter (one
-//    relaxed fetch_add per query) records which views the stream hits;
+//    relaxed fetch_add per answered query; a rejected query counts for
+//    nothing) records which views the stream hits;
 //    replan() feeds it to the frequency-weighted benefit-per-byte greedy
 //    (select_views_weighted), certifies the chosen set against the byte
 //    budget via the memory verifier, rebuilds a PartialCube from the
@@ -166,8 +167,8 @@ class QueryEngine {
   /// consistent pinned snapshot.
   std::shared_ptr<const PartialCube> generation() const;
 
-  /// Observed per-view query counts, indexed by view mask — the feedback
-  /// signal replan() optimizes.
+  /// Observed per-view counts of answered queries, indexed by view mask —
+  /// the feedback signal replan() optimizes.
   std::vector<std::int64_t> view_frequencies() const;
 
   /// Outcome of one replan() cycle.

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "cubist/cubist.h"
 
@@ -297,86 +300,123 @@ TEST(ScheduleVerifierTest, EveryViolationCodeHasADistinctName) {
               std::string::npos)
         << name;
   }
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 13u);
+}
+
+/// The trace a run of `plan` records with the codec off: each planned op
+/// as an event, every send's wire size equal to its logical size, each
+/// receive matched to its channel's next send and each combine to the
+/// rank's latest receive.
+EventTrace trace_of(const ScheduleSpec& spec, const CommPlan& plan) {
+  std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
+      channels;
+  for (int r = 0; r < plan.num_ranks; ++r) {
+    const std::vector<PlannedOp>& ops =
+        plan.ranks[static_cast<std::size_t>(r)].ops;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind == PlannedOp::Kind::kSend) {
+        channels[{r, ops[i].peer, ops[i].wire_tag()}].push_back(i);
+      }
+    }
+  }
+  EventTrace trace;
+  for (int r = 0; r < plan.num_ranks; ++r) {
+    std::vector<TraceEvent>& events = trace.ranks.emplace_back();
+    std::uint64_t last_recv = kNoTraceSeq;
+    for (const PlannedOp& op : plan.ranks[static_cast<std::size_t>(r)].ops) {
+      TraceEvent e{op.kind, op.peer, op.wire_tag(),
+                   op.elements * spec.bytes_per_cell, op.offset};
+      if (op.kind == PlannedOp::Kind::kSend) {
+        e.wire = e.units;
+      } else if (op.kind == PlannedOp::Kind::kRecv) {
+        std::deque<std::uint64_t>& sends =
+            channels[{op.peer, r, op.wire_tag()}];
+        e.match_seq = sends.front();
+        sends.pop_front();
+        last_recv = events.size();
+      } else {
+        e.units = op.elements;
+        e.operand_seq = last_recv;
+      }
+      events.push_back(e);
+    }
+  }
+  return trace;
+}
+
+/// The first send event of `trace`, lowest rank first.
+TraceEvent& first_send(EventTrace& trace) {
+  for (std::vector<TraceEvent>& events : trace.ranks) {
+    for (TraceEvent& e : events) {
+      if (e.kind == TraceEventKind::kSend) return e;
+    }
+  }
+  ADD_FAILURE() << "the trace holds no send";
+  return trace.ranks.front().front();
 }
 
 TEST(ScheduleVerifierTest, AuditAcceptsExactLedgerAndCatchesOverCount) {
+  // The trace is the run's one volume record: the exact trace passes, and
+  // one cell over-counted on a send is a departure from the plan.
   const ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  std::map<std::uint32_t, std::int64_t> measured;
-  for (const auto& [mask, elements] : plan.elements_by_view) {
-    measured[mask] = elements * spec.bytes_per_cell;
-  }
-  EXPECT_TRUE(audit_measured_volume(spec, plan, measured).ok());
+  EventTrace trace = trace_of(spec, plan);
+  EXPECT_TRUE(audit_trace(spec, plan, trace).ok());
 
-  // Inject an over-count on one view.
-  ASSERT_FALSE(measured.empty());
-  measured.begin()->second += spec.bytes_per_cell;
-  const AnalysisReport report = audit_measured_volume(spec, plan, measured);
+  TraceEvent& send = first_send(trace);
+  send.units += spec.bytes_per_cell;
+  send.wire += spec.bytes_per_cell;
+  const AnalysisReport report = audit_trace(spec, plan, trace);
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_violation(report, ViolationCode::kLedgerVolumeMismatch))
+  EXPECT_TRUE(has_violation(report, ViolationCode::kTraceMismatch))
       << report.to_string();
 }
 
 TEST(ScheduleVerifierTest, AuditFlagsUnknownTags) {
+  // Traffic under a tag that is no view departs from every plan.
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  std::map<std::uint32_t, std::int64_t> measured;
-  for (const auto& [mask, elements] : plan.elements_by_view) {
-    measured[mask] = elements * spec.bytes_per_cell;
-  }
-  measured[0xdeadbeefu] = 64;  // traffic under a tag that is no view
-  const AnalysisReport report = audit_measured_volume(spec, plan, measured);
-  EXPECT_TRUE(has_violation(report, ViolationCode::kUnknownViewTag))
+  EventTrace trace = trace_of(spec, plan);
+  first_send(trace).tag = 0xdeadbeefu;
+  const AnalysisReport report = audit_trace(spec, plan, trace);
+  EXPECT_TRUE(has_violation(report, ViolationCode::kTraceMismatch))
       << report.to_string();
 }
 
 TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
-  const ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
+  ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  std::map<std::uint32_t, std::int64_t> wire;
-  for (const auto& [mask, elements] : plan.elements_by_view) {
-    wire[mask] = elements * spec.bytes_per_cell;  // exactly the dense bound
+  EventTrace trace = trace_of(spec, plan);
+  // At the bound (wire == logical on every send): fine with the codec on
+  // or off.
+  for (bool codec : {true, false}) {
+    spec.encode_wire = codec;
+    EXPECT_TRUE(audit_trace(spec, plan, trace).ok()) << "codec " << codec;
   }
-  // At the bound: fine with or without require_equal (the encoding-off
-  // contract is wire == logical == bound).
-  EXPECT_TRUE(
-      audit_wire_volume(spec, plan, wire, /*require_equal=*/true).ok());
-  EXPECT_TRUE(
-      audit_wire_volume(spec, plan, wire, /*require_equal=*/false).ok());
 
-  // Below the bound: what the adaptive codec produces. OK only when
-  // equality is not required.
-  std::map<std::uint32_t, std::int64_t> shrunk = wire;
-  shrunk.begin()->second /= 2;
-  EXPECT_TRUE(
-      audit_wire_volume(spec, plan, shrunk, /*require_equal=*/false).ok());
-  const AnalysisReport strict =
-      audit_wire_volume(spec, plan, shrunk, /*require_equal=*/true);
+  // Below the bound: what the adaptive codec produces. OK only with the
+  // codec on; off, a send ships its payload verbatim.
+  TraceEvent& send = first_send(trace);
+  send.wire /= 2;
+  spec.encode_wire = true;
+  EXPECT_TRUE(audit_trace(spec, plan, trace).ok());
+  spec.encode_wire = false;
+  const AnalysisReport strict = audit_trace(spec, plan, trace);
   EXPECT_FALSE(strict.ok());
-  EXPECT_TRUE(has_violation(strict, ViolationCode::kLedgerVolumeMismatch))
+  EXPECT_TRUE(has_violation(strict, ViolationCode::kTraceMismatch))
       << strict.to_string();
 }
 
 TEST(ScheduleVerifierTest, WireAuditFlagsBytesAboveTheDenseBound) {
   const ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  std::map<std::uint32_t, std::int64_t> wire;
-  for (const auto& [mask, elements] : plan.elements_by_view) {
-    wire[mask] = elements * spec.bytes_per_cell;
-  }
-  wire.begin()->second += 1;  // one byte over Lemma 1's dense volume
-  const AnalysisReport report =
-      audit_wire_volume(spec, plan, wire, /*require_equal=*/false);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_violation(report, ViolationCode::kWireVolumeExceedsBound))
+  EventTrace trace = trace_of(spec, plan);
+  first_send(trace).wire += 1;  // one byte over the send's dense size
+  const AnalysisReport report = audit_trace(spec, plan, trace);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0].code, ViolationCode::kWireVolumeExceedsBound)
       << report.to_string();
-
-  std::map<std::uint32_t, std::int64_t> unknown;
-  unknown[0xdeadbeefu] = 8;  // wire traffic under a tag that is no view
-  EXPECT_TRUE(has_violation(
-      audit_wire_volume(spec, plan, unknown, /*require_equal=*/false),
-      ViolationCode::kUnknownViewTag));
+  EXPECT_EQ(report.violations[0].actual, report.violations[0].expected + 1);
 }
 
 TEST(ScheduleVerifierTest, DenseBoundsAreReportedAndSerialized) {
@@ -388,14 +428,6 @@ TEST(ScheduleVerifierTest, DenseBoundsAreReportedAndSerialized) {
   }
   EXPECT_NE(verified.to_json().find("dense_bound_bytes_by_view"),
             std::string::npos);
-
-  const AnalysisReport audited =
-      audit_wire_volume(spec, build_comm_plan(spec),
-                        verified.dense_bound_bytes_by_view,
-                        /*require_equal=*/true);
-  EXPECT_TRUE(audited.ok()) << audited.to_string();
-  EXPECT_EQ(audited.dense_bound_bytes_by_view,
-            verified.dense_bound_bytes_by_view);
 }
 
 TEST(ScheduleVerifierTest, ReportRendersHumanAndJson) {

@@ -82,7 +82,7 @@ TEST(DriverAccountingTest, RankStatsCoverAllRanks) {
 }
 
 TEST(DriverAccountingTest, VolumeScalesWithModelIndependence) {
-  // The ledger counts bytes; the cost model must not affect them.
+  // The trace counts bytes; the cost model must not affect them.
   const SparseSpec spec = spec_16();
   CostModel slow;
   slow.bandwidth = 1e3;

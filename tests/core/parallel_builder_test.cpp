@@ -74,7 +74,7 @@ class VolumeValidationTest
     : public ::testing::TestWithParam<std::vector<int>> {};
 
 TEST_P(VolumeValidationTest, MeasuredBytesEqualLemma1PerView) {
-  // The runtime's per-tag ledger must match the Lemma-1 closed form
+  // The run's per-tag volume must match the Lemma-1 closed form
   // EXACTLY, per view, with divisible block sizes.
   const std::vector<int> splits = GetParam();
   SparseSpec spec;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include "cubist/cubist.h"
@@ -181,6 +182,20 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
                 << where << " rank " << r;
           }
           EXPECT_EQ(gather_events(report.run.trace.ranks[0]) > 0, collect)
+              << where;
+          // The run's volume is derived from the trace's sends: per
+          // construction tag it is the plan's, and every planned send,
+          // the gather's included, is one message.
+          std::map<std::uint64_t, std::int64_t> planned_bytes;
+          for (const auto& [mask, elements] : plan.elements_by_view) {
+            planned_bytes[mask] = elements * sched.bytes_per_cell;
+          }
+          std::map<std::uint64_t, std::int64_t> measured_bytes;
+          for (const auto& [tag, bytes] : report.run.volume.bytes_by_tag) {
+            if (tag < kGatherTagBase) measured_bytes[tag] = bytes;
+          }
+          EXPECT_EQ(measured_bytes, planned_bytes) << where;
+          EXPECT_EQ(report.run.volume.total_messages, plan.total_messages())
               << where;
         }
       }

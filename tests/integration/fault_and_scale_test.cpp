@@ -111,11 +111,13 @@ TEST(ScaleTest, SixDimensionalLatticeStructures) {
   // (64 views) without building arrays.
   const std::vector<std::int64_t> sizes{8, 7, 6, 5, 4, 3};
   const CubeLattice lattice(sizes);
-  const AggregationTree tree(6);
-  const auto schedule = tree.schedule();
-  const MemorySimResult sim = simulate_aggregation_schedule(
-      lattice, tree, schedule, sizeof(Value));
-  EXPECT_LE(sim.peak_bytes, sequential_memory_bound(lattice, sizeof(Value)));
+  ScheduleSpec sequential;
+  sequential.sizes = sizes;
+  sequential.log_splits.assign(sizes.size(), 0);
+  const AnalysisReport planned = verify_schedule(sequential);
+  EXPECT_TRUE(planned.ok()) << planned.to_string();
+  EXPECT_LE(planned.max_peak_live_bytes,
+            sequential_memory_bound(lattice, sizeof(Value)));
   // Greedy == exhaustive at this scale too.
   const auto greedy = greedy_partition(sizes, 5);
   const auto best = exhaustive_partition(sizes, 5);

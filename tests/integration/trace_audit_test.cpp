@@ -1,9 +1,10 @@
 // The post-run trace audit on real recorded builds: a clean trace, whole
-// or chunked, equals the certified plan, and every tampering of the record
-// — a dropped match, cross-tag consumption, double consumption, a foreign
-// or out-of-range match, a causal cycle, a swapped send offset, a dropped
-// gather receive, an extra event, an empty record — is reported as a
-// departure from the plan.
+// or chunked, codec on or off, equals the certified plan, and every
+// tampering of the record — a dropped match, cross-tag consumption,
+// double consumption, a foreign or out-of-range match, a causal cycle, a
+// swapped send offset, a dropped gather receive, an extra event, an empty
+// record, a send's wire size above its logical size or, codec off, off
+// it — is reported.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,8 +25,9 @@ struct Recorded {
 };
 
 /// Records the build with reduction messages capped at `message_elements`
-/// (0: one message per stream).
-Recorded record_build(std::int64_t message_elements) {
+/// (0: one message per stream), the wire codec on or off.
+Recorded record_build(std::int64_t message_elements,
+                      bool encode_wire = true) {
   SparseSpec input;
   input.sizes = {8, 6, 4};
   input.density = 0.4;
@@ -34,6 +36,7 @@ Recorded record_build(std::int64_t message_elements) {
   ParallelOptions options;
   options.reduce_algorithm = ReduceAlgorithm::kBinomial;
   options.reduce_message_elements = message_elements;
+  options.encode_wire = encode_wire;
   options.verify_schedule = true;
   options.audit = true;
   const ParallelCubeReport report = run_parallel_cube(
@@ -278,14 +281,47 @@ TEST(TraceAuditTest, EmptyTraceFailsTheAudit) {
 }
 
 TEST(TraceAuditTest, UntracedRunFailsTheAudit) {
-  // Without record_trace the run records nothing, which is no plan's
-  // trace.
+  // Two ranks that only pass a barrier record no events, which is no
+  // plan's trace.
   const RunReport run = Runtime::run(2, CostModel{}, [](Comm& comm) {
     comm.barrier();
   });
   EXPECT_EQ(run.trace.total_events(), 0);
   const Violation v = only_violation(audit(run.trace));
   EXPECT_EQ(v.rank, kNoRank);
+}
+
+TEST(TraceAuditTest, WireAboveLogicalSizeIsReported) {
+  // A send that put more bytes on the wire than its dense payload breaks
+  // the codec's contract, though the record otherwise equals the plan.
+  EventTrace trace = recorded_build().trace;
+  const std::size_t index = first_of(trace, 1, TraceEventKind::kSend);
+  TraceEvent& send = trace.ranks[1][index];
+  send.wire = send.units + 1;
+  const AnalysisReport report = audit(trace);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  const Violation& v = report.violations[0];
+  EXPECT_EQ(v.code, ViolationCode::kWireVolumeExceedsBound);
+  EXPECT_EQ(v.rank, 1);
+  EXPECT_EQ(v.actual, v.expected + 1);
+}
+
+TEST(TraceAuditTest, CodecOffWireMustEqualLogicalSize) {
+  // With the codec off every payload ships verbatim: the clean record
+  // passes, and a send whose wire size differs from its logical size is
+  // reported, though a smaller one would pass with the codec on.
+  const Recorded recorded =
+      record_build(/*message_elements=*/4, /*encode_wire=*/false);
+  EXPECT_TRUE(audit_trace(recorded.spec, recorded.plan, recorded.trace).ok());
+  EventTrace trace = recorded.trace;
+  const std::size_t index = first_of(trace, 1, TraceEventKind::kSend);
+  TraceEvent& send = trace.ranks[1][index];
+  EXPECT_EQ(send.wire, send.units);
+  send.wire -= 1;
+  const Violation v =
+      only_violation(audit_trace(recorded.spec, recorded.plan, trace));
+  EXPECT_EQ(v.rank, 1);
+  EXPECT_TRUE(mentions(v, "codec off")) << v.to_string();
 }
 
 TEST(TraceAuditTest, ReportRendersJson) {

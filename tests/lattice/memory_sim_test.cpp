@@ -1,13 +1,25 @@
 #include "lattice/memory_sim.h"
 
-#include "array/shape.h"
-
 #include <gtest/gtest.h>
+
+#include <set>
+
+#include "analysis/schedule_verifier.h"
+#include "array/shape.h"
 
 namespace cubist {
 namespace {
 
 constexpr std::int64_t kCell = sizeof(Value);
+
+/// The sequential construction of `sizes` as a schedule: zero splits, so
+/// the planner walks the Figure-3 tree on one rank.
+ScheduleSpec sequential_spec(const std::vector<std::int64_t>& sizes) {
+  ScheduleSpec spec;
+  spec.sizes = sizes;
+  spec.log_splits.assign(sizes.size(), 0);
+  return spec;
+}
 
 TEST(MemoryLedgerTest, TracksLiveAndPeak) {
   MemoryLedger ledger;
@@ -36,19 +48,18 @@ TEST(SequentialMemoryBoundTest, SingleDimension) {
 }
 
 TEST(MemorySimTest, ScheduleRespectsTheorem1Bound) {
-  // The Figure-3 replay must stay within the bound for any sizes,
-  // ordered or not (the bound derivation never uses the ordering).
+  // The planner's replay of the Figure-3 walk must stay within the bound
+  // for any sizes, ordered or not (the bound derivation never uses the
+  // ordering).
   const std::vector<std::vector<std::int64_t>> cases = {
       {8, 4, 2}, {2, 4, 8}, {5, 5, 5}, {16, 8, 4, 2}, {3, 9, 27, 3}, {7},
       {9, 3}, {6, 6, 6, 6, 6}};
   for (const auto& sizes : cases) {
-    const CubeLattice lattice(sizes);
-    const AggregationTree tree(static_cast<int>(sizes.size()));
-    const auto schedule = tree.schedule();
-    const MemorySimResult result =
-        simulate_aggregation_schedule(lattice, tree, schedule, kCell);
-    EXPECT_LE(result.peak_bytes, sequential_memory_bound(lattice, kCell))
-        << "sizes " << CubeLattice(sizes).sizes().size();
+    const AnalysisReport report = verify_schedule(sequential_spec(sizes));
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_LE(report.max_peak_live_bytes,
+              sequential_memory_bound(CubeLattice(sizes), kCell))
+        << sizes.size() << " dims";
   }
 }
 
@@ -57,26 +68,29 @@ TEST(MemorySimTest, PeakEqualsBoundAtFirstLevel) {
   // children are live simultaneously, so the peak equals the bound.
   for (const auto& sizes : std::vector<std::vector<std::int64_t>>{
            {8, 4, 2}, {16, 16, 16}, {9, 7, 5, 3}}) {
-    const CubeLattice lattice(sizes);
-    const AggregationTree tree(static_cast<int>(sizes.size()));
-    const MemorySimResult result = simulate_aggregation_schedule(
-        lattice, tree, tree.schedule(), kCell);
-    EXPECT_EQ(result.peak_bytes, sequential_memory_bound(lattice, kCell));
+    EXPECT_EQ(verify_schedule(sequential_spec(sizes)).max_peak_live_bytes,
+              sequential_memory_bound(CubeLattice(sizes), kCell));
   }
 }
 
 TEST(MemorySimTest, WrittenBytesCoverEveryProperView) {
   const CubeLattice lattice({8, 4, 2});
-  const AggregationTree tree(3);
-  const MemorySimResult result =
-      simulate_aggregation_schedule(lattice, tree, tree.schedule(), kCell);
+  const CommPlan plan = build_comm_plan(sequential_spec({8, 4, 2}));
+  ASSERT_EQ(plan.ranks.size(), 1u);
+  std::set<std::uint32_t> written;
+  std::int64_t written_bytes = 0;
+  for (std::uint32_t mask : plan.ranks[0].final_views) {
+    EXPECT_TRUE(written.insert(mask).second) << "view " << mask << " twice";
+    written_bytes += lattice.view_cells(DimSet::from_mask(mask)) * kCell;
+  }
   std::int64_t expected = 0;
   for (DimSet view : lattice.all_views()) {
     if (view != DimSet::full(3)) {
       expected += lattice.view_cells(view) * kCell;
     }
   }
-  EXPECT_EQ(result.written_bytes, expected);
+  EXPECT_EQ(written.size(), 7u);
+  EXPECT_EQ(written_bytes, expected);
 }
 
 TEST(ParallelMemoryBoundTest, PartitioningDividesTheBound) {

@@ -177,7 +177,7 @@ TEST(ReduceSumTest, AllIdentityPayloadShrinksOnTheWire) {
     comm.reduce(group, data, 6, AggregateOp::kSum, ReduceOptions{});
   });
   // Rank 1, the only sender, shipped a header-only run payload for a full
-  // block. The ledger keeps both sides: logical bytes are the paper's
+  // block. The send event keeps both sides: logical bytes are the paper's
   // quantity, wire bytes are what the link saw.
   EXPECT_EQ(report.volume.total_bytes,
             kBlock * static_cast<std::int64_t>(sizeof(Value)));

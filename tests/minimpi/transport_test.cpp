@@ -96,7 +96,6 @@ TEST(TransportInjectionTest, RuntimeRunsCollectivesOverACustomAdaptor) {
         comm.reduce(group, data, 1, AggregateOp::kSum);
         if (comm.rank() == 0) root_sum = data[0];
       },
-      /*record_trace=*/false,
       [&](int num_ranks) -> std::unique_ptr<Transport> {
         factory_calls.fetch_add(1);
         EXPECT_EQ(num_ranks, p);
@@ -122,7 +121,7 @@ TEST(TransportInjectionTest, NullFactoryFallsBackToMailbox) {
           EXPECT_EQ(comm.recv_values(0, 3).at(0), 42.0);
         }
       },
-      /*record_trace=*/false, nullptr);
+      nullptr);
   EXPECT_EQ(report.volume.total_messages, 1);
 }
 

@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "core/olap_query.h"
 #include "core/sequential_builder.h"
+#include "core/verify.h"
 #include "io/generators.h"
 #include "serving/workload.h"
 #include "test_util.h"
@@ -123,19 +124,29 @@ TEST(QueryEngineTest, RejectsInvalidQueries) {
 TEST(QueryEngineTest, PartialCubeEngineRejectsInvalidQueries) {
   // The same rejections with {0,1} served directly and from the input.
   // The out-of-lattice view must be rejected before its frequency
-  // counter is touched: the counters have one slot per lattice view.
+  // counter is touched: the counters have one slot per lattice view. A
+  // rejected query counts for no view, so it never steers replan().
   SparseSpec spec;
   spec.sizes = {6, 5, 4};
   spec.density = 0.5;
   spec.seed = 11;
   const auto input =
       std::make_shared<const SparseArray>(generate_sparse_global(spec));
+  const CubeResult reference = reference_cube(*input);
+  const DimSet ab = DimSet::of({0, 1});
+  const Query valid = Query::slice(ab, 0, 2);
   for (const std::vector<DimSet>& views :
-       {std::vector<DimSet>{DimSet::of({0, 1})}, std::vector<DimSet>{}}) {
+       {std::vector<DimSet>{ab}, std::vector<DimSet>{}}) {
     QueryEngine engine(
         std::make_shared<const PartialCube>(PartialCube::build(input, views)));
     expect_rejects_invalid_queries(engine);
-    EXPECT_EQ(engine.view_frequencies().size(), 8u);
+    EXPECT_EQ(engine.view_frequencies(), std::vector<std::int64_t>(8, 0));
+
+    // A mixed batch throws, yet answers and counts its valid query.
+    EXPECT_THROW(engine.execute_batch({valid, Query::point(ab, {6, 0})}),
+                 InvalidArgument);
+    EXPECT_EQ(engine.view_frequencies()[ab.mask()], 1);
+    EXPECT_EQ(engine.execute(valid)->array, slice(reference.view(ab), 0, 2));
   }
 }
 

@@ -17,10 +17,11 @@
 //
 // --self-test proves the analyses actually detect the seeded bugs: a
 // dropped send and a tag collision are planted in the plan via
-// apply_schedule_mutation (the replay verifier must catch both), and four
+// apply_schedule_mutation (the replay verifier must catch both), and five
 // tamperings are planted in the trace of one small recorded build (the
 // post-run audit must find each departure from the build's certified
-// plan). It fails unless every plant is caught and both unmutated
+// plan, and a send that puts more bytes on the wire than its logical
+// size). It fails unless every plant is caught and both unmutated
 // controls pass.
 #include <algorithm>
 #include <cstdio>
@@ -217,11 +218,13 @@ RecordedBuild record_build() {
   return out;
 }
 
-/// Rank 0's first receive in `trace` (nullptr if it has none, which the
-/// self-test then reports as a missed plant).
-TraceEvent* first_receive(EventTrace& trace) {
-  for (TraceEvent& event : trace.ranks[0]) {
-    if (event.kind == TraceEventKind::kRecv) return &event;
+/// The first event of `kind` in `trace`, lowest rank first (nullptr if
+/// there is none, which the self-test then reports as a missed plant).
+TraceEvent* first_event(EventTrace& trace, TraceEventKind kind) {
+  for (std::vector<TraceEvent>& events : trace.ranks) {
+    for (TraceEvent& event : events) {
+      if (event.kind == kind) return &event;
+    }
   }
   return nullptr;
 }
@@ -285,13 +288,13 @@ int self_test() {
          "clean trace equals its plan (control)");
 
   EventTrace vanished = build.trace;
-  TraceEvent* recv = first_receive(vanished);
+  TraceEvent* recv = first_event(vanished, TraceEventKind::kRecv);
   if (recv != nullptr) recv->match_seq = kNoTraceSeq;
   expect(recv != nullptr && caught(vanished),
          "receive whose matched send vanished -> reported");
 
   EventTrace retagged = build.trace;
-  recv = first_receive(retagged);
+  recv = first_event(retagged, TraceEventKind::kRecv);
   if (recv != nullptr) recv->tag += 1;
   expect(recv != nullptr && caught(retagged),
          "receive retagged to another stream -> reported");
@@ -306,6 +309,14 @@ int self_test() {
   if (gathered) truncated.ranks[0].pop_back();
   expect(gathered && caught(truncated),
          "rank 0's last gather receive dropped -> reported");
+
+  EventTrace overrun = build.trace;
+  TraceEvent* send = first_event(overrun, TraceEventKind::kSend);
+  if (send != nullptr) send->wire = send->units + 1;
+  expect(send != nullptr &&
+             has_code(audit_trace(build.spec, build.plan, overrun).violations,
+                      ViolationCode::kWireVolumeExceedsBound),
+         "send with more wire bytes than logical bytes -> reported");
 
   std::printf(failures == 0 ? "self-test OK\n"
                             : "self-test FAILED (%d missed)\n",

@@ -1,10 +1,10 @@
 // cubist-trace — one observed workload, every observability artifact.
 //
 // Runs the full pipeline with tracing and drift gauges on: a parallel
-// cube construction (schedule verification, trace-equals-plan audit,
-// wire-volume audit), the barrier-aligned reduce-drift calibration sweep,
-// and a Zipfian partial-cube serving session with a mid-stream replan. It
-// then writes
+// cube construction (schedule verification, trace-equals-plan audit with
+// its per-send wire check), the barrier-aligned reduce-drift calibration
+// sweep, and a Zipfian partial-cube serving session with a mid-stream
+// replan. It then writes
 //
 //   trace.json    — Chrome trace-event timeline (Perfetto-loadable)
 //                   spanning build -> reduce -> serving,
@@ -86,8 +86,8 @@ int run(const std::vector<std::int64_t>& sizes,
   spec.seed = 7;
   ParallelOptions options;
   options.encode_wire = true;
-  // Record the run's comm event trace and require it to equal the
-  // certified plan, and audit the measured volumes; any failure throws.
+  // Require the run's comm event trace to equal the certified plan, with
+  // no send over its logical size on the wire; any failure throws.
   options.audit = true;
   const ParallelCubeReport report = run_parallel_cube(
       sizes, log_splits, model,

@@ -24,8 +24,9 @@ deliberately looser):
      `.mailbox(`) outside src/minimpi/comm.cpp and the transport adaptor
      (src/minimpi/transport.cpp).  Comm's primitives are the single choke
      point that stamps virtual-clock arrival times and records the event
-     trace the driver's post-run audit compares with the certified plan;
-     a bypass would make runs unauditable.
+     trace — the run's one comm record, from which its volume is derived
+     and which the driver's post-run audit compares with the certified
+     plan; a bypass would leave messages unmeasured and runs unauditable.
   7. No use of the `Mailbox` class outside the transport adaptor
      boundary (src/minimpi/mailbox.h itself and the mailbox transport,
      src/minimpi/transport.cpp).  Everything else must go through the
@@ -54,12 +55,18 @@ deliberately looser):
      build_comm_plan mirrors, so every message the library sends is in
      the certified plan; a second message path beside it would run
      unverified and fail the post-run trace audit.
+ 12. No `record_event(` in src/ outside src/minimpi/comm.cpp (Comm's
+     event-record choke point) and its definition in
+     src/minimpi/runtime_state.h.  The event trace is the run's one comm
+     record: the volume report is derived from it and the post-run audit
+     compares it with the certified plan, so a second writer would put
+     events no plan holds into both.
 
 Usage:  python3 tools/lint.py  [--root REPO_ROOT]  [--self-test]  [FILE ...]
 With FILE arguments only those files are linted; naming a file that is
 unreadable or not a .h/.cpp source is itself an error (exit 2).
 --self-test lints synthetic sources that must (and must not) trip the
-boundary rules (6-11), proving the rules still fire.
+boundary rules (6-12), proving the rules still fire.
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = bad
 invocation.
 """
@@ -100,6 +107,11 @@ POINT_TO_POINT_ALLOWED_FILES = {"src/core/parallel_builder.cpp"}
 POINT_TO_POINT_ALLOWED_PREFIX = "src/minimpi/"
 POINT_TO_POINT_CALL = re.compile(
     r"(?<![\w_])(?:send_bytes|send_values|recv_bytes|recv_values)\s*\(")
+RECORD_EVENT_ALLOWED_FILES = {
+    "src/minimpi/comm.cpp",
+    "src/minimpi/runtime_state.h",
+}
+RECORD_EVENT_CALL = re.compile(r"(?<![\w_])record_event\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -247,6 +259,13 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
                 "(src/core/parallel_builder.cpp) — every message must be "
                 "one build_comm_plan certifies")
 
+    if rel.startswith("src/") and rel not in RECORD_EVENT_ALLOWED_FILES:
+        for match in RECORD_EVENT_CALL.finditer(code):
+            problems.append(
+                f"{rel}:{line_of(code, match.start())}: `record_event(` "
+                "outside src/minimpi/comm.cpp — the event trace is the "
+                "run's one comm record; record through Comm's primitives")
+
     check_macro_messages(rel, code, problems)
 
 
@@ -338,6 +357,28 @@ def self_test() -> int:
         ("src/core/p2p_comment.cpp",
          "// comm.send_values(0, tag, block) happens in parallel_builder\n"
          "int resend_values(int); auto r = my_recv_bytes(3);\n",
+         None),
+        # The event trace has one writer: Comm's choke point (and the
+        # definition it calls).
+        ("src/core/rogue_record.cpp",
+         "void f(RuntimeState& s, const TraceEvent& e) {\n"
+         "  s.record_event(0, e);\n}\n",
+         "`record_event(` outside src/minimpi/comm.cpp"),
+        ("src/minimpi/runtime.cpp",
+         "auto seq = state.record_event (rank, event);\n",
+         "`record_event(` outside src/minimpi/comm.cpp"),
+        ("src/minimpi/comm.cpp",
+         "std::uint64_t Comm::trace(const TraceEvent& e) {\n"
+         "  return state_.record_event(rank_, e);\n}\n",
+         None),
+        ("src/minimpi/runtime_state.h",
+         "// RuntimeState.\n#pragma once\n"
+         "std::uint64_t record_event(int rank, const TraceEvent& event);\n",
+         None),
+        ("src/core/record_comment.cpp",
+         "// state.record_event(rank, e) happens in comm.cpp only\n"
+         "const char* s = \"record_event(\";\n"
+         "int re_record_event(int); auto n = record_events(3);\n",
          None),
     ]
     failures = []
