@@ -3,8 +3,8 @@
 //
 // Covers: dense multi-way aggregation vs number of simultaneous targets
 // (SUM, plus COUNT, MIN and MAX at one point), sparse chunk-offset
-// aggregation vs chunk extent and density, the generic projection
-// kernel, and the hash-sparse generator.
+// aggregation vs chunk extent and density and on the 5-D serving input,
+// the generic projection kernel, and the hash-sparse generator.
 #include "bench_util.h"
 
 namespace cubist::bench {
@@ -160,18 +160,69 @@ void BM_Projection(benchmark::State& state) {
 }
 BENCHMARK(BM_Projection)->Unit(benchmark::kMillisecond);
 
-void BM_Generator(benchmark::State& state) {
+/// Arg 0: density in percent. Generates `sizes` in default chunks on the
+/// global pool.
+void generator(benchmark::State& state,
+               const std::vector<std::int64_t>& sizes) {
   SparseSpec spec;
-  spec.sizes = {64, 64, 64};
+  spec.sizes = sizes;
   spec.density = static_cast<double>(state.range(0)) / 100.0;
   spec.seed = 11;
   for (auto _ : state) {
     const SparseArray data = generate_sparse_global(spec);
     benchmark::DoNotOptimize(data.nnz());
   }
-  state.SetItemsProcessed(state.iterations() * 64 * 64 * 64);
+  state.SetItemsProcessed(state.iterations() * checked_product(sizes));
+  state.counters["threads"] =
+      static_cast<double>(ThreadPool::global().size());
 }
+
+void BM_Generator(benchmark::State& state) { generator(state, {64, 64, 64}); }
 BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
+
+/// The end-to-end benchmark's serve-partial-replan input, 16x16x16x16x8 at
+/// 25% density in default chunks (8 chunks of 2x16x16x16x8), is generated
+/// one task per chunk and scanned by its 5-target root scan in 4 stripes:
+/// BM_Generator/16x16x16x16x8/25 and BM_SparseMultiway/16x16x16x16x8/5.
+const std::vector<std::int64_t> kServeSizes{16, 16, 16, 16, 8};
+
+void sparse_root_scan(benchmark::State& state) {
+  SparseSpec spec;
+  spec.sizes = kServeSizes;
+  spec.density = 0.25;
+  spec.seed = 13;
+  const SparseArray parent = generate_sparse_global(spec);
+  const auto num_targets = static_cast<std::size_t>(state.range(0));
+  std::vector<DenseArray> children;
+  std::vector<AggregationTarget> targets;
+  children.reserve(num_targets);
+  for (std::size_t pos = 0; pos < num_targets; ++pos) {
+    children.emplace_back(parent.shape().without_dim(static_cast<int>(pos)));
+    targets.push_back({static_cast<int>(pos), &children.back()});
+  }
+  for (auto _ : state) {
+    const AggregationStats stats = aggregate_children(parent, targets);
+    benchmark::DoNotOptimize(stats);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * parent.nnz() *
+                          static_cast<std::int64_t>(num_targets));
+  state.counters["nnz"] = static_cast<double>(parent.nnz());
+  state.counters["threads"] =
+      static_cast<double>(ThreadPool::global().size());
+}
+
+[[maybe_unused]] const bool kServeShapeRegistered = [] {
+  benchmark::RegisterBenchmark("BM_Generator/16x16x16x16x8", generator,
+                               kServeSizes)
+      ->Arg(25)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_SparseMultiway/16x16x16x16x8",
+                               sparse_root_scan)
+      ->Arg(5)
+      ->Unit(benchmark::kMillisecond);
+  return true;
+}();
 
 }  // namespace
 }  // namespace cubist::bench

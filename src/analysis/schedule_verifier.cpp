@@ -371,14 +371,21 @@ Field first_divergence(const ScheduleSpec& spec, const EventTrace& trace,
   };
   // A receive records wire bytes: its logical size is that of the send it
   // consumed, by then known to be the planned `match` (a send of the
-  // plan, so `op.peer` is a rank of the trace).
+  // plan, so `op.peer` is a rank of the trace), and the bytes it took
+  // must be the bytes that send put on the wire.
   std::int64_t size = e.units;
+  std::int64_t sent_wire = 0;
+  std::int64_t received_wire = 0;
   if (op.kind == PlannedOp::Kind::kRecv) {
     size = -1;
     if (match != kNoTraceSeq) {
       const std::vector<TraceEvent>& sender =
           trace.ranks[static_cast<std::size_t>(op.peer)];
-      if (match < sender.size()) size = sender[match].units;
+      if (match < sender.size()) {
+        size = sender[match].units;
+        sent_wire = sender[match].wire;
+        received_wire = e.units;
+      }
     }
   }
   const std::int64_t planned_size =
@@ -395,6 +402,7 @@ Field first_divergence(const ScheduleSpec& spec, const EventTrace& trace,
            Field{"consumed send", seq(match), seq(e.match_seq)},
            Field{"operand", seq(operand), seq(e.operand_seq)},
            Field{"logical size", planned_size, size},
+           Field{"wire size", sent_wire, received_wire},
        }) {
     if (field.planned != field.recorded) return field;
   }

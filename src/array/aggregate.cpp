@@ -518,21 +518,28 @@ void scan_sparse_chunks(
 /// offset) -> (child index contribution) is chunk-invariant. Built once
 /// per target, it makes an interior non-zero cost one table lookup plus
 /// one combine per target. It is only worthwhile when the scan's
-/// non-zeros at least match the table's entries per target, and only
-/// affordable for reasonably small chunks; otherwise this returns no
-/// table and every chunk takes the decode path, which combines in the
-/// same order. The table is integer data, so its construction
-/// parallelizes without ordering concerns.
+/// non-zeros at least match the table's entries per target, and it is
+/// built only when its bytes fit the cap on the scan's stripe scratch
+/// (scan_scratch_bound: at most the bytes of the children it feeds);
+/// otherwise this returns no table and every chunk takes the decode path,
+/// which combines in the same order. The table is integer data, so its
+/// construction parallelizes without ordering concerns.
 std::vector<std::vector<std::int64_t>> chunk_offset_table(
-    const SparseArray& parent,
+    const SparseArray& parent, std::span<const AggregationTarget> targets,
     const std::vector<std::vector<std::int64_t>>& strides,
     const AggregateOptions& options) {
-  constexpr std::int64_t kMaxTableVolume = std::int64_t{1} << 22;
   const Shape full_chunk_shape{parent.chunk_extents()};
   const std::int64_t full_volume = full_chunk_shape.size();
-  if (full_volume > kMaxTableVolume || parent.nnz() < full_volume) return {};
-  const int m = parent.ndim();
   const std::size_t num_targets = strides.size();
+  const std::int64_t table_bytes =
+      static_cast<std::int64_t>(num_targets * sizeof(std::int64_t)) *
+      full_volume;
+  if (parent.nnz() < full_volume ||
+      table_bytes >
+          scan_scratch_bound(parent.shape(), target_positions(targets))) {
+    return {};
+  }
+  const int m = parent.ndim();
   std::vector<std::vector<std::int64_t>> offset_table(num_targets);
   for (std::size_t c = 0; c < num_targets; ++c) {
     offset_table[c].resize(static_cast<std::size_t>(full_volume));
@@ -563,7 +570,7 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
   const std::vector<std::vector<std::int64_t>> strides =
       all_projection_strides(parent.shape(), targets);
   const std::vector<std::vector<std::int64_t>> offset_table =
-      chunk_offset_table(parent, strides, options);
+      chunk_offset_table(parent, targets, strides, options);
   const StripePlan plan =
       plan_sparse_scan(parent.shape(), parent.chunk_grid(),
                        target_positions(targets), parent.nnz());

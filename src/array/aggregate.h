@@ -140,12 +140,14 @@ AggregationStats aggregate_children(const DenseArray& parent,
                                     bool input_level = true);
 
 /// Scans a chunk-offset sparse parent (raw input) once, combining every
-/// target under `op`. When the parent holds at least as many non-zeros as
-/// a full chunk has cells, a per-chunk-shape offset table makes interior
-/// chunks cost one lookup and one combine per (non-zero, target);
-/// otherwise every chunk decodes its offsets, with the same result.
-/// Striped over whole chunks per plan_sparse_scan; bit-identical results
-/// for any pool size.
+/// target under `op`. A per-chunk-shape offset table, one int64 per
+/// (target, cell of a full chunk), makes interior chunks cost one lookup
+/// and one combine per (non-zero, target). It is built when the parent
+/// holds at least as many non-zeros as a full chunk has cells and the
+/// table's bytes fit scan_scratch_bound (at most the bytes of the
+/// children); otherwise every chunk decodes its offsets, with the same
+/// result. Striped over whole chunks per plan_sparse_scan; bit-identical
+/// results for any pool size.
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {},

@@ -17,6 +17,8 @@ constexpr std::uint64_t kValueSalt = 0x5eed5a17u;
 constexpr std::int64_t kCellsPerTask = std::int64_t{1} << 14;
 /// Consecutive cells of a row whose keep tests fold into one mask word.
 constexpr std::int64_t kMaskCells = 64;
+/// Most cells in a default chunk: 16^4, the chunk of a 4-D array.
+constexpr std::int64_t kMaxDefaultChunkCells = std::int64_t{1} << 16;
 
 /// The population rule shared by all generators. A cell is kept when
 /// cell_hash(seed, global linear index) < p x 2^64, and always when p = 1;
@@ -51,6 +53,10 @@ class CellRule {
     }
   }
 
+  /// True under the Zipf skew, where a cell's p depends on its
+  /// coordinates.
+  bool skewed() const { return !weights_.empty(); }
+
   /// The Zipf p of a row's cells before the inner weight: the density
   /// times the multiplier and the weights of `outer` (the row's first
   /// n - 1 coordinates), multiplied left to right.
@@ -63,14 +69,15 @@ class CellRule {
   }
 
   /// Bit i is set when the cell at global index `first + i` is kept, for
-  /// i < count <= 64. The cells are consecutive in one row; the first has
-  /// inner coordinate `inner`, and `row_p` is the row's row_density().
-  /// No branch depends on a cell's hash (hence `|`, not `||`): one taken
-  /// for a quarter of the cells, as at 25% density, mispredicts often.
+  /// i < count <= 64. Under the skew the cells lie in one row of the last
+  /// dimension: the first has inner coordinate `inner`, and `row_p` is the
+  /// row's row_density(); the uniform rule reads neither. No branch
+  /// depends on a cell's hash (hence `|`, not `||`): one taken for a
+  /// quarter of the cells, as at 25% density, mispredicts often.
   std::uint64_t keep_mask(double row_p, std::uint64_t first,
                           std::int64_t inner, int count) const {
     std::uint64_t mask = 0;
-    if (weights_.empty()) {
+    if (!skewed()) {
       if (keep_all_) return ~std::uint64_t{0} >> (kMaskCells - count);
       for (int i = 0; i < count; ++i) {
         const bool keep =
@@ -164,6 +171,24 @@ std::vector<std::int64_t> default_chunks(
   for (std::size_t d = 0; d < sizes.size(); ++d) {
     chunks[d] = std::min<std::int64_t>(16, sizes[d]);
   }
+  // Each factor is at most 16 and the product stops past the cap, so it
+  // cannot overflow however many dimensions there are.
+  const auto fits = [&chunks] {
+    std::int64_t cells = 1;
+    for (const std::int64_t extent : chunks) {
+      cells *= extent;
+      if (cells > kMaxDefaultChunkCells) return false;
+    }
+    return true;
+  };
+  // Halving the outer dimensions, dimension 0 first, keeps rows long.
+  for (std::size_t d = 0; d < chunks.size() && !fits();) {
+    if (chunks[d] == 1) {
+      ++d;
+    } else {
+      chunks[d] = (chunks[d] + 1) / 2;
+    }
+  }
   return chunks;
 }
 
@@ -210,11 +235,23 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
           }
           offsets.clear();
           values.clear();
-          const std::int64_t row_length = extents[n - 1];
+          // A row is the chunk's cells in dimensions [row_dim, n). The
+          // chunk spans every dimension after row_dim whole, as the array
+          // does, so they have consecutive global indices and the uniform
+          // rule takes them as one row. Under the Zipf skew a row stays
+          // one dimension long: its cells' p differ.
+          int row_dim = n - 1;
+          while (!rule.skewed() && row_dim > 0 &&
+                 extents[row_dim] == global_shape.extent(row_dim)) {
+            --row_dim;
+          }
+          std::int64_t row_length = 1;
+          for (int d = row_dim; d < n; ++d) row_length *= extents[d];
           SparseArray::Offset row_offset = 0;
           for (;;) {
-            // The global linear index of a row's cell is the row's base
-            // plus its inner coordinate (global stride 1).
+            // The global linear index of the row's first cell (gidx of the
+            // row's own dimensions stays at their origin); the row's other
+            // cells follow it.
             std::int64_t row_base = origin[n - 1];
             for (int d = 0; d < n - 1; ++d) {
               row_base += gidx[d] * global_shape.stride(d);
@@ -246,7 +283,7 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
               }
             }
             row_offset += static_cast<SparseArray::Offset>(row_length);
-            int d = n - 2;
+            int d = row_dim - 1;
             for (; d >= 0; --d) {
               if (++gidx[d] < origin[d] + extents[d]) break;
               gidx[d] = origin[d];

@@ -14,8 +14,12 @@
 // is the same for any pool size. A task decides its chunk a row at a
 // time: the keep tests of up to 64 consecutive cells fold into one bit
 // mask with no branch per cell, and only the kept cells' values are
-// hashed. The uniform threshold is computed once per spec; under the Zipf
-// skew the outer dimensions' weights are multiplied once per row.
+// hashed. Under the uniform rule a row runs from the innermost dimension
+// the chunk does not span whole, as the array does, to the last (their
+// cells have consecutive global indices), so a chunk that spans its
+// trailing dimensions whole is one row; the threshold is computed once
+// per spec. Under the Zipf skew a row is one dimension long, and the
+// outer dimensions' weights are multiplied once per row.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,11 @@ struct SparseSpec {
   double zipf_theta = 0.0;
 };
 
-/// 16 cells per dimension, clipped to the extent — a paper-era chunk size.
+/// min(16, extent) cells per dimension, then halved in the outermost
+/// dimensions, dimension 0 first, until the chunk holds at most 2^16 = 16^4
+/// cells. Shapes of up to 4 dimensions keep 16 cells per dimension; a
+/// larger shape gets enough chunks to generate and scan on every thread,
+/// with its inner rows kept long.
 std::vector<std::int64_t> default_chunks(
     const std::vector<std::int64_t>& sizes);
 

@@ -1,10 +1,11 @@
 // Cost model for the virtual clock (DESIGN.md §2, "substitutions").
 //
-// The reproduction host is a single-core container, so wall-clock speedup
-// of thread-ranks is physically impossible. Instead every rank maintains a
-// virtual clock: compute phases advance it by work/rate, and messages
-// synchronize it LogP-style (a receive completes no earlier than the
-// sender's clock at send time + latency + bytes/bandwidth). The makespan
+// The virtual clock models the paper's 16-node Myrinet cluster, whose
+// parallel times thread-ranks sharing one process cannot reproduce: their
+// messages are memory copies and they share the host's cores. Every rank
+// keeps a virtual clock: compute phases advance it by work/rate, and
+// messages synchronize it LogP-style (a receive completes no earlier than
+// the sender's clock at send time + latency + bytes/bandwidth). The makespan
 // over ranks is the simulated parallel execution time reported by the
 // figure benches; real wall time and real bytes are reported alongside.
 //

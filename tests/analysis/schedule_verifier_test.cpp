@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "cubist/cubist.h"
+#include "test_util.h"
 
 namespace cubist {
 namespace {
@@ -397,7 +398,7 @@ TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
   // Below the bound: what the adaptive codec produces. OK only with the
   // codec on; off, a send ships its payload verbatim.
   TraceEvent& send = first_send(trace);
-  send.wire /= 2;
+  testing::set_wire(trace, send, send.wire / 2);
   spec.encode_wire = true;
   EXPECT_TRUE(audit_trace(spec, plan, trace).ok());
   spec.encode_wire = false;
@@ -411,7 +412,8 @@ TEST(ScheduleVerifierTest, WireAuditFlagsBytesAboveTheDenseBound) {
   const ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
   EventTrace trace = trace_of(spec, plan);
-  first_send(trace).wire += 1;  // one byte over the send's dense size
+  TraceEvent& send = first_send(trace);
+  testing::set_wire(trace, send, send.wire + 1);  // one byte over its size
   const AnalysisReport report = audit_trace(spec, plan, trace);
   ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
   EXPECT_EQ(report.violations[0].code, ViolationCode::kWireVolumeExceedsBound)

@@ -9,6 +9,7 @@
 #include "core/sequential_builder.h"
 #include "core/verify.h"
 #include "io/generators.h"
+#include "test_util.h"
 #include "tiling/tiled_builder.h"
 
 namespace cubist {
@@ -25,38 +26,12 @@ SparseSpec test_spec() {
   return spec;
 }
 
-/// Brute-force reference cube under `op`, straight from the non-zeros.
-CubeResult reference_op_cube(const SparseArray& root, AggregateOp op) {
-  const int n = root.ndim();
-  CubeResult result(root.shape().extents());
-  for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
-    const DimSet view = DimSet::from_mask(mask);
-    std::vector<std::int64_t> extents;
-    for (int d : view.dims()) {
-      extents.push_back(root.shape().extent(d));
-    }
-    DenseArray array{Shape{extents}};
-    fill_identity(op, array);
-    std::vector<std::int64_t> coords;
-    root.for_each_nonzero([&](const std::int64_t* idx, Value v) {
-      coords.clear();
-      for (int d : view.dims()) {
-        coords.push_back(idx[d]);
-      }
-      combine(op, array.at(coords), contribution_of(op, v));
-    });
-    finalize_view(op, array);
-    result.put(view, std::move(array));
-  }
-  return result;
-}
-
 class BuilderOpsTest : public ::testing::TestWithParam<AggregateOp> {};
 
 TEST_P(BuilderOpsTest, SequentialMatchesReference) {
   const AggregateOp op = GetParam();
   const SparseArray root = generate_sparse_global(test_spec());
-  const CubeResult expected = reference_op_cube(root, op);
+  const CubeResult expected = testing::reference_op_cube(root, op);
   const CubeResult actual = build_cube_sequential(root, nullptr, op);
   EXPECT_EQ(compare_cubes(expected, actual), "") << to_string(op);
 }
@@ -106,7 +81,7 @@ TEST_P(BuilderOpsTest, TiledMatchesReference) {
   TiledBuildStats stats;
   const CubeResult tiled = build_cube_tiled(root, plan, &stats, op);
   EXPECT_EQ(stats.tiles, 3);
-  EXPECT_EQ(compare_cubes(reference_op_cube(root, op), tiled), "")
+  EXPECT_EQ(compare_cubes(testing::reference_op_cube(root, op), tiled), "")
       << to_string(op);
   EXPECT_EQ(tiled.query(DimSet::of({1, 2}), {0, 0}),
             op == AggregateOp::kCount ? 1.0 : 7.0)

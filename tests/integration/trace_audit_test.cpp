@@ -4,7 +4,8 @@
 // double consumption, a foreign or out-of-range match, a causal cycle, a
 // swapped send offset, a dropped gather receive, an extra event, an empty
 // record, a send's wire size above its logical size or, codec off, off
-// it — is reported.
+// it, a receive that took other wire bytes than its send shipped — is
+// reported.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "cubist/cubist.h"
+#include "test_util.h"
 
 namespace cubist {
 namespace {
@@ -297,7 +299,7 @@ TEST(TraceAuditTest, WireAboveLogicalSizeIsReported) {
   EventTrace trace = recorded_build().trace;
   const std::size_t index = first_of(trace, 1, TraceEventKind::kSend);
   TraceEvent& send = trace.ranks[1][index];
-  send.wire = send.units + 1;
+  testing::set_wire(trace, send, send.units + 1);
   const AnalysisReport report = audit(trace);
   ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
   const Violation& v = report.violations[0];
@@ -317,11 +319,29 @@ TEST(TraceAuditTest, CodecOffWireMustEqualLogicalSize) {
   const std::size_t index = first_of(trace, 1, TraceEventKind::kSend);
   TraceEvent& send = trace.ranks[1][index];
   EXPECT_EQ(send.wire, send.units);
-  send.wire -= 1;
+  testing::set_wire(trace, send, send.wire - 1);
   const Violation v =
       only_violation(audit_trace(recorded.spec, recorded.plan, trace));
   EXPECT_EQ(v.rank, 1);
   EXPECT_TRUE(mentions(v, "codec off")) << v.to_string();
+}
+
+TEST(TraceAuditTest, ReceiveMustTakeTheWireBytesItsSendShipped) {
+  // A receive records the bytes it took off the wire: the wire bytes of
+  // the send it consumed, with the codec on or off. One that took 1,000
+  // bytes more departs from the record, though every other field equals
+  // the plan.
+  for (bool encode_wire : {true, false}) {
+    const Recorded recorded = record_build(/*message_elements=*/4, encode_wire);
+    EventTrace trace = recorded.trace;
+    const std::size_t index = first_of(trace, 0, TraceEventKind::kRecv);
+    trace.ranks[0][index].units += 1000;
+    const Violation v =
+        only_violation(audit_trace(recorded.spec, recorded.plan, trace));
+    EXPECT_EQ(v.rank, 0) << "codec " << encode_wire;
+    EXPECT_EQ(v.actual, v.expected + 1000) << "codec " << encode_wire;
+    EXPECT_TRUE(mentions(v, "wire size")) << v.to_string();
+  }
 }
 
 TEST(TraceAuditTest, ReportRendersJson) {

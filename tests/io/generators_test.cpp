@@ -10,6 +10,7 @@
 
 #include "array/aggregate.h"
 #include "common/error.h"
+#include "common/mathutil.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "minimpi/proc_grid.h"
@@ -121,7 +122,62 @@ SparseArray reference_extract(const SparseArray& global, const BlockRange& block
 }
 
 TEST(GeneratorsTest, DefaultChunksClipToExtent) {
-  EXPECT_EQ(default_chunks({64, 8, 4}), (std::vector<std::int64_t>{16, 8, 4}));
+  using Extents = std::vector<std::int64_t>;
+  EXPECT_EQ(default_chunks({64, 8, 4}), (Extents{16, 8, 4}));
+  // A shape whose min(16, extent) chunk holds at most 2^16 cells keeps it:
+  // every shape of up to 4 dimensions, and a small 5-D one.
+  EXPECT_EQ(default_chunks({100}), (Extents{16}));
+  EXPECT_EQ(default_chunks({64, 64, 64, 64}), (Extents{16, 16, 16, 16}));
+  EXPECT_EQ(default_chunks({3, 70, 16, 5}), (Extents{3, 16, 16, 5}));
+  EXPECT_EQ(default_chunks({8, 8, 8, 8, 4}), (Extents{8, 8, 8, 8, 4}));
+  // A larger chunk is halved from dimension 0 first, down to 2^16 cells.
+  EXPECT_EQ(default_chunks({16, 16, 16, 16, 8}), (Extents{2, 16, 16, 16, 8}));
+  EXPECT_EQ(default_chunks({13, 10, 9, 11, 14}), (Extents{4, 10, 9, 11, 14}));
+  EXPECT_EQ(default_chunks({64, 64, 64, 64, 64}),
+            (Extents{1, 16, 16, 16, 16}));
+  EXPECT_EQ(default_chunks({16, 16, 16, 16, 16, 16}),
+            (Extents{1, 1, 16, 16, 16, 16}));
+  EXPECT_EQ(default_chunks({5, 3, 16, 16, 16, 16, 2}),
+            (Extents{1, 1, 8, 16, 16, 16, 2}));
+  EXPECT_EQ(default_chunks(Extents(8, 16)),
+            (Extents{1, 1, 1, 1, 16, 16, 16, 16}));
+  // The same rule over many shapes of 1 to 8 dimensions: dimensions before
+  // the halved one are 1, the ones after it keep min(16, extent), and the
+  // halving stops at the first chunk of at most 2^16 cells.
+  constexpr std::int64_t kCap = std::int64_t{1} << 16;
+  Xoshiro256ss rng(7);
+  for (int trial = 0; trial < 400; ++trial) {
+    Extents sizes(1 + rng.next_below(8));
+    for (std::int64_t& extent : sizes) {
+      extent = 1 + static_cast<std::int64_t>(rng.next_below(40));
+    }
+    Extents clipped;
+    for (std::int64_t extent : sizes) {
+      clipped.push_back(std::min<std::int64_t>(16, extent));
+    }
+    const Extents chunks = default_chunks(sizes);
+    ASSERT_EQ(chunks.size(), sizes.size());
+    if (checked_product(clipped) <= kCap) {
+      EXPECT_EQ(chunks, clipped);
+      continue;
+    }
+    EXPECT_LE(checked_product(chunks), kCap);
+    // The halved dimension is the last one the rule changed.
+    std::size_t halved = 0;
+    for (std::size_t d = 0; d < chunks.size(); ++d) {
+      if (chunks[d] != clipped[d]) halved = d;
+    }
+    for (std::size_t d = 0; d < halved; ++d) EXPECT_EQ(chunks[d], 1) << d;
+    // One halving fewer of that dimension would not fit.
+    std::int64_t previous = clipped[halved];
+    while (previous > 1 && (previous + 1) / 2 != chunks[halved]) {
+      previous = (previous + 1) / 2;
+    }
+    ASSERT_EQ((previous + 1) / 2, chunks[halved]);
+    Extents larger = chunks;
+    larger[halved] = previous;
+    EXPECT_GT(checked_product(larger), kCap);
+  }
 }
 
 TEST(GeneratorsTest, DensityIsApproximatelyHonored) {
@@ -257,6 +313,19 @@ TEST(GeneratorsTest, BlocksMatchARowMajorReferenceChunkForChunk) {
       {{33, 17}, {5, 4}, BlockRange({0, 0}, {33, 17})},
       {{33, 17}, {5, 4}, BlockRange({6, 3}, {31, 16})},
       {{24, 20, 18}, {}, BlockRange({16, 4, 0}, {24, 20, 9})},
+      // Default 5-D chunks span the trailing dimensions whole: each is one
+      // row, and in the blocks rows span the dimensions the array has
+      // whole and stop at the ones it does not.
+      {{16, 16, 16, 16, 8}, {},
+       BlockRange({0, 0, 0, 0, 0}, {16, 16, 16, 16, 8})},
+      {{13, 10, 9, 11, 14}, {},
+       BlockRange({0, 0, 0, 0, 0}, {13, 10, 9, 11, 14})},
+      {{16, 16, 16, 16, 8}, {},
+       BlockRange({0, 0, 0, 0, 4}, {16, 16, 16, 16, 8})},
+      {{16, 16, 16, 16, 8}, {},
+       BlockRange({0, 0, 0, 8, 0}, {16, 16, 16, 16, 8})},
+      {{16, 16, 16, 16, 8}, {},
+       BlockRange({3, 0, 0, 0, 0}, {16, 16, 16, 16, 8})},
   };
   for (const Case& c : cases) {
     for (double density : {0.0, 0.05, 0.3, 1.0}) {
@@ -353,8 +422,10 @@ TEST(GeneratorsTest, GeneratedBytesMatchPinnedDigests) {
       {"zipf long rows", {6, 130}, {4, 130}, 0.25, 1.1, {1, 3}, {6, 130}, 115,
        0x29af825bc1d88e44},
       {"zipf 1-D", {300}, {300}, 0.1, 0.8, {}, {}, 24, 0xae16c5ea46e34f98},
-      {"5-D one chunk", {16, 16, 16, 16, 8}, {}, 0.25, 0.0, {}, {},
-       130768, 0xd6032b1074b9a020},
+      {"5-D one chunk", {16, 16, 16, 16, 8}, {16, 16, 16, 16, 8}, 0.25, 0.0,
+       {}, {}, 130768, 0xd6032b1074b9a020},
+      {"5-D default chunks", {16, 16, 16, 16, 8}, {}, 0.25, 0.0, {}, {},
+       130768, 0xee1e85024c1e3726},
   };
   for (const Pinned& p : pinned) {
     SparseSpec spec;

@@ -7,9 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "array/aggregate_op.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
+#include "common/dimset.h"
 #include "common/rng.h"
+#include "core/cube_result.h"
+#include "minimpi/event_trace.h"
 
 namespace cubist::testing {
 
@@ -63,6 +67,54 @@ inline std::string chunk_difference(const SparseArray& a,
     }
   }
   return out.str();
+}
+
+/// Brute-force cube under `op`, straight from the non-zeros: every proper
+/// view combines each non-zero's contribution at its projected cell.
+inline CubeResult reference_op_cube(const SparseArray& root, AggregateOp op) {
+  const int n = root.ndim();
+  CubeResult result(root.shape().extents());
+  for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
+    const DimSet view = DimSet::from_mask(mask);
+    std::vector<std::int64_t> extents;
+    for (int d : view.dims()) {
+      extents.push_back(root.shape().extent(d));
+    }
+    DenseArray array{Shape{extents}};
+    fill_identity(op, array);
+    std::vector<std::int64_t> coords;
+    root.for_each_nonzero([&](const std::int64_t* idx, Value v) {
+      coords.clear();
+      for (int d : view.dims()) {
+        coords.push_back(idx[d]);
+      }
+      combine(op, array.at(coords), contribution_of(op, v));
+    });
+    finalize_view(op, array);
+    result.put(view, std::move(array));
+  }
+  return result;
+}
+
+/// Sets the wire bytes of `send`, an event of `trace`, and the bytes the
+/// receive that consumed it took: the send shipped `wire` bytes, and the
+/// record stays consistent on both ends.
+inline void set_wire(EventTrace& trace, TraceEvent& send, std::int64_t wire) {
+  for (std::size_t rank = 0; rank < trace.ranks.size(); ++rank) {
+    const std::vector<TraceEvent>& events = trace.ranks[rank];
+    for (std::size_t index = 0; index < events.size(); ++index) {
+      if (&events[index] != &send) continue;
+      for (std::vector<TraceEvent>& receiver : trace.ranks) {
+        for (TraceEvent& e : receiver) {
+          if (e.kind == TraceEventKind::kRecv &&
+              e.peer == static_cast<int>(rank) && e.match_seq == index) {
+            e.units = wire;
+          }
+        }
+      }
+    }
+  }
+  send.wire = wire;
 }
 
 }  // namespace cubist::testing

@@ -127,8 +127,9 @@ normalizes the per-run JSON into one stable document:
   }
 
 The speedups block is how docs/PERFORMANCE.md's headline numbers are
-regenerated; CI's bench-smoke job runs `--smoke` (tiny min-time, dense
-kernels only) purely to prove the harness and the JSON stay well-formed.
+regenerated; CI's bench-smoke job runs `--smoke` (tiny min-time; the
+dense and sparse kernels and the generator only) to prove the harness and
+the JSON stay well-formed and to show each row's thread scaling.
 
 Usage:
   tools/bench_report.py                        # full sweep, 1 and nproc
@@ -837,7 +838,7 @@ def main():
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI mode: dense kernels only, tiny min-time, still writes JSON",
+        help="CI mode: scan kernels and generator, tiny min-time, JSON",
     )
     parser.add_argument(
         "--comm",
@@ -878,7 +879,8 @@ def main():
     bench_filter = args.filter
     min_time = args.min_time
     if args.smoke:
-        bench_filter = bench_filter or "BM_DenseMultiway|BM_SparseMultiway"
+        bench_filter = (bench_filter or
+                        "BM_DenseMultiway|BM_SparseMultiway|BM_Generator")
         min_time = 0.01
 
     binary = find_binary(args.binary, "bench_kernels")

@@ -17,12 +17,12 @@
 //
 // --self-test proves the analyses actually detect the seeded bugs: a
 // dropped send and a tag collision are planted in the plan via
-// apply_schedule_mutation (the replay verifier must catch both), and five
+// apply_schedule_mutation (the replay verifier must catch both), and six
 // tamperings are planted in the trace of one small recorded build (the
 // post-run audit must find each departure from the build's certified
-// plan, and a send that puts more bytes on the wire than its logical
-// size). It fails unless every plant is caught and both unmutated
-// controls pass.
+// plan, a receive that took more wire bytes than its send shipped, and a
+// send that puts more bytes on the wire than its logical size). It fails
+// unless every plant is caught and both unmutated controls pass.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -309,6 +309,12 @@ int self_test() {
   if (gathered) truncated.ranks[0].pop_back();
   expect(gathered && caught(truncated),
          "rank 0's last gather receive dropped -> reported");
+
+  EventTrace oversized = build.trace;
+  recv = first_event(oversized, TraceEventKind::kRecv);
+  if (recv != nullptr) recv->units += 1000;
+  expect(recv != nullptr && caught(oversized),
+         "receive taking more wire bytes than were sent -> reported");
 
   EventTrace overrun = build.trace;
   TraceEvent* send = first_event(overrun, TraceEventKind::kSend);
