@@ -1,5 +1,5 @@
 // Microbenchmarks of the minimpi substrate itself: real wall-clock cost
-// of point-to-point transfers, binomial reductions and barriers on the
+// of point-to-point transfers and binomial reductions on the
 // thread-rank transport (NOT the virtual clock — this measures the
 // reproduction harness's own overhead).
 #include "bench_util.h"
@@ -55,20 +55,6 @@ BENCHMARK(BM_ReduceSum)
     ->Args({8, 16384})
     ->Args({16, 16384})
     ->Unit(benchmark::kMillisecond);
-
-void BM_Barrier(benchmark::State& state) {
-  const int p = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(p, free_model(), [](Comm& comm) {
-      for (int i = 0; i < 10; ++i) {
-        comm.barrier();
-      }
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 10);
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->Arg(16)->Unit(
-    benchmark::kMillisecond);
 
 /// Two-tier topology reduce: virtual-clock makespan of a whole-group
 /// reduction on a cluster-of-SMPs (3 ranks per node, inter-node link an

@@ -91,9 +91,6 @@ std::vector<std::byte> encode_chunk(std::span<const Value> chunk,
     }
   }
 
-  const bool runs_allowed =
-      static_cast<double>(nonzero) <=
-      policy.density_threshold * static_cast<double>(n);
   const auto r = static_cast<std::int64_t>(runs.size());
   const std::int64_t header = static_cast<std::int64_t>(sizeof(WireHeader));
   const std::int64_t directory = r * static_cast<std::int64_t>(sizeof(WireRun));
@@ -110,9 +107,8 @@ std::vector<std::byte> encode_chunk(std::span<const Value> chunk,
     }
   };
   consider(WireKind::kRunsNarrow, header + directory + nonzero * 4,
-           runs_allowed && values_narrow);
-  consider(WireKind::kRunsWide, header + directory + nonzero * 8,
-           runs_allowed);
+           values_narrow);
+  consider(WireKind::kRunsWide, header + directory + nonzero * 8, true);
   consider(WireKind::kDenseNarrow, header + n * 4, all_narrow);
   if (best == WireKind::kRaw) return encode_raw(chunk);
 

@@ -50,12 +50,9 @@ class ThreadPool;
 /// Encoding policy of one reduction (ParallelOptions plumbs this through).
 struct WirePolicy {
   /// Master switch. Disabled, the reduce path ships raw Values and each
-  /// send's wire bytes equal its logical bytes exactly.
+  /// send's wire bytes equal its logical bytes exactly. Enabled, every
+  /// chunk ships in the smallest of the four forms.
   bool enabled = true;
-  /// Non-identity fraction at or below which the run encodings compete;
-  /// denser chunks only consider kRaw/kDenseNarrow (skipping the run
-  /// directory build for chunks that could not win).
-  double density_threshold = 0.5;
 };
 
 /// Wire forms; kRaw never carries a header.

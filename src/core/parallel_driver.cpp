@@ -118,20 +118,16 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
 
   // Live telemetry of the static certificates: per-view wire bytes over
   // the dense Lemma-1 bound (obs/drift.h), plus build high-water gauges.
-  if (obs::drift_enabled()) {
-    obs::DriftGauge& gauge = obs::wire_vs_lemma1_gauge();
-    const std::map<std::uint32_t, std::int64_t> bound_elements =
-        volume_by_view_elements(sizes, log_splits);
-    for (const auto& [mask, elements] : bound_elements) {
-      if (elements == 0) continue;
-      const auto it = report.wire_bytes_by_view.find(mask);
-      const double observed =
-          it == report.wire_bytes_by_view.end()
-              ? 0.0
-              : static_cast<double>(it->second);
-      gauge.record(observed, static_cast<double>(elements) *
-                                 static_cast<double>(sizeof(Value)));
-    }
+  obs::DriftGauge& gauge = obs::wire_vs_lemma1_gauge();
+  for (const auto& [mask, elements] :
+       volume_by_view_elements(sizes, log_splits)) {
+    if (elements == 0) continue;
+    const auto it = report.wire_bytes_by_view.find(mask);
+    const double observed = it == report.wire_bytes_by_view.end()
+                                ? 0.0
+                                : static_cast<double>(it->second);
+    gauge.record(observed, static_cast<double>(elements) *
+                               static_cast<double>(sizeof(Value)));
   }
   obs::Registry& registry = obs::Registry::global();
   registry

@@ -65,7 +65,6 @@
 #include "lattice/volume_model.h"      // Lemma 1 / Theorem 3
 #include "minimpi/comm.h"              // message passing endpoint
 #include "minimpi/cost_model.h"        // virtual-time constants
-#include "minimpi/drift_calibration.h" // reduce clock-vs-sim calibration
 #include "minimpi/proc_grid.h"         // processor grid + lead processors
 #include "minimpi/runtime.h"           // SPMD runtime
 #include "obs/drift.h"                 // model-vs-measured drift gauges

@@ -183,6 +183,20 @@ std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
   return program;
 }
 
+ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
+                                              double density_hint,
+                                              bool encode_wire) {
+  const double density = std::clamp(density_hint, 0.0, 1.0);
+  // The adaptive codec ships narrow integers for dense chunks (~0.5x)
+  // and run-skips identity cells for sparse ones; a clamped density is a
+  // good monotone proxy and is applied identically to every candidate.
+  const double wire_factor =
+      encode_wire ? std::clamp(density, 0.05, 0.5) : 1.0;
+  const auto count = static_cast<double>(elements);
+  return {count * static_cast<double>(sizeof(Value)) * wire_factor,
+          count * density};
+}
+
 double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                std::span<const int> group,
                                std::int64_t total_elements,
@@ -191,12 +205,6 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                bool encode_wire) {
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return 0.0;
-  const double density = std::clamp(density_hint, 0.0, 1.0);
-  // The adaptive codec ships narrow integers for dense chunks (~0.5x)
-  // and run-skips identity cells for sparse ones; a clamped density is a
-  // good monotone proxy and is applied identically to every candidate.
-  const double wire_factor =
-      encode_wire ? std::clamp(density, 0.05, 0.5) : 1.0;
 
   std::vector<std::vector<ReduceOp>> programs(static_cast<std::size_t>(g));
   for (int i = 0; i < g; ++i) {
@@ -221,18 +229,17 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
       std::size_t& next = pc[static_cast<std::size_t>(i)];
       for (; next < program.size(); ++next) {
         const ReduceOp& op = program[next];
-        const auto elements = static_cast<double>(op.count);
+        const ReducePayloadEstimate estimate =
+            estimate_reduce_payload(op.count, density_hint, encode_wire);
         if (op.step.kind == ReduceStep::Kind::kSend) {
-          const double wire_bytes =
-              elements * static_cast<double>(sizeof(Value)) * wire_factor;
-          arrivals[{group[i], op.step.peer}].push_back(
-              model.charge_send(t, group[i], op.step.peer, wire_bytes));
+          arrivals[{group[i], op.step.peer}].push_back(model.charge_send(
+              t, group[i], op.step.peer, estimate.wire_bytes));
         } else {
           std::deque<double>& queue = arrivals[{op.step.peer, group[i]}];
           if (queue.empty()) break;  // blocked on an in-flight message
           CostModel::charge_receive(t, queue.front());
           queue.pop_front();
-          model.charge_combine(t, elements * density);
+          model.charge_combine(t, estimate.updates);
         }
         progress = true;
       }

@@ -120,11 +120,24 @@ std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
                                      std::int64_t max_message_elements,
                                      const Topology& topology);
 
+/// The tuner's estimate of one reduce op's payload, made from the static
+/// density hint: the wire bytes a send of `elements` puts on the link
+/// and the combine updates its receiver applies. simulate_reduce_seconds
+/// prices every op of its replay on it; Comm::reduce prices every op it
+/// executes on it beside the payload it actually shipped or folded, which
+/// is what the reduce drift gauge compares (obs/drift.h).
+struct ReducePayloadEstimate {
+  double wire_bytes = 0.0;
+  double updates = 0.0;
+};
+ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
+                                              double density_hint,
+                                              bool encode_wire);
+
 /// Predicted makespan of one reduction under `algorithm` (must be
 /// forced): a deterministic event-driven replay of every member's
 /// reduce_program, charged by the same CostModel functions the runtime's
-/// virtual clock calls. `density_hint` scales the estimated wire bytes
-/// (when `encode_wire`) and combine updates.
+/// virtual clock calls, on estimate_reduce_payload's payloads.
 double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                std::span<const int> group,
                                std::int64_t total_elements,

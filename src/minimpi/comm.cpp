@@ -20,6 +20,13 @@ int index_in_group(std::span<const int> group, int rank) {
   return -1;
 }
 
+/// The process-wide reduce drift gauge, looked up once; every member of
+/// every reduce records into it (DriftGauge::record is thread-safe).
+obs::DriftGauge& reduce_drift_gauge() {
+  static obs::DriftGauge& gauge = obs::reduce_clock_vs_sim_gauge();
+  return gauge;
+}
+
 }  // namespace
 
 Comm::Comm(RuntimeState& state, int rank) : state_(state), rank_(rank) {}
@@ -112,10 +119,7 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
       options.algorithm, group, total, options.max_message_elements, model,
       options.density_hint, options.wire.enabled);
 
-  // Timeline span for the whole collective; the certified drift ratio is
-  // produced by the barrier-aligned calibration replay
-  // (minimpi/drift_calibration.h), but the per-call tuner prediction
-  // rides along here as a tag so skew is visible in the trace.
+  // Timeline span for the whole collective.
   obs::Span span("comm", "reduce");
   const double clock_at_entry = clock_;
   if (span.active()) {
@@ -123,15 +127,15 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
         .tag("elements", total)
         .tag("group", static_cast<std::int64_t>(g))
         .tag("root", static_cast<std::int64_t>(group[0]));
-    if (obs::drift_enabled()) {
-      span.tag("sim_seconds",
-               simulate_reduce_seconds(algorithm, group, total,
-                                       options.max_message_elements, model,
-                                       options.density_hint,
-                                       options.wire.enabled));
-    }
   }
 
+  // The reduce drift gauge's sample: this member's own send and combine
+  // charges on the payloads it ships and folds (observed), and the same
+  // charges on the tuner's estimates of those payloads (model). Waits
+  // enter neither side, so rank skew cannot move the ratio; the live
+  // clock is charged as it always is.
+  double observed = 0.0;
+  double modeled = 0.0;
   // Per destination cell the combine order is the program's fixed step
   // order, identical for every chunk size — the chunking is invisible in
   // the output bits.
@@ -140,10 +144,16 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
                       options.max_message_elements, model.topology)) {
     const std::span<Value> chunk(data.data() + next.offset,
                                  static_cast<std::size_t>(next.count));
+    const ReducePayloadEstimate estimate = estimate_reduce_payload(
+        next.count, options.density_hint, options.wire.enabled);
     if (next.step.kind == ReduceStep::Kind::kSend) {
+      std::vector<std::byte> payload = encode_chunk(chunk, op, options.wire);
+      model.charge_send(observed, rank_, next.step.peer,
+                        static_cast<double>(payload.size()));
+      model.charge_send(modeled, rank_, next.step.peer, estimate.wire_bytes);
       send_wire(next.step.peer, tag,
                 next.count * static_cast<std::int64_t>(sizeof(Value)),
-                next.offset, encode_chunk(chunk, op, options.wire));
+                next.offset, std::move(payload));
       continue;
     }
     const std::vector<std::byte> payload = recv_bytes(next.step.peer, tag);
@@ -156,10 +166,11 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     // One update per combined element (run-skipped identity cells cost
     // nothing).
     model.charge_combine(clock_, static_cast<double>(updates));
+    model.charge_combine(observed, static_cast<double>(updates));
+    model.charge_combine(modeled, estimate.updates);
   }
+  reduce_drift_gauge().record(observed, modeled);
   if (span.active()) span.tag("clock_delta_seconds", clock_ - clock_at_entry);
 }
-
-void Comm::barrier() { clock_ = state_.barrier(clock_); }
 
 }  // namespace cubist

@@ -33,9 +33,10 @@ struct ReduceOptions {
   /// topology). The choice never changes the result bits or the shipped
   /// volume — only the schedule.
   ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
-  /// Static non-identity-fraction hint for the kAuto tuner's wire and
-  /// combine estimates. Deliberately NOT measured at runtime so the
-  /// static planner resolves kAuto to the identical schedule.
+  /// Static non-identity-fraction hint for the tuner's wire and combine
+  /// estimates (estimate_reduce_payload), which kAuto picks on and the
+  /// reduce drift gauge checks. Deliberately NOT measured at runtime so
+  /// the static planner resolves kAuto to the identical schedule.
   double density_hint = 1.0;
   /// Chunk size in elements (0 = whole block per message; the ring
   /// auto-chunks in that case — see reduce_chunk_elements). Smaller
@@ -107,7 +108,11 @@ class Comm {
   /// is adaptively encoded under `options.wire`; each send event records
   /// logical and wire bytes per message, and the clock charges the
   /// transfer at wire size through CostModel's charge_* functions, the
-  /// same ones simulate_reduce_seconds replays.
+  /// same ones simulate_reduce_seconds replays. Each member records one
+  /// sample into the reduce drift gauge (obs/drift.h): its send and
+  /// combine charges on the payloads it shipped and folded, against the
+  /// same charges on estimate_reduce_payload's guesses; waits count on
+  /// neither side.
   ///
   /// Determinism: every receive is fixed-source, so per destination cell
   /// the combine order is the chosen schedule's step order, identical
@@ -117,11 +122,6 @@ class Comm {
   /// Zero-size blocks return immediately without touching the wire.
   void reduce(std::span<const int> group, DenseArray& data, std::uint64_t tag,
               AggregateOp op, const ReduceOptions& options = {});
-
-  /// Global barrier; also synchronizes virtual clocks to the max plus a
-  /// log2(p) latency term. Not a communication event: the trace does not
-  /// record it.
-  void barrier();
 
  private:
   /// The one send primitive: ships `payload` (the chunk at `offset`

@@ -74,13 +74,6 @@ struct CostModel {
     return intra_link();
   }
 
-  /// Worst-case per-message latency over all edges (what a barrier's
-  /// synchronization rounds must assume).
-  double max_latency() const {
-    return topology.two_tier() ? std::max(latency, topology.inter.latency)
-                               : latency;
-  }
-
   /// Send of `wire_bytes` from rank `src` to rank `dst`: the sender's
   /// `clock` is busy for the edge's overhead plus the transfer, and the
   /// message arrives one edge latency later. Returns the arrival time.

@@ -1,16 +1,12 @@
 // RuntimeState: the shared (runtime-internal) state behind Comm.
 //
-// Only the transport adaptor and synchronization primitives live here;
-// rank programs never touch it directly, preserving the shared-nothing
-// model. The transport is injected (Runtime::run's TransportFactory) and
+// Only the transport adaptor and the run's event trace live here; rank
+// programs never touch it directly, preserving the shared-nothing model.
+// The transport is injected (Runtime::run's TransportFactory) and
 // defaults to the in-process mailbox adaptor.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "minimpi/cost_model.h"
@@ -48,52 +44,14 @@ class RuntimeState {
   /// Moves the trace out (call after the rank threads joined).
   EventTrace take_trace() { return std::move(trace_); }
 
-  void abort_all() {
-    aborted_.store(true);
-    transport_->abort();
-    // Unblock barrier waiters too.
-    barrier_cv_.notify_all();
-  }
-  bool aborted() const { return aborted_.load(); }
-
-  /// Generation barrier that also synchronizes virtual clocks: every
-  /// participant's clock becomes max(clocks) + worst-edge latency *
-  /// ceil(log2(p)). Returns the released clock value.
-  double barrier(double clock) {
-    std::unique_lock lock(barrier_mutex_);
-    const long my_generation = barrier_generation_;
-    barrier_max_clock_ = std::max(barrier_max_clock_, clock);
-    if (++barrier_arrived_ == size_) {
-      int rounds = 0;
-      while ((1 << rounds) < size_) ++rounds;
-      barrier_release_clock_ =
-          barrier_max_clock_ + model_.max_latency() * rounds;
-      barrier_arrived_ = 0;
-      barrier_max_clock_ = 0.0;
-      ++barrier_generation_;
-      barrier_cv_.notify_all();
-    } else {
-      barrier_cv_.wait(lock, [&] {
-        return barrier_generation_ != my_generation || aborted_.load();
-      });
-      if (aborted_.load()) throw AbortedError();
-    }
-    return barrier_release_clock_;
-  }
+  /// Wakes every rank blocked in a receive with AbortedError.
+  void abort_all() { transport_->abort(); }
 
  private:
   int size_;
   CostModel model_;
   std::unique_ptr<Transport> transport_;
   EventTrace trace_;
-  std::atomic<bool> aborted_{false};
-
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  long barrier_generation_ = 0;
-  double barrier_max_clock_ = 0.0;
-  double barrier_release_clock_ = 0.0;
 };
 
 }  // namespace cubist

@@ -1,30 +1,7 @@
-// Canonical drift gauge registration and the runtime enable switch.
+// Canonical drift gauge registration.
 #include "obs/drift.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace cubist::obs {
-namespace {
-
-std::atomic<bool>& drift_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* value = std::getenv("CUBIST_DRIFT");
-    return value != nullptr &&
-           (std::strcmp(value, "1") == 0 || std::strcmp(value, "true") == 0 ||
-            std::strcmp(value, "on") == 0);
-  }();
-  return flag;
-}
-
-}  // namespace
-
-bool drift_enabled() { return drift_flag().load(std::memory_order_relaxed); }
-
-void set_drift_enabled(bool enabled) {
-  drift_flag().store(enabled, std::memory_order_relaxed);
-}
 
 DriftGauge& wire_vs_lemma1_gauge(Registry& registry) {
   return registry.drift(
@@ -35,7 +12,8 @@ DriftGauge& wire_vs_lemma1_gauge(Registry& registry) {
 DriftGauge& reduce_clock_vs_sim_gauge(Registry& registry) {
   return registry.drift(
       kDriftReduceClockVsSim, kReduceClockVsSimMin, kReduceClockVsSimMax,
-      "measured reduce virtual-clock seconds over simulate_reduce_seconds");
+      "reduce send+combine clock charges on shipped payloads over the "
+      "same charges on the tuner's payload estimates");
 }
 
 DriftGauge& query_cost_vs_cells_gauge(Registry& registry) {

@@ -1,29 +1,31 @@
 // Canonical drift gauges: the paper's static certificates as telemetry.
 //
-// Three observed-vs-model ratios, each pairing a measurement the runtime
-// already produces with a closed form the verifier already certifies:
+// Three observed-vs-model ratios, each fed by the work it watches — no
+// replay, no switch: every parallel build, every Comm::reduce and every
+// served query records as it runs.
 //
 //   cubist_drift_wire_vs_lemma1     — wire bytes shipped per view vs the
 //       dense Lemma-1 volume bound (volume_by_view_elements · value
-//       size). The wire codec may only ever undercut the bound, so the
-//       tolerance is (0, 1]: a ratio above 1 means traffic escaped the
-//       certificate, far below the floor means the accounting broke.
-//   cubist_drift_reduce_clock_vs_sim — the root rank's measured virtual
-//       clock advance across one Comm::reduce vs the cost tuner's
-//       simulate_reduce_seconds prediction for the same (algorithm,
-//       group, payload). The simulation replays the same charging rules
-//       the transport applies, so this certifies the tuner still models
-//       the collective it tuned.
+//       size), one sample per view of every parallel build. The wire
+//       codec may only ever undercut the bound, so the tolerance is
+//       (0, 1]: a ratio above 1 means traffic escaped the certificate,
+//       far below the floor means the accounting broke.
+//   cubist_drift_reduce_clock_vs_sim — one sample per Comm::reduce call
+//       and member: the member's own send and combine charges on the
+//       payloads it actually shipped and folded, vs the same charges on
+//       the tuner's estimates of those payloads (estimate_reduce_payload,
+//       which simulate_reduce_seconds prices every op on). Waits enter
+//       neither side, so rank skew cannot move the ratio: it is exactly
+//       1 with the codec off and departs from 1 only where the density
+//       hint has to guess the codec's wire bytes and combine updates.
 //   cubist_drift_query_cost_vs_cells — measured cells_scanned per routed
-//       query vs the query_cost() planning model. Exact on the
-//       projection path by the materialize_from contract, hence the
-//       tight window.
+//       query vs the query_cost() planning model, one sample per
+//       ancestor-routed non-point miss. Exact on the projection path by
+//       the materialize_from contract, hence the tight window.
 //
 // Aggregate ratio = sum(observed)/sum(model); tolerances are gated by
 // tools/bench_report.py --obs in CI (docs/ANALYSIS.md "Drift
-// tolerances"). Recording is guarded by `drift_enabled()` where the
-// model side costs something to evaluate (the reduce gauge re-runs the
-// event simulation); enable via CUBIST_DRIFT=1 or set_drift_enabled().
+// tolerances").
 #pragma once
 
 #include "obs/metrics.h"
@@ -44,11 +46,6 @@ inline constexpr double kReduceClockVsSimMin = 0.5;
 inline constexpr double kReduceClockVsSimMax = 1.5;
 inline constexpr double kQueryCostVsCellsMin = 0.99;
 inline constexpr double kQueryCostVsCellsMax = 1.01;
-
-/// True when drift recording is on (CUBIST_DRIFT env or
-/// set_drift_enabled). One relaxed atomic load.
-bool drift_enabled();
-void set_drift_enabled(bool enabled);
 
 /// The canonical gauges, registered in `registry` (global by default)
 /// with their standard tolerances on first use.

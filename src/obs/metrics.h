@@ -11,8 +11,8 @@
 //
 // Drift gauges are the paper-specific instrument: each one accumulates
 // (observed, model) pairs — wire bytes vs the Lemma-1 dense bound,
-// measured reduce clock vs `simulate_reduce_seconds`, measured
-// `cells_scanned` vs `query_cost()` — and exports the aggregate
+// a reduce member's clock charges vs the tuner's estimate of them,
+// measured `cells_scanned` vs `query_cost()` — and exports the aggregate
 // observed/model ratio plus the per-sample extremes, with a tolerance
 // window `within()` that CI gates on (docs/OBSERVABILITY.md,
 // docs/ANALYSIS.md "Drift tolerances").

@@ -227,8 +227,7 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(const Query& query) {
   // path (direct_cells: slices touch |view|/extent) and the raw-input
   // path (nnz vs the dense root the model charges) price differently by
   // design and are excluded.
-  if (ancestor_routed && query.kind != QueryKind::kPoint &&
-      obs::drift_enabled()) {
+  if (ancestor_routed && query.kind != QueryKind::kPoint) {
     query_drift_->record(static_cast<double>(cells),
                          static_cast<double>(cube->view(*route).size()));
   }

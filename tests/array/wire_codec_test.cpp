@@ -166,19 +166,18 @@ TEST(WireCodecTest, TinyChunksNeverMasqueradeAsRaw) {
   check_round_trip(two, AggregateOp::kSum);
 }
 
-TEST(WireCodecTest, ThresholdGatesRunEncodings) {
-  // 60% dense with non-integer values: runs are the only shrinking form,
-  // but a 0.5 threshold forbids them -> raw. A permissive threshold
-  // enables them.
+TEST(WireCodecTest, SmallestFormWinsAtAnyDensity) {
+  // 60% dense with non-integer values: no narrow form applies, and one
+  // run of 60 wide values is the only form smaller than raw. No density
+  // gate stands between the chunk and its smallest form.
   std::vector<Value> chunk(100, 0.0);
   for (std::size_t i = 0; i < 60; ++i) chunk[i] = 1.5;
-  const auto strict = encode_chunk(chunk, AggregateOp::kSum, {});
-  EXPECT_EQ(strict.size(), chunk.size() * sizeof(Value));
-  WirePolicy permissive;
-  permissive.density_threshold = 1.0;
-  const auto loose = encode_chunk(chunk, AggregateOp::kSum, permissive);
-  EXPECT_LT(loose.size(), chunk.size() * sizeof(Value));
-  check_round_trip(chunk, AggregateOp::kSum, permissive);
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+  EXPECT_EQ(payload.size(),
+            sizeof(WireHeader) + sizeof(WireRun) + 60 * sizeof(Value));
+  EXPECT_LT(payload.size(), chunk.size() * sizeof(Value));
+  EXPECT_EQ(parse_chunk(payload, 100).kind, WireKind::kRunsWide);
+  check_round_trip(chunk, AggregateOp::kSum);
 }
 
 TEST(WireCodecTest, CombineMatchesScalarReferenceForAnyPool) {

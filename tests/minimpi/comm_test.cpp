@@ -253,15 +253,6 @@ TEST(VirtualClockTest, ReceiveWaitsForSenderClock) {
   EXPECT_GE(report.makespan_seconds, 3.0);
 }
 
-TEST(VirtualClockTest, BarrierSynchronizesClocks) {
-  const RunReport report = Runtime::run(4, fast_model(), [](Comm& comm) {
-    comm.set_clock(static_cast<double>(comm.rank()));
-    comm.barrier();
-    EXPECT_GE(comm.clock(), 3.0);  // max over ranks
-  });
-  EXPECT_GE(report.makespan_seconds, 3.0);
-}
-
 TEST(VirtualClockTest, DeterministicAcrossRuns) {
   auto job = [](Comm& comm) {
     std::vector<int> group(8);
@@ -270,7 +261,6 @@ TEST(VirtualClockTest, DeterministicAcrossRuns) {
     data.fill(static_cast<Value>(comm.rank()));
     comm.charge_compute(1000 * (comm.rank() + 1), 500);
     comm.reduce(group, data, 1, AggregateOp::kSum);
-    comm.barrier();
   };
   const RunReport a = Runtime::run(8, CostModel{}, job);
   const RunReport b = Runtime::run(8, CostModel{}, job);

@@ -21,8 +21,7 @@ TEST(RuntimeTest, RunsEveryRankExactlyOnce) {
 }
 
 TEST(RuntimeTest, SingleRankWorks) {
-  const RunReport report =
-      Runtime::run(1, CostModel{}, [](Comm& comm) { comm.barrier(); });
+  const RunReport report = Runtime::run(1, CostModel{}, [](Comm&) {});
   EXPECT_EQ(report.rank_seconds.size(), 1u);
   EXPECT_EQ(report.volume.total_messages, 0);
 }
@@ -48,21 +47,28 @@ TEST(RuntimeTest, RankExceptionPropagates) {
                std::runtime_error);
 }
 
-TEST(RuntimeTest, ExceptionWhileOthersWaitInBarrier) {
+TEST(RuntimeTest, ExceptionWhileOthersWaitInReceives) {
+  // Ranks 0-2 block in fixed-source receives that no send will ever
+  // match; rank 3's exception must wake all three and be rethrown.
+  std::atomic<int> woken{0};
   EXPECT_THROW(Runtime::run(4, CostModel{},
-                            [](Comm& comm) {
+                            [&](Comm& comm) {
                               if (comm.rank() == 3) {
                                 throw std::logic_error("boom");
                               }
-                              comm.barrier();
+                              try {
+                                comm.recv_bytes(3, 1);
+                              } catch (const AbortedError&) {
+                                woken.fetch_add(1);
+                                throw;
+                              }
                             }),
                std::logic_error);
+  EXPECT_EQ(woken.load(), 3);
 }
 
 TEST(RuntimeTest, WallTimeIsMeasured) {
-  const RunReport report = Runtime::run(2, CostModel{}, [](Comm& comm) {
-    comm.barrier();
-  });
+  const RunReport report = Runtime::run(2, CostModel{}, [](Comm&) {});
   EXPECT_GT(report.wall_seconds, 0.0);
 }
 

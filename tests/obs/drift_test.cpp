@@ -1,19 +1,127 @@
+// The canonical drift gauges: their registration, and their live feeds.
+// No switch turns the feeds on: a parallel build, each Comm::reduce inside
+// it and each served query record as they run.
 #include "obs/drift.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
+
+#include "core/parallel_driver.h"
+#include "core/partial_cube.h"
+#include "io/generators.h"
+#include "serving/query_engine.h"
 
 namespace cubist::obs {
 namespace {
 
-TEST(DriftTest, EnableSwitchRoundTrips) {
-  const bool previous = drift_enabled();
-  set_drift_enabled(true);
-  EXPECT_TRUE(drift_enabled());
-  set_drift_enabled(false);
-  EXPECT_FALSE(drift_enabled());
-  set_drift_enabled(previous);
+/// What one p = 4 build added to a global gauge.
+struct GaugeDelta {
+  std::int64_t samples = 0;
+  double observed = 0.0;
+  double model = 0.0;
+
+  double ratio() const { return observed / model; }
+};
+
+GaugeDelta delta(const DriftSummary& before, const DriftSummary& after) {
+  return {after.samples - before.samples,
+          after.observed_sum - before.observed_sum,
+          after.model_sum - before.model_sum};
+}
+
+/// Builds a 32^4 cube at 5% density on the (2,2,1,1) grid of four ranks
+/// and returns what the build added to the global reduce and Lemma-1
+/// gauges, in that order.
+std::pair<GaugeDelta, GaugeDelta> build_and_measure(
+    const ParallelOptions& options) {
+  const std::vector<std::int64_t> sizes{32, 32, 32, 32};
+  SparseSpec spec;
+  spec.sizes = sizes;
+  spec.density = 0.05;
+  spec.seed = 5;
+  const DriftSummary reduce_before = reduce_clock_vs_sim_gauge().summary();
+  const DriftSummary wire_before = wire_vs_lemma1_gauge().summary();
+  run_parallel_cube(
+      sizes, {1, 1, 0, 0}, CostModel{},
+      [&spec](int, const BlockRange& block) {
+        return generate_sparse_block(spec, block);
+      },
+      /*collect_result=*/false, options);
+  return {delta(reduce_before, reduce_clock_vs_sim_gauge().summary()),
+          delta(wire_before, wire_vs_lemma1_gauge().summary())};
+}
+
+TEST(DriftTest, EveryReduceFeedsTheReduceGauge) {
+  // With the codec off the tuner's payload estimates are the payloads,
+  // so each member's sample is exact and so is the build's ratio. (No
+  // test before this one in its binary runs a reduce, so the global
+  // sums start equal.)
+  ParallelOptions raw;
+  raw.encode_wire = false;
+  const GaugeDelta exact = build_and_measure(raw).first;
+  EXPECT_GT(exact.samples, 0);
+  EXPECT_GT(exact.observed, 0.0);
+  EXPECT_EQ(exact.observed, exact.model);
+
+  // The codec on with the default hint: the estimates are guesses, but
+  // good ones on these dense partial views.
+  const GaugeDelta encoded = build_and_measure(ParallelOptions{}).first;
+  EXPECT_EQ(encoded.samples, exact.samples);
+  EXPECT_GE(encoded.ratio(), kReduceClockVsSimMin);
+  EXPECT_LE(encoded.ratio(), kReduceClockVsSimMax);
+
+  // The input's density is no hint for its partial aggregates: at 0.05
+  // the tuner prices the same traffic far too cheap, and the gauge says
+  // so.
+  ParallelOptions mispriced;
+  mispriced.reduce_density_hint = 0.05;
+  const GaugeDelta wrong = build_and_measure(mispriced).first;
+  EXPECT_EQ(wrong.samples, exact.samples);
+  EXPECT_GT(wrong.ratio(), kReduceClockVsSimMax);
+}
+
+TEST(DriftTest, EveryBuildFeedsTheLemma1Gauge) {
+  const GaugeDelta wire = build_and_measure(ParallelOptions{}).second;
+  EXPECT_GT(wire.samples, 0);
+  EXPECT_GT(wire.ratio(), kWireVsLemma1Min);
+  EXPECT_LE(wire.ratio(), kWireVsLemma1Max);
+}
+
+TEST(DriftTest, AncestorRoutedMissesFeedTheQueryGauge) {
+  SparseSpec spec;
+  spec.sizes = {6, 5, 4};
+  spec.density = 0.3;
+  spec.seed = 3;
+  const auto input =
+      std::make_shared<const SparseArray>(generate_sparse_global(spec));
+  Registry registry;
+  serving::QueryEngineOptions options;
+  options.registry = &registry;
+  serving::QueryEngine engine(
+      std::make_shared<const PartialCube>(
+          PartialCube::build(input, {DimSet::of({0, 1})})),
+      options);
+  const DriftGauge& gauge = query_cost_vs_cells_gauge(registry);
+  const auto samples = [&gauge] { return gauge.summary().samples; };
+  using serving::Query;
+
+  engine.execute(Query::top_k(DimSet::of({0}), 2));  // ancestor miss
+  EXPECT_EQ(samples(), 1);
+  engine.execute(Query::top_k(DimSet::of({0}), 2));  // cache hit
+  engine.execute(Query::point(DimSet::of({0}), {1}));  // ancestor point
+  engine.execute(Query::top_k(DimSet::of({0, 1}), 2));  // direct
+  engine.execute(Query::top_k(DimSet::of({2}), 2));     // input
+  EXPECT_EQ(samples(), 1);
+  engine.execute(Query::slice(DimSet::of({1}), 0, 3));  // ancestor miss
+  EXPECT_EQ(samples(), 2);
+  // Rejected after its ancestor was projected: no answer, no sample.
+  EXPECT_THROW(engine.execute(Query::slice(DimSet::of({1}), 0, 5)),
+               InvalidArgument);
+  EXPECT_EQ(samples(), 2);
+  EXPECT_DOUBLE_EQ(gauge.summary().ratio, 1.0);
 }
 
 TEST(DriftTest, CanonicalGaugesRegisterWithStandardTolerances) {

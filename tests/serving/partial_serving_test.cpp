@@ -11,6 +11,8 @@
 
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/view_selection.h"
 #include "io/generators.h"
 #include "lattice/cube_lattice.h"
+#include "obs/drift.h"
 #include "serving/query_engine.h"
 #include "serving/workload.h"
 
@@ -354,6 +357,168 @@ TEST(PartialServingTest, EveryRouteRejectsMalformedPoints) {
     for (const std::vector<std::int64_t>& coords : malformed) {
       EXPECT_THROW(engine.execute(Query::point(ab, coords)), InvalidArgument)
           << views.size() << " views, " << coords.size() << " coords";
+    }
+  }
+}
+
+/// Queries over `view` (extents `extents`, at least one), each wrong in
+/// exactly one way: a dimension outside the view, an index or range
+/// outside an extent, an operand count off by one, a bad rollup mapping,
+/// a negative top-k count.
+std::vector<Query> malformed_queries(DimSet view,
+                                     const std::vector<std::int64_t>& extents) {
+  const int m = static_cast<int>(extents.size());
+  const std::vector<std::int64_t> lo(extents.size(), 0);
+  const std::vector<std::int64_t>& hi = extents;
+  std::vector<Query> out;
+  out.push_back(Query::slice(view, m, 0));
+  out.push_back(Query::slice(view, -1, 0));
+  out.push_back(Query::slice(view, 0, extents[0]));
+  out.push_back(Query::slice(view, m - 1, -1));
+
+  out.push_back(Query::dice(view, {lo.begin() + 1, lo.end()},
+                            {hi.begin() + 1, hi.end()}));
+  std::vector<std::int64_t> lo_extra = lo;
+  std::vector<std::int64_t> hi_extra = hi;
+  lo_extra.push_back(0);
+  hi_extra.push_back(1);
+  out.push_back(Query::dice(view, lo_extra, hi_extra));
+  std::vector<std::int64_t> past = hi;
+  past[static_cast<std::size_t>(m - 1)] += 1;
+  out.push_back(Query::dice(view, lo, past));
+  std::vector<std::int64_t> empty = hi;
+  empty[0] = 0;
+  out.push_back(Query::dice(view, lo, empty));
+  std::vector<std::int64_t> negative = lo;
+  negative[0] = -1;
+  out.push_back(Query::dice(view, negative, hi));
+
+  // Halving dimension 0 is a valid rollup to `coarse` cells; each of the
+  // five below breaks it once.
+  std::vector<std::int64_t> halve(static_cast<std::size_t>(extents[0]));
+  for (std::size_t i = 0; i < halve.size(); ++i) {
+    halve[i] = static_cast<std::int64_t>(i / 2);
+  }
+  const std::int64_t coarse = (extents[0] + 1) / 2;
+  out.push_back(Query::rollup(view, m, halve, coarse));
+  out.push_back(
+      Query::rollup(view, 0, {halve.begin(), halve.end() - 1}, coarse));
+  out.push_back(Query::rollup(view, 0, halve, coarse - 1));  // target past
+  out.push_back(Query::rollup(view, 0, halve, coarse + 1));  // not onto
+  out.push_back(Query::rollup(view, 0, halve, 0));
+
+  out.push_back(Query::top_k(view, -1));
+
+  out.push_back(Query::point(view, {lo.begin() + 1, lo.end()}));
+  out.push_back(Query::point(view, lo_extra));
+  out.push_back(Query::point(view, {hi.begin(), hi.end()}));
+  return out;
+}
+
+TEST(PartialServingTest, MalformedQueriesInterleavedOnEveryRoute) {
+  // Every kind of query, malformed on the direct, ancestor and input
+  // routes and outside the lattice, interleaved with a generated valid
+  // stream: each is rejected through execute and through execute_batch,
+  // and neither the answers after it nor the view-frequency counters or
+  // the query-cost gauge show that it was ever submitted.
+  const std::vector<std::int64_t> sizes{12, 8, 6, 4};
+  const auto input = make_input(sizes);
+  const CubeResult full = reference_cube(*input);
+  const DimSet ab = DimSet::of({0, 1});
+  const auto cube = std::make_shared<const PartialCube>(
+      PartialCube::build(input, {ab, DimSet::of({0, 1, 2})}));
+
+  std::vector<Query> malformed;
+  // Direct, ancestor ({0,1} and {0,1,2}), and input routes.
+  for (DimSet view : {ab, DimSet::of({0}), DimSet::of({1, 2}),
+                      DimSet::of({3}), DimSet::of({0, 3})}) {
+    std::vector<std::int64_t> extents;
+    for (int d : view.dims()) extents.push_back(sizes[static_cast<std::size_t>(d)]);
+    for (Query& query : malformed_queries(view, extents)) {
+      malformed.push_back(std::move(query));
+    }
+  }
+  // Well-formed operands on views outside the 4-D lattice.
+  for (DimSet outside : {DimSet::of({4}), DimSet::of({0, 5})}) {
+    malformed.push_back(Query::top_k(outside, 2));
+    malformed.push_back(Query::slice(outside, 0, 0));
+    malformed.push_back(
+        Query::point(outside, std::vector<std::int64_t>(
+                                  static_cast<std::size_t>(outside.size()), 0)));
+  }
+
+  WorkloadSpec spec;
+  spec.seed = 23;
+  WorkloadGenerator workload(sizes, spec);
+  constexpr std::size_t kValidPerMalformed = 3;
+  const std::vector<Query> valid =
+      workload.batch(static_cast<int>(kValidPerMalformed * malformed.size()));
+  std::vector<QueryResult> expected;
+  for (const Query& query : valid) expected.push_back(answer(full, query));
+  // Cache misses the query-cost gauge samples: ancestor-routed non-points.
+  const auto sampled = [&](const Query& query) {
+    const std::optional<DimSet> route = cube->routes().route(query.view);
+    return query.kind != QueryKind::kPoint && route && *route != query.view;
+  };
+
+  for (int pool_size : {1, 4}) {
+    for (bool cache_on : {false, true}) {
+      ThreadPool pool(pool_size);
+      obs::Registry registry;
+      QueryEngineOptions options;
+      options.pool = &pool;
+      options.max_workers = pool_size;
+      options.cache_budget_bytes = cache_on ? (std::int64_t{8} << 20) : 0;
+      options.registry = &registry;
+      QueryEngine engine(cube, options);
+      const obs::DriftGauge& gauge = obs::query_cost_vs_cells_gauge(registry);
+      std::vector<std::int64_t> frequencies(std::size_t{1} << sizes.size(), 0);
+      std::int64_t samples = 0;
+      std::set<std::string> cached;
+      const auto count_valid = [&](const Query& query) {
+        ++frequencies[query.view.mask()];
+        const bool miss = !cache_on || cached.insert(query.cache_key()).second;
+        if (miss && sampled(query)) ++samples;
+      };
+      const auto check_counters = [&](const Query& bad) {
+        EXPECT_EQ(engine.view_frequencies(), frequencies) << bad.cache_key();
+        EXPECT_EQ(gauge.summary().samples, samples) << bad.cache_key();
+      };
+
+      for (std::size_t b = 0; b < malformed.size(); ++b) {
+        const Query& bad = malformed[b];
+        const std::size_t first = b * kValidPerMalformed;
+        std::vector<Query> batch(valid.begin() + static_cast<long>(first),
+                                 valid.begin() + static_cast<long>(
+                                                     first + kValidPerMalformed));
+        // One query at a time: the valid ones answer like the oracle, the
+        // malformed one throws and counts nowhere.
+        for (std::size_t i = first; i < first + kValidPerMalformed; ++i) {
+          ASSERT_EQ(*engine.execute(valid[i]), expected[i])
+              << "pool=" << pool_size << " cache=" << cache_on
+              << " key=" << valid[i].cache_key();
+          count_valid(valid[i]);
+        }
+        EXPECT_THROW(engine.execute(bad), InvalidArgument) << bad.cache_key();
+        check_counters(bad);
+        // The same queries as one batch, the malformed one last so every
+        // pool size runs the valid ones: the batch throws, the valid ones
+        // count (a cached answer samples nothing), the malformed one not.
+        batch.push_back(bad);
+        EXPECT_THROW(engine.execute_batch(batch), InvalidArgument)
+            << bad.cache_key();
+        for (std::size_t i = first; i < first + kValidPerMalformed; ++i) {
+          count_valid(valid[i]);
+        }
+        check_counters(bad);
+      }
+      // The whole valid stream after every rejection, as one batch.
+      const auto results = engine.execute_batch(valid);
+      ASSERT_EQ(results.size(), expected.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_EQ(*results[i], expected[i])
+            << "pool=" << pool_size << " cache=" << cache_on << " i=" << i;
+      }
     }
   }
 }

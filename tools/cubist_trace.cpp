@@ -1,10 +1,11 @@
 // cubist-trace — one observed workload, every observability artifact.
 //
-// Runs the full pipeline with tracing and drift gauges on: a parallel
-// cube construction (schedule verification, trace-equals-plan audit with
-// its per-send wire check), the barrier-aligned reduce-drift calibration
-// sweep, and a Zipfian partial-cube serving session with a mid-stream
-// replan. It then writes
+// Runs the full pipeline with tracing on: a parallel cube construction
+// (schedule verification, trace-equals-plan audit with its per-send wire
+// check) and a Zipfian partial-cube serving session with a mid-stream
+// replan. The drift gauges are fed by that work itself: the build's
+// per-view wire volume, every reduce inside it, and every ancestor-routed
+// query. It then writes
 //
 //   trace.json    — Chrome trace-event timeline (Perfetto-loadable)
 //                   spanning build -> reduce -> serving,
@@ -30,7 +31,6 @@
 #include "core/view_selection.h"
 #include "io/generators.h"
 #include "lattice/cube_lattice.h"
-#include "minimpi/drift_calibration.h"
 #include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -70,11 +70,10 @@ int run(const std::vector<std::int64_t>& sizes,
   CUBIST_CHECK(sizes.size() == log_splits.size(),
                "--sizes and --log-splits disagree on dimensionality");
 
-  // Everything below must be observed: switch both halves on before the
+  // Everything below must be observed: switch the tracer on before the
   // first instrumented call, and name the tracks whose identity the
   // caller controls.
   obs::Tracer::instance().set_enabled(true);
-  obs::set_drift_enabled(true);
   obs::install_worker_identity_hook();
   obs::set_thread_identity("main", obs::kTidMain);
 
@@ -102,12 +101,7 @@ int run(const std::vector<std::int64_t>& sizes,
               static_cast<long long>(report.construction_wire_bytes),
               static_cast<long long>(report.run.trace.total_events()));
 
-  // ---- Phase 2: reduce-clock drift calibration sweep. ----
-  const int calibrated = calibrate_reduce_drift(
-      model, default_reduce_drift_points(), obs::Registry::global());
-  std::printf("calibration: %d reduce points replayed\n", calibrated);
-
-  // ---- Phase 3: partial-cube serving under a Zipfian stream. ----
+  // ---- Phase 2: partial-cube serving under a Zipfian stream. ----
   auto input =
       std::make_shared<const SparseArray>(generate_sparse_global(spec));
   const CubeLattice lattice(sizes);
@@ -183,8 +177,8 @@ int run(const std::vector<std::int64_t>& sizes,
 
 int main(int argc, char** argv) {
   ArgParser args("cubist-trace",
-                 "Trace + metrics + drift certification over one build, "
-                 "calibration sweep and serving session.");
+                 "Trace + metrics + drift certification over one build "
+                 "and one serving session.");
   std::string* sizes_flag =
       args.add_string("sizes", "16x12x8", "global extents, e.g. 16x12x8");
   std::string* splits_flag = args.add_string(

@@ -351,7 +351,7 @@ def self_test() -> int:
          "void f(Comm& comm) {\n  comm.send_values(0, tag, block);\n"
          "  auto b = comm.recv_bytes(src, tag);\n}\n",
          None),
-        ("src/minimpi/drift_calibration.cpp",
+        ("src/minimpi/runtime.cpp",
          "void f(Comm& comm) { comm.send_bytes(1, tag, payload); }\n",
          None),
         ("src/core/p2p_comment.cpp",
