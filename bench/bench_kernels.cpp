@@ -3,8 +3,9 @@
 //
 // Covers: dense multi-way aggregation vs number of simultaneous targets
 // (SUM, plus COUNT, MIN and MAX at one point), sparse chunk-offset
-// aggregation vs chunk extent and density and on the 5-D serving input,
-// the generic projection kernel, and the hash-sparse generator.
+// aggregation vs chunk extent and density and in the root scans of the
+// 5-D serving input and the Figure-7 input, the generic projection kernel,
+// and the hash-sparse generator.
 #include "bench_util.h"
 
 namespace cubist::bench {
@@ -182,13 +183,19 @@ BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
 
 /// The end-to-end benchmark's serve-partial-replan input, 16x16x16x16x8 at
 /// 25% density in default chunks (8 chunks of 2x16x16x16x8), is generated
-/// one task per chunk and scanned by its 5-target root scan in 4 stripes:
-/// BM_Generator/16x16x16x16x8/25 and BM_SparseMultiway/16x16x16x16x8/5.
+/// one task per chunk: BM_Generator/16x16x16x16x8/25. Its 5-target root
+/// scan is BM_SparseMultiway/16x16x16x16x8/5, and the 4-target root scan
+/// of the Figure-7 input, 64^4 at 25% in 16^4 chunks, which the sequential
+/// builds run, is BM_SparseMultiway/64x64x64x64/4.
 const std::vector<std::int64_t> kServeSizes{16, 16, 16, 16, 8};
+const std::vector<std::int64_t> kFigure7Sizes{64, 64, 64, 64};
 
-void sparse_root_scan(benchmark::State& state) {
+/// Arg 0: simultaneous targets. Scans `sizes` at 25% density in default
+/// chunks on the global pool.
+void sparse_root_scan(benchmark::State& state,
+                      const std::vector<std::int64_t>& sizes) {
   SparseSpec spec;
-  spec.sizes = kServeSizes;
+  spec.sizes = sizes;
   spec.density = 0.25;
   spec.seed = 13;
   const SparseArray parent = generate_sparse_global(spec);
@@ -212,14 +219,18 @@ void sparse_root_scan(benchmark::State& state) {
       static_cast<double>(ThreadPool::global().size());
 }
 
-[[maybe_unused]] const bool kServeShapeRegistered = [] {
+[[maybe_unused]] const bool kRootScansRegistered = [] {
   benchmark::RegisterBenchmark("BM_Generator/16x16x16x16x8", generator,
                                kServeSizes)
       ->Arg(25)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/16x16x16x16x8",
-                               sparse_root_scan)
+                               sparse_root_scan, kServeSizes)
       ->Arg(5)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_SparseMultiway/64x64x64x64",
+                               sparse_root_scan, kFigure7Sizes)
+      ->Arg(4)
       ->Unit(benchmark::kMillisecond);
   return true;
 }();

@@ -44,10 +44,10 @@ class RankPlanner {
   }
 
   /// The scan of `view`: every child block is allocated, and the scan's
-  /// transient stripe-scratch ceiling is charged (the kernels'
-  /// deterministic stripe policy; see docs/PERFORMANCE.md). The bound
-  /// only depends on the parent block's shape, so the plan stays valid
-  /// for every chunk layout, density, and thread count.
+  /// transient scratch ceiling is charged (the cap on the kernels' offset
+  /// tables; see docs/PERFORMANCE.md). The bound only depends on the
+  /// parent block's shape, so the plan stays valid for every chunk
+  /// layout, density, and thread count.
   void scan(DimSet view, const std::vector<DimSet>& children) {
     const std::vector<int> view_dims = view.dims();
     std::vector<int> aggregated_positions;

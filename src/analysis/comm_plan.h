@@ -88,11 +88,11 @@ struct RankPlan {
   std::vector<PlannedMemoryEvent> memory;
   /// Views this rank writes back as final results (it is their lead).
   std::vector<std::uint32_t> final_views;
-  /// Largest transient stripe-private accumulator footprint any single
-  /// scan of this rank may allocate (scan_scratch_bound of its biggest
-  /// planned scan). Scratch lives only during a scan — it is charged as a
-  /// separate transient term next to the Theorem-4 view-block bound, not
-  /// added into the planned memory events.
+  /// Largest transient footprint (offset tables) any single scan of this
+  /// rank may allocate (scan_scratch_bound of its biggest planned scan).
+  /// Scratch lives only during a scan — it is charged as a separate
+  /// transient term next to the Theorem-4 view-block bound, not added
+  /// into the planned memory events.
   std::int64_t max_scan_scratch_bytes = 0;
 };
 

@@ -290,7 +290,7 @@ void check_memory(const ScheduleSpec& spec, const CommPlan& plan,
     if (scratch > kScanScratchBudgetBytes) {
       std::ostringstream msg;
       msg << "rank " << r << " plans " << scratch
-          << " transient scan-scratch bytes, above the stripe-policy "
+          << " transient scan-scratch bytes, above the scan-scratch "
              "budget of "
           << kScanScratchBudgetBytes;
       add_violation(report, ViolationCode::kMemoryBoundExceeded, r, kNoView,

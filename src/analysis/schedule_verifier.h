@@ -108,7 +108,7 @@ struct AnalysisReport {
   std::int64_t max_peak_live_bytes = 0;
   /// Theorem 4's per-processor bound in bytes.
   std::int64_t memory_bound_bytes = 0;
-  /// Max over ranks of the planned transient stripe-scratch ceiling
+  /// Max over ranks of the planned transient scan-scratch ceiling
   /// (scan_scratch_bound of each rank's largest scan). Lives only during
   /// a scan, so it is reported next to — not inside — the Theorem 4
   /// bound, and is itself capped by kScanScratchBudgetBytes.

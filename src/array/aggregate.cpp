@@ -1,6 +1,7 @@
 #include "array/aggregate.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/mathutil.h"
@@ -42,63 +43,139 @@ std::vector<std::vector<std::int64_t>> all_projection_strides(
   return strides;
 }
 
-std::int64_t child_bytes_for(const Shape& parent, int aggregated_pos) {
-  return parent.size() / parent.extent(aggregated_pos) *
-         static_cast<std::int64_t>(sizeof(Value));
+/// The outermost dimension other than `skip` that spans several units
+/// (rows or chunks); failing that, the outermost one with several cells in
+/// one unit; -1 if every other dimension has one cell.
+int stripe_dim(const Shape& parent, std::span<const std::int64_t> unit,
+               int skip) {
+  int within_unit = -1;
+  for (int d = 0; d < parent.ndim(); ++d) {
+    if (d == skip || parent.extent(d) < 2) continue;
+    if (parent.extent(d) > unit[d]) return d;
+    if (within_unit < 0) within_unit = d;
+  }
+  return within_unit;
 }
 
-/// Shared stripe planner over an iteration space of `units` row-major
-/// units. `alias_block[c]` is the aligned run length (in units) within
-/// which all contributions to one cell/region of child c fall: stripes
-/// whose length is a multiple of it write disjoint child regions. Walks
-/// the candidate stripe counts downward until the private-accumulator
-/// scratch fits min(kScanScratchBudgetBytes, sum of `child_bytes`);
-/// everything here is a function of shapes (and `work_cells`), never of
-/// the thread count.
-StripePlan plan_stripes(std::int64_t units, const Shape& space,
-                        std::span<const std::int64_t> alias_block,
-                        std::span<const std::int64_t> child_bytes,
-                        std::int64_t work_cells) {
-  StripePlan plan;
-  plan.stripe_len = std::max<std::int64_t>(units, 1);
-  plan.aliased.assign(alias_block.size(), 0);
-  const std::int64_t desired =
+/// Appends at most `count` stripes of dimension `dim` to `plan`, as even
+/// as whole units allow, or cells when `dim` lies in one unit.
+void add_stripes(const Shape& parent, std::span<const std::int64_t> unit,
+                 int dim, std::int64_t count, bool lone, StripePlan& plan) {
+  const std::int64_t extent = parent.extent(dim);
+  const std::int64_t step = extent > unit[dim] ? unit[dim] : 1;
+  const std::int64_t steps = ceil_div(extent, step);
+  const std::int64_t n = std::min(count, steps);
+  for (std::int64_t k = 0; k < n; ++k) {
+    plan.stripes.push_back({dim, std::min(extent, steps * k / n * step),
+                            std::min(extent, steps * (k + 1) / n * step),
+                            lone});
+  }
+}
+
+}  // namespace
+
+StripePlan plan_sparse_scan(const Shape& parent,
+                            std::span<const std::int64_t> unit,
+                            std::span<const int> positions,
+                            std::int64_t work_cells) {
+  const int m = parent.ndim();
+  CUBIST_CHECK(m >= 1 && static_cast<int>(unit.size()) == m,
+               "a scan plan needs one unit extent per parent dimension");
+  for (const int a : positions) {
+    CUBIST_CHECK(a >= 0 && a < m, "aggregated position out of range");
+  }
+  const std::int64_t count =
       std::min(kMaxScanStripes, work_cells / kMinCellsPerStripe);
-  if (units <= 1 || desired <= 1) return plan;
-  std::int64_t budget = 0;
-  for (const std::int64_t bytes : child_bytes) budget += bytes;
-  budget = std::min(kScanScratchBudgetBytes, budget);
-  for (std::int64_t g = std::min(desired, units); g >= 2; --g) {
-    const std::int64_t raw = ceil_div(units, g);
-    // Align the stripe length to the largest iteration-space stride that
-    // fits, so as many targets as possible become alias-free.
-    std::int64_t align = 1;
-    for (int d = 0; d < space.ndim(); ++d) {
-      if (space.stride(d) <= raw) align = std::max(align, space.stride(d));
-    }
-    const std::int64_t len = ceil_div(raw, align) * align;
-    const std::int64_t stripes = ceil_div(units, len);
-    if (stripes <= 1) continue;
-    std::int64_t scratch = 0;
-    for (std::size_t c = 0; c < alias_block.size(); ++c) {
-      if (len % alias_block[c] != 0) scratch += child_bytes[c];
-    }
-    scratch *= stripes;
-    if (scratch > budget) continue;
-    plan.num_stripes = stripes;
-    plan.stripe_len = len;
-    for (std::size_t c = 0; c < alias_block.size(); ++c) {
-      plan.aliased[c] = len % alias_block[c] != 0 ? 1 : 0;
-    }
-    plan.scratch_bytes = scratch;
-    return plan;
+  const int slab = count >= 2 ? stripe_dim(parent, unit, -1) : -1;
+  if (slab < 0) return {-1, {{0, 0, parent.extent(0), false}}};
+  StripePlan plan{slab, {}};
+  const auto lone = std::count(positions.begin(), positions.end(), slab);
+  if (lone > 0) {
+    // Every cell of the lone child keeps the other dimensions, so its
+    // stripes split one of them; with none left, it takes one stripe.
+    const int other = stripe_dim(parent, unit, slab);
+    add_stripes(parent, unit, other < 0 ? slab : other, other < 0 ? 1 : count,
+                true, plan);
+  }
+  if (lone < std::ssize(positions)) {
+    add_stripes(parent, unit, slab, count, false, plan);
   }
   return plan;
 }
 
+StripePlan plan_dense_scan(const Shape& parent,
+                           std::span<const int> aggregated_positions) {
+  CUBIST_CHECK(parent.ndim() >= 1, "cannot plan a scan of a scalar");
+  // A dense scan is planned as a sparse one whose chunks are its rows.
+  std::vector<std::int64_t> row(static_cast<std::size_t>(parent.ndim()), 1);
+  row.back() = parent.extent(parent.ndim() - 1);
+  return plan_sparse_scan(parent, row, aggregated_positions, parent.size());
+}
+
+namespace {
+
 ThreadPool& pool_of(const AggregateOptions& options) {
   return options.pool != nullptr ? *options.pool : ThreadPool::global();
 }
+
+/// Runs `scan(stripe, members)` over the plan's stripes on the pool, where
+/// `members` indexes the targets the stripe feeds. No child cell takes
+/// contributions from two stripes, so concurrent stripes write disjoint
+/// cells, and every cell combines its contributions in input order.
+template <typename Scan>
+void run_stripes(const StripePlan& plan,
+                 std::span<const AggregationTarget> targets,
+                 const AggregateOptions& options, const Scan& scan) {
+  std::array<std::vector<std::size_t>, 2> members;  // [0] keep, [1] lone
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    members[targets[c].aggregated_pos == plan.slab_dim ? 1 : 0].push_back(c);
+  }
+  pool_of(options).parallel_for(
+      0, std::ssize(plan.stripes), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t s = lo; s < hi; ++s) {
+          const ScanStripe& stripe = plan.stripes[static_cast<std::size_t>(s)];
+          scan(stripe, std::span<const std::size_t>(members[stripe.lone]));
+        }
+      },
+      options.max_workers);
+}
+
+/// The box of indices a stripe covers: every index of `extents`, with
+/// dimension `dim` cut to [lo, hi).
+struct Box {
+  std::vector<std::int64_t> lo;
+  std::vector<std::int64_t> hi;
+  Box(const std::vector<std::int64_t>& extents, int dim, std::int64_t lo_dim,
+      std::int64_t hi_dim)
+      : lo(extents.size(), 0), hi(extents) {
+    lo[static_cast<std::size_t>(dim)] = lo_dim;
+    hi[static_cast<std::size_t>(dim)] = hi_dim;
+  }
+  /// Advances `idx` over the box's first idx.size() dimensions in
+  /// row-major order. Returns the dimension that stepped (every later one
+  /// wrapped back to lo), or -1 past the last index.
+  int next(std::span<std::int64_t> idx) const {
+    for (int d = static_cast<int>(idx.size()) - 1; d >= 0; --d) {
+      if (++idx[d] < hi[d]) return d;
+      idx[d] = lo[d];
+    }
+    return -1;
+  }
+  /// Per dimension d < ndim, how a linear index over `strides` changes
+  /// when next() steps d: one stride of d, less the wrap of every later
+  /// dimension.
+  std::vector<std::int64_t> steps(const std::int64_t* strides,
+                                  int ndim) const {
+    std::vector<std::int64_t> out(static_cast<std::size_t>(ndim));
+    std::int64_t wrap = 0;
+    for (int d = ndim - 1; d >= 0; --d) {
+      out[d] = strides[d] - wrap;
+      wrap += (hi[d] - lo[d] - 1) * strides[d];
+    }
+    return out;
+  }
+};
 
 /// The operator interface the kernels are written against — all a
 /// distributive aggregate needs: an identity, a combine step, and the
@@ -145,131 +222,59 @@ AggregationStats with_policy(AggregateOp op, bool input_level,
   return {};
 }
 
-/// Combines `bufs` into `child`, cell by cell, in ascending stripe order —
-/// the fixed merge order that makes striped scans bit-identical for any
-/// thread count. Parallel over disjoint cell ranges.
-template <typename P>
-void merge_stripe_buffers(DenseArray* child,
-                          const std::vector<DenseArray>& bufs,
-                          const AggregateOptions& options) {
-  const std::int64_t n = child->size();
-  Value* out = child->data();
-  std::vector<const Value*> srcs;
-  srcs.reserve(bufs.size());
-  for (const DenseArray& buf : bufs) srcs.push_back(buf.data());
-  pool_of(options).parallel_for(
-      0, n, std::int64_t{1} << 15,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          Value acc = P::kIdentity;
-          for (const Value* src : srcs) P::combine(acc, src[i]);
-          P::combine(out[i], acc);
-        }
-      },
-      options.max_workers);
-}
-
-/// Runs `scan(begin, end, bases)` over the plan's stripes of [0, units).
-/// `bases[c]` is where target c combines: its child, or — for a child
-/// that aliases across stripes — a stripe-private clone filled with the
-/// identity, merged into the child afterwards.
-template <typename P, typename Scan>
-void run_stripes(const StripePlan& plan, std::int64_t units,
-                 std::span<const AggregationTarget> targets,
-                 const AggregateOptions& options, const Scan& scan) {
-  const std::size_t num_targets = targets.size();
-  std::vector<Value*> children(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    children[c] = targets[c].child->data();
-  }
-  if (plan.num_stripes <= 1) {
-    scan(0, units, children);
-    return;
-  }
-  std::vector<std::vector<DenseArray>> scratch(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] == 0) continue;
-    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
-    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
-      scratch[c].emplace_back(targets[c].child->shape(), P::kIdentity);
-    }
-  }
-  pool_of(options).parallel_for(
-      0, plan.num_stripes, 1,
-      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
-        std::vector<Value*> bases = children;
-        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            if (plan.aliased[c] != 0) {
-              bases[c] = scratch[c][static_cast<std::size_t>(s)].data();
-            }
-          }
-          const std::int64_t begin = s * plan.stripe_len;
-          scan(begin, std::min(units, begin + plan.stripe_len), bases);
-        }
-      },
-      options.max_workers);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] != 0) {
-      merge_stripe_buffers<P>(targets[c].child, scratch[c], options);
-    }
-  }
-}
-
-/// One target's state during a dense row scan.
+/// One target's state during a dense stripe scan.
 struct ScanTarget {
-  /// Combine base: the child array or a stripe-private buffer (same
-  /// indexing either way — private buffers clone the child shape).
   Value* base = nullptr;
-  /// Child stride per parent dimension (0 for the aggregated one).
-  const std::int64_t* strides = nullptr;
-  /// Projected child index of the current row's first cell.
+  /// Child index change per outer-dimension step of the box walk.
+  std::vector<std::int64_t> steps;
+  /// Child index of the current row's first scanned cell.
   std::int64_t row_start = 0;
 };
 
-/// Scans parent rows [row_begin, row_end), combining every target into
-/// `bases`. Row-major row order with a fixed per-row target order, so the
-/// arithmetic is independent of how rows are striped across threads
-/// (per child cell, all contributions come from one stripe, in row
-/// order). The inner loops are specialized for the dominant cases: a
-/// row reduction for the innermost-dimension target (delta 0) and
-/// contiguous elementwise combines for every other target (delta 1),
-/// issued jointly for up to three targets so the parent row is read once.
+/// Scans the rows of `stripe` in row-major order, combining each scanned
+/// cell into every member target in a fixed order, so every child cell
+/// combines its contributions in input order. The inner loops are
+/// specialized for the dominant cases: a row reduction for the
+/// innermost-dimension target (delta 0), which only ever scans whole
+/// rows, and contiguous elementwise combines for every other target
+/// (delta 1), issued jointly for up to three targets so the parent row is
+/// read once.
 template <typename P>
-void scan_dense_rows(const Value* parent_data, const Shape& outer,
-                     std::int64_t inner, std::int64_t row_begin,
-                     std::int64_t row_end,
-                     const std::vector<std::vector<std::int64_t>>& strides,
-                     std::span<Value* const> bases) {
-  const int od = outer.ndim();
-  const int m = od + 1;
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(od), 0);
-  outer.unravel(row_begin, idx.data());
-  std::vector<ScanTarget> targets(bases.size());
-  for (std::size_t c = 0; c < targets.size(); ++c) {
-    ScanTarget& t = targets[c];
-    t.base = bases[c];
-    t.strides = strides[c].data();
-    for (int d = 0; d < od; ++d) t.row_start += idx[d] * t.strides[d];
-  }
-  // Split targets by their inner-dimension delta: 0 = the aggregated
-  // dimension is the innermost (row reduction), 1 = contiguous row combine.
+void scan_dense_stripe(const DenseArray& parent, const ScanStripe& stripe,
+                       std::span<const AggregationTarget> targets,
+                       const std::vector<std::vector<std::int64_t>>& strides,
+                       std::span<const std::size_t> members) {
+  const Shape& shape = parent.shape();
+  const int m = shape.ndim();
+  const Box box(shape.extents(), stripe.dim, stripe.lo, stripe.hi);
+  const int od = m - 1;  // the box walk's outer dimensions; rows span m - 1
+  const std::int64_t width = box.hi[od] - box.lo[od];
+  std::vector<ScanTarget> scan_targets(members.size());
+  // Split targets by inner-dimension delta: 0 = row reduction, 1 = combine.
   std::vector<ScanTarget*> reduce_targets;
   std::vector<ScanTarget*> vec_targets;
-  for (ScanTarget& t : targets) {
-    const std::int64_t delta = t.strides[m - 1];
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const std::vector<std::int64_t>& target_strides = strides[members[i]];
+    ScanTarget& t = scan_targets[i];
+    t.base = targets[members[i]].child->data();
+    t.steps = box.steps(target_strides.data(), od);
+    for (int d = 0; d < m; ++d) t.row_start += box.lo[d] * target_strides[d];
+    const std::int64_t delta = target_strides[od];
     CUBIST_DCHECK(delta == 0 || delta == 1,
                   "inner-dimension child stride must be 0 or 1, got "
                       << delta);
     (delta == 0 ? reduce_targets : vec_targets).push_back(&t);
   }
-
-  const Value* cell = parent_data + row_begin * inner;
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const Value* in = cell;
+  CUBIST_DCHECK(reduce_targets.empty() || width == shape.extent(od),
+                "a row reduction scans whole rows");
+  const std::vector<std::int64_t> cell_steps =
+      box.steps(shape.strides().data(), od);
+  std::vector<std::int64_t> idx(box.lo.begin(), box.lo.end() - 1);
+  const Value* in = parent.data() + shape.linear_index(box.lo.data());
+  for (;;) {
     if (!reduce_targets.empty()) {
       Value acc = P::kIdentity;  // fixed left-to-right order: deterministic
-      for (std::int64_t i = 0; i < inner; ++i) {
+      for (std::int64_t i = 0; i < width; ++i) {
         P::combine(acc, P::contribution(in[i]));
       }
       for (ScanTarget* t : reduce_targets) {
@@ -281,7 +286,7 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
         break;
       case 1: {
         Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) {
+        for (std::int64_t i = 0; i < width; ++i) {
           P::combine(o0[i], P::contribution(in[i]));
         }
         break;
@@ -289,7 +294,7 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
       case 2: {
         Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
         Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) {
+        for (std::int64_t i = 0; i < width; ++i) {
           const Value v = P::contribution(in[i]);
           P::combine(o0[i], v);
           P::combine(o1[i], v);
@@ -300,7 +305,7 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
         Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
         Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
         Value* o2 = vec_targets[2]->base + vec_targets[2]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) {
+        for (std::int64_t i = 0; i < width; ++i) {
           const Value v = P::contribution(in[i]);
           P::combine(o0[i], v);
           P::combine(o1[i], v);
@@ -311,33 +316,17 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
       default:
         for (ScanTarget* t : vec_targets) {
           Value* out = t->base + t->row_start;
-          for (std::int64_t i = 0; i < inner; ++i) {
+          for (std::int64_t i = 0; i < width; ++i) {
             P::combine(out[i], P::contribution(in[i]));
           }
         }
         break;
     }
-    cell += inner;
-    // Odometer over the outer dimensions, updating each row start.
-    for (int d = od - 1; d >= 0; --d) {
-      ++idx[d];
-      if (idx[d] < outer.extent(d)) {
-        for (ScanTarget& t : targets) t.row_start += t.strides[d];
-        break;
-      }
-      idx[d] = 0;
-      for (ScanTarget& t : targets) {
-        t.row_start -= (outer.extent(d) - 1) * t.strides[d];
-      }
-    }
+    const int d = box.next(idx);
+    if (d < 0) break;
+    in += cell_steps[d];
+    for (ScanTarget& t : scan_targets) t.row_start += t.steps[d];
   }
-}
-
-Shape outer_shape(const Shape& parent) {
-  std::vector<std::int64_t> extents(parent.extents().begin(),
-                                    parent.extents().end());
-  extents.pop_back();
-  return Shape{extents};
 }
 
 std::vector<int> target_positions(std::span<const AggregationTarget> targets) {
@@ -355,78 +344,20 @@ AggregationStats aggregate_dense(const DenseArray& parent,
                                  const AggregateOptions& options) {
   const std::vector<std::vector<std::int64_t>> strides =
       all_projection_strides(parent.shape(), targets);
+  if (parent.size() == 0) return {};
   const StripePlan plan =
       plan_dense_scan(parent.shape(), target_positions(targets));
-  const std::int64_t inner = parent.shape().extent(parent.ndim() - 1);
-  const std::int64_t num_rows =
-      parent.size() / std::max<std::int64_t>(inner, 1);
-  const Shape outer = outer_shape(parent.shape());
-  run_stripes<P>(plan, num_rows, targets, options,
-                 [&](std::int64_t r0, std::int64_t r1,
-                     std::span<Value* const> bases) {
-                   scan_dense_rows<P>(parent.data(), outer, inner, r0, r1,
-                                      strides, bases);
-                 });
+  run_stripes(plan, targets, options,
+              [&](const ScanStripe& stripe,
+                  std::span<const std::size_t> members) {
+                scan_dense_stripe<P>(parent, stripe, targets, strides,
+                                     members);
+              });
   return {parent.size(),
-          parent.size() * static_cast<std::int64_t>(targets.size()),
-          plan.scratch_bytes};
+          parent.size() * static_cast<std::int64_t>(targets.size()), 0};
 }
 
 }  // namespace
-
-StripePlan plan_dense_scan(const Shape& parent,
-                           std::span<const int> aggregated_positions) {
-  const int m = parent.ndim();
-  StripePlan single;
-  single.aliased.assign(aggregated_positions.size(), 0);
-  single.stripe_len = 1;
-  if (m <= 1) return single;
-  const std::int64_t inner = parent.extent(m - 1);
-  const std::int64_t rows = parent.size() / std::max<std::int64_t>(inner, 1);
-  single.stripe_len = std::max<std::int64_t>(rows, 1);
-  if (rows <= 1 || parent.size() == 0) return single;
-  const Shape outer = outer_shape(parent);
-  std::vector<std::int64_t> alias_block;
-  std::vector<std::int64_t> child_bytes;
-  for (const int a : aggregated_positions) {
-    CUBIST_CHECK(a >= 0 && a < m, "aggregated position out of range");
-    // Rows feeding one child cell: exactly one row when the innermost
-    // dimension is aggregated; otherwise an aligned run of rows spanning
-    // the aggregated dimension's row stride.
-    if (a == m - 1) {
-      alias_block.push_back(1);
-    } else if (a == 0) {
-      alias_block.push_back(rows);
-    } else {
-      alias_block.push_back(outer.stride(a - 1));
-    }
-    child_bytes.push_back(child_bytes_for(parent, a));
-  }
-  return plan_stripes(rows, outer, alias_block, child_bytes, parent.size());
-}
-
-StripePlan plan_sparse_scan(const Shape& parent, const Shape& chunk_grid,
-                            std::span<const int> aggregated_positions,
-                            std::int64_t work_cells) {
-  const int m = parent.ndim();
-  CUBIST_CHECK(chunk_grid.ndim() == m, "chunk grid rank mismatch");
-  const std::int64_t units = chunk_grid.size();
-  StripePlan single;
-  single.aliased.assign(aggregated_positions.size(), 0);
-  single.stripe_len = std::max<std::int64_t>(units, 1);
-  if (units <= 1) return single;
-  std::vector<std::int64_t> alias_block;
-  std::vector<std::int64_t> child_bytes;
-  for (const int a : aggregated_positions) {
-    CUBIST_CHECK(a >= 0 && a < m, "aggregated position out of range");
-    // Chunks feeding one child region differ only in chunk coordinate a:
-    // an aligned run of extent(a) * stride(a) = stride(a - 1) chunk ids.
-    alias_block.push_back(a == 0 ? units : chunk_grid.stride(a - 1));
-    child_bytes.push_back(child_bytes_for(parent, a));
-  }
-  return plan_stripes(units, chunk_grid, alias_block, child_bytes,
-                      work_cells);
-}
 
 std::int64_t scan_scratch_bound(const Shape& parent,
                                 std::span<const int> aggregated_positions,
@@ -454,108 +385,172 @@ AggregationStats aggregate_children(const DenseArray& parent,
 
 namespace {
 
-/// Scans sparse chunks [chunk_begin, chunk_end), combining every target
-/// into `bases` (child arrays or stripe-private clones). Chunk order and
-/// per-chunk nonzero order are fixed, so the arithmetic does not depend
-/// on the striping. An empty `offset_table` sends every chunk down the
-/// decode path.
+/// Scans the chunks `stripe` touches in chunk order, combining each of
+/// its non-zeros into every member target in offset order. A chunk the
+/// stripe cuts gives one run of offsets per index of its dimensions
+/// before the cut one, found by binary search as offsets ascend.
 template <typename P>
-void scan_sparse_chunks(
-    const SparseArray& parent,
+void scan_sparse_stripe(
+    const SparseArray& parent, const ScanStripe& stripe,
+    std::span<const AggregationTarget> targets,
     const std::vector<std::vector<std::int64_t>>& strides,
     const std::vector<std::vector<std::int64_t>>& offset_table,
-    std::int64_t chunk_begin, std::int64_t chunk_end,
-    std::span<Value* const> bases) {
+    std::span<const std::size_t> members) {
+  const Shape& grid = parent.chunk_grid();
+  const std::vector<std::int64_t>& unit = parent.chunk_extents();
   const int m = parent.ndim();
-  const std::size_t num_targets = strides.size();
-  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(m), 0);
-  std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
-  std::vector<std::int64_t> base_ci(num_targets);
-
-  for (std::int64_t chunk_id = chunk_begin; chunk_id < chunk_end;
-       ++chunk_id) {
-    const auto offsets = parent.chunk_offsets(chunk_id);
-    if (offsets.empty()) continue;
-    const auto values = parent.chunk_values(chunk_id);
-    parent.chunk_grid().unravel(chunk_id, chunk_coords.data());
-    const auto base = parent.chunk_base(chunk_coords);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      std::int64_t projected = 0;
-      for (int d = 0; d < m; ++d) {
-        projected += base[d] * strides[c][d];
-      }
-      base_ci[c] = projected;
-    }
-
-    if (!offset_table.empty() && parent.chunk_is_full(chunk_coords)) {
-      for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const auto off = offsets[i];
-        const Value v = P::contribution(values[i]);
-        for (std::size_t c = 0; c < num_targets; ++c) {
-          P::combine(bases[c][base_ci[c] + offset_table[c][off]], v);
-        }
-      }
-    } else {
-      // Boundary chunk: clipped extents, decode offsets directly.
-      const Shape local_shape{parent.chunk_shape_at(chunk_coords)};
-      for (std::size_t i = 0; i < offsets.size(); ++i) {
-        local_shape.unravel(static_cast<std::int64_t>(offsets[i]),
-                            local.data());
-        const Value v = P::contribution(values[i]);
-        for (std::size_t c = 0; c < num_targets; ++c) {
-          std::int64_t projected = base_ci[c];
-          for (int d = 0; d < m; ++d) {
-            projected += local[d] * strides[c][d];
-          }
-          P::combine(bases[c][projected], v);
-        }
-      }
-    }
+  const int dim = stripe.dim;
+  const Box box(grid.extents(), dim, stripe.lo / unit[dim],
+                ceil_div(stripe.hi, unit[dim]));
+  const std::size_t num_targets = members.size();
+  const bool tabled = !offset_table[members.front()].empty();
+  std::vector<Value*> bases(num_targets);
+  std::vector<const std::int64_t*> target_strides(num_targets);
+  std::vector<const std::int64_t*> tables(num_targets);
+  for (std::size_t i = 0; i < num_targets; ++i) {
+    bases[i] = targets[members[i]].child->data();
+    target_strides[i] = strides[members[i]].data();
+    tables[i] = offset_table[members[i]].data();
   }
+  const std::int64_t full_volume = checked_product(unit);
+  std::vector<std::int64_t> chunk(box.lo);
+  std::vector<std::int64_t> extents(static_cast<std::size_t>(m));
+  std::vector<std::int64_t> local_strides(static_cast<std::size_t>(m));
+  std::vector<std::int64_t> local(static_cast<std::size_t>(m));
+  std::vector<std::int64_t> base_ci(num_targets);
+  std::vector<std::int64_t> row_ci(num_targets);
+  do {
+    const std::int64_t id = grid.linear_index(chunk.data());
+    const auto offsets = parent.chunk_offsets(id);
+    const auto values = parent.chunk_values(id);
+    std::int64_t volume = 1;
+    for (int d = m - 1; d >= 0; --d) {
+      extents[d] =
+          std::min(unit[d], parent.shape().extent(d) - chunk[d] * unit[d]);
+      local_strides[d] = volume;
+      volume *= extents[d];
+    }
+    for (std::size_t i = 0; i < num_targets; ++i) {
+      base_ci[i] = 0;
+      for (int d = 0; d < m; ++d) {
+        base_ci[i] += chunk[d] * unit[d] * target_strides[i][d];
+      }
+    }
+    const bool table = tabled && volume == full_volume;
+    const auto combine_run = [&](std::size_t begin, std::size_t end) {
+      if (table) {
+        for (std::size_t n = begin; n < end; ++n) {
+          const auto off = offsets[n];
+          const Value v = P::contribution(values[n]);
+          for (std::size_t i = 0; i < num_targets; ++i) {
+            P::combine(bases[i][base_ci[i] + tables[i][off]], v);
+          }
+        }
+        return;
+      }
+      // Decode: offsets ascend, so only a non-zero that starts a new
+      // innermost row divides; the rest reuse its row's projections.
+      std::int64_t row_begin = 0;
+      std::int64_t row_end = 0;
+      for (std::size_t n = begin; n < end; ++n) {
+        const std::int64_t off = offsets[n];
+        if (off >= row_end) {
+          std::int64_t rest = off;
+          for (int d = 0; d < m - 1; ++d) {
+            local[d] = rest / local_strides[d];
+            rest -= local[d] * local_strides[d];
+          }
+          row_begin = off - rest;
+          row_end = row_begin + extents[m - 1];
+          for (std::size_t i = 0; i < num_targets; ++i) {
+            row_ci[i] = base_ci[i];
+            for (int d = 0; d < m - 1; ++d) {
+              row_ci[i] += local[d] * target_strides[i][d];
+            }
+          }
+        }
+        const Value v = P::contribution(values[n]);
+        for (std::size_t i = 0; i < num_targets; ++i) {
+          P::combine(bases[i][row_ci[i] + (off - row_begin) *
+                                              target_strides[i][m - 1]],
+                     v);
+        }
+      }
+    };
+    const std::int64_t origin = chunk[dim] * unit[dim];
+    const std::int64_t first = std::max<std::int64_t>(stripe.lo - origin, 0);
+    const std::int64_t last = std::min(stripe.hi - origin, extents[dim]);
+    if (first == 0 && last == extents[dim]) {
+      combine_run(0, offsets.size());
+    } else {
+      const std::int64_t inner = local_strides[dim];
+      auto it = offsets.begin();
+      for (std::int64_t row = 0; row < volume; row += extents[dim] * inner) {
+        const auto begin =
+            std::lower_bound(it, offsets.end(), row + first * inner);
+        it = std::lower_bound(begin, offsets.end(), row + last * inner);
+        combine_run(static_cast<std::size_t>(begin - offsets.begin()),
+                    static_cast<std::size_t>(it - offsets.begin()));
+      }
+    }
+  } while (box.next(chunk) >= 0);
 }
 
 /// Every interior chunk shares the same shape, so the map (within-chunk
 /// offset) -> (child index contribution) is chunk-invariant. Built once
 /// per target, it makes an interior non-zero cost one table lookup plus
-/// one combine per target. It is only worthwhile when the scan's
-/// non-zeros at least match the table's entries per target, and it is
-/// built only when its bytes fit the cap on the scan's stripe scratch
-/// (scan_scratch_bound: at most the bytes of the children it feeds);
-/// otherwise this returns no table and every chunk takes the decode path,
-/// which combines in the same order. The table is integer data, so its
-/// construction parallelizes without ordering concerns.
+/// one combine per target. Tables are built only when the non-zeros at
+/// least match a table's entries, and only while all of them fit
+/// scan_scratch_bound (at most the bytes of the children they feed): the
+/// lone target's pass, which scans the parent a second time for one
+/// target, gets its table first, and the other pass gets its tables if
+/// they fit beside it. A target without a table decodes every offset,
+/// which combines in the same order.
 std::vector<std::vector<std::int64_t>> chunk_offset_table(
     const SparseArray& parent, std::span<const AggregationTarget> targets,
     const std::vector<std::vector<std::int64_t>>& strides,
-    const AggregateOptions& options) {
+    const StripePlan& plan, const AggregateOptions& options) {
   const Shape full_chunk_shape{parent.chunk_extents()};
   const std::int64_t full_volume = full_chunk_shape.size();
-  const std::size_t num_targets = strides.size();
-  const std::int64_t table_bytes =
-      static_cast<std::int64_t>(num_targets * sizeof(std::int64_t)) *
-      full_volume;
-  if (parent.nnz() < full_volume ||
-      table_bytes >
-          scan_scratch_bound(parent.shape(), target_positions(targets))) {
-    return {};
+  std::vector<std::vector<std::int64_t>> offset_table(targets.size());
+  if (parent.nnz() < full_volume) return offset_table;
+  std::array<std::int64_t, 2> pass_targets{};  // [0] keep, [1] lone
+  for (const AggregationTarget& target : targets) {
+    ++pass_targets[target.aggregated_pos == plan.slab_dim ? 1 : 0];
   }
-  const int m = parent.ndim();
-  std::vector<std::vector<std::int64_t>> offset_table(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
+  std::int64_t budget =
+      scan_scratch_bound(parent.shape(), target_positions(targets));
+  std::array<bool, 2> tabled{};
+  for (const int pass : {1, 0}) {
+    const std::int64_t bytes = pass_targets[pass] * full_volume *
+                               static_cast<std::int64_t>(sizeof(std::int64_t));
+    tabled[pass] = bytes <= budget;
+    if (tabled[pass]) budget -= bytes;
+  }
+  std::vector<std::size_t> built;
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    if (!tabled[targets[c].aggregated_pos == plan.slab_dim ? 1 : 0]) continue;
     offset_table[c].resize(static_cast<std::size_t>(full_volume));
+    built.push_back(c);
   }
+  // Each task walks its offsets' coordinates like a scan walks a box.
+  const int m = parent.ndim();
+  const Box chunk_box(parent.chunk_extents(), 0, 0, parent.chunk_extents()[0]);
   pool_of(options).parallel_for(
       0, full_volume, std::int64_t{1} << 14,
       [&](std::int64_t lo, std::int64_t hi) {
         std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
-        for (std::int64_t off = lo; off < hi; ++off) {
-          full_chunk_shape.unravel(off, local.data());
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            std::int64_t projected = 0;
-            for (int d = 0; d < m; ++d) {
-              projected += local[d] * strides[c][d];
-            }
+        full_chunk_shape.unravel(lo, local.data());
+        for (const std::size_t c : built) {
+          const std::vector<std::int64_t> steps =
+              chunk_box.steps(strides[c].data(), m);
+          std::int64_t projected = 0;
+          for (int d = 0; d < m; ++d) projected += local[d] * strides[c][d];
+          std::vector<std::int64_t> idx = local;
+          for (std::int64_t off = lo; off < hi; ++off) {
             offset_table[c][static_cast<std::size_t>(off)] = projected;
+            const int d = chunk_box.next(idx);
+            if (d >= 0) projected += steps[d];
           }
         }
       },
@@ -569,20 +564,26 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
                                   const AggregateOptions& options) {
   const std::vector<std::vector<std::int64_t>> strides =
       all_projection_strides(parent.shape(), targets);
-  const std::vector<std::vector<std::int64_t>> offset_table =
-      chunk_offset_table(parent, targets, strides, options);
+  if (parent.nnz() == 0) return {};
   const StripePlan plan =
-      plan_sparse_scan(parent.shape(), parent.chunk_grid(),
+      plan_sparse_scan(parent.shape(), parent.chunk_extents(),
                        target_positions(targets), parent.nnz());
-  run_stripes<P>(plan, parent.num_chunks(), targets, options,
-                 [&](std::int64_t c0, std::int64_t c1,
-                     std::span<Value* const> bases) {
-                   scan_sparse_chunks<P>(parent, strides, offset_table, c0,
-                                         c1, bases);
-                 });
+  const std::vector<std::vector<std::int64_t>> offset_table =
+      chunk_offset_table(parent, targets, strides, plan, options);
+  run_stripes(plan, targets, options,
+              [&](const ScanStripe& stripe,
+                  std::span<const std::size_t> members) {
+                scan_sparse_stripe<P>(parent, stripe, targets, strides,
+                                      offset_table, members);
+              });
+  std::int64_t table_bytes = 0;
+  for (const std::vector<std::int64_t>& table : offset_table) {
+    table_bytes += std::ssize(table) *
+                   static_cast<std::int64_t>(sizeof(std::int64_t));
+  }
   return {parent.nnz(),
           parent.nnz() * static_cast<std::int64_t>(targets.size()),
-          plan.scratch_bytes};
+          table_bytes};
 }
 
 }  // namespace

@@ -11,15 +11,16 @@
 // layer maps DimSets to positions.
 //
 // Large scans run on the shared ThreadPool as deterministic stripes (see
-// docs/PERFORMANCE.md): the parent is cut into cache-sized stripes whose
-// geometry depends only on the array shape — never on the thread count —
-// children that alias across stripes get identity-filled stripe-private
-// accumulators that are merged under the operator in fixed stripe order,
-// so the result is bit-identical for any CUBIST_THREADS setting.
+// docs/PERFORMANCE.md): the targets that keep the slab dimension are
+// striped in slabs of it, and the target that drops it is striped along
+// another dimension, so no child cell takes contributions from two
+// stripes. Every cell combines its contributions in input order, and the
+// result is the bytes of a one-stripe scan for any CUBIST_THREADS setting.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "array/aggregate_op.h"
 #include "array/dense_array.h"
@@ -47,10 +48,11 @@ struct AggregationStats {
   std::int64_t cells_scanned = 0;
   /// Individual child-cell combines performed (= cells * #targets).
   std::int64_t updates = 0;
-  /// Transient stripe-private accumulator bytes this scan allocated
-  /// (0 for single-stripe scans). A high-water mark, not a sum: merging
-  /// stats keeps the max, because the scratch of one scan is released
-  /// before the next scan starts.
+  /// Transient bytes this scan allocated beyond its children: the sparse
+  /// scan's offset table (0 for dense scans and for sparse scans that
+  /// decode every chunk). A high-water mark, not a sum: merging stats
+  /// keeps the max, because the table of one scan is released before the
+  /// next scan starts.
   std::int64_t scratch_bytes = 0;
 
   AggregationStats& operator+=(const AggregationStats& o) {
@@ -75,51 +77,56 @@ struct AggregateOptions {
 // --- deterministic stripe policy (shared by the kernels, the static
 // --- memory analysis, and the tests; see docs/PERFORMANCE.md) ---
 
-/// Most stripes a scan is ever cut into (the parallelism ceiling).
+/// Most stripes of each pass of a scan (the parallelism ceiling).
 inline constexpr std::int64_t kMaxScanStripes = 16;
 /// Scans smaller than one stripe of this many cells stay single-stripe.
 inline constexpr std::int64_t kMinCellsPerStripe = 1 << 13;
-/// Hard cap on the transient private-accumulator bytes of one scan. A
-/// scan's scratch is further capped at the bytes of its own children, so
-/// it never outgrows the output it feeds; the stripe count shrinks
-/// (ultimately to 1 = scalar) to respect min(this, those bytes).
+/// Hard cap on a scan's transient bytes beyond its children: a sparse
+/// scan's offset tables, further capped at the bytes of its own children.
 inline constexpr std::int64_t kScanScratchBudgetBytes =
     std::int64_t{64} << 20;
 
-/// Deterministic decomposition of one scan: a function of shapes (and for
-/// sparse scans the nonzero count) only — never of the thread count.
+/// One stripe of a scan: the parent cells whose coordinate along `dim`
+/// lies in [lo, hi). A lone stripe feeds the target that drops the plan's
+/// slab dimension, any other stripe every target that keeps it.
+struct ScanStripe {
+  int dim = 0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  bool lone = false;
+};
+
+/// Deterministic decomposition of one scan, a function of shapes (and for
+/// sparse scans the nonzero count) only: slabs of `slab_dim` for the
+/// targets that keep it, then stripes of another dimension for the one
+/// that drops it. A dimension that spans several units (dense: rows;
+/// sparse: chunks) is split at unit boundaries, one in a single unit
+/// between cells.
 struct StripePlan {
-  /// Number of stripes; 1 = scalar single-thread scan, no scratch.
-  std::int64_t num_stripes = 1;
-  /// Units per stripe (dense: parent rows; sparse: chunk-grid chunks).
-  std::int64_t stripe_len = 0;
-  /// Per target: does its child alias across stripes (and therefore need
-  /// stripe-private accumulators)? Parallel stripes write direct,
-  /// non-aliased targets concurrently into disjoint child regions.
-  std::vector<std::uint8_t> aliased;
-  /// num_stripes * sum of aliased child bytes (0 when num_stripes == 1);
-  /// never more than scan_scratch_bound of the scan.
-  std::int64_t scratch_bytes = 0;
+  /// -1 for a one-stripe scan, whose one stripe feeds every target.
+  int slab_dim = -1;
+  /// In the order the pool claims them: the lone stripes first.
+  std::vector<ScanStripe> stripes;
 };
 
 /// Stripe plan for a dense scan of `parent` over the given aggregated
-/// positions. Units are parent rows (the fastest-varying dimension stays
-/// whole so the inner loops remain contiguous).
+/// positions; its units are the parent's rows.
 StripePlan plan_dense_scan(const Shape& parent,
                            std::span<const int> aggregated_positions);
 
-/// Stripe plan for a sparse chunk-offset scan; units are chunks of
-/// `chunk_grid`. `work_cells` sizes the stripes (the kernel passes nnz;
+/// Stripe plan for a sparse chunk-offset scan of `parent` in chunks of
+/// `chunk_extents`. `work_cells` sizes the stripes (the kernel passes nnz;
 /// pass parent.size() for a data-independent worst case).
-StripePlan plan_sparse_scan(const Shape& parent, const Shape& chunk_grid,
+StripePlan plan_sparse_scan(const Shape& parent,
+                            std::span<const std::int64_t> chunk_extents,
                             std::span<const int> aggregated_positions,
                             std::int64_t work_cells);
 
-/// Upper bound on the transient private-accumulator bytes ANY scan of
-/// `parent` over these positions may allocate, independent of chunk
+/// Upper bound on the transient bytes ANY scan of `parent` over these
+/// positions may allocate beyond its children, independent of chunk
 /// layout, nonzero count, operator and thread count:
-/// min(kScanScratchBudgetBytes, sum of child bytes) — the cap the stripe
-/// planners enforce.
+/// min(kScanScratchBudgetBytes, sum of child bytes) — the cap on the
+/// sparse scan's offset table.
 /// The static schedule analysis charges this per planned scan
 /// (`bytes_per_cell` mirrors ScheduleSpec's knob; the kernels use
 /// sizeof(Value)).
@@ -131,8 +138,8 @@ std::int64_t scan_scratch_bound(
 /// `op`. `input_level` selects the parent's cell semantics: true means raw
 /// input (0 marks an empty cell; COUNT counts the others), false means an
 /// aggregate view whose empty cells hold the operator's identity. Striped
-/// over the pool per plan_dense_scan; bit-identical results for any pool
-/// size.
+/// over the pool per plan_dense_scan; every child cell combines its
+/// contributions in row-major order, for any pool size.
 AggregationStats aggregate_children(const DenseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {},
@@ -146,8 +153,9 @@ AggregationStats aggregate_children(const DenseArray& parent,
 /// holds at least as many non-zeros as a full chunk has cells and the
 /// table's bytes fit scan_scratch_bound (at most the bytes of the
 /// children); otherwise every chunk decodes its offsets, with the same
-/// result. Striped over whole chunks per plan_sparse_scan; bit-identical
-/// results for any pool size.
+/// result. Striped over the pool per plan_sparse_scan; every child cell
+/// combines its contributions in chunk order and, within a chunk, in
+/// offset order, for any pool size.
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {},

@@ -183,16 +183,6 @@ std::vector<std::int64_t> SparseArray::chunk_base(
   return base;
 }
 
-bool SparseArray::chunk_is_full(
-    const std::vector<std::int64_t>& chunk_coords) const {
-  for (int d = 0; d < ndim(); ++d) {
-    if ((chunk_coords[d] + 1) * chunk_extents_[d] > shape_.extent(d)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void SparseArray::for_each_nonzero(
     const std::function<void(const std::int64_t*, Value)>& fn) const {
   std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(ndim()), 0);

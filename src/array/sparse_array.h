@@ -113,9 +113,6 @@ class SparseArray {
   std::vector<std::int64_t> chunk_base(
       const std::vector<std::int64_t>& chunk_coords) const;
 
-  /// True if the chunk has the full `chunk_extents()` shape.
-  bool chunk_is_full(const std::vector<std::int64_t>& chunk_coords) const;
-
   std::span<const Offset> chunk_offsets(std::int64_t chunk_id) const {
     const ChunkRef& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
     return chunk ? std::span<const Offset>(chunk->offsets)

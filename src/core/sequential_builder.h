@@ -26,8 +26,8 @@ struct BuildStats {
   std::int64_t cells_scanned = 0;
   /// Aggregation updates performed.
   std::int64_t updates = 0;
-  /// High-water mark of transient stripe-private accumulator bytes across
-  /// all scans (released scan-by-scan, so a max, not a sum; bounded by
+  /// High-water mark of transient scan bytes (offset tables) across all
+  /// scans (released scan-by-scan, so a max, not a sum; bounded by
   /// scan_scratch_bound of the largest planned scan).
   std::int64_t peak_scratch_bytes = 0;
 };

@@ -1,8 +1,11 @@
 // Bit-determinism of the striped aggregation kernels: for a fixed input,
-// the output bytes must be identical for EVERY thread-pool size, because
-// the stripe geometry is a function of the array shape (and nnz) only and
-// stripe-private accumulators merge in fixed stripe order. This is the
-// contract that makes CUBIST_THREADS a pure performance knob.
+// the output bytes must be those of a one-stripe scan for EVERY
+// thread-pool size. No child cell takes contributions from two stripes
+// (the children that keep the slab dimension are striped in slabs of it,
+// the one that drops it along another dimension), so every cell combines
+// its contributions in input order. This is the contract that makes
+// CUBIST_THREADS a pure performance knob. Non-integer inputs check the
+// order itself: their sums round differently when it changes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,8 +20,8 @@
 namespace cubist {
 namespace {
 
-/// Pool sizes the determinism contract is exercised with (the issue's
-/// matrix): serial, even, odd/oversubscribed, and whatever the machine has.
+/// Pool sizes the determinism contract is exercised with: serial, even,
+/// odd/oversubscribed, and whatever the machine has.
 std::vector<int> pool_sizes() {
   const unsigned hw = std::thread::hardware_concurrency();
   return {1, 2, 7, hw == 0 ? 1 : static_cast<int>(hw)};
@@ -73,7 +76,7 @@ TEST(AggregateDeterminismTest, DenseBitIdenticalAcrossPoolSizes) {
   // The shape must be big enough that the plan actually stripes —
   // otherwise this test degenerates to checking the scalar path.
   const std::vector<int> positions = all_positions(3);
-  ASSERT_GT(plan_dense_scan(parent.shape(), positions).num_stripes, 1);
+  ASSERT_GT(plan_dense_scan(parent.shape(), positions).stripes.size(), 1u);
 
   for (const AggregateOp op : kAllOps) {
     const std::vector<DenseArray> reference =
@@ -87,11 +90,11 @@ TEST(AggregateDeterminismTest, DenseBitIdenticalAcrossPoolSizes) {
 }
 
 TEST(AggregateDeterminismTest, DenseUnevenExtentsBitIdentical) {
-  // Prime-ish extents: stripe boundaries never line up with dimension
-  // boundaries, the last stripe is ragged, and every target aliases.
+  // Prime-ish extents: stripes split dimensions unevenly, and the child
+  // that drops dimension 0 takes stripes of dimension 1, of extent 5.
   const DenseArray parent = testing::random_dense({37, 5, 31, 23}, 0.4, 7);
   const std::vector<int> positions = all_positions(4);
-  ASSERT_GT(plan_dense_scan(parent.shape(), positions).num_stripes, 1);
+  ASSERT_GT(plan_dense_scan(parent.shape(), positions).stripes.size(), 1u);
 
   const std::vector<DenseArray> reference = children_with_pool(parent, 1);
   for (const int threads : pool_sizes()) {
@@ -102,7 +105,7 @@ TEST(AggregateDeterminismTest, DenseUnevenExtentsBitIdentical) {
 
 TEST(AggregateDeterminismTest, DenseStripedMatchesScalarProjection) {
   // The striped kernel against the deliberately scalar, independent
-  // project() path — guards against a deterministic-but-wrong merge.
+  // project() path — guards against deterministic-but-wrong striping.
   const DenseArray parent = testing::random_dense({48, 48, 48}, 0.5, 55);
   const std::vector<DenseArray> children = children_with_pool(parent, 7);
   for (int pos = 0; pos < 3; ++pos) {
@@ -121,10 +124,10 @@ TEST(AggregateDeterminismTest, SparseBitIdenticalAcrossPoolSizes) {
   const DenseArray dense = testing::random_dense({64, 40, 33}, 0.4, 23);
   const SparseArray parent = SparseArray::from_dense(dense, {8, 8, 8});
   const std::vector<int> positions = all_positions(3);
-  ASSERT_GT(plan_sparse_scan(parent.shape(), parent.chunk_grid(), positions,
-                             parent.nnz())
-                .num_stripes,
-            1);
+  ASSERT_GT(plan_sparse_scan(parent.shape(), parent.chunk_extents(),
+                             positions, parent.nnz())
+                .stripes.size(),
+            1u);
 
   for (const AggregateOp op : kAllOps) {
     const std::vector<DenseArray> reference =
@@ -144,10 +147,10 @@ TEST(AggregateDeterminismTest, SparseUnevenBoundaryChunksBitIdentical) {
   const DenseArray dense = testing::random_dense({51, 29, 38}, 0.45, 91);
   const SparseArray parent = SparseArray::from_dense(dense, {8, 8, 8});
   const std::vector<int> positions = all_positions(3);
-  ASSERT_GT(plan_sparse_scan(parent.shape(), parent.chunk_grid(), positions,
-                             parent.nnz())
-                .num_stripes,
-            1);
+  ASSERT_GT(plan_sparse_scan(parent.shape(), parent.chunk_extents(),
+                             positions, parent.nnz())
+                .stripes.size(),
+            1u);
 
   const std::vector<DenseArray> reference = children_with_pool(parent, 1);
   for (const int threads : pool_sizes()) {
@@ -186,26 +189,149 @@ TEST(AggregateDeterminismTest, FullCubeBitIdenticalAcrossPoolSizes) {
   }
 }
 
+/// Checks that `plan`'s pass (lone or not) tiles [0, extent(dim)) of
+/// `parent` along `dim` in order, in 2..kMaxScanStripes stripes.
+void expect_pass(const StripePlan& plan, const Shape& parent, bool lone,
+                 int dim) {
+  std::int64_t next = 0;
+  std::int64_t count = 0;
+  for (const ScanStripe& stripe : plan.stripes) {
+    if (stripe.lone != lone) continue;
+    EXPECT_EQ(stripe.dim, dim);
+    EXPECT_EQ(stripe.lo, next);
+    EXPECT_LT(stripe.lo, stripe.hi);
+    next = stripe.hi;
+    ++count;
+  }
+  EXPECT_EQ(next, parent.extent(dim)) << "lone=" << lone;
+  EXPECT_GT(count, 1);
+  EXPECT_LE(count, kMaxScanStripes);
+}
+
 TEST(AggregateDeterminismTest, StripePlanIsIndependentOfThreadCount) {
   // The plan functions take no thread count at all — assert the policy
-  // constants produce stable, budget-respecting plans on a few shapes.
+  // constants produce stable plans on a few shapes: slabs of the outermost
+  // dimension for the children that keep it, and stripes of the next one
+  // for the child that drops it, scheduled first.
   const Shape big{{48, 48, 48}};
   const std::vector<int> positions = all_positions(3);
   const StripePlan plan = plan_dense_scan(big, positions);
-  EXPECT_GT(plan.num_stripes, 1);
-  EXPECT_LE(plan.num_stripes, kMaxScanStripes);
-  EXPECT_LE(plan.scratch_bytes, kScanScratchBudgetBytes);
-  EXPECT_LE(plan.scratch_bytes, scan_scratch_bound(big, positions));
-  // Scratch never outgrows the children it feeds.
+  EXPECT_EQ(plan.slab_dim, 0);
+  ASSERT_FALSE(plan.stripes.empty());
+  EXPECT_TRUE(plan.stripes.front().lone);
+  EXPECT_FALSE(plan.stripes.back().lone);
+  expect_pass(plan, big, /*lone=*/true, 1);
+  expect_pass(plan, big, /*lone=*/false, 0);
+  // The offset-table cap never outgrows the children a scan feeds.
   const std::int64_t child_bytes =
       3 * 48 * 48 * static_cast<std::int64_t>(sizeof(Value));
-  EXPECT_LE(plan.scratch_bytes, child_bytes);
   EXPECT_EQ(scan_scratch_bound(big, positions), child_bytes);
-  EXPECT_GE(plan.stripe_len * plan.num_stripes, 48 * 48);
+
+  // Sparse Figure-7 input: both passes split at chunk boundaries.
+  const Shape fig7{{64, 64, 64, 64}};
+  const std::vector<std::int64_t> chunks{16, 16, 16, 16};
+  const StripePlan sparse =
+      plan_sparse_scan(fig7, chunks, all_positions(4), fig7.size() / 4);
+  EXPECT_EQ(sparse.slab_dim, 0);
+  expect_pass(sparse, fig7, /*lone=*/true, 1);
+  expect_pass(sparse, fig7, /*lone=*/false, 0);
+  for (const ScanStripe& stripe : sparse.stripes) {
+    EXPECT_EQ(stripe.lo % 16, 0);
+  }
+  // The 5-D serving input lies in one chunk along dimension 1: the lone
+  // child's stripes cut its chunks.
+  const Shape serve{{16, 16, 16, 16, 8}};
+  const std::vector<std::int64_t> serve_chunks{2, 16, 16, 16, 8};
+  const StripePlan cut = plan_sparse_scan(serve, serve_chunks,
+                                          all_positions(5), serve.size() / 4);
+  EXPECT_EQ(cut.slab_dim, 0);
+  expect_pass(cut, serve, /*lone=*/true, 1);
+  expect_pass(cut, serve, /*lone=*/false, 0);
+  // A scan with no child that drops the slab dimension has no lone pass.
+  const std::vector<int> keepers = {1, 2};
+  for (const ScanStripe& stripe : plan_dense_scan(big, keepers).stripes) {
+    EXPECT_FALSE(stripe.lone);
+  }
 
   const Shape tiny{{4, 4, 4}};
-  EXPECT_EQ(plan_dense_scan(tiny, positions).num_stripes, 1);
-  EXPECT_EQ(plan_dense_scan(tiny, positions).scratch_bytes, 0);
+  EXPECT_EQ(plan_dense_scan(tiny, positions).slab_dim, -1);
+  EXPECT_EQ(plan_dense_scan(tiny, positions).stripes.size(), 1u);
+}
+
+/// Checks every child of one all-children scan of `parent` on every pool
+/// size against the input-order references: each SUM child byte for byte
+/// against project(), and each COUNT, MIN and MAX child against the brute
+/// force over `dense`, the parent's cells.
+template <typename ParentT>
+void expect_input_order(const ParentT& parent, const DenseArray& dense) {
+  for (const AggregateOp op : kAllOps) {
+    for (const int threads : pool_sizes()) {
+      std::vector<DenseArray> children =
+          children_with_pool(parent, threads, op);
+      for (int pos = 0; pos < parent.ndim(); ++pos) {
+        DenseArray& child = children[static_cast<std::size_t>(pos)];
+        if (op == AggregateOp::kSum) {
+          DenseArray expected{parent.shape().without_dim(pos)};
+          std::vector<int> kept;
+          for (int d = 0; d < parent.ndim(); ++d) {
+            if (d != pos) kept.push_back(d);
+          }
+          project(parent, kept, &expected);
+          EXPECT_EQ(std::memcmp(expected.data(), child.data(),
+                                static_cast<std::size_t>(expected.bytes())),
+                    0)
+              << parent.shape().to_string() << " pos=" << pos << " with "
+              << threads << " threads";
+        } else {
+          finalize_view(op, child);
+          EXPECT_EQ(child, testing::brute_force_op(dense, pos, op))
+              << to_string(op) << " " << parent.shape().to_string()
+              << " pos=" << pos << " with " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST(AggregateDeterminismTest, NonIntegerDenseChildrenFollowInputOrder) {
+  // A 3-D parent whose lone child is striped along an outer dimension, a
+  // 2-D one whose lone child is striped along the rows' cells, and one
+  // whose slabs take dimension 1, as dimension 0 has one index.
+  for (const std::vector<std::int64_t>& extents :
+       {std::vector<std::int64_t>{48, 48, 48},
+        std::vector<std::int64_t>{256, 128},
+        std::vector<std::int64_t>{1, 40, 30, 20}}) {
+    const DenseArray parent = testing::fractional_dense(extents, 0.7, 31);
+    const StripePlan plan =
+        plan_dense_scan(parent.shape(), all_positions(parent.ndim()));
+    ASSERT_GT(plan.stripes.size(), 2u);
+    ASSERT_TRUE(plan.stripes.front().lone);
+    expect_input_order(parent, parent);
+  }
+}
+
+TEST(AggregateDeterminismTest, NonIntegerSparseChildrenFollowInputOrder) {
+  // 8^3 chunks, whose stripes all fall on chunk boundaries; 2x16x16
+  // chunks, whose lone stripes cut every chunk on the offset-table path;
+  // clipped 2x16x16 chunks, which cut them on the decode path; and one
+  // chunk, whose slabs cut it too.
+  const DenseArray cube = testing::fractional_dense({64, 40, 33}, 0.4, 47);
+  const DenseArray flat = testing::fractional_dense({256, 16, 16}, 0.5, 53);
+  const DenseArray ragged = testing::fractional_dense({255, 16, 15}, 0.5, 59);
+  const std::pair<const DenseArray*, std::vector<std::int64_t>> cases[] = {
+      {&cube, {8, 8, 8}},
+      {&flat, {2, 16, 16}},
+      {&ragged, {2, 16, 16}},
+      {&cube, {64, 40, 33}}};
+  for (const auto& [dense, chunk_extents] : cases) {
+    const SparseArray parent = SparseArray::from_dense(*dense, chunk_extents);
+    const StripePlan plan =
+        plan_sparse_scan(parent.shape(), parent.chunk_extents(),
+                         all_positions(3), parent.nnz());
+    ASSERT_GT(plan.stripes.size(), 2u);
+    ASSERT_TRUE(plan.stripes.front().lone);
+    expect_input_order(parent, *dense);
+  }
 }
 
 }  // namespace

@@ -14,33 +14,6 @@ namespace {
 constexpr AggregateOp kAllOps[] = {AggregateOp::kSum, AggregateOp::kCount,
                                    AggregateOp::kMin, AggregateOp::kMax};
 
-/// Reference: aggregate `parent` along `pos` under `op` with a plain loop
-/// over non-empty cells. Raw input (`input_level`) marks empty cells with
-/// 0 and contributes contribution_of(op, cell); a live view marks them
-/// with the identity and contributes the cell itself.
-DenseArray brute_force_op(const DenseArray& parent, int pos, AggregateOp op,
-                          bool input_level = true) {
-  DenseArray out{parent.shape().without_dim(pos)};
-  fill_identity(op, out);
-  const Value empty = input_level ? Value{0} : identity_of(op);
-  const int m = parent.ndim();
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(m));
-  std::vector<std::int64_t> child_idx;
-  for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
-    const Value cell = parent[linear];
-    if (cell == empty) continue;
-    parent.shape().unravel(linear, idx.data());
-    child_idx.clear();
-    for (int d = 0; d < m; ++d) {
-      if (d != pos) child_idx.push_back(idx[d]);
-    }
-    combine(op, out.at(child_idx),
-            input_level ? contribution_of(op, cell) : cell);
-  }
-  finalize_view(op, out);
-  return out;
-}
-
 /// Every single-dimension child of `parent` from ONE scan of the
 /// operator-generic kernel on a pool of `threads`, finalized.
 std::vector<DenseArray> kernel_children(const DenseArray& parent,
@@ -122,28 +95,32 @@ TEST_P(AggregateOpKernelTest, DenseInputLevelMatchesBruteForce) {
     aggregate_children(parent, std::span(&target, 1), {}, op,
                        /*input_level=*/true);
     finalize_view(op, child);
-    EXPECT_EQ(child, brute_force_op(parent, pos, op))
+    EXPECT_EQ(child, testing::brute_force_op(parent, pos, op))
         << to_string(op) << " pos=" << pos;
   }
 }
 
 TEST_P(AggregateOpKernelTest, StripedAliasedScanMatchesBruteForce) {
-  // Big enough to stripe, with a child that aliases across stripes, so
-  // the identity-filled private accumulators and the operator merge run
-  // — at both cell levels, on a multi-thread pool.
+  // Big enough to stripe: the children that keep dimension 0 take its
+  // slabs, and the child that drops it, which every slab would alias, its
+  // own stripes along dimension 1, so both passes run — at both cell
+  // levels, on a multi-thread pool.
   const AggregateOp op = GetParam();
   DenseArray parent = testing::random_dense({48, 32, 16}, 0.4, 12);
   ASSERT_GE(parent.size(), 2 * kMinCellsPerStripe);
   const std::vector<int> positions = {0, 1, 2};
   const StripePlan plan = plan_dense_scan(parent.shape(), positions);
-  ASSERT_GT(plan.num_stripes, 1);
-  ASSERT_NE(std::count(plan.aliased.begin(), plan.aliased.end(), 1), 0);
+  ASSERT_EQ(plan.slab_dim, 0);
+  const auto lone = std::count_if(plan.stripes.begin(), plan.stripes.end(),
+                                  [](const ScanStripe& s) { return s.lone; });
+  ASSERT_GT(lone, 1);
+  ASSERT_GT(std::ssize(plan.stripes) - lone, 1);
 
   std::vector<DenseArray> children =
       kernel_children(parent, op, /*input_level=*/true, 3);
   for (int pos = 0; pos < 3; ++pos) {
     EXPECT_EQ(children[static_cast<std::size_t>(pos)],
-              brute_force_op(parent, pos, op))
+              testing::brute_force_op(parent, pos, op))
         << to_string(op) << " input pos=" << pos;
   }
   // The same cells as a live view: empty cells hold the identity.
@@ -153,7 +130,7 @@ TEST_P(AggregateOpKernelTest, StripedAliasedScanMatchesBruteForce) {
   children = kernel_children(parent, op, /*input_level=*/false, 3);
   for (int pos = 0; pos < 3; ++pos) {
     EXPECT_EQ(children[static_cast<std::size_t>(pos)],
-              brute_force_op(parent, pos, op, /*input_level=*/false))
+              testing::brute_force_op(parent, pos, op, /*input_level=*/false))
         << to_string(op) << " view pos=" << pos;
   }
 }

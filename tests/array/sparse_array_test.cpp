@@ -27,9 +27,11 @@ TEST(SparseArrayTest, ChunkGridCoversArray) {
 
 TEST(SparseArrayTest, BoundaryChunksAreClipped) {
   const SparseArray s{Shape{{10, 7}}, {4, 4}};
-  EXPECT_TRUE(s.chunk_is_full({0, 0}));
-  EXPECT_FALSE(s.chunk_is_full({2, 0}));  // rows 8..9 only
-  EXPECT_FALSE(s.chunk_is_full({0, 1}));  // cols 4..6 only
+  EXPECT_EQ(s.chunk_shape_at({0, 0}), (std::vector<std::int64_t>{4, 4}));
+  EXPECT_EQ(s.chunk_shape_at({2, 0}),
+            (std::vector<std::int64_t>{2, 4}));  // rows 8..9 only
+  EXPECT_EQ(s.chunk_shape_at({0, 1}),
+            (std::vector<std::int64_t>{4, 3}));  // cols 4..6 only
   EXPECT_EQ(s.chunk_shape_at({2, 1}), (std::vector<std::int64_t>{2, 3}));
   EXPECT_EQ(s.chunk_base({2, 1}), (std::vector<std::int64_t>{8, 4}));
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -26,6 +27,51 @@ inline DenseArray random_dense(const std::vector<std::int64_t>& extents,
   for (std::int64_t i = 0; i < array.size(); ++i) {
     if (rng.next_double() < density) {
       array[i] = static_cast<Value>(1 + rng.next_below(9));
+    }
+  }
+  return array;
+}
+
+/// Reference: aggregate `parent` along `pos` under `op` with a plain loop
+/// over non-empty cells. Raw input (`input_level`) marks empty cells with
+/// 0 and contributes contribution_of(op, cell); a live view marks them
+/// with the identity and contributes the cell itself.
+inline DenseArray brute_force_op(const DenseArray& parent, int pos,
+                                 AggregateOp op, bool input_level = true) {
+  DenseArray out{parent.shape().without_dim(pos)};
+  fill_identity(op, out);
+  const Value empty = input_level ? Value{0} : identity_of(op);
+  const int m = parent.ndim();
+  std::vector<std::int64_t> idx(static_cast<std::size_t>(m));
+  std::vector<std::int64_t> child_idx;
+  for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
+    const Value cell = parent[linear];
+    if (cell == empty) continue;
+    parent.shape().unravel(linear, idx.data());
+    child_idx.clear();
+    for (int d = 0; d < m; ++d) {
+      if (d != pos) child_idx.push_back(idx[d]);
+    }
+    combine(op, out.at(child_idx),
+            input_level ? contribution_of(op, cell) : cell);
+  }
+  finalize_view(op, out);
+  return out;
+}
+
+/// Dense array like random_dense, but each non-zero is a non-integer of
+/// either sign with a magnitude between 2^-12 and 2^12: sums of such
+/// values round differently when their order changes.
+inline DenseArray fractional_dense(const std::vector<std::int64_t>& extents,
+                                   double density, std::uint64_t seed) {
+  DenseArray array{Shape{extents}};
+  Xoshiro256ss rng(seed);
+  for (std::int64_t i = 0; i < array.size(); ++i) {
+    if (rng.next_double() < density) {
+      const Value magnitude =
+          std::ldexp(1.0 + rng.next_double(),
+                     static_cast<int>(rng.next_below(25)) - 12);
+      array[i] = rng.next_below(2) == 0 ? magnitude : -magnitude;
     }
   }
   return array;
