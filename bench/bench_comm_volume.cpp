@@ -241,7 +241,6 @@ void BM_AlgorithmSweep(benchmark::State& state,
       DatasetCache::instance().provider(sizes, density, kSeed);
   ParallelOptions options;
   options.reduce_algorithm = algorithm;
-  options.verify_schedule = true;
   options.audit = true;
   ParallelCubeReport report;
   for (auto _ : state) {

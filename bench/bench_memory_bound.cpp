@@ -35,7 +35,7 @@ void BM_SequentialMemory(benchmark::State& state) {
     build_cube_sequential(input, &stats);
   }
   const std::int64_t bound =
-      sequential_memory_bound(CubeLattice(sizes), sizeof(Value));
+      sequential_memory_bound(CubeLattice(sizes));
   CUBIST_ASSERT(stats.peak_live_bytes <= bound, "Theorem 1 violated");
   memory_table().add({Shape{sizes}.to_string(), "sequential",
                       TextTable::fixed(static_cast<double>(bound) / 1e6, 3),
@@ -62,7 +62,7 @@ void BM_ParallelMemory(benchmark::State& state) {
     report = run_parallel_cube(sizes, splits, paper_model(), provider, false);
   }
   const std::int64_t bound =
-      parallel_memory_bound(CubeLattice(sizes), splits, sizeof(Value));
+      parallel_memory_bound(CubeLattice(sizes), splits);
   CUBIST_ASSERT(report.max_peak_live_bytes <= bound, "Theorem 4 violated");
   memory_table().add(
       {Shape{sizes}.to_string(),

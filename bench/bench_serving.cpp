@@ -311,8 +311,7 @@ void BM_PartialServing(benchmark::State& state,
       select_views_weighted(lattice, budget_bytes, uniform,
                             static_cast<std::int64_t>(sizeof(Value)));
   const std::int64_t static_certified = certify_selection_bytes(
-      lattice, static_sel.views, budget_bytes,
-      static_cast<std::int64_t>(sizeof(Value)));
+      lattice, static_sel.views, budget_bytes);
   auto static_cube = std::make_shared<const PartialCube>(
       PartialCube::build(input_ptr, static_sel.views));
 

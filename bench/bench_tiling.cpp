@@ -26,7 +26,7 @@ void BM_Tiling(benchmark::State& state) {
   const SparseArray& input =
       DatasetCache::instance().global(kSizes, kDensity, kSeed);
   const std::int64_t full =
-      sequential_memory_bound(CubeLattice(kSizes), sizeof(Value));
+      sequential_memory_bound(CubeLattice(kSizes));
   // Budgets: 100%, 75%, 50%, 40% of the untiled Theorem-1 bound.
   const double fractions[] = {1.0, 0.75, 0.5, 0.4};
   const double fraction = fractions[state.range(0)];

@@ -70,7 +70,7 @@ int run_info(const std::string& file) {
                 return cells;
               }()).c_str(),
               TextTable::with_thousands(
-                  sequential_memory_bound(lattice, sizeof(Value)))
+                  sequential_memory_bound(lattice))
                   .c_str());
   return 0;
 }

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
                   .c_str());
   std::printf("per-processor result-memory bound (Theorem 4): %s bytes\n",
               TextTable::with_thousands(parallel_memory_bound(
-                  CubeLattice(ordered), greedy, sizeof(Value)))
+                  CubeLattice(ordered), greedy))
                   .c_str());
   return 0;
 }

@@ -58,7 +58,7 @@ int main() {
               "%lld B), %lld cells scanned\n\n",
               cube.num_views(), static_cast<long long>(stats.peak_live_bytes),
               static_cast<long long>(
-                  sequential_memory_bound(CubeLattice(sizes), sizeof(Value))),
+                  sequential_memory_bound(CubeLattice(sizes))),
               static_cast<long long>(stats.cells_scanned));
 
   // Walk every view and print it.

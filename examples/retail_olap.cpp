@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
               "(peak live memory %.2f MB, Theorem-1 bound %.2f MB)\n\n",
               cube.num_views() + 1, timer.elapsed_seconds(),
               static_cast<double>(stats.peak_live_bytes) / 1e6,
-              static_cast<double>(sequential_memory_bound(
-                  CubeLattice(spec.sizes), sizeof(Value))) /
+              static_cast<double>(
+                  sequential_memory_bound(CubeLattice(spec.sizes))) /
                   1e6);
 
   // Dimension ids, for readability.
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   // Memory-budgeted construction: the same cube with ~60% of the memory.
   const std::int64_t full_bound =
-      sequential_memory_bound(CubeLattice(spec.sizes), sizeof(Value));
+      sequential_memory_bound(CubeLattice(spec.sizes));
   const TilingPlan plan = plan_tiling(spec.sizes, full_bound * 6 / 10);
   TiledBuildStats tiled_stats;
   const CubeResult tiled = build_cube_tiled(sales, plan, &tiled_stats);

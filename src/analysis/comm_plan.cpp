@@ -65,8 +65,7 @@ class RankPlanner {
     plan_.max_scan_scratch_bytes =
         std::max(plan_.max_scan_scratch_bytes,
                  scan_scratch_bound(Shape{parent_extents},
-                                    aggregated_positions,
-                                    spec_.bytes_per_cell));
+                                    aggregated_positions));
   }
 
   /// Reduces `child` over the axis group of its aggregated dimension; only
@@ -113,7 +112,8 @@ class RankPlanner {
   }
 
   std::int64_t view_bytes(DimSet view) const {
-    return block_cells(block_, view) * spec_.bytes_per_cell;
+    return block_cells(block_, view) *
+           static_cast<std::int64_t>(sizeof(Value));
   }
 
   /// The chunk-pipelined reduction of Comm::reduce, as planned
@@ -134,7 +134,7 @@ class RankPlanner {
     if (total == 0 || g == 1) return;
     const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
         spec_.reduce_algorithm, group, total, spec_.reduce_message_elements,
-        spec_.model, spec_.reduce_density_hint, spec_.encode_wire);
+        spec_.model, spec_.encode_wire);
     (*algorithm_by_view_)[child.mask()] = algorithm;
     for (const ReduceOp& op :
          reduce_program(algorithm, group, me, total,
@@ -189,7 +189,6 @@ CommPlan build_comm_plan(const ScheduleSpec& spec) {
                "sizes/log_splits rank mismatch");
   CUBIST_CHECK(spec.reduce_message_elements >= 0,
                "negative reduction message cap");
-  CUBIST_CHECK(spec.bytes_per_cell > 0, "bytes_per_cell must be positive");
   const ProcGrid grid(spec.log_splits, spec.model.topology);
   const AggregationTree tree(grid.ndims());
   CommPlan plan;

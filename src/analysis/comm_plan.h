@@ -50,17 +50,14 @@ struct ScheduleSpec {
   /// as in ParallelOptions::reduce_message_elements. Changes message
   /// counts, never volumes.
   std::int64_t reduce_message_elements = 0;
-  /// Bytes per array cell (sizeof(Value) for the real builders).
-  std::int64_t bytes_per_cell = static_cast<std::int64_t>(sizeof(Value));
   /// Reduction schedule, as in ReduceOptions::algorithm. kAuto resolves
   /// through the same tuner on the same static inputs as the runtime, so
   /// the plan IS the tuned schedule the ranks will execute — whatever the
   /// tuner picks is what gets verified.
   ReduceAlgorithm reduce_algorithm = ReduceAlgorithm::kBinomial;
   /// Tuner inputs mirrored from ReduceOptions / ParallelOptions: the
-  /// static density hint, the wire-codec switch, and the cost model whose
-  /// topology maps ranks onto nodes.
-  double reduce_density_hint = 1.0;
+  /// wire-codec switch, and the cost model whose topology maps ranks onto
+  /// nodes.
   bool encode_wire = true;
   CostModel model;
 };

@@ -212,7 +212,7 @@ void check_volume(const ScheduleSpec& spec, const CommPlan& plan,
         edge_volume_elements(spec.sizes, spec.log_splits, view.complement(n));
     if (predicted > 0) {
       report.dense_bound_bytes_by_view[mask] =
-          predicted * spec.bytes_per_cell;
+          predicted * static_cast<std::int64_t>(sizeof(Value));
     }
     const auto it = planned_by_view.find(mask);
     const std::int64_t planned =
@@ -255,7 +255,7 @@ void check_memory(const ScheduleSpec& spec, const CommPlan& plan,
                   AnalysisReport& report) {
   const CubeLattice lattice(spec.sizes);
   report.memory_bound_bytes =
-      parallel_memory_bound(lattice, spec.log_splits, spec.bytes_per_cell);
+      parallel_memory_bound(lattice, spec.log_splits);
   for (int r = 0; r < plan.num_ranks; ++r) {
     MemoryLedger ledger;
     for (const PlannedMemoryEvent& event :
@@ -362,9 +362,9 @@ struct Field {
 /// (name null when none does). `match` is the send the plan pairs with a
 /// receive and `operand` the receive a combine folds (kNoTraceSeq for the
 /// other kinds, whose recorded links must be absent too).
-Field first_divergence(const ScheduleSpec& spec, const EventTrace& trace,
-                       const PlannedOp& op, const TraceEvent& e,
-                       std::uint64_t match, std::uint64_t operand) {
+Field first_divergence(const EventTrace& trace, const PlannedOp& op,
+                       const TraceEvent& e, std::uint64_t match,
+                       std::uint64_t operand) {
   const auto seq = [](std::uint64_t index) {
     return index == kNoTraceSeq ? std::int64_t{-1}
                                 : static_cast<std::int64_t>(index);
@@ -391,7 +391,7 @@ Field first_divergence(const ScheduleSpec& spec, const EventTrace& trace,
   const std::int64_t planned_size =
       op.kind == PlannedOp::Kind::kCombine
           ? op.elements
-          : op.elements * spec.bytes_per_cell;
+          : op.elements * static_cast<std::int64_t>(sizeof(Value));
   for (const Field& field : {
            Field{"kind", static_cast<std::int64_t>(op.kind),
                  static_cast<std::int64_t>(e.kind)},
@@ -620,7 +620,7 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
         operand = last_recv;
       }
       const Field d =
-          first_divergence(spec, trace, ops[i], events[i], match, operand);
+          first_divergence(trace, ops[i], events[i], match, operand);
       if (d.name == nullptr) {
         if (check_wire(spec, r, i, ops[i], events[i], report)) break;
         continue;

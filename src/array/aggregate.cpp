@@ -137,8 +137,7 @@ void run_stripes(const StripePlan& plan,
           const ScanStripe& stripe = plan.stripes[static_cast<std::size_t>(s)];
           scan(stripe, std::span<const std::size_t>(members[stripe.lone]));
         }
-      },
-      options.max_workers);
+      });
 }
 
 /// The box of indices a stripe covers: every index of `extents`, with
@@ -360,14 +359,13 @@ AggregationStats aggregate_dense(const DenseArray& parent,
 }  // namespace
 
 std::int64_t scan_scratch_bound(const Shape& parent,
-                                std::span<const int> aggregated_positions,
-                                std::int64_t bytes_per_cell) {
-  CUBIST_CHECK(bytes_per_cell > 0, "bytes_per_cell must be positive");
+                                std::span<const int> aggregated_positions) {
   std::int64_t total_child_bytes = 0;
   for (const int a : aggregated_positions) {
     CUBIST_CHECK(a >= 0 && a < parent.ndim(),
                  "aggregated position out of range");
-    total_child_bytes += parent.size() / parent.extent(a) * bytes_per_cell;
+    total_child_bytes += parent.size() / parent.extent(a) *
+                         static_cast<std::int64_t>(sizeof(Value));
   }
   return std::min(kScanScratchBudgetBytes, total_child_bytes);
 }
@@ -553,8 +551,7 @@ std::vector<std::vector<std::int64_t>> chunk_offset_table(
             if (d >= 0) projected += steps[d];
           }
         }
-      },
-      options.max_workers);
+      });
   return offset_table;
 }
 

@@ -66,12 +66,10 @@ struct AggregationStats {
 
 /// Execution knobs of one scan (defaults reproduce the global policy).
 struct AggregateOptions {
-  /// Pool to stripe the scan over; nullptr = ThreadPool::global().
+  /// Pool to stripe the scan over; nullptr = ThreadPool::global(). Its
+  /// size() / active_ranks() budget caps the scan's concurrency, so p
+  /// simulated ranks each get an even share.
   ThreadPool* pool = nullptr;
-  /// Extra cap on the scan's concurrency on top of the pool's own
-  /// size() / active_ranks() budget (0 = no extra cap). The parallel
-  /// builder sets this to its per-rank worker budget.
-  int max_workers = 0;
 };
 
 // --- deterministic stripe policy (shared by the kernels, the static
@@ -127,12 +125,9 @@ StripePlan plan_sparse_scan(const Shape& parent,
 /// layout, nonzero count, operator and thread count:
 /// min(kScanScratchBudgetBytes, sum of child bytes) — the cap on the
 /// sparse scan's offset table.
-/// The static schedule analysis charges this per planned scan
-/// (`bytes_per_cell` mirrors ScheduleSpec's knob; the kernels use
-/// sizeof(Value)).
-std::int64_t scan_scratch_bound(
-    const Shape& parent, std::span<const int> aggregated_positions,
-    std::int64_t bytes_per_cell = static_cast<std::int64_t>(sizeof(Value)));
+/// The static schedule analysis charges this per planned scan.
+std::int64_t scan_scratch_bound(const Shape& parent,
+                                std::span<const int> aggregated_positions);
 
 /// Scans a dense parent once, combining every target simultaneously under
 /// `op`. `input_level` selects the parent's cell semantics: true means raw
@@ -167,7 +162,7 @@ AggregationStats aggregate_children(const SparseArray& parent,
 /// accumulated into. Deliberately an independent, scalar code path from
 /// the multi-way kernels. Its callers are the reference verifier, the
 /// naive all-from-root baseline and PartialCube's on-the-fly
-/// projections; no builder calls it (tools/lint.py rule 9).
+/// projections; no builder calls it (tools/lint.py rule 8).
 AggregationStats project(const DenseArray& parent,
                          const std::vector<int>& kept_positions,
                          DenseArray* out);

@@ -58,13 +58,13 @@ Value load_narrow(std::span<const std::byte> values, std::int64_t i) {
 }  // namespace
 
 std::vector<std::byte> encode_chunk(std::span<const Value> chunk,
-                                    AggregateOp op, const WirePolicy& policy) {
+                                    AggregateOp op, bool encode_wire) {
   const auto n = static_cast<std::int64_t>(chunk.size());
   CUBIST_CHECK(
       static_cast<std::uint64_t>(n) <= std::numeric_limits<std::uint32_t>::max(),
       "chunk of " << n << " cells exceeds the wire format's 32-bit indexing");
   const std::int64_t raw_bytes = n * static_cast<std::int64_t>(sizeof(Value));
-  if (!policy.enabled || n == 0) return encode_raw(chunk);
+  if (!encode_wire || n == 0) return encode_raw(chunk);
 
   // One analysis pass: run structure under the operator's bitwise identity,
   // and uint32-exactness of all cells / of the non-identity cells.
@@ -247,7 +247,7 @@ std::vector<Value> decode_chunk(std::span<const std::byte> payload,
 
 std::int64_t combine_chunk(AggregateOp op, std::span<Value> dst,
                            std::span<const std::byte> payload,
-                           ThreadPool* pool, int max_workers) {
+                           ThreadPool* pool) {
   const auto n = static_cast<std::int64_t>(dst.size());
   const WireChunkView view = parse_chunk(payload, n);
   Value* out = dst.data();
@@ -265,7 +265,7 @@ std::int64_t combine_chunk(AggregateOp op, std::span<Value> dst,
       }
     };
     if (pool != nullptr && n >= 2 * kMinCellsPerCombineStripe) {
-      pool->parallel_for(0, n, kMinCellsPerCombineStripe, body, max_workers);
+      pool->parallel_for(0, n, kMinCellsPerCombineStripe, body);
     } else {
       body(0, n);
     }
@@ -292,8 +292,7 @@ std::int64_t combine_chunk(AggregateOp op, std::span<Value> dst,
   const auto run_count = static_cast<std::int64_t>(view.runs.size());
   if (pool != nullptr && (view.value_count >= 2 * kMinCellsPerCombineStripe ||
                           run_count >= 2 * kMinRunsPerCombineStripe)) {
-    pool->parallel_for(0, run_count, kMinRunsPerCombineStripe, body,
-                       max_workers);
+    pool->parallel_for(0, run_count, kMinRunsPerCombineStripe, body);
   } else {
     body(0, run_count);
   }

@@ -47,14 +47,6 @@ namespace cubist {
 
 class ThreadPool;
 
-/// Encoding policy of one reduction (ParallelOptions plumbs this through).
-struct WirePolicy {
-  /// Master switch. Disabled, the reduce path ships raw Values and each
-  /// send's wire bytes equal its logical bytes exactly. Enabled, every
-  /// chunk ships in the smallest of the four forms.
-  bool enabled = true;
-};
-
 /// Wire forms; kRaw never carries a header.
 enum class WireKind : std::uint8_t {
   kRaw = 0,
@@ -94,9 +86,11 @@ struct WireChunkView {
 
 /// Encodes one chunk under `op`'s identity. The result is either exactly
 /// `chunk.size() * sizeof(Value)` raw bytes, or a strictly smaller
-/// header-tagged payload. With `policy.enabled == false` always raw.
+/// header-tagged payload (the smallest of the four forms). With
+/// `encode_wire` off always raw, so each send's wire bytes equal its
+/// logical bytes exactly.
 std::vector<std::byte> encode_chunk(std::span<const Value> chunk,
-                                    AggregateOp op, const WirePolicy& policy);
+                                    AggregateOp op, bool encode_wire);
 
 /// Parses (and validates) a payload produced by encode_chunk for a chunk
 /// of `elements` logical cells. Zero-copy: the view aliases `payload`.
@@ -112,10 +106,10 @@ std::vector<Value> decode_chunk(std::span<const std::byte> payload,
 /// cells of run-encoded payloads (they are combine no-ops). Returns the
 /// number of combine updates applied — the receiver's virtual-clock
 /// charge. When `pool` is non-null the elementwise work is striped over
-/// it in fixed disjoint ranges (bit-identical for any worker count);
-/// `max_workers` caps the stripes' concurrency (0 = pool policy).
+/// it in fixed disjoint ranges under the pool's per-rank budget
+/// (bit-identical for any worker count).
 std::int64_t combine_chunk(AggregateOp op, std::span<Value> dst,
                            std::span<const std::byte> payload,
-                           ThreadPool* pool = nullptr, int max_workers = 1);
+                           ThreadPool* pool = nullptr);
 
 }  // namespace cubist

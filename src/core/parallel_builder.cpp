@@ -1,6 +1,5 @@
 #include "core/parallel_builder.h"
 
-#include <algorithm>
 #include <cstring>
 #include <span>
 
@@ -156,23 +155,18 @@ std::optional<CubeResult> build_cube_parallel_rank(
                    grid.block(comm.rank(), global_sizes).extents(),
                "local root block shape mismatch for rank " << comm.rank());
   // All grid.size() ranks scan concurrently (SPMD threads under the
-  // minimpi runtime), so each rank gets an even share of the pool; a
-  // share of 1 makes every scan run inline on the rank's own thread.
-  // This cap is redundant with the runtime's ScopedActiveRanks
-  // registration, but keeps ranks from oversubscribing even when
-  // build_cube_parallel_rank is driven by some other harness.
+  // minimpi runtime, whose ScopedActiveRanks registration gives each rank
+  // an even share of the pool); a share of 1 makes every scan run inline
+  // on the rank's own thread.
   ThreadPool* pool =
       options.pool != nullptr ? options.pool : &ThreadPool::global();
   AggregateOptions agg_options;
   agg_options.pool = pool;
-  agg_options.max_workers = std::max(1, pool->size() / grid.size());
   ReduceOptions reduce_options;
   reduce_options.algorithm = options.reduce_algorithm;
-  reduce_options.density_hint = options.reduce_density_hint;
   reduce_options.max_message_elements = options.reduce_message_elements;
-  reduce_options.wire.enabled = options.encode_wire;
+  reduce_options.encode_wire = options.encode_wire;
   reduce_options.combine_pool = pool;
-  reduce_options.combine_workers = agg_options.max_workers;
 
   std::optional<CubeResult> cube;
   if (collect_result && comm.rank() == 0) cube.emplace(global_sizes);

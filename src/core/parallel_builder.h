@@ -31,8 +31,8 @@
 
 namespace cubist {
 
-/// Default for the driver's static schedule checks: on in debug builds,
-/// off in release builds (tests can always opt in explicitly).
+/// Default of ParallelOptions::audit: on in debug builds, off in release
+/// builds (tests can always opt in explicitly).
 #ifdef NDEBUG
 inline constexpr bool kScheduleAnalysisDefault = false;
 #else
@@ -46,15 +46,12 @@ struct ParallelOptions {
   AggregateOp op = AggregateOp::kSum;
   /// Reduction schedule per collective (minimpi/collectives.h). The
   /// default kAuto lets the cost tuner pick binomial / ring / two-level
-  /// per (block size, group, density hint, topology); the tuner only
-  /// leaves binomial on a clear predicted win, so small latency-bound
-  /// reductions keep the paper's schedule. Forced values pin one
-  /// algorithm for every reduction (benches and the determinism matrix).
+  /// per (block size, group, message cap, wire switch, topology), pricing
+  /// every payload dense; the tuner only leaves binomial on a clear
+  /// predicted win, so small latency-bound reductions keep the paper's
+  /// schedule. Forced values pin one algorithm for every reduction
+  /// (benches and the determinism matrix).
   ReduceAlgorithm reduce_algorithm = ReduceAlgorithm::kAuto;
-  /// Static density hint for the kAuto tuner (non-identity fraction of
-  /// reduction payloads). Never measured at runtime — the static planner
-  /// must resolve kAuto to the identical schedule.
-  double reduce_density_hint = 1.0;
   /// Cap on elements per reduction message (0 = whole block per message).
   /// The communication-frequency knob: *logical* volume is unchanged,
   /// message count and latency cost grow as the cap shrinks, and the
@@ -67,23 +64,22 @@ struct ParallelOptions {
   bool encode_wire = true;
   /// Pool for the intra-rank scans and the receiver-side reduction
   /// combine (nullptr = ThreadPool::global()). A pure performance knob;
-  /// tests inject fixed-size pools to pin the determinism contract.
+  /// tests inject fixed-size pools to pin the determinism contract. Each
+  /// rank's share is the pool's size() / active_ranks() budget, which
+  /// the runtime sets to size() / p.
   ThreadPool* pool = nullptr;
-  /// Pre-flight gate (src/analysis): before any rank launches, statically
-  /// certify the whole program, the result gather included — matched
-  /// sends/recvs, deadlock freedom under every arrival order, Lemma 1 /
-  /// Theorem 3 volumes, Theorem 4 memory bound. Violations throw
-  /// InternalError from run_parallel_cube.
-  bool verify_schedule = kScheduleAnalysisDefault;
-  /// Post-run audit against the certified plan (analysis/
-  /// schedule_verifier.h; on, the pre-flight gate runs too): the run's
-  /// event trace must equal it event for event, and no send may put more
-  /// bytes on the wire than its logical size (exactly that size with the
-  /// codec off); any divergence throws InternalError. Every run records
-  /// its trace, so this switch gates only building and certifying the
-  /// plan and comparing the trace with it. Off by default: that is a plan
-  /// build and a verifier replay per run.
-  bool audit = false;
+  /// Certify and audit the run (src/analysis). Before any rank launches,
+  /// the pre-flight gate statically certifies the whole program, the
+  /// result gather included — matched sends/recvs, deadlock freedom under
+  /// every arrival order, Lemma 1 / Theorem 3 volumes, Theorem 4 memory
+  /// bound. After the run, its event trace must equal the certified plan
+  /// event for event, and no send may put more bytes on the wire than its
+  /// logical size (exactly that size with the codec off). Any violation
+  /// throws InternalError from run_parallel_cube. Every run records its
+  /// trace, so this switch gates only building and certifying the plan
+  /// and comparing the trace with it: a plan build and a verifier replay
+  /// per run, hence off in release builds.
+  bool audit = kScheduleAnalysisDefault;
 };
 
 /// Per-rank accounting of one parallel construction: the walk's

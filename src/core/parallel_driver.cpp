@@ -23,7 +23,6 @@ ScheduleSpec schedule_spec_of(const std::vector<std::int64_t>& sizes,
   spec.collect_result = collect_result;
   spec.reduce_message_elements = options.reduce_message_elements;
   spec.reduce_algorithm = options.reduce_algorithm;
-  spec.reduce_density_hint = options.reduce_density_hint;
   spec.encode_wire = options.encode_wire;
   spec.model = model;
   return spec;
@@ -43,16 +42,15 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
   const int n = static_cast<int>(sizes.size());
 
   // One plan for the whole program, the gather included: the pre-flight
-  // gate certifies it and the post-run audit checks the run against it,
-  // so auditing implies the gate (a trace equal to an uncertified plan
-  // would prove nothing).
+  // gate certifies it and the post-run audit checks the run against it
+  // (a trace equal to an uncertified plan would prove nothing).
   const ScheduleSpec spec =
       schedule_spec_of(sizes, log_splits, model, collect_result, options);
   std::optional<CommPlan> plan;
   {
     obs::Span span("build", "plan_and_verify");
     span.tag("ranks", static_cast<std::int64_t>(p));
-    if (options.verify_schedule || options.audit) {
+    if (options.audit) {
       plan.emplace(build_comm_plan(spec));
       const AnalysisReport preflight = verify_schedule(spec, *plan);
       CUBIST_ASSERT(preflight.ok(),

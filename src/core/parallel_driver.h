@@ -66,7 +66,7 @@ struct ParallelCubeReport {
   std::int64_t total_nnz = 0;
   /// Resolved reduction schedule per view (the tuner's pick under kAuto),
   /// from the static plan. Filled only when the plan was built, i.e. when
-  /// the verify_schedule gate or the post-run audit ran.
+  /// ParallelOptions::audit was on.
   std::map<std::uint32_t, ReduceAlgorithm> reduce_algorithm_by_view;
   /// Assembled cube (only when collect_result was true).
   std::optional<CubeResult> cube;

@@ -33,15 +33,14 @@ class MemoryLedger {
 
 /// Theorem 1 / Theorem 2: the tight bound on live result memory,
 ///   sum_i prod_{j != i} D_j cells,
-/// i.e. the sum of the sizes of the root's n children. Returned in bytes.
-std::int64_t sequential_memory_bound(const CubeLattice& lattice,
-                                     std::int64_t bytes_per_cell);
+/// i.e. the sum of the sizes of the root's n children. Returned in bytes
+/// (sizeof(Value) per cell, as every bound here).
+std::int64_t sequential_memory_bound(const CubeLattice& lattice);
 
 /// Theorem 4 / Theorem 5: the per-processor bound when dimension j is
 /// split 2^{k_j} ways: sum_i prod_{j != i} ceil(D_j / 2^{k_j}) in bytes.
 std::int64_t parallel_memory_bound(const CubeLattice& lattice,
-                                   const std::vector<int>& log_splits,
-                                   std::int64_t bytes_per_cell);
+                                   const std::vector<int>& log_splits);
 
 /// Certifies a view selection against a byte budget by replaying its
 /// materialization through a MemoryLedger: every selected view is
@@ -51,7 +50,6 @@ std::int64_t parallel_memory_bound(const CubeLattice& lattice,
 /// `budget_bytes` — a re-plan must never swap in an uncertified set.
 std::int64_t certify_selection_bytes(const CubeLattice& lattice,
                                      const std::vector<DimSet>& views,
-                                     std::int64_t budget_bytes,
-                                     std::int64_t bytes_per_cell);
+                                     std::int64_t budget_bytes);
 
 }  // namespace cubist

@@ -184,25 +184,18 @@ std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
 }
 
 ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
-                                              double density_hint,
                                               bool encode_wire) {
-  const double density = std::clamp(density_hint, 0.0, 1.0);
-  // The adaptive codec ships narrow integers for dense chunks (~0.5x)
-  // and run-skips identity cells for sparse ones; a clamped density is a
-  // good monotone proxy and is applied identically to every candidate.
-  const double wire_factor =
-      encode_wire ? std::clamp(density, 0.05, 0.5) : 1.0;
   const auto count = static_cast<double>(elements);
-  return {count * static_cast<double>(sizeof(Value)) * wire_factor,
-          count * density};
+  return {count * static_cast<double>(sizeof(Value)) *
+              (encode_wire ? 0.5 : 1.0),
+          count};
 }
 
 double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                std::span<const int> group,
                                std::int64_t total_elements,
                                std::int64_t max_message_elements,
-                               const CostModel& model, double density_hint,
-                               bool encode_wire) {
+                               const CostModel& model, bool encode_wire) {
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return 0.0;
 
@@ -230,7 +223,7 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
       for (; next < program.size(); ++next) {
         const ReduceOp& op = program[next];
         const ReducePayloadEstimate estimate =
-            estimate_reduce_payload(op.count, density_hint, encode_wire);
+            estimate_reduce_payload(op.count, encode_wire);
         if (op.step.kind == ReduceStep::Kind::kSend) {
           arrivals[{group[i], op.step.peer}].push_back(model.charge_send(
               t, group[i], op.step.peer, estimate.wire_bytes));
@@ -257,7 +250,6 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
                                         std::int64_t total_elements,
                                         std::int64_t max_message_elements,
                                         const CostModel& model,
-                                        double density_hint,
                                         bool encode_wire) {
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return ReduceAlgorithm::kBinomial;
@@ -278,13 +270,13 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
 
   const double binomial_seconds = simulate_reduce_seconds(
       ReduceAlgorithm::kBinomial, group, total_elements,
-      max_message_elements, model, density_hint, encode_wire);
+      max_message_elements, model, encode_wire);
   ReduceAlgorithm best = ReduceAlgorithm::kBinomial;
   double best_seconds = binomial_seconds;
   for (ReduceAlgorithm candidate : candidates) {
     const double seconds = simulate_reduce_seconds(
         candidate, group, total_elements, max_message_elements, model,
-        density_hint, encode_wire);
+        encode_wire);
     if (seconds < best_seconds &&
         seconds < binomial_seconds * kTunerSwitchMargin) {
       best = candidate;
@@ -299,11 +291,10 @@ ReduceAlgorithm resolve_reduce_algorithm(ReduceAlgorithm requested,
                                          std::int64_t total_elements,
                                          std::int64_t max_message_elements,
                                          const CostModel& model,
-                                         double density_hint,
                                          bool encode_wire) {
   if (requested != ReduceAlgorithm::kAuto) return requested;
   return choose_reduce_algorithm(group, total_elements, max_message_elements,
-                                 model, density_hint, encode_wire);
+                                 model, encode_wire);
 }
 
 }  // namespace cubist

@@ -120,18 +120,19 @@ std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
                                      std::int64_t max_message_elements,
                                      const Topology& topology);
 
-/// The tuner's estimate of one reduce op's payload, made from the static
-/// density hint: the wire bytes a send of `elements` puts on the link
-/// and the combine updates its receiver applies. simulate_reduce_seconds
-/// prices every op of its replay on it; Comm::reduce prices every op it
-/// executes on it beside the payload it actually shipped or folded, which
-/// is what the reduce drift gauge compares (obs/drift.h).
+/// The tuner's estimate of one reduce op's payload, priced dense (the
+/// partial aggregates a reduce ships are): the wire bytes a send of
+/// `elements` puts on the link — half the raw Values with the codec on
+/// (its narrow-integer form), all of them off — and one combine update
+/// per element at its receiver. simulate_reduce_seconds prices every op
+/// of its replay on it; Comm::reduce prices every op it executes on it
+/// beside the payload it actually shipped or folded, which is what the
+/// reduce drift gauge compares (obs/drift.h).
 struct ReducePayloadEstimate {
   double wire_bytes = 0.0;
   double updates = 0.0;
 };
 ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
-                                              double density_hint,
                                               bool encode_wire);
 
 /// Predicted makespan of one reduction under `algorithm` (must be
@@ -142,8 +143,7 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
                                std::span<const int> group,
                                std::int64_t total_elements,
                                std::int64_t max_message_elements,
-                               const CostModel& model, double density_hint,
-                               bool encode_wire);
+                               const CostModel& model, bool encode_wire);
 
 /// The tuner: cheapest predicted algorithm for this call. Binomial is
 /// the incumbent — an alternative is picked only when its predicted
@@ -154,7 +154,6 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
                                         std::int64_t total_elements,
                                         std::int64_t max_message_elements,
                                         const CostModel& model,
-                                        double density_hint,
                                         bool encode_wire);
 
 /// `requested` itself when forced; the tuner's choice for kAuto. Both
@@ -166,7 +165,6 @@ ReduceAlgorithm resolve_reduce_algorithm(ReduceAlgorithm requested,
                                          std::int64_t total_elements,
                                          std::int64_t max_message_elements,
                                          const CostModel& model,
-                                         double density_hint,
                                          bool encode_wire);
 
 }  // namespace cubist

@@ -117,7 +117,7 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   // only, so analysis/comm_plan.cpp resolves to the identical choice.
   const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
       options.algorithm, group, total, options.max_message_elements, model,
-      options.density_hint, options.wire.enabled);
+      options.encode_wire);
 
   // Timeline span for the whole collective.
   obs::Span span("comm", "reduce");
@@ -144,10 +144,11 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
                       options.max_message_elements, model.topology)) {
     const std::span<Value> chunk(data.data() + next.offset,
                                  static_cast<std::size_t>(next.count));
-    const ReducePayloadEstimate estimate = estimate_reduce_payload(
-        next.count, options.density_hint, options.wire.enabled);
+    const ReducePayloadEstimate estimate =
+        estimate_reduce_payload(next.count, options.encode_wire);
     if (next.step.kind == ReduceStep::Kind::kSend) {
-      std::vector<std::byte> payload = encode_chunk(chunk, op, options.wire);
+      std::vector<std::byte> payload =
+          encode_chunk(chunk, op, options.encode_wire);
       model.charge_send(observed, rank_, next.step.peer,
                         static_cast<double>(payload.size()));
       model.charge_send(modeled, rank_, next.step.peer, estimate.wire_bytes);
@@ -157,8 +158,8 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
       continue;
     }
     const std::vector<std::byte> payload = recv_bytes(next.step.peer, tag);
-    const std::int64_t updates = combine_chunk(
-        op, chunk, payload, options.combine_pool, options.combine_workers);
+    const std::int64_t updates =
+        combine_chunk(op, chunk, payload, options.combine_pool);
     TraceEvent combined{TraceEventKind::kCombine, next.step.peer, tag,
                         next.count, next.offset};
     combined.operand_seq = last_recv_seq_;

@@ -29,31 +29,24 @@ class ThreadPool;
 struct ReduceOptions {
   /// Reduction schedule (minimpi/collectives.h). kBinomial is the
   /// compatibility default for direct Comm users; kAuto asks the cost
-  /// tuner to pick per call from (block size, group, density hint,
-  /// topology). The choice never changes the result bits or the shipped
-  /// volume — only the schedule.
+  /// tuner to pick per call from (block size, group, message cap, wire
+  /// switch, topology), pricing every payload dense. The choice never
+  /// changes the result bits or the shipped volume — only the schedule.
   ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
-  /// Static non-identity-fraction hint for the tuner's wire and combine
-  /// estimates (estimate_reduce_payload), which kAuto picks on and the
-  /// reduce drift gauge checks. Deliberately NOT measured at runtime so
-  /// the static planner resolves kAuto to the identical schedule.
-  double density_hint = 1.0;
   /// Chunk size in elements (0 = whole block per message; the ring
   /// auto-chunks in that case — see reduce_chunk_elements). Smaller
   /// chunks trade more messages (latency/overhead) for finer pipelining
   /// — the communication-frequency knob studied in the authors'
   /// companion work.
   std::int64_t max_message_elements = 0;
-  /// Adaptive payload encoding; wire.enabled = false ships raw Values and
-  /// makes wire bytes equal logical bytes exactly.
-  WirePolicy wire;
-  /// Pool for the receiver's elementwise combine (null = inline). Striping
-  /// is in fixed disjoint cell ranges, so the result is bit-identical for
-  /// any pool and worker count.
+  /// Adaptive payload encoding (array/wire_codec.h): on, every chunk
+  /// ships in the smallest of the codec's forms; off, it ships raw Values
+  /// and wire bytes equal logical bytes exactly.
+  bool encode_wire = true;
+  /// Pool for the receiver's elementwise combine (null = inline), under
+  /// the pool's own per-rank budget. Striping is in fixed disjoint cell
+  /// ranges, so the result is bit-identical for any pool and worker count.
   ThreadPool* combine_pool = nullptr;
-  /// Per-call concurrency cap for the combine (0 = pool policy). The cube
-  /// builder passes its per-rank budget here.
-  int combine_workers = 1;
 };
 
 class Comm {
@@ -105,14 +98,14 @@ class Comm {
   /// member combines and forwards chunk i before chunk i+1 arrives from
   /// below and the virtual clock sees the rounds overlap (per-chunk
   /// arrival times, not whole-block serialization). Each chunk's payload
-  /// is adaptively encoded under `options.wire`; each send event records
-  /// logical and wire bytes per message, and the clock charges the
-  /// transfer at wire size through CostModel's charge_* functions, the
-  /// same ones simulate_reduce_seconds replays. Each member records one
-  /// sample into the reduce drift gauge (obs/drift.h): its send and
-  /// combine charges on the payloads it shipped and folded, against the
-  /// same charges on estimate_reduce_payload's guesses; waits count on
-  /// neither side.
+  /// is adaptively encoded when `options.encode_wire` is on; each send
+  /// event records logical and wire bytes per message, and the clock
+  /// charges the transfer at wire size through CostModel's charge_*
+  /// functions, the same ones simulate_reduce_seconds replays. Each
+  /// member records one sample into the reduce drift gauge (obs/drift.h):
+  /// its send and combine charges on the payloads it shipped and folded,
+  /// against the same charges on estimate_reduce_payload's dense
+  /// estimates; waits count on neither side.
   ///
   /// Determinism: every receive is fixed-source, so per destination cell
   /// the combine order is the chosen schedule's step order, identical

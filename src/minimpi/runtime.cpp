@@ -48,13 +48,11 @@ void export_volume(const VolumeReport& volume) {
 }  // namespace
 
 RunReport Runtime::run(int num_ranks, const CostModel& model,
-                       const std::function<void(Comm&)>& fn,
-                       const TransportFactory& make_transport) {
+                       const std::function<void(Comm&)>& fn) {
   CUBIST_CHECK(num_ranks >= 1, "need at least one rank");
   CUBIST_CHECK(fn != nullptr, "null rank function");
 
-  RuntimeState state(num_ranks, model,
-                     make_transport ? make_transport(num_ranks) : nullptr);
+  RuntimeState state(num_ranks, model);
   std::vector<double> rank_seconds(static_cast<std::size_t>(num_ranks), 0.0);
 
   // The SPMD rank threads all share the process-wide ThreadPool for their

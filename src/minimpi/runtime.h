@@ -67,12 +67,9 @@ class Runtime {
   /// rank exception after shutting down the others. Every rank's sends,
   /// receives and combines are recorded into RunReport::trace, in program
   /// order; RunReport::volume is derived from its sends and added to the
-  /// process-wide `cubist_comm_*` counters once per run. Messages move
-  /// over the transport `make_transport` builds (called once per run);
-  /// a null factory selects the in-process mailbox transport.
+  /// process-wide `cubist_comm_*` counters once per run.
   static RunReport run(int num_ranks, const CostModel& model,
-                       const std::function<void(Comm&)>& fn,
-                       const TransportFactory& make_transport = nullptr);
+                       const std::function<void(Comm&)>& fn);
 };
 
 }  // namespace cubist

@@ -1,12 +1,9 @@
 // RuntimeState: the shared (runtime-internal) state behind Comm.
 //
-// Only the transport adaptor and the run's event trace live here; rank
-// programs never touch it directly, preserving the shared-nothing model.
-// The transport is injected (Runtime::run's TransportFactory) and
-// defaults to the in-process mailbox adaptor.
+// Only the transport and the run's event trace live here; rank programs
+// never touch it directly, preserving the shared-nothing model.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "minimpi/cost_model.h"
@@ -17,18 +14,14 @@ namespace cubist {
 
 class RuntimeState {
  public:
-  RuntimeState(int size, CostModel model,
-               std::unique_ptr<Transport> transport = nullptr)
-      : size_(size),
-        model_(model),
-        transport_(transport ? std::move(transport)
-                             : make_mailbox_transport(size)) {
+  RuntimeState(int size, CostModel model)
+      : size_(size), model_(model), transport_(size) {
     trace_.ranks.resize(static_cast<std::size_t>(size));
   }
 
   int size() const { return size_; }
   const CostModel& model() const { return model_; }
-  Transport& transport() { return *transport_; }
+  Transport& transport() { return transport_; }
 
   // --- the event trace: the run's one comm record ---
 
@@ -45,12 +38,12 @@ class RuntimeState {
   EventTrace take_trace() { return std::move(trace_); }
 
   /// Wakes every rank blocked in a receive with AbortedError.
-  void abort_all() { transport_->abort(); }
+  void abort_all() { transport_.abort(); }
 
  private:
   int size_;
   CostModel model_;
-  std::unique_ptr<Transport> transport_;
+  Transport transport_;
   EventTrace trace_;
 };
 

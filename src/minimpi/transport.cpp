@@ -1,56 +1,48 @@
 #include "minimpi/transport.h"
 
 #include "common/error.h"
-#include "minimpi/mailbox.h"
 
 namespace cubist {
-namespace {
 
-/// The original in-process transport: one Mailbox per rank. This file is
-/// the ONLY code outside mailbox.h allowed to name Mailbox or call its
-/// queue methods (tools/lint.py enforces the boundary).
-class MailboxTransport final : public Transport {
- public:
-  explicit MailboxTransport(int num_ranks) {
-    mailboxes_.reserve(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) {
-      mailboxes_.push_back(std::make_unique<Mailbox>());
+Transport::Transport(int num_ranks)
+    : mailboxes_(static_cast<std::size_t>(num_ranks)) {}
+
+Transport::Mailbox& Transport::box(int rank) {
+  CUBIST_CHECK(rank >= 0 && rank < static_cast<int>(mailboxes_.size()),
+               "rank " << rank << " out of transport range");
+  return mailboxes_[static_cast<std::size_t>(rank)];
+}
+
+void Transport::deliver(int dst, int src, std::uint64_t tag,
+                        Message message) {
+  Mailbox& mailbox = box(dst);
+  {
+    std::lock_guard lock(mailbox.mutex);
+    mailbox.queues[{src, tag}].push_back(std::move(message));
+  }
+  mailbox.ready.notify_all();
+}
+
+Message Transport::receive(int rank, int src, std::uint64_t tag) {
+  Mailbox& mailbox = box(rank);
+  std::unique_lock lock(mailbox.mutex);
+  std::deque<Message>& queue = mailbox.queues[{src, tag}];
+  mailbox.ready.wait(lock,
+                     [&] { return mailbox.aborted || !queue.empty(); });
+  if (mailbox.aborted) throw AbortedError();
+  Message message = std::move(queue.front());
+  queue.pop_front();
+  return message;
+}
+
+void Transport::abort() {
+  for (Mailbox& mailbox : mailboxes_) {
+    {
+      std::lock_guard lock(mailbox.mutex);
+      mailbox.aborted = true;
     }
+    mailbox.ready.notify_all();
   }
-
-  const char* name() const override { return "mailbox"; }
-
-  void deliver(int dst, int src, std::uint64_t tag,
-               Message message) override {
-    box(dst).deliver(src, tag, std::move(message));
-  }
-
-  Message receive(int rank, int src, std::uint64_t tag) override {
-    return box(rank).receive(src, tag);
-  }
-
-  void abort() override {
-    for (auto& mailbox : mailboxes_) {
-      mailbox->abort();
-    }
-  }
-
- private:
-  Mailbox& box(int rank) {
-    CUBIST_CHECK(rank >= 0 &&
-                     rank < static_cast<int>(mailboxes_.size()),
-                 "rank " << rank << " out of transport range");
-    return *mailboxes_[static_cast<std::size_t>(rank)];
-  }
-
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-};
-
-}  // namespace
-
-std::unique_ptr<Transport> make_mailbox_transport(int num_ranks) {
-  CUBIST_CHECK(num_ranks >= 1, "need at least one rank");
-  return std::make_unique<MailboxTransport>(num_ranks);
 }
 
 }  // namespace cubist

@@ -1,14 +1,11 @@
-// Transport: the message-moving adaptor under the minimpi runtime.
+// Transport: the in-process message store under the minimpi runtime.
 //
-// Comm and RuntimeState speak only this interface; HOW a message gets
-// from rank to rank is an adaptor detail. The default adaptor is the
-// original in-process mailbox (make_mailbox_transport), and the seam is
-// what makes other backends — shared-memory rings, sockets, a recording
-// fake for tests — pluggable without touching the collectives, the
-// event trace or the verifier (see DESIGN.md, "Transport adaptor").
+// One mailbox per rank; messages are matched MPI-style by (source rank,
+// tag), FIFO within a match. Only Comm (minimpi/comm.cpp) moves messages
+// through it (tools/lint.py enforces the boundary), so every message is
+// clocked and recorded in the run's event trace.
 //
-// Contract every adaptor must honor (the schedule verifier's one
-// canonical replay assumes it):
+// The contract the schedule verifier's one canonical replay relies on:
 //   * deliver never blocks;
 //   * per (source, destination, tag) channel delivery is FIFO;
 //   * receive names its source: it blocks on that one (source, tag)
@@ -18,11 +15,14 @@
 //   * abort() wakes every blocked receiver, permanently.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <deque>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace cubist {
@@ -48,29 +48,30 @@ struct Message {
 
 class Transport {
  public:
-  virtual ~Transport() = default;
-
-  /// Adaptor name for reports ("mailbox", ...).
-  virtual const char* name() const = 0;
+  explicit Transport(int num_ranks);
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   /// Enqueues `message` on the (src, dst, tag) channel. Never blocks.
-  virtual void deliver(int dst, int src, std::uint64_t tag,
-                       Message message) = 0;
+  void deliver(int dst, int src, std::uint64_t tag, Message message);
 
   /// Blocks `rank` until a message from `src` with `tag` is available.
-  virtual Message receive(int rank, int src, std::uint64_t tag) = 0;
+  Message receive(int rank, int src, std::uint64_t tag);
 
   /// Wakes every blocked receiver with AbortedError, permanently.
-  virtual void abort() = 0;
+  void abort();
+
+ private:
+  struct Mailbox {
+    std::mutex mutex;
+    std::condition_variable ready;
+    std::map<std::pair<int, std::uint64_t>, std::deque<Message>> queues;
+    bool aborted = false;
+  };
+
+  Mailbox& box(int rank);
+
+  std::vector<Mailbox> mailboxes_;
 };
-
-/// The default in-process adaptor: one mailbox per rank, messages matched
-/// MPI-style by (source, tag), FIFO within a match.
-std::unique_ptr<Transport> make_mailbox_transport(int num_ranks);
-
-/// Builds the transport for a run of `num_ranks` ranks (Runtime::run's
-/// injection point for custom adaptors).
-using TransportFactory =
-    std::function<std::unique_ptr<Transport>(int num_ranks)>;
 
 }  // namespace cubist

@@ -16,8 +16,10 @@
 //       the tuner's estimates of those payloads (estimate_reduce_payload,
 //       which simulate_reduce_seconds prices every op on). Waits enter
 //       neither side, so rank skew cannot move the ratio: it is exactly
-//       1 with the codec off and departs from 1 only where the density
-//       hint has to guess the codec's wire bytes and combine updates.
+//       1 with the codec off. With it on, the estimate prices every
+//       payload dense, so the ratio falls below the floor on partial
+//       aggregates far sparser than that, whose identity cells the codec
+//       run-skips.
 //   cubist_drift_query_cost_vs_cells — measured cells_scanned per routed
 //       query vs the query_cost() planning model, one sample per
 //       ancestor-routed non-point miss. Exact on the projection path by

@@ -284,8 +284,7 @@ QueryEngine::ReplanReport QueryEngine::replan(std::int64_t budget_bytes) {
   // an over-budget plan throws here and the old generation keeps
   // serving untouched.
   const std::int64_t certified =
-      certify_selection_bytes(lattice, selection.views, budget_bytes,
-                              static_cast<std::int64_t>(sizeof(Value)));
+      certify_selection_bytes(lattice, selection.views, budget_bytes);
   BuildStats build_stats;
   auto next_cube = std::make_shared<const PartialCube>(
       PartialCube::build(input, selection.views, &build_stats));

@@ -28,8 +28,7 @@ std::int64_t predicted_peak(const std::vector<std::int64_t>& sizes,
                             std::int64_t tile_extent) {
   std::vector<std::int64_t> slab_sizes = sizes;
   slab_sizes[0] = tile_extent;
-  return sequential_memory_bound(CubeLattice(slab_sizes),
-                                 static_cast<std::int64_t>(sizeof(Value))) +
+  return sequential_memory_bound(CubeLattice(slab_sizes)) +
          persistent_cells(sizes) * static_cast<std::int64_t>(sizeof(Value));
 }
 

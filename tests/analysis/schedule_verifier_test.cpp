@@ -308,7 +308,7 @@ TEST(ScheduleVerifierTest, EveryViolationCodeHasADistinctName) {
 /// as an event, every send's wire size equal to its logical size, each
 /// receive matched to its channel's next send and each combine to the
 /// rank's latest receive.
-EventTrace trace_of(const ScheduleSpec& spec, const CommPlan& plan) {
+EventTrace trace_of(const CommPlan& plan) {
   std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
       channels;
   for (int r = 0; r < plan.num_ranks; ++r) {
@@ -326,7 +326,8 @@ EventTrace trace_of(const ScheduleSpec& spec, const CommPlan& plan) {
     std::uint64_t last_recv = kNoTraceSeq;
     for (const PlannedOp& op : plan.ranks[static_cast<std::size_t>(r)].ops) {
       TraceEvent e{op.kind, op.peer, op.wire_tag(),
-                   op.elements * spec.bytes_per_cell, op.offset};
+                   op.elements * static_cast<std::int64_t>(sizeof(Value)),
+                   op.offset};
       if (op.kind == PlannedOp::Kind::kSend) {
         e.wire = e.units;
       } else if (op.kind == PlannedOp::Kind::kRecv) {
@@ -361,12 +362,12 @@ TEST(ScheduleVerifierTest, AuditAcceptsExactLedgerAndCatchesOverCount) {
   // one cell over-counted on a send is a departure from the plan.
   const ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  EventTrace trace = trace_of(spec, plan);
+  EventTrace trace = trace_of(plan);
   EXPECT_TRUE(audit_trace(spec, plan, trace).ok());
 
   TraceEvent& send = first_send(trace);
-  send.units += spec.bytes_per_cell;
-  send.wire += spec.bytes_per_cell;
+  send.units += sizeof(Value);
+  send.wire += sizeof(Value);
   const AnalysisReport report = audit_trace(spec, plan, trace);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kTraceMismatch))
@@ -377,7 +378,7 @@ TEST(ScheduleVerifierTest, AuditFlagsUnknownTags) {
   // Traffic under a tag that is no view departs from every plan.
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  EventTrace trace = trace_of(spec, plan);
+  EventTrace trace = trace_of(plan);
   first_send(trace).tag = 0xdeadbeefu;
   const AnalysisReport report = audit_trace(spec, plan, trace);
   EXPECT_TRUE(has_violation(report, ViolationCode::kTraceMismatch))
@@ -387,7 +388,7 @@ TEST(ScheduleVerifierTest, AuditFlagsUnknownTags) {
 TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
   ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  EventTrace trace = trace_of(spec, plan);
+  EventTrace trace = trace_of(plan);
   // At the bound (wire == logical on every send): fine with the codec on
   // or off.
   for (bool codec : {true, false}) {
@@ -411,7 +412,7 @@ TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
 TEST(ScheduleVerifierTest, WireAuditFlagsBytesAboveTheDenseBound) {
   const ScheduleSpec spec = spec_of({16, 8, 8}, {1, 1, 0});
   const CommPlan plan = build_comm_plan(spec);
-  EventTrace trace = trace_of(spec, plan);
+  EventTrace trace = trace_of(plan);
   TraceEvent& send = first_send(trace);
   testing::set_wire(trace, send, send.wire + 1);  // one byte over its size
   const AnalysisReport report = audit_trace(spec, plan, trace);

@@ -29,8 +29,8 @@ bool bit_equal(std::span<const Value> a, std::span<const Value> b) {
 /// encode -> decode must reproduce the chunk bit-for-bit, and the payload
 /// must respect the wire contract: exactly raw size iff raw.
 void check_round_trip(const std::vector<Value>& chunk, AggregateOp op,
-                      const WirePolicy& policy = {}) {
-  const std::vector<std::byte> payload = encode_chunk(chunk, op, policy);
+                      bool encode_wire = true) {
+  const std::vector<std::byte> payload = encode_chunk(chunk, op, encode_wire);
   const auto n = static_cast<std::int64_t>(chunk.size());
   ASSERT_LE(payload.size(), chunk.size() * sizeof(Value));
   const std::vector<Value> decoded = decode_chunk(payload, n, op);
@@ -51,7 +51,7 @@ void check_round_trip(const std::vector<Value>& chunk, AggregateOp op,
 
 TEST(WireCodecTest, EmptyChunkIsEmptyRaw) {
   const std::vector<Value> chunk;
-  const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, true);
   EXPECT_TRUE(payload.empty());
   const auto view = parse_chunk(payload, 0);
   EXPECT_EQ(view.kind, WireKind::kRaw);
@@ -63,7 +63,7 @@ TEST(WireCodecTest, AllIdentityShrinksToHeader) {
   for (AggregateOp op : {AggregateOp::kSum, AggregateOp::kCount,
                          AggregateOp::kMin, AggregateOp::kMax}) {
     const std::vector<Value> chunk(257, identity_of(op));
-    const auto payload = encode_chunk(chunk, op, {});
+    const auto payload = encode_chunk(chunk, op, true);
     EXPECT_EQ(payload.size(), sizeof(WireHeader)) << to_string(op);
     const auto view = parse_chunk(payload,
                                   static_cast<std::int64_t>(chunk.size()));
@@ -73,12 +73,10 @@ TEST(WireCodecTest, AllIdentityShrinksToHeader) {
 }
 
 TEST(WireCodecTest, DisabledPolicyAlwaysShipsRaw) {
-  WirePolicy off;
-  off.enabled = false;
   const std::vector<Value> chunk(64, 0.0);  // maximally compressible
-  const auto payload = encode_chunk(chunk, AggregateOp::kSum, off);
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, false);
   EXPECT_EQ(payload.size(), chunk.size() * sizeof(Value));
-  check_round_trip(chunk, AggregateOp::kSum, off);
+  check_round_trip(chunk, AggregateOp::kSum, false);
 }
 
 TEST(WireCodecTest, SmallIntegerDenseChunkGoesNarrow) {
@@ -87,7 +85,7 @@ TEST(WireCodecTest, SmallIntegerDenseChunkGoesNarrow) {
   for (std::size_t i = 0; i < chunk.size(); ++i) {
     chunk[i] = static_cast<Value>(i % 9 + 1);
   }
-  const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, true);
   const auto view = parse_chunk(payload,
                                 static_cast<std::int64_t>(chunk.size()));
   EXPECT_EQ(view.kind, WireKind::kDenseNarrow);
@@ -100,7 +98,7 @@ TEST(WireCodecTest, SparseNonIntegerChunkUsesWideRuns) {
   chunk[10] = 1.5;
   chunk[11] = -2.25;
   chunk[500] = 3.75;
-  const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, true);
   const auto view = parse_chunk(payload,
                                 static_cast<std::int64_t>(chunk.size()));
   EXPECT_EQ(view.kind, WireKind::kRunsWide);
@@ -147,7 +145,7 @@ TEST(WireCodecTest, AdversarialDensitiesAroundThreshold) {
       }
     }
     check_round_trip(chunk, AggregateOp::kSum);
-    const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+    const auto payload = encode_chunk(chunk, AggregateOp::kSum, true);
     EXPECT_LE(payload.size(), chunk.size() * sizeof(Value))
         << "density " << density << " nnz " << nonzero;
   }
@@ -158,10 +156,10 @@ TEST(WireCodecTest, TinyChunksNeverMasqueradeAsRaw) {
   // win even for the identity; n = 2: header alone ties at 8 < 16 only
   // when the chunk is compressible.
   const std::vector<Value> one{0.0};
-  EXPECT_EQ(encode_chunk(one, AggregateOp::kSum, {}).size(), sizeof(Value));
+  EXPECT_EQ(encode_chunk(one, AggregateOp::kSum, true).size(), sizeof(Value));
   check_round_trip(one, AggregateOp::kSum);
   const std::vector<Value> two{0.0, 0.0};
-  const auto payload = encode_chunk(two, AggregateOp::kSum, {});
+  const auto payload = encode_chunk(two, AggregateOp::kSum, true);
   EXPECT_EQ(payload.size(), sizeof(WireHeader));  // all-identity, 0 runs
   check_round_trip(two, AggregateOp::kSum);
 }
@@ -172,7 +170,7 @@ TEST(WireCodecTest, SmallestFormWinsAtAnyDensity) {
   // gate stands between the chunk and its smallest form.
   std::vector<Value> chunk(100, 0.0);
   for (std::size_t i = 0; i < 60; ++i) chunk[i] = 1.5;
-  const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, true);
   EXPECT_EQ(payload.size(),
             sizeof(WireHeader) + sizeof(WireRun) + 60 * sizeof(Value));
   EXPECT_LT(payload.size(), chunk.size() * sizeof(Value));
@@ -188,7 +186,7 @@ TEST(WireCodecTest, CombineMatchesScalarReferenceForAnyPool) {
   for (auto& v : chunk) {
     if (rng.next_double() < 0.2) v = static_cast<Value>(1 + rng.next_below(9));
   }
-  const auto payload = encode_chunk(chunk, AggregateOp::kSum, {});
+  const auto payload = encode_chunk(chunk, AggregateOp::kSum, true);
   std::vector<Value> reference(chunk.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     reference[i] = static_cast<Value>(i % 13);
@@ -200,7 +198,7 @@ TEST(WireCodecTest, CombineMatchesScalarReferenceForAnyPool) {
     ThreadPool pool(threads);
     std::vector<Value> dst = base;
     const std::int64_t updates =
-        combine_chunk(AggregateOp::kSum, dst, payload, &pool, threads);
+        combine_chunk(AggregateOp::kSum, dst, payload, &pool);
     EXPECT_EQ(updates, updates_inline);
     EXPECT_TRUE(bit_equal(dst, reference)) << "threads=" << threads;
   }

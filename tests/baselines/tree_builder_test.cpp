@@ -107,7 +107,7 @@ TEST(TreeBuilderTest, AggregationTreePeakMatchesTheorem1) {
   build_cube_with_tree(root, SpanningTree::aggregation(3),
                        ScanDiscipline::kMultiWay, &stats);
   EXPECT_EQ(stats.peak_live_bytes,
-            sequential_memory_bound(CubeLattice(sizes), sizeof(Value)));
+            sequential_memory_bound(CubeLattice(sizes)));
 }
 
 TEST(TreeBuilderTest, RankMismatchThrows) {

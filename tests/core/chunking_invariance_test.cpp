@@ -126,9 +126,8 @@ TEST_P(ChunkingInvarianceTest, CubesAreBitIdenticalToTheOracles) {
     const CubeResult& oracle = op_oracle ? *op_oracle : sum_oracle;
     for (const SparseArray& array : arrays) {
       for (ThreadPool* pool : {&one, &four}) {
-        EXPECT_EQ(bit_difference(oracle,
-                                 build_cube_sequential(array, nullptr, op,
-                                                       {pool, 0})),
+        EXPECT_EQ(bit_difference(oracle, build_cube_sequential(
+                                             array, nullptr, op, {pool})),
                   "")
             << to_string(op) << ", " << array.num_chunks() << " chunks, "
             << pool->size() << " threads";

@@ -122,7 +122,7 @@ TEST(ParallelBuilderTest, PeakMemoryWithinTheorem4Bound) {
         spec.sizes, splits, CostModel{}, provider_for(spec), false);
     const CubeLattice lattice(spec.sizes);
     EXPECT_LE(report.max_peak_live_bytes,
-              parallel_memory_bound(lattice, splits, sizeof(Value)))
+              parallel_memory_bound(lattice, splits))
         << ProcGrid(splits).to_string();
   }
 }

@@ -314,9 +314,7 @@ TEST(PartialCubeTest, PrunedWalkMatchesTheReferenceOnEverySelection) {
           EXPECT_EQ(cube.view(view), expected.view(view)) << view.to_string();
         }
         EXPECT_EQ(stats.written_bytes, cube.materialized_bytes());
-        EXPECT_LE(stats.peak_live_bytes,
-                  sequential_memory_bound(
-                      lattice, static_cast<std::int64_t>(sizeof(Value))));
+        EXPECT_LE(stats.peak_live_bytes, sequential_memory_bound(lattice));
         EXPECT_LE(stats.cells_scanned, full_stats.cells_scanned);
         if (views.empty()) {
           EXPECT_EQ(stats.cells_scanned, 0);

@@ -70,10 +70,10 @@ TEST(SequentialBuilderTest, PeakMemoryWithinTheorem1Bound) {
     build_cube_sequential(root, &stats);
     const CubeLattice lattice(sizes);
     EXPECT_LE(stats.peak_live_bytes,
-              sequential_memory_bound(lattice, sizeof(Value)));
+              sequential_memory_bound(lattice));
     // Theorem 2 tightness: the first level alone reaches the bound.
     EXPECT_EQ(stats.peak_live_bytes,
-              sequential_memory_bound(lattice, sizeof(Value)));
+              sequential_memory_bound(lattice));
   }
 }
 

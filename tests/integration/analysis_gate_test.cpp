@@ -21,7 +21,6 @@ BlockProvider provider_of(const SparseSpec& spec) {
 
 ParallelOptions gated_options() {
   ParallelOptions options;
-  options.verify_schedule = true;
   options.audit = true;
   return options;
 }
@@ -188,7 +187,8 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
           // the gather's included, is one message.
           std::map<std::uint64_t, std::int64_t> planned_bytes;
           for (const auto& [mask, elements] : plan.elements_by_view) {
-            planned_bytes[mask] = elements * sched.bytes_per_cell;
+            planned_bytes[mask] =
+                elements * static_cast<std::int64_t>(sizeof(Value));
           }
           std::map<std::uint64_t, std::int64_t> measured_bytes;
           for (const auto& [tag, bytes] : report.run.volume.bytes_by_tag) {

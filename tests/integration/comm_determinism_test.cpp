@@ -51,11 +51,9 @@ CubeResult build_with(const SparseSpec& spec, const std::vector<int>& splits,
                       const CostModel& model = {}) {
   ParallelOptions options;
   options.reduce_algorithm = algorithm;
-  options.reduce_density_hint = spec.density;
   options.encode_wire = encode;
   options.reduce_message_elements = chunk;
   options.pool = pool;
-  options.verify_schedule = true;
   options.audit = true;
   auto report = run_parallel_cube(spec.sizes, splits, model, provider_of(spec),
                                   /*collect_result=*/true, options);
@@ -145,7 +143,6 @@ TEST(CommDeterminismTest, EncodedRunMatchesReferenceCube) {
   ParallelOptions options;
   options.encode_wire = true;
   options.reduce_message_elements = 64;
-  options.verify_schedule = true;
   options.audit = true;
   const auto report =
       run_parallel_cube(spec.sizes, {1, 1, 0}, CostModel{}, provider_of(spec),

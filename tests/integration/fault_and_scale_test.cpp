@@ -79,7 +79,7 @@ TEST(ScaleTest, FiveDimensionalCubeSequential) {
   EXPECT_EQ(compare_cubes(reference_cube(root), cube), "");
   EXPECT_EQ(validate_cube_consistency(cube), "");
   EXPECT_LE(stats.peak_live_bytes,
-            sequential_memory_bound(CubeLattice(spec.sizes), sizeof(Value)));
+            sequential_memory_bound(CubeLattice(spec.sizes)));
 }
 
 TEST(ScaleTest, FiveDimensionalCubeParallel) {
@@ -117,7 +117,7 @@ TEST(ScaleTest, SixDimensionalLatticeStructures) {
   const AnalysisReport planned = verify_schedule(sequential);
   EXPECT_TRUE(planned.ok()) << planned.to_string();
   EXPECT_LE(planned.max_peak_live_bytes,
-            sequential_memory_bound(lattice, sizeof(Value)));
+            sequential_memory_bound(lattice));
   // Greedy == exhaustive at this scale too.
   const auto greedy = greedy_partition(sizes, 5);
   const auto best = exhaustive_partition(sizes, 5);

@@ -39,7 +39,6 @@ Recorded record_build(std::int64_t message_elements,
   options.reduce_algorithm = ReduceAlgorithm::kBinomial;
   options.reduce_message_elements = message_elements;
   options.encode_wire = encode_wire;
-  options.verify_schedule = true;
   options.audit = true;
   const ParallelCubeReport report = run_parallel_cube(
       input.sizes, log_splits, CostModel{},

@@ -37,14 +37,14 @@ TEST(MemoryLedgerTest, TracksLiveAndPeak) {
 TEST(SequentialMemoryBoundTest, MatchesClosedFormForThreeDims) {
   // Theorem 1: bound = |AB| + |AC| + |BC| = D0*D1 + D0*D2 + D1*D2.
   const CubeLattice lattice({8, 4, 2});
-  EXPECT_EQ(sequential_memory_bound(lattice, kCell),
+  EXPECT_EQ(sequential_memory_bound(lattice),
             (8 * 4 + 8 * 2 + 4 * 2) * kCell);
 }
 
 TEST(SequentialMemoryBoundTest, SingleDimension) {
   // n=1: the only first-level child is the scalar `all`.
   const CubeLattice lattice({100});
-  EXPECT_EQ(sequential_memory_bound(lattice, kCell), kCell);
+  EXPECT_EQ(sequential_memory_bound(lattice), kCell);
 }
 
 TEST(MemorySimTest, ScheduleRespectsTheorem1Bound) {
@@ -58,7 +58,7 @@ TEST(MemorySimTest, ScheduleRespectsTheorem1Bound) {
     const AnalysisReport report = verify_schedule(sequential_spec(sizes));
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_LE(report.max_peak_live_bytes,
-              sequential_memory_bound(CubeLattice(sizes), kCell))
+              sequential_memory_bound(CubeLattice(sizes)))
         << sizes.size() << " dims";
   }
 }
@@ -69,7 +69,7 @@ TEST(MemorySimTest, PeakEqualsBoundAtFirstLevel) {
   for (const auto& sizes : std::vector<std::vector<std::int64_t>>{
            {8, 4, 2}, {16, 16, 16}, {9, 7, 5, 3}}) {
     EXPECT_EQ(verify_schedule(sequential_spec(sizes)).max_peak_live_bytes,
-              sequential_memory_bound(CubeLattice(sizes), kCell));
+              sequential_memory_bound(CubeLattice(sizes)));
   }
 }
 
@@ -98,43 +98,42 @@ TEST(ParallelMemoryBoundTest, PartitioningDividesTheBound) {
   // each term by the product of splits of its retained dims.
   const CubeLattice lattice({8, 8, 8});
   const std::int64_t unsplit =
-      parallel_memory_bound(lattice, {0, 0, 0}, kCell);
-  EXPECT_EQ(unsplit, sequential_memory_bound(lattice, kCell));
+      parallel_memory_bound(lattice, {0, 0, 0});
+  EXPECT_EQ(unsplit, sequential_memory_bound(lattice));
   // Split every dim in half: every 2-dim term shrinks by 4.
-  EXPECT_EQ(parallel_memory_bound(lattice, {1, 1, 1}, kCell), unsplit / 4);
+  EXPECT_EQ(parallel_memory_bound(lattice, {1, 1, 1}), unsplit / 4);
 }
 
 TEST(ParallelMemoryBoundTest, RankMismatchThrows) {
   const CubeLattice lattice({8, 8});
-  EXPECT_THROW(parallel_memory_bound(lattice, {1}, kCell), InvalidArgument);
+  EXPECT_THROW(parallel_memory_bound(lattice, {1}), InvalidArgument);
 }
 
 TEST(CertifySelectionTest, CertifiesExactResidentBytes) {
   const CubeLattice lattice({8, 4, 2});
   const std::vector<DimSet> views{DimSet::of({0, 1}), DimSet::of({2})};
   const std::int64_t expected = (32 + 2) * kCell;
-  EXPECT_EQ(certify_selection_bytes(lattice, views, expected, kCell),
+  EXPECT_EQ(certify_selection_bytes(lattice, views, expected),
             expected);
   // Any budget above the footprint certifies the same peak.
-  EXPECT_EQ(certify_selection_bytes(lattice, views, expected * 10, kCell),
+  EXPECT_EQ(certify_selection_bytes(lattice, views, expected * 10),
             expected);
 }
 
 TEST(CertifySelectionTest, OverBudgetSelectionIsRejected) {
   const CubeLattice lattice({8, 4, 2});
   const std::vector<DimSet> views{DimSet::of({0, 1}), DimSet::of({2})};
-  EXPECT_THROW(certify_selection_bytes(lattice, views, (32 + 2) * kCell - 1,
-                                       kCell),
+  EXPECT_THROW(certify_selection_bytes(lattice, views, (32 + 2) * kCell - 1),
                InvalidArgument);
 }
 
 TEST(CertifySelectionTest, RootAndForeignViewsAreRejected) {
   const CubeLattice lattice({8, 4});
   EXPECT_THROW(
-      certify_selection_bytes(lattice, {DimSet::full(2)}, 1 << 20, kCell),
+      certify_selection_bytes(lattice, {DimSet::full(2)}, 1 << 20),
       InvalidArgument);
   EXPECT_THROW(
-      certify_selection_bytes(lattice, {DimSet::of({2})}, 1 << 20, kCell),
+      certify_selection_bytes(lattice, {DimSet::of({2})}, 1 << 20),
       InvalidArgument);
 }
 

@@ -228,24 +228,21 @@ TEST(CollectivesTunerTest, PrefersRingForLargeDenseBlocks) {
   // A 64^3 view over 8 ranks: bandwidth-bound, so the chain's pipelined
   // folds beat the binomial root's serialized ones.
   EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 64 * 64 * 64, 0,
-                                    paper_like_model(), /*density_hint=*/1.0,
-                                    /*encode_wire=*/true),
+                                    paper_like_model(), /*encode_wire=*/true),
             ReduceAlgorithm::kRing);
 }
 
 TEST(CollectivesTunerTest, PrefersHierarchyOnTwoTierTopology) {
-  // The 16^3 view at 25% density on the cluster-of-SMPs: small enough
-  // that the ring's latency hops hurt, but binomial's repeated inter-node
-  // crossings hurt more.
-  EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 16 * 16 * 16, 0,
-                                    two_tier_model(), /*density_hint=*/0.25,
-                                    /*encode_wire=*/true),
+  // An 8^3 view on the cluster-of-SMPs: small enough that the ring's
+  // latency hops hurt, but binomial's repeated inter-node crossings hurt
+  // more.
+  EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 8 * 8 * 8, 0,
+                                    two_tier_model(), /*encode_wire=*/true),
             ReduceAlgorithm::kTwoLevel);
 }
 
 TEST(CollectivesTunerTest, KeepsBinomialForSmallLatencyBoundBlocks) {
   EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 64, 0, paper_like_model(),
-                                    /*density_hint=*/1.0,
                                     /*encode_wire=*/true),
             ReduceAlgorithm::kBinomial);
 }
@@ -253,8 +250,7 @@ TEST(CollectivesTunerTest, KeepsBinomialForSmallLatencyBoundBlocks) {
 TEST(CollectivesTunerTest, PairGroupsNeverSwitch) {
   // g=2: every schedule is the same single send, so binomial stands.
   for (const CostModel& model : {paper_like_model(), two_tier_model()}) {
-    EXPECT_EQ(choose_reduce_algorithm(iota_group(2), 1 << 20, 0, model, 1.0,
-                                      true),
+    EXPECT_EQ(choose_reduce_algorithm(iota_group(2), 1 << 20, 0, model, true),
               ReduceAlgorithm::kBinomial);
   }
 }
@@ -264,7 +260,7 @@ TEST(CollectivesTunerTest, ResolvePassesForcedAlgorithmsThrough) {
        {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
         ReduceAlgorithm::kTwoLevel}) {
     EXPECT_EQ(resolve_reduce_algorithm(forced, iota_group(8), 64, 0,
-                                       paper_like_model(), 1.0, true),
+                                       paper_like_model(), true),
               forced);
   }
 }
@@ -273,18 +269,15 @@ TEST(CollectivesTunerTest, AutoNeverPredictedWorseThanBinomial) {
   for (const CostModel& model : {paper_like_model(), two_tier_model()}) {
     for (std::int64_t elements : {std::int64_t{1}, std::int64_t{512},
                                   std::int64_t{262144}}) {
-      for (double density : {0.05, 0.25, 1.0}) {
-        const ReduceAlgorithm chosen = choose_reduce_algorithm(
-            iota_group(8), elements, 0, model, density, true);
-        const double chosen_seconds = simulate_reduce_seconds(
-            chosen, iota_group(8), elements, 0, model, density, true);
-        const double binomial_seconds = simulate_reduce_seconds(
-            ReduceAlgorithm::kBinomial, iota_group(8), elements, 0, model,
-            density, true);
-        EXPECT_LE(chosen_seconds, binomial_seconds)
-            << to_string(chosen) << " elements=" << elements
-            << " density=" << density;
-      }
+      const ReduceAlgorithm chosen =
+          choose_reduce_algorithm(iota_group(8), elements, 0, model, true);
+      const double chosen_seconds = simulate_reduce_seconds(
+          chosen, iota_group(8), elements, 0, model, true);
+      const double binomial_seconds =
+          simulate_reduce_seconds(ReduceAlgorithm::kBinomial, iota_group(8),
+                                  elements, 0, model, true);
+      EXPECT_LE(chosen_seconds, binomial_seconds)
+          << to_string(chosen) << " elements=" << elements;
     }
   }
 }
@@ -327,12 +320,12 @@ TEST(CollectivesTunerTest, SimulatorMatchesRuntimeVirtualClock) {
         ReduceOptions options;
         options.algorithm = algorithm;
         options.max_message_elements = c.cap;
-        options.wire.enabled = false;
+        options.encode_wire = false;
         comm.reduce(c.group, data, 1, AggregateOp::kSum, options);
       });
-      const double predicted = simulate_reduce_seconds(
-          algorithm, c.group, kElements, c.cap, c.model,
-          /*density_hint=*/1.0, /*encode_wire=*/false);
+      const double predicted =
+          simulate_reduce_seconds(algorithm, c.group, kElements, c.cap,
+                                  c.model, /*encode_wire=*/false);
       EXPECT_DOUBLE_EQ(report.makespan_seconds, predicted)
           << to_string(algorithm)
           << (c.model.topology.two_tier() ? " two-tier" : " flat")

@@ -193,7 +193,7 @@ TEST(ReduceSumTest, DisabledCodecKeepsWireEqualLogical) {
     const std::vector<int> group{0, 1};
     DenseArray data{Shape{{64}}};  // maximally compressible, but codec off
     ReduceOptions options;
-    options.wire.enabled = false;
+    options.encode_wire = false;
     comm.reduce(group, data, 6, AggregateOp::kSum, options);
   });
   EXPECT_EQ(report.volume.total_bytes,

@@ -32,15 +32,15 @@ GaugeDelta delta(const DriftSummary& before, const DriftSummary& after) {
           after.model_sum - before.model_sum};
 }
 
-/// Builds a 32^4 cube at 5% density on the (2,2,1,1) grid of four ranks
-/// and returns what the build added to the global reduce and Lemma-1
-/// gauges, in that order.
+/// Builds a 32^4 cube at `density` (5% unless given) on the (2,2,1,1)
+/// grid of four ranks and returns what the build added to the global
+/// reduce and Lemma-1 gauges, in that order.
 std::pair<GaugeDelta, GaugeDelta> build_and_measure(
-    const ParallelOptions& options) {
+    const ParallelOptions& options, double density = 0.05) {
   const std::vector<std::int64_t> sizes{32, 32, 32, 32};
   SparseSpec spec;
   spec.sizes = sizes;
-  spec.density = 0.05;
+  spec.density = density;
   spec.seed = 5;
   const DriftSummary reduce_before = reduce_clock_vs_sim_gauge().summary();
   const DriftSummary wire_before = wire_vs_lemma1_gauge().summary();
@@ -66,21 +66,19 @@ TEST(DriftTest, EveryReduceFeedsTheReduceGauge) {
   EXPECT_GT(exact.observed, 0.0);
   EXPECT_EQ(exact.observed, exact.model);
 
-  // The codec on with the default hint: the estimates are guesses, but
-  // good ones on these dense partial views.
+  // The codec on: the dense estimates are guesses, but good ones on these
+  // dense partial views.
   const GaugeDelta encoded = build_and_measure(ParallelOptions{}).first;
   EXPECT_EQ(encoded.samples, exact.samples);
   EXPECT_GE(encoded.ratio(), kReduceClockVsSimMin);
   EXPECT_LE(encoded.ratio(), kReduceClockVsSimMax);
 
-  // The input's density is no hint for its partial aggregates: at 0.05
-  // the tuner prices the same traffic far too cheap, and the gauge says
-  // so.
-  ParallelOptions mispriced;
-  mispriced.reduce_density_hint = 0.05;
-  const GaugeDelta wrong = build_and_measure(mispriced).first;
-  EXPECT_EQ(wrong.samples, exact.samples);
-  EXPECT_GT(wrong.ratio(), kReduceClockVsSimMax);
+  // On a 1% input the partial aggregates are sparse too: the codec
+  // run-skips most of their cells, so the dense estimates price its
+  // reduces far too dear, and the gauge says so.
+  const GaugeDelta sparse = build_and_measure(ParallelOptions{}, 0.01).first;
+  EXPECT_EQ(sparse.samples, exact.samples);
+  EXPECT_LT(sparse.ratio(), kReduceClockVsSimMin);
 }
 
 TEST(DriftTest, EveryBuildFeedsTheLemma1Gauge) {

@@ -84,7 +84,7 @@ TEST(TiledBuilderTest, PeakStaysWithinPlannedBudget) {
   const SparseArray root = make_input(31);
   const std::vector<std::int64_t> sizes = root.shape().extents();
   const std::int64_t full_peak =
-      sequential_memory_bound(CubeLattice(sizes), sizeof(Value));
+      sequential_memory_bound(CubeLattice(sizes));
   // The dimension-0-free views persist across slabs, so the reachable
   // floor is above full_peak/2 for this shape; 3/4 is reachable.
   const std::int64_t budget = full_peak * 3 / 4;

@@ -202,7 +202,6 @@ RecordedBuild record_build() {
   ParallelOptions options;
   options.reduce_algorithm = ReduceAlgorithm::kBinomial;
   options.reduce_message_elements = 2;
-  options.verify_schedule = true;
   options.audit = true;
   RecordedBuild out;
   out.spec = schedule_spec_of(input.sizes, log_splits, CostModel{},

@@ -20,42 +20,37 @@ deliberately looser):
   4. Every CUBIST_CHECK / CUBIST_ASSERT / CUBIST_DCHECK carries a message
      operand (a bare condition gives useless diagnostics).
   5. No file-scope `using namespace` in src/.
-  6. No direct message-channel traffic (`.receive(` / `.deliver(` /
-     `.mailbox(`) outside src/minimpi/comm.cpp and the transport adaptor
+  6. No direct message-channel traffic (`.receive(` / `.deliver(`)
+     outside src/minimpi/comm.cpp and the transport
      (src/minimpi/transport.cpp).  Comm's primitives are the single choke
      point that stamps virtual-clock arrival times and records the event
      trace — the run's one comm record, from which its volume is derived
      and which the driver's post-run audit compares with the certified
      plan; a bypass would leave messages unmeasured and runs unauditable.
-  7. No use of the `Mailbox` class outside the transport adaptor
-     boundary (src/minimpi/mailbox.h itself and the mailbox transport,
-     src/minimpi/transport.cpp).  Everything else must go through the
-     Transport interface — that seam is what keeps other backends
-     pluggable and the runtime unaware of HOW messages move.
-  8. No `std::chrono` (or `<chrono>` include) outside src/obs/ and
+  7. No `std::chrono` (or `<chrono>` include) outside src/obs/ and
      src/common/timer.h.  Instrumented modules must take time through
      Timer or the obs tracer so every measurement shares one clock
      (steady_clock) and the disabled-tracer overhead contract stays
      auditable; scattered ad-hoc clocks are how double-timing and
      mixed-epoch timestamps creep in.
-  9. No call to `project(` outside its definition (src/array/aggregate.h,
+  8. No call to `project(` outside its definition (src/array/aggregate.h,
      src/array/aggregate.cpp), the reference verifier
      (src/core/verify.cpp), the naive baseline (src/baselines/) and
      PartialCube's on-the-fly projections (src/core/partial_cube.cpp).
      `project` is the scalar one-view scan kept as an independent oracle;
      every builder runs the aggregation-tree walk and the multi-way
      kernels, so none may grow a second scan path.
- 10. No `const_cast` in src/.  Shared SparseArray chunks, served
+  9. No `const_cast` in src/.  Shared SparseArray chunks, served
      PartialCube generations and cached QueryResults are read from many
      threads without locks; that is only safe while nothing writes
      through a const handle.
- 11. No Comm point-to-point call (`send_bytes(` / `send_values(` /
+ 10. No Comm point-to-point call (`send_bytes(` / `send_values(` /
      `recv_bytes(` / `recv_values(`) in src/ outside src/minimpi/ and
      src/core/parallel_builder.cpp.  That file is the one rank program
      build_comm_plan mirrors, so every message the library sends is in
      the certified plan; a second message path beside it would run
      unverified and fail the post-run trace audit.
- 12. No `record_event(` in src/ outside src/minimpi/comm.cpp (Comm's
+ 11. No `record_event(` in src/ outside src/minimpi/comm.cpp (Comm's
      event-record choke point) and its definition in
      src/minimpi/runtime_state.h.  The event trace is the run's one comm
      record: the volume report is derived from it and the post-run audit
@@ -66,7 +61,7 @@ Usage:  python3 tools/lint.py  [--root REPO_ROOT]  [--self-test]  [FILE ...]
 With FILE arguments only those files are linted; naming a file that is
 unreadable or not a .h/.cpp source is itself an error (exit 2).
 --self-test lints synthetic sources that must (and must not) trip the
-boundary rules (6-12), proving the rules still fire.
+boundary rules (6-11), proving the rules still fire.
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = bad
 invocation.
 """
@@ -84,12 +79,7 @@ CHANNEL_CALL_ALLOWED_FILES = {
     "src/minimpi/comm.cpp",
     "src/minimpi/transport.cpp",
 }
-CHANNEL_CALL = re.compile(r"(?:\.|->)\s*(?:receive|deliver|mailbox)\s*\(")
-MAILBOX_TYPE_ALLOWED_FILES = {
-    "src/minimpi/mailbox.h",
-    "src/minimpi/transport.cpp",
-}
-MAILBOX_TYPE = re.compile(r"(?<![\w_])Mailbox(?![\w_])")
+CHANNEL_CALL = re.compile(r"(?:\.|->)\s*(?:receive|deliver)\s*\(")
 CHRONO_ALLOWED_FILES = {"src/common/timer.h"}
 CHRONO_ALLOWED_PREFIX = "src/obs/"
 CHRONO_USE = re.compile(r"(?<![\w_])std\s*::\s*chrono(?![\w_])")
@@ -214,15 +204,8 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
             problems.append(
                 f"{rel}:{line_of(code, match.start())}: direct message-"
                 "channel traffic outside src/minimpi/comm.cpp and the "
-                "transport adaptor — go through Comm's primitives so "
-                "arrival clocks and the event trace stay complete")
-
-    if rel.startswith("src/") and rel not in MAILBOX_TYPE_ALLOWED_FILES:
-        for match in MAILBOX_TYPE.finditer(code):
-            problems.append(
-                f"{rel}:{line_of(code, match.start())}: `Mailbox` used "
-                "outside the transport adaptor (src/minimpi/transport.cpp) "
-                "— depend on the Transport interface instead")
+                "transport — go through Comm's primitives so arrival "
+                "clocks and the event trace stay complete")
 
     if (rel.startswith("src/") and rel not in CHRONO_ALLOWED_FILES
             and not rel.startswith(CHRONO_ALLOWED_PREFIX)):
@@ -277,12 +260,6 @@ def self_test() -> int:
     cases = [
         # (rel name to lint under, source, substring expected in a problem
         #  or None when the file must lint clean)
-        ("src/core/rogue.cpp",
-         "void f(Mailbox& m) {}\n",
-         "`Mailbox` used outside the transport adaptor"),
-        ("src/minimpi/transport.cpp",
-         "void f(Mailbox& m) {}\n",
-         None),
         ("src/core/rogue2.cpp",
          "void f() { box.deliver(0, 1, m); }\n",
          "direct message-channel traffic"),
@@ -292,9 +269,10 @@ def self_test() -> int:
         ("src/core/rogue3.cpp",
          "Message m = transport->receive(rank, src, tag);\n",
          "direct message-channel traffic"),
-        # Comments and strings must not trip the type rule.
+        # Comments and strings must not trip the channel rule.
         ("src/core/commented.cpp",
-         "// Mailbox is banned here\nconst char* s = \"Mailbox\";\n",
+         "// box.deliver(0, 1, m) is banned here\n"
+         "const char* s = \"t.receive(rank, src, tag)\";\n",
          None),
         # Ad-hoc clocks are confined to the obs layer and Timer.
         ("src/core/rogue_clock.cpp",
