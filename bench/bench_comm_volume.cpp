@@ -158,15 +158,13 @@ FigureTable& algorithm_table() {
   static FigureTable table(
       "Collective selection: forced reduction algorithms vs cost-tuned "
       "auto across density x topology (3-bit grid on dim 0, p=8)",
-      {"shape", "point", "density", "algorithm", "chosen_views",
+      {"shape", "point", "density", "algorithm", "chosen_groups",
        "logical_MB", "wire_MB", "sim_time_s"});
   return table;
 }
 
-std::string chosen_summary(
-    const std::map<std::uint32_t, ReduceAlgorithm>& by_view) {
-  std::map<ReduceAlgorithm, int> counts;
-  for (const auto& [mask, algorithm] : by_view) ++counts[algorithm];
+/// "binomial:3 ring:1": how many axis groups picked each algorithm.
+std::string chosen_summary(const std::map<ReduceAlgorithm, int>& counts) {
   std::string out;
   for (const auto& [algorithm, count] : counts) {
     if (!out.empty()) out += ' ';
@@ -248,8 +246,9 @@ void BM_AlgorithmSweep(benchmark::State& state,
                                /*collect_result=*/false, options);
     state.SetIterationTime(report.construction_seconds);
   }
+  // One pick per (view, axis group): the groups of one view may differ.
   std::map<ReduceAlgorithm, int> chosen;
-  for (const auto& [mask, resolved] : report.reduce_algorithm_by_view) {
+  for (const auto& [group, resolved] : report.reduce_algorithm_by_group) {
     ++chosen[resolved];
   }
   const double logical_mb =
@@ -258,7 +257,7 @@ void BM_AlgorithmSweep(benchmark::State& state,
       static_cast<double>(report.construction_wire_bytes) / 1e6;
   algorithm_table().add(
       {shape_name(sizes), point, TextTable::fixed(density * 100.0, 0) + "%",
-       to_string(algorithm), chosen_summary(report.reduce_algorithm_by_view),
+       to_string(algorithm), chosen_summary(chosen),
        TextTable::fixed(logical_mb, 3), TextTable::fixed(wire_mb, 3),
        TextTable::fixed(report.construction_seconds, 3)});
   state.counters["density_pct"] = density * 100.0;
@@ -266,11 +265,11 @@ void BM_AlgorithmSweep(benchmark::State& state,
   state.counters["logical_MB"] = logical_mb;
   state.counters["wire_MB"] = wire_mb;
   state.counters["sim_s"] = report.construction_seconds;
-  state.counters["views_binomial"] =
+  state.counters["groups_binomial"] =
       static_cast<double>(chosen[ReduceAlgorithm::kBinomial]);
-  state.counters["views_ring"] =
+  state.counters["groups_ring"] =
       static_cast<double>(chosen[ReduceAlgorithm::kRing]);
-  state.counters["views_two_level"] =
+  state.counters["groups_two_level"] =
       static_cast<double>(chosen[ReduceAlgorithm::kTwoLevel]);
 }
 

@@ -35,9 +35,9 @@ class RankPlanner {
         block_(grid.block(rank, spec.sizes)) {}
 
   RankPlan run(std::map<std::uint32_t, std::int64_t>& elements_by_view,
-               std::map<std::uint32_t, ReduceAlgorithm>& algorithm_by_view) {
+               std::map<ReduceGroup, ReduceAlgorithm>& algorithm_by_group) {
     elements_by_view_ = &elements_by_view;
-    algorithm_by_view_ = &algorithm_by_view;
+    algorithm_by_group_ = &algorithm_by_group;
     tree_.walk(*this);
     if (spec_.collect_result && rank_ == 0) plan_gather_receives();
     return std::move(plan_);
@@ -135,7 +135,13 @@ class RankPlanner {
     const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
         spec_.reduce_algorithm, group, total, spec_.reduce_message_elements,
         spec_.model, spec_.encode_wire);
-    (*algorithm_by_view_)[child.mask()] = algorithm;
+    // Every member of the group resolves the same pick on the same
+    // static inputs; the first member to plan it records it.
+    const auto [recorded, fresh] =
+        algorithm_by_group_->try_emplace({child.mask(), group}, algorithm);
+    CUBIST_ASSERT(fresh || recorded->second == algorithm,
+                  "axis group of view " << child.mask()
+                                        << " resolved two algorithms");
     for (const ReduceOp& op :
          reduce_program(algorithm, group, me, total,
                         spec_.reduce_message_elements, spec_.model.topology)) {
@@ -162,7 +168,7 @@ class RankPlanner {
   BlockRange block_;
   RankPlan plan_;
   std::map<std::uint32_t, std::int64_t>* elements_by_view_ = nullptr;
-  std::map<std::uint32_t, ReduceAlgorithm>* algorithm_by_view_ = nullptr;
+  std::map<ReduceGroup, ReduceAlgorithm>* algorithm_by_group_ = nullptr;
 };
 
 }  // namespace
@@ -197,7 +203,7 @@ CommPlan build_comm_plan(const ScheduleSpec& spec) {
   for (int rank = 0; rank < grid.size(); ++rank) {
     RankPlanner planner(spec, grid, tree, rank);
     plan.ranks.push_back(
-        planner.run(plan.elements_by_view, plan.algorithm_by_view));
+        planner.run(plan.elements_by_view, plan.algorithm_by_group));
   }
   return plan;
 }

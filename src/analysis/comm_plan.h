@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "analysis/schedule_ir.h"
@@ -93,6 +94,10 @@ struct RankPlan {
   std::int64_t max_scan_scratch_bytes = 0;
 };
 
+/// One reduction's axis group: the view it reduces (mask) and the
+/// group's ranks, lead first (ProcGrid::axis_group).
+using ReduceGroup = std::pair<std::uint32_t, std::vector<int>>;
+
 /// The full static plan over the processor grid.
 struct CommPlan {
   int num_ranks = 0;
@@ -104,10 +109,12 @@ struct CommPlan {
   /// `ranks[].ops`, so mutating the ops does not require keeping this map
   /// in sync.
   std::map<std::uint32_t, std::int64_t> elements_by_view;
-  /// Resolved reduction schedule per view (the tuner's pick under kAuto,
-  /// the forced algorithm otherwise) — the attribution record the bench
-  /// reports surface. Informational summary like elements_by_view.
-  std::map<std::uint32_t, ReduceAlgorithm> algorithm_by_view;
+  /// Resolved reduction schedule per axis group (the tuner's pick under
+  /// kAuto, the forced algorithm otherwise) — the attribution record the
+  /// bench reports surface. The groups of one view may pick differently:
+  /// their blocks, and on a two-tier topology their node spans, differ.
+  /// Informational summary like elements_by_view.
+  std::map<ReduceGroup, ReduceAlgorithm> algorithm_by_group;
 
   /// Planned construction volume (the sum of elements_by_view).
   std::int64_t total_elements() const;

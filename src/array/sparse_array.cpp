@@ -26,9 +26,10 @@ SparseArray::SparseArray(Shape shape, std::vector<std::int64_t> chunk_extents)
       chunk_extents_(std::move(chunk_extents)),
       chunk_grid_(make_chunk_grid(shape_, chunk_extents_)),
       chunks_(static_cast<std::size_t>(chunk_grid_.size())) {
-  std::int64_t chunk_volume = checked_product(chunk_extents_);
-  CUBIST_CHECK(chunk_volume <= std::int64_t{1} << 32,
-               "chunk volume exceeds 32-bit offsets");
+  const std::int64_t chunk_volume = checked_product(chunk_extents_);
+  CUBIST_CHECK(chunk_volume <= kMaxChunkCells,
+               "chunk of " << chunk_volume << " cells exceeds the "
+                           << kMaxChunkCells << "-cell cap");
 }
 
 SparseArray SparseArray::from_dense(const DenseArray& dense,

@@ -6,6 +6,10 @@
 // exactly the "chunk-offset compression" of Zhao et al. that the paper's
 // experiments use for the input dataset.
 //
+// A chunk holds at most kMaxChunkCells = 2^16 cells, a rule of the format
+// that the constructor enforces, so an offset fits 16 bits and a stored
+// non-zero takes 10 bytes: a 2-byte offset and an 8-byte value.
+//
 // An array is filled either a whole chunk at a time through set_chunk()
 // (the generators and read_sparse do this) or share_chunk() (extract_block),
 // or a cell at a time through push(), and is then sealed with finalize(),
@@ -32,11 +36,15 @@ namespace cubist {
 
 class SparseArray {
  public:
-  /// Offsets within a chunk are 32-bit: chunk volume must stay < 2^32.
-  using Offset = std::uint32_t;
+  /// Offsets within a chunk are 16-bit: a chunk holds at most
+  /// kMaxChunkCells cells.
+  using Offset = std::uint16_t;
+  static constexpr std::int64_t kMaxChunkCells = std::int64_t{1} << 16;
 
   /// An empty sparse array with the given global shape, chunked by
-  /// `chunk_extents` (clipped at the array boundary).
+  /// `chunk_extents` (clipped at the array boundary). Throws
+  /// InvalidArgument when a chunk would hold more than kMaxChunkCells
+  /// cells.
   SparseArray(Shape shape, std::vector<std::int64_t> chunk_extents);
 
   /// Compresses a dense array; cells equal to 0 are dropped.

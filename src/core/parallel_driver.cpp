@@ -61,7 +61,7 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
 
   ParallelCubeReport report;
   if (plan) {
-    report.reduce_algorithm_by_view = plan->algorithm_by_view;
+    report.reduce_algorithm_by_group = plan->algorithm_by_group;
   }
   report.rank_stats.resize(static_cast<std::size_t>(p));
   std::atomic<std::int64_t> total_nnz{0};

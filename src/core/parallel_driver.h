@@ -64,10 +64,10 @@ struct ParallelCubeReport {
   std::vector<ParallelBuildStats> rank_stats;
   /// Total non-zeros across all rank blocks (the distributed input size).
   std::int64_t total_nnz = 0;
-  /// Resolved reduction schedule per view (the tuner's pick under kAuto),
-  /// from the static plan. Filled only when the plan was built, i.e. when
-  /// ParallelOptions::audit was on.
-  std::map<std::uint32_t, ReduceAlgorithm> reduce_algorithm_by_view;
+  /// Resolved reduction schedule per axis group of each view (the tuner's
+  /// pick under kAuto), from the static plan. Filled only when the plan
+  /// was built, i.e. when ParallelOptions::audit was on.
+  std::map<ReduceGroup, ReduceAlgorithm> reduce_algorithm_by_group;
   /// Assembled cube (only when collect_result was true).
   std::optional<CubeResult> cube;
 };

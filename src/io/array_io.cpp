@@ -10,7 +10,9 @@
 namespace cubist {
 namespace {
 
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kDenseVersion = 1;
+/// Version 2: 16-bit chunk offsets (version 1 stored 32-bit ones).
+constexpr std::uint32_t kSparseVersion = 2;
 
 void write_raw(std::ofstream& out, const void* data, std::size_t bytes) {
   out.write(static_cast<const char*>(data),
@@ -47,19 +49,24 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
-void write_magic(std::ofstream& out, const char magic[4]) {
+void write_magic(std::ofstream& out, const char magic[4],
+                 std::uint32_t version) {
   write_raw(out, magic, 4);
-  write_pod(out, kVersion);
+  write_pod(out, version);
 }
 
 void expect_magic(std::ifstream& in, const char magic[4],
-                  const std::string& path) {
+                  std::uint32_t version, const std::string& path) {
   char found[4];
   read_raw(in, found, 4);
   CUBIST_CHECK(std::equal(found, found + 4, magic),
                "bad magic in " << path);
-  const auto version = read_pod<std::uint32_t>(in);
-  CUBIST_CHECK(version == kVersion, "unsupported version " << version);
+  const auto found_version = read_pod<std::uint32_t>(in);
+  CUBIST_CHECK(found_version == version,
+               "unsupported version " << found_version << " of "
+                                      << std::string(magic, 4) << " in "
+                                      << path << " (reads version "
+                                      << version << ')');
 }
 
 /// Bytes from the read position to the end of the file.
@@ -100,7 +107,7 @@ void write_extents(std::ofstream& out,
 
 void write_dense(const DenseArray& array, const std::string& path) {
   std::ofstream out = open_out(path);
-  write_magic(out, "CBDN");
+  write_magic(out, "CBDN", kDenseVersion);
   write_extents(out, array.shape().extents());
   write_raw(out, array.data(),
             static_cast<std::size_t>(array.size()) * sizeof(Value));
@@ -108,7 +115,7 @@ void write_dense(const DenseArray& array, const std::string& path) {
 
 DenseArray read_dense(const std::string& path) {
   std::ifstream in = open_in(path);
-  expect_magic(in, "CBDN", path);
+  expect_magic(in, "CBDN", kDenseVersion, path);
   std::vector<std::int64_t> extents = read_extents(in);
   check_fits(checked_product(extents), sizeof(Value), bytes_left(in),
              "cells");
@@ -120,7 +127,7 @@ DenseArray read_dense(const std::string& path) {
 
 void write_sparse(const SparseArray& array, const std::string& path) {
   std::ofstream out = open_out(path);
-  write_magic(out, "CBSP");
+  write_magic(out, "CBSP", kSparseVersion);
   write_extents(out, array.shape().extents());
   write_raw(out, array.chunk_extents().data(),
             array.chunk_extents().size() * sizeof(std::int64_t));
@@ -136,7 +143,7 @@ void write_sparse(const SparseArray& array, const std::string& path) {
 
 SparseArray read_sparse(const std::string& path) {
   std::ifstream in = open_in(path);
-  expect_magic(in, "CBSP", path);
+  expect_magic(in, "CBSP", kSparseVersion, path);
   const std::vector<std::int64_t> extents = read_extents(in);
   std::vector<std::int64_t> chunk_extents(extents.size());
   read_raw(in, chunk_extents.data(),
@@ -144,7 +151,11 @@ SparseArray read_sparse(const std::string& path) {
   // Every chunk spends at least its 8-byte entry count, so the file must
   // hold the whole chunk grid before the array allocates a slot a chunk.
   checked_product(extents);  // every extent is positive
-  checked_product(chunk_extents);
+  const std::int64_t chunk_cells = checked_product(chunk_extents);
+  CUBIST_CHECK(chunk_cells <= SparseArray::kMaxChunkCells,
+               "chunk extents of " << chunk_cells << " cells exceed the "
+                                   << SparseArray::kMaxChunkCells
+                                   << "-cell cap in " << path);
   std::vector<std::int64_t> grid(extents.size());
   for (std::size_t d = 0; d < extents.size(); ++d) {
     grid[d] = (extents[d] - 1) / chunk_extents[d] + 1;

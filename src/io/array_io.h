@@ -2,10 +2,14 @@
 //
 // Formats (little-endian host order; these files are a working format, not
 // an interchange one):
-//   dense:  "CBDN" u32-version u32-ndim i64-extents[ndim] f64-cells[size]
-//   sparse: "CBSP" u32-version u32-ndim i64-extents[ndim]
+//   dense:  "CBDN" u32-version(1) u32-ndim i64-extents[ndim] f64-cells[size]
+//   sparse: "CBSP" u32-version(2) u32-ndim i64-extents[ndim]
 //           i64-chunk_extents[ndim] then per chunk (row-major grid order):
-//           i64-count u32-offsets[count] f64-values[count]
+//           i64-count u16-offsets[count] f64-values[count]
+// Sparse version 2 stores SparseArray's 16-bit chunk offsets, so its chunk
+// extents may span at most SparseArray::kMaxChunkCells cells. Version 1
+// stored 32-bit offsets; read_sparse rejects it, and rejects chunk extents
+// over the cap, before it allocates anything the file's fields size.
 #pragma once
 
 #include <string>

@@ -17,8 +17,6 @@ constexpr std::uint64_t kValueSalt = 0x5eed5a17u;
 constexpr std::int64_t kCellsPerTask = std::int64_t{1} << 14;
 /// Consecutive cells of a row whose keep tests fold into one mask word.
 constexpr std::int64_t kMaskCells = 64;
-/// Most cells in a default chunk: 16^4, the chunk of a 4-D array.
-constexpr std::int64_t kMaxDefaultChunkCells = std::int64_t{1} << 16;
 
 /// The population rule shared by all generators. A cell is kept when
 /// cell_hash(seed, global linear index) < p x 2^64, and always when p = 1;
@@ -177,7 +175,7 @@ std::vector<std::int64_t> default_chunks(
     std::int64_t cells = 1;
     for (const std::int64_t extent : chunks) {
       cells *= extent;
-      if (cells > kMaxDefaultChunkCells) return false;
+      if (cells > SparseArray::kMaxChunkCells) return false;
     }
     return true;
   };
@@ -247,7 +245,9 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
           }
           std::int64_t row_length = 1;
           for (int d = row_dim; d < n; ++d) row_length *= extents[d];
-          SparseArray::Offset row_offset = 0;
+          // The row's first offset: a row can be a whole 2^16-cell chunk,
+          // so the offset past the last row does not fit an Offset.
+          std::int64_t row_offset = 0;
           for (;;) {
             // The global linear index of the row's first cell (gidx of the
             // row's own dimensions stays at their origin); the row's other
@@ -276,13 +276,13 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
               values.resize(size);
               for (; mask != 0; mask &= mask - 1, ++kept) {
                 const int bit = std::countr_zero(mask);
-                offsets[kept] = row_offset +
-                                static_cast<SparseArray::Offset>(i + bit);
+                offsets[kept] =
+                    static_cast<SparseArray::Offset>(row_offset + i + bit);
                 values[kept] =
                     rule.value(first + static_cast<std::uint64_t>(bit));
               }
             }
-            row_offset += static_cast<SparseArray::Offset>(row_length);
+            row_offset += row_length;
             int d = row_dim - 1;
             for (; d >= 0; --d) {
               if (++gidx[d] < origin[d] + extents[d]) break;

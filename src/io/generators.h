@@ -39,6 +39,7 @@ struct SparseSpec {
   double density = 0.25;
   std::uint64_t seed = 1;
   /// Chunk extents of the chunk-offset format; empty = default_chunks().
+  /// A chunk holds at most SparseArray::kMaxChunkCells cells.
   std::vector<std::int64_t> chunk_extents;
   /// Zipf skew of the non-zero distribution per dimension; 0 = uniform.
   /// With theta > 0, low coordinates are denser (clustered data), still
@@ -47,10 +48,11 @@ struct SparseSpec {
 };
 
 /// min(16, extent) cells per dimension, then halved in the outermost
-/// dimensions, dimension 0 first, until the chunk holds at most 2^16 = 16^4
-/// cells. Shapes of up to 4 dimensions keep 16 cells per dimension; a
-/// larger shape gets enough chunks to generate and scan on every thread,
-/// with its inner rows kept long.
+/// dimensions, dimension 0 first, until the chunk holds at most
+/// SparseArray::kMaxChunkCells = 2^16 = 16^4 cells, the format's cap.
+/// Shapes of up to 4 dimensions keep 16 cells per dimension; a larger
+/// shape gets enough chunks to generate and scan on every thread, with its
+/// inner rows kept long.
 std::vector<std::int64_t> default_chunks(
     const std::vector<std::int64_t>& sizes);
 

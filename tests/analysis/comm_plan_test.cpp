@@ -3,6 +3,10 @@
 // final placement on the lead processors.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "cubist/cubist.h"
 
 namespace cubist {
@@ -81,6 +85,74 @@ TEST(CommPlanTest, SingleRankPlansNoTraffic) {
   EXPECT_EQ(plan.total_messages(), 0);
   EXPECT_EQ(plan.total_elements(), 0);
   EXPECT_TRUE(plan.ranks[0].ops.empty());
+}
+
+TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
+  // 8x31x20 on a 4x2x1 grid: the two 4-rank groups that reduce view {1,2}
+  // over dimension 0 hold blocks of 16x20 = 320 and 15x20 = 300 cells,
+  // either side of the tuner's switch from binomial to ring on a flat
+  // topology, so the two groups of one view pick differently.
+  ScheduleSpec spec = spec_of({8, 31, 20}, {2, 1, 0});
+  spec.reduce_algorithm = ReduceAlgorithm::kAuto;
+  const CommPlan plan = build_comm_plan(spec);
+  const std::uint32_t view12 = DimSet::of({1, 2}).mask();
+  std::map<ReduceAlgorithm, int> view12_picks;
+  for (const auto& [group, algorithm] : plan.algorithm_by_group) {
+    if (group.first == view12) ++view12_picks[algorithm];
+  }
+  EXPECT_EQ(view12_picks.size(), 2u);
+  EXPECT_EQ(view12_picks[ReduceAlgorithm::kRing], 1);
+  EXPECT_EQ(view12_picks[ReduceAlgorithm::kBinomial], 1);
+
+  // Each rank's planned ops for each view it reduces are exactly the
+  // reduce_program of its group's recorded pick, and no rank reduces a
+  // view outside a recorded group.
+  const ProcGrid grid(spec.log_splits);
+  std::set<std::pair<int, std::uint32_t>> covered;
+  for (const auto& [group, algorithm] : plan.algorithm_by_group) {
+    const auto& [view, ranks] = group;
+    const int g = static_cast<int>(ranks.size());
+    for (int me = 0; me < g; ++me) {
+      const int rank = ranks[static_cast<std::size_t>(me)];
+      const BlockRange block = grid.block(rank, spec.sizes);
+      std::int64_t total = 1;
+      for (const int d : DimSet::from_mask(view).dims()) {
+        total *= block.extent(d);
+      }
+      std::vector<PlannedOp> expected;
+      for (const ReduceOp& op :
+           reduce_program(algorithm, ranks, me, total,
+                          spec.reduce_message_elements,
+                          spec.model.topology)) {
+        if (op.step.kind == ReduceStep::Kind::kSend) {
+          expected.push_back({PlannedOp::Kind::kSend, op.step.peer, view,
+                              op.count, op.offset});
+        } else {
+          expected.push_back({PlannedOp::Kind::kRecv, op.step.peer, view,
+                              op.count, op.offset});
+          expected.push_back({PlannedOp::Kind::kCombine, op.step.peer, view,
+                              op.count, op.offset});
+        }
+      }
+      std::vector<PlannedOp> planned;
+      for (const PlannedOp& op :
+           plan.ranks[static_cast<std::size_t>(rank)].ops) {
+        if (op.view == view && op.wire_tag() == view) planned.push_back(op);
+      }
+      EXPECT_EQ(planned, expected)
+          << "rank " << rank << " view "
+          << DimSet::from_mask(view).to_string() << " under "
+          << to_string(algorithm);
+      covered.insert({rank, view});
+    }
+  }
+  for (int rank = 0; rank < plan.num_ranks; ++rank) {
+    for (const PlannedOp& op : plan.ranks[static_cast<std::size_t>(rank)].ops) {
+      EXPECT_TRUE(covered.count({rank, op.view}))
+          << "rank " << rank << " reduces view "
+          << DimSet::from_mask(op.view).to_string() << " in no recorded group";
+    }
+  }
 }
 
 TEST(CommPlanTest, RejectsBadSpecs) {

@@ -314,15 +314,17 @@ TEST(AggregateDeterminismTest, NonIntegerSparseChildrenFollowInputOrder) {
   // 8^3 chunks, whose stripes all fall on chunk boundaries; 2x16x16
   // chunks, whose lone stripes cut every chunk on the offset-table path;
   // clipped 2x16x16 chunks, which cut them on the decode path; and one
-  // chunk, whose slabs cut it too.
+  // chunk of the largest size the format allows, whose slabs cut it too.
   const DenseArray cube = testing::fractional_dense({64, 40, 33}, 0.4, 47);
   const DenseArray flat = testing::fractional_dense({256, 16, 16}, 0.5, 53);
   const DenseArray ragged = testing::fractional_dense({255, 16, 15}, 0.5, 59);
+  const DenseArray single = testing::fractional_dense({64, 32, 32}, 0.4, 47);
+  ASSERT_EQ(single.size(), SparseArray::kMaxChunkCells);
   const std::pair<const DenseArray*, std::vector<std::int64_t>> cases[] = {
       {&cube, {8, 8, 8}},
       {&flat, {2, 16, 16}},
       {&ragged, {2, 16, 16}},
-      {&cube, {64, 40, 33}}};
+      {&single, {64, 32, 32}}};
   for (const auto& [dense, chunk_extents] : cases) {
     const SparseArray parent = SparseArray::from_dense(*dense, chunk_extents);
     const StripePlan plan =

@@ -150,10 +150,12 @@ TEST(AggregateSparseTest, MultiTargetMatchesBruteForce) {
 }
 
 TEST(AggregateSparseTest, HugeChunkFallsBackToDecodePath) {
-  // A single chunk above the offset-table threshold (2^22 cells) must
-  // take the decode path and still match the dense kernel.
-  const std::vector<std::int64_t> extents{40, 40, 40, 70};  // 4.48M cells
+  // One chunk of the largest size the format allows (2^16 cells) holding
+  // fewer non-zeros than its cells builds no offset table: every target
+  // takes the decode path and must still match the dense kernel.
+  const std::vector<std::int64_t> extents{16, 16, 16, 16};
   DenseArray dense{Shape{extents}};
+  ASSERT_EQ(dense.size(), SparseArray::kMaxChunkCells);
   Xoshiro256ss rng(99);
   // Populate sparsely by hand to keep the test fast.
   for (int i = 0; i < 20000; ++i) {
@@ -169,10 +171,16 @@ TEST(AggregateSparseTest, HugeChunkFallsBackToDecodePath) {
     DenseArray from_dense{dense.shape().without_dim(pos)};
     const AggregationTarget st{pos, &from_sparse};
     const AggregationTarget dt{pos, &from_dense};
-    aggregate_children(sparse, std::span(&st, 1));
+    const AggregationStats stats =
+        aggregate_children(sparse, std::span(&st, 1));
     aggregate_children(dense, std::span(&dt, 1));
+    EXPECT_EQ(stats.scratch_bytes, 0) << pos;  // no table: decoded
     ASSERT_EQ(from_sparse, from_dense) << pos;
   }
+  // A chunk past the cap is refused: its offsets would not fit 16 bits.
+  EXPECT_THROW(SparseArray::from_dense(DenseArray{Shape{{40, 40, 41}}},
+                                       {40, 40, 41}),
+               InvalidArgument);
 }
 
 TEST(AggregateSparseTest, OffsetTableRuleKeepsChildrenAndStats) {

@@ -116,6 +116,31 @@ TEST(SparseArrayTest, HugeChunkVolumeRejected) {
   EXPECT_THROW(SparseArray(Shape{{std::int64_t{1} << 20, std::int64_t{1} << 20}},
                            {std::int64_t{1} << 20, std::int64_t{1} << 20}),
                InvalidArgument);
+  // One cell past the 2^16-cell cap, whether or not the array clips it.
+  EXPECT_THROW(SparseArray(Shape{{65537}}, {65537}), InvalidArgument);
+  EXPECT_THROW(SparseArray(Shape{{4, 4}}, {65537, 1}), InvalidArgument);
+  EXPECT_NO_THROW(SparseArray(Shape{{65537}}, {65536}));
+}
+
+TEST(SparseArrayTest, ChunkOfTheCapHoldsItsLastOffset) {
+  // 2^16 cells is the largest chunk: its last cell's offset is 65535,
+  // the largest a 16-bit offset holds, set whole or pushed.
+  ASSERT_EQ(SparseArray::kMaxChunkCells, 65536);
+  const Shape shape{{16, 16, 16, 16}};
+  SparseArray set{shape, shape.extents()};
+  set.set_chunk(0, {0, 65535}, {1.0, 2.0});
+  set.finalize();
+  SparseArray pushed{shape, shape.extents()};
+  pushed.push(std::vector<std::int64_t>{15, 15, 15, 15}, 2.0);
+  pushed.push(std::vector<std::int64_t>{0, 0, 0, 0}, 1.0);
+  pushed.finalize();
+  for (const SparseArray* s : {&set, &pushed}) {
+    ASSERT_EQ(s->num_chunks(), 1);
+    ASSERT_EQ(s->nnz(), 2);
+    EXPECT_EQ(s->chunk_offsets(0).back(), 65535);
+    EXPECT_EQ(s->chunk_values(0).back(), 2.0);
+    EXPECT_EQ(s->to_dense().at({15, 15, 15, 15}), 2.0);
+  }
 }
 
 TEST(SparseArrayTest, BytesAccountsOffsetsAndValues) {
@@ -125,6 +150,8 @@ TEST(SparseArrayTest, BytesAccountsOffsetsAndValues) {
   s.finalize();
   EXPECT_EQ(s.bytes(), 2 * static_cast<std::int64_t>(sizeof(SparseArray::Offset) +
                                                      sizeof(Value)));
+  // Ten bytes a non-zero: a 16-bit offset and a double.
+  EXPECT_EQ(s.bytes(), 2 * 10);
 }
 
 TEST(SparseArrayTest, SetChunkFillsAWholeChunk) {

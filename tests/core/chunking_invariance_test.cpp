@@ -1,7 +1,8 @@
 // Metamorphic relation: the chunking of the §6 chunk-offset input is a
 // storage layout, so it leaves the generated array and every cube built
-// from it unchanged. Each input is generated three ways: as one chunk,
-// with default_chunks, and with small ragged chunks. The three arrays
+// from it unchanged. Each input is generated three ways: in the largest
+// chunks the format allows, laid out unlike default_chunks; with
+// default_chunks; and with small ragged chunks. The three arrays
 // must hold the same cells, and over each of them the sequential builder
 // (SUM, COUNT, MIN, MAX) and PartialCube::build (SUM) must equal the
 // oracles bit for bit, on one thread and on four. The inputs include a
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mathutil.h"
 #include "common/thread_pool.h"
 #include "core/partial_cube.h"
 #include "core/sequential_builder.h"
@@ -57,10 +59,26 @@ SparseArray generate(const ChunkingCase& c,
   return generate_sparse_block(spec, block_of(c));
 }
 
-/// The input as one chunk, with default chunks, and with ragged chunks.
+/// Chunks of at most SparseArray::kMaxChunkCells cells, halved from the
+/// block's extents in the innermost dimensions first, where
+/// default_chunks halves the outermost: rows stay short and chunks span
+/// the outer dimensions whole.
+std::vector<std::int64_t> largest_chunks(const ChunkingCase& c) {
+  std::vector<std::int64_t> chunks = block_of(c).extents();
+  for (std::size_t d = chunks.size(); d-- > 0;) {
+    while (chunks[d] > 1 &&
+           checked_product(chunks) > SparseArray::kMaxChunkCells) {
+      chunks[d] = (chunks[d] + 1) / 2;
+    }
+  }
+  return chunks;
+}
+
+/// The input in the largest chunks, with default chunks, and with ragged
+/// chunks.
 std::vector<SparseArray> three_chunkings(const ChunkingCase& c) {
   std::vector<SparseArray> arrays;
-  arrays.push_back(generate(c, block_of(c).extents()));
+  arrays.push_back(generate(c, largest_chunks(c)));
   arrays.push_back(generate(c, {}));
   arrays.push_back(generate(c, c.ragged_chunks));
   return arrays;
@@ -89,7 +107,9 @@ class ChunkingInvarianceTest : public ::testing::TestWithParam<ChunkingCase> {
 TEST_P(ChunkingInvarianceTest, ArraysAgreeCellForCell) {
   const ChunkingCase& c = GetParam();
   const std::vector<SparseArray> arrays = three_chunkings(c);
-  EXPECT_EQ(arrays[0].num_chunks(), 1);
+  EXPECT_GT(2 * checked_product(arrays[0].chunk_extents()),
+            SparseArray::kMaxChunkCells);
+  EXPECT_NE(arrays[0].chunk_extents(), arrays[1].chunk_extents());
   EXPECT_GT(arrays[1].num_chunks(), 1);
   const DenseArray cells = arrays[0].to_dense();
   for (const SparseArray& array : arrays) {

@@ -99,6 +99,17 @@ TEST_F(ArrayIoTest, TruncatedFileRejected) {
   EXPECT_THROW(read_dense(file), InvalidArgument);
 }
 
+/// The message of the InvalidArgument read_sparse raises on `file`;
+/// empty when it loads.
+std::string read_sparse_error(const std::string& file) {
+  try {
+    read_sparse(file);
+  } catch (const InvalidArgument& error) {
+    return error.what();
+  }
+  return "";
+}
+
 /// Writes a one-chunk CBSP file by hand: `count` as the chunk's entry
 /// count, followed by `offsets` and `values` as given.
 void write_one_chunk_file(const std::string& file, std::int64_t extent,
@@ -110,7 +121,7 @@ void write_one_chunk_file(const std::string& file, std::int64_t extent,
     out.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(bytes));
   };
-  const std::uint32_t version = 1;
+  const std::uint32_t version = 2;
   const std::uint32_t ndim = 1;
   put("CBSP", 4);
   put(&version, sizeof version);
@@ -140,15 +151,14 @@ TEST_F(ArrayIoTest, ChunkCountAboveItsVolumeRejected) {
   EXPECT_THROW(read_sparse(file), InvalidArgument);
 }
 
-/// Writes a file's header by hand: `magic`, the version, `ndim` and the
+/// Writes a file's header by hand: `magic`, `version`, `ndim` and the
 /// i64 fields of `header` (the extents, then a CBSP file's chunk extents),
 /// followed by `tail` zero bytes.
 void write_header_file(const std::string& file, const char* magic,
-                       std::uint32_t ndim,
+                       std::uint32_t version, std::uint32_t ndim,
                        const std::vector<std::int64_t>& header,
                        std::size_t tail) {
   std::ofstream out(file, std::ios::binary | std::ios::trunc);
-  const std::uint32_t version = 1;
   out.write(magic, 4);
   out.write(reinterpret_cast<const char*>(&version), sizeof version);
   out.write(reinterpret_cast<const char*>(&ndim), sizeof ndim);
@@ -161,7 +171,7 @@ void write_header_file(const std::string& file, const char* magic,
 TEST_F(ArrayIoTest, DenseCellCountBeyondTheFileRejected) {
   const std::string file = track(path("dense_claim.bin"));
   // 32 bytes claiming 2^31 x 2^31 cells.
-  write_header_file(file, "CBDN", 2,
+  write_header_file(file, "CBDN", 1, 2,
                     {std::int64_t{1} << 31, std::int64_t{1} << 31}, 4);
   EXPECT_THROW(read_dense(file), InvalidArgument);
 }
@@ -169,13 +179,96 @@ TEST_F(ArrayIoTest, DenseCellCountBeyondTheFileRejected) {
 TEST_F(ArrayIoTest, SparseChunkGridBeyondTheFileRejected) {
   const std::string file = track(path("sparse_claim.bin"));
   // 48 bytes claiming a 2^31 x 2^31 grid of one-cell chunks.
-  write_header_file(file, "CBSP", 2,
+  write_header_file(file, "CBSP", 2, 2,
                     {std::int64_t{1} << 31, std::int64_t{1} << 31, 1, 1}, 4);
   EXPECT_THROW(read_sparse(file), InvalidArgument);
-  // One 2^20-cell chunk claiming 2^20 entries that the file does not hold.
-  write_one_chunk_file(file, std::int64_t{1} << 20, std::int64_t{1} << 20, {},
-                       {});
+  // One 2^16-cell chunk claiming 2^16 entries that the file does not hold.
+  write_one_chunk_file(file, SparseArray::kMaxChunkCells,
+                       SparseArray::kMaxChunkCells, {}, {});
   EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, VersionOneSparseFileRejected) {
+  // Version 1 stored 32-bit offsets: a well-formed version-1 file of one
+  // 8-cell chunk holding cells 1 and 6 is refused by its version field.
+  const std::string file = track(path("version1.bin"));
+  {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    const auto put = [&out](const void* data, std::size_t bytes) {
+      out.write(static_cast<const char*>(data),
+                static_cast<std::streamsize>(bytes));
+    };
+    const std::uint32_t version = 1;
+    const std::uint32_t ndim = 1;
+    const std::int64_t extent = 8;
+    const std::int64_t count = 2;
+    const std::uint32_t offsets[] = {1, 6};
+    const Value values[] = {3.0, 4.0};
+    put("CBSP", 4);
+    put(&version, sizeof version);
+    put(&ndim, sizeof ndim);
+    put(&extent, sizeof extent);
+    put(&extent, sizeof extent);
+    put(&count, sizeof count);
+    put(offsets, sizeof offsets);
+    put(values, sizeof values);
+  }
+  EXPECT_NE(read_sparse_error(file).find("unsupported version 1"),
+            std::string::npos)
+      << read_sparse_error(file);
+  // A version-1 header claiming a 2^31 x 2^31 grid of one-cell chunks is
+  // refused by its version before the grid is checked or allocated.
+  write_header_file(file, "CBSP", 1, 2,
+                    {std::int64_t{1} << 31, std::int64_t{1} << 31, 1, 1}, 4);
+  EXPECT_NE(read_sparse_error(file).find("unsupported version 1"),
+            std::string::npos)
+      << read_sparse_error(file);
+}
+
+TEST_F(ArrayIoTest, ChunkExtentsOverTheCapRejected) {
+  // One chunk of 2^16 + 1 cells, and a 2^20 x 2^20 chunk claiming a grid
+  // the file does not hold: both are refused by the cap, before the chunk
+  // grid or any entry is allocated.
+  const std::string file = track(path("over_cap.bin"));
+  write_one_chunk_file(file, SparseArray::kMaxChunkCells + 1, 0, {}, {});
+  EXPECT_NE(read_sparse_error(file).find("cap"), std::string::npos)
+      << read_sparse_error(file);
+  write_header_file(file, "CBSP", 2, 2,
+                    {std::int64_t{1} << 30, std::int64_t{1} << 30,
+                     std::int64_t{1} << 20, std::int64_t{1} << 20},
+                    4);
+  EXPECT_NE(read_sparse_error(file).find("cap"), std::string::npos)
+      << read_sparse_error(file);
+}
+
+TEST_F(ArrayIoTest, OneRowChunkOfTheCapRoundTrips) {
+  // 4 x 16384: one chunk of 2^16 cells, generated as a single row; its
+  // last cell's offset is 65535.
+  SparseSpec spec;
+  spec.sizes = {4, 16384};
+  spec.chunk_extents = spec.sizes;
+  spec.density = 0.3;
+  spec.seed = 5;
+  SparseArray original = generate_sparse_global(spec);
+  ASSERT_EQ(original.num_chunks(), 1);
+  // The last cell at offset 65535, set whatever the hash kept there.
+  std::vector<SparseArray::Offset> offsets(original.chunk_offsets(0).begin(),
+                                           original.chunk_offsets(0).end());
+  std::vector<Value> values(original.chunk_values(0).begin(),
+                            original.chunk_values(0).end());
+  if (offsets.back() != 65535) {
+    offsets.push_back(65535);
+    values.push_back(7.0);
+  }
+  SparseArray edged{Shape{spec.sizes}, spec.sizes};
+  edged.set_chunk(0, offsets, values);
+  edged.finalize();
+  const std::string file = track(path("one_row.bin"));
+  write_sparse(edged, file);
+  const SparseArray loaded = read_sparse(file);
+  EXPECT_EQ(loaded.chunk_extents(), edged.chunk_extents());
+  EXPECT_EQ(testing::chunk_difference(loaded, edged), "");
+  EXPECT_EQ(loaded.to_dense().at({3, 16383}), values.back());
 }
 
 TEST_F(ArrayIoTest, DescendingChunkOffsetsRejected) {

@@ -59,7 +59,9 @@ SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
   return out;
 }
 
-/// FNV-1a digest of each chunk's offsets and values, in chunk order.
+/// FNV-1a digest of each chunk's offsets and values, in chunk order. Each
+/// offset is hashed as a uint32, the width the pinned digests were taken
+/// at, so a digest names the cells, not the offset width.
 std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
   std::vector<std::uint64_t> digests;
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
@@ -69,7 +71,10 @@ std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
         h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
       }
     };
-    mix(std::as_bytes(array.chunk_offsets(c)));
+    for (const SparseArray::Offset offset : array.chunk_offsets(c)) {
+      const auto wide = static_cast<std::uint32_t>(offset);
+      mix(std::as_bytes(std::span(&wide, 1)));
+    }
     mix(std::as_bytes(array.chunk_values(c)));
     digests.push_back(h);
   }
@@ -326,6 +331,13 @@ TEST(GeneratorsTest, BlocksMatchARowMajorReferenceChunkForChunk) {
        BlockRange({0, 0, 0, 8, 0}, {16, 16, 16, 16, 8})},
       {{16, 16, 16, 16, 8}, {},
        BlockRange({3, 0, 0, 0, 0}, {16, 16, 16, 16, 8})},
+      // Chunks of the format's 2^16-cell cap that are one row each: the
+      // offset past a row's last cell, 65,536, does not fit 16 bits.
+      {{4, 16384}, {4, 16384}, BlockRange({0, 0}, {4, 16384})},
+      {{3, 16, 16, 16, 16}, {1, 16, 16, 16, 16},
+       BlockRange({0, 0, 0, 0, 0}, {3, 16, 16, 16, 16})},
+      {{6, 16, 16, 16, 16}, {1, 16, 16, 16, 16},
+       BlockRange({2, 0, 0, 0, 0}, {5, 16, 16, 16, 16})},
   };
   for (const Case& c : cases) {
     for (double density : {0.0, 0.05, 0.3, 1.0}) {
@@ -422,8 +434,8 @@ TEST(GeneratorsTest, GeneratedBytesMatchPinnedDigests) {
       {"zipf long rows", {6, 130}, {4, 130}, 0.25, 1.1, {1, 3}, {6, 130}, 115,
        0x29af825bc1d88e44},
       {"zipf 1-D", {300}, {300}, 0.1, 0.8, {}, {}, 24, 0xae16c5ea46e34f98},
-      {"5-D one chunk", {16, 16, 16, 16, 8}, {16, 16, 16, 16, 8}, 0.25, 0.0,
-       {}, {}, 130768, 0xd6032b1074b9a020},
+      {"5-D largest chunks", {16, 16, 16, 16, 8}, {16, 16, 16, 2, 8}, 0.25,
+       0.0, {}, {}, 130768, 0x8bc3b027e5d7dc63},
       {"5-D default chunks", {16, 16, 16, 16, 8}, {}, 0.25, 0.0, {}, {},
        130768, 0xee1e85024c1e3726},
   };

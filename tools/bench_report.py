@@ -8,7 +8,7 @@ algorithms vs the cost tuner across density x topology) and writes
 BENCH_comm.json:
 
   {
-    "schema": "cubist-bench-comm/2",
+    "schema": "cubist-bench-comm/3",
     "shape": "fig7",          # 64^4; --smoke switches to 16^4
     "cost_model": { ... },    # LogP/topology/tuner params, from the binary
     "rows": [
@@ -22,11 +22,11 @@ BENCH_comm.json:
       {"name": "BM_AlgorithmSweep/fig7/g8-flat/d50/auto",
        "point": "g8-flat", "density_pct": 50, "ranks_per_node": 0,
        "algorithm": "auto", "sim_s": ...,
-       "chosen_views": {"binomial": 0, "ring": 1, "two_level": 0}}, ...
+       "chosen_groups": {"binomial": 0, "ring": 1, "two_level": 0}}, ...
     ],
     "auto_vs_binomial": {     # per (point, density): the tuner's contract
       "g8-flat/d50": {"binomial_sim_s": ..., "auto_sim_s": ...,
-                      "auto_speedup": ..., "auto_chosen_views": {...}}, ...
+                      "auto_speedup": ..., "auto_chosen_groups": {...}}, ...
     }
   }
 
@@ -151,7 +151,7 @@ DEFAULT_SERVING_OUT = "BENCH_serving.json"
 DEFAULT_OBS_OUT = "BENCH_obs.json"
 DEFAULT_BINARY_DIRS = ("build-release", "build")
 SCHEMA = "cubist-bench-kernels/1"
-COMM_SCHEMA = "cubist-bench-comm/2"
+COMM_SCHEMA = "cubist-bench-comm/3"
 SERVING_SCHEMA = "cubist-bench-serving/2"
 OBS_SCHEMA = "cubist-bench-obs/1"
 QUERY_CLASSES = ("point", "slice", "dice", "rollup", "topk")
@@ -370,10 +370,11 @@ def comm_algorithm_sweep(binary, shape):
                 "logical_MB": round(bench.get("logical_MB", 0.0), 6),
                 "wire_MB": round(bench.get("wire_MB", 0.0), 6),
                 "sim_s": round(bench.get("sim_s", 0.0), 6),
-                "chosen_views": {
-                    "binomial": int(bench.get("views_binomial", 0)),
-                    "ring": int(bench.get("views_ring", 0)),
-                    "two_level": int(bench.get("views_two_level", 0)),
+                # One pick per (view, axis group) reduction.
+                "chosen_groups": {
+                    "binomial": int(bench.get("groups_binomial", 0)),
+                    "ring": int(bench.get("groups_ring", 0)),
+                    "two_level": int(bench.get("groups_two_level", 0)),
                 },
             }
         )
@@ -393,7 +394,7 @@ def comm_algorithm_sweep(binary, shape):
         entry = {
             "binomial_sim_s": binomial["sim_s"],
             "auto_sim_s": auto["sim_s"],
-            "auto_chosen_views": auto["chosen_views"],
+            "auto_chosen_groups": auto["chosen_groups"],
         }
         for name in ("ring", "two-level"):
             if name in algos:
