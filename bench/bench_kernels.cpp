@@ -184,8 +184,10 @@ BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
 /// The end-to-end benchmark's serve-partial-replan input, 16x16x16x16x8 at
 /// 25% density in default chunks (8 chunks of 2x16x16x16x8), is generated
 /// one task per chunk: BM_Generator/16x16x16x16x8/25. Its 5-target root
-/// scan is BM_SparseMultiway/16x16x16x16x8/5, and the 4-target root scan
-/// of the Figure-7 input, 64^4 at 25% in 16^4 chunks, which the sequential
+/// scan is BM_SparseMultiway/16x16x16x16x8/5. The Figure-7 inputs of the
+/// build and serve-zipf workloads, 64^4 at 5% and 25% in 16^4 chunks (rows
+/// of 16 cells, four to a mask word), are BM_Generator/64x64x64x64/{5,25},
+/// and the 4-target root scan of the 25% input, which the sequential
 /// builds run, is BM_SparseMultiway/64x64x64x64/4.
 const std::vector<std::int64_t> kServeSizes{16, 16, 16, 16, 8};
 const std::vector<std::int64_t> kFigure7Sizes{64, 64, 64, 64};
@@ -222,6 +224,11 @@ void sparse_root_scan(benchmark::State& state,
 [[maybe_unused]] const bool kRootScansRegistered = [] {
   benchmark::RegisterBenchmark("BM_Generator/16x16x16x16x8", generator,
                                kServeSizes)
+      ->Arg(25)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_Generator/64x64x64x64", generator,
+                               kFigure7Sizes)
+      ->Arg(5)
       ->Arg(25)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/16x16x16x16x8",

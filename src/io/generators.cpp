@@ -1,21 +1,92 @@
 #include "io/generators.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/error.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "io/keep_bits.h"
 
 namespace cubist {
+
+namespace keep_bits {
+
+std::uint64_t scalar(std::uint64_t seed, std::uint64_t threshold,
+                     std::uint64_t first, int count) {
+  std::uint64_t mask = 0;
+  for (int i = 0; i < count; ++i) {
+    const bool keep =
+        cell_hash(seed, first + static_cast<std::uint64_t>(i)) < threshold;
+    mask |= static_cast<std::uint64_t>(keep) << i;
+  }
+  return mask;
+}
+
+#if defined(__x86_64__)
+
+/// cell_hash's first product, index x golden, advances by 8 x golden a
+/// step, so a step multiplies twice where cell_hash multiplies three times.
+/// The arithmetic is on GCC vector types: GCC 12's shift intrinsics read an
+/// undefined vector and trip -Wmaybe-uninitialized.
+__attribute__((target("avx512f,avx512dq"))) std::uint64_t avx512(
+    std::uint64_t seed, std::uint64_t threshold, std::uint64_t first,
+    int count) {
+  using Lanes = std::uint64_t __attribute__((vector_size(64)));
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  const Lanes limit = Lanes{} + threshold;
+  Lanes product = Lanes{0, 1, 2, 3, 4, 5, 6, 7} * kGolden + first * kGolden;
+  std::uint64_t mask = 0;
+  for (int i = 0; i < count; i += 8) {
+    Lanes z = product ^ (seed ^ 0xd1b54a32d192ed03ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    mask |= std::uint64_t{_mm512_cmplt_epu64_mask(__m512i(z), __m512i(limit))}
+            << i;
+    product += 8 * kGolden;
+  }
+  return mask & (~std::uint64_t{0} >> (64 - count));
+}
+
+bool has_avx512dq() {
+  // A static initializer may run before libgcc's own CPU detection.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq");
+}
+
+#else
+
+// No vector path off x86-64: has_avx512dq() is false, so generation never
+// calls this.
+std::uint64_t avx512(std::uint64_t seed, std::uint64_t threshold,
+                     std::uint64_t first, int count) {
+  return scalar(seed, threshold, first, count);
+}
+
+bool has_avx512dq() { return false; }
+
+#endif
+
+}  // namespace keep_bits
+
 namespace {
+
+/// The uniform keep test's path, picked once, at start-up.
+const bool kVectorKeep = keep_bits::has_avx512dq();
 
 constexpr std::uint64_t kValueSalt = 0x5eed5a17u;
 /// Cells one generation task walks at least (several small chunks share one).
 constexpr std::int64_t kCellsPerTask = std::int64_t{1} << 14;
-/// Consecutive cells of a row whose keep tests fold into one mask word.
+/// Cells whose keep tests fold into one mask word.
 constexpr std::int64_t kMaskCells = 64;
 
 /// The population rule shared by all generators. A cell is kept when
@@ -67,24 +138,19 @@ class CellRule {
   }
 
   /// Bit i is set when the cell at global index `first + i` is kept, for
-  /// i < count <= 64. Under the skew the cells lie in one row of the last
-  /// dimension: the first has inner coordinate `inner`, and `row_p` is the
-  /// row's row_density(); the uniform rule reads neither. No branch
-  /// depends on a cell's hash (hence `|`, not `||`): one taken for a
-  /// quarter of the cells, as at 25% density, mispredicts often.
+  /// i < count, 1 <= count <= 64. Under the skew the cells lie in one row
+  /// of the last dimension: the first has inner coordinate `inner`, and
+  /// `row_p` is the row's row_density(); the uniform rule reads neither.
+  /// No branch depends on a cell's hash (hence `|`, not `||`): one taken
+  /// for a quarter of the cells, as at 25% density, mispredicts often.
   std::uint64_t keep_mask(double row_p, std::uint64_t first,
                           std::int64_t inner, int count) const {
-    std::uint64_t mask = 0;
     if (!skewed()) {
       if (keep_all_) return ~std::uint64_t{0} >> (kMaskCells - count);
-      for (int i = 0; i < count; ++i) {
-        const bool keep =
-            cell_hash(seed_, first + static_cast<std::uint64_t>(i)) <
-            threshold_;
-        mask |= static_cast<std::uint64_t>(keep) << i;
-      }
-      return mask;
+      return kVectorKeep ? keep_bits::avx512(seed_, threshold_, first, count)
+                         : keep_bits::scalar(seed_, threshold_, first, count);
     }
+    std::uint64_t mask = 0;
     const double* inner_weights =
         weights_.back().data() + static_cast<std::size_t>(inner);
     for (int i = 0; i < count; ++i) {
@@ -223,6 +289,10 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
         // at a time) and reused from chunk to chunk.
         std::vector<SparseArray::Offset> offsets;
         std::vector<Value> values;
+        // Each segment of a mask word (below): its first global index less
+        // its first bit, so the word's bit b in segment s is the cell
+        // firsts[s] + b.
+        std::array<std::uint64_t, kMaskCells> firsts{};
         for (std::int64_t chunk_id = lo; chunk_id < hi; ++chunk_id) {
           out.chunk_grid().unravel(chunk_id, coords.data());
           const std::vector<std::int64_t> base = out.chunk_base(coords);
@@ -245,50 +315,82 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
           }
           std::int64_t row_length = 1;
           for (int d = row_dim; d < n; ++d) row_length *= extents[d];
-          // The row's first offset: a row can be a whole 2^16-cell chunk,
-          // so the offset past the last row does not fit an Offset.
-          std::int64_t row_offset = 0;
-          for (;;) {
-            // The global linear index of the row's first cell (gidx of the
-            // row's own dimensions stays at their origin); the row's other
-            // cells follow it.
-            std::int64_t row_base = origin[n - 1];
-            for (int d = 0; d < n - 1; ++d) {
-              row_base += gidx[d] * global_shape.stride(d);
-            }
-            const double row_p = rule.row_density(gidx.data());
-            for (std::int64_t i = 0; i < row_length; i += kMaskCells) {
-              const auto first = static_cast<std::uint64_t>(row_base + i);
-              std::uint64_t mask = rule.keep_mask(
-                  row_p, first, origin[n - 1] + i,
-                  static_cast<int>(std::min(kMaskCells, row_length - i)));
-              std::size_t kept = offsets.size();
-              const std::size_t size =
-                  kept + static_cast<std::size_t>(std::popcount(mask));
-              if (size > offsets.capacity()) {
-                // Powers of two, as push_back's doubling gives, so a task's
-                // freed buffers fit the next task's; capacities grown from
-                // the size fragment the heap and raise peak RSS.
-                offsets.reserve(std::bit_ceil(size));
-                values.reserve(std::bit_ceil(size));
+          // A mask word takes segments of min(64, row_length) cells while
+          // the next one fits: 64 / row_length whole rows when a row holds
+          // at most 32 cells, else 64 cells of one row at a time (a row's
+          // last segment may be shorter, and fills its word alone). The
+          // rows follow each other in the chunk, so bit b of a word is the
+          // chunk's cell word_offset + b; a row can be a whole 2^16-cell
+          // chunk, so the offset past the last word does not fit an Offset.
+          const int segment =
+              static_cast<int>(std::min(kMaskCells, row_length));
+          std::int64_t word_offset = 0;
+          // The next segment's first cell within its row, the global
+          // linear index of that row's first cell, and the row's Zipf p.
+          std::int64_t i = 0;
+          std::uint64_t row_base = 0;
+          double row_p = 0.0;
+          for (bool rows_left = true; rows_left;) {
+            std::uint64_t mask = 0;
+            int used = 0;
+            int segments = 0;
+            do {
+              if (i == 0) {
+                // gidx of the row's own dimensions stays at their origin.
+                std::int64_t start = origin[n - 1];
+                for (int d = 0; d < n - 1; ++d) {
+                  start += gidx[d] * global_shape.stride(d);
+                }
+                row_base = static_cast<std::uint64_t>(start);
+                row_p = rule.row_density(gidx.data());
               }
-              offsets.resize(size);
-              values.resize(size);
-              for (; mask != 0; mask &= mask - 1, ++kept) {
-                const int bit = std::countr_zero(mask);
-                offsets[kept] =
-                    static_cast<SparseArray::Offset>(row_offset + i + bit);
-                values[kept] =
-                    rule.value(first + static_cast<std::uint64_t>(bit));
+              const int count =
+                  static_cast<int>(std::min(kMaskCells, row_length - i));
+              const std::uint64_t first =
+                  row_base + static_cast<std::uint64_t>(i);
+              mask |= rule.keep_mask(row_p, first, origin[n - 1] + i, count)
+                      << used;
+              firsts[static_cast<std::size_t>(segments++)] =
+                  first - static_cast<std::uint64_t>(used);
+              used += count;
+              i += count;
+              if (i == row_length) {
+                i = 0;
+                int d = row_dim - 1;
+                for (; d >= 0; --d) {
+                  if (++gidx[d] < origin[d] + extents[d]) break;
+                  gidx[d] = origin[d];
+                }
+                rows_left = d >= 0;
               }
+            } while (rows_left &&
+                     used + std::min(kMaskCells, row_length - i) <=
+                         kMaskCells);
+            std::size_t kept = offsets.size();
+            const std::size_t size =
+                kept + static_cast<std::size_t>(std::popcount(mask));
+            if (size > offsets.capacity()) {
+              // Powers of two, as push_back's doubling gives, so a task's
+              // freed buffers fit the next task's; capacities grown from
+              // the size fragment the heap and raise peak RSS.
+              offsets.reserve(std::bit_ceil(size));
+              values.reserve(std::bit_ceil(size));
             }
-            row_offset += row_length;
-            int d = row_dim - 1;
-            for (; d >= 0; --d) {
-              if (++gidx[d] < origin[d] + extents[d]) break;
-              gidx[d] = origin[d];
+            offsets.resize(size);
+            values.resize(size);
+            // Segment s holds bits [s x segment, (s + 1) x segment): walking
+            // `end` across the segments finds each kept cell's row without a
+            // division.
+            std::size_t s = 0;
+            for (int end = segment; mask != 0; mask &= mask - 1, ++kept) {
+              const int bit = std::countr_zero(mask);
+              for (; bit >= end; end += segment) ++s;
+              offsets[kept] =
+                  static_cast<SparseArray::Offset>(word_offset + bit);
+              values[kept] =
+                  rule.value(firsts[s] + static_cast<std::uint64_t>(bit));
             }
-            if (d < 0) break;
+            word_offset += used;
           }
           out.set_chunk(chunk_id, {offsets.begin(), offsets.end()},
                         {values.begin(), values.end()});

@@ -11,15 +11,19 @@
 // Generation fills the array chunk by chunk, one task per chunk on
 // ThreadPool::global() (under the minimpi runtime, within the calling
 // rank's share of it). Each task writes only its own chunk, so the output
-// is the same for any pool size. A task decides its chunk a row at a
-// time: the keep tests of up to 64 consecutive cells fold into one bit
-// mask with no branch per cell, and only the kept cells' values are
-// hashed. Under the uniform rule a row runs from the innermost dimension
-// the chunk does not span whole, as the array does, to the last (their
-// cells have consecutive global indices), so a chunk that spans its
-// trailing dimensions whole is one row; the threshold is computed once
-// per spec. Under the Zipf skew a row is one dimension long, and the
-// outer dimensions' weights are multiplied once per row.
+// is the same for any pool size. A task decides its chunk a 64-bit mask
+// word at a time: a word holds 64 / L whole rows of L <= 32 cells, or up
+// to 64 cells of one longer row. Each cell's keep test sets one bit with
+// no branch on its hash, and only the kept cells' values are hashed.
+// Under the uniform rule a row runs from the innermost dimension the
+// chunk does not span whole, as the array does, to the last (their cells
+// have consecutive global indices), so a chunk that spans its trailing
+// dimensions whole is one row. The threshold is computed once per spec,
+// and the keep tests run eight lanes at a time on CPUs with AVX-512DQ,
+// else on a scalar loop; a CPU check picks the path once, at start-up,
+// and no setting does. Under the Zipf skew a row is one dimension long,
+// its outer dimensions' weights are multiplied once per row, and its keep
+// tests run on the scalar loop.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "io/keep_bits.h"
 #include "minimpi/proc_grid.h"
 #include "test_util.h"
 
@@ -331,6 +332,23 @@ TEST(GeneratorsTest, BlocksMatchARowMajorReferenceChunkForChunk) {
        BlockRange({0, 0, 0, 8, 0}, {16, 16, 16, 16, 8})},
       {{16, 16, 16, 16, 8}, {},
        BlockRange({3, 0, 0, 0, 0}, {16, 16, 16, 16, 8})},
+      // A mask word holds 64 / L whole rows of L <= 32 cells, else one
+      // row or 64 cells of one: rows of 1 (72 to a chunk, so two words),
+      // 21 (3 to a word, one row left over), 16 as in the 64^4 input, 32,
+      // 33 and 64 cells, 30-cell rows over three dimensions, and ragged
+      // last chunks whose rows are shorter.
+      {{16, 18, 4}, {8, 9, 1}, BlockRange({0, 0, 0}, {16, 18, 4})},
+      {{10, 8, 42}, {5, 8, 21}, BlockRange({0, 0, 0}, {10, 8, 42})},
+      {{32, 32, 32}, {}, BlockRange({0, 0, 0}, {32, 32, 32})},
+      {{6, 64}, {5, 32}, BlockRange({0, 0}, {6, 64})},
+      {{7, 66}, {6, 33}, BlockRange({0, 0}, {7, 66})},
+      {{5, 128}, {4, 64}, BlockRange({0, 0}, {5, 128})},
+      {{9, 6, 3, 5}, {2, 2, 3, 5}, BlockRange({0, 0, 0, 0}, {9, 6, 3, 5})},
+      {{11, 9, 50}, {4, 4, 21}, BlockRange({0, 0, 0}, {11, 9, 50})},
+      // Blocks that hold part of the last dimension: a word's rows are
+      // consecutive in the chunk but not in the array.
+      {{20, 24, 40}, {}, BlockRange({2, 3, 7}, {19, 24, 31})},
+      {{10, 8, 42}, {5, 8, 21}, BlockRange({1, 0, 3}, {10, 7, 40})},
       // Chunks of the format's 2^16-cell cap that are one row each: the
       // offset past a row's last cell, 65,536, does not fit 16 bits.
       {{4, 16384}, {4, 16384}, BlockRange({0, 0}, {4, 16384})},
@@ -370,6 +388,59 @@ TEST(GeneratorsTest, ZipfBlocksMatchExtractionFromTheGlobalArray) {
                   extract_block(global, block, default_chunks(spec.sizes))),
               "")
         << block.to_string();
+  }
+  // Short rows, each with its own p, share a mask word: 9 rows of 7 cells
+  // to a word, and 32 of the ragged 2-cell rows.
+  spec.sizes = {12, 10, 30};
+  spec.chunk_extents = {5, 4, 7};
+  spec.zipf_theta = 1.1;
+  const SparseArray short_rows = generate_sparse_global(spec);
+  for (const BlockRange& block :
+       {BlockRange({0, 0, 0}, {12, 10, 30}), BlockRange({5, 4, 7}, {10, 8, 14}),
+        BlockRange({2, 1, 3}, {12, 9, 29})}) {
+    EXPECT_EQ(testing::chunk_difference(
+                  generate_sparse_block(spec, block),
+                  extract_block(short_rows, block, spec.chunk_extents)),
+              "")
+        << block.to_string();
+  }
+}
+
+TEST(GeneratorsTest, VectorKeepBitsMatchTheScalarLoop) {
+  if (!keep_bits::has_avx512dq()) {
+    GTEST_SKIP() << "this CPU lacks AVX-512DQ, so generation runs the "
+                    "scalar keep test only";
+  }
+  Xoshiro256ss rng(101);
+  std::vector<std::uint64_t> thresholds = {
+      0, 1, (std::uint64_t{1} << 63) - 1, std::uint64_t{1} << 63,
+      (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0} - (1 << 11) + 1};
+  for (int i = 0; i < 4; ++i) thresholds.push_back(rng.next());
+  std::vector<std::uint64_t> firsts = {0, ~std::uint64_t{0} - 5};
+  for (int i = 0; i < 20; ++i) firsts.push_back(rng.next());
+  for (int i = 0; i < 20; ++i) firsts.push_back(rng.next_below(1 << 24));
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::uint64_t seed = rng.next();
+    for (const std::uint64_t threshold : thresholds) {
+      for (const std::uint64_t first : firsts) {
+        for (const int count : {1, 7, 8, 9, 16, 21, 63, 64}) {
+          const std::uint64_t scalar =
+              keep_bits::scalar(seed, threshold, first, count);
+          ASSERT_EQ(keep_bits::avx512(seed, threshold, first, count), scalar)
+              << "seed " << seed << " threshold " << threshold << " first "
+              << first << " count " << count;
+          // The scalar loop is the per-cell rule, bit for bit.
+          std::uint64_t expected = 0;
+          for (int i = 0; i < count; ++i) {
+            if (cell_hash(seed, first + static_cast<std::uint64_t>(i)) <
+                threshold) {
+              expected |= std::uint64_t{1} << i;
+            }
+          }
+          ASSERT_EQ(scalar, expected) << "count " << count;
+        }
+      }
+    }
   }
 }
 
@@ -438,6 +509,12 @@ TEST(GeneratorsTest, GeneratedBytesMatchPinnedDigests) {
        0.0, {}, {}, 130768, 0x8bc3b027e5d7dc63},
       {"5-D default chunks", {16, 16, 16, 16, 8}, {}, 0.25, 0.0, {}, {},
        130768, 0xee1e85024c1e3726},
+      // 16^3 chunks of 16-cell rows, four to a mask word, as in the 64^4
+      // inputs of the end-to-end benchmark.
+      {"64^3 0.05", {64, 64, 64}, {}, 0.05, 0.0, {}, {}, 13181,
+       0xb71f7dbae6ba47cf},
+      {"64^3 0.25", {64, 64, 64}, {}, 0.25, 0.0, {}, {}, 65268,
+       0xf2b50b1bdeb545e9},
   };
   for (const Pinned& p : pinned) {
     SparseSpec spec;
