@@ -30,7 +30,7 @@ void BM_CommFrequency(benchmark::State& state) {
   const BlockProvider provider =
       DatasetCache::instance().provider(kSizes, kDensity, kSeed);
   ParallelOptions options;
-  options.reduce_message_elements = cap;
+  options.reduce.max_message_elements = cap;
   ParallelCubeReport report;
   for (auto _ : state) {
     report = run_parallel_cube(kSizes, {1, 1, 1, 0}, paper_model(), provider,

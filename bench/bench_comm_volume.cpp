@@ -89,7 +89,7 @@ void BM_CommEngine(benchmark::State& state,
   const BlockProvider provider =
       DatasetCache::instance().provider(sizes, density, kSeed);
   ParallelOptions options;
-  options.encode_wire = encode;
+  options.reduce.encode_wire = encode;
   ParallelCubeReport report;
   for (auto _ : state) {
     report = run_parallel_cube(sizes, splits, paper_model(), provider,
@@ -128,7 +128,7 @@ FigureTable& chunk_table() {
   return table;
 }
 
-/// reduce_message_elements sweep: finer chunks pipeline the binomial tree
+/// Message-cap sweep: finer chunks pipeline the binomial tree
 /// (lower clock) until per-message overhead dominates.
 void BM_ReduceChunkSweep(benchmark::State& state) {
   const std::int64_t cap = state.range(0);
@@ -136,7 +136,7 @@ void BM_ReduceChunkSweep(benchmark::State& state) {
   const BlockProvider provider =
       DatasetCache::instance().provider(kSizes, 0.10, kSeed);
   ParallelOptions options;
-  options.reduce_message_elements = cap;
+  options.reduce.max_message_elements = cap;
   ParallelCubeReport report;
   for (auto _ : state) {
     report = run_parallel_cube(kSizes, splits, paper_model(), provider,
@@ -238,7 +238,7 @@ void BM_AlgorithmSweep(benchmark::State& state,
   const BlockProvider provider =
       DatasetCache::instance().provider(sizes, density, kSeed);
   ParallelOptions options;
-  options.reduce_algorithm = algorithm;
+  options.reduce.algorithm = algorithm;
   options.audit = true;
   ParallelCubeReport report;
   for (auto _ : state) {

@@ -10,6 +10,8 @@
 namespace cubist {
 namespace {
 
+constexpr auto kValueBytes = static_cast<std::int64_t>(sizeof(Value));
+
 /// Cells of `block` restricted to the retained dimensions of `view` (a
 /// rank's block of a view: each aggregation removes one dimension).
 std::int64_t block_cells(const BlockRange& block, DimSet view) {
@@ -34,9 +36,7 @@ class RankPlanner {
         rank_(rank),
         block_(grid.block(rank, spec.sizes)) {}
 
-  RankPlan run(std::map<std::uint32_t, std::int64_t>& elements_by_view,
-               std::map<ReduceGroup, ReduceAlgorithm>& algorithm_by_group) {
-    elements_by_view_ = &elements_by_view;
+  RankPlan run(std::map<ReduceGroup, ReduceAlgorithm>& algorithm_by_group) {
     algorithm_by_group_ = &algorithm_by_group;
     tree_.walk(*this);
     if (spec_.collect_result && rank_ == 0) plan_gather_receives();
@@ -88,9 +88,8 @@ class RankPlanner {
     if (!keep) return;
     plan_.final_views.push_back(view.mask());
     if (spec_.collect_result && rank_ != 0) {
-      plan_.ops.push_back({PlannedOp::Kind::kSend, 0, view.mask(),
-                           block_cells(block_, view), 0,
-                           kGatherTagBase | view.mask()});
+      plan_.ops.push_back({TraceEventKind::kSend, 0,
+                           kGatherTagBase | view.mask(), view_bytes(view)});
     }
   }
 
@@ -104,24 +103,22 @@ class RankPlanner {
       for (int src = 1; src < grid_.size(); ++src) {
         if (!grid_.is_lead_for(src, view.complement(n))) continue;
         plan_.ops.push_back(
-            {PlannedOp::Kind::kRecv, src, mask,
-             block_cells(grid_.block(src, spec_.sizes), view), 0,
-             kGatherTagBase | mask});
+            {TraceEventKind::kRecv, src, kGatherTagBase | mask,
+             block_cells(grid_.block(src, spec_.sizes), view) * kValueBytes});
       }
     }
   }
 
   std::int64_t view_bytes(DimSet view) const {
-    return block_cells(block_, view) *
-           static_cast<std::int64_t>(sizeof(Value));
+    return block_cells(block_, view) * kValueBytes;
   }
 
-  /// The chunk-pipelined reduction of Comm::reduce, as planned
-  /// operations: the SAME reduce_program the runtime executes
+  /// The chunk-pipelined reduction of Comm::reduce, as planned events:
+  /// the SAME reduce_program the runtime executes
   /// (minimpi/collectives.h), resolved on the same static inputs — so
   /// whatever the tuner picks is exactly what gets verified. Zero-size
   /// blocks plan nothing (the runtime skips the wire entirely). Planned
-  /// element counts are LOGICAL (dense) sizes; the adaptive wire codec
+  /// message sizes are LOGICAL (dense) bytes; the adaptive wire codec
   /// only ever shrinks them, which is what the wire audit certifies.
   void plan_reduce(const std::vector<int>& group, DimSet child) {
     const int g = static_cast<int>(group.size());
@@ -132,31 +129,29 @@ class RankPlanner {
     CUBIST_ASSERT(me >= 0, "rank not in its own axis group");
     const std::int64_t total = block_cells(block_, child);
     if (total == 0 || g == 1) return;
-    const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
-        spec_.reduce_algorithm, group, total, spec_.reduce_message_elements,
-        spec_.model, spec_.encode_wire);
+    ReduceOptions resolved = spec_.reduce;
+    resolved.algorithm =
+        resolve_reduce_algorithm(spec_.reduce, group, total, spec_.model);
     // Every member of the group resolves the same pick on the same
     // static inputs; the first member to plan it records it.
-    const auto [recorded, fresh] =
-        algorithm_by_group_->try_emplace({child.mask(), group}, algorithm);
-    CUBIST_ASSERT(fresh || recorded->second == algorithm,
+    const auto [recorded, fresh] = algorithm_by_group_->try_emplace(
+        {child.mask(), group}, resolved.algorithm);
+    CUBIST_ASSERT(fresh || recorded->second == resolved.algorithm,
                   "axis group of view " << child.mask()
                                         << " resolved two algorithms");
+    const std::uint64_t tag = child.mask();
     for (const ReduceOp& op :
-         reduce_program(algorithm, group, me, total,
-                        spec_.reduce_message_elements, spec_.model.topology)) {
+         reduce_program(resolved, group, me, total, spec_.model.topology)) {
       if (op.step.kind == ReduceStep::Kind::kSend) {
-        plan_.ops.push_back({PlannedOp::Kind::kSend, op.step.peer,
-                             child.mask(), op.count, op.offset});
-        (*elements_by_view_)[child.mask()] += op.count;
+        plan_.ops.push_back({TraceEventKind::kSend, op.step.peer, tag,
+                             op.count * kValueBytes, op.offset});
       } else {
         // Each receive is immediately folded into the local block, in
-        // the program's fixed step order: the combine is a first-class
-        // IR event, as it is in the run's EventTrace.
-        plan_.ops.push_back({PlannedOp::Kind::kRecv, op.step.peer,
-                             child.mask(), op.count, op.offset});
-        plan_.ops.push_back({PlannedOp::Kind::kCombine, op.step.peer,
-                             child.mask(), op.count, op.offset});
+        // the program's fixed step order, as the run records it.
+        plan_.ops.push_back({TraceEventKind::kRecv, op.step.peer, tag,
+                             op.count * kValueBytes, op.offset});
+        plan_.ops.push_back({TraceEventKind::kCombine, op.step.peer, tag,
+                             op.count, op.offset});
       }
     }
   }
@@ -167,33 +162,39 @@ class RankPlanner {
   int rank_;
   BlockRange block_;
   RankPlan plan_;
-  std::map<std::uint32_t, std::int64_t>* elements_by_view_ = nullptr;
   std::map<ReduceGroup, ReduceAlgorithm>* algorithm_by_group_ = nullptr;
 };
 
 }  // namespace
 
-std::int64_t CommPlan::total_elements() const {
-  std::int64_t total = 0;
-  for (const auto& [view, elements] : elements_by_view) total += elements;
-  return total;
-}
-
 std::int64_t CommPlan::total_messages() const {
   std::int64_t messages = 0;
   for (const RankPlan& rank : ranks) {
-    for (const PlannedOp& op : rank.ops) {
-      if (op.kind == PlannedOp::Kind::kSend) ++messages;
+    for (const TraceEvent& op : rank.ops) {
+      if (op.kind == TraceEventKind::kSend) ++messages;
     }
   }
   return messages;
+}
+
+std::map<std::uint32_t, std::int64_t> elements_by_view(const CommPlan& plan) {
+  std::map<std::uint32_t, std::int64_t> bytes;
+  for (const RankPlan& rank : plan.ranks) {
+    for (const TraceEvent& op : rank.ops) {
+      if (op.kind == TraceEventKind::kSend && op.tag < kGatherTagBase) {
+        bytes[view_of_tag(op.tag)] += op.units;
+      }
+    }
+  }
+  for (auto& entry : bytes) entry.second /= kValueBytes;
+  return bytes;
 }
 
 CommPlan build_comm_plan(const ScheduleSpec& spec) {
   CUBIST_CHECK(!spec.sizes.empty() &&
                    spec.sizes.size() == spec.log_splits.size(),
                "sizes/log_splits rank mismatch");
-  CUBIST_CHECK(spec.reduce_message_elements >= 0,
+  CUBIST_CHECK(spec.reduce.max_message_elements >= 0,
                "negative reduction message cap");
   const ProcGrid grid(spec.log_splits, spec.model.topology);
   const AggregationTree tree(grid.ndims());
@@ -202,8 +203,7 @@ CommPlan build_comm_plan(const ScheduleSpec& spec) {
   plan.ranks.reserve(static_cast<std::size_t>(grid.size()));
   for (int rank = 0; rank < grid.size(); ++rank) {
     RankPlanner planner(spec, grid, tree, rank);
-    plan.ranks.push_back(
-        planner.run(plan.elements_by_view, plan.algorithm_by_group));
+    plan.ranks.push_back(planner.run(plan.algorithm_by_group));
   }
   return plan;
 }

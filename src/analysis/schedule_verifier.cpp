@@ -4,6 +4,7 @@
 #include <deque>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "array/aggregate.h"
 #include "common/error.h"
@@ -33,37 +34,30 @@ void add_violation(AnalysisReport& report, ViolationCode code, int rank,
   report.violations.push_back(std::move(violation));
 }
 
-/// One in-flight message of the transport replay: what the send carried.
-struct InFlightMsg {
-  std::int64_t elements = 0;
-  std::uint32_t view = 0;
-  std::int64_t offset = 0;
-};
-
-/// Checks a matched (send, recv) pair: payload sizes must agree, and the
-/// message must belong to the receive's logical stream (same view and
-/// chunk offset — a mismatch means two streams collide on one wire tag).
-void check_match(const InFlightMsg& got, const PlannedOp& op, int rank,
+/// Checks a matched (send, recv) pair: the message must be the chunk the
+/// receive expects (another chunk offset means two chunks of one view
+/// collide on its tag and the receive consumed the wrong one), and the
+/// logical sizes must agree.
+void check_match(const TraceEvent& sent, const TraceEvent& op, int rank,
                  AnalysisReport& report) {
-  if (got.view != op.view || got.offset != op.offset) {
+  const std::uint32_t view = view_of_tag(op.tag);
+  if (sent.offset != op.offset) {
     std::ostringstream msg;
-    msg << "rank " << rank << " receives view " << view_name(op.view) << "@"
+    msg << "rank " << rank << " receives view " << view_name(view) << "@"
         << op.offset << " but the matching send from rank " << op.peer
-        << " carries view " << view_name(got.view) << "@" << got.offset
-        << " under the same wire tag";
-    add_violation(report, ViolationCode::kTagCollision, rank, op.view,
-                  static_cast<std::int64_t>(op.view),
-                  static_cast<std::int64_t>(got.view), msg.str());
+        << " carries its chunk @" << sent.offset << " under the same tag";
+    add_violation(report, ViolationCode::kTagCollision, rank, view,
+                  op.offset, sent.offset, msg.str());
     return;
   }
-  if (got.elements != op.elements) {
+  if (sent.units != op.units) {
     std::ostringstream msg;
-    msg << "rank " << rank << " expects " << op.elements
-        << " elements from rank " << op.peer << " for view "
-        << view_name(op.view) << " but the matching send carries "
-        << got.elements;
-    add_violation(report, ViolationCode::kMessageSizeMismatch, rank, op.view,
-                  op.elements, got.elements, msg.str());
+    msg << "rank " << rank << " expects " << op.units
+        << " logical bytes from rank " << op.peer << " for view "
+        << view_name(view) << " but the matching send carries "
+        << sent.units;
+    add_violation(report, ViolationCode::kMessageSizeMismatch, rank, view,
+                  op.units, sent.units, msg.str());
   }
 }
 
@@ -77,8 +71,9 @@ void check_match(const InFlightMsg& got, const PlannedOp& op, int rank,
 /// and a receive that blocks here blocks in all of them.
 void check_transport(const CommPlan& plan, AnalysisReport& report) {
   const int p = plan.num_ranks;
-  // In-flight messages per (src, dst, wire tag) channel, FIFO.
-  std::map<std::tuple<int, int, std::uint64_t>, std::deque<InFlightMsg>>
+  // The sends in flight per (src, dst, tag) channel, FIFO.
+  std::map<std::tuple<int, int, std::uint64_t>,
+           std::deque<const TraceEvent*>>
       in_flight;
   std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
 
@@ -86,17 +81,16 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
   while (progress) {
     progress = false;
     for (int r = 0; r < p; ++r) {
-      const std::vector<PlannedOp>& ops =
+      const std::vector<TraceEvent>& ops =
           plan.ranks[static_cast<std::size_t>(r)].ops;
       while (cursor[static_cast<std::size_t>(r)] < ops.size()) {
-        const PlannedOp& op = ops[cursor[static_cast<std::size_t>(r)]];
-        if (op.kind == PlannedOp::Kind::kSend) {
-          in_flight[{r, op.peer, op.wire_tag()}].push_back(
-              {op.elements, op.view, op.offset});
-        } else if (op.kind == PlannedOp::Kind::kRecv) {
-          auto it = in_flight.find({op.peer, r, op.wire_tag()});
+        const TraceEvent& op = ops[cursor[static_cast<std::size_t>(r)]];
+        if (op.kind == TraceEventKind::kSend) {
+          in_flight[{r, op.peer, op.tag}].push_back(&op);
+        } else if (op.kind == TraceEventKind::kRecv) {
+          auto it = in_flight.find({op.peer, r, op.tag});
           if (it == in_flight.end() || it->second.empty()) break;  // blocked
-          check_match(it->second.front(), op, r, report);
+          check_match(*it->second.front(), op, r, report);
           it->second.pop_front();
         }
         // kCombine is local compute: always executable.
@@ -144,18 +138,18 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
           if (cycle_head == kNoRank) cycle_head = member;
           const RankPlan& member_plan =
               plan.ranks[static_cast<std::size_t>(member)];
-          const PlannedOp& op =
+          const TraceEvent& op =
               member_plan.ops[cursor[static_cast<std::size_t>(member)]];
           msg << " rank " << member << " waits on rank " << op.peer
-              << " (view " << view_name(op.view) << ");";
+              << " (view " << view_name(view_of_tag(op.tag)) << ");";
         }
       }
       const RankPlan& head_plan =
           plan.ranks[static_cast<std::size_t>(cycle_head)];
-      const PlannedOp& head_op =
+      const TraceEvent& head_op =
           head_plan.ops[cursor[static_cast<std::size_t>(cycle_head)]];
-      add_violation(report, ViolationCode::kDeadlock, cycle_head, head_op.view,
-                    0, 0, msg.str());
+      add_violation(report, ViolationCode::kDeadlock, cycle_head,
+                    view_of_tag(head_op.tag), 0, 0, msg.str());
     }
     for (int member : path) color[static_cast<std::size_t>(member)] = 2;
   }
@@ -165,47 +159,40 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
       continue;
     }
     const RankPlan& rank_plan = plan.ranks[static_cast<std::size_t>(r)];
-    const PlannedOp& op = rank_plan.ops[cursor[static_cast<std::size_t>(r)]];
+    const TraceEvent& op = rank_plan.ops[cursor[static_cast<std::size_t>(r)]];
+    const std::uint32_t view = view_of_tag(op.tag);
     std::ostringstream msg;
-    msg << "rank " << r << " blocks forever receiving " << op.elements
-        << " elements of view " << view_name(op.view) << " from rank "
+    msg << "rank " << r << " blocks forever receiving " << op.units
+        << " logical bytes of view " << view_name(view) << " from rank "
         << op.peer;
-    add_violation(report, ViolationCode::kUnmatchedRecv, r, op.view,
-                  op.elements, 0, msg.str());
+    add_violation(report, ViolationCode::kUnmatchedRecv, r, view, op.units,
+                  0, msg.str());
   }
-  for (const auto& [key, messages] : in_flight) {
-    const auto& [src, dst, tag] = key;
-    (void)tag;
-    for (const InFlightMsg& message : messages) {
+  for (const auto& [key, sends] : in_flight) {
+    const int src = std::get<0>(key);
+    for (const TraceEvent* send : sends) {
+      const std::uint32_t view = view_of_tag(send->tag);
       std::ostringstream msg;
-      msg << "rank " << src << " sends " << message.elements
-          << " elements of view " << view_name(message.view) << " to rank "
-          << dst << " but no receive consumes them";
-      add_violation(report, ViolationCode::kUnmatchedSend, src, message.view,
-                    0, message.elements, msg.str());
+      msg << "rank " << src << " sends " << send->units
+          << " logical bytes of view " << view_name(view) << " to rank "
+          << send->peer << " but no receive consumes them";
+      add_violation(report, ViolationCode::kUnmatchedSend, src, view, 0,
+                    send->units, msg.str());
     }
   }
 }
 
-/// Per-edge volumes against Lemma 1 and the total against Theorem 3.
-/// Volumes are recomputed from the planned construction sends (the ground
-/// truth) rather than read from the plan's summary map, so mutations to
-/// the ops — including test-injected ones — are always caught. The
-/// gather's sends (tags from kGatherTagBase up) are result collection,
-/// which the closed forms leave out.
+/// Per-edge volumes against Lemma 1 and the total against Theorem 3,
+/// summed from the planned construction sends (elements_by_view), so
+/// mutations to the ops — including test-injected ones — are always
+/// caught. The gather's sends (tags from kGatherTagBase up) are result
+/// collection, which the closed forms leave out.
 void check_volume(const ScheduleSpec& spec, const CommPlan& plan,
                   AnalysisReport& report) {
   const int n = static_cast<int>(spec.sizes.size());
   const std::uint32_t root_mask = DimSet::full(n).mask();
-  std::map<std::uint32_t, std::int64_t> planned_by_view;
-  for (const RankPlan& rank : plan.ranks) {
-    for (const PlannedOp& op : rank.ops) {
-      if (op.kind == PlannedOp::Kind::kSend &&
-          op.wire_tag() < kGatherTagBase) {
-        planned_by_view[op.view] += op.elements;
-      }
-    }
-  }
+  const std::map<std::uint32_t, std::int64_t> planned_by_view =
+      elements_by_view(plan);
   for (std::uint32_t mask = 0; mask < root_mask; ++mask) {
     const DimSet view = DimSet::from_mask(mask);
     const std::int64_t predicted =
@@ -340,17 +327,6 @@ void check_leads(const ScheduleSpec& spec, const CommPlan& plan,
   }
 }
 
-/// One-line rendering of a recorded event.
-std::string describe(const TraceEvent& e) {
-  std::ostringstream out;
-  out << to_string(e.kind) << " peer " << e.peer << " tag " << e.tag << " @"
-      << e.offset << " x" << e.units;
-  if (e.kind == TraceEventKind::kSend) out << " wire " << e.wire;
-  if (e.match_seq != kNoTraceSeq) out << " consumed #" << e.match_seq;
-  if (e.operand_seq != kNoTraceSeq) out << " operand #" << e.operand_seq;
-  return out.str();
-}
-
 /// One field of an event: its name, the planned and the recorded value.
 struct Field {
   const char* name = nullptr;
@@ -359,50 +335,38 @@ struct Field {
 };
 
 /// The first field in which recorded event `e` departs from planned `op`
-/// (name null when none does). `match` is the send the plan pairs with a
-/// receive and `operand` the receive a combine folds (kNoTraceSeq for the
-/// other kinds, whose recorded links must be absent too).
-Field first_divergence(const EventTrace& trace, const PlannedOp& op,
+/// (name null when none does). The plan leaves the links and wire sizes
+/// to the run, so they come from the trace: `match` is the send the plan
+/// pairs with a receive and `operand` the receive a combine folds
+/// (kNoTraceSeq for the other kinds, whose recorded links must be absent
+/// too), and a receive must have taken the wire bytes its consumed send
+/// recorded (by then known to be the planned `match`, a send of the plan,
+/// so `op.peer` is a rank of the trace). A send's own wire size is
+/// check_wire's.
+Field first_divergence(const EventTrace& trace, const TraceEvent& op,
                        const TraceEvent& e, std::uint64_t match,
                        std::uint64_t operand) {
   const auto seq = [](std::uint64_t index) {
     return index == kNoTraceSeq ? std::int64_t{-1}
                                 : static_cast<std::int64_t>(index);
   };
-  // A receive records wire bytes: its logical size is that of the send it
-  // consumed, by then known to be the planned `match` (a send of the
-  // plan, so `op.peer` is a rank of the trace), and the bytes it took
-  // must be the bytes that send put on the wire.
-  std::int64_t size = e.units;
-  std::int64_t sent_wire = 0;
-  std::int64_t received_wire = 0;
-  if (op.kind == PlannedOp::Kind::kRecv) {
-    size = -1;
-    if (match != kNoTraceSeq) {
-      const std::vector<TraceEvent>& sender =
-          trace.ranks[static_cast<std::size_t>(op.peer)];
-      if (match < sender.size()) {
-        size = sender[match].units;
-        sent_wire = sender[match].wire;
-        received_wire = e.units;
-      }
-    }
+  std::int64_t wire = op.kind == TraceEventKind::kSend ? e.wire : op.wire;
+  if (op.kind == TraceEventKind::kRecv && match != kNoTraceSeq) {
+    const std::vector<TraceEvent>& sender =
+        trace.ranks[static_cast<std::size_t>(op.peer)];
+    if (match < sender.size()) wire = sender[match].wire;
   }
-  const std::int64_t planned_size =
-      op.kind == PlannedOp::Kind::kCombine
-          ? op.elements
-          : op.elements * static_cast<std::int64_t>(sizeof(Value));
   for (const Field& field : {
            Field{"kind", static_cast<std::int64_t>(op.kind),
                  static_cast<std::int64_t>(e.kind)},
            Field{"peer", op.peer, e.peer},
-           Field{"wire tag", static_cast<std::int64_t>(op.wire_tag()),
+           Field{"wire tag", static_cast<std::int64_t>(op.tag),
                  static_cast<std::int64_t>(e.tag)},
            Field{"chunk offset", op.offset, e.offset},
            Field{"consumed send", seq(match), seq(e.match_seq)},
            Field{"operand", seq(operand), seq(e.operand_seq)},
-           Field{"logical size", planned_size, size},
-           Field{"wire size", sent_wire, received_wire},
+           Field{"logical size", op.units, e.units},
+           Field{"wire size", wire, e.wire},
        }) {
     if (field.planned != field.recorded) return field;
   }
@@ -414,11 +378,10 @@ Field first_divergence(const EventTrace& trace, const PlannedOp& op,
 /// and equals it with the codec off. Reports a departure and returns
 /// true; returns false when there is none (or `e` is no send).
 bool check_wire(const ScheduleSpec& spec, int rank, std::size_t index,
-                const PlannedOp& op, const TraceEvent& e,
-                AnalysisReport& report) {
+                const TraceEvent& e, AnalysisReport& report) {
   if (e.kind != TraceEventKind::kSend) return false;
   const bool over = e.wire > e.units;
-  if (!over && (spec.encode_wire || e.wire == e.units)) return false;
+  if (!over && (spec.reduce.encode_wire || e.wire == e.units)) return false;
   std::ostringstream msg;
   msg << "rank " << rank << " event " << index << " puts " << e.wire
       << " bytes on the wire for " << e.units << " logical bytes"
@@ -426,7 +389,7 @@ bool check_wire(const ScheduleSpec& spec, int rank, std::size_t index,
   add_violation(report,
                 over ? ViolationCode::kWireVolumeExceedsBound
                      : ViolationCode::kTraceMismatch,
-                rank, op.view, e.units, e.wire, msg.str());
+                rank, view_of_tag(e.tag), e.units, e.wire, msg.str());
   return true;
 }
 
@@ -489,6 +452,29 @@ const char* to_string(ViolationCode code) {
   return "unknown";
 }
 
+std::string describe(const TraceEvent& e) {
+  std::ostringstream out;
+  out << to_string(e.kind) << " tag " << e.tag << " ("
+      << (e.tag >= kGatherTagBase ? "gather " : "") << "view "
+      << view_name(view_of_tag(e.tag)) << ") @" << e.offset << " x"
+      << e.units;
+  switch (e.kind) {
+    case TraceEventKind::kSend:
+      out << " -> r" << e.peer;
+      break;
+    case TraceEventKind::kRecv:
+      out << " <- r" << e.peer;
+      break;
+    case TraceEventKind::kCombine:
+      out << " of r" << e.peer;
+      break;
+  }
+  if (e.wire != 0) out << " wire " << e.wire;
+  if (e.match_seq != kNoTraceSeq) out << " consumed #" << e.match_seq;
+  if (e.operand_seq != kNoTraceSeq) out << " operand #" << e.operand_seq;
+  return out.str();
+}
+
 std::string Violation::to_string() const {
   std::ostringstream out;
   out << "[" << cubist::to_string(code) << "] view=" << view_name(view_mask)
@@ -542,6 +528,75 @@ std::string AnalysisReport::to_json() const {
   return out.str();
 }
 
+const char* to_string(ScheduleMutation mutation) {
+  switch (mutation) {
+    case ScheduleMutation::kNone:
+      return "none";
+    case ScheduleMutation::kDropSend:
+      return "drop_send";
+    case ScheduleMutation::kTagCollision:
+      return "tag_collision";
+  }
+  return "unknown";
+}
+
+std::string apply_schedule_mutation(CommPlan& plan,
+                                    ScheduleMutation mutation) {
+  switch (mutation) {
+    case ScheduleMutation::kNone:
+      return "";
+    case ScheduleMutation::kDropSend: {
+      // Delete the LAST send of the highest sending rank: its stream stays
+      // FIFO-consistent up to the drop, so the receiver blocks forever on
+      // exactly the dropped message.
+      for (int r = plan.num_ranks - 1; r >= 0; --r) {
+        std::vector<TraceEvent>& events =
+            plan.ranks[static_cast<std::size_t>(r)].ops;
+        for (std::size_t i = events.size(); i-- > 0;) {
+          if (events[i].kind != TraceEventKind::kSend) continue;
+          std::ostringstream out;
+          out << "dropped r" << r << "[" << i << "] " << describe(events[i]);
+          events.erase(events.begin() + static_cast<std::ptrdiff_t>(i));
+          return out.str();
+        }
+      }
+      return "";
+    }
+    case ScheduleMutation::kTagCollision: {
+      // The first two receives of one rank on one (source, tag) channel
+      // whose chunks differ: swapped, each consumes the other chunk's
+      // message, since the channel still delivers in send order.
+      for (int r = 0; r < plan.num_ranks; ++r) {
+        std::vector<TraceEvent>& events =
+            plan.ranks[static_cast<std::size_t>(r)].ops;
+        std::map<std::pair<int, std::uint64_t>, std::size_t> first;
+        for (std::size_t j = 0; j < events.size(); ++j) {
+          if (events[j].kind != TraceEventKind::kRecv) continue;
+          const auto [it, fresh] =
+              first.try_emplace({events[j].peer, events[j].tag}, j);
+          const std::size_t i = it->second;
+          if (fresh || events[i].offset == events[j].offset) continue;
+          std::ostringstream out;
+          out << "rank " << r << " receives view "
+              << view_name(view_of_tag(events[i].tag)) << "@"
+              << events[j].offset << " before @" << events[i].offset
+              << " from rank " << events[i].peer << " under the shared tag "
+              << events[i].tag;
+          std::swap(events[i], events[j]);
+          if (j + 1 < events.size() &&
+              events[i + 1].kind == TraceEventKind::kCombine &&
+              events[j + 1].kind == TraceEventKind::kCombine) {
+            std::swap(events[i + 1], events[j + 1]);
+          }
+          return out.str();
+        }
+      }
+      return "";
+    }
+  }
+  return "";
+}
+
 AnalysisReport verify_schedule(const ScheduleSpec& spec,
                                const CommPlan& plan) {
   CUBIST_CHECK(!spec.sizes.empty() &&
@@ -571,7 +626,9 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
   CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks),
                "plan rank list size mismatch");
   AnalysisReport report;
-  report.planned_total_elements = plan.total_elements();
+  for (const auto& [view, elements] : elements_by_view(plan)) {
+    report.planned_total_elements += elements;
+  }
   report.planned_messages = plan.total_messages();
   report.predicted_total_elements =
       total_volume_elements(spec.sizes, spec.log_splits);
@@ -589,16 +646,16 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
   std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
       channels;
   for (int r = 0; r < plan.num_ranks; ++r) {
-    const std::vector<PlannedOp>& ops =
+    const std::vector<TraceEvent>& ops =
         plan.ranks[static_cast<std::size_t>(r)].ops;
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == PlannedOp::Kind::kSend) {
-        channels[{r, ops[i].peer, ops[i].wire_tag()}].push_back(i);
+      if (ops[i].kind == TraceEventKind::kSend) {
+        channels[{r, ops[i].peer, ops[i].tag}].push_back(i);
       }
     }
   }
   for (int r = 0; r < plan.num_ranks; ++r) {
-    const std::vector<PlannedOp>& ops =
+    const std::vector<TraceEvent>& ops =
         plan.ranks[static_cast<std::size_t>(r)].ops;
     const std::vector<TraceEvent>& events =
         trace.ranks[static_cast<std::size_t>(r)];
@@ -608,29 +665,30 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
     for (; i < common; ++i) {
       std::uint64_t match = kNoTraceSeq;
       std::uint64_t operand = kNoTraceSeq;
-      if (ops[i].kind == PlannedOp::Kind::kRecv) {
+      if (ops[i].kind == TraceEventKind::kRecv) {
         std::deque<std::uint64_t>& sends =
-            channels[{ops[i].peer, r, ops[i].wire_tag()}];
+            channels[{ops[i].peer, r, ops[i].tag}];
         if (!sends.empty()) {
           match = sends.front();
           sends.pop_front();
         }
         last_recv = i;
-      } else if (ops[i].kind == PlannedOp::Kind::kCombine) {
+      } else if (ops[i].kind == TraceEventKind::kCombine) {
         operand = last_recv;
       }
       const Field d =
           first_divergence(trace, ops[i], events[i], match, operand);
       if (d.name == nullptr) {
-        if (check_wire(spec, r, i, ops[i], events[i], report)) break;
+        if (check_wire(spec, r, i, events[i], report)) break;
         continue;
       }
       std::ostringstream msg;
       msg << "rank " << r << " event " << i << " differs in its " << d.name
           << ": recorded " << describe(events[i]) << ", planned "
-          << to_string(ops[i]);
-      add_violation(report, ViolationCode::kTraceMismatch, r, ops[i].view,
-                    d.planned, d.recorded, msg.str());
+          << describe(ops[i]);
+      add_violation(report, ViolationCode::kTraceMismatch, r,
+                    view_of_tag(ops[i].tag), d.planned, d.recorded,
+                    msg.str());
       break;
     }
     if (i < common || ops.size() == events.size()) continue;
@@ -638,12 +696,13 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
     msg << "rank " << r << " records " << events.size()
         << " events, the plan has " << ops.size() << "; first ";
     if (ops.size() > events.size()) {
-      msg << "missing: planned " << to_string(ops[common]);
+      msg << "missing: planned " << describe(ops[common]);
     } else {
       msg << "extra: recorded " << describe(events[common]);
     }
     add_violation(report, ViolationCode::kTraceMismatch, r,
-                  ops.size() > events.size() ? ops[common].view : kNoView,
+                  ops.size() > events.size() ? view_of_tag(ops[common].tag)
+                                             : kNoView,
                   static_cast<std::int64_t>(ops.size()),
                   static_cast<std::int64_t>(events.size()), msg.str());
   }

@@ -61,15 +61,15 @@ enum class ViolationCode {
   /// Traffic planned, or a view finalized, under a tag that is no
   /// lattice view.
   kUnknownViewTag,
-  /// A receive matched a message from a different logical stream (wrong
-  /// view or chunk offset): two streams share one wire tag and the
-  /// receive consumed the other's message.
+  /// A receive matched another chunk's message (another chunk offset):
+  /// two chunks share one tag and the receive consumed the other's.
   kTagCollision,
   /// A recorded event trace departs from the certified plan: an event
-  /// differs in kind, peer, wire tag, chunk offset or size, a receive
-  /// consumed another send than planned, a combine folds another operand,
-  /// events are missing or extra, or — with the codec off — a send's wire
-  /// size differs from its logical size.
+  /// differs in kind, peer, tag, chunk offset or logical size, a receive
+  /// consumed another send than planned or took other wire bytes than
+  /// that send shipped, a combine folds another operand, events are
+  /// missing or extra, or — with the codec off — a send's wire size
+  /// differs from its logical size.
   kTraceMismatch,
 };
 
@@ -134,17 +134,46 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec, const CommPlan& plan);
 AnalysisReport verify_schedule(const ScheduleSpec& spec);
 
 /// Post-run audit: the recorded trace must equal `plan` (built for
-/// `spec`) event for event on every rank — kind, peer, wire tag, chunk
-/// offset, logical size (a receive's through the send it consumed), the
-/// send each receive consumed and each combine's operand — and every
-/// send's wire size must stay at or below its logical size (exactly on
-/// it with `spec.encode_wire` off). With `plan` certified, that is the
-/// whole runtime check (docs/ANALYSIS.md, "Trace equals plan"): the
-/// measured per-view volume is the plan's, hence Lemma 1's, and the
-/// per-view wire bytes stay at or under the dense bound. Reports each
-/// rank's first departure: a send over its logical size as
-/// kWireVolumeExceedsBound, anything else as kTraceMismatch.
+/// `spec`) event for event on every rank. The planned and recorded
+/// events are compared field for field — kind, peer, tag, chunk offset
+/// and logical size — and the fields only the run can fill in are checked
+/// against the trace itself: the send each receive consumed, each
+/// combine's operand, a receive's wire bytes (those of the send it
+/// consumed), and every send's wire size, which must stay at or below its
+/// logical size (exactly on it with `spec.reduce.encode_wire` off). With
+/// `plan` certified, that is the whole runtime check (docs/ANALYSIS.md,
+/// "Trace equals plan"): the measured per-view volume is the plan's,
+/// hence Lemma 1's, and the per-view wire bytes stay at or under the
+/// dense bound. Reports each rank's first departure: a send over its
+/// logical size as kWireVolumeExceedsBound, anything else as
+/// kTraceMismatch.
 AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                            const EventTrace& trace);
+
+/// One-line rendering of a planned or recorded event, as the verifier's
+/// diagnostics quote it ("send tag 5 (view {0,2}) @8 x64 -> r0 wire 40").
+std::string describe(const TraceEvent& event);
+
+/// The seeded bugs of the mutation-detection suite.
+enum class ScheduleMutation {
+  kNone,
+  /// Delete one send whose receiver then blocks forever: the classic
+  /// dropped-message deadlock.
+  kDropSend,
+  /// Swap two chunk receives one rank takes from one source for one view
+  /// (with the combines that fold them). The channel is still FIFO, so
+  /// the first receive consumes the other chunk's message under the
+  /// shared tag and folds it at the wrong offset.
+  kTagCollision,
+};
+
+const char* to_string(ScheduleMutation mutation);
+
+/// Applies `mutation` to `plan`'s ops in place and returns a one-line
+/// description of the seeded bug, or an empty string if the plan has no
+/// site where the mutation is expressible (e.g. a single-rank schedule).
+/// It exists only so tests and `cubist-analyze --self-test` can prove the
+/// verifier catches the bug; production code never mutates a plan.
+std::string apply_schedule_mutation(CommPlan& plan, ScheduleMutation mutation);
 
 }  // namespace cubist

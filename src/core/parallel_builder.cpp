@@ -57,8 +57,9 @@ struct RankHooks {
   Comm& comm;
   const ProcGrid& grid;
   const std::vector<std::int64_t>& global_sizes;
-  AggregateOp op;
-  ReduceOptions reduce_options;
+  const ParallelOptions& options;
+  /// Runs the scans and the reductions' combines.
+  ThreadPool* pool;
   bool collect_result;
   /// Rank 0's assembled cube when the result is collected, else null.
   CubeResult* cube;
@@ -86,7 +87,8 @@ struct RankHooks {
       obs::Span span("build", "reduce_view");
       span.tag("view", static_cast<std::int64_t>(child.mask()))
           .tag("axis", static_cast<std::int64_t>(aggregated));
-      comm.reduce(group, block, child.mask(), op, reduce_options);
+      comm.reduce(group, block, child.mask(), options.op, options.reduce,
+                  pool);
     }
     return grid.is_lead(comm.rank(), aggregated);
   }
@@ -94,7 +96,7 @@ struct RankHooks {
   /// The paper's write-back: the finished view leaves the rank here, and
   /// the walk frees its block.
   bool write_back(DimSet view, DenseArray& block) {
-    finalize_view(op, block);
+    finalize_view(options.op, block);
     if (!collect_result) return false;
     obs::Span span("build", "gather");
     span.tag("view", static_cast<std::int64_t>(view.mask()))
@@ -149,7 +151,7 @@ std::optional<CubeResult> build_cube_parallel_rank(
     ParallelBuildStats* stats, const ParallelOptions& options) {
   const int n = static_cast<int>(global_sizes.size());
   CUBIST_CHECK(grid.ndims() == n, "grid rank mismatch");
-  CUBIST_CHECK(options.reduce_message_elements >= 0,
+  CUBIST_CHECK(options.reduce.max_message_elements >= 0,
                "negative reduction message cap");
   CUBIST_CHECK(local_root.shape().extents() ==
                    grid.block(comm.rank(), global_sizes).extents(),
@@ -162,18 +164,13 @@ std::optional<CubeResult> build_cube_parallel_rank(
       options.pool != nullptr ? options.pool : &ThreadPool::global();
   AggregateOptions agg_options;
   agg_options.pool = pool;
-  ReduceOptions reduce_options;
-  reduce_options.algorithm = options.reduce_algorithm;
-  reduce_options.max_message_elements = options.reduce_message_elements;
-  reduce_options.encode_wire = options.encode_wire;
-  reduce_options.combine_pool = pool;
 
   std::optional<CubeResult> cube;
   if (collect_result && comm.rank() == 0) cube.emplace(global_sizes);
   TreeWalk<RankHooks> walk(
       n, AggregationTree(n).completion_order(), options.op, agg_options,
-      RankHooks{comm, grid, global_sizes, options.op, reduce_options,
-                collect_result, cube ? &*cube : nullptr});
+      RankHooks{comm, grid, global_sizes, options, pool, collect_result,
+                cube ? &*cube : nullptr});
   walk.run(local_root);
   if (stats != nullptr) {
     static_cast<BuildStats&>(*stats) = walk.stats();

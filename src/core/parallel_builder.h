@@ -44,24 +44,15 @@ inline constexpr bool kScheduleAnalysisDefault = true;
 struct ParallelOptions {
   /// Aggregate operator (the paper fixes SUM).
   AggregateOp op = AggregateOp::kSum;
-  /// Reduction schedule per collective (minimpi/collectives.h). The
-  /// default kAuto lets the cost tuner pick binomial / ring / two-level
-  /// per (block size, group, message cap, wire switch, topology), pricing
-  /// every payload dense; the tuner only leaves binomial on a clear
-  /// predicted win, so small latency-bound reductions keep the paper's
-  /// schedule. Forced values pin one algorithm for every reduction
-  /// (benches and the determinism matrix).
-  ReduceAlgorithm reduce_algorithm = ReduceAlgorithm::kAuto;
-  /// Cap on elements per reduction message (0 = whole block per message).
-  /// The communication-frequency knob: *logical* volume is unchanged,
-  /// message count and latency cost grow as the cap shrinks, and the
-  /// chunk-pipelined reduce overlaps rounds at this granularity.
-  std::int64_t reduce_message_elements = 0;
-  /// Adaptive wire encoding of reduction payloads (docs/PERFORMANCE.md,
-  /// "Communication engine"). Off, every message ships raw dense chunks
-  /// and measured wire bytes equal logical bytes exactly. Either way the
-  /// output bits are identical — the codec is lossless.
-  bool encode_wire = true;
+  /// Settings of every reduction (minimpi/collectives.h): algorithm,
+  /// message cap and wire codec. The algorithm defaults to kAuto here: the
+  /// cost tuner picks binomial / ring / two-level per (block size, group,
+  /// message cap, wire switch, topology), pricing every payload dense,
+  /// and only leaves binomial on a clear predicted win, so small
+  /// latency-bound reductions keep the paper's schedule. Forced values
+  /// pin one algorithm for every reduction (benches and the determinism
+  /// matrix).
+  ReduceOptions reduce{.algorithm = ReduceAlgorithm::kAuto};
   /// Pool for the intra-rank scans and the receiver-side reduction
   /// combine (nullptr = ThreadPool::global()). A pure performance knob;
   /// tests inject fixed-size pools to pin the determinism contract. Each

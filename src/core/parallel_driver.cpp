@@ -17,15 +17,7 @@ ScheduleSpec schedule_spec_of(const std::vector<std::int64_t>& sizes,
                               const std::vector<int>& log_splits,
                               const CostModel& model, bool collect_result,
                               const ParallelOptions& options) {
-  ScheduleSpec spec;
-  spec.sizes = sizes;
-  spec.log_splits = log_splits;
-  spec.collect_result = collect_result;
-  spec.reduce_message_elements = options.reduce_message_elements;
-  spec.reduce_algorithm = options.reduce_algorithm;
-  spec.encode_wire = options.encode_wire;
-  spec.model = model;
-  return spec;
+  return {sizes, log_splits, collect_result, options.reduce, model};
 }
 
 ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,

@@ -50,7 +50,7 @@ struct ParallelCubeReport {
   /// excludes gather traffic).
   std::int64_t construction_bytes = 0;
   /// Bytes construction actually put on the link after wire encoding
-  /// (<= construction_bytes; == with ParallelOptions::encode_wire off).
+  /// (<= construction_bytes; == with the reduce codec off).
   std::int64_t construction_wire_bytes = 0;
   /// Measured construction logical bytes per view mask.
   std::map<std::uint32_t, std::int64_t> bytes_by_view;
@@ -73,9 +73,9 @@ struct ParallelCubeReport {
 };
 
 /// The static schedule inputs of a run_parallel_cube call: the spec its
-/// plan is built from, verified and audited against. Mirrors every input
-/// the collective tuner reads, so the plan resolves kAuto to exactly the
-/// schedule the ranks execute.
+/// plan is built from, verified and audited against. It holds the call's
+/// ReduceOptions and cost model, every input the collective tuner reads,
+/// so the plan resolves kAuto to exactly the schedule the ranks execute.
 ScheduleSpec schedule_spec_of(const std::vector<std::int64_t>& sizes,
                               const std::vector<int>& log_splits,
                               const CostModel& model, bool collect_result,

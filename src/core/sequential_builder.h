@@ -35,9 +35,9 @@ struct BuildStats {
 /// Builds the full cube from a dense root array. The result holds every
 /// proper view (the root view is the input itself and is not duplicated).
 /// `op` selects the aggregate (extension; the paper fixes SUM — every
-/// operator runs the same striped kernels). `agg_options` controls
-/// intra-scan parallelism (pool + per-call worker cap); the defaults use
-/// the global pool. Results are bit-identical for every options setting.
+/// operator runs the same striped kernels). `agg_options` names the pool
+/// the scans stripe over, under its size() / active_ranks() budget; the
+/// default uses the global pool. Results are bit-identical for every pool.
 CubeResult build_cube_sequential(const DenseArray& root,
                                  BuildStats* stats = nullptr,
                                  AggregateOp op = AggregateOp::kSum,

@@ -34,7 +34,6 @@
 #include "array/shape.h"           // extents + strides
 #include "array/sparse_array.h"    // chunk-offset sparse format
 #include "analysis/comm_plan.h"          // static Figure-5 schedule plan
-#include "analysis/schedule_ir.h"        // typed schedule event IR
 #include "analysis/schedule_verifier.h"  // schedule verifier + post-run audits
 #include "baselines/tree_builder.h"  // prior-work spanning-tree baselines
 #include "common/dimset.h"         // lattice node = set of dimensions

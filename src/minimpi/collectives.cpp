@@ -145,14 +145,13 @@ std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
   return {};
 }
 
-std::int64_t reduce_chunk_elements(ReduceAlgorithm algorithm,
+std::int64_t reduce_chunk_elements(const ReduceOptions& options,
                                    std::int64_t total_elements,
-                                   int group_size,
-                                   std::int64_t max_message_elements) {
+                                   int group_size) {
   CUBIST_CHECK(total_elements >= 0, "negative block size");
-  CUBIST_CHECK(max_message_elements >= 0, "negative message cap");
-  if (max_message_elements != 0) return max_message_elements;
-  if (algorithm == ReduceAlgorithm::kRing && group_size > 1) {
+  CUBIST_CHECK(options.max_message_elements >= 0, "negative message cap");
+  if (options.max_message_elements != 0) return options.max_message_elements;
+  if (options.algorithm == ReduceAlgorithm::kRing && group_size > 1) {
     const std::int64_t pieces =
         kRingPipelineFactor * (static_cast<std::int64_t>(group_size) - 1);
     return std::max<std::int64_t>(1,
@@ -161,18 +160,15 @@ std::int64_t reduce_chunk_elements(ReduceAlgorithm algorithm,
   return total_elements == 0 ? 1 : total_elements;
 }
 
-std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
+std::vector<ReduceOp> reduce_program(const ReduceOptions& options,
                                      std::span<const int> group,
                                      int me_index,
                                      std::int64_t total_elements,
-                                     std::int64_t max_message_elements,
                                      const Topology& topology) {
   const std::vector<ReduceStep> steps =
-      reduce_chunk_steps(algorithm, group, me_index, topology);
-  const std::int64_t piece =
-      reduce_chunk_elements(algorithm, total_elements,
-                            static_cast<int>(group.size()),
-                            max_message_elements);
+      reduce_chunk_steps(options.algorithm, group, me_index, topology);
+  const std::int64_t piece = reduce_chunk_elements(
+      options, total_elements, static_cast<int>(group.size()));
   std::vector<ReduceOp> program;
   for (std::int64_t offset = 0; offset < total_elements; offset += piece) {
     const std::int64_t count = std::min(piece, total_elements - offset);
@@ -191,19 +187,17 @@ ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
           count};
 }
 
-double simulate_reduce_seconds(ReduceAlgorithm algorithm,
+double simulate_reduce_seconds(const ReduceOptions& options,
                                std::span<const int> group,
                                std::int64_t total_elements,
-                               std::int64_t max_message_elements,
-                               const CostModel& model, bool encode_wire) {
+                               const CostModel& model) {
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return 0.0;
 
   std::vector<std::vector<ReduceOp>> programs(static_cast<std::size_t>(g));
   for (int i = 0; i < g; ++i) {
     programs[static_cast<std::size_t>(i)] =
-        reduce_program(algorithm, group, i, total_elements,
-                       max_message_elements, model.topology);
+        reduce_program(options, group, i, total_elements, model.topology);
   }
 
   // Deterministic replay: each member runs its program until it blocks on
@@ -223,7 +217,7 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
       for (; next < program.size(); ++next) {
         const ReduceOp& op = program[next];
         const ReducePayloadEstimate estimate =
-            estimate_reduce_payload(op.count, encode_wire);
+            estimate_reduce_payload(op.count, options.encode_wire);
         if (op.step.kind == ReduceStep::Kind::kSend) {
           arrivals[{group[i], op.step.peer}].push_back(model.charge_send(
               t, group[i], op.step.peer, estimate.wire_bytes));
@@ -246,11 +240,10 @@ double simulate_reduce_seconds(ReduceAlgorithm algorithm,
   return *std::max_element(clock.begin(), clock.end());
 }
 
-ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
+ReduceAlgorithm choose_reduce_algorithm(const ReduceOptions& options,
+                                        std::span<const int> group,
                                         std::int64_t total_elements,
-                                        std::int64_t max_message_elements,
-                                        const CostModel& model,
-                                        bool encode_wire) {
+                                        const CostModel& model) {
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return ReduceAlgorithm::kBinomial;
 
@@ -268,15 +261,16 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
   }
   if (candidates.empty()) return ReduceAlgorithm::kBinomial;
 
-  const double binomial_seconds = simulate_reduce_seconds(
-      ReduceAlgorithm::kBinomial, group, total_elements,
-      max_message_elements, model, encode_wire);
+  ReduceOptions forced = options;
+  forced.algorithm = ReduceAlgorithm::kBinomial;
+  const double binomial_seconds =
+      simulate_reduce_seconds(forced, group, total_elements, model);
   ReduceAlgorithm best = ReduceAlgorithm::kBinomial;
   double best_seconds = binomial_seconds;
   for (ReduceAlgorithm candidate : candidates) {
-    const double seconds = simulate_reduce_seconds(
-        candidate, group, total_elements, max_message_elements, model,
-        encode_wire);
+    forced.algorithm = candidate;
+    const double seconds =
+        simulate_reduce_seconds(forced, group, total_elements, model);
     if (seconds < best_seconds &&
         seconds < binomial_seconds * kTunerSwitchMargin) {
       best = candidate;
@@ -286,15 +280,12 @@ ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
   return best;
 }
 
-ReduceAlgorithm resolve_reduce_algorithm(ReduceAlgorithm requested,
+ReduceAlgorithm resolve_reduce_algorithm(const ReduceOptions& options,
                                          std::span<const int> group,
                                          std::int64_t total_elements,
-                                         std::int64_t max_message_elements,
-                                         const CostModel& model,
-                                         bool encode_wire) {
-  if (requested != ReduceAlgorithm::kAuto) return requested;
-  return choose_reduce_algorithm(group, total_elements, max_message_elements,
-                                 model, encode_wire);
+                                         const CostModel& model) {
+  if (options.algorithm != ReduceAlgorithm::kAuto) return options.algorithm;
+  return choose_reduce_algorithm(options, group, total_elements, model);
 }
 
 }  // namespace cubist

@@ -58,6 +58,31 @@ const char* to_string(ReduceAlgorithm algorithm);
 /// Returns false (and leaves `out` alone) on anything else.
 bool parse_reduce_algorithm(std::string_view name, ReduceAlgorithm* out);
 
+/// The settings of one reduction: with the group, the block size and the
+/// topology, they decide its schedule (see docs/PERFORMANCE.md,
+/// "Communication engine" and "Collective selection & topology"). The
+/// one record of them: ParallelOptions and ScheduleSpec each hold one,
+/// and Comm::reduce and the tuner below take it.
+struct ReduceOptions {
+  /// Reduction schedule. kBinomial is the default for direct Comm::reduce
+  /// callers (ParallelOptions defaults to kAuto); kAuto asks the cost
+  /// tuner to pick per call from (block size, group, message cap, wire
+  /// switch, topology), pricing every payload dense. The choice never
+  /// changes the result bits or the shipped volume, only the schedule.
+  ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
+  /// Cap on elements per message (0 = whole block per message; the ring
+  /// auto-chunks then, see reduce_chunk_elements). The communication-
+  /// frequency knob studied in the authors' companion work: logical
+  /// volume is unchanged, and message count and latency cost grow as the
+  /// cap shrinks, while the chunk-pipelined reduce overlaps rounds at
+  /// this granularity.
+  std::int64_t max_message_elements = 0;
+  /// Adaptive payload encoding (array/wire_codec.h): on, every chunk
+  /// ships in the smallest of the codec's forms; off, it ships raw Values
+  /// and wire bytes equal logical bytes exactly. Lossless either way.
+  bool encode_wire = true;
+};
+
 /// One step of a member's per-chunk program, in execution order. A
 /// kRecvCombine receives from `peer` and folds the payload into the
 /// local chunk; a kSend ships the local chunk to `peer`. Every member
@@ -90,14 +115,14 @@ inline constexpr double kTunerSwitchMargin = 0.95;
 inline constexpr std::int64_t kRingPipelineFactor = 2;
 
 /// Chunk size in elements for a block of `total_elements` reduced over
-/// `group_size` members. A non-zero `max_message_elements` always wins;
-/// with no cap, binomial and two-level ship the whole block per message
-/// while the ring auto-chunks to ~2(g-1) pieces so the chain actually
-/// pipelines (a whole-block chain would serialize g-1 full transfers).
-std::int64_t reduce_chunk_elements(ReduceAlgorithm algorithm,
+/// `group_size` members under `options.algorithm` (forced). A non-zero
+/// `options.max_message_elements` always wins; with no cap, binomial and
+/// two-level ship the whole block per message while the ring auto-chunks
+/// to ~2(g-1) pieces so the chain actually pipelines (a whole-block chain
+/// would serialize g-1 full transfers).
+std::int64_t reduce_chunk_elements(const ReduceOptions& options,
                                    std::int64_t total_elements,
-                                   int group_size,
-                                   std::int64_t max_message_elements);
+                                   int group_size);
 
 /// One operation of a member's reduction program: `step` applied to the
 /// `count` block elements starting at `offset`.
@@ -111,13 +136,12 @@ struct ReduceOp {
 /// `total_elements`, in execution order: chunks of reduce_chunk_elements()
 /// in the outer loop, the member's reduce_chunk_steps() in the inner loop,
 /// so an interior member forwards chunk i before chunk i+1 arrives.
-/// `algorithm` must be forced. Empty for an empty block or a singleton
-/// group.
-std::vector<ReduceOp> reduce_program(ReduceAlgorithm algorithm,
+/// `options.algorithm` must be forced. Empty for an empty block or a
+/// singleton group.
+std::vector<ReduceOp> reduce_program(const ReduceOptions& options,
                                      std::span<const int> group,
                                      int me_index,
                                      std::int64_t total_elements,
-                                     std::int64_t max_message_elements,
                                      const Topology& topology);
 
 /// The tuner's estimate of one reduce op's payload, priced dense (the
@@ -135,36 +159,33 @@ struct ReducePayloadEstimate {
 ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
                                               bool encode_wire);
 
-/// Predicted makespan of one reduction under `algorithm` (must be
-/// forced): a deterministic event-driven replay of every member's
+/// Predicted makespan of one reduction under `options.algorithm` (must
+/// be forced): a deterministic event-driven replay of every member's
 /// reduce_program, charged by the same CostModel functions the runtime's
 /// virtual clock calls, on estimate_reduce_payload's payloads.
-double simulate_reduce_seconds(ReduceAlgorithm algorithm,
+double simulate_reduce_seconds(const ReduceOptions& options,
                                std::span<const int> group,
                                std::int64_t total_elements,
-                               std::int64_t max_message_elements,
-                               const CostModel& model, bool encode_wire);
+                               const CostModel& model);
 
-/// The tuner: cheapest predicted algorithm for this call. Binomial is
-/// the incumbent — an alternative is picked only when its predicted
-/// makespan beats binomial's by kTunerSwitchMargin, so `kAuto` never
-/// does worse than forced binomial by more than model error. With no
-/// challenger (a pair on a flat topology) nothing is simulated.
-ReduceAlgorithm choose_reduce_algorithm(std::span<const int> group,
+/// The tuner: cheapest predicted algorithm for this call under
+/// `options`' message cap and wire switch (its `algorithm` is not read).
+/// Binomial is the incumbent — an alternative is picked only when its
+/// predicted makespan beats binomial's by kTunerSwitchMargin, so `kAuto`
+/// never does worse than forced binomial by more than model error. With
+/// no challenger (a pair on a flat topology) nothing is simulated.
+ReduceAlgorithm choose_reduce_algorithm(const ReduceOptions& options,
+                                        std::span<const int> group,
                                         std::int64_t total_elements,
-                                        std::int64_t max_message_elements,
-                                        const CostModel& model,
-                                        bool encode_wire);
+                                        const CostModel& model);
 
-/// `requested` itself when forced; the tuner's choice for kAuto. Both
-/// the runtime reduce and the static planner resolve through this exact
-/// function (on the same static inputs), which is what keeps the plan
-/// and the execution in lockstep.
-ReduceAlgorithm resolve_reduce_algorithm(ReduceAlgorithm requested,
+/// `options.algorithm` itself when forced; the tuner's choice for kAuto.
+/// Both the runtime reduce and the static planner resolve through this
+/// exact function (on the same static inputs), which is what keeps the
+/// plan and the execution in lockstep.
+ReduceAlgorithm resolve_reduce_algorithm(const ReduceOptions& options,
                                          std::span<const int> group,
                                          std::int64_t total_elements,
-                                         std::int64_t max_message_elements,
-                                         const CostModel& model,
-                                         bool encode_wire);
+                                         const CostModel& model);
 
 }  // namespace cubist

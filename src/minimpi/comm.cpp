@@ -61,9 +61,10 @@ void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
   message.payload = std::move(payload);
   message.arrival_time = state_.model().charge_send(
       clock_, rank_, dst, static_cast<double>(wire_bytes));
+  message.logical_bytes = logical_bytes;
   message.offset = offset;
-  TraceEvent event{TraceEventKind::kSend, dst, tag, logical_bytes, offset};
-  event.wire = wire_bytes;
+  TraceEvent event{TraceEventKind::kSend, dst, tag, logical_bytes, offset,
+                   wire_bytes};
   message.trace_seq = trace(event);
   state_.transport().deliver(dst, rank_, tag, std::move(message));
 }
@@ -79,10 +80,10 @@ std::vector<std::byte> Comm::recv_bytes(int src, std::uint64_t tag) {
   CUBIST_CHECK(src != rank_, "self-receive is not supported");
   Message message = state_.transport().receive(rank_, src, tag);
   CostModel::charge_receive(clock_, message.arrival_time);
-  TraceEvent event{TraceEventKind::kRecv, src, tag,
+  TraceEvent event{TraceEventKind::kRecv, src, tag, message.logical_bytes,
+                   message.offset,
                    static_cast<std::int64_t>(message.payload.size()),
-                   message.offset};
-  event.match_seq = message.trace_seq;
+                   message.trace_seq};
   last_recv_seq_ = trace(event);
   return std::move(message.payload);
 }
@@ -102,7 +103,7 @@ std::vector<Value> Comm::recv_values(int src, std::uint64_t tag) {
 
 void Comm::reduce(std::span<const int> group, DenseArray& data,
                   std::uint64_t tag, AggregateOp op,
-                  const ReduceOptions& options) {
+                  const ReduceOptions& options, ThreadPool* combine_pool) {
   const int g = static_cast<int>(group.size());
   CUBIST_CHECK(g >= 1, "empty reduction group");
   CUBIST_CHECK(options.max_message_elements >= 0, "negative message cap");
@@ -115,15 +116,14 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   const CostModel& model = state_.model();
   // The schedule resolves (kAuto through the cost tuner) on static inputs
   // only, so analysis/comm_plan.cpp resolves to the identical choice.
-  const ReduceAlgorithm algorithm = resolve_reduce_algorithm(
-      options.algorithm, group, total, options.max_message_elements, model,
-      options.encode_wire);
+  ReduceOptions resolved = options;
+  resolved.algorithm = resolve_reduce_algorithm(options, group, total, model);
 
   // Timeline span for the whole collective.
   obs::Span span("comm", "reduce");
   const double clock_at_entry = clock_;
   if (span.active()) {
-    span.tag("algorithm", to_string(algorithm))
+    span.tag("algorithm", to_string(resolved.algorithm))
         .tag("elements", total)
         .tag("group", static_cast<std::int64_t>(g))
         .tag("root", static_cast<std::int64_t>(group[0]));
@@ -140,8 +140,7 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   // order, identical for every chunk size — the chunking is invisible in
   // the output bits.
   for (const ReduceOp& next :
-       reduce_program(algorithm, group, me, total,
-                      options.max_message_elements, model.topology)) {
+       reduce_program(resolved, group, me, total, model.topology)) {
     const std::span<Value> chunk(data.data() + next.offset,
                                  static_cast<std::size_t>(next.count));
     const ReducePayloadEstimate estimate =
@@ -159,7 +158,7 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     }
     const std::vector<std::byte> payload = recv_bytes(next.step.peer, tag);
     const std::int64_t updates =
-        combine_chunk(op, chunk, payload, options.combine_pool);
+        combine_chunk(op, chunk, payload, combine_pool);
     TraceEvent combined{TraceEventKind::kCombine, next.step.peer, tag,
                         next.count, next.offset};
     combined.operand_seq = last_recv_seq_;

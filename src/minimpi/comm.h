@@ -24,31 +24,6 @@ namespace cubist {
 class RuntimeState;
 class ThreadPool;
 
-/// Knobs of one pipelined reduction (see docs/PERFORMANCE.md,
-/// "Communication engine" and "Collective selection & topology").
-struct ReduceOptions {
-  /// Reduction schedule (minimpi/collectives.h). kBinomial is the
-  /// compatibility default for direct Comm users; kAuto asks the cost
-  /// tuner to pick per call from (block size, group, message cap, wire
-  /// switch, topology), pricing every payload dense. The choice never
-  /// changes the result bits or the shipped volume — only the schedule.
-  ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
-  /// Chunk size in elements (0 = whole block per message; the ring
-  /// auto-chunks in that case — see reduce_chunk_elements). Smaller
-  /// chunks trade more messages (latency/overhead) for finer pipelining
-  /// — the communication-frequency knob studied in the authors'
-  /// companion work.
-  std::int64_t max_message_elements = 0;
-  /// Adaptive payload encoding (array/wire_codec.h): on, every chunk
-  /// ships in the smallest of the codec's forms; off, it ships raw Values
-  /// and wire bytes equal logical bytes exactly.
-  bool encode_wire = true;
-  /// Pool for the receiver's elementwise combine (null = inline), under
-  /// the pool's own per-rank budget. Striping is in fixed disjoint cell
-  /// ranges, so the result is bit-identical for any pool and worker count.
-  ThreadPool* combine_pool = nullptr;
-};
-
 class Comm {
  public:
   Comm(RuntimeState& state, int rank);
@@ -90,7 +65,9 @@ class Comm {
   /// two-level hierarchical, all toward group[0] (minimpi/collectives.h;
   /// kAuto lets the cost tuner pick). On return, group[0] holds the
   /// elementwise combination under `op`; other members' arrays hold
-  /// partials and should be considered consumed.
+  /// partials and should be considered consumed. `combine_pool` runs the
+  /// receiver's elementwise combine (null = inline) under the pool's own
+  /// per-rank budget, striped in fixed disjoint cell ranges.
   ///
   /// The member executes its reduce_program: the block is split into
   /// chunks (reduce_chunk_elements) and each chunk runs the member's whole
@@ -110,16 +87,19 @@ class Comm {
   /// Determinism: every receive is fixed-source, so per destination cell
   /// the combine order is the chosen schedule's step order, identical
   /// for every chunk size, encoding choice, and combine pool — the
-  /// output bits never depend on the knobs.
+  /// output bits never depend on the settings.
   ///
   /// Zero-size blocks return immediately without touching the wire.
   void reduce(std::span<const int> group, DenseArray& data, std::uint64_t tag,
-              AggregateOp op, const ReduceOptions& options = {});
+              AggregateOp op, const ReduceOptions& options = {},
+              ThreadPool* combine_pool = nullptr);
 
  private:
   /// The one send primitive: ships `payload` (the chunk at `offset`
   /// elements of its block), charges the clock at wire size, and records
   /// a send event carrying `logical_bytes` and the payload's wire size.
+  /// The message carries the logical size and offset too, so the receive
+  /// that consumes it records both sizes as the send did.
   void send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
                  std::int64_t offset, std::vector<std::byte> payload);
   /// The single event-record choke point. Appends to this rank's

@@ -33,16 +33,20 @@ class AbortedError : public std::runtime_error {
   AbortedError() : std::runtime_error("minimpi run aborted by another rank") {}
 };
 
-/// A message in flight. `arrival_time` is the virtual time at which the
-/// receiver may consume it (sender clock at send + latency + transfer).
-/// `trace_seq` is the sender-side event-trace index of the send (see
-/// minimpi/event_trace.h), so the matching receive can record exactly
-/// which send it consumed; `offset` is the
-/// chunk offset the send recorded, which the receive records too.
+/// A message in flight: the encoded payload, whose size is its wire
+/// bytes, and what the receive's trace event records beside them (see
+/// minimpi/event_trace.h).
 struct Message {
   std::vector<std::byte> payload;
+  /// Virtual time at which the receiver may consume it (sender clock at
+  /// send + latency + transfer).
   double arrival_time = 0.0;
+  /// Sender-side event-trace index of the send, so the matching receive
+  /// records exactly which send it consumed.
   std::uint64_t trace_seq = ~std::uint64_t{0};
+  /// Logical (dense) bytes and chunk offset the send recorded, which the
+  /// receive records too.
+  std::int64_t logical_bytes = 0;
   std::int64_t offset = 0;
 };
 

@@ -18,7 +18,7 @@ ScheduleSpec spec_of(std::vector<std::int64_t> sizes,
   ScheduleSpec spec;
   spec.sizes = std::move(sizes);
   spec.log_splits = std::move(log_splits);
-  spec.reduce_message_elements = cap;
+  spec.reduce.max_message_elements = cap;
   return spec;
 }
 
@@ -27,14 +27,16 @@ TEST(CommPlanTest, PlannedVolumesMatchLemma1) {
   const CommPlan plan = build_comm_plan(spec);
   EXPECT_EQ(plan.num_ranks, 4);
   const auto predicted = volume_by_view_elements(spec.sizes, spec.log_splits);
+  const auto planned_by_view = elements_by_view(plan);
+  std::int64_t total = 0;
   for (const auto& [mask, elements] : predicted) {
-    const auto it = plan.elements_by_view.find(mask);
+    const auto it = planned_by_view.find(mask);
     const std::int64_t planned =
-        it == plan.elements_by_view.end() ? 0 : it->second;
+        it == planned_by_view.end() ? 0 : it->second;
     EXPECT_EQ(planned, elements) << DimSet::from_mask(mask).to_string();
+    total += planned;
   }
-  EXPECT_EQ(plan.total_elements(),
-            total_volume_elements(spec.sizes, spec.log_splits));
+  EXPECT_EQ(total, total_volume_elements(spec.sizes, spec.log_splits));
 }
 
 TEST(CommPlanTest, Lemma1ExactEvenForUnevenBalancedSplits) {
@@ -43,10 +45,11 @@ TEST(CommPlanTest, Lemma1ExactEvenForUnevenBalancedSplits) {
   const ScheduleSpec spec = spec_of({7, 5, 3}, {1, 1, 1});
   const CommPlan plan = build_comm_plan(spec);
   const auto predicted = volume_by_view_elements(spec.sizes, spec.log_splits);
+  const auto planned_by_view = elements_by_view(plan);
   for (const auto& [mask, elements] : predicted) {
-    const auto it = plan.elements_by_view.find(mask);
+    const auto it = planned_by_view.find(mask);
     const std::int64_t planned =
-        it == plan.elements_by_view.end() ? 0 : it->second;
+        it == planned_by_view.end() ? 0 : it->second;
     EXPECT_EQ(planned, elements) << DimSet::from_mask(mask).to_string();
   }
 }
@@ -56,7 +59,7 @@ TEST(CommPlanTest, MessageCapMultipliesMessagesNotVolume) {
   const ScheduleSpec capped = spec_of({16, 16}, {1, 1}, /*cap=*/4);
   const CommPlan whole_plan = build_comm_plan(whole);
   const CommPlan capped_plan = build_comm_plan(capped);
-  EXPECT_EQ(whole_plan.total_elements(), capped_plan.total_elements());
+  EXPECT_EQ(elements_by_view(whole_plan), elements_by_view(capped_plan));
   EXPECT_GT(capped_plan.total_messages(), whole_plan.total_messages());
 }
 
@@ -83,7 +86,7 @@ TEST(CommPlanTest, SingleRankPlansNoTraffic) {
   const CommPlan plan = build_comm_plan(spec_of({8, 4}, {0, 0}));
   EXPECT_EQ(plan.num_ranks, 1);
   EXPECT_EQ(plan.total_messages(), 0);
-  EXPECT_EQ(plan.total_elements(), 0);
+  EXPECT_TRUE(elements_by_view(plan).empty());
   EXPECT_TRUE(plan.ranks[0].ops.empty());
 }
 
@@ -93,7 +96,7 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
   // either side of the tuner's switch from binomial to ring on a flat
   // topology, so the two groups of one view pick differently.
   ScheduleSpec spec = spec_of({8, 31, 20}, {2, 1, 0});
-  spec.reduce_algorithm = ReduceAlgorithm::kAuto;
+  spec.reduce.algorithm = ReduceAlgorithm::kAuto;
   const CommPlan plan = build_comm_plan(spec);
   const std::uint32_t view12 = DimSet::of({1, 2}).mask();
   std::map<ReduceAlgorithm, int> view12_picks;
@@ -119,25 +122,27 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
       for (const int d : DimSet::from_mask(view).dims()) {
         total *= block.extent(d);
       }
-      std::vector<PlannedOp> expected;
+      ReduceOptions resolved = spec.reduce;
+      resolved.algorithm = algorithm;
+      std::vector<TraceEvent> expected;
       for (const ReduceOp& op :
-           reduce_program(algorithm, ranks, me, total,
-                          spec.reduce_message_elements,
-                          spec.model.topology)) {
+           reduce_program(resolved, ranks, me, total, spec.model.topology)) {
+        const std::int64_t bytes =
+            op.count * static_cast<std::int64_t>(sizeof(Value));
         if (op.step.kind == ReduceStep::Kind::kSend) {
-          expected.push_back({PlannedOp::Kind::kSend, op.step.peer, view,
-                              op.count, op.offset});
+          expected.push_back({TraceEventKind::kSend, op.step.peer, view,
+                              bytes, op.offset});
         } else {
-          expected.push_back({PlannedOp::Kind::kRecv, op.step.peer, view,
-                              op.count, op.offset});
-          expected.push_back({PlannedOp::Kind::kCombine, op.step.peer, view,
+          expected.push_back({TraceEventKind::kRecv, op.step.peer, view,
+                              bytes, op.offset});
+          expected.push_back({TraceEventKind::kCombine, op.step.peer, view,
                               op.count, op.offset});
         }
       }
-      std::vector<PlannedOp> planned;
-      for (const PlannedOp& op :
+      std::vector<TraceEvent> planned;
+      for (const TraceEvent& op :
            plan.ranks[static_cast<std::size_t>(rank)].ops) {
-        if (op.view == view && op.wire_tag() == view) planned.push_back(op);
+        if (op.tag == view) planned.push_back(op);
       }
       EXPECT_EQ(planned, expected)
           << "rank " << rank << " view "
@@ -147,10 +152,12 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
     }
   }
   for (int rank = 0; rank < plan.num_ranks; ++rank) {
-    for (const PlannedOp& op : plan.ranks[static_cast<std::size_t>(rank)].ops) {
-      EXPECT_TRUE(covered.count({rank, op.view}))
+    for (const TraceEvent& op :
+         plan.ranks[static_cast<std::size_t>(rank)].ops) {
+      const std::uint32_t view = view_of_tag(op.tag);
+      EXPECT_TRUE(covered.count({rank, view}))
           << "rank " << rank << " reduces view "
-          << DimSet::from_mask(op.view).to_string() << " in no recorded group";
+          << DimSet::from_mask(view).to_string() << " in no recorded group";
     }
   }
 }

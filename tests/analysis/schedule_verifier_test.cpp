@@ -24,7 +24,7 @@ ScheduleSpec spec_of(std::vector<std::int64_t> sizes,
   ScheduleSpec spec;
   spec.sizes = std::move(sizes);
   spec.log_splits = std::move(log_splits);
-  spec.reduce_message_elements = cap;
+  spec.reduce.max_message_elements = cap;
   return spec;
 }
 
@@ -33,8 +33,10 @@ bool has_violation(const AnalysisReport& report, ViolationCode code) {
                      [code](const Violation& v) { return v.code == code; });
 }
 
+constexpr auto kValueBytes = static_cast<std::int64_t>(sizeof(Value));
+
 /// Index of the first op of `kind` in `ops`, or npos.
-std::size_t find_op(const std::vector<PlannedOp>& ops, PlannedOp::Kind kind) {
+std::size_t find_op(const std::vector<TraceEvent>& ops, TraceEventKind kind) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].kind == kind) return i;
   }
@@ -58,7 +60,7 @@ TEST(ScheduleVerifierTest, DroppedRecvLeavesUnmatchedSend) {
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   CommPlan plan = build_comm_plan(spec);
   // Rank 0 is the lead along dimension 0: drop its first receive.
-  const std::size_t recv = find_op(plan.ranks[0].ops, PlannedOp::Kind::kRecv);
+  const std::size_t recv = find_op(plan.ranks[0].ops, TraceEventKind::kRecv);
   ASSERT_NE(recv, static_cast<std::size_t>(-1));
   plan.ranks[0].ops.erase(plan.ranks[0].ops.begin() +
                           static_cast<std::ptrdiff_t>(recv));
@@ -72,7 +74,7 @@ TEST(ScheduleVerifierTest, DroppedSendBlocksReceiverForever) {
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   CommPlan plan = build_comm_plan(spec);
   // Rank 1 ships its partials to rank 0: drop its first send.
-  const std::size_t send = find_op(plan.ranks[1].ops, PlannedOp::Kind::kSend);
+  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
   plan.ranks[1].ops.erase(plan.ranks[1].ops.begin() +
                           static_cast<std::ptrdiff_t>(send));
@@ -115,13 +117,14 @@ TEST(ScheduleVerifierTest, OffByOneVolumeTripsLemma1AndTheorem3) {
   CommPlan plan = build_comm_plan(spec);
   // Inflate one matched send/recv pair by one element: transport still
   // matches, but the closed-form volume checks must fire.
-  const std::size_t send = find_op(plan.ranks[1].ops, PlannedOp::Kind::kSend);
+  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  const std::uint32_t view = plan.ranks[1].ops[send].view;
-  plan.ranks[1].ops[send].elements += 1;
-  for (PlannedOp& op : plan.ranks[0].ops) {
-    if (op.kind == PlannedOp::Kind::kRecv && op.view == view) {
-      op.elements += 1;
+  const std::uint64_t tag = plan.ranks[1].ops[send].tag;
+  const std::uint32_t view = view_of_tag(tag);
+  plan.ranks[1].ops[send].units += kValueBytes;
+  for (TraceEvent& op : plan.ranks[0].ops) {
+    if (op.kind == TraceEventKind::kRecv && op.tag == tag) {
+      op.units += kValueBytes;
       break;
     }
   }
@@ -144,9 +147,9 @@ TEST(ScheduleVerifierTest, OffByOneVolumeTripsLemma1AndTheorem3) {
 TEST(ScheduleVerifierTest, PayloadSizeDisagreementIsFlagged) {
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   CommPlan plan = build_comm_plan(spec);
-  const std::size_t send = find_op(plan.ranks[1].ops, PlannedOp::Kind::kSend);
+  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  plan.ranks[1].ops[send].elements += 1;  // send only; recv unchanged
+  plan.ranks[1].ops[send].units += kValueBytes;  // send only; recv unchanged
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_TRUE(has_violation(report, ViolationCode::kMessageSizeMismatch))
       << report.to_string();
@@ -157,13 +160,13 @@ TEST(ScheduleVerifierTest, ReceiveCycleIsReportedAsDeadlock) {
   CommPlan plan = build_comm_plan(spec);
   // Prepend mutually-blocking receives (sends only after): a classic
   // head-of-line cycle between ranks 0 and 1.
-  const std::uint32_t view = 0;  // the `all` scalar view tag
+  const std::uint64_t view = 0;  // the `all` scalar view tag
   plan.ranks[0].ops.insert(plan.ranks[0].ops.begin(),
-                           {PlannedOp::Kind::kRecv, 1, view, 1});
+                           {TraceEventKind::kRecv, 1, view, kValueBytes});
   plan.ranks[1].ops.insert(plan.ranks[1].ops.begin(),
-                           {PlannedOp::Kind::kRecv, 0, view, 1});
-  plan.ranks[0].ops.push_back({PlannedOp::Kind::kSend, 1, view, 1});
-  plan.ranks[1].ops.push_back({PlannedOp::Kind::kSend, 0, view, 1});
+                           {TraceEventKind::kRecv, 0, view, kValueBytes});
+  plan.ranks[0].ops.push_back({TraceEventKind::kSend, 1, view, kValueBytes});
+  plan.ranks[1].ops.push_back({TraceEventKind::kSend, 0, view, kValueBytes});
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kDeadlock))
@@ -248,18 +251,18 @@ TEST(ScheduleVerifierTest, NonViewTagsInThePlanAreFlagged) {
   // to the root's mask, which is no proper view. Both sides agree, so the
   // transport still matches; only the volume check can see the tag.
   const std::uint32_t root_mask = DimSet::full(2).mask();
-  const std::size_t send = find_op(plan.ranks[1].ops, PlannedOp::Kind::kSend);
+  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  PlannedOp& sent = plan.ranks[1].ops[send];
+  TraceEvent& sent = plan.ranks[1].ops[send];
   ASSERT_EQ(sent.peer, 0);
-  const std::uint32_t view = sent.view;
-  for (PlannedOp& op : plan.ranks[0].ops) {
-    if (op.kind != PlannedOp::Kind::kSend && op.peer == 1 &&
-        op.view == view && op.offset == sent.offset) {
-      op.view = root_mask;
+  const std::uint64_t tag = sent.tag;
+  for (TraceEvent& op : plan.ranks[0].ops) {
+    if (op.kind != TraceEventKind::kSend && op.peer == 1 && op.tag == tag &&
+        op.offset == sent.offset) {
+      op.tag = root_mask;
     }
   }
-  sent.view = root_mask;
+  sent.tag = root_mask;
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_FALSE(has_violation(report, ViolationCode::kUnmatchedSend));
   EXPECT_FALSE(has_violation(report, ViolationCode::kUnmatchedRecv));
@@ -268,7 +271,7 @@ TEST(ScheduleVerifierTest, NonViewTagsInThePlanAreFlagged) {
   for (const Violation& v : report.violations) {
     if (v.code == ViolationCode::kUnknownViewTag) {
       EXPECT_EQ(v.view_mask, root_mask);
-      EXPECT_EQ(v.actual, sent.elements);
+      EXPECT_EQ(v.actual, sent.units / kValueBytes);
     }
   }
   // The view that lost the traffic falls short of Lemma 1.
@@ -305,42 +308,39 @@ TEST(ScheduleVerifierTest, EveryViolationCodeHasADistinctName) {
 }
 
 /// The trace a run of `plan` records with the codec off: each planned op
-/// as an event, every send's wire size equal to its logical size, each
+/// as an event, every message's wire size equal to its logical size, each
 /// receive matched to its channel's next send and each combine to the
 /// rank's latest receive.
 EventTrace trace_of(const CommPlan& plan) {
   std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
       channels;
   for (int r = 0; r < plan.num_ranks; ++r) {
-    const std::vector<PlannedOp>& ops =
+    const std::vector<TraceEvent>& ops =
         plan.ranks[static_cast<std::size_t>(r)].ops;
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == PlannedOp::Kind::kSend) {
-        channels[{r, ops[i].peer, ops[i].wire_tag()}].push_back(i);
+      if (ops[i].kind == TraceEventKind::kSend) {
+        channels[{r, ops[i].peer, ops[i].tag}].push_back(i);
       }
     }
   }
   EventTrace trace;
   for (int r = 0; r < plan.num_ranks; ++r) {
-    std::vector<TraceEvent>& events = trace.ranks.emplace_back();
+    std::vector<TraceEvent>& events =
+        trace.ranks.emplace_back(plan.ranks[static_cast<std::size_t>(r)].ops);
     std::uint64_t last_recv = kNoTraceSeq;
-    for (const PlannedOp& op : plan.ranks[static_cast<std::size_t>(r)].ops) {
-      TraceEvent e{op.kind, op.peer, op.wire_tag(),
-                   op.elements * static_cast<std::int64_t>(sizeof(Value)),
-                   op.offset};
-      if (op.kind == PlannedOp::Kind::kSend) {
-        e.wire = e.units;
-      } else if (op.kind == PlannedOp::Kind::kRecv) {
-        std::deque<std::uint64_t>& sends =
-            channels[{op.peer, r, op.wire_tag()}];
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      TraceEvent& e = events[i];
+      if (e.kind == TraceEventKind::kCombine) {
+        e.operand_seq = last_recv;
+        continue;
+      }
+      e.wire = e.units;
+      if (e.kind == TraceEventKind::kRecv) {
+        std::deque<std::uint64_t>& sends = channels[{e.peer, r, e.tag}];
         e.match_seq = sends.front();
         sends.pop_front();
-        last_recv = events.size();
-      } else {
-        e.units = op.elements;
-        e.operand_seq = last_recv;
+        last_recv = i;
       }
-      events.push_back(e);
     }
   }
   return trace;
@@ -392,7 +392,7 @@ TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
   // At the bound (wire == logical on every send): fine with the codec on
   // or off.
   for (bool codec : {true, false}) {
-    spec.encode_wire = codec;
+    spec.reduce.encode_wire = codec;
     EXPECT_TRUE(audit_trace(spec, plan, trace).ok()) << "codec " << codec;
   }
 
@@ -400,9 +400,9 @@ TEST(ScheduleVerifierTest, WireAuditCertifiesAtAndBelowTheDenseBound) {
   // codec on; off, a send ships its payload verbatim.
   TraceEvent& send = first_send(trace);
   testing::set_wire(trace, send, send.wire / 2);
-  spec.encode_wire = true;
+  spec.reduce.encode_wire = true;
   EXPECT_TRUE(audit_trace(spec, plan, trace).ok());
-  spec.encode_wire = false;
+  spec.reduce.encode_wire = false;
   const AnalysisReport strict = audit_trace(spec, plan, trace);
   EXPECT_FALSE(strict.ok());
   EXPECT_TRUE(has_violation(strict, ViolationCode::kTraceMismatch))
@@ -440,7 +440,7 @@ TEST(ScheduleVerifierTest, ReportRendersHumanAndJson) {
   EXPECT_NE(report.to_json().find("\"ok\":true"), std::string::npos);
 
   CommPlan plan = build_comm_plan(spec);
-  const std::size_t recv = find_op(plan.ranks[0].ops, PlannedOp::Kind::kRecv);
+  const std::size_t recv = find_op(plan.ranks[0].ops, TraceEventKind::kRecv);
   ASSERT_NE(recv, static_cast<std::size_t>(-1));
   plan.ranks[0].ops.erase(plan.ranks[0].ops.begin() +
                           static_cast<std::ptrdiff_t>(recv));
@@ -482,7 +482,7 @@ TEST(ScheduleVerifierTest, GatheredSchedulesAreCertifiedWhole) {
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_EQ(report.planned_total_elements,
               report.predicted_total_elements);
-    EXPECT_EQ(whole.elements_by_view, construction.elements_by_view);
+    EXPECT_EQ(elements_by_view(whole), elements_by_view(construction));
     // One gather message per (view, lead other than rank 0).
     const ProcGrid grid(spec.log_splits);
     const int n = grid.ndims();
@@ -505,13 +505,13 @@ TEST(ScheduleVerifierTest, DroppedGatherSendBlocksRankZero) {
   CommPlan plan = build_comm_plan(spec);
   // Rank 3 leads the view that aggregates only the unsplit dimension 2:
   // drop the send that ships it to rank 0.
-  std::vector<PlannedOp>& ops = plan.ranks[3].ops;
+  std::vector<TraceEvent>& ops = plan.ranks[3].ops;
   const auto gather = std::find_if(
       ops.begin(), ops.end(),
-      [](const PlannedOp& op) { return op.wire_tag() >= kGatherTagBase; });
+      [](const TraceEvent& op) { return op.tag >= kGatherTagBase; });
   ASSERT_NE(gather, ops.end());
   EXPECT_EQ(gather->peer, 0);
-  EXPECT_EQ(gather->wire_tag(), kGatherTagBase | gather->view);
+  EXPECT_EQ(view_of_tag(gather->tag), DimSet::of({0, 1}).mask());
   ops.erase(gather);
   const AnalysisReport report = verify_schedule(spec, plan);
   const auto blocked = std::find_if(

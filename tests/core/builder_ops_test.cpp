@@ -167,7 +167,7 @@ TEST(BuilderOpsTest, ReductionMessageCapPreservesResults) {
       build_cube_sequential(generate_sparse_global(spec));
   ParallelOptions coarse;  // whole-block messages
   ParallelOptions fine;
-  fine.reduce_message_elements = 8;
+  fine.reduce.max_message_elements = 8;
   CostModel model;
   model.overhead = 2e-6;  // LogP `o`: the cost fine granularity pays
   const auto coarse_report = run_parallel_cube(spec.sizes, {1, 1, 1},

@@ -55,7 +55,7 @@ TEST(AnalysisGateTest, AuditHoldsAcrossGridsAndMessageCaps) {
        {std::vector<int>{1, 1, 1}, {2, 1, 0}, {0, 0, 0}}) {
     for (std::int64_t cap : {std::int64_t{0}, std::int64_t{5}}) {
       ParallelOptions options = gated_options();
-      options.reduce_message_elements = cap;
+      options.reduce.max_message_elements = cap;
       EXPECT_NO_THROW(run_parallel_cube(spec.sizes, splits, CostModel{},
                                         provider_of(spec),
                                         /*collect_result=*/false, options))
@@ -84,7 +84,7 @@ TEST(AnalysisGateTest, AuditGateAcceptsGatheredRuns) {
   spec.density = 0.4;
   spec.seed = 13;
   ParallelOptions options = gated_options();
-  options.reduce_message_elements = 7;
+  options.reduce.max_message_elements = 7;
   const auto report =
       run_parallel_cube(spec.sizes, {1, 1, 0}, CostModel{}, provider_of(spec),
                         /*collect_result=*/true, options);
@@ -114,7 +114,7 @@ TEST(AnalysisGateTest, CommEventStructureIsDeterministicAcrossRuns) {
   spec.density = 0.5;
   spec.seed = 7;
   ParallelOptions options;
-  options.encode_wire = true;
+  options.reduce.encode_wire = true;
   options.audit = true;
   const auto traced_build = [&] {
     return run_parallel_cube(spec.sizes, {1, 1, 0, 0}, CostModel{},
@@ -130,13 +130,15 @@ TEST(AnalysisGateTest, CommEventStructureIsDeterministicAcrossRuns) {
 }
 
 TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
-  // The planner and the runtime walk one program, so per rank the
-  // recorded trace equals the certified plan event for event — kind,
-  // peer, wire tag, offset, size, matches and operands, gather included —
-  // under every reduce algorithm, with and without a message cap, the
-  // codec on and off, and with and without the gather. A 4 x 2 grid gives
-  // groups of 4 (where the algorithms differ) and of 2; two-level and
-  // auto run on 2-rank nodes.
+  // The planner and the runtime walk one program in one record, so per
+  // rank the recorded events ARE the planned ones — kind, peer, tag,
+  // offset and logical size, gather included — once the wire sizes and
+  // the match and operand links, which only the run can know, are copied
+  // in from the trace, and the audit passes, which checks those too. It
+  // holds under every reduce algorithm, with and without a message cap,
+  // the codec on and off, and with and without the gather. A 4 x 2 grid
+  // gives groups of 4 (where the algorithms differ) and of 2; two-level
+  // and auto run on 2-rank nodes.
   SparseSpec spec;
   spec.sizes = {8, 6, 4};
   spec.density = 0.4;
@@ -154,9 +156,9 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
       for (bool codec : {false, true}) {
         for (bool collect : {false, true}) {
           ParallelOptions options;
-          options.reduce_algorithm = algorithm;
-          options.reduce_message_elements = cap;
-          options.encode_wire = codec;
+          options.reduce.algorithm = algorithm;
+          options.reduce.max_message_elements = cap;
+          options.reduce.encode_wire = codec;
           options.audit = true;
           const auto report =
               run_parallel_cube(spec.sizes, log_splits, model,
@@ -176,9 +178,17 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
           EXPECT_TRUE(audit.ok()) << where << "\n" << audit.to_string();
           ASSERT_EQ(report.run.trace.ranks.size(), plan.ranks.size());
           for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
-            EXPECT_EQ(report.run.trace.ranks[r].size(),
-                      plan.ranks[r].ops.size())
+            const std::vector<TraceEvent>& recorded =
+                report.run.trace.ranks[r];
+            std::vector<TraceEvent> planned = plan.ranks[r].ops;
+            ASSERT_EQ(recorded.size(), planned.size())
                 << where << " rank " << r;
+            for (std::size_t i = 0; i < planned.size(); ++i) {
+              planned[i].wire = recorded[i].wire;
+              planned[i].match_seq = recorded[i].match_seq;
+              planned[i].operand_seq = recorded[i].operand_seq;
+            }
+            EXPECT_EQ(recorded, planned) << where << " rank " << r;
           }
           EXPECT_EQ(gather_events(report.run.trace.ranks[0]) > 0, collect)
               << where;
@@ -186,7 +196,7 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
           // construction tag it is the plan's, and every planned send,
           // the gather's included, is one message.
           std::map<std::uint64_t, std::int64_t> planned_bytes;
-          for (const auto& [mask, elements] : plan.elements_by_view) {
+          for (const auto& [mask, elements] : elements_by_view(plan)) {
             planned_bytes[mask] =
                 elements * static_cast<std::int64_t>(sizeof(Value));
           }

@@ -78,7 +78,7 @@ TEST(ArrivalOrderTest, ChunkedPipelineIsAlsoOrderInvariant) {
   // Same property through the public driver, chunk-pipelined, with the
   // full analysis gate (verifier + post-run audits) enabled.
   ParallelOptions options;
-  options.reduce_message_elements = 4;
+  options.reduce.max_message_elements = 4;
   options.audit = true;
   const BlockProvider provider = [&](int, const BlockRange& block) {
     return generate_sparse_block(spec, block);

@@ -50,9 +50,9 @@ CubeResult build_with(const SparseSpec& spec, const std::vector<int>& splits,
                       ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial,
                       const CostModel& model = {}) {
   ParallelOptions options;
-  options.reduce_algorithm = algorithm;
-  options.encode_wire = encode;
-  options.reduce_message_elements = chunk;
+  options.reduce.algorithm = algorithm;
+  options.reduce.encode_wire = encode;
+  options.reduce.max_message_elements = chunk;
   options.pool = pool;
   options.audit = true;
   auto report = run_parallel_cube(spec.sizes, splits, model, provider_of(spec),
@@ -141,8 +141,8 @@ TEST(CommDeterminismTest, EncodedRunMatchesReferenceCube) {
   spec.density = 0.1;
   spec.seed = 5;
   ParallelOptions options;
-  options.encode_wire = true;
-  options.reduce_message_elements = 64;
+  options.reduce.encode_wire = true;
+  options.reduce.max_message_elements = 64;
   options.audit = true;
   const auto report =
       run_parallel_cube(spec.sizes, {1, 1, 0}, CostModel{}, provider_of(spec),
@@ -161,7 +161,7 @@ TEST(CommDeterminismTest, VirtualClockIsReproducible) {
   spec.density = 0.1;
   spec.seed = 40;
   ParallelOptions options;
-  options.reduce_message_elements = 128;
+  options.reduce.max_message_elements = 128;
   CostModel model;  // calibrated-style: every clock term active
   model.overhead = 5e-6;
   const auto run = [&] {

@@ -4,8 +4,8 @@
 // double consumption, a foreign or out-of-range match, a causal cycle, a
 // swapped send offset, a dropped gather receive, an extra event, an empty
 // record, a send's wire size above its logical size or, codec off, off
-// it, a receive that took other wire bytes than its send shipped — is
-// reported.
+// it, a receive that records other logical bytes, or took other wire
+// bytes, than its send shipped — is reported.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,9 +36,9 @@ Recorded record_build(std::int64_t message_elements,
   input.seed = 5;
   const std::vector<int> log_splits = {1, 1, 0};
   ParallelOptions options;
-  options.reduce_algorithm = ReduceAlgorithm::kBinomial;
-  options.reduce_message_elements = message_elements;
-  options.encode_wire = encode_wire;
+  options.reduce.algorithm = ReduceAlgorithm::kBinomial;
+  options.reduce.max_message_elements = message_elements;
+  options.reduce.encode_wire = encode_wire;
   options.audit = true;
   const ParallelCubeReport report = run_parallel_cube(
       input.sizes, log_splits, CostModel{},
@@ -323,6 +323,23 @@ TEST(TraceAuditTest, CodecOffWireMustEqualLogicalSize) {
   EXPECT_TRUE(mentions(v, "codec off")) << v.to_string();
 }
 
+TEST(TraceAuditTest, ReceiveMustRecordItsSendsLogicalBytes) {
+  // A receive records the logical bytes the message carried, as its send
+  // did, so it equals the planned receive field for field. One that
+  // records 1,000 bytes more departs from the plan.
+  for (bool encode_wire : {true, false}) {
+    const Recorded recorded = record_build(/*message_elements=*/4, encode_wire);
+    EventTrace trace = recorded.trace;
+    const std::size_t index = first_of(trace, 0, TraceEventKind::kRecv);
+    trace.ranks[0][index].units += 1000;
+    const Violation v =
+        only_violation(audit_trace(recorded.spec, recorded.plan, trace));
+    EXPECT_EQ(v.rank, 0) << "codec " << encode_wire;
+    EXPECT_EQ(v.actual, v.expected + 1000) << "codec " << encode_wire;
+    EXPECT_TRUE(mentions(v, "logical size")) << v.to_string();
+  }
+}
+
 TEST(TraceAuditTest, ReceiveMustTakeTheWireBytesItsSendShipped) {
   // A receive records the bytes it took off the wire: the wire bytes of
   // the send it consumed, with the codec on or off. One that took 1,000
@@ -332,7 +349,7 @@ TEST(TraceAuditTest, ReceiveMustTakeTheWireBytesItsSendShipped) {
     const Recorded recorded = record_build(/*message_elements=*/4, encode_wire);
     EventTrace trace = recorded.trace;
     const std::size_t index = first_of(trace, 0, TraceEventKind::kRecv);
-    trace.ranks[0][index].units += 1000;
+    trace.ranks[0][index].wire += 1000;
     const Violation v =
         only_violation(audit_trace(recorded.spec, recorded.plan, trace));
     EXPECT_EQ(v.rank, 0) << "codec " << encode_wire;

@@ -23,6 +23,12 @@ std::vector<int> iota_group(int g, int first = 0) {
   return group;
 }
 
+/// The settings of a reduce forced to `algorithm` under message cap `cap`.
+ReduceOptions forced(ReduceAlgorithm algorithm, std::int64_t cap = 0,
+                     bool encode_wire = true) {
+  return {algorithm, cap, encode_wire};
+}
+
 TEST(CollectivesTest, ToStringParseRoundTrip) {
   for (ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kAuto, ReduceAlgorithm::kBinomial,
@@ -168,18 +174,22 @@ TEST(CollectivesTest, EveryAlgorithmSendsGroupMinusOnePerChunk) {
 
 TEST(CollectivesTest, ChunkRuleCapWinsRingAutoPipelines) {
   // An explicit cap always wins.
-  EXPECT_EQ(reduce_chunk_elements(ReduceAlgorithm::kRing, 1000, 8, 64), 64);
-  EXPECT_EQ(reduce_chunk_elements(ReduceAlgorithm::kBinomial, 1000, 8, 64),
+  EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kRing, 64), 1000, 8),
             64);
+  EXPECT_EQ(
+      reduce_chunk_elements(forced(ReduceAlgorithm::kBinomial, 64), 1000, 8),
+      64);
   // Uncapped: binomial and two-level ship the whole block...
-  EXPECT_EQ(reduce_chunk_elements(ReduceAlgorithm::kBinomial, 1000, 8, 0),
+  EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kBinomial), 1000, 8),
             1000);
-  EXPECT_EQ(reduce_chunk_elements(ReduceAlgorithm::kTwoLevel, 1000, 8, 0),
+  EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kTwoLevel), 1000, 8),
             1000);
   // ...while the ring auto-chunks to ~2(g-1) pieces so the chain pipelines.
-  EXPECT_EQ(reduce_chunk_elements(ReduceAlgorithm::kRing, 1400, 8, 0), 100);
-  EXPECT_GE(reduce_chunk_elements(ReduceAlgorithm::kRing, 5, 8, 0), 1);
-  EXPECT_EQ(reduce_chunk_elements(ReduceAlgorithm::kBinomial, 0, 8, 0), 1);
+  EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kRing), 1400, 8),
+            100);
+  EXPECT_GE(reduce_chunk_elements(forced(ReduceAlgorithm::kRing), 5, 8), 1);
+  EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kBinomial), 0, 8),
+            1);
 }
 
 // --- per-edge cost lookup ---
@@ -227,8 +237,8 @@ TEST(CostModelTopologyTest, TwoTierPricesCrossNodeEdgesInter) {
 TEST(CollectivesTunerTest, PrefersRingForLargeDenseBlocks) {
   // A 64^3 view over 8 ranks: bandwidth-bound, so the chain's pipelined
   // folds beat the binomial root's serialized ones.
-  EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 64 * 64 * 64, 0,
-                                    paper_like_model(), /*encode_wire=*/true),
+  EXPECT_EQ(choose_reduce_algorithm({}, iota_group(8), 64 * 64 * 64,
+                                    paper_like_model()),
             ReduceAlgorithm::kRing);
 }
 
@@ -236,32 +246,31 @@ TEST(CollectivesTunerTest, PrefersHierarchyOnTwoTierTopology) {
   // An 8^3 view on the cluster-of-SMPs: small enough that the ring's
   // latency hops hurt, but binomial's repeated inter-node crossings hurt
   // more.
-  EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 8 * 8 * 8, 0,
-                                    two_tier_model(), /*encode_wire=*/true),
+  EXPECT_EQ(choose_reduce_algorithm({}, iota_group(8), 8 * 8 * 8,
+                                    two_tier_model()),
             ReduceAlgorithm::kTwoLevel);
 }
 
 TEST(CollectivesTunerTest, KeepsBinomialForSmallLatencyBoundBlocks) {
-  EXPECT_EQ(choose_reduce_algorithm(iota_group(8), 64, 0, paper_like_model(),
-                                    /*encode_wire=*/true),
+  EXPECT_EQ(choose_reduce_algorithm({}, iota_group(8), 64, paper_like_model()),
             ReduceAlgorithm::kBinomial);
 }
 
 TEST(CollectivesTunerTest, PairGroupsNeverSwitch) {
   // g=2: every schedule is the same single send, so binomial stands.
   for (const CostModel& model : {paper_like_model(), two_tier_model()}) {
-    EXPECT_EQ(choose_reduce_algorithm(iota_group(2), 1 << 20, 0, model, true),
+    EXPECT_EQ(choose_reduce_algorithm({}, iota_group(2), 1 << 20, model),
               ReduceAlgorithm::kBinomial);
   }
 }
 
 TEST(CollectivesTunerTest, ResolvePassesForcedAlgorithmsThrough) {
-  for (ReduceAlgorithm forced :
+  for (ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
         ReduceAlgorithm::kTwoLevel}) {
-    EXPECT_EQ(resolve_reduce_algorithm(forced, iota_group(8), 64, 0,
-                                       paper_like_model(), true),
-              forced);
+    EXPECT_EQ(resolve_reduce_algorithm(forced(algorithm), iota_group(8), 64,
+                                       paper_like_model()),
+              algorithm);
   }
 }
 
@@ -270,12 +279,12 @@ TEST(CollectivesTunerTest, AutoNeverPredictedWorseThanBinomial) {
     for (std::int64_t elements : {std::int64_t{1}, std::int64_t{512},
                                   std::int64_t{262144}}) {
       const ReduceAlgorithm chosen =
-          choose_reduce_algorithm(iota_group(8), elements, 0, model, true);
+          choose_reduce_algorithm({}, iota_group(8), elements, model);
       const double chosen_seconds = simulate_reduce_seconds(
-          chosen, iota_group(8), elements, 0, model, true);
+          forced(chosen), iota_group(8), elements, model);
       const double binomial_seconds =
-          simulate_reduce_seconds(ReduceAlgorithm::kBinomial, iota_group(8),
-                                  elements, 0, model, true);
+          simulate_reduce_seconds(forced(ReduceAlgorithm::kBinomial),
+                                  iota_group(8), elements, model);
       EXPECT_LE(chosen_seconds, binomial_seconds)
           << to_string(chosen) << " elements=" << elements;
     }
@@ -317,15 +326,12 @@ TEST(CollectivesTunerTest, SimulatorMatchesRuntimeVirtualClock) {
         }
         DenseArray data{Shape{{kElements}}};
         data.fill(static_cast<Value>(comm.rank() + 1));
-        ReduceOptions options;
-        options.algorithm = algorithm;
-        options.max_message_elements = c.cap;
-        options.encode_wire = false;
-        comm.reduce(c.group, data, 1, AggregateOp::kSum, options);
+        comm.reduce(c.group, data, 1, AggregateOp::kSum,
+                    forced(algorithm, c.cap, /*encode_wire=*/false));
       });
-      const double predicted =
-          simulate_reduce_seconds(algorithm, c.group, kElements, c.cap,
-                                  c.model, /*encode_wire=*/false);
+      const double predicted = simulate_reduce_seconds(
+          forced(algorithm, c.cap, /*encode_wire=*/false), c.group, kElements,
+          c.model);
       EXPECT_DOUBLE_EQ(report.makespan_seconds, predicted)
           << to_string(algorithm)
           << (c.model.topology.two_tier() ? " two-tier" : " flat")

@@ -60,7 +60,7 @@ TEST(DriftTest, EveryReduceFeedsTheReduceGauge) {
   // test before this one in its binary runs a reduce, so the global
   // sums start equal.)
   ParallelOptions raw;
-  raw.encode_wire = false;
+  raw.reduce.encode_wire = false;
   const GaugeDelta exact = build_and_measure(raw).first;
   EXPECT_GT(exact.samples, 0);
   EXPECT_GT(exact.observed, 0.0);

@@ -142,9 +142,9 @@ inline CubeResult reference_op_cube(const SparseArray& root, AggregateOp op) {
   return result;
 }
 
-/// Sets the wire bytes of `send`, an event of `trace`, and the bytes the
-/// receive that consumed it took: the send shipped `wire` bytes, and the
-/// record stays consistent on both ends.
+/// Sets the wire bytes of `send`, an event of `trace`, and of the receive
+/// that consumed it: the send shipped `wire` bytes, and the record stays
+/// consistent on both ends.
 inline void set_wire(EventTrace& trace, TraceEvent& send, std::int64_t wire) {
   for (std::size_t rank = 0; rank < trace.ranks.size(); ++rank) {
     const std::vector<TraceEvent>& events = trace.ranks[rank];
@@ -154,7 +154,7 @@ inline void set_wire(EventTrace& trace, TraceEvent& send, std::int64_t wire) {
         for (TraceEvent& e : receiver) {
           if (e.kind == TraceEventKind::kRecv &&
               e.peer == static_cast<int>(rank) && e.match_seq == index) {
-            e.units = wire;
+            e.wire = wire;
           }
         }
       }

@@ -41,17 +41,25 @@ plus the BM_PartialServing budget x skew sweep) and writes
 BENCH_serving.json:
 
   {
-    "schema": "cubist-bench-serving/2",
+    "schema": "cubist-bench-serving/3",
     "shape": "fig",           # 32x32x16x16; --smoke switches to 8^3
-    "rows": [
+    "repetitions": 5,         # runs per corner; 3 under --smoke
+    "rows": [                 # one per corner: each field is the median
+                              # of its runs; p50, p99 and qps also carry
+                              # their min-max
       {"name": "BM_Serving/fig/c8/b256/zipf/cache", "clients": 8,
        "batch": 256, "zipf": 1, "cache": 1, "qps": ..., "hit_pct": ...,
        "p50_us": ..., "p99_us": ..., "p999_us": ...,
+       "p50_us_range": [min, max], "p99_us_range": [...],
+       "qps_range": [...],
        "classes": {"slice": {"count": ..., "p50_us": ...}, ...}}, ...
     ],
     "summary": {              # cache-on vs cache-off, per (clients, skew)
       "zipf/c8": {"hit_pct": ..., "p99_off_us": ..., "p99_on_us": ...,
-                  "p99_speedup": ..., "qps_speedup": ...}, ...
+                  "p99_speedup": ...,        # of the medians
+                  "p99_speedup_range": [min_off / max_on,
+                                        max_off / min_on],
+                  "qps_speedup": ...}, ...
     },
     "partial_sweep": [        # one row per (budget pct x Zipf s) point
       {"name": "BM_PartialServing/part/b15/z25/...", "point": "b15/z25",
@@ -141,6 +149,7 @@ Usage:
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -152,7 +161,11 @@ DEFAULT_OBS_OUT = "BENCH_obs.json"
 DEFAULT_BINARY_DIRS = ("build-release", "build")
 SCHEMA = "cubist-bench-kernels/1"
 COMM_SCHEMA = "cubist-bench-comm/3"
-SERVING_SCHEMA = "cubist-bench-serving/2"
+SERVING_SCHEMA = "cubist-bench-serving/3"
+# Runs per BM_Serving corner: one run of a loaded corner lasts about
+# 0.01 s, so a single one cannot tell the cache's effect from noise.
+SERVING_REPETITIONS = 5
+SERVING_SMOKE_REPETITIONS = 3
 OBS_SCHEMA = "cubist-bench-obs/1"
 QUERY_CLASSES = ("point", "slice", "dice", "rollup", "topk")
 
@@ -185,7 +198,7 @@ def find_binary(explicit, bench_name):
     )
 
 
-def run_once(binary, threads, bench_filter, min_time):
+def run_once(binary, threads, bench_filter, min_time, repetitions=1):
     env = dict(os.environ)
     env["CUBIST_THREADS"] = str(threads)
     cmd = [
@@ -193,6 +206,8 @@ def run_once(binary, threads, bench_filter, min_time):
         "--benchmark_format=json",
         f"--benchmark_min_time={min_time}",
     ]
+    if repetitions > 1:
+        cmd.append(f"--benchmark_repetitions={repetitions}")
     if bench_filter:
         cmd.append(f"--benchmark_filter={bench_filter}")
     result = subprocess.run(
@@ -420,47 +435,70 @@ def comm_algorithm_sweep(binary, shape):
     return sweep_rows, auto_vs_binomial
 
 
+def serving_row(runs):
+    """The repeated runs of one BM_Serving corner -> one row: every field
+    the median of its runs, with the min-max of p50, p99 and qps."""
+    def mid(key, digits=3):
+        return round(statistics.median([bench.get(key, 0.0) for bench in runs]),
+                     digits)
+
+    def spread(key, digits=3):
+        values = [bench.get(key, 0.0) for bench in runs]
+        return [round(min(values), digits), round(max(values), digits)]
+
+    first = runs[0]
+    row = {
+        "name": first["name"],
+        "clients": int(first.get("clients", 0)),
+        "batch": int(first.get("batch", 0)),
+        "zipf": int(first.get("zipf", 0)),
+        "cache": int(first.get("cache", 0)),
+        "served": int(mid("served", 0)),
+        "qps": mid("qps", 1),
+        "hit_pct": mid("hit_pct", 2),
+        "cache_bytes_peak": int(mid("cache_bytes_peak", 0)),
+        "p50_us": mid("p50_us"),
+        "p99_us": mid("p99_us"),
+        "p999_us": mid("p999_us"),
+        "p50_us_range": spread("p50_us"),
+        "p99_us_range": spread("p99_us"),
+        "qps_range": spread("qps", 1),
+        "sketch_KB": mid("sketch_KB", 2),
+        "sketch_bound_KB": mid("sketch_bound_KB", 2),
+    }
+    classes = {}
+    for cls in QUERY_CLASSES:
+        if f"n_{cls}" not in first:
+            continue
+        classes[cls] = {
+            "count": int(mid(f"n_{cls}", 0)),
+            "p50_us": mid(f"p50_{cls}_us"),
+            "p99_us": mid(f"p99_{cls}_us"),
+            "p999_us": mid(f"p999_{cls}_us"),
+        }
+    row["classes"] = classes
+    return row
+
+
 def serving_report(args):
     """--serving mode: BM_Serving counters -> BENCH_serving.json."""
     shape = "smoke" if args.smoke else "fig"
     binary = find_binary(args.binary, "bench_serving")
     bench_filter = args.filter or f"BM_Serving/{shape}/"
+    repetitions = (SERVING_SMOKE_REPETITIONS if args.smoke
+                   else SERVING_REPETITIONS)
     print(f"running {os.path.basename(binary)} "
-          f"({shape} shape, filter {bench_filter}) ...")
-    raw = run_once(binary, os.cpu_count() or 1, bench_filter, 0.01)
+          f"({shape} shape, filter {bench_filter}, "
+          f"{repetitions} runs per corner) ...")
+    raw = run_once(binary, os.cpu_count() or 1, bench_filter, 0.01,
+                   repetitions)
 
-    rows = []
+    runs_by_name = {}
     for bench in raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        row = {
-            "name": bench["name"],
-            "clients": int(bench.get("clients", 0)),
-            "batch": int(bench.get("batch", 0)),
-            "zipf": int(bench.get("zipf", 0)),
-            "cache": int(bench.get("cache", 0)),
-            "served": int(bench.get("served", 0)),
-            "qps": round(bench.get("qps", 0.0), 1),
-            "hit_pct": round(bench.get("hit_pct", 0.0), 2),
-            "cache_bytes_peak": int(bench.get("cache_bytes_peak", 0)),
-            "p50_us": round(bench.get("p50_us", 0.0), 3),
-            "p99_us": round(bench.get("p99_us", 0.0), 3),
-            "p999_us": round(bench.get("p999_us", 0.0), 3),
-            "sketch_KB": round(bench.get("sketch_KB", 0.0), 2),
-            "sketch_bound_KB": round(bench.get("sketch_bound_KB", 0.0), 2),
-        }
-        classes = {}
-        for cls in QUERY_CLASSES:
-            if f"n_{cls}" not in bench:
-                continue
-            classes[cls] = {
-                "count": int(bench[f"n_{cls}"]),
-                "p50_us": round(bench.get(f"p50_{cls}_us", 0.0), 3),
-                "p99_us": round(bench.get(f"p99_{cls}_us", 0.0), 3),
-                "p999_us": round(bench.get(f"p999_{cls}_us", 0.0), 3),
-            }
-        row["classes"] = classes
-        rows.append(row)
+        runs_by_name.setdefault(bench["name"], []).append(bench)
+    rows = [serving_row(runs) for runs in runs_by_name.values()]
     if not rows:
         sys.exit("no BM_Serving rows produced; wrong filter or binary?")
 
@@ -480,10 +518,14 @@ def serving_report(args):
             "p99_off_us": off_row["p99_us"],
             "p99_on_us": on_row["p99_us"],
         }
-        if on_row["p99_us"] > 0:
+        off_lo, off_hi = off_row["p99_us_range"]
+        on_lo, on_hi = on_row["p99_us_range"]
+        if on_lo > 0:
             entry["p99_speedup"] = round(
                 off_row["p99_us"] / on_row["p99_us"], 3
             )
+            entry["p99_speedup_range"] = [round(off_lo / on_hi, 3),
+                                          round(off_hi / on_lo, 3)]
         if off_row["qps"] > 0:
             entry["qps_speedup"] = round(on_row["qps"] / off_row["qps"], 3)
         summary[key] = entry
@@ -499,6 +541,7 @@ def serving_report(args):
         "generated_by": "tools/bench_report.py --serving",
         "smoke": args.smoke,
         "shape": shape,
+        "repetitions": repetitions,
         "rows": rows,
         "summary": summary,
         "partial_sweep": partial_rows,

@@ -17,12 +17,13 @@
 //
 // --self-test proves the analyses actually detect the seeded bugs: a
 // dropped send and a tag collision are planted in the plan via
-// apply_schedule_mutation (the replay verifier must catch both), and six
+// apply_schedule_mutation (the replay verifier must catch both), and seven
 // tamperings are planted in the trace of one small recorded build (the
 // post-run audit must find each departure from the build's certified
-// plan, a receive that took more wire bytes than its send shipped, and a
-// send that puts more bytes on the wire than its logical size). It fails
-// unless every plant is caught and both unmutated controls pass.
+// plan, among them a receive that records more logical bytes, or took
+// more wire bytes, than its send shipped, and a send that puts more bytes
+// on the wire than its logical size). It fails unless every plant is
+// caught and both unmutated controls pass.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -30,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/comm_plan.h"
 #include "analysis/schedule_verifier.h"
 #include "common/args.h"
 #include "common/error.h"
@@ -87,8 +87,8 @@ CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation) {
   spec.sizes = shape.sizes;
   spec.log_splits = shape.log_splits;
   spec.collect_result = true;
-  spec.reduce_message_elements = shape.chunk_elements;
-  spec.reduce_algorithm = shape.algorithm;
+  spec.reduce.max_message_elements = shape.chunk_elements;
+  spec.reduce.algorithm = shape.algorithm;
   if (shape.ranks_per_node > 0) {
     spec.model.topology.ranks_per_node = shape.ranks_per_node;
     spec.model.topology.inter = {spec.model.latency * 10,
@@ -200,8 +200,8 @@ RecordedBuild record_build() {
   input.seed = 3;
   const std::vector<int> log_splits = {1, 1, 0};
   ParallelOptions options;
-  options.reduce_algorithm = ReduceAlgorithm::kBinomial;
-  options.reduce_message_elements = 2;
+  options.reduce.algorithm = ReduceAlgorithm::kBinomial;
+  options.reduce.max_message_elements = 2;
   options.audit = true;
   RecordedBuild out;
   out.spec = schedule_spec_of(input.sizes, log_splits, CostModel{},
@@ -309,9 +309,15 @@ int self_test() {
   expect(gathered && caught(truncated),
          "rank 0's last gather receive dropped -> reported");
 
+  EventTrace inflated = build.trace;
+  recv = first_event(inflated, TraceEventKind::kRecv);
+  if (recv != nullptr) recv->units += 1000;
+  expect(recv != nullptr && caught(inflated),
+         "receive recording more logical bytes than sent -> reported");
+
   EventTrace oversized = build.trace;
   recv = first_event(oversized, TraceEventKind::kRecv);
-  if (recv != nullptr) recv->units += 1000;
+  if (recv != nullptr) recv->wire += 1000;
   expect(recv != nullptr && caught(oversized),
          "receive taking more wire bytes than were sent -> reported");
 

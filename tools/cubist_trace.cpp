@@ -84,7 +84,6 @@ int run(const std::vector<std::int64_t>& sizes,
   spec.density = input_density;
   spec.seed = 7;
   ParallelOptions options;
-  options.encode_wire = true;
   // Require the run's comm event trace to equal the certified plan, with
   // no send over its logical size on the wire; any failure throws.
   options.audit = true;
