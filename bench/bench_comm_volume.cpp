@@ -157,7 +157,7 @@ void BM_ReduceChunkSweep(benchmark::State& state) {
 FigureTable& algorithm_table() {
   static FigureTable table(
       "Collective selection: forced reduction algorithms vs cost-tuned "
-      "auto across density x topology (3-bit grid on dim 0, p=8)",
+      "auto across density x group size (p=8)",
       {"shape", "point", "density", "algorithm", "chosen_groups",
        "logical_MB", "wire_MB", "sim_time_s"});
   return table;
@@ -175,20 +175,6 @@ std::string chosen_summary(const std::map<ReduceAlgorithm, int>& counts) {
   return out.empty() ? "-" : out;
 }
 
-/// Inter-node link of the sweep's two-tier points: a cluster-of-SMPs
-/// uplink an order of magnitude worse than paper_model()'s intra fabric,
-/// so hierarchical schedules have something to win.
-LinkCost sweep_inter_link() {
-  LinkCost link;
-  link.latency = 2e-3;
-  link.overhead = 5e-5;
-  link.bandwidth = 2.5e6;
-  return link;
-}
-
-/// Ranks per node of the sweep's two-tier points.
-constexpr int kTwoTierRanksPerNode = 3;
-
 /// Publishes the cost model the comm benches run under as
 /// "cost_model/<path>" keys of the JSON `context` block, so
 /// tools/bench_report.py --comm records the values this binary actually
@@ -204,16 +190,11 @@ void publish_cost_model() {
                                   std::to_string(value));
   };
   const CostModel model = paper_model();
-  const LinkCost inter = sweep_inter_link();
   real("update_rate_per_s", model.update_rate);
   real("scan_rate_per_s", model.scan_rate);
-  real("intra_link/latency_s", model.latency);
-  real("intra_link/overhead_s", model.overhead);
-  real("intra_link/bandwidth_Bps", model.bandwidth);
-  real("two_tier_inter_link/latency_s", inter.latency);
-  real("two_tier_inter_link/overhead_s", inter.overhead);
-  real("two_tier_inter_link/bandwidth_Bps", inter.bandwidth);
-  integer("two_tier_ranks_per_node", kTwoTierRanksPerNode);
+  real("link/latency_s", model.latency);
+  real("link/overhead_s", model.overhead);
+  real("link/bandwidth_Bps", model.bandwidth);
   integer("tuner/bytes_per_element", sizeof(Value));
   real("tuner/switch_margin", kTunerSwitchMargin);
   integer("tuner/ring_pipeline_factor", kRingPipelineFactor);
@@ -227,14 +208,8 @@ void publish_cost_model() {
 /// receive names its source (docs/ANALYSIS.md).
 void BM_AlgorithmSweep(benchmark::State& state,
                        const std::vector<std::int64_t>& sizes,
-                       const std::vector<int>& splits, int ranks_per_node,
-                       double density, ReduceAlgorithm algorithm,
-                       const std::string& point) {
-  CostModel model = paper_model();
-  if (ranks_per_node > 0) {
-    model.topology.ranks_per_node = ranks_per_node;
-    model.topology.inter = sweep_inter_link();
-  }
+                       const std::vector<int>& splits, double density,
+                       ReduceAlgorithm algorithm, const std::string& point) {
   const BlockProvider provider =
       DatasetCache::instance().provider(sizes, density, kSeed);
   ParallelOptions options;
@@ -242,7 +217,7 @@ void BM_AlgorithmSweep(benchmark::State& state,
   options.audit = true;
   ParallelCubeReport report;
   for (auto _ : state) {
-    report = run_parallel_cube(sizes, splits, model, provider,
+    report = run_parallel_cube(sizes, splits, paper_model(), provider,
                                /*collect_result=*/false, options);
     state.SetIterationTime(report.construction_seconds);
   }
@@ -261,7 +236,6 @@ void BM_AlgorithmSweep(benchmark::State& state,
        TextTable::fixed(logical_mb, 3), TextTable::fixed(wire_mb, 3),
        TextTable::fixed(report.construction_seconds, 3)});
   state.counters["density_pct"] = density * 100.0;
-  state.counters["rpn"] = static_cast<double>(ranks_per_node);
   state.counters["logical_MB"] = logical_mb;
   state.counters["wire_MB"] = wire_mb;
   state.counters["sim_s"] = report.construction_seconds;
@@ -269,8 +243,6 @@ void BM_AlgorithmSweep(benchmark::State& state,
       static_cast<double>(chosen[ReduceAlgorithm::kBinomial]);
   state.counters["groups_ring"] =
       static_cast<double>(chosen[ReduceAlgorithm::kRing]);
-  state.counters["groups_two_level"] =
-      static_cast<double>(chosen[ReduceAlgorithm::kTwoLevel]);
 }
 
 void register_benchmarks() {
@@ -296,23 +268,19 @@ void register_benchmarks() {
       }
     }
   }
-  // Algorithm sweep: (view size via shape) x density x topology, each
-  // forced algorithm plus the tuner. One 8-rank group along dim 0 keeps
-  // every proper view's reduction on the same group so the algorithms
-  // differ only in schedule.
+  // Algorithm sweep: (view size via shape) x density x group size, each
+  // forced algorithm plus the tuner, so the algorithms differ only in
+  // schedule.
   struct SweepPoint {
     const char* name;
     std::vector<int> splits;
-    int ranks_per_node;
   };
-  // Group-size axis: g8 puts all 8 ranks in one reduction group (one big
-  // view), g4x2 splits them 4 along dim 0 and 2 along dim 1 (several
-  // views with group sizes 4 and 2). Topology axis: flat vs 3 ranks/node.
+  // Group-size axis: g8 puts all 8 ranks in one reduction group along
+  // dim 0 (one big view), g4x2 splits them 4 along dim 0 and 2 along
+  // dim 1 (several views with group sizes 4 and 2).
   const SweepPoint sweep_points[] = {
-      {"g8-flat", {3, 0, 0, 0}, 0},
-      {"g8-2tier", {3, 0, 0, 0}, kTwoTierRanksPerNode},
-      {"g4x2-flat", {2, 1, 0, 0}, 0},
-      {"g4x2-2tier", {2, 1, 0, 0}, kTwoTierRanksPerNode},
+      {"g8-flat", {3, 0, 0, 0}},
+      {"g4x2-flat", {2, 1, 0, 0}},
   };
   for (const auto& sizes : {fig7_sizes, smoke_sizes}) {
     const std::string shape = sizes == smoke_sizes ? "smoke" : "fig7";
@@ -320,20 +288,19 @@ void register_benchmarks() {
       for (double density : {0.5, 0.25}) {
         for (ReduceAlgorithm algorithm :
              {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-              ReduceAlgorithm::kTwoLevel, ReduceAlgorithm::kAuto}) {
+              ReduceAlgorithm::kAuto}) {
           const std::string name =
               "BM_AlgorithmSweep/" + shape + "/" + point.name + "/d" +
               std::to_string(static_cast<int>(density * 100)) + "/" +
               to_string(algorithm);
           const std::string point_name = point.name;
           const std::vector<int> splits = point.splits;
-          const int rpn = point.ranks_per_node;
           ::benchmark::RegisterBenchmark(
               name.c_str(),
-              [sizes, splits, rpn, density, algorithm,
+              [sizes, splits, density, algorithm,
                point_name](benchmark::State& state) {
-                BM_AlgorithmSweep(state, sizes, splits, rpn, density,
-                                  algorithm, point_name);
+                BM_AlgorithmSweep(state, sizes, splits, density, algorithm,
+                                  point_name);
               })
               ->UseManualTime()
               ->Iterations(1)

@@ -141,7 +141,7 @@ class RankPlanner {
                                         << " resolved two algorithms");
     const std::uint64_t tag = child.mask();
     for (const ReduceOp& op :
-         reduce_program(resolved, group, me, total, spec_.model.topology)) {
+         reduce_program(resolved, group, me, total)) {
       if (op.step.kind == ReduceStep::Kind::kSend) {
         plan_.ops.push_back({TraceEventKind::kSend, op.step.peer, tag,
                              op.count * kValueBytes, op.offset});
@@ -196,7 +196,7 @@ CommPlan build_comm_plan(const ScheduleSpec& spec) {
                "sizes/log_splits rank mismatch");
   CUBIST_CHECK(spec.reduce.max_message_elements >= 0,
                "negative reduction message cap");
-  const ProcGrid grid(spec.log_splits, spec.model.topology);
+  const ProcGrid grid(spec.log_splits);
   const AggregationTree tree(grid.ndims());
   CommPlan plan;
   plan.num_ranks = grid.size();

@@ -61,8 +61,7 @@ struct ScheduleSpec {
   /// IS the tuned schedule the ranks will execute — whatever the tuner
   /// picks is what gets verified.
   ReduceOptions reduce;
-  /// The cost model the tuner prices on; its topology maps ranks onto
-  /// nodes.
+  /// The cost model the tuner prices on.
   CostModel model;
 };
 
@@ -106,8 +105,8 @@ struct CommPlan {
   std::vector<RankPlan> ranks;
   /// Resolved reduction schedule per axis group (the tuner's pick under
   /// kAuto, the forced algorithm otherwise) — the attribution record the
-  /// bench reports surface. The groups of one view may pick differently:
-  /// their blocks, and on a two-tier topology their node spans, differ.
+  /// bench reports surface. The groups of one view may pick differently,
+  /// since their blocks differ.
   /// An informational summary: the verifier reads only `ranks`.
   std::map<ReduceGroup, ReduceAlgorithm> algorithm_by_group;
 

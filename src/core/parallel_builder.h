@@ -46,10 +46,10 @@ struct ParallelOptions {
   AggregateOp op = AggregateOp::kSum;
   /// Settings of every reduction (minimpi/collectives.h): algorithm,
   /// message cap and wire codec. The algorithm defaults to kAuto here: the
-  /// cost tuner picks binomial / ring / two-level per (block size, group,
-  /// message cap, wire switch, topology), pricing every payload dense,
-  /// and only leaves binomial on a clear predicted win, so small
-  /// latency-bound reductions keep the paper's schedule. Forced values
+  /// cost tuner picks binomial or ring per (block size, group, message
+  /// cap, wire switch), pricing every payload dense, and only leaves
+  /// binomial on a clear predicted win, so small latency-bound
+  /// reductions keep the paper's schedule. Forced values
   /// pin one algorithm for every reduction (benches and the determinism
   /// matrix).
   ReduceOptions reduce{.algorithm = ReduceAlgorithm::kAuto};

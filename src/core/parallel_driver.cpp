@@ -27,7 +27,7 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
                                      bool collect_result,
                                      const ParallelOptions& options) {
   CUBIST_CHECK(provider != nullptr, "null block provider");
-  const ProcGrid grid(log_splits, model.topology);
+  const ProcGrid grid(log_splits);
   CUBIST_CHECK(grid.ndims() == static_cast<int>(sizes.size()),
                "grid rank mismatch");
   const int p = grid.size();

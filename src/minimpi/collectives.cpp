@@ -9,87 +9,12 @@
 #include "common/error.h"
 
 namespace cubist {
-namespace {
-
-/// Binomial-tree steps for the member at `pos` of the sub-group listed
-/// by `member_indices` (indices into `group`), appended to `out` in
-/// execution order: receives in ascending step order, then — for
-/// non-root members — one send. Reproduces Comm::reduce's historical
-/// loop exactly.
-void append_binomial(std::span<const int> member_indices, int pos,
-                     std::span<const int> group,
-                     std::vector<ReduceStep>& out) {
-  const int n = static_cast<int>(member_indices.size());
-  for (int step = 1; step < n; step <<= 1) {
-    if ((pos & step) != 0) {
-      out.push_back({ReduceStep::Kind::kSend,
-                     group[member_indices[pos - step]]});
-      return;
-    }
-    if (pos + step < n) {
-      out.push_back({ReduceStep::Kind::kRecvCombine,
-                     group[member_indices[pos + step]]});
-    }
-  }
-}
-
-std::vector<ReduceStep> two_level_steps(std::span<const int> group,
-                                        int me_index,
-                                        const Topology& topology) {
-  const int g = static_cast<int>(group.size());
-  // Order-preserving partition of group indices by machine node. On a
-  // flat topology every member lands in one node and the schedule below
-  // degenerates to plain binomial.
-  std::vector<int> node_ids;
-  std::vector<std::vector<int>> node_members;
-  int my_slot = -1;
-  int my_pos = -1;
-  for (int i = 0; i < g; ++i) {
-    const int node = topology.node_of(group[i]);
-    int slot = -1;
-    for (std::size_t k = 0; k < node_ids.size(); ++k) {
-      if (node_ids[k] == node) slot = static_cast<int>(k);
-    }
-    if (slot < 0) {
-      slot = static_cast<int>(node_ids.size());
-      node_ids.push_back(node);
-      node_members.emplace_back();
-    }
-    if (i == me_index) {
-      my_slot = slot;
-      my_pos = static_cast<int>(node_members[static_cast<std::size_t>(slot)]
-                                    .size());
-    }
-    node_members[static_cast<std::size_t>(slot)].push_back(i);
-  }
-  CUBIST_ASSERT(my_slot >= 0, "member not placed on a node");
-
-  std::vector<ReduceStep> out;
-  // Phase 1: binomial among this node's members onto the node leader
-  // (its first member in group order). Non-leaders end with their send
-  // and are done.
-  append_binomial(node_members[static_cast<std::size_t>(my_slot)], my_pos,
-                  group, out);
-  if (my_pos != 0) return out;
-  // Phase 2: binomial among the node leaders onto group[0] (the leader
-  // of the first node, because group index 0 is first in its node).
-  std::vector<int> leaders;
-  leaders.reserve(node_members.size());
-  for (const std::vector<int>& members : node_members) {
-    leaders.push_back(members.front());
-  }
-  append_binomial(leaders, my_slot, group, out);
-  return out;
-}
-
-}  // namespace
 
 const char* to_string(ReduceAlgorithm algorithm) {
   switch (algorithm) {
     case ReduceAlgorithm::kAuto: return "auto";
     case ReduceAlgorithm::kBinomial: return "binomial";
     case ReduceAlgorithm::kRing: return "ring";
-    case ReduceAlgorithm::kTwoLevel: return "two-level";
   }
   return "?";
 }
@@ -99,16 +24,13 @@ bool parse_reduce_algorithm(std::string_view name, ReduceAlgorithm* out) {
   if (name == "auto") *out = ReduceAlgorithm::kAuto;
   else if (name == "binomial") *out = ReduceAlgorithm::kBinomial;
   else if (name == "ring") *out = ReduceAlgorithm::kRing;
-  else if (name == "two-level" || name == "two_level")
-    *out = ReduceAlgorithm::kTwoLevel;
   else return false;
   return true;
 }
 
 std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
                                            std::span<const int> group,
-                                           int me_index,
-                                           const Topology& topology) {
+                                           int me_index) {
   const int g = static_cast<int>(group.size());
   CUBIST_CHECK(g >= 1, "empty reduction group");
   CUBIST_CHECK(me_index >= 0 && me_index < g, "member index out of group");
@@ -118,10 +40,19 @@ std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
       CUBIST_CHECK(false, "kAuto must be resolved before step generation");
       return {};
     case ReduceAlgorithm::kBinomial: {
-      std::vector<int> all(static_cast<std::size_t>(g));
-      for (int i = 0; i < g; ++i) all[static_cast<std::size_t>(i)] = i;
+      // Receives in ascending step order, then (except at the root) one
+      // send.
       std::vector<ReduceStep> out;
-      append_binomial(all, me_index, group, out);
+      for (int step = 1; step < g; step <<= 1) {
+        if ((me_index & step) != 0) {
+          out.push_back({ReduceStep::Kind::kSend, group[me_index - step]});
+          break;
+        }
+        if (me_index + step < g) {
+          out.push_back({ReduceStep::Kind::kRecvCombine,
+                         group[me_index + step]});
+        }
+      }
       return out;
     }
     case ReduceAlgorithm::kRing: {
@@ -138,8 +69,6 @@ std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
       }
       return out;
     }
-    case ReduceAlgorithm::kTwoLevel:
-      return two_level_steps(group, me_index, topology);
   }
   CUBIST_CHECK(false, "unknown reduce algorithm");
   return {};
@@ -163,10 +92,9 @@ std::int64_t reduce_chunk_elements(const ReduceOptions& options,
 std::vector<ReduceOp> reduce_program(const ReduceOptions& options,
                                      std::span<const int> group,
                                      int me_index,
-                                     std::int64_t total_elements,
-                                     const Topology& topology) {
+                                     std::int64_t total_elements) {
   const std::vector<ReduceStep> steps =
-      reduce_chunk_steps(options.algorithm, group, me_index, topology);
+      reduce_chunk_steps(options.algorithm, group, me_index);
   const std::int64_t piece = reduce_chunk_elements(
       options, total_elements, static_cast<int>(group.size()));
   std::vector<ReduceOp> program;
@@ -197,7 +125,7 @@ double simulate_reduce_seconds(const ReduceOptions& options,
   std::vector<std::vector<ReduceOp>> programs(static_cast<std::size_t>(g));
   for (int i = 0; i < g; ++i) {
     programs[static_cast<std::size_t>(i)] =
-        reduce_program(options, group, i, total_elements, model.topology);
+        reduce_program(options, group, i, total_elements);
   }
 
   // Deterministic replay: each member runs its program until it blocks on
@@ -219,8 +147,8 @@ double simulate_reduce_seconds(const ReduceOptions& options,
         const ReducePayloadEstimate estimate =
             estimate_reduce_payload(op.count, options.encode_wire);
         if (op.step.kind == ReduceStep::Kind::kSend) {
-          arrivals[{group[i], op.step.peer}].push_back(model.charge_send(
-              t, group[i], op.step.peer, estimate.wire_bytes));
+          arrivals[{group[i], op.step.peer}].push_back(
+              model.charge_send(t, estimate.wire_bytes));
         } else {
           std::deque<double>& queue = arrivals[{op.step.peer, group[i]}];
           if (queue.empty()) break;  // blocked on an in-flight message
@@ -244,40 +172,19 @@ ReduceAlgorithm choose_reduce_algorithm(const ReduceOptions& options,
                                         std::span<const int> group,
                                         std::int64_t total_elements,
                                         const CostModel& model) {
-  const int g = static_cast<int>(group.size());
-  if (g < 2 || total_elements == 0) return ReduceAlgorithm::kBinomial;
-
-  std::vector<ReduceAlgorithm> candidates;
-  if (g >= 3) candidates.push_back(ReduceAlgorithm::kRing);
-  if (model.topology.two_tier()) {
-    bool spans_nodes = false;
-    for (int rank : group) {
-      if (!model.topology.same_node(rank, group.front())) {
-        spans_nodes = true;
-        break;
-      }
-    }
-    if (spans_nodes) candidates.push_back(ReduceAlgorithm::kTwoLevel);
+  if (group.size() < 3 || total_elements == 0) {
+    return ReduceAlgorithm::kBinomial;
   }
-  if (candidates.empty()) return ReduceAlgorithm::kBinomial;
-
   ReduceOptions forced = options;
   forced.algorithm = ReduceAlgorithm::kBinomial;
   const double binomial_seconds =
       simulate_reduce_seconds(forced, group, total_elements, model);
-  ReduceAlgorithm best = ReduceAlgorithm::kBinomial;
-  double best_seconds = binomial_seconds;
-  for (ReduceAlgorithm candidate : candidates) {
-    forced.algorithm = candidate;
-    const double seconds =
-        simulate_reduce_seconds(forced, group, total_elements, model);
-    if (seconds < best_seconds &&
-        seconds < binomial_seconds * kTunerSwitchMargin) {
-      best = candidate;
-      best_seconds = seconds;
-    }
-  }
-  return best;
+  forced.algorithm = ReduceAlgorithm::kRing;
+  const double ring_seconds =
+      simulate_reduce_seconds(forced, group, total_elements, model);
+  return ring_seconds < binomial_seconds * kTunerSwitchMargin
+             ? ReduceAlgorithm::kRing
+             : ReduceAlgorithm::kBinomial;
 }
 
 ReduceAlgorithm resolve_reduce_algorithm(const ReduceOptions& options,

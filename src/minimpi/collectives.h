@@ -1,6 +1,6 @@
 // Collective registry + tuner for Comm::reduce.
 //
-// Three reduction schedules over the same volume contract, and a cost
+// Two reduction schedules over the same volume contract, and a cost
 // tuner that picks between them per call:
 //
 //   kBinomial  the original chunk-pipelined binomial tree toward
@@ -15,13 +15,8 @@
 //              latency. (A ring reduce-scatter + allgather was rejected:
 //              it ships 2(g-1)/g of the block per member, which would
 //              break the Lemma-1 *equality* the verifier certifies.)
-//   kTwoLevel  hierarchical: binomial among the members on each machine
-//              node onto a node leader, then binomial among the leaders.
-//              On a two-tier topology this minimizes inter-node edges
-//              (one per node beyond the root's); on a flat topology it
-//              degenerates to kBinomial exactly.
 //
-// All three send exactly (group-1) * block elements per reduction — the
+// Both send exactly (group-1) * block elements per reduction — the
 // Lemma-1 dense volume — so the static verifier's per-view EQUALITY
 // check holds for whichever schedule the tuner picks. All receives are
 // fixed-source, so combine order is deterministic by construction and
@@ -50,24 +45,23 @@ enum class ReduceAlgorithm {
   kAuto,
   kBinomial,
   kRing,
-  kTwoLevel,
 };
 
 const char* to_string(ReduceAlgorithm algorithm);
-/// Parses "auto" / "binomial" / "ring" / "two-level" (also "two_level").
+/// Parses "auto" / "binomial" / "ring".
 /// Returns false (and leaves `out` alone) on anything else.
 bool parse_reduce_algorithm(std::string_view name, ReduceAlgorithm* out);
 
 /// The settings of one reduction: with the group, the block size and the
-/// topology, they decide its schedule (see docs/PERFORMANCE.md,
-/// "Communication engine" and "Collective selection & topology"). The
+/// cost model, they decide its schedule (see docs/PERFORMANCE.md,
+/// "Communication engine" and "Collective selection"). The
 /// one record of them: ParallelOptions and ScheduleSpec each hold one,
 /// and Comm::reduce and the tuner below take it.
 struct ReduceOptions {
   /// Reduction schedule. kBinomial is the default for direct Comm::reduce
   /// callers (ParallelOptions defaults to kAuto); kAuto asks the cost
   /// tuner to pick per call from (block size, group, message cap, wire
-  /// switch, topology), pricing every payload dense. The choice never
+  /// switch), pricing every payload dense. The choice never
   /// changes the result bits or the shipped volume, only the schedule.
   ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
   /// Cap on elements per message (0 = whole block per message; the ring
@@ -101,8 +95,7 @@ struct ReduceStep {
 /// program runs for every chunk of the block.
 std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
                                            std::span<const int> group,
-                                           int me_index,
-                                           const Topology& topology);
+                                           int me_index);
 
 /// The tuner's guard against model error: it switches away from binomial
 /// only when a challenger's predicted makespan is below this fraction of
@@ -116,8 +109,8 @@ inline constexpr std::int64_t kRingPipelineFactor = 2;
 
 /// Chunk size in elements for a block of `total_elements` reduced over
 /// `group_size` members under `options.algorithm` (forced). A non-zero
-/// `options.max_message_elements` always wins; with no cap, binomial and
-/// two-level ship the whole block per message while the ring auto-chunks
+/// `options.max_message_elements` always wins; with no cap, binomial
+/// ships the whole block per message while the ring auto-chunks
 /// to ~2(g-1) pieces so the chain actually pipelines (a whole-block chain
 /// would serialize g-1 full transfers).
 std::int64_t reduce_chunk_elements(const ReduceOptions& options,
@@ -141,8 +134,7 @@ struct ReduceOp {
 std::vector<ReduceOp> reduce_program(const ReduceOptions& options,
                                      std::span<const int> group,
                                      int me_index,
-                                     std::int64_t total_elements,
-                                     const Topology& topology);
+                                     std::int64_t total_elements);
 
 /// The tuner's estimate of one reduce op's payload, priced dense (the
 /// partial aggregates a reduce ships are): the wire bytes a send of
@@ -170,10 +162,11 @@ double simulate_reduce_seconds(const ReduceOptions& options,
 
 /// The tuner: cheapest predicted algorithm for this call under
 /// `options`' message cap and wire switch (its `algorithm` is not read).
-/// Binomial is the incumbent — an alternative is picked only when its
-/// predicted makespan beats binomial's by kTunerSwitchMargin, so `kAuto`
-/// never does worse than forced binomial by more than model error. With
-/// no challenger (a pair on a flat topology) nothing is simulated.
+/// Binomial is the incumbent and the ring, for groups of 3 or more, its
+/// one challenger: the ring is picked only when its predicted makespan
+/// beats binomial's by kTunerSwitchMargin, so `kAuto` never does worse
+/// than forced binomial by more than model error. A pair has no
+/// challenger, so nothing is simulated for it.
 ReduceAlgorithm choose_reduce_algorithm(const ReduceOptions& options,
                                         std::span<const int> group,
                                         std::int64_t total_elements,

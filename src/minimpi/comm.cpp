@@ -55,12 +55,11 @@ void Comm::send_wire(int dst, std::uint64_t tag, std::int64_t logical_bytes,
   CUBIST_CHECK(dst >= 0 && dst < size(), "bad destination rank " << dst);
   CUBIST_CHECK(dst != rank_, "self-send is not supported");
   const auto wire_bytes = static_cast<std::int64_t>(payload.size());
-  // Charged at what actually hits the link (the wire bytes), on the
-  // edge's link class.
+  // Charged at what actually hits the link (the wire bytes).
   Message message;
   message.payload = std::move(payload);
-  message.arrival_time = state_.model().charge_send(
-      clock_, rank_, dst, static_cast<double>(wire_bytes));
+  message.arrival_time =
+      state_.model().charge_send(clock_, static_cast<double>(wire_bytes));
   message.logical_bytes = logical_bytes;
   message.offset = offset;
   TraceEvent event{TraceEventKind::kSend, dst, tag, logical_bytes, offset,
@@ -140,7 +139,7 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   // order, identical for every chunk size — the chunking is invisible in
   // the output bits.
   for (const ReduceOp& next :
-       reduce_program(resolved, group, me, total, model.topology)) {
+       reduce_program(resolved, group, me, total)) {
     const std::span<Value> chunk(data.data() + next.offset,
                                  static_cast<std::size_t>(next.count));
     const ReducePayloadEstimate estimate =
@@ -148,9 +147,8 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
     if (next.step.kind == ReduceStep::Kind::kSend) {
       std::vector<std::byte> payload =
           encode_chunk(chunk, op, options.encode_wire);
-      model.charge_send(observed, rank_, next.step.peer,
-                        static_cast<double>(payload.size()));
-      model.charge_send(modeled, rank_, next.step.peer, estimate.wire_bytes);
+      model.charge_send(observed, static_cast<double>(payload.size()));
+      model.charge_send(modeled, estimate.wire_bytes);
       send_wire(next.step.peer, tag,
                 next.count * static_cast<std::int64_t>(sizeof(Value)),
                 next.offset, std::move(payload));

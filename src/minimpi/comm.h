@@ -61,9 +61,9 @@ class Comm {
 
   /// Chunk-pipelined reduction of `data` over `group` (a list of ranks
   /// containing this rank; group.size() need not be a power of two)
-  /// under `options.algorithm` — binomial tree, pipelined ring/chain, or
-  /// two-level hierarchical, all toward group[0] (minimpi/collectives.h;
-  /// kAuto lets the cost tuner pick). On return, group[0] holds the
+  /// under `options.algorithm` — binomial tree or pipelined ring/chain,
+  /// both toward group[0] (minimpi/collectives.h; kAuto lets the cost
+  /// tuner pick). On return, group[0] holds the
   /// elementwise combination under `op`; other members' arrays hold
   /// partials and should be considered consumed. `combine_pool` runs the
   /// receiver's elementwise combine (null = inline) under the pool's own

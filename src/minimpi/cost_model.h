@@ -18,10 +18,8 @@
 // (the encoded wire size, <= the dense payload), and per-message
 // `overhead` is what penalizes over-fine chunking.
 //
-// Topology: the flat fields below price an intra-node (or flat-cluster)
-// link; when `topology` maps ranks onto nodes, edges that cross a node
-// boundary are priced by `topology.inter` instead. `link(a, b)` is the
-// per-edge lookup every send and every tuner estimate goes through.
+// One flat link prices every edge, as on the paper's single-switch
+// cluster: `latency`, `overhead` and `bandwidth` are the whole machine.
 //
 // The three message charges (charge_send / charge_receive /
 // charge_combine) are defined here once: Comm applies them to a rank's
@@ -31,8 +29,6 @@
 #pragma once
 
 #include <algorithm>
-
-#include "minimpi/topology.h"
 
 namespace cubist {
 
@@ -52,10 +48,6 @@ struct CostModel {
   double overhead = 0.0;
   /// Link bandwidth in bytes/second (Myrinet-class).
   double bandwidth = 100e6;
-  /// Rank-to-node mapping plus the inter-node link class. Flat by
-  /// default, which makes every edge use the fields above exactly as
-  /// before the topology existed.
-  Topology topology;
 
   double seconds_for_updates(double updates) const {
     return updates / update_rate;
@@ -63,25 +55,12 @@ struct CostModel {
   double seconds_for_scan(double cells) const { return cells / scan_rate; }
   double transfer_seconds(double bytes) const { return bytes / bandwidth; }
 
-  /// The flat fields as a link class (every intra-node edge).
-  LinkCost intra_link() const { return {latency, overhead, bandwidth}; }
-
-  /// Cost of the edge between ranks `a` and `b`.
-  LinkCost link(int a, int b) const {
-    if (topology.two_tier() && !topology.same_node(a, b)) {
-      return topology.inter;
-    }
-    return intra_link();
-  }
-
-  /// Send of `wire_bytes` from rank `src` to rank `dst`: the sender's
-  /// `clock` is busy for the edge's overhead plus the transfer, and the
-  /// message arrives one edge latency later. Returns the arrival time.
-  double charge_send(double& clock, int src, int dst,
-                     double wire_bytes) const {
-    const LinkCost edge = link(src, dst);
-    clock += edge.overhead + edge.transfer_seconds(wire_bytes);
-    return clock + edge.latency;
+  /// Send of `wire_bytes`: the sender's `clock` is busy for the overhead
+  /// plus the transfer, and the message arrives one latency later.
+  /// Returns the arrival time.
+  double charge_send(double& clock, double wire_bytes) const {
+    clock += overhead + transfer_seconds(wire_bytes);
+    return clock + latency;
   }
 
   /// Receive: a message cannot be consumed before it arrives.

@@ -7,11 +7,9 @@
 
 namespace cubist {
 
-ProcGrid::ProcGrid(std::vector<int> log_splits, Topology topology)
-    : log_splits_(std::move(log_splits)), topology_(topology) {
+ProcGrid::ProcGrid(std::vector<int> log_splits)
+    : log_splits_(std::move(log_splits)) {
   CUBIST_CHECK(!log_splits_.empty(), "empty grid");
-  CUBIST_CHECK(topology_.ranks_per_node >= 0,
-               "negative ranks_per_node " << topology_.ranks_per_node);
   for (int k : log_splits_) {
     CUBIST_CHECK(k >= 0 && k < 30, "bad split exponent " << k);
     log_size_ += k;
@@ -85,17 +83,6 @@ BlockRange ProcGrid::block(
   CUBIST_CHECK(static_cast<int>(global_extents.size()) == ndims(),
                "rank mismatch");
   return block_for(global_extents, splits_vector(), coords_of(rank));
-}
-
-int ProcGrid::node_of(int rank) const {
-  CUBIST_CHECK(rank >= 0 && rank < size_, "rank out of range");
-  return topology_.node_of(rank);
-}
-
-int ProcGrid::num_nodes() const {
-  if (!topology_.two_tier()) return 1;
-  return static_cast<int>(
-      (size_ + topology_.ranks_per_node - 1) / topology_.ranks_per_node);
 }
 
 std::string ProcGrid::to_string() const {

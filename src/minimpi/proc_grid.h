@@ -13,16 +13,13 @@
 
 #include "array/block.h"
 #include "common/dimset.h"
-#include "minimpi/topology.h"
 
 namespace cubist {
 
 class ProcGrid {
  public:
   /// `log_splits[d]` = k_d, so dimension d is split 2^{k_d} ways.
-  /// `topology` maps the grid's ranks onto machine nodes (flat by
-  /// default); collectives and the cost model price each edge by it.
-  explicit ProcGrid(std::vector<int> log_splits, Topology topology = {});
+  explicit ProcGrid(std::vector<int> log_splits);
 
   int ndims() const { return static_cast<int>(log_splits_.size()); }
   /// Total processors p = 2^k.
@@ -63,22 +60,12 @@ class ProcGrid {
   /// "2x2x2x1" rendering of the split counts.
   std::string to_string() const;
 
-  // --- two-tier machine topology ---
-
-  const Topology& topology() const { return topology_; }
-  /// Machine node owning `rank` (0 for every rank when flat).
-  int node_of(int rank) const;
-  /// Number of machine nodes the grid's ranks occupy (1 when flat).
-  int num_nodes() const;
-  bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
-
  private:
   std::vector<int> log_splits_;
   int size_ = 1;
   int log_size_ = 0;
   /// Row-major strides over the coordinate space.
   std::vector<std::int64_t> strides_;
-  Topology topology_;
 };
 
 }  // namespace cubist

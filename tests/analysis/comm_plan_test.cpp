@@ -93,8 +93,8 @@ TEST(CommPlanTest, SingleRankPlansNoTraffic) {
 TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
   // 8x31x20 on a 4x2x1 grid: the two 4-rank groups that reduce view {1,2}
   // over dimension 0 hold blocks of 16x20 = 320 and 15x20 = 300 cells,
-  // either side of the tuner's switch from binomial to ring on a flat
-  // topology, so the two groups of one view pick differently.
+  // either side of the tuner's switch from binomial to ring, so the two
+  // groups of one view pick differently.
   ScheduleSpec spec = spec_of({8, 31, 20}, {2, 1, 0});
   spec.reduce.algorithm = ReduceAlgorithm::kAuto;
   const CommPlan plan = build_comm_plan(spec);
@@ -125,8 +125,7 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
       ReduceOptions resolved = spec.reduce;
       resolved.algorithm = algorithm;
       std::vector<TraceEvent> expected;
-      for (const ReduceOp& op :
-           reduce_program(resolved, ranks, me, total, spec.model.topology)) {
+      for (const ReduceOp& op : reduce_program(resolved, ranks, me, total)) {
         const std::int64_t bytes =
             op.count * static_cast<std::int64_t>(sizeof(Value));
         if (op.step.kind == ReduceStep::Kind::kSend) {

@@ -41,18 +41,13 @@ TEST(DriverAccountingTest, ConstructionClockUnaffectedByGather) {
   // The gather runs inside the walk, at each view's write-back, so this
   // is what keeps its LogP charges off the construction clock: per rank,
   // the construction clock is the same with and without it — on the
-  // default model, on the paper-calibrated one (every send pays a 5 us
-  // overhead and 20 MB/s transfer) and on a two-tier topology whose
-  // gather sends cross the slow inter-node link.
+  // default model and on the paper-calibrated one (every send pays a
+  // 5 us overhead and 20 MB/s transfer).
   const SparseSpec spec = spec_16();
   CostModel paper;
   paper.overhead = 5e-6;
   paper.bandwidth = 20e6;
-  CostModel two_tier;
-  two_tier.topology.ranks_per_node = 2;
-  two_tier.topology.inter = {two_tier.latency * 10, 5e-6,
-                             two_tier.bandwidth / 8};
-  for (const CostModel& model : {CostModel{}, paper, two_tier}) {
+  for (const CostModel& model : {CostModel{}, paper}) {
     const auto with_gather = run_parallel_cube(
         spec.sizes, {1, 1, 0}, model, provider_of(spec), true);
     const auto without_gather = run_parallel_cube(

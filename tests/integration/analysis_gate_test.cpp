@@ -137,8 +137,7 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
   // in from the trace, and the audit passes, which checks those too. It
   // holds under every reduce algorithm, with and without a message cap,
   // the codec on and off, and with and without the gather. A 4 x 2 grid
-  // gives groups of 4 (where the algorithms differ) and of 2; two-level
-  // and auto run on 2-rank nodes.
+  // gives groups of 4 (where the algorithms differ) and of 2.
   SparseSpec spec;
   spec.sizes = {8, 6, 4};
   spec.density = 0.4;
@@ -146,12 +145,8 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
   const std::vector<int> log_splits = {2, 1, 0};
   for (ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-        ReduceAlgorithm::kTwoLevel, ReduceAlgorithm::kAuto}) {
-    CostModel model;
-    if (algorithm == ReduceAlgorithm::kTwoLevel ||
-        algorithm == ReduceAlgorithm::kAuto) {
-      model.topology.ranks_per_node = 2;
-    }
+        ReduceAlgorithm::kAuto}) {
+    const CostModel model;
     for (std::int64_t cap : {std::int64_t{0}, std::int64_t{7}}) {
       for (bool codec : {false, true}) {
         for (bool collect : {false, true}) {

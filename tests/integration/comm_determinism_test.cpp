@@ -1,7 +1,7 @@
 // The communication engine's determinism contract, end to end: the cube's
 // output BITS are identical across {reduction algorithm} x {wire encoding
-// on/off} x {chunk size} x {combine pool size} x {topology}. Every knob
-// of the pipelined reduction engine — including which collective schedule
+// on/off} x {chunk size} x {combine pool size}. Every knob of the
+// pipelined reduction engine — including which collective schedule
 // the tuner picks — is a pure performance knob.
 //
 // The generators emit integer values (1..9), so every fold order sums
@@ -47,16 +47,16 @@ BlockProvider provider_of(const SparseSpec& spec) {
 
 CubeResult build_with(const SparseSpec& spec, const std::vector<int>& splits,
                       bool encode, std::int64_t chunk, ThreadPool* pool,
-                      ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial,
-                      const CostModel& model = {}) {
+                      ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial) {
   ParallelOptions options;
   options.reduce.algorithm = algorithm;
   options.reduce.encode_wire = encode;
   options.reduce.max_message_elements = chunk;
   options.pool = pool;
   options.audit = true;
-  auto report = run_parallel_cube(spec.sizes, splits, model, provider_of(spec),
-                                  /*collect_result=*/true, options);
+  auto report =
+      run_parallel_cube(spec.sizes, splits, CostModel{}, provider_of(spec),
+                        /*collect_result=*/true, options);
   EXPECT_LE(report.construction_wire_bytes, report.construction_bytes);
   if (!encode) {
     EXPECT_EQ(report.construction_wire_bytes, report.construction_bytes);
@@ -97,9 +97,9 @@ INSTANTIATE_TEST_SUITE_P(Densities, CommDeterminismTest,
 
 TEST(CommDeterminismTest, OutputBitsInvariantAcrossReduceAlgorithms) {
   // The full matrix of the collective registry: algorithm x encoding x
-  // pool size, on a flat and a two-tier topology, against the sequential
-  // reference. Group sizes 4 (dim 0) and 2 (dim 1) exercise binomial
-  // interior nodes, ring interior links, and two-level leader phases.
+  // pool size, against the sequential reference. Group sizes 4 (dim 0)
+  // and 2 (dim 1) exercise binomial interior nodes and ring interior
+  // links.
   SparseSpec spec;
   spec.sizes = {16, 12, 8};
   spec.density = 0.25;
@@ -108,26 +108,18 @@ TEST(CommDeterminismTest, OutputBitsInvariantAcrossReduceAlgorithms) {
   const CubeResult reference =
       build_cube_sequential(generate_sparse_global(spec));
 
-  CostModel two_tier;
-  two_tier.topology.ranks_per_node = 3;
-  two_tier.topology.inter.latency = 1e-3;
-  two_tier.topology.inter.bandwidth = 10e6;
   const int hw = ThreadPool::configured_threads();
-  for (const CostModel& model : {CostModel{}, two_tier}) {
-    for (ReduceAlgorithm algorithm :
-         {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-          ReduceAlgorithm::kTwoLevel, ReduceAlgorithm::kAuto}) {
-      for (bool encode : {false, true}) {
-        for (int threads : {1, hw > 1 ? hw : 4}) {
-          ThreadPool pool(threads);
-          const CubeResult cube = build_with(spec, splits, encode,
-                                             /*chunk=*/0, &pool, algorithm,
-                                             model);
-          EXPECT_EQ(compare_cubes(reference, cube), "")
-              << to_string(algorithm) << " encode=" << encode
-              << " threads=" << threads
-              << (model.topology.two_tier() ? " two-tier" : " flat");
-        }
+  for (ReduceAlgorithm algorithm :
+       {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
+        ReduceAlgorithm::kAuto}) {
+    for (bool encode : {false, true}) {
+      for (int threads : {1, hw > 1 ? hw : 4}) {
+        ThreadPool pool(threads);
+        const CubeResult cube = build_with(spec, splits, encode,
+                                           /*chunk=*/0, &pool, algorithm);
+        EXPECT_EQ(compare_cubes(reference, cube), "")
+            << to_string(algorithm) << " encode=" << encode
+            << " threads=" << threads;
       }
     }
   }

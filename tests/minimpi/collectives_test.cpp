@@ -32,22 +32,23 @@ ReduceOptions forced(ReduceAlgorithm algorithm, std::int64_t cap = 0,
 TEST(CollectivesTest, ToStringParseRoundTrip) {
   for (ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kAuto, ReduceAlgorithm::kBinomial,
-        ReduceAlgorithm::kRing, ReduceAlgorithm::kTwoLevel}) {
+        ReduceAlgorithm::kRing}) {
     ReduceAlgorithm parsed = ReduceAlgorithm::kAuto;
     ASSERT_TRUE(parse_reduce_algorithm(to_string(algorithm), &parsed));
     EXPECT_EQ(parsed, algorithm);
   }
   ReduceAlgorithm parsed = ReduceAlgorithm::kAuto;
-  EXPECT_TRUE(parse_reduce_algorithm("two_level", &parsed));
-  EXPECT_EQ(parsed, ReduceAlgorithm::kTwoLevel);
   EXPECT_FALSE(parse_reduce_algorithm("bittersweet", &parsed));
   EXPECT_FALSE(parse_reduce_algorithm("", &parsed));
+  // The deleted hierarchical reduce's names are unknown like any other.
+  EXPECT_FALSE(parse_reduce_algorithm("two-level", &parsed));
+  EXPECT_FALSE(parse_reduce_algorithm("two_level", &parsed));
+  EXPECT_EQ(parsed, ReduceAlgorithm::kAuto);
 }
 
 TEST(CollectivesTest, BinomialMatchesHistoricalSchedule) {
   // Non-contiguous ranks prove peers are ranks, not group indices.
   const std::vector<int> group{10, 11, 12, 13, 14, 15, 16, 17};
-  const Topology flat;
   using Steps = std::vector<ReduceStep>;
   const std::map<int, Steps> expected{
       {0, {{Kind::kRecvCombine, 11}, {Kind::kRecvCombine, 12},
@@ -62,112 +63,54 @@ TEST(CollectivesTest, BinomialMatchesHistoricalSchedule) {
       {7, {{Kind::kSend, 16}}},
   };
   for (const auto& [me, steps] : expected) {
-    EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kBinomial, group, me, flat),
-              steps)
+    EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kBinomial, group, me), steps)
         << "member " << me;
   }
 }
 
 TEST(CollectivesTest, RingIsAChainTowardGroupFront) {
   const std::vector<int> group{20, 21, 22, 23, 24};
-  const Topology flat;
   using Steps = std::vector<ReduceStep>;
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 4, flat),
+  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 4),
             (Steps{{Kind::kSend, 23}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 2, flat),
+  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 2),
             (Steps{{Kind::kRecvCombine, 23}, {Kind::kSend, 21}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 0, flat),
+  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 0),
             (Steps{{Kind::kRecvCombine, 21}}));
 }
 
-TEST(CollectivesTest, TwoLevelDegeneratesToBinomialOnFlatTopology) {
-  const Topology flat;
-  for (int g = 2; g <= 9; ++g) {
-    const std::vector<int> group = iota_group(g, 40);
-    for (int me = 0; me < g; ++me) {
-      EXPECT_EQ(
-          reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, me, flat),
-          reduce_chunk_steps(ReduceAlgorithm::kBinomial, group, me, flat))
-          << "g=" << g << " member " << me;
-    }
-  }
-}
-
-TEST(CollectivesTest, TwoLevelCombinesAtNodeLeadersThenAcrossNodes) {
-  Topology topology;
-  topology.ranks_per_node = 3;  // nodes {0,1,2} {3,4,5} {6,7}
-  const std::vector<int> group = iota_group(8);
-  using Steps = std::vector<ReduceStep>;
-  // Root: folds its node (1, 2), then the other node leaders (3, 6).
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 0, topology),
-            (Steps{{Kind::kRecvCombine, 1}, {Kind::kRecvCombine, 2},
-                   {Kind::kRecvCombine, 3}, {Kind::kRecvCombine, 6}}));
-  // Node leaders: fold their node, then ship one inter-node message.
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 3, topology),
-            (Steps{{Kind::kRecvCombine, 4}, {Kind::kRecvCombine, 5},
-                   {Kind::kSend, 0}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 6, topology),
-            (Steps{{Kind::kRecvCombine, 7}, {Kind::kSend, 0}}));
-  // Non-leaders never cross a node boundary.
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 4, topology),
-            (Steps{{Kind::kSend, 3}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 7, topology),
-            (Steps{{Kind::kSend, 6}}));
-}
-
-TEST(CollectivesTest, TwoLevelHandlesScatteredGroups) {
-  Topology topology;
-  topology.ranks_per_node = 4;  // ranks 1,3 on node 0; 5,7 on node 1
-  const std::vector<int> group{1, 5, 3, 7};
-  using Steps = std::vector<ReduceStep>;
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 0, topology),
-            (Steps{{Kind::kRecvCombine, 3}, {Kind::kRecvCombine, 5}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 1, topology),
-            (Steps{{Kind::kRecvCombine, 7}, {Kind::kSend, 1}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 2, topology),
-            (Steps{{Kind::kSend, 1}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kTwoLevel, group, 3, topology),
-            (Steps{{Kind::kSend, 5}}));
-}
-
-/// Lemma-1 volume contract: under every algorithm and topology, every
-/// member except group[0] sends exactly once per chunk (so the reduction
-/// ships exactly (g-1) * block elements), and every send has a matching
-/// fixed-source receive.
+/// Lemma-1 volume contract: under every algorithm, every member except
+/// group[0] sends exactly once per chunk (so the reduction ships exactly
+/// (g-1) * block elements), and every send has a matching fixed-source
+/// receive.
 TEST(CollectivesTest, EveryAlgorithmSendsGroupMinusOnePerChunk) {
-  Topology two_tier;
-  two_tier.ranks_per_node = 3;
-  for (const Topology& topology : {Topology{}, two_tier}) {
-    for (ReduceAlgorithm algorithm :
-         {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-          ReduceAlgorithm::kTwoLevel}) {
-      for (int g = 1; g <= 9; ++g) {
-        const std::vector<int> group = iota_group(g);
-        std::multimap<int, int> sends;     // (from, to)
-        std::multimap<int, int> receives;  // (from, to)
-        for (int me = 0; me < g; ++me) {
-          int my_sends = 0;
-          for (const ReduceStep& step :
-               reduce_chunk_steps(algorithm, group, me, topology)) {
-            ASSERT_GE(step.peer, 0);
-            ASSERT_LT(step.peer, g);
-            ASSERT_NE(step.peer, group[static_cast<std::size_t>(me)]);
-            if (step.kind == Kind::kSend) {
-              ++my_sends;
-              sends.emplace(group[static_cast<std::size_t>(me)], step.peer);
-            } else {
-              receives.emplace(step.peer,
-                               group[static_cast<std::size_t>(me)]);
-            }
+  for (ReduceAlgorithm algorithm :
+       {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing}) {
+    for (int g = 1; g <= 9; ++g) {
+      const std::vector<int> group = iota_group(g);
+      std::multimap<int, int> sends;     // (from, to)
+      std::multimap<int, int> receives;  // (from, to)
+      for (int me = 0; me < g; ++me) {
+        int my_sends = 0;
+        for (const ReduceStep& step :
+             reduce_chunk_steps(algorithm, group, me)) {
+          ASSERT_GE(step.peer, 0);
+          ASSERT_LT(step.peer, g);
+          ASSERT_NE(step.peer, group[static_cast<std::size_t>(me)]);
+          if (step.kind == Kind::kSend) {
+            ++my_sends;
+            sends.emplace(group[static_cast<std::size_t>(me)], step.peer);
+          } else {
+            receives.emplace(step.peer, group[static_cast<std::size_t>(me)]);
           }
-          EXPECT_EQ(my_sends, me == 0 ? 0 : 1)
-              << to_string(algorithm) << " g=" << g << " member " << me;
         }
-        EXPECT_EQ(static_cast<int>(sends.size()), g - 1);
-        EXPECT_EQ(sends, receives)
-            << to_string(algorithm) << " g=" << g
-            << ": a send without a matching fixed-source receive";
+        EXPECT_EQ(my_sends, me == 0 ? 0 : 1)
+            << to_string(algorithm) << " g=" << g << " member " << me;
       }
+      EXPECT_EQ(static_cast<int>(sends.size()), g - 1);
+      EXPECT_EQ(sends, receives)
+          << to_string(algorithm) << " g=" << g
+          << ": a send without a matching fixed-source receive";
     }
   }
 }
@@ -179,10 +122,8 @@ TEST(CollectivesTest, ChunkRuleCapWinsRingAutoPipelines) {
   EXPECT_EQ(
       reduce_chunk_elements(forced(ReduceAlgorithm::kBinomial, 64), 1000, 8),
       64);
-  // Uncapped: binomial and two-level ship the whole block...
+  // Uncapped: binomial ships the whole block...
   EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kBinomial), 1000, 8),
-            1000);
-  EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kTwoLevel), 1000, 8),
             1000);
   // ...while the ring auto-chunks to ~2(g-1) pieces so the chain pipelines.
   EXPECT_EQ(reduce_chunk_elements(forced(ReduceAlgorithm::kRing), 1400, 8),
@@ -192,7 +133,21 @@ TEST(CollectivesTest, ChunkRuleCapWinsRingAutoPipelines) {
             1);
 }
 
-// --- per-edge cost lookup ---
+// --- the one flat link ---
+
+TEST(CostModelTest, ChargeSendPricesTheFlatLink) {
+  // Every edge pays the same: the sender is busy for the overhead plus
+  // the transfer, and the message lands one latency later.
+  CostModel model;
+  model.latency = 0.5;
+  model.overhead = 0.25;
+  model.bandwidth = 100.0;
+  double clock = 1.0;
+  EXPECT_EQ(model.charge_send(clock, 50.0), 2.25);
+  EXPECT_EQ(clock, 1.75);
+}
+
+// --- the tuner ---
 
 CostModel paper_like_model() {
   CostModel model;
@@ -204,51 +159,12 @@ CostModel paper_like_model() {
   return model;
 }
 
-CostModel two_tier_model() {
-  CostModel model = paper_like_model();
-  model.topology.ranks_per_node = 3;
-  model.topology.inter.latency = 2e-3;
-  model.topology.inter.overhead = 5e-5;
-  model.topology.inter.bandwidth = 2.5e6;
-  return model;
-}
-
-TEST(CostModelTopologyTest, FlatModelPricesEveryEdgeIntra) {
-  const CostModel model = paper_like_model();
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      EXPECT_EQ(model.link(a, b), model.intra_link());
-    }
-  }
-}
-
-TEST(CostModelTopologyTest, TwoTierPricesCrossNodeEdgesInter) {
-  const CostModel model = two_tier_model();
-  // Nodes {0,1,2} {3,4,5} {6,7}.
-  EXPECT_EQ(model.link(0, 2), model.intra_link());
-  EXPECT_EQ(model.link(4, 5), model.intra_link());
-  EXPECT_EQ(model.link(2, 3), model.topology.inter);
-  EXPECT_EQ(model.link(3, 2), model.topology.inter);
-  EXPECT_EQ(model.link(0, 7), model.topology.inter);
-}
-
-// --- the tuner ---
-
 TEST(CollectivesTunerTest, PrefersRingForLargeDenseBlocks) {
   // A 64^3 view over 8 ranks: bandwidth-bound, so the chain's pipelined
   // folds beat the binomial root's serialized ones.
   EXPECT_EQ(choose_reduce_algorithm({}, iota_group(8), 64 * 64 * 64,
                                     paper_like_model()),
             ReduceAlgorithm::kRing);
-}
-
-TEST(CollectivesTunerTest, PrefersHierarchyOnTwoTierTopology) {
-  // An 8^3 view on the cluster-of-SMPs: small enough that the ring's
-  // latency hops hurt, but binomial's repeated inter-node crossings hurt
-  // more.
-  EXPECT_EQ(choose_reduce_algorithm({}, iota_group(8), 8 * 8 * 8,
-                                    two_tier_model()),
-            ReduceAlgorithm::kTwoLevel);
 }
 
 TEST(CollectivesTunerTest, KeepsBinomialForSmallLatencyBoundBlocks) {
@@ -258,7 +174,7 @@ TEST(CollectivesTunerTest, KeepsBinomialForSmallLatencyBoundBlocks) {
 
 TEST(CollectivesTunerTest, PairGroupsNeverSwitch) {
   // g=2: every schedule is the same single send, so binomial stands.
-  for (const CostModel& model : {paper_like_model(), two_tier_model()}) {
+  for (const CostModel& model : {CostModel{}, paper_like_model()}) {
     EXPECT_EQ(choose_reduce_algorithm({}, iota_group(2), 1 << 20, model),
               ReduceAlgorithm::kBinomial);
   }
@@ -266,8 +182,7 @@ TEST(CollectivesTunerTest, PairGroupsNeverSwitch) {
 
 TEST(CollectivesTunerTest, ResolvePassesForcedAlgorithmsThrough) {
   for (ReduceAlgorithm algorithm :
-       {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-        ReduceAlgorithm::kTwoLevel}) {
+       {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing}) {
     EXPECT_EQ(resolve_reduce_algorithm(forced(algorithm), iota_group(8), 64,
                                        paper_like_model()),
               algorithm);
@@ -275,7 +190,7 @@ TEST(CollectivesTunerTest, ResolvePassesForcedAlgorithmsThrough) {
 }
 
 TEST(CollectivesTunerTest, AutoNeverPredictedWorseThanBinomial) {
-  for (const CostModel& model : {paper_like_model(), two_tier_model()}) {
+  for (const CostModel& model : {CostModel{}, paper_like_model()}) {
     for (std::int64_t elements : {std::int64_t{1}, std::int64_t{512},
                                   std::int64_t{262144}}) {
       const ReduceAlgorithm chosen =
@@ -294,10 +209,10 @@ TEST(CollectivesTunerTest, AutoNeverPredictedWorseThanBinomial) {
 /// The simulator is not a heuristic — it replays the generated schedule
 /// under the runtime's own charging functions. With the wire codec off
 /// and fully dense data the runtime's virtual-clock makespan must match
-/// the prediction to the last bit, for every algorithm, on both
-/// topologies: capped at 128 elements, uncapped (where the ring splits
-/// the block into 2(g-1) chunks), and for a scattered group whose members
-/// straddle the two-tier nodes out of rank order.
+/// the prediction to the last bit, for every algorithm: capped at 128
+/// elements, uncapped (where the ring splits the block into 2(g-1)
+/// chunks), and for a scattered group whose members are out of rank
+/// order.
 TEST(CollectivesTunerTest, SimulatorMatchesRuntimeVirtualClock) {
   constexpr std::int64_t kElements = 1000;
   struct Case {
@@ -307,16 +222,13 @@ TEST(CollectivesTunerTest, SimulatorMatchesRuntimeVirtualClock) {
   };
   const std::vector<Case> cases{
       {paper_like_model(), iota_group(8), 128},
-      {two_tier_model(), iota_group(8), 128},
       {paper_like_model(), iota_group(8), 0},
-      {two_tier_model(), iota_group(8), 0},
-      {two_tier_model(), {1, 5, 3, 7}, 128},
-      {two_tier_model(), {1, 5, 3, 7}, 0},
+      {paper_like_model(), {1, 5, 3, 7}, 128},
+      {paper_like_model(), {1, 5, 3, 7}, 0},
   };
   for (const Case& c : cases) {
     for (ReduceAlgorithm algorithm :
-         {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing,
-          ReduceAlgorithm::kTwoLevel}) {
+         {ReduceAlgorithm::kBinomial, ReduceAlgorithm::kRing}) {
       // Ranks outside the group stay idle at clock zero, so the makespan
       // is the group's.
       const RunReport report = Runtime::run(8, c.model, [&](Comm& comm) {
@@ -333,9 +245,8 @@ TEST(CollectivesTunerTest, SimulatorMatchesRuntimeVirtualClock) {
           forced(algorithm, c.cap, /*encode_wire=*/false), c.group, kElements,
           c.model);
       EXPECT_DOUBLE_EQ(report.makespan_seconds, predicted)
-          << to_string(algorithm)
-          << (c.model.topology.two_tier() ? " two-tier" : " flat")
-          << " group of " << c.group.size() << " cap " << c.cap;
+          << to_string(algorithm) << " group of " << c.group.size()
+          << " cap " << c.cap;
     }
   }
 }

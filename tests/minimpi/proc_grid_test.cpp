@@ -130,50 +130,13 @@ TEST(ProcGridTest, ToString) {
   EXPECT_EQ(ProcGrid({3, 0}).to_string(), "8x1");
 }
 
-TEST(ProcGridTest, FlatTopologyIsOneNode) {
-  const ProcGrid grid({1, 1, 1});
-  EXPECT_FALSE(grid.topology().two_tier());
-  EXPECT_EQ(grid.num_nodes(), 1);
-  for (int rank = 0; rank < grid.size(); ++rank) {
-    EXPECT_EQ(grid.node_of(rank), 0);
-    EXPECT_TRUE(grid.same_node(0, rank));
-  }
-}
-
-TEST(ProcGridTest, TwoTierNodeMappingIsBlocked) {
-  Topology topology;
-  topology.ranks_per_node = 3;
-  const ProcGrid grid({3}, topology);  // 8 ranks -> nodes {0,1,2},{3,4,5},{6,7}
-  EXPECT_TRUE(grid.topology().two_tier());
-  EXPECT_EQ(grid.num_nodes(), 3);
-  for (int rank = 0; rank < grid.size(); ++rank) {
-    EXPECT_EQ(grid.node_of(rank), rank / 3);
-  }
-  EXPECT_TRUE(grid.same_node(3, 5));
-  EXPECT_FALSE(grid.same_node(2, 3));
-  EXPECT_FALSE(grid.same_node(5, 6));
-}
-
-TEST(ProcGridTest, ExactMultipleFillsEveryNode) {
-  Topology topology;
-  topology.ranks_per_node = 4;
-  const ProcGrid grid({2, 1}, topology);  // 8 ranks, 2 full nodes
-  EXPECT_EQ(grid.num_nodes(), 2);
-  EXPECT_EQ(grid.node_of(3), 0);
-  EXPECT_EQ(grid.node_of(4), 1);
-}
-
 TEST(ProcGridTest, InvalidArgumentsThrow) {
   EXPECT_THROW(ProcGrid({}), InvalidArgument);
   EXPECT_THROW(ProcGrid({-1}), InvalidArgument);
   const ProcGrid grid({1, 1});
   EXPECT_THROW(grid.coords_of(4), InvalidArgument);
+  EXPECT_THROW(grid.coords_of(-1), InvalidArgument);
   EXPECT_THROW(grid.rank_of({2, 0}), InvalidArgument);
-  Topology negative;
-  negative.ranks_per_node = -1;
-  EXPECT_THROW(ProcGrid({1, 1}, negative), InvalidArgument);
-  EXPECT_THROW(grid.node_of(4), InvalidArgument);
-  EXPECT_THROW(grid.node_of(-1), InvalidArgument);
 }
 
 }  // namespace

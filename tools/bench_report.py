@@ -4,13 +4,13 @@
 With --comm, instead runs the communication-engine cases of
 bench/bench_comm_volume (BM_CommEngine: wire bytes + virtual clock across
 sparsities, adaptive encoding on/off; BM_AlgorithmSweep: forced reduction
-algorithms vs the cost tuner across density x topology) and writes
+algorithms vs the cost tuner across density x group size) and writes
 BENCH_comm.json:
 
   {
-    "schema": "cubist-bench-comm/3",
+    "schema": "cubist-bench-comm/4",
     "shape": "fig7",          # 64^4; --smoke switches to 16^4
-    "cost_model": { ... },    # LogP/topology/tuner params, from the binary
+    "cost_model": { ... },    # LogP link/tuner params, from the binary
     "rows": [
       {"name": "BM_CommEngine/fig7/d25/enc", "density_pct": 25,
        "encode": 1, "logical_MB": ..., "wire_MB": ..., "sim_s": ...}, ...
@@ -20,9 +20,9 @@ BENCH_comm.json:
     },
     "algorithm_sweep": [      # one row per sweep cell
       {"name": "BM_AlgorithmSweep/fig7/g8-flat/d50/auto",
-       "point": "g8-flat", "density_pct": 50, "ranks_per_node": 0,
+       "point": "g8-flat", "density_pct": 50,
        "algorithm": "auto", "sim_s": ...,
-       "chosen_groups": {"binomial": 0, "ring": 1, "two_level": 0}}, ...
+       "chosen_groups": {"binomial": 0, "ring": 1}}, ...
     ],
     "auto_vs_binomial": {     # per (point, density): the tuner's contract
       "g8-flat/d50": {"binomial_sim_s": ..., "auto_sim_s": ...,
@@ -160,7 +160,7 @@ DEFAULT_SERVING_OUT = "BENCH_serving.json"
 DEFAULT_OBS_OUT = "BENCH_obs.json"
 DEFAULT_BINARY_DIRS = ("build-release", "build")
 SCHEMA = "cubist-bench-kernels/1"
-COMM_SCHEMA = "cubist-bench-comm/3"
+COMM_SCHEMA = "cubist-bench-comm/4"
 SERVING_SCHEMA = "cubist-bench-serving/3"
 # Runs per BM_Serving corner: one run of a loaded corner lasts about
 # 0.01 s, so a single one cannot tell the cache's effect from noise.
@@ -380,7 +380,6 @@ def comm_algorithm_sweep(binary, shape):
                 "name": bench["name"],
                 "point": parts[2],
                 "density_pct": round(bench.get("density_pct", 0.0), 3),
-                "ranks_per_node": int(bench.get("rpn", 0)),
                 "algorithm": parts[4],
                 "logical_MB": round(bench.get("logical_MB", 0.0), 6),
                 "wire_MB": round(bench.get("wire_MB", 0.0), 6),
@@ -389,7 +388,6 @@ def comm_algorithm_sweep(binary, shape):
                 "chosen_groups": {
                     "binomial": int(bench.get("groups_binomial", 0)),
                     "ring": int(bench.get("groups_ring", 0)),
-                    "two_level": int(bench.get("groups_two_level", 0)),
                 },
             }
         )
@@ -411,10 +409,8 @@ def comm_algorithm_sweep(binary, shape):
             "auto_sim_s": auto["sim_s"],
             "auto_chosen_groups": auto["chosen_groups"],
         }
-        for name in ("ring", "two-level"):
-            if name in algos:
-                entry[f"{name.replace('-', '_')}_sim_s"] = \
-                    algos[name]["sim_s"]
+        if "ring" in algos:
+            entry["ring_sim_s"] = algos["ring"]["sim_s"]
         if auto["sim_s"] > 0:
             entry["auto_speedup"] = round(
                 binomial["sim_s"] / auto["sim_s"], 4

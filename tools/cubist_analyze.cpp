@@ -58,10 +58,6 @@ struct ShapeCase {
   std::int64_t chunk_elements = 0;
   /// Reduction schedule to certify (kAuto = whatever the tuner picks).
   ReduceAlgorithm algorithm = ReduceAlgorithm::kBinomial;
-  /// Two-tier topology: consecutive ranks per node (0 = flat). Non-zero
-  /// also prices inter-node edges expensively (10x latency, 1/8
-  /// bandwidth) so the tuner has a real topology to react to.
-  int ranks_per_node = 0;
 };
 
 /// Everything the tool learned about one shape.
@@ -89,12 +85,6 @@ CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation) {
   spec.collect_result = true;
   spec.reduce.max_message_elements = shape.chunk_elements;
   spec.reduce.algorithm = shape.algorithm;
-  if (shape.ranks_per_node > 0) {
-    spec.model.topology.ranks_per_node = shape.ranks_per_node;
-    spec.model.topology.inter = {spec.model.latency * 10,
-                                 spec.model.overhead,
-                                 spec.model.bandwidth / 8};
-  }
   CommPlan plan = build_comm_plan(spec);
   if (mutation != ScheduleMutation::kNone) {
     result.mutation_note = apply_schedule_mutation(plan, mutation);
@@ -115,11 +105,10 @@ void print_case(const CaseResult& result) {
   for (std::size_t i = 0; i < result.shape.sizes.size(); ++i) {
     sizes << (i > 0 ? "x" : "") << result.shape.sizes[i];
   }
-  std::printf("[%s] sizes=%s chunk=%lld algorithm=%s rpn=%d mutation=%s\n",
+  std::printf("[%s] sizes=%s chunk=%lld algorithm=%s mutation=%s\n",
               result.shape.name.c_str(), sizes.str().c_str(),
               static_cast<long long>(result.shape.chunk_elements),
-              to_string(result.shape.algorithm), result.shape.ranks_per_node,
-              to_string(result.mutation));
+              to_string(result.shape.algorithm), to_string(result.mutation));
   if (!result.mutation_note.empty()) {
     std::printf("  seeded: %s\n", result.mutation_note.c_str());
   }
@@ -139,8 +128,7 @@ std::string case_to_json(const CaseResult& result) {
   }
   out << "],\"chunk_elements\":" << result.shape.chunk_elements
       << ",\"algorithm\":\"" << to_string(result.shape.algorithm)
-      << "\",\"ranks_per_node\":" << result.shape.ranks_per_node
-      << ",\"mutation\":\"" << to_string(result.mutation)
+      << "\",\"mutation\":\"" << to_string(result.mutation)
       << "\",\"mutation_note\":\"" << json_escape(result.mutation_note)
       << "\",\"events\":" << result.events << ",\"ok\":"
       << (result.ok() ? "true" : "false")
@@ -348,10 +336,7 @@ int main(int argc, char** argv) {
       "chunk-elements", 0, "reduction message cap in elements (0 = whole block)");
   const auto* algorithm_text = args.add_string(
       "algorithm", "binomial",
-      "reduction schedule to certify: binomial | ring | two-level | auto");
-  const auto* ranks_per_node = args.add_int(
-      "ranks-per-node", 0,
-      "two-tier topology: consecutive ranks per node (0 = flat)");
+      "reduction schedule to certify: binomial | ring | auto");
   const auto* mutate_text = args.add_string(
       "mutate", "none", "seed a bug first: drop-send | tag-collision");
   const auto* json_path =
@@ -374,8 +359,7 @@ int main(int argc, char** argv) {
     CUBIST_CHECK(parse_reduce_algorithm(*algorithm_text, &algorithm),
                  "unknown --algorithm value '"
                      << *algorithm_text
-                     << "' (binomial | ring | two-level | auto)");
-    CUBIST_CHECK(*ranks_per_node >= 0, "negative --ranks-per-node");
+                     << "' (binomial | ring | auto)");
 
     std::vector<ShapeCase> cases;
     if (*figure7) {
@@ -390,10 +374,7 @@ int main(int argc, char** argv) {
                    "--sizes and --log-splits must have equal length");
       cases.push_back(std::move(shape));
     }
-    for (ShapeCase& shape : cases) {
-      shape.algorithm = algorithm;
-      shape.ranks_per_node = static_cast<int>(*ranks_per_node);
-    }
+    for (ShapeCase& shape : cases) shape.algorithm = algorithm;
     const ScheduleMutation mutation = parse_mutation(*mutate_text);
 
     bool all_ok = true;
