@@ -188,19 +188,41 @@ BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
 /// build and serve-zipf workloads, 64^4 at 5% and 25% in 16^4 chunks (rows
 /// of 16 cells, four to a mask word), are BM_Generator/64x64x64x64/{5,25},
 /// and the 4-target root scan of the 25% input, which the sequential
-/// builds run, is BM_SparseMultiway/64x64x64x64/4.
+/// builds run, is BM_SparseMultiway/64x64x64x64/4. Generated chunks are
+/// coded (values 1..9); BM_SparseMultiway/64x64x64x64/raw/4 scans the same
+/// cells with a distinct value at each non-zero, so every chunk is raw.
 const std::vector<std::int64_t> kServeSizes{16, 16, 16, 16, 8};
 const std::vector<std::int64_t> kFigure7Sizes{64, 64, 64, 64};
 
+/// `coded`'s cells, the n-th non-zero of a chunk raised by n / 2^16: a
+/// chunk of more than SparseArray::kMaxCodes non-zeros is stored raw.
+SparseArray raw_twin(const SparseArray& coded) {
+  SparseArray raw(coded.shape(), coded.chunk_extents());
+  for (std::int64_t c = 0; c < coded.num_chunks(); ++c) {
+    const auto offsets = coded.chunk_offsets(c);
+    const auto values = coded.chunk_values(c);
+    std::vector<Value> distinct(offsets.size());
+    for (std::size_t n = 0; n < distinct.size(); ++n) {
+      distinct[n] = values[n] + static_cast<Value>(n) / 65536.0;
+    }
+    raw.set_chunk(c, {offsets.begin(), offsets.end()}, std::move(distinct));
+    CUBIST_ASSERT(!raw.chunk_values(c).coded(), "chunk " << c << " is coded");
+  }
+  raw.finalize();
+  return raw;
+}
+
 /// Arg 0: simultaneous targets. Scans `sizes` at 25% density in default
-/// chunks on the global pool.
+/// chunks on the global pool, in the generated (coded) chunks or, when
+/// `raw`, in raw_twin's.
 void sparse_root_scan(benchmark::State& state,
-                      const std::vector<std::int64_t>& sizes) {
+                      const std::vector<std::int64_t>& sizes, bool raw) {
   SparseSpec spec;
   spec.sizes = sizes;
   spec.density = 0.25;
   spec.seed = 13;
-  const SparseArray parent = generate_sparse_global(spec);
+  const SparseArray generated = generate_sparse_global(spec);
+  const SparseArray parent = raw ? raw_twin(generated) : generated;
   const auto num_targets = static_cast<std::size_t>(state.range(0));
   std::vector<DenseArray> children;
   std::vector<AggregationTarget> targets;
@@ -232,11 +254,15 @@ void sparse_root_scan(benchmark::State& state,
       ->Arg(25)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/16x16x16x16x8",
-                               sparse_root_scan, kServeSizes)
+                               sparse_root_scan, kServeSizes, false)
       ->Arg(5)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/64x64x64x64",
-                               sparse_root_scan, kFigure7Sizes)
+                               sparse_root_scan, kFigure7Sizes, false)
+      ->Arg(4)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_SparseMultiway/64x64x64x64/raw",
+                               sparse_root_scan, kFigure7Sizes, true)
       ->Arg(4)
       ->Unit(benchmark::kMillisecond);
   return true;

@@ -11,6 +11,7 @@
 //   $ ./examples/cube_tool --mode=info --file=/tmp/sales.cbsp
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common/args.h"
 #include "cubist/cubist.h"
@@ -138,6 +139,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown --mode=%s\n%s", mode->c_str(),
                  args.usage().c_str());
+    return 1;
+  } catch (const InvalidArgument& error) {
+    // Bad input: the check's own message, without its source location.
+    std::fprintf(stderr, "error: %s\n", std::string(error.message()).c_str());
     return 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

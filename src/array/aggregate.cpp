@@ -386,7 +386,9 @@ namespace {
 /// Scans the chunks `stripe` touches in chunk order, combining each of
 /// its non-zeros into every member target in offset order. A chunk the
 /// stripe cuts gives one run of offsets per index of its dimensions
-/// before the cut one, found by binary search as offsets ascend.
+/// before the cut one, found by binary search as offsets ascend. A chunk
+/// picks the run loop of its form, raw or coded, once; both combine the
+/// same contributions in the same order.
 template <typename P>
 void scan_sparse_stripe(
     const SparseArray& parent, const ScanStripe& stripe,
@@ -417,10 +419,10 @@ void scan_sparse_stripe(
   std::vector<std::int64_t> local(static_cast<std::size_t>(m));
   std::vector<std::int64_t> base_ci(num_targets);
   std::vector<std::int64_t> row_ci(num_targets);
+  std::array<Value, SparseArray::kMaxCodes> contributions{};
   do {
     const std::int64_t id = grid.linear_index(chunk.data());
     const auto offsets = parent.chunk_offsets(id);
-    const auto values = parent.chunk_values(id);
     std::int64_t volume = 1;
     for (int d = m - 1; d >= 0; --d) {
       extents[d] =
@@ -435,52 +437,56 @@ void scan_sparse_stripe(
       }
     }
     const bool table = tabled && volume == full_volume;
-    const auto combine_run = [&](std::size_t begin, std::size_t end) {
-      if (table) {
-        for (std::size_t n = begin; n < end; ++n) {
-          const auto off = offsets[n];
-          const Value v = P::contribution(values[n]);
-          for (std::size_t i = 0; i < num_targets; ++i) {
-            P::combine(bases[i][base_ci[i] + tables[i][off]], v);
-          }
-        }
-        return;
-      }
-      // Decode: offsets ascend, so only a non-zero that starts a new
-      // innermost row divides; the rest reuse its row's projections.
-      std::int64_t row_begin = 0;
-      std::int64_t row_end = 0;
-      for (std::size_t n = begin; n < end; ++n) {
-        const std::int64_t off = offsets[n];
-        if (off >= row_end) {
-          std::int64_t rest = off;
-          for (int d = 0; d < m - 1; ++d) {
-            local[d] = rest / local_strides[d];
-            rest -= local[d] * local_strides[d];
-          }
-          row_begin = off - rest;
-          row_end = row_begin + extents[m - 1];
-          for (std::size_t i = 0; i < num_targets; ++i) {
-            row_ci[i] = base_ci[i];
-            for (int d = 0; d < m - 1; ++d) {
-              row_ci[i] += local[d] * target_strides[i][d];
+    // The chunk's runs, for either form of its values: contribution_at(n)
+    // is the n-th non-zero's contribution.
+    const auto scan_chunk = [&](auto contribution_at) {
+      const auto combine_run = [&](std::size_t begin, std::size_t end) {
+        if (table) {
+          for (std::size_t n = begin; n < end; ++n) {
+            const auto off = offsets[n];
+            const Value v = contribution_at(n);
+            for (std::size_t i = 0; i < num_targets; ++i) {
+              P::combine(bases[i][base_ci[i] + tables[i][off]], v);
             }
           }
+          return;
         }
-        const Value v = P::contribution(values[n]);
-        for (std::size_t i = 0; i < num_targets; ++i) {
-          P::combine(bases[i][row_ci[i] + (off - row_begin) *
-                                              target_strides[i][m - 1]],
-                     v);
+        // Decode: offsets ascend, so only a non-zero that starts a new
+        // innermost row divides; the rest reuse its row's projections.
+        std::int64_t row_begin = 0;
+        std::int64_t row_end = 0;
+        for (std::size_t n = begin; n < end; ++n) {
+          const std::int64_t off = offsets[n];
+          if (off >= row_end) {
+            std::int64_t rest = off;
+            for (int d = 0; d < m - 1; ++d) {
+              local[d] = rest / local_strides[d];
+              rest -= local[d] * local_strides[d];
+            }
+            row_begin = off - rest;
+            row_end = row_begin + extents[m - 1];
+            for (std::size_t i = 0; i < num_targets; ++i) {
+              row_ci[i] = base_ci[i];
+              for (int d = 0; d < m - 1; ++d) {
+                row_ci[i] += local[d] * target_strides[i][d];
+              }
+            }
+          }
+          const Value v = contribution_at(n);
+          for (std::size_t i = 0; i < num_targets; ++i) {
+            P::combine(bases[i][row_ci[i] + (off - row_begin) *
+                                                target_strides[i][m - 1]],
+                       v);
+          }
         }
+      };
+      const std::int64_t origin = chunk[dim] * unit[dim];
+      const std::int64_t first = std::max<std::int64_t>(stripe.lo - origin, 0);
+      const std::int64_t last = std::min(stripe.hi - origin, extents[dim]);
+      if (first == 0 && last == extents[dim]) {
+        combine_run(0, offsets.size());
+        return;
       }
-    };
-    const std::int64_t origin = chunk[dim] * unit[dim];
-    const std::int64_t first = std::max<std::int64_t>(stripe.lo - origin, 0);
-    const std::int64_t last = std::min(stripe.hi - origin, extents[dim]);
-    if (first == 0 && last == extents[dim]) {
-      combine_run(0, offsets.size());
-    } else {
       const std::int64_t inner = local_strides[dim];
       auto it = offsets.begin();
       for (std::int64_t row = 0; row < volume; row += extents[dim] * inner) {
@@ -490,6 +496,22 @@ void scan_sparse_stripe(
         combine_run(static_cast<std::size_t>(begin - offsets.begin()),
                     static_cast<std::size_t>(it - offsets.begin()));
       }
+    };
+    const SparseArray::ChunkValues values = parent.chunk_values(id);
+    if (values.coded()) {
+      // A code's contribution is taken once, for its dictionary entry.
+      const std::span<const Value> dictionary = values.dictionary();
+      for (std::size_t k = 0; k < dictionary.size(); ++k) {
+        contributions[k] = P::contribution(dictionary[k]);
+      }
+      scan_chunk([codes = values.codes().data(),
+                  of_code = contributions.data()](std::size_t n) {
+        return of_code[codes[n]];
+      });
+    } else {
+      scan_chunk([raw = values.raw().data()](std::size_t n) {
+        return P::contribution(raw[n]);
+      });
     }
   } while (box.next(chunk) >= 0);
 }

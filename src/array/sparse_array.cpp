@@ -1,6 +1,8 @@
 #include "array/sparse_array.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/mathutil.h"
 
@@ -17,6 +19,40 @@ Shape make_chunk_grid(const Shape& shape,
     grid[d] = ceil_div(shape.extent(d), chunk_extents[d]);
   }
   return Shape(std::move(grid));
+}
+
+/// Codes `values` against a dictionary of their distinct bit patterns, in
+/// the order each first occurs; false, with `codes` and `dictionary` left
+/// partial, at a pattern past the kMaxCodes-th. Patterns are compared
+/// bitwise, as the wire codec's identity test compares values, so values
+/// one ulp apart get two codes and a NaN keeps its payload. A pattern is
+/// looked up in an open-addressed table of 2 x kMaxCodes slots, so at most
+/// half full, in which 0 marks a free slot: only +0.0 has that pattern,
+/// and no chunk holds a zero.
+bool encode(std::span<const Value> values,
+            std::vector<SparseArray::Code>& codes,
+            std::vector<Value>& dictionary) {
+  constexpr std::size_t kSlots = 2 * SparseArray::kMaxCodes;
+  constexpr int kShift = 64 - std::countr_zero(kSlots);
+  std::array<std::uint64_t, kSlots> keys{};
+  std::array<SparseArray::Code, kSlots> slot_codes{};
+  codes.resize(values.size());
+  for (std::size_t n = 0; n < values.size(); ++n) {
+    const auto bits = std::bit_cast<std::uint64_t>(values[n]);
+    auto slot = static_cast<std::size_t>(
+        ((bits ^ (bits >> 32)) * 0x9e3779b97f4a7c15ULL) >> kShift);
+    while (keys[slot] != bits && keys[slot] != 0) {
+      slot = (slot + 1) % kSlots;
+    }
+    if (keys[slot] == 0) {
+      if (dictionary.size() == SparseArray::kMaxCodes) return false;
+      keys[slot] = bits;
+      slot_codes[slot] = static_cast<SparseArray::Code>(dictionary.size());
+      dictionary.push_back(values[n]);
+    }
+    codes[n] = slot_codes[slot];
+  }
+  return true;
 }
 
 }  // namespace
@@ -78,24 +114,32 @@ void SparseArray::push(const std::int64_t* index, Value value) {
 }
 
 void SparseArray::check_chunk(std::int64_t chunk_id,
-                              std::span<const Offset> offsets,
-                              std::span<const Value> values) const {
+                              std::span<const Offset> offsets) const {
   CUBIST_CHECK(chunk_id >= 0 && chunk_id < num_chunks(),
                "chunk id " << chunk_id << " out of range");
   CUBIST_CHECK(!finalized_, "chunk set after finalize");
-  CUBIST_CHECK(offsets.size() == values.size(),
-               "chunk " << chunk_id << ": offset and value counts differ");
   std::vector<std::int64_t> coords(static_cast<std::size_t>(ndim()));
   chunk_grid_.unravel(chunk_id, coords.data());
   const std::int64_t volume = checked_product(chunk_shape_at(coords));
-  for (std::size_t i = 0; i < offsets.size(); ++i) {
-    CUBIST_CHECK(i == 0 || offsets[i - 1] < offsets[i],
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    CUBIST_CHECK(offsets[i - 1] < offsets[i],
                  "chunk " << chunk_id << ": offsets do not ascend strictly");
-    CUBIST_CHECK(values[i] != Value{0}, "chunk " << chunk_id << ": zero value");
   }
   CUBIST_CHECK(offsets.empty() || offsets.back() < volume,
                "chunk " << chunk_id << ": offset past its " << volume
                         << " cells");
+}
+
+SparseArray::ChunkRef SparseArray::make_chunk(std::vector<Offset> offsets,
+                                              std::vector<Value> values) {
+  if (offsets.empty()) return nullptr;
+  Chunk chunk{std::move(offsets), {}, {}, {}};
+  if (!encode(values, chunk.codes, chunk.dictionary)) {
+    chunk.codes = {};
+    chunk.dictionary = {};
+    chunk.values = std::move(values);
+  }
+  return std::make_shared<const Chunk>(std::move(chunk));
 }
 
 void SparseArray::store_chunk(std::int64_t chunk_id, ChunkRef chunk) {
@@ -106,19 +150,49 @@ void SparseArray::store_chunk(std::int64_t chunk_id, ChunkRef chunk) {
 
 void SparseArray::set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
                             std::vector<Value> values) {
-  check_chunk(chunk_id, offsets, values);
-  store_chunk(chunk_id, offsets.empty()
-                            ? nullptr
-                            : std::make_shared<const Chunk>(Chunk{
-                                  std::move(offsets), std::move(values)}));
+  check_chunk(chunk_id, offsets);
+  CUBIST_CHECK(offsets.size() == values.size(),
+               "chunk " << chunk_id << ": offset and value counts differ");
+  for (const Value value : values) {
+    CUBIST_CHECK(value != Value{0}, "chunk " << chunk_id << ": zero value");
+  }
+  store_chunk(chunk_id, make_chunk(std::move(offsets), std::move(values)));
+}
+
+void SparseArray::set_coded_chunk(std::int64_t chunk_id,
+                                  std::vector<Offset> offsets,
+                                  std::vector<Code> codes,
+                                  std::vector<Value> dictionary) {
+  check_chunk(chunk_id, offsets);
+  CUBIST_CHECK(offsets.size() == codes.size(),
+               "chunk " << chunk_id << ": offset and code counts differ");
+  CUBIST_CHECK(dictionary.size() <= kMaxCodes,
+               "chunk " << chunk_id << ": dictionary of " << dictionary.size()
+                        << " values exceeds " << kMaxCodes);
+  for (const Value value : dictionary) {
+    CUBIST_CHECK(value != Value{0},
+                 "chunk " << chunk_id << ": zero dictionary value");
+  }
+  Code top = 0;
+  for (const Code code : codes) top = std::max(top, code);
+  CUBIST_CHECK(codes.empty() || top < dictionary.size(),
+               "chunk " << chunk_id << ": code " << int{top}
+                        << " past its dictionary of " << dictionary.size()
+                        << " values");
+  store_chunk(chunk_id,
+              offsets.empty()
+                  ? nullptr
+                  : std::make_shared<const Chunk>(
+                        Chunk{std::move(offsets), {}, std::move(codes),
+                              std::move(dictionary)}));
 }
 
 void SparseArray::share_chunk(std::int64_t chunk_id, const SparseArray& source,
                               std::int64_t source_chunk) {
   CUBIST_CHECK(source_chunk >= 0 && source_chunk < source.num_chunks(),
                "source chunk id " << source_chunk << " out of range");
-  check_chunk(chunk_id, source.chunk_offsets(source_chunk),
-              source.chunk_values(source_chunk));
+  // The chunk's values passed their checks when it was set in `source`.
+  check_chunk(chunk_id, source.chunk_offsets(source_chunk));
   store_chunk(chunk_id, source.chunks_[static_cast<std::size_t>(source_chunk)]);
 }
 
@@ -131,8 +205,9 @@ void SparseArray::finalize() {
     if (const ChunkRef& set = chunks_[c]) {
       cells.offsets.insert(cells.offsets.begin(), set->offsets.begin(),
                            set->offsets.end());
-      cells.values.insert(cells.values.begin(), set->values.begin(),
-                          set->values.end());
+      const std::vector<Value> values =
+          chunk_values(static_cast<std::int64_t>(c)).to_vector();
+      cells.values.insert(cells.values.begin(), values.begin(), values.end());
     }
     if (!std::is_sorted(cells.offsets.begin(), cells.offsets.end())) {
       // Cells can arrive out of chunk order (e.g. extract_block walks the
@@ -155,12 +230,15 @@ void SparseArray::finalize() {
     CUBIST_CHECK(std::adjacent_find(cells.offsets.begin(),
                                     cells.offsets.end()) == cells.offsets.end(),
                  "chunk " << c << " has a duplicate offset");
-    chunks_[c] = std::make_shared<const Chunk>(std::move(cells));
+    chunks_[c] = make_chunk(std::move(cells.offsets), std::move(cells.values));
   }
   pushed_ = std::vector<Chunk>();
   nnz_ = 0;
-  for (std::int64_t c = 0; c < num_chunks(); ++c) {
-    nnz_ += static_cast<std::int64_t>(chunk_offsets(c).size());
+  bytes_ = 0;
+  for (const ChunkRef& chunk : chunks_) {
+    if (!chunk) continue;
+    nnz_ += std::ssize(chunk->offsets);
+    bytes_ += static_cast<std::int64_t>(chunk->bytes());
   }
   finalized_ = true;
 }

@@ -1,5 +1,7 @@
 #include "common/error.h"
 
+#include <cstring>
+
 namespace cubist::detail {
 namespace {
 
@@ -17,7 +19,13 @@ std::string format(const char* kind, const char* expr, const char* file,
 
 void throw_invalid_argument(const char* expr, const char* file, int line,
                             const std::string& msg) {
-  throw InvalidArgument(format("precondition", expr, file, line, msg));
+  const std::string what = format("precondition", expr, file, line, msg);
+  // The message ends what(); without one, the expression follows the
+  // first backquote.
+  if (msg.empty()) {
+    throw InvalidArgument(what, what.find('`') + 1, std::strlen(expr));
+  }
+  throw InvalidArgument(what, what.size() - msg.size(), msg.size());
 }
 
 void throw_internal_error(const char* expr, const char* file, int line,

@@ -7,16 +7,34 @@
 // boundaries. Inner-loop code uses CUBIST_DCHECK, compiled out in release.
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace cubist {
 
 /// Thrown on violated preconditions (bad arguments, inconsistent state).
+/// what() names the failed check, its file and line; message() is the
+/// part meant for the person who passed the bad input.
 class InvalidArgument : public std::invalid_argument {
  public:
-  using std::invalid_argument::invalid_argument;
+  /// message() is all of `what`.
+  explicit InvalidArgument(const std::string& what)
+      : std::invalid_argument(what) {}
+  /// message() is `what`'s `size` characters from `at`.
+  InvalidArgument(const std::string& what, std::size_t at, std::size_t size)
+      : std::invalid_argument(what), at_(at), size_(size) {}
+
+  /// A CUBIST_CHECK's message, or its expression when it has none.
+  std::string_view message() const noexcept {
+    return std::string_view(what()).substr(at_, size_);
+  }
+
+ private:
+  std::size_t at_ = 0;
+  std::size_t size_ = std::string_view::npos;
 };
 
 /// Thrown when an internal invariant fails (a bug in cubist itself).

@@ -131,9 +131,10 @@ void write_sparse(const SparseArray& array, const std::string& path) {
   write_extents(out, array.shape().extents());
   write_raw(out, array.chunk_extents().data(),
             array.chunk_extents().size() * sizeof(std::int64_t));
+  // A coded chunk is written decoded: the file holds every value whole.
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
     const auto offsets = array.chunk_offsets(c);
-    const auto values = array.chunk_values(c);
+    const std::vector<Value> values = array.chunk_values(c).to_vector();
     write_pod(out, static_cast<std::int64_t>(offsets.size()));
     write_raw(out, offsets.data(),
               offsets.size() * sizeof(SparseArray::Offset));
@@ -164,7 +165,8 @@ SparseArray read_sparse(const std::string& path) {
   check_fits(checked_product(grid), sizeof(std::int64_t), left, "chunks");
   SparseArray array{Shape{extents}, chunk_extents};
 
-  // Each chunk goes through set_chunk(), which revalidates its entries.
+  // Each chunk goes through set_chunk(), which revalidates its entries and
+  // codes the chunk when it can.
   constexpr std::int64_t kEntryBytes =
       sizeof(SparseArray::Offset) + sizeof(Value);
   std::vector<std::int64_t> chunk_coords(extents.size());

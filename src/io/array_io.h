@@ -9,7 +9,9 @@
 // Sparse version 2 stores SparseArray's 16-bit chunk offsets, so its chunk
 // extents may span at most SparseArray::kMaxChunkCells cells. Version 1
 // stored 32-bit offsets; read_sparse rejects it, and rejects chunk extents
-// over the cap, before it allocates anything the file's fields size.
+// over the cap, before it allocates anything the file's fields size. The
+// file holds every value whole: write_sparse decodes a coded chunk, and
+// read_sparse codes each chunk again when its values allow.
 #pragma once
 
 #include <string>

@@ -89,6 +89,10 @@ constexpr std::int64_t kCellsPerTask = std::int64_t{1} << 14;
 /// Cells whose keep tests fold into one mask word.
 constexpr std::int64_t kMaskCells = 64;
 
+/// The values a kept cell takes, 1..9: the dictionary of every generated
+/// chunk, in which a cell's code is its value less 1.
+constexpr std::array<Value, 9> kValues{1, 2, 3, 4, 5, 6, 7, 8, 9};
+
 /// The population rule shared by all generators. A cell is kept when
 /// cell_hash(seed, global linear index) < p x 2^64, and always when p = 1;
 /// p is the density, under the Zipf skew times a calibrated multiplier and
@@ -164,10 +168,11 @@ class CellRule {
     return mask;
   }
 
-  /// Value of the kept cell at `global_index`: 1..9.
-  Value value(std::uint64_t global_index) const {
-    return static_cast<Value>(1 + cell_hash(seed_ ^ kValueSalt, global_index) %
-                                      9);
+  /// Code in kValues of the kept cell at `global_index`: a second hash of
+  /// the index, 0..8, for the value 1..9.
+  SparseArray::Code code(std::uint64_t global_index) const {
+    return static_cast<SparseArray::Code>(
+        cell_hash(seed_ ^ kValueSalt, global_index) % kValues.size());
   }
 
  private:
@@ -288,7 +293,7 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
         // The task's kept cells, grown a mask word at a time (never a cell
         // at a time) and reused from chunk to chunk.
         std::vector<SparseArray::Offset> offsets;
-        std::vector<Value> values;
+        std::vector<SparseArray::Code> codes;
         // Each segment of a mask word (below): its first global index less
         // its first bit, so the word's bit b in segment s is the cell
         // firsts[s] + b.
@@ -302,7 +307,7 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
             gidx[d] = origin[d];
           }
           offsets.clear();
-          values.clear();
+          codes.clear();
           // A row is the chunk's cells in dimensions [row_dim, n). The
           // chunk spans every dimension after row_dim whole, as the array
           // does, so they have consecutive global indices and the uniform
@@ -374,10 +379,10 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
               // freed buffers fit the next task's; capacities grown from
               // the size fragment the heap and raise peak RSS.
               offsets.reserve(std::bit_ceil(size));
-              values.reserve(std::bit_ceil(size));
+              codes.reserve(std::bit_ceil(size));
             }
             offsets.resize(size);
-            values.resize(size);
+            codes.resize(size);
             // Segment s holds bits [s x segment, (s + 1) x segment): walking
             // `end` across the segments finds each kept cell's row without a
             // division.
@@ -387,13 +392,14 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
               for (; bit >= end; end += segment) ++s;
               offsets[kept] =
                   static_cast<SparseArray::Offset>(word_offset + bit);
-              values[kept] =
-                  rule.value(firsts[s] + static_cast<std::uint64_t>(bit));
+              codes[kept] =
+                  rule.code(firsts[s] + static_cast<std::uint64_t>(bit));
             }
             word_offset += used;
           }
-          out.set_chunk(chunk_id, {offsets.begin(), offsets.end()},
-                        {values.begin(), values.end()});
+          out.set_coded_chunk(chunk_id, {offsets.begin(), offsets.end()},
+                              {codes.begin(), codes.end()},
+                              {kValues.begin(), kValues.end()});
         }
       });
   out.finalize();

@@ -5,8 +5,10 @@
 // its value depend only on (seed, global cell index) through a stateless
 // hash, so every processor grid slicing of the same spec sees the same
 // global array — the parallel results can be compared bit-exactly against
-// the sequential cube. Values are small integers (1..9) stored as doubles;
-// double sums of small integers are exact and order-independent.
+// the sequential cube. Values are small integers (1..9), whose double sums
+// are exact and order-independent. Generation writes each kept cell's
+// value as its 1-byte code against the dictionary {1, ..., 9}, which every
+// chunk holds (SparseArray's coded form), and makes no pass over doubles.
 //
 // Generation fills the array chunk by chunk, one task per chunk on
 // ThreadPool::global() (under the minimpi runtime, within the calling

@@ -8,6 +8,7 @@
 // order itself: their sums round differently when it changes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -325,6 +326,9 @@ TEST(AggregateDeterminismTest, NonIntegerSparseChildrenFollowInputOrder) {
       {&flat, {2, 16, 16}},
       {&ragged, {2, 16, 16}},
       {&single, {64, 32, 32}}};
+  // Chunks of at most 256 distinct values are coded, the rest raw: the
+  // cases scan both forms, the 2x16x16 chunks both in one array.
+  std::array<std::int64_t, 2> forms{};  // [0] raw, [1] coded
   for (const auto& [dense, chunk_extents] : cases) {
     const SparseArray parent = SparseArray::from_dense(*dense, chunk_extents);
     const StripePlan plan =
@@ -333,7 +337,14 @@ TEST(AggregateDeterminismTest, NonIntegerSparseChildrenFollowInputOrder) {
     ASSERT_GT(plan.stripes.size(), 2u);
     ASSERT_TRUE(plan.stripes.front().lone);
     expect_input_order(parent, *dense);
+    for (std::int64_t c = 0; c < parent.num_chunks(); ++c) {
+      if (!parent.chunk_offsets(c).empty()) {
+        ++forms[parent.chunk_values(c).coded() ? 1 : 0];
+      }
+    }
   }
+  EXPECT_GT(forms[0], 0);
+  EXPECT_GT(forms[1], 0);
 }
 
 }  // namespace

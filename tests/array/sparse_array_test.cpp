@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <thread>
 
 #include "common/error.h"
@@ -138,7 +140,7 @@ TEST(SparseArrayTest, ChunkOfTheCapHoldsItsLastOffset) {
     ASSERT_EQ(s->num_chunks(), 1);
     ASSERT_EQ(s->nnz(), 2);
     EXPECT_EQ(s->chunk_offsets(0).back(), 65535);
-    EXPECT_EQ(s->chunk_values(0).back(), 2.0);
+    EXPECT_EQ(s->chunk_values(0)[1], 2.0);
     EXPECT_EQ(s->to_dense().at({15, 15, 15, 15}), 2.0);
   }
 }
@@ -147,11 +149,114 @@ TEST(SparseArrayTest, BytesAccountsOffsetsAndValues) {
   SparseArray s{Shape{{8}}, {4}};
   s.push(std::vector<std::int64_t>{0}, 1.0);
   s.push(std::vector<std::int64_t>{7}, 2.0);
+  s.push(std::vector<std::int64_t>{6}, 1.0);
+  EXPECT_EQ(s.bytes(), 0);  // counted by finalize()
   s.finalize();
-  EXPECT_EQ(s.bytes(), 2 * static_cast<std::int64_t>(sizeof(SparseArray::Offset) +
-                                                     sizeof(Value)));
-  // Ten bytes a non-zero: a 16-bit offset and a double.
-  EXPECT_EQ(s.bytes(), 2 * 10);
+  // Each chunk is coded: a 16-bit offset and an 8-bit code a non-zero,
+  // and a double per dictionary entry (1.0; then 1.0 and 2.0).
+  constexpr auto kCoded = static_cast<std::int64_t>(
+      sizeof(SparseArray::Offset) + sizeof(SparseArray::Code));
+  EXPECT_EQ(kCoded, 3);
+  EXPECT_EQ(s.bytes(), 3 * kCoded + 3 * static_cast<std::int64_t>(sizeof(Value)));
+}
+
+TEST(SparseArrayTest, SetChunkCodesUpTo256DistinctValues) {
+  // Two 512-cell chunks, every cell non-zero: chunk 0 repeats 256 distinct
+  // values, chunk 1 holds 257.
+  SparseArray s{Shape{{1024}}, {512}};
+  std::vector<SparseArray::Offset> offsets(512);
+  std::vector<Value> values(512);
+  for (std::size_t n = 0; n < 512; ++n) {
+    offsets[n] = static_cast<SparseArray::Offset>(n);
+    values[n] = static_cast<Value>(1 + n % 256);
+  }
+  s.set_chunk(0, offsets, values);
+  for (std::size_t n = 0; n < 512; ++n) {
+    values[n] = static_cast<Value>(1 + n % 257);
+  }
+  s.set_chunk(1, offsets, values);
+  s.finalize();
+  const SparseArray::ChunkValues coded = s.chunk_values(0);
+  ASSERT_TRUE(coded.coded());
+  EXPECT_EQ(coded.dictionary().size(), SparseArray::kMaxCodes);
+  EXPECT_TRUE(coded.raw().empty());
+  const SparseArray::ChunkValues raw = s.chunk_values(1);
+  ASSERT_FALSE(raw.coded());
+  EXPECT_EQ(raw.raw().size(), 512u);
+  EXPECT_TRUE(raw.codes().empty() && raw.dictionary().empty());
+  // 3 bytes a coded non-zero plus its dictionary; 10 a raw one.
+  EXPECT_EQ(s.bytes(), 512 * 3 + 256 * 8 + 512 * 10);
+  const SparseArray copy = s;  // shares the raw chunk as it does coded ones
+  EXPECT_EQ(copy.chunk_values(1).raw().data(), raw.raw().data());
+  const DenseArray dense = s.to_dense();
+  for (std::int64_t i = 0; i < 1024; ++i) {
+    const std::int64_t n = i % 512;
+    ASSERT_EQ(dense[i], static_cast<Value>(1 + n % (i < 512 ? 256 : 257))) << i;
+  }
+}
+
+TEST(SparseArrayTest, CodesCompareValuesBitwise) {
+  // Values one ulp apart get two codes; a NaN's payload survives coding.
+  const Value one_up = std::nextafter(1.0, 2.0);
+  const auto nan_bits = std::uint64_t{0x7ff8000000001234};
+  const Value nan = std::bit_cast<Value>(nan_bits);
+  SparseArray s{Shape{{8}}, {8}};
+  s.set_chunk(0, {0, 1, 2, 3}, {1.0, one_up, nan, 1.0});
+  s.finalize();
+  const SparseArray::ChunkValues values = s.chunk_values(0);
+  ASSERT_TRUE(values.coded());
+  EXPECT_EQ(values.dictionary().size(), 3u);
+  EXPECT_EQ(values[0], 1.0);
+  EXPECT_EQ(values[1], one_up);
+  EXPECT_NE(values.codes()[0], values.codes()[1]);
+  EXPECT_EQ(values.codes()[0], values.codes()[3]);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(values[2]), nan_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(values.to_vector()[2]), nan_bits);
+}
+
+TEST(SparseArrayTest, SetCodedChunkRejectsCodesItsDictionaryCannotName) {
+  SparseArray s{Shape{{8}}, {8}};
+  // A code at the dictionary's size.
+  EXPECT_THROW(s.set_coded_chunk(0, {1, 2}, {0, 2}, {1.0, 2.0}),
+               InvalidArgument);
+  // A zero dictionary entry, even one no code names.
+  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, {1.0, 0.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, {1.0, -0.0}), InvalidArgument);
+  // A dictionary of 257 values; 256 are allowed.
+  std::vector<Value> dictionary(SparseArray::kMaxCodes + 1);
+  for (std::size_t i = 0; i < dictionary.size(); ++i) {
+    dictionary[i] = static_cast<Value>(i + 1);
+  }
+  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, dictionary), InvalidArgument);
+  dictionary.pop_back();
+  // One code per offset.
+  EXPECT_THROW(s.set_coded_chunk(0, {1, 2}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0, 0}, {1.0}), InvalidArgument);
+  // And set_chunk's own checks.
+  EXPECT_THROW(s.set_coded_chunk(0, {2, 1}, {0, 0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {8}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(1, {0}, {0}, {1.0}), InvalidArgument);
+  s.set_coded_chunk(0, {1, 7}, {255, 0}, dictionary);
+  s.finalize();
+  EXPECT_EQ(s.nnz(), 2);
+  EXPECT_EQ(s.chunk_values(0).to_vector(), (std::vector<Value>{256.0, 1.0}));
+  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, {1.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, FinalizeMergesPushedCellsIntoACodedChunk) {
+  SparseArray s{Shape{{8}}, {8}};
+  s.set_coded_chunk(0, {1, 5}, {1, 0}, {3.0, 4.0});
+  s.push(std::vector<std::int64_t>{3}, 4.0);
+  s.push(std::vector<std::int64_t>{0}, 7.0);
+  s.finalize();
+  const auto offsets = s.chunk_offsets(0);
+  EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
+            (std::vector<SparseArray::Offset>{0, 1, 3, 5}));
+  const SparseArray::ChunkValues values = s.chunk_values(0);
+  ASSERT_TRUE(values.coded());
+  EXPECT_EQ(values.to_vector(), (std::vector<Value>{7.0, 4.0, 4.0, 3.0}));
+  EXPECT_EQ(values.dictionary().size(), 3u);
+  EXPECT_EQ(s.nnz(), 4);
 }
 
 TEST(SparseArrayTest, SetChunkFillsAWholeChunk) {
@@ -240,9 +345,8 @@ TEST(SparseArrayTest, DistinctChunksCanBeSetConcurrently) {
     threads.emplace_back([&, t] {
       for (std::int64_t c = t; c < s.num_chunks(); c += kThreads) {
         const auto offsets = reference.chunk_offsets(c);
-        const auto values = reference.chunk_values(c);
         s.set_chunk(c, {offsets.begin(), offsets.end()},
-                    {values.begin(), values.end()});
+                    reference.chunk_values(c).to_vector());
       }
     });
   }
@@ -253,6 +357,7 @@ TEST(SparseArrayTest, DistinctChunksCanBeSetConcurrently) {
 }
 
 TEST(SparseArrayTest, CopiesShareChunks) {
+  // Values 1..9 code every chunk.
   const SparseArray original = SparseArray::from_dense(
       testing::random_dense({12, 9, 7}, 0.4, 23), {4, 4, 4});
   const SparseArray copy = original;
@@ -260,7 +365,11 @@ TEST(SparseArrayTest, CopiesShareChunks) {
   for (std::int64_t c = 0; c < original.num_chunks(); ++c) {
     if (original.chunk_offsets(c).empty()) continue;
     EXPECT_EQ(copy.chunk_offsets(c).data(), original.chunk_offsets(c).data());
-    EXPECT_EQ(copy.chunk_values(c).data(), original.chunk_values(c).data());
+    ASSERT_TRUE(original.chunk_values(c).coded());
+    EXPECT_EQ(copy.chunk_values(c).codes().data(),
+              original.chunk_values(c).codes().data());
+    EXPECT_EQ(copy.chunk_values(c).dictionary().data(),
+              original.chunk_values(c).dictionary().data());
     ++shared;
   }
   EXPECT_GT(shared, 0);
@@ -285,6 +394,9 @@ TEST(SparseArrayTest, ShareChunkPassesTheSetChunkChecks) {
   s.finalize();
   EXPECT_EQ(s.nnz(), 2);
   EXPECT_EQ(s.chunk_offsets(0).data(), source.chunk_offsets(0).data());
+  ASSERT_TRUE(source.chunk_values(0).coded());
+  EXPECT_EQ(s.chunk_values(0).codes().data(),
+            source.chunk_values(0).codes().data());
   EXPECT_EQ(testing::chunk_difference(s, source), "");
   EXPECT_THROW(s.share_chunk(1, source, 0), InvalidArgument);  // finalized
 }
@@ -301,10 +413,9 @@ TEST(SparseArrayTest, PushIntoASharedChunkLeavesTheSourceUnchanged) {
   s.push(std::vector<std::int64_t>{0}, 5.0);
   s.finalize();
   const auto offsets = s.chunk_offsets(0);
-  const auto values = s.chunk_values(0);
   EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
             (std::vector<SparseArray::Offset>{0, 1, 2, 3}));
-  EXPECT_EQ(std::vector<Value>(values.begin(), values.end()),
+  EXPECT_EQ(s.chunk_values(0).to_vector(),
             (std::vector<Value>{5.0, 1.0, 2.0, 3.0}));
   EXPECT_EQ(s.nnz(), 4);
 

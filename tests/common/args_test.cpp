@@ -127,5 +127,30 @@ TEST(XListTest, ParsesShapesAndRejectsMalformedTokens) {
                InvalidArgument);
 }
 
+TEST(InvalidArgumentTest, MessageIsTheCheckTextWithoutItsLocation) {
+  try {
+    parse_x_list("4xax4", "sizes");
+    FAIL() << "no throw";
+  } catch (const InvalidArgument& error) {
+    EXPECT_EQ(error.message(),
+              "bad token 'a' in --sizes='4xax4' (want e.g. 16x12x8)");
+    // what() still names the check and where it failed.
+    const std::string what = error.what();
+    EXPECT_NE(what.find("precondition: `"), std::string::npos) << what;
+    EXPECT_NE(what.find("args.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.substr(what.size() - error.message().size()),
+              error.message());
+  }
+  // A check without a message reports its expression.
+  const int extent = -1;
+  try {
+    CUBIST_CHECK(extent >= 0);
+    FAIL() << "no throw";
+  } catch (const InvalidArgument& error) {
+    EXPECT_EQ(error.message(), "extent >= 0");
+  }
+  EXPECT_EQ(InvalidArgument("plain").message(), "plain");
+}
+
 }  // namespace
 }  // namespace cubist

@@ -62,7 +62,8 @@ SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
 
 /// FNV-1a digest of each chunk's offsets and values, in chunk order. Each
 /// offset is hashed as a uint32, the width the pinned digests were taken
-/// at, so a digest names the cells, not the offset width.
+/// at, and each value as its decoded 8-byte Value, the form they were
+/// taken in, so a digest names the cells, not how the chunk stores them.
 std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
   std::vector<std::uint64_t> digests;
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
@@ -76,7 +77,8 @@ std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
       const auto wide = static_cast<std::uint32_t>(offset);
       mix(std::as_bytes(std::span(&wide, 1)));
     }
-    mix(std::as_bytes(array.chunk_values(c)));
+    const std::vector<Value> values = array.chunk_values(c).to_vector();
+    mix(std::as_bytes(std::span(values)));
     digests.push_back(h);
   }
   return digests;
@@ -532,6 +534,22 @@ TEST(GeneratorsTest, GeneratedBytesMatchPinnedDigests) {
   }
 }
 
+TEST(GeneratorsTest, Figure7InputTakesThreeBytesANonZero) {
+  // The end-to-end benchmark's 64^4 input at 25%: every chunk is coded
+  // against the nine values 1..9, so a non-zero takes a 2-byte offset and
+  // a 1-byte code, and a chunk adds its 72-byte dictionary.
+  SparseSpec spec;
+  spec.sizes = {64, 64, 64, 64};
+  spec.density = 0.25;
+  spec.seed = 1;
+  const SparseArray input = generate_sparse_global(spec);
+  EXPECT_LE(input.bytes(), 3 * input.nnz() + 72 * input.num_chunks());
+  EXPECT_GT(input.nnz(), 4'000'000);
+  for (std::int64_t c = 0; c < input.num_chunks(); ++c) {
+    ASSERT_TRUE(input.chunk_values(c).coded()) << c;
+  }
+}
+
 TEST(GeneratorsTest, BlockOutsideTheArrayRejected) {
   const SparseSpec spec = spec_8x8x8(0.5, 1);
   EXPECT_THROW(generate_sparse_block(spec, BlockRange({0, 0, 4}, {8, 8, 9})),
@@ -661,8 +679,8 @@ TEST(ExtractBlockTest, AlignedChunksShareTheSourceStorage) {
       EXPECT_EQ(extracted.chunk_offsets(c).data(),
                 global.chunk_offsets(source).data())
           << block.to_string() << " chunk " << c;
-      EXPECT_EQ(extracted.chunk_values(c).data(),
-                global.chunk_values(source).data())
+      EXPECT_EQ(extracted.chunk_values(c).codes().data(),
+                global.chunk_values(source).codes().data())
           << block.to_string() << " chunk " << c;
       ++shared;
     }

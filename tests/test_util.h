@@ -88,8 +88,8 @@ inline DenseArray iota_dense(const std::vector<std::int64_t>& extents) {
 }
 
 /// The first difference between two sparse arrays, compared chunk for
-/// chunk (shape, chunking, every chunk's offsets and values, nnz); empty
-/// when they are identical.
+/// chunk (shape, chunking, every chunk's offsets and decoded values, nnz);
+/// empty when they hold the same cells, in either form.
 inline std::string chunk_difference(const SparseArray& a,
                                     const SparseArray& b) {
   std::ostringstream out;
@@ -102,10 +102,11 @@ inline std::string chunk_difference(const SparseArray& a,
     for (std::int64_t c = 0; c < a.num_chunks(); ++c) {
       const auto ao = a.chunk_offsets(c);
       const auto bo = b.chunk_offsets(c);
-      const auto av = a.chunk_values(c);
-      const auto bv = b.chunk_values(c);
+      // Decoded values: a raw and a coded chunk of the same cells are equal.
+      const std::vector<Value> av = a.chunk_values(c).to_vector();
+      const std::vector<Value> bv = b.chunk_values(c).to_vector();
       if (!std::equal(ao.begin(), ao.end(), bo.begin(), bo.end()) ||
-          !std::equal(av.begin(), av.end(), bv.begin(), bv.end())) {
+          av != bv) {
         out << "chunk " << c << " differs (" << ao.size() << " vs "
             << bo.size() << " entries)";
         break;

@@ -396,6 +396,10 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", all_ok ? "ALL SHAPES CERTIFIED" : "VIOLATIONS FOUND");
     return all_ok ? 0 : 1;
+  } catch (const InvalidArgument& error) {
+    // Bad input: the check's own message, without its source location.
+    std::fprintf(stderr, "error: %s\n", std::string(error.message()).c_str());
+    return 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

@@ -206,6 +206,10 @@ int main(int argc, char** argv) {
     }
     return run(sizes, log_splits, *density, num_queries, *trace_path,
                *metrics_path, *prom_path);
+  } catch (const InvalidArgument& error) {
+    // Bad input: the check's own message, without its source location.
+    std::fprintf(stderr, "error: %s\n", std::string(error.message()).c_str());
+    return 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
