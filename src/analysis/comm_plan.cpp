@@ -36,8 +36,12 @@ class RankPlanner {
         rank_(rank),
         block_(grid.block(rank, spec.sizes)) {}
 
-  RankPlan run(std::map<ReduceGroup, ReduceAlgorithm>& algorithm_by_group) {
+  /// Plans the rank's walk: its communication program into `events`,
+  /// the rest into the returned RankPlan.
+  RankPlan run(std::map<ReduceGroup, ReduceAlgorithm>& algorithm_by_group,
+               std::vector<TraceEvent>& events) {
     algorithm_by_group_ = &algorithm_by_group;
+    events_ = &events;
     tree_.walk(*this);
     if (spec_.collect_result && rank_ == 0) plan_gather_receives();
     return std::move(plan_);
@@ -52,10 +56,8 @@ class RankPlanner {
     const std::vector<int> view_dims = view.dims();
     std::vector<int> aggregated_positions;
     for (DimSet child : children) {
-      const int aggregated = view.minus(child).min_dim();
-      int pos = 0;
-      while (view_dims[pos] != aggregated) ++pos;
-      aggregated_positions.push_back(pos);
+      aggregated_positions.push_back(
+          view.position_of(view.minus(child).min_dim()));
       plan_.memory.push_back({PlannedMemoryEvent::Kind::kAlloc, child.mask(),
                               view_bytes(child)});
     }
@@ -88,8 +90,8 @@ class RankPlanner {
     if (!keep) return;
     plan_.final_views.push_back(view.mask());
     if (spec_.collect_result && rank_ != 0) {
-      plan_.ops.push_back({TraceEventKind::kSend, 0,
-                           kGatherTagBase | view.mask(), view_bytes(view)});
+      events_->push_back({TraceEventKind::kSend, 0,
+                          kGatherTagBase | view.mask(), view_bytes(view)});
     }
   }
 
@@ -102,7 +104,7 @@ class RankPlanner {
       const DimSet view = DimSet::from_mask(mask);
       for (int src = 1; src < grid_.size(); ++src) {
         if (!grid_.is_lead_for(src, view.complement(n))) continue;
-        plan_.ops.push_back(
+        events_->push_back(
             {TraceEventKind::kRecv, src, kGatherTagBase | mask,
              block_cells(grid_.block(src, spec_.sizes), view) * kValueBytes});
       }
@@ -115,20 +117,17 @@ class RankPlanner {
 
   /// The chunk-pipelined reduction of Comm::reduce, as planned events:
   /// the SAME reduce_program the runtime executes
-  /// (minimpi/collectives.h), resolved on the same static inputs — so
-  /// whatever the tuner picks is exactly what gets verified. Zero-size
-  /// blocks plan nothing (the runtime skips the wire entirely). Planned
-  /// message sizes are LOGICAL (dense) bytes; the adaptive wire codec
-  /// only ever shrinks them, which is what the wire audit certifies.
+  /// (minimpi/collectives.h), resolved on the same static inputs and
+  /// appended as it is — so whatever the tuner picks is exactly what gets
+  /// verified. Zero-size blocks plan nothing (the runtime skips the wire
+  /// entirely). Planned message sizes are LOGICAL (dense) bytes; the
+  /// adaptive wire codec only ever shrinks them, which is what the wire
+  /// audit certifies.
   void plan_reduce(const std::vector<int>& group, DimSet child) {
-    const int g = static_cast<int>(group.size());
-    int me = -1;
-    for (int i = 0; i < g; ++i) {
-      if (group[i] == rank_) me = i;
-    }
-    CUBIST_ASSERT(me >= 0, "rank not in its own axis group");
+    const auto me = std::find(group.begin(), group.end(), rank_);
+    CUBIST_ASSERT(me != group.end(), "rank not in its own axis group");
     const std::int64_t total = block_cells(block_, child);
-    if (total == 0 || g == 1) return;
+    if (total == 0) return;
     ReduceOptions resolved = spec_.reduce;
     resolved.algorithm =
         resolve_reduce_algorithm(spec_.reduce, group, total, spec_.model);
@@ -139,21 +138,10 @@ class RankPlanner {
     CUBIST_ASSERT(fresh || recorded->second == resolved.algorithm,
                   "axis group of view " << child.mask()
                                         << " resolved two algorithms");
-    const std::uint64_t tag = child.mask();
-    for (const ReduceOp& op :
-         reduce_program(resolved, group, me, total)) {
-      if (op.step.kind == ReduceStep::Kind::kSend) {
-        plan_.ops.push_back({TraceEventKind::kSend, op.step.peer, tag,
-                             op.count * kValueBytes, op.offset});
-      } else {
-        // Each receive is immediately folded into the local block, in
-        // the program's fixed step order, as the run records it.
-        plan_.ops.push_back({TraceEventKind::kRecv, op.step.peer, tag,
-                             op.count * kValueBytes, op.offset});
-        plan_.ops.push_back({TraceEventKind::kCombine, op.step.peer, tag,
-                             op.count, op.offset});
-      }
-    }
+    const std::vector<TraceEvent> program =
+        reduce_program(resolved, group, static_cast<int>(me - group.begin()),
+                       total, child.mask());
+    events_->insert(events_->end(), program.begin(), program.end());
   }
 
   const ScheduleSpec& spec_;
@@ -162,32 +150,22 @@ class RankPlanner {
   int rank_;
   BlockRange block_;
   RankPlan plan_;
+  std::vector<TraceEvent>* events_ = nullptr;
   std::map<ReduceGroup, ReduceAlgorithm>* algorithm_by_group_ = nullptr;
 };
 
 }  // namespace
 
 std::int64_t CommPlan::total_messages() const {
-  std::int64_t messages = 0;
-  for (const RankPlan& rank : ranks) {
-    for (const TraceEvent& op : rank.ops) {
-      if (op.kind == TraceEventKind::kSend) ++messages;
-    }
-  }
-  return messages;
+  return volume_of(events).total_messages;
 }
 
 std::map<std::uint32_t, std::int64_t> elements_by_view(const CommPlan& plan) {
-  std::map<std::uint32_t, std::int64_t> bytes;
-  for (const RankPlan& rank : plan.ranks) {
-    for (const TraceEvent& op : rank.ops) {
-      if (op.kind == TraceEventKind::kSend && op.tag < kGatherTagBase) {
-        bytes[view_of_tag(op.tag)] += op.units;
-      }
-    }
+  std::map<std::uint32_t, std::int64_t> elements;
+  for (const auto& [tag, bytes] : volume_of(plan.events).bytes_by_tag) {
+    if (tag < kGatherTagBase) elements[view_of_tag(tag)] = bytes / kValueBytes;
   }
-  for (auto& entry : bytes) entry.second /= kValueBytes;
-  return bytes;
+  return elements;
 }
 
 CommPlan build_comm_plan(const ScheduleSpec& spec) {
@@ -201,9 +179,12 @@ CommPlan build_comm_plan(const ScheduleSpec& spec) {
   CommPlan plan;
   plan.num_ranks = grid.size();
   plan.ranks.reserve(static_cast<std::size_t>(grid.size()));
+  plan.events.ranks.resize(static_cast<std::size_t>(grid.size()));
   for (int rank = 0; rank < grid.size(); ++rank) {
     RankPlanner planner(spec, grid, tree, rank);
-    plan.ranks.push_back(planner.run(plan.algorithm_by_group));
+    plan.ranks.push_back(planner.run(
+        plan.algorithm_by_group,
+        plan.events.ranks[static_cast<std::size_t>(rank)]));
   }
   return plan;
 }

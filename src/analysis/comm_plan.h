@@ -2,21 +2,21 @@
 //
 // `build_comm_plan` symbolically executes the per-rank SPMD program of
 // `build_cube_parallel_rank` without touching any data: it visits
-// AggregationTree::walk, the walk the builders run, and plans each
-// child's reduction onto the lead processors with reduce_program, the
-// tuned reduction program Comm::reduce executes. When the result is
+// AggregationTree::walk, the walk the builders run, and appends each
+// child's reduction onto the lead processors as reduce_program writes it,
+// the tuned reduction program Comm::reduce executes. When the result is
 // collected it also plans the gather: each lead other than rank 0 sends a
 // view block to rank 0 the moment it writes the view back, and rank 0,
 // after its walk, receives the other leads' blocks view by view
 // (ascending mask), source by source (ascending rank). The result is, per
 // rank, the exact ordered list of the events its run records — sends,
 // receives and combines as minimpi TraceEvents (peer, tag, logical size,
-// chunk offset) — the exact ordered list of view-block
-// allocations/releases and the views it writes back. The schedule
-// verifier checks this plan against the paper's closed forms (Lemma 1,
-// Theorems 3 and 4) and proves the whole program deadlock-free; the
-// post-run audit compares the run's recorded event trace with it field
-// for field.
+// chunk offset), which `replay` links as the run does — the exact
+// ordered list of view-block allocations/releases and the views it
+// writes back. The schedule verifier checks this plan against the
+// paper's closed forms (Lemma 1, Theorems 3 and 4) and proves the whole
+// program deadlock-free; the post-run audit compares the run's recorded
+// event trace with it field for field.
 #pragma once
 
 #include <cstdint>
@@ -75,15 +75,9 @@ struct PlannedMemoryEvent {
   bool operator==(const PlannedMemoryEvent&) const = default;
 };
 
-/// Everything one rank plans to do, in program order.
+/// Everything one rank plans to do beside communicating, in program
+/// order (its communication is CommPlan::events).
 struct RankPlan {
-  /// The rank's communication program: the events its run records, in
-  /// order, with `units` in logical bytes for sends and receives and in
-  /// elements for combines. A reduction receive is followed by the
-  /// combine that folds it; a gather send or receive carries tag
-  /// kGatherTagBase | view and has no combine. `wire` and the links stay
-  /// at their defaults: only the run can fill them in.
-  std::vector<TraceEvent> ops;
   std::vector<PlannedMemoryEvent> memory;
   /// Views this rank writes back as final results (it is their lead).
   std::vector<std::uint32_t> final_views;
@@ -103,25 +97,32 @@ using ReduceGroup = std::pair<std::uint32_t, std::vector<int>>;
 struct CommPlan {
   int num_ranks = 0;
   std::vector<RankPlan> ranks;
+  /// Each rank's communication program: the events its run records, in
+  /// order, with `units` in logical bytes for sends and receives and in
+  /// elements for combines. A reduction receive is followed by the
+  /// combine that folds it; a gather send or receive carries tag
+  /// kGatherTagBase | view and has no combine. The events carry no links
+  /// and no wire bytes: `replay` links a copy as the run will (the
+  /// verifier and the audit do), and only the run knows the wire bytes.
+  EventTrace events;
   /// Resolved reduction schedule per axis group (the tuner's pick under
   /// kAuto, the forced algorithm otherwise) — the attribution record the
   /// bench reports surface. The groups of one view may pick differently,
   /// since their blocks differ.
-  /// An informational summary: the verifier reads only `ranks`.
+  /// An informational summary: the verifier does not read it.
   std::map<ReduceGroup, ReduceAlgorithm> algorithm_by_group;
 
-  /// Planned sends, gather included.
+  /// Planned sends, gather included: volume_of(events)'s message count.
   std::int64_t total_messages() const;
 };
 
 /// Builds the exact plan the parallel builder will execute for `spec`.
 CommPlan build_comm_plan(const ScheduleSpec& spec);
 
-/// Planned construction volume per view, in elements: the logical bytes
-/// of the plan's sends under each construction tag (below
-/// kGatherTagBase; the gather is not counted), summed over the ranks —
-/// the static counterpart of the run's per-tag volume
-/// (RunReport::volume), which the verifier checks against Lemma 1.
+/// Planned construction volume per view, in elements: volume_of the
+/// plan's events under each construction tag (below kGatherTagBase; the
+/// gather is not counted) — the static counterpart of the run's per-tag
+/// volume (RunReport::volume), which the verifier checks against Lemma 1.
 std::map<std::uint32_t, std::int64_t> elements_by_view(const CommPlan& plan);
 
 }  // namespace cubist

@@ -1,9 +1,8 @@
 #include "analysis/schedule_verifier.h"
 
 #include <algorithm>
-#include <deque>
+#include <set>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "array/aggregate.h"
@@ -61,71 +60,56 @@ void check_match(const TraceEvent& sent, const TraceEvent& op, int rank,
   }
 }
 
-/// Replays the per-rank programs under the runtime's semantics (sends
-/// never block; receives block on a FIFO (source, wire-tag) channel;
-/// combines are local) and reports unmatched traffic, payload-size
-/// disagreements, wire-tag collisions, and — on a stall — the wait-for-
-/// graph cycle. The replay follows one canonical interleaving, and that
-/// decides every other: a receive can only take the head of its one
-/// channel, so each receive matches the same send in every interleaving
-/// and a receive that blocks here blocks in all of them.
+/// Replays the plan's programs under the transport's rules (`replay`,
+/// minimpi/event_trace.h) and reports, on the matches it made, payload-
+/// size disagreements and chunk collisions, then unmatched traffic and —
+/// where ranks stopped — the wait-for-graph cycle. The replay follows one
+/// canonical interleaving, and that decides every other: a receive can
+/// only take the head of its one channel, so each receive matches the
+/// same send in every interleaving and a receive that blocks here blocks
+/// in all of them.
 void check_transport(const CommPlan& plan, AnalysisReport& report) {
   const int p = plan.num_ranks;
-  // The sends in flight per (src, dst, tag) channel, FIFO.
-  std::map<std::tuple<int, int, std::uint64_t>,
-           std::deque<const TraceEvent*>>
-      in_flight;
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int r = 0; r < p; ++r) {
-      const std::vector<TraceEvent>& ops =
-          plan.ranks[static_cast<std::size_t>(r)].ops;
-      while (cursor[static_cast<std::size_t>(r)] < ops.size()) {
-        const TraceEvent& op = ops[cursor[static_cast<std::size_t>(r)]];
-        if (op.kind == TraceEventKind::kSend) {
-          in_flight[{r, op.peer, op.tag}].push_back(&op);
-        } else if (op.kind == TraceEventKind::kRecv) {
-          auto it = in_flight.find({op.peer, r, op.tag});
-          if (it == in_flight.end() || it->second.empty()) break;  // blocked
-          check_match(*it->second.front(), op, r, report);
-          it->second.pop_front();
-        }
-        // kCombine is local compute: always executable.
-        ++cursor[static_cast<std::size_t>(r)];
-        progress = true;
-      }
+  EventTrace programs = plan.events;
+  const std::vector<std::size_t> stopped_at = replay(programs);
+  const auto event = [&](int rank, std::size_t index) -> const TraceEvent& {
+    return programs.ranks[static_cast<std::size_t>(rank)][index];
+  };
+  const auto stop = [&](int rank) {
+    return stopped_at[static_cast<std::size_t>(rank)];
+  };
+  // A stuck rank stopped on a receive no executed send satisfies.
+  const auto stuck = [&](int rank) {
+    return stop(rank) < programs.ranks[static_cast<std::size_t>(rank)].size();
+  };
+  // The sends the receives that ran took, as (rank, event index).
+  std::set<std::pair<int, std::uint64_t>> taken;
+  for (int r = 0; r < p; ++r) {
+    for (std::size_t i = 0; i < stop(r); ++i) {
+      const TraceEvent& op = event(r, i);
+      if (op.kind != TraceEventKind::kRecv) continue;
+      check_match(event(op.peer, op.match_seq), op, r, report);
+      taken.emplace(op.peer, op.match_seq);
     }
   }
 
-  // Stalled ranks: blocked on a receive no executed send satisfies.
-  std::vector<bool> stuck(static_cast<std::size_t>(p), false);
-  for (int r = 0; r < p; ++r) {
-    stuck[static_cast<std::size_t>(r)] =
-        cursor[static_cast<std::size_t>(r)] <
-        plan.ranks[static_cast<std::size_t>(r)].ops.size();
-  }
   // Wait-for edges among stuck ranks; cycles are deadlocks, the rest are
   // receives whose sender terminated (or is itself a deadlock victim).
   std::vector<int> color(static_cast<std::size_t>(p), 0);  // 0=new 1=path 2=done
   std::vector<bool> on_cycle(static_cast<std::size_t>(p), false);
   for (int start = 0; start < p; ++start) {
-    if (!stuck[static_cast<std::size_t>(start)] ||
-        color[static_cast<std::size_t>(start)] != 0) {
+    if (!stuck(start) || color[static_cast<std::size_t>(start)] != 0) {
       continue;
     }
     std::vector<int> path;
     int r = start;
-    while (r != kNoRank && stuck[static_cast<std::size_t>(r)] &&
+    while (r >= 0 && r < p && stuck(r) &&
            color[static_cast<std::size_t>(r)] == 0) {
       color[static_cast<std::size_t>(r)] = 1;
       path.push_back(r);
-      const RankPlan& rank_plan = plan.ranks[static_cast<std::size_t>(r)];
-      r = rank_plan.ops[cursor[static_cast<std::size_t>(r)]].peer;
+      r = event(r, stop(r)).peer;
     }
-    if (r != kNoRank && color[static_cast<std::size_t>(r)] == 1) {
+    if (r >= 0 && r < p && color[static_cast<std::size_t>(r)] == 1) {
       // Found a cycle; mark its members and report it once.
       std::ostringstream msg;
       msg << "wait-for cycle:";
@@ -136,30 +120,20 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
         if (in_cycle) {
           on_cycle[static_cast<std::size_t>(member)] = true;
           if (cycle_head == kNoRank) cycle_head = member;
-          const RankPlan& member_plan =
-              plan.ranks[static_cast<std::size_t>(member)];
-          const TraceEvent& op =
-              member_plan.ops[cursor[static_cast<std::size_t>(member)]];
+          const TraceEvent& op = event(member, stop(member));
           msg << " rank " << member << " waits on rank " << op.peer
               << " (view " << view_name(view_of_tag(op.tag)) << ");";
         }
       }
-      const RankPlan& head_plan =
-          plan.ranks[static_cast<std::size_t>(cycle_head)];
-      const TraceEvent& head_op =
-          head_plan.ops[cursor[static_cast<std::size_t>(cycle_head)]];
       add_violation(report, ViolationCode::kDeadlock, cycle_head,
-                    view_of_tag(head_op.tag), 0, 0, msg.str());
+                    view_of_tag(event(cycle_head, stop(cycle_head)).tag), 0,
+                    0, msg.str());
     }
     for (int member : path) color[static_cast<std::size_t>(member)] = 2;
   }
   for (int r = 0; r < p; ++r) {
-    if (!stuck[static_cast<std::size_t>(r)] ||
-        on_cycle[static_cast<std::size_t>(r)]) {
-      continue;
-    }
-    const RankPlan& rank_plan = plan.ranks[static_cast<std::size_t>(r)];
-    const TraceEvent& op = rank_plan.ops[cursor[static_cast<std::size_t>(r)]];
+    if (!stuck(r) || on_cycle[static_cast<std::size_t>(r)]) continue;
+    const TraceEvent& op = event(r, stop(r));
     const std::uint32_t view = view_of_tag(op.tag);
     std::ostringstream msg;
     msg << "rank " << r << " blocks forever receiving " << op.units
@@ -168,23 +142,27 @@ void check_transport(const CommPlan& plan, AnalysisReport& report) {
     add_violation(report, ViolationCode::kUnmatchedRecv, r, view, op.units,
                   0, msg.str());
   }
-  for (const auto& [key, sends] : in_flight) {
-    const int src = std::get<0>(key);
-    for (const TraceEvent* send : sends) {
-      const std::uint32_t view = view_of_tag(send->tag);
+  // A send that ran and that no receive took.
+  for (int r = 0; r < p; ++r) {
+    for (std::size_t i = 0; i < stop(r); ++i) {
+      const TraceEvent& send = event(r, i);
+      if (send.kind != TraceEventKind::kSend || taken.count({r, i}) != 0) {
+        continue;
+      }
+      const std::uint32_t view = view_of_tag(send.tag);
       std::ostringstream msg;
-      msg << "rank " << src << " sends " << send->units
+      msg << "rank " << r << " sends " << send.units
           << " logical bytes of view " << view_name(view) << " to rank "
-          << send->peer << " but no receive consumes them";
-      add_violation(report, ViolationCode::kUnmatchedSend, src, view, 0,
-                    send->units, msg.str());
+          << send.peer << " but no receive consumes them";
+      add_violation(report, ViolationCode::kUnmatchedSend, r, view, 0,
+                    send.units, msg.str());
     }
   }
 }
 
 /// Per-edge volumes against Lemma 1 and the total against Theorem 3,
 /// summed from the planned construction sends (elements_by_view), so
-/// mutations to the ops — including test-injected ones — are always
+/// mutations to the events — including test-injected ones — are always
 /// caught. The gather's sends (tags from kGatherTagBase up) are result
 /// collection, which the closed forms leave out.
 void check_volume(const ScheduleSpec& spec, const CommPlan& plan,
@@ -334,27 +312,23 @@ struct Field {
   std::int64_t recorded = 0;
 };
 
-/// The first field in which recorded event `e` departs from planned `op`
-/// (name null when none does). The plan leaves the links and wire sizes
-/// to the run, so they come from the trace: `match` is the send the plan
-/// pairs with a receive and `operand` the receive a combine folds
-/// (kNoTraceSeq for the other kinds, whose recorded links must be absent
-/// too), and a receive must have taken the wire bytes its consumed send
-/// recorded (by then known to be the planned `match`, a send of the plan,
-/// so `op.peer` is a rank of the trace). A send's own wire size is
-/// check_wire's.
+/// The first field in which recorded event `e` departs from planned `op`,
+/// an event of the replay-linked plan (name null when none does). Only
+/// the wire sizes are the run's: a receive must have taken the wire bytes
+/// its consumed send recorded (by then known to be the planned match, a
+/// send of the plan, so `op.peer` is a rank of the trace), and a send's
+/// own wire size is check_wire's.
 Field first_divergence(const EventTrace& trace, const TraceEvent& op,
-                       const TraceEvent& e, std::uint64_t match,
-                       std::uint64_t operand) {
+                       const TraceEvent& e) {
   const auto seq = [](std::uint64_t index) {
     return index == kNoTraceSeq ? std::int64_t{-1}
                                 : static_cast<std::int64_t>(index);
   };
   std::int64_t wire = op.kind == TraceEventKind::kSend ? e.wire : op.wire;
-  if (op.kind == TraceEventKind::kRecv && match != kNoTraceSeq) {
+  if (op.kind == TraceEventKind::kRecv && op.match_seq != kNoTraceSeq) {
     const std::vector<TraceEvent>& sender =
         trace.ranks[static_cast<std::size_t>(op.peer)];
-    if (match < sender.size()) wire = sender[match].wire;
+    if (op.match_seq < sender.size()) wire = sender[op.match_seq].wire;
   }
   for (const Field& field : {
            Field{"kind", static_cast<std::int64_t>(op.kind),
@@ -363,8 +337,8 @@ Field first_divergence(const EventTrace& trace, const TraceEvent& op,
            Field{"wire tag", static_cast<std::int64_t>(op.tag),
                  static_cast<std::int64_t>(e.tag)},
            Field{"chunk offset", op.offset, e.offset},
-           Field{"consumed send", seq(match), seq(e.match_seq)},
-           Field{"operand", seq(operand), seq(e.operand_seq)},
+           Field{"consumed send", seq(op.match_seq), seq(e.match_seq)},
+           Field{"operand", seq(op.operand_seq), seq(e.operand_seq)},
            Field{"logical size", op.units, e.units},
            Field{"wire size", wire, e.wire},
        }) {
@@ -551,7 +525,7 @@ std::string apply_schedule_mutation(CommPlan& plan,
       // exactly the dropped message.
       for (int r = plan.num_ranks - 1; r >= 0; --r) {
         std::vector<TraceEvent>& events =
-            plan.ranks[static_cast<std::size_t>(r)].ops;
+            plan.events.ranks[static_cast<std::size_t>(r)];
         for (std::size_t i = events.size(); i-- > 0;) {
           if (events[i].kind != TraceEventKind::kSend) continue;
           std::ostringstream out;
@@ -568,7 +542,7 @@ std::string apply_schedule_mutation(CommPlan& plan,
       // message, since the channel still delivers in send order.
       for (int r = 0; r < plan.num_ranks; ++r) {
         std::vector<TraceEvent>& events =
-            plan.ranks[static_cast<std::size_t>(r)].ops;
+            plan.events.ranks[static_cast<std::size_t>(r)];
         std::map<std::pair<int, std::uint64_t>, std::size_t> first;
         for (std::size_t j = 0; j < events.size(); ++j) {
           if (events[j].kind != TraceEventKind::kRecv) continue;
@@ -607,7 +581,8 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec,
                "plan rank count " << plan.num_ranks
                                   << " does not match the grid ("
                                   << grid.size() << ")");
-  CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks),
+  CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks) &&
+                   plan.events.ranks.size() == plan.ranks.size(),
                "plan rank list size mismatch");
   AnalysisReport report;
   check_transport(plan, report);
@@ -623,7 +598,8 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec) {
 
 AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                            const EventTrace& trace) {
-  CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks),
+  CUBIST_CHECK(plan.ranks.size() == static_cast<std::size_t>(plan.num_ranks) &&
+                   plan.events.ranks.size() == plan.ranks.size(),
                "plan rank list size mismatch");
   AnalysisReport report;
   for (const auto& [view, elements] : elements_by_view(plan)) {
@@ -641,43 +617,19 @@ AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                   static_cast<std::int64_t>(trace.ranks.size()), msg.str());
     return report;
   }
-  // The planned sends of each (source, destination, wire tag) channel, in
-  // order: the channel's k-th receive takes its k-th send.
-  std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
-      channels;
+  // The plan as the run links it: each receive names the send it takes,
+  // each combine the receive it folds.
+  EventTrace expected = plan.events;
+  replay(expected);
   for (int r = 0; r < plan.num_ranks; ++r) {
     const std::vector<TraceEvent>& ops =
-        plan.ranks[static_cast<std::size_t>(r)].ops;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == TraceEventKind::kSend) {
-        channels[{r, ops[i].peer, ops[i].tag}].push_back(i);
-      }
-    }
-  }
-  for (int r = 0; r < plan.num_ranks; ++r) {
-    const std::vector<TraceEvent>& ops =
-        plan.ranks[static_cast<std::size_t>(r)].ops;
+        expected.ranks[static_cast<std::size_t>(r)];
     const std::vector<TraceEvent>& events =
         trace.ranks[static_cast<std::size_t>(r)];
     const std::size_t common = std::min(ops.size(), events.size());
-    std::uint64_t last_recv = kNoTraceSeq;
     std::size_t i = 0;
     for (; i < common; ++i) {
-      std::uint64_t match = kNoTraceSeq;
-      std::uint64_t operand = kNoTraceSeq;
-      if (ops[i].kind == TraceEventKind::kRecv) {
-        std::deque<std::uint64_t>& sends =
-            channels[{ops[i].peer, r, ops[i].tag}];
-        if (!sends.empty()) {
-          match = sends.front();
-          sends.pop_front();
-        }
-        last_recv = i;
-      } else if (ops[i].kind == TraceEventKind::kCombine) {
-        operand = last_recv;
-      }
-      const Field d =
-          first_divergence(trace, ops[i], events[i], match, operand);
+      const Field d = first_divergence(trace, ops[i], events[i]);
       if (d.name == nullptr) {
         if (check_wire(spec, r, i, events[i], report)) break;
         continue;

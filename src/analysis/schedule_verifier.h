@@ -9,8 +9,10 @@
 //     Sends in minimpi never block and every receive names its source,
 //     so the only hazard is a receive cycle, and every interleaving
 //     matches the same send to every receive (Kahn's determinacy): one
-//     replay of the per-rank programs decides them all. On a stall it
-//     extracts the wait-for-graph cycle for the diagnostic.
+//     replay of the per-rank programs decides them all — `replay`
+//     (minimpi/event_trace.h), the one the tuner and the audit run. The
+//     verifier reads the matches and the stop points it leaves, and on a
+//     stall extracts the wait-for-graph cycle for the diagnostic.
 //   * Communication volume — per-edge planned construction volume equals
 //     Lemma 1's closed form (2^{k_m} - 1) * prod_{j notin Y} D_j, and the
 //     total equals Theorem 3's sum. Exact, not approximate: uneven
@@ -134,19 +136,19 @@ AnalysisReport verify_schedule(const ScheduleSpec& spec, const CommPlan& plan);
 AnalysisReport verify_schedule(const ScheduleSpec& spec);
 
 /// Post-run audit: the recorded trace must equal `plan` (built for
-/// `spec`) event for event on every rank. The planned and recorded
-/// events are compared field for field — kind, peer, tag, chunk offset
-/// and logical size — and the fields only the run can fill in are checked
-/// against the trace itself: the send each receive consumed, each
-/// combine's operand, a receive's wire bytes (those of the send it
-/// consumed), and every send's wire size, which must stay at or below its
-/// logical size (exactly on it with `spec.reduce.encode_wire` off). With
-/// `plan` certified, that is the whole runtime check (docs/ANALYSIS.md,
-/// "Trace equals plan"): the measured per-view volume is the plan's,
-/// hence Lemma 1's, and the per-view wire bytes stay at or under the
-/// dense bound. Reports each rank's first departure: a send over its
-/// logical size as kWireVolumeExceedsBound, anything else as
-/// kTraceMismatch.
+/// `spec`) event for event on every rank. The recorded events are
+/// compared with the plan's, linked by `replay` as the run links them,
+/// field for field — kind, peer, tag, chunk offset, the send each receive
+/// consumed, each combine's operand and logical size — and the wire
+/// sizes, which only the run can fill in, are checked against the trace
+/// itself: a receive's must be those of the send it consumed, and every
+/// send's must stay at or below its logical size (exactly on it with
+/// `spec.reduce.encode_wire` off). With `plan` certified, that is the
+/// whole runtime check (docs/ANALYSIS.md, "Trace equals plan"): the
+/// measured per-view volume is the plan's, hence Lemma 1's, and the
+/// per-view wire bytes stay at or under the dense bound. Reports each
+/// rank's first departure: a send over its logical size as
+/// kWireVolumeExceedsBound, anything else as kTraceMismatch.
 AnalysisReport audit_trace(const ScheduleSpec& spec, const CommPlan& plan,
                            const EventTrace& trace);
 
@@ -169,7 +171,7 @@ enum class ScheduleMutation {
 
 const char* to_string(ScheduleMutation mutation);
 
-/// Applies `mutation` to `plan`'s ops in place and returns a one-line
+/// Applies `mutation` to `plan`'s events in place and returns a one-line
 /// description of the seeded bug, or an empty string if the plan has no
 /// site where the mutation is expressible (e.g. a single-rank schedule).
 /// It exists only so tests and `cubist-analyze --self-test` can prove the

@@ -50,18 +50,10 @@ struct AggregationStats {
   std::int64_t updates = 0;
   /// Transient bytes this scan allocated beyond its children: the sparse
   /// scan's offset table (0 for dense scans and for sparse scans that
-  /// decode every chunk). A high-water mark, not a sum: merging stats
-  /// keeps the max, because the table of one scan is released before the
-  /// next scan starts.
+  /// decode every chunk). A high-water mark, not a sum: a walk keeps the
+  /// max over its scans, because the table of one scan is released before
+  /// the next scan starts.
   std::int64_t scratch_bytes = 0;
-
-  AggregationStats& operator+=(const AggregationStats& o) {
-    cells_scanned += o.cells_scanned;
-    updates += o.updates;
-    scratch_bytes = scratch_bytes > o.scratch_bytes ? scratch_bytes
-                                                    : o.scratch_bytes;
-    return *this;
-  }
 };
 
 /// Execution knobs of one scan (defaults reproduce the global policy).

@@ -10,18 +10,6 @@
 namespace cubist {
 namespace {
 
-/// Positions (within the parent's ascending dimension list) of the child's
-/// retained dimensions.
-std::vector<int> kept_positions(DimSet parent, DimSet child) {
-  CUBIST_CHECK(child.is_subset_of(parent), "child must be a subset");
-  const std::vector<int> parent_dims = parent.dims();
-  std::vector<int> kept;
-  for (int pos = 0; pos < static_cast<int>(parent_dims.size()); ++pos) {
-    if (child.contains(parent_dims[pos])) kept.push_back(pos);
-  }
-  return kept;
-}
-
 class TreeBuilder {
  public:
   TreeBuilder(std::vector<std::int64_t> sizes, const SpanningTree& tree,
@@ -76,15 +64,12 @@ class TreeBuilder {
     if (kids.empty()) return;
 
     if (discipline_ == ScanDiscipline::kMultiWay) {
-      const std::vector<int> view_dims = view.dims();
       std::vector<AggregationTarget> targets;
       for (DimSet child : kids) {
         CUBIST_CHECK(child.size() + 1 == view.size(),
                      "multi-way discipline requires single-dimension edges");
-        const int aggregated = view.minus(child).min_dim();
-        int pos = 0;
-        while (view_dims[pos] != aggregated) ++pos;
-        targets.push_back(AggregationTarget{pos, &allocate(child)});
+        targets.push_back(AggregationTarget{
+            view.position_of(view.minus(child).min_dim()), &allocate(child)});
       }
       track(aggregate_children(parent_array, targets));
       for (DimSet child : kids) {
@@ -92,8 +77,10 @@ class TreeBuilder {
       }
     } else {
       for (DimSet child : kids) {
-        track(project(parent_array, kept_positions(view, child),
-                      &allocate(child)));
+        // The child's positions among the parent's dimensions.
+        std::vector<int> kept;
+        for (int d : child.dims()) kept.push_back(view.position_of(d));
+        track(project(parent_array, kept, &allocate(child)));
         evaluate(child);
       }
     }

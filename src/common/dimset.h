@@ -92,6 +92,14 @@ class DimSet {
     return 31 - __builtin_clz(mask_);
   }
 
+  /// The position of `dim` in dims(): the count of members below it.
+  /// Precondition: `dim` is a member.
+  int position_of(int dim) const {
+    CUBIST_CHECK(dim >= 0 && dim < kMaxDims && contains(dim),
+                 "dimension " << dim << " is not in " << to_string());
+    return __builtin_popcount(mask_ & ((std::uint32_t{1} << dim) - 1));
+  }
+
   /// Dimension indices in ascending order.
   std::vector<int> dims() const {
     std::vector<int> out;

@@ -8,19 +8,6 @@
 #include "lattice/cube_lattice.h"
 
 namespace cubist {
-namespace {
-
-/// Positions of `child`'s dimensions within `parent`'s dimension list.
-std::vector<int> kept_positions(DimSet parent, DimSet child) {
-  const std::vector<int> parent_dims = parent.dims();
-  std::vector<int> kept;
-  for (int pos = 0; pos < static_cast<int>(parent_dims.size()); ++pos) {
-    if (child.contains(parent_dims[pos])) kept.push_back(pos);
-  }
-  return kept;
-}
-
-}  // namespace
 
 PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
                                std::vector<DimSet> views, BuildStats* stats) {
@@ -167,14 +154,17 @@ DenseArray PartialCube::materialize_from(std::optional<DimSet> from,
   // Resolved before the output is allocated, so a root-view query on an
   // adopted cube fails without allocating the root.
   const SparseArray* input_array = from ? nullptr : &input();
+  const DimSet source = from ? *from : root;
   std::vector<std::int64_t> extents;
+  std::vector<int> kept;  // the view's positions among the source's dims
   for (int d : view.dims()) {
     extents.push_back(sizes()[d]);
+    kept.push_back(source.position_of(d));
   }
   DenseArray out{Shape{extents}};
   const AggregationStats scan =
-      from ? project(views_->view(*from), kept_positions(*from, view), &out)
-           : project(*input_array, kept_positions(root, view), &out);
+      from ? project(views_->view(*from), kept, &out)
+           : project(*input_array, kept, &out);
   if (cells_scanned != nullptr) *cells_scanned = scan.cells_scanned;
   return out;
 }

@@ -151,13 +151,10 @@ class TreeWalk {
                         const Parent& parent, bool input_level) {
     const AggregationStats scan =
         hooks_.scan(view, input_level, children.size(), [&] {
-          const std::vector<int> view_dims = view.dims();
           std::vector<AggregationTarget> targets;
           for (DimSet child : children) {
-            const int aggregated = view.minus(child).min_dim();
             // Position of the aggregated dimension within the parent's dims.
-            int pos = 0;
-            while (view_dims[pos] != aggregated) ++pos;
+            const int pos = view.position_of(view.minus(child).min_dim());
             auto [it, inserted] = live_.try_emplace(
                 child.mask(), parent.shape().without_dim(pos),
                 identity_of(op_));

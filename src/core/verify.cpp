@@ -79,10 +79,7 @@ std::string validate_cube_consistency(const CubeResult& cube) {
       const DenseArray& parent = cube.view(parent_view);
       // Aggregate the parent along d and compare.
       DenseArray derived{child.shape()};
-      const std::vector<int> parent_dims = parent_view.dims();
-      int pos = 0;
-      while (parent_dims[pos] != d) ++pos;
-      const AggregationTarget target{pos, &derived};
+      const AggregationTarget target{parent_view.position_of(d), &derived};
       aggregate_children(parent, std::span(&target, 1));
       if (!(derived == child)) {
         std::ostringstream out;

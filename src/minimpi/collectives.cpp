@@ -1,14 +1,17 @@
 #include "minimpi/collectives.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <utility>
+#include <numeric>
 
 #include "array/shape.h"
 #include "common/error.h"
 
 namespace cubist {
+namespace {
+
+constexpr auto kValueBytes = static_cast<std::int64_t>(sizeof(Value));
+
+}  // namespace
 
 const char* to_string(ReduceAlgorithm algorithm) {
   switch (algorithm) {
@@ -28,52 +31,6 @@ bool parse_reduce_algorithm(std::string_view name, ReduceAlgorithm* out) {
   return true;
 }
 
-std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
-                                           std::span<const int> group,
-                                           int me_index) {
-  const int g = static_cast<int>(group.size());
-  CUBIST_CHECK(g >= 1, "empty reduction group");
-  CUBIST_CHECK(me_index >= 0 && me_index < g, "member index out of group");
-  if (g == 1) return {};
-  switch (algorithm) {
-    case ReduceAlgorithm::kAuto:
-      CUBIST_CHECK(false, "kAuto must be resolved before step generation");
-      return {};
-    case ReduceAlgorithm::kBinomial: {
-      // Receives in ascending step order, then (except at the root) one
-      // send.
-      std::vector<ReduceStep> out;
-      for (int step = 1; step < g; step <<= 1) {
-        if ((me_index & step) != 0) {
-          out.push_back({ReduceStep::Kind::kSend, group[me_index - step]});
-          break;
-        }
-        if (me_index + step < g) {
-          out.push_back({ReduceStep::Kind::kRecvCombine,
-                         group[me_index + step]});
-        }
-      }
-      return out;
-    }
-    case ReduceAlgorithm::kRing: {
-      // Chain toward group[0]: the tail only sends, interior members
-      // fold one operand then forward, the head only folds.
-      std::vector<ReduceStep> out;
-      if (me_index == g - 1) {
-        out.push_back({ReduceStep::Kind::kSend, group[me_index - 1]});
-      } else if (me_index > 0) {
-        out.push_back({ReduceStep::Kind::kRecvCombine, group[me_index + 1]});
-        out.push_back({ReduceStep::Kind::kSend, group[me_index - 1]});
-      } else {
-        out.push_back({ReduceStep::Kind::kRecvCombine, group[1]});
-      }
-      return out;
-    }
-  }
-  CUBIST_CHECK(false, "unknown reduce algorithm");
-  return {};
-}
-
 std::int64_t reduce_chunk_elements(const ReduceOptions& options,
                                    std::int64_t total_elements,
                                    int group_size) {
@@ -89,19 +46,53 @@ std::int64_t reduce_chunk_elements(const ReduceOptions& options,
   return total_elements == 0 ? 1 : total_elements;
 }
 
-std::vector<ReduceOp> reduce_program(const ReduceOptions& options,
-                                     std::span<const int> group,
-                                     int me_index,
-                                     std::int64_t total_elements) {
-  const std::vector<ReduceStep> steps =
-      reduce_chunk_steps(options.algorithm, group, me_index);
-  const std::int64_t piece = reduce_chunk_elements(
-      options, total_elements, static_cast<int>(group.size()));
-  std::vector<ReduceOp> program;
+std::vector<TraceEvent> reduce_program(const ReduceOptions& options,
+                                       std::span<const int> group,
+                                       int me_index,
+                                       std::int64_t total_elements,
+                                       std::uint64_t tag) {
+  const int g = static_cast<int>(group.size());
+  CUBIST_CHECK(g >= 1, "empty reduction group");
+  CUBIST_CHECK(me_index >= 0 && me_index < g, "member index out of group");
+  // One chunk's schedule: the members this one folds, in order, and the
+  // one it forwards to (none at group[0]).
+  std::vector<int> sources;
+  int destination = -1;
+  switch (options.algorithm) {
+    case ReduceAlgorithm::kAuto:
+      CUBIST_CHECK(false, "kAuto must be resolved before program generation");
+      break;
+    case ReduceAlgorithm::kBinomial:
+      // Receives in ascending step order, then (except at the root) one
+      // send.
+      for (int step = 1; step < g; step <<= 1) {
+        if ((me_index & step) != 0) {
+          destination = group[me_index - step];
+          break;
+        }
+        if (me_index + step < g) sources.push_back(group[me_index + step]);
+      }
+      break;
+    case ReduceAlgorithm::kRing:
+      // Chain toward group[0]: the tail only sends, interior members
+      // fold one operand then forward, the head only folds.
+      if (me_index + 1 < g) sources.push_back(group[me_index + 1]);
+      if (me_index > 0) destination = group[me_index - 1];
+      break;
+  }
+  const std::int64_t piece = reduce_chunk_elements(options, total_elements, g);
+  std::vector<TraceEvent> program;
   for (std::int64_t offset = 0; offset < total_elements; offset += piece) {
     const std::int64_t count = std::min(piece, total_elements - offset);
-    for (const ReduceStep& step : steps) {
-      program.push_back({step, offset, count});
+    for (const int source : sources) {
+      program.push_back(
+          {TraceEventKind::kRecv, source, tag, count * kValueBytes, offset});
+      program.push_back(
+          {TraceEventKind::kCombine, source, tag, count, offset});
+    }
+    if (destination >= 0) {
+      program.push_back({TraceEventKind::kSend, destination, tag,
+                         count * kValueBytes, offset});
     }
   }
   return program;
@@ -122,47 +113,45 @@ double simulate_reduce_seconds(const ReduceOptions& options,
   const int g = static_cast<int>(group.size());
   if (g < 2 || total_elements == 0) return 0.0;
 
-  std::vector<std::vector<ReduceOp>> programs(static_cast<std::size_t>(g));
+  // One flat link prices every edge, so a member's program costs the same
+  // whatever ranks the group holds: replay the members as ranks 0..g-1.
+  std::vector<int> members(static_cast<std::size_t>(g));
+  std::iota(members.begin(), members.end(), 0);
+  // Each member's clock, and each send's arrival time, charged as the
+  // runtime charges them.
+  EventTrace programs;
+  std::vector<std::vector<double>> arrival;
   for (int i = 0; i < g; ++i) {
-    programs[static_cast<std::size_t>(i)] =
-        reduce_program(options, group, i, total_elements);
+    programs.ranks.push_back(
+        reduce_program(options, members, i, total_elements, /*tag=*/0));
+    arrival.emplace_back(programs.ranks.back().size());
   }
-
-  // Deterministic replay: each member runs its program until it blocks on
-  // a message still in flight. Channels are FIFO per (src, dst), exactly
-  // like the transport, and every charge is the runtime's own.
   std::vector<double> clock(static_cast<std::size_t>(g), 0.0);
-  std::vector<std::size_t> pc(static_cast<std::size_t>(g), 0);
-  std::map<std::pair<int, int>, std::deque<double>> arrivals;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int i = 0; i < g; ++i) {
-      const std::vector<ReduceOp>& program =
-          programs[static_cast<std::size_t>(i)];
-      double& t = clock[static_cast<std::size_t>(i)];
-      std::size_t& next = pc[static_cast<std::size_t>(i)];
-      for (; next < program.size(); ++next) {
-        const ReduceOp& op = program[next];
-        const ReducePayloadEstimate estimate =
-            estimate_reduce_payload(op.count, options.encode_wire);
-        if (op.step.kind == ReduceStep::Kind::kSend) {
-          arrivals[{group[i], op.step.peer}].push_back(
-              model.charge_send(t, estimate.wire_bytes));
-        } else {
-          std::deque<double>& queue = arrivals[{op.step.peer, group[i]}];
-          if (queue.empty()) break;  // blocked on an in-flight message
-          CostModel::charge_receive(t, queue.front());
-          queue.pop_front();
-          model.charge_combine(t, estimate.updates);
+  const std::vector<std::size_t> stopped_at = replay(
+      programs, [&](int rank, std::size_t index, const TraceEvent& event) {
+        double& t = clock[static_cast<std::size_t>(rank)];
+        switch (event.kind) {
+          case TraceEventKind::kSend:
+            arrival[static_cast<std::size_t>(rank)][index] = model.charge_send(
+                t, estimate_reduce_payload(event.units / kValueBytes,
+                                           options.encode_wire)
+                       .wire_bytes);
+            break;
+          case TraceEventKind::kRecv:
+            CostModel::charge_receive(
+                t, arrival[static_cast<std::size_t>(event.peer)]
+                          [event.match_seq]);
+            break;
+          case TraceEventKind::kCombine:
+            model.charge_combine(
+                t, estimate_reduce_payload(event.units, options.encode_wire)
+                       .updates);
+            break;
         }
-        progress = true;
-      }
-    }
-  }
+      });
   for (int i = 0; i < g; ++i) {
-    CUBIST_ASSERT(pc[static_cast<std::size_t>(i)] ==
-                      programs[static_cast<std::size_t>(i)].size(),
+    CUBIST_ASSERT(stopped_at[static_cast<std::size_t>(i)] ==
+                      programs.ranks[static_cast<std::size_t>(i)].size(),
                   "reduce schedule simulation deadlocked");
   }
   return *std::max_element(clock.begin(), clock.end());

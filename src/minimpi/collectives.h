@@ -25,10 +25,12 @@
 //
 // `reduce_program` is the single source of truth for what one reduction
 // does, and CostModel's charge_* functions for what it costs. The program
-// has three callers: Comm::reduce executes it, analysis/comm_plan.cpp
-// plans it, and simulate_reduce_seconds replays it under the runtime's
-// own charging functions. Plan, runtime and tuner therefore agree by
-// construction, not by parallel maintenance.
+// is written in the run's own TraceEvents, and has three callers:
+// Comm::reduce executes it, analysis/comm_plan.cpp appends it to the plan
+// as it is, and simulate_reduce_seconds runs it through `replay`
+// (minimpi/event_trace.h), the verifier's replay, charging the runtime's
+// own functions. Plan, runtime and tuner therefore agree by construction,
+// not by parallel maintenance.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "minimpi/cost_model.h"
+#include "minimpi/event_trace.h"
 
 namespace cubist {
 
@@ -77,26 +80,6 @@ struct ReduceOptions {
   bool encode_wire = true;
 };
 
-/// One step of a member's per-chunk program, in execution order. A
-/// kRecvCombine receives from `peer` and folds the payload into the
-/// local chunk; a kSend ships the local chunk to `peer`. Every member
-/// except group[0] sends exactly once per chunk.
-struct ReduceStep {
-  enum class Kind { kSend, kRecvCombine };
-  Kind kind = Kind::kSend;
-  /// Peer RANK (not group index).
-  int peer = -1;
-
-  bool operator==(const ReduceStep&) const = default;
-};
-
-/// The per-chunk schedule of group member `me_index` (an index into
-/// `group`) under `algorithm` (must be forced, not kAuto). The same
-/// program runs for every chunk of the block.
-std::vector<ReduceStep> reduce_chunk_steps(ReduceAlgorithm algorithm,
-                                           std::span<const int> group,
-                                           int me_index);
-
 /// The tuner's guard against model error: it switches away from binomial
 /// only when a challenger's predicted makespan is below this fraction of
 /// binomial's.
@@ -117,33 +100,30 @@ std::int64_t reduce_chunk_elements(const ReduceOptions& options,
                                    std::int64_t total_elements,
                                    int group_size);
 
-/// One operation of a member's reduction program: `step` applied to the
-/// `count` block elements starting at `offset`.
-struct ReduceOp {
-  ReduceStep step;
-  std::int64_t offset = 0;
-  std::int64_t count = 0;
-};
-
-/// The whole reduction program of group member `me_index` for a block of
-/// `total_elements`, in execution order: chunks of reduce_chunk_elements()
-/// in the outer loop, the member's reduce_chunk_steps() in the inner loop,
-/// so an interior member forwards chunk i before chunk i+1 arrives.
+/// The whole reduction program of group member `me_index` (an index into
+/// `group`) for a block of `total_elements`, as the events its run records
+/// under `tag`: chunks of reduce_chunk_elements() in the outer loop, and
+/// per chunk the member's receives, each followed by the combine that
+/// folds it, then its one send (none at group[0]), so an interior member
+/// forwards chunk i before chunk i+1 arrives. Peers are ranks (members of
+/// `group`); sends and receives carry logical bytes, combines elements,
+/// and the run (or `replay`) fills in the wire bytes and links.
 /// `options.algorithm` must be forced. Empty for an empty block or a
 /// singleton group.
-std::vector<ReduceOp> reduce_program(const ReduceOptions& options,
-                                     std::span<const int> group,
-                                     int me_index,
-                                     std::int64_t total_elements);
+std::vector<TraceEvent> reduce_program(const ReduceOptions& options,
+                                       std::span<const int> group,
+                                       int me_index,
+                                       std::int64_t total_elements,
+                                       std::uint64_t tag);
 
-/// The tuner's estimate of one reduce op's payload, priced dense (the
+/// The tuner's estimate of one chunk's payload, priced dense (the
 /// partial aggregates a reduce ships are): the wire bytes a send of
 /// `elements` puts on the link — half the raw Values with the codec on
 /// (its narrow-integer form), all of them off — and one combine update
-/// per element at its receiver. simulate_reduce_seconds prices every op
-/// of its replay on it; Comm::reduce prices every op it executes on it
-/// beside the payload it actually shipped or folded, which is what the
-/// reduce drift gauge compares (obs/drift.h).
+/// per element at its receiver. simulate_reduce_seconds prices every send
+/// and combine of its replay on it; Comm::reduce prices every send and
+/// combine it executes on it beside the payload it actually shipped or
+/// folded, which is what the reduce drift gauge compares (obs/drift.h).
 struct ReducePayloadEstimate {
   double wire_bytes = 0.0;
   double updates = 0.0;
@@ -152,9 +132,9 @@ ReducePayloadEstimate estimate_reduce_payload(std::int64_t elements,
                                               bool encode_wire);
 
 /// Predicted makespan of one reduction under `options.algorithm` (must
-/// be forced): a deterministic event-driven replay of every member's
-/// reduce_program, charged by the same CostModel functions the runtime's
-/// virtual clock calls, on estimate_reduce_payload's payloads.
+/// be forced): every member's reduce_program run through `replay`, each
+/// event charged by the CostModel function the runtime's virtual clock
+/// calls for it, on estimate_reduce_payload's payloads.
 double simulate_reduce_seconds(const ReduceOptions& options,
                                std::span<const int> group,
                                std::int64_t total_elements,

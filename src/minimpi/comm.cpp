@@ -138,34 +138,48 @@ void Comm::reduce(std::span<const int> group, DenseArray& data,
   // Per destination cell the combine order is the program's fixed step
   // order, identical for every chunk size — the chunking is invisible in
   // the output bits.
-  for (const ReduceOp& next :
-       reduce_program(resolved, group, me, total)) {
-    const std::span<Value> chunk(data.data() + next.offset,
-                                 static_cast<std::size_t>(next.count));
-    const ReducePayloadEstimate estimate =
-        estimate_reduce_payload(next.count, options.encode_wire);
-    if (next.step.kind == ReduceStep::Kind::kSend) {
-      std::vector<std::byte> payload =
-          encode_chunk(chunk, op, options.encode_wire);
-      model.charge_send(observed, static_cast<double>(payload.size()));
-      model.charge_send(modeled, estimate.wire_bytes);
-      send_wire(next.step.peer, tag,
-                next.count * static_cast<std::int64_t>(sizeof(Value)),
-                next.offset, std::move(payload));
-      continue;
+  constexpr auto kValueBytes = static_cast<std::int64_t>(sizeof(Value));
+  std::vector<std::byte> operand;  // the latest receive's payload
+  for (const TraceEvent& next :
+       reduce_program(resolved, group, me, total, tag)) {
+    switch (next.kind) {
+      case TraceEventKind::kSend: {
+        const std::int64_t count = next.units / kValueBytes;
+        std::vector<std::byte> payload = encode_chunk(
+            std::span<const Value>(data.data() + next.offset,
+                                   static_cast<std::size_t>(count)),
+            op, options.encode_wire);
+        model.charge_send(observed, static_cast<double>(payload.size()));
+        model.charge_send(
+            modeled,
+            estimate_reduce_payload(count, options.encode_wire).wire_bytes);
+        send_wire(next.peer, tag, next.units, next.offset, std::move(payload));
+        break;
+      }
+      case TraceEventKind::kRecv:
+        operand = recv_bytes(next.peer, tag);
+        break;
+      case TraceEventKind::kCombine: {
+        // The operand is released once folded, before the next send.
+        const std::vector<std::byte> payload = std::move(operand);
+        const std::int64_t updates = combine_chunk(
+            op,
+            std::span<Value>(data.data() + next.offset,
+                             static_cast<std::size_t>(next.units)),
+            payload, combine_pool);
+        TraceEvent combined = next;
+        combined.operand_seq = last_recv_seq_;
+        trace(combined);
+        // One update per combined element (run-skipped identity cells
+        // cost nothing).
+        model.charge_combine(clock_, static_cast<double>(updates));
+        model.charge_combine(observed, static_cast<double>(updates));
+        model.charge_combine(
+            modeled,
+            estimate_reduce_payload(next.units, options.encode_wire).updates);
+        break;
+      }
     }
-    const std::vector<std::byte> payload = recv_bytes(next.step.peer, tag);
-    const std::int64_t updates =
-        combine_chunk(op, chunk, payload, combine_pool);
-    TraceEvent combined{TraceEventKind::kCombine, next.step.peer, tag,
-                        next.count, next.offset};
-    combined.operand_seq = last_recv_seq_;
-    trace(combined);
-    // One update per combined element (run-skipped identity cells cost
-    // nothing).
-    model.charge_combine(clock_, static_cast<double>(updates));
-    model.charge_combine(observed, static_cast<double>(updates));
-    model.charge_combine(modeled, estimate.updates);
   }
   reduce_drift_gauge().record(observed, modeled);
   if (span.active()) span.tag("clock_delta_seconds", clock_ - clock_at_entry);

@@ -69,20 +69,21 @@ class Comm {
   /// receiver's elementwise combine (null = inline) under the pool's own
   /// per-rank budget, striped in fixed disjoint cell ranges.
   ///
-  /// The member executes its reduce_program: the block is split into
-  /// chunks (reduce_chunk_elements) and each chunk runs the member's whole
-  /// schedule step list before the next chunk starts, so an interior
-  /// member combines and forwards chunk i before chunk i+1 arrives from
-  /// below and the virtual clock sees the rounds overlap (per-chunk
-  /// arrival times, not whole-block serialization). Each chunk's payload
-  /// is adaptively encoded when `options.encode_wire` is on; each send
-  /// event records logical and wire bytes per message, and the clock
-  /// charges the transfer at wire size through CostModel's charge_*
-  /// functions, the same ones simulate_reduce_seconds replays. Each
-  /// member records one sample into the reduce drift gauge (obs/drift.h):
-  /// its send and combine charges on the payloads it shipped and folded,
-  /// against the same charges on estimate_reduce_payload's dense
-  /// estimates; waits count on neither side.
+  /// The member executes its reduce_program, the events its run records
+  /// in order: the block is split into chunks (reduce_chunk_elements), and
+  /// per chunk the member receives and folds each operand, then forwards
+  /// the chunk, so an interior member combines and forwards chunk i before
+  /// chunk i+1 arrives from below and the virtual clock sees the rounds
+  /// overlap (per-chunk arrival times, not whole-block serialization).
+  /// Each chunk's payload is adaptively encoded when `options.encode_wire`
+  /// is on; each send event records logical and wire bytes per message,
+  /// and the clock charges the transfer at wire size through CostModel's
+  /// charge_* functions, the same ones simulate_reduce_seconds charges on
+  /// its replay of the same program. Each member records one sample into
+  /// the reduce drift gauge (obs/drift.h): its send and combine charges on
+  /// the payloads it shipped and folded, against the same charges on
+  /// estimate_reduce_payload's dense estimates; waits count on neither
+  /// side.
   ///
   /// Determinism: every receive is fixed-source, so per destination cell
   /// the combine order is the chosen schedule's step order, identical

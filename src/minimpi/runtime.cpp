@@ -15,22 +15,6 @@
 namespace cubist {
 namespace {
 
-/// The run's volume, summed over the send events of `trace`.
-VolumeReport volume_of(const EventTrace& trace) {
-  VolumeReport volume;
-  for (const std::vector<TraceEvent>& events : trace.ranks) {
-    for (const TraceEvent& event : events) {
-      if (event.kind != TraceEventKind::kSend) continue;
-      volume.total_messages += 1;
-      volume.total_bytes += event.units;
-      volume.total_wire_bytes += event.wire;
-      volume.bytes_by_tag[event.tag] += event.units;
-      volume.wire_bytes_by_tag[event.tag] += event.wire;
-    }
-  }
-  return volume;
-}
-
 /// Adds one run's volume to the process-wide export counters (cumulative
 /// across runs, as Prometheus counters are meant to be).
 void export_volume(const VolumeReport& volume) {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "minimpi/comm.h"
@@ -20,31 +19,10 @@
 
 namespace cubist {
 
-/// Communication totals of one run, broken down by tag — the paper's
-/// measured volume (Lemma 1, Theorem 3). The cube builder tags each
-/// reduction with the view's dimension mask, so the per-tag maps
-/// decompose the volume per lattice node. LOGICAL bytes are the dense
-/// payload size (elements * sizeof(Value)), the quantity the closed forms
-/// bound; WIRE bytes are what the encoded payload occupied on the link.
-/// The codec never ships more than the dense payload, so wire <= logical
-/// holds per message (equal with the codec off).
-struct VolumeReport {
-  /// Logical (dense-equivalent) bytes — the paper's volume measure.
-  std::int64_t total_bytes = 0;
-  /// Bytes actually shipped after wire encoding (== total_bytes when the
-  /// codec is disabled).
-  std::int64_t total_wire_bytes = 0;
-  std::int64_t total_messages = 0;
-  /// Logical bytes per tag (tag = view mask in the cube builder).
-  std::map<std::uint64_t, std::int64_t> bytes_by_tag;
-  /// Wire bytes per tag.
-  std::map<std::uint64_t, std::int64_t> wire_bytes_by_tag;
-};
-
 /// Outcome of one SPMD run.
 struct RunReport {
-  /// Exact communication accounting (bytes/messages, per tag), derived
-  /// from the send events of `trace` after the rank threads joined.
+  /// Exact communication accounting (bytes/messages, per tag): volume_of
+  /// `trace`, summed after the rank threads joined.
   VolumeReport volume;
   /// Simulated parallel execution time: max over ranks of the final
   /// virtual clock.

@@ -282,81 +282,23 @@ std::string TraceCapture::structure_signature() const {
   return out.str();
 }
 
-namespace {
+namespace internal {
 
-void add_tag(TraceRecord& record, TraceTag tag) {
-  if (record.num_tags >= kMaxTraceTags) return;  // extra tags are dropped
-  record.tags[record.num_tags++] = tag;
+ThreadBuffer* begin_record(TraceRecord& record, const char* category,
+                           const char* name, bool instant) {
+  ThreadBuffer* buffer = &Tracer::instance().this_thread_buffer();
+  record.name = name;
+  record.category = category;
+  record.instant = instant;
+  record.start_ns = trace_now_ns();
+  return buffer;
 }
 
-}  // namespace
-
-void Span::begin(const char* category, const char* name) {
-  buffer_ = &Tracer::instance().this_thread_buffer();
-  record_.name = name;
-  record_.category = category;
-  record_.start_ns = trace_now_ns();
+void commit_record(ThreadBuffer& buffer, TraceRecord& record) {
+  if (!record.instant) record.duration_ns = trace_now_ns() - record.start_ns;
+  buffer.emit(record);
 }
 
-void Span::commit() {
-  record_.duration_ns = trace_now_ns() - record_.start_ns;
-  buffer_->emit(record_);
-  buffer_ = nullptr;
-}
-
-Span& Span::tag(const char* key, std::int64_t value) {
-  if (buffer_ != nullptr) {
-    add_tag(record_, TraceTag{key, TraceTag::Kind::kInt, value, 0.0, nullptr});
-  }
-  return *this;
-}
-
-Span& Span::tag(const char* key, double value) {
-  if (buffer_ != nullptr) {
-    add_tag(record_, TraceTag{key, TraceTag::Kind::kDouble, 0, value, nullptr});
-  }
-  return *this;
-}
-
-Span& Span::tag(const char* key, const char* value) {
-  if (buffer_ != nullptr) {
-    add_tag(record_, TraceTag{key, TraceTag::Kind::kString, 0, 0.0, value});
-  }
-  return *this;
-}
-
-void Instant::begin(const char* category, const char* name) {
-  buffer_ = &Tracer::instance().this_thread_buffer();
-  record_.name = name;
-  record_.category = category;
-  record_.start_ns = trace_now_ns();
-  record_.instant = true;
-}
-
-void Instant::commit() {
-  buffer_->emit(record_);
-  buffer_ = nullptr;
-}
-
-Instant& Instant::tag(const char* key, std::int64_t value) {
-  if (buffer_ != nullptr) {
-    add_tag(record_, TraceTag{key, TraceTag::Kind::kInt, value, 0.0, nullptr});
-  }
-  return *this;
-}
-
-Instant& Instant::tag(const char* key, double value) {
-  if (buffer_ != nullptr) {
-    add_tag(record_, TraceTag{key, TraceTag::Kind::kDouble, 0, value, nullptr});
-  }
-  return *this;
-}
-
-Instant& Instant::tag(const char* key, const char* value) {
-  if (buffer_ != nullptr) {
-    add_tag(record_, TraceTag{key, TraceTag::Kind::kString, 0, 0.0, value});
-  }
-  return *this;
-}
+}  // namespace internal
 
 }  // namespace cubist::obs

@@ -200,66 +200,83 @@ class ScopedThreadIdentity {
 
 std::uint64_t trace_now_ns();
 
-/// RAII timed region. Construction stamps the start, destruction stamps
-/// the duration and commits the record. When tracing is disabled the
-/// constructor is one relaxed load + branch and everything else no-ops.
-class Span {
+namespace internal {
+
+/// Starts `record` on the calling thread's buffer, which it returns.
+ThreadBuffer* begin_record(TraceRecord& record, const char* category,
+                           const char* name, bool instant);
+/// Stamps a span's duration and emits `record` into `buffer`.
+void commit_record(ThreadBuffer& buffer, TraceRecord& record);
+
+/// What Span and Instant share: the record being built and the buffer it
+/// commits to on destruction. The buffer is null while tracing is
+/// disabled, so the constructor is one relaxed load and a branch, and
+/// every tag one branch.
+template <typename Self>
+class TraceScope {
  public:
-  Span(const char* category, const char* name) {
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+  Self& tag(const char* key, std::int64_t value) {
+    return add({key, TraceTag::Kind::kInt, value, 0.0, nullptr});
+  }
+  Self& tag(const char* key, double value) {
+    return add({key, TraceTag::Kind::kDouble, 0, value, nullptr});
+  }
+  Self& tag(const char* key, const char* value) {  // static string
+    return add({key, TraceTag::Kind::kString, 0, 0.0, value});
+  }
+
+ protected:
+  TraceScope(const char* category, const char* name, bool instant) {
     if (!Tracer::enabled()) return;
-    begin(category, name);
+    buffer_ = begin_record(record_, category, name, instant);
   }
-  ~Span() {
-    if (buffer_ != nullptr) commit();
-  }
+  ~TraceScope() { commit(); }
 
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  Span& tag(const char* key, std::int64_t value);
-  Span& tag(const char* key, double value);
-  Span& tag(const char* key, const char* value);  // static string
-
-  /// Commits the span now instead of at scope exit (idempotent).
-  void end() {
-    if (buffer_ != nullptr) commit();
+  /// Commits the record once; later calls do nothing.
+  void commit() {
+    if (buffer_ == nullptr) return;
+    commit_record(*buffer_, record_);
+    buffer_ = nullptr;
   }
 
-  bool active() const { return buffer_ != nullptr; }
+  ThreadBuffer* buffer_ = nullptr;
 
  private:
-  void begin(const char* category, const char* name);
-  void commit();
+  Self& add(const TraceTag& tag) {
+    // Tags past kMaxTraceTags are dropped.
+    if (buffer_ != nullptr && record_.num_tags < kMaxTraceTags) {
+      record_.tags[record_.num_tags++] = tag;
+    }
+    return static_cast<Self&>(*this);
+  }
 
-  internal::ThreadBuffer* buffer_ = nullptr;
   TraceRecord record_;
+};
+
+}  // namespace internal
+
+/// RAII timed region. Construction stamps the start, destruction stamps
+/// the duration and commits the record.
+class Span : public internal::TraceScope<Span> {
+ public:
+  Span(const char* category, const char* name)
+      : TraceScope(category, name, /*instant=*/false) {}
+
+  /// Commits the span now instead of at scope exit (idempotent).
+  void end() { commit(); }
+
+  bool active() const { return buffer_ != nullptr; }
 };
 
 /// Point event; commits on destruction so tags can be chained:
 /// `Instant("serving", "cache.miss").tag("bytes", n);`
-class Instant {
+class Instant : public internal::TraceScope<Instant> {
  public:
-  Instant(const char* category, const char* name) {
-    if (!Tracer::enabled()) return;
-    begin(category, name);
-  }
-  ~Instant() {
-    if (buffer_ != nullptr) commit();
-  }
-
-  Instant(const Instant&) = delete;
-  Instant& operator=(const Instant&) = delete;
-
-  Instant& tag(const char* key, std::int64_t value);
-  Instant& tag(const char* key, double value);
-  Instant& tag(const char* key, const char* value);  // static string
-
- private:
-  void begin(const char* category, const char* name);
-  void commit();
-
-  internal::ThreadBuffer* buffer_ = nullptr;
-  TraceRecord record_;
+  Instant(const char* category, const char* name)
+      : TraceScope(category, name, /*instant=*/true) {}
 };
 
 }  // namespace cubist::obs

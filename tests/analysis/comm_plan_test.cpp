@@ -1,6 +1,7 @@
 // The static plan must mirror the Figure-5 program exactly: per-view
 // volumes equal to Lemma 1, message counts governed by the reduction cap,
-// final placement on the lead processors.
+// final placement on the lead processors, and its events — the run's own
+// TraceEvents — the whole communication program.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,9 +9,12 @@
 #include <utility>
 
 #include "cubist/cubist.h"
+#include "test_util.h"
 
 namespace cubist {
 namespace {
+
+using testing::count_kind;
 
 ScheduleSpec spec_of(std::vector<std::int64_t> sizes,
                      std::vector<int> log_splits,
@@ -87,7 +91,7 @@ TEST(CommPlanTest, SingleRankPlansNoTraffic) {
   EXPECT_EQ(plan.num_ranks, 1);
   EXPECT_EQ(plan.total_messages(), 0);
   EXPECT_TRUE(elements_by_view(plan).empty());
-  EXPECT_TRUE(plan.ranks[0].ops.empty());
+  EXPECT_TRUE(plan.events.ranks[0].empty());
 }
 
 TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
@@ -107,7 +111,7 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
   EXPECT_EQ(view12_picks[ReduceAlgorithm::kRing], 1);
   EXPECT_EQ(view12_picks[ReduceAlgorithm::kBinomial], 1);
 
-  // Each rank's planned ops for each view it reduces are exactly the
+  // Each rank's planned events for each view it reduces are exactly the
   // reduce_program of its group's recorded pick, and no rank reduces a
   // view outside a recorded group.
   const ProcGrid grid(spec.log_splits);
@@ -124,23 +128,11 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
       }
       ReduceOptions resolved = spec.reduce;
       resolved.algorithm = algorithm;
-      std::vector<TraceEvent> expected;
-      for (const ReduceOp& op : reduce_program(resolved, ranks, me, total)) {
-        const std::int64_t bytes =
-            op.count * static_cast<std::int64_t>(sizeof(Value));
-        if (op.step.kind == ReduceStep::Kind::kSend) {
-          expected.push_back({TraceEventKind::kSend, op.step.peer, view,
-                              bytes, op.offset});
-        } else {
-          expected.push_back({TraceEventKind::kRecv, op.step.peer, view,
-                              bytes, op.offset});
-          expected.push_back({TraceEventKind::kCombine, op.step.peer, view,
-                              op.count, op.offset});
-        }
-      }
+      const std::vector<TraceEvent> expected =
+          reduce_program(resolved, ranks, me, total, view);
       std::vector<TraceEvent> planned;
       for (const TraceEvent& op :
-           plan.ranks[static_cast<std::size_t>(rank)].ops) {
+           plan.events.ranks[static_cast<std::size_t>(rank)]) {
         if (op.tag == view) planned.push_back(op);
       }
       EXPECT_EQ(planned, expected)
@@ -152,11 +144,45 @@ TEST(CommPlanTest, ReducePicksAreRecordedPerAxisGroup) {
   }
   for (int rank = 0; rank < plan.num_ranks; ++rank) {
     for (const TraceEvent& op :
-         plan.ranks[static_cast<std::size_t>(rank)].ops) {
+         plan.events.ranks[static_cast<std::size_t>(rank)]) {
       const std::uint32_t view = view_of_tag(op.tag);
       EXPECT_TRUE(covered.count({rank, view}))
           << "rank " << rank << " reduces view "
           << DimSet::from_mask(view).to_string() << " in no recorded group";
+    }
+  }
+}
+
+TEST(CommPlanTest, EventsAreTheWholeProgram) {
+  // One event per send, one per receive and one per combine: the plan's
+  // events are the whole program, with the gather's sends and receives in
+  // it.
+  ScheduleSpec spec = spec_of({4, 4, 4}, {1, 1, 0});
+  spec.collect_result = true;
+  const CommPlan plan = build_comm_plan(spec);
+  ASSERT_EQ(static_cast<int>(plan.ranks.size()), plan.num_ranks);
+  ASSERT_EQ(static_cast<int>(plan.events.ranks.size()), plan.num_ranks);
+  const std::int64_t events = plan.events.total_events();
+  EXPECT_EQ(events, plan.total_messages() * 2 +
+                        count_kind(plan.events, TraceEventKind::kCombine));
+  EXPECT_EQ(count_kind(plan.events, TraceEventKind::kRecv),
+            plan.total_messages());
+}
+
+TEST(CommPlanTest, EveryReceiveFeedsACombine) {
+  const CommPlan plan =
+      build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
+  for (const std::vector<TraceEvent>& events : plan.events.ranks) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind != TraceEventKind::kRecv) continue;
+      ASSERT_LT(i + 1, events.size());
+      const TraceEvent& combine = events[i + 1];
+      EXPECT_EQ(combine.kind, TraceEventKind::kCombine);
+      EXPECT_EQ(combine.tag, events[i].tag);
+      EXPECT_EQ(combine.offset, events[i].offset);
+      // A receive's size is logical bytes, a combine's elements.
+      EXPECT_EQ(combine.units * static_cast<std::int64_t>(sizeof(Value)),
+                events[i].units);
     }
   }
 }

@@ -2,21 +2,22 @@
 // each class of mutation: dropped receives, dropped sends, wrong lead
 // placement, off-by-one volumes, receive cycles, memory-bound and
 // scan-scratch breaches, tag collisions, and traffic or results under a
-// tag that is no view. Every violation code has its own report name.
+// tag that is no view. Every violation code has its own report name, the
+// two seeded mutations are expressible exactly when the schedule has a
+// site for them, and `describe` renders every planned event.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <set>
 #include <string>
-#include <tuple>
 
 #include "cubist/cubist.h"
 #include "test_util.h"
 
 namespace cubist {
 namespace {
+
+using testing::count_kind;
 
 ScheduleSpec spec_of(std::vector<std::int64_t> sizes,
                      std::vector<int> log_splits,
@@ -60,10 +61,10 @@ TEST(ScheduleVerifierTest, DroppedRecvLeavesUnmatchedSend) {
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   CommPlan plan = build_comm_plan(spec);
   // Rank 0 is the lead along dimension 0: drop its first receive.
-  const std::size_t recv = find_op(plan.ranks[0].ops, TraceEventKind::kRecv);
+  const std::size_t recv = find_op(plan.events.ranks[0], TraceEventKind::kRecv);
   ASSERT_NE(recv, static_cast<std::size_t>(-1));
-  plan.ranks[0].ops.erase(plan.ranks[0].ops.begin() +
-                          static_cast<std::ptrdiff_t>(recv));
+  plan.events.ranks[0].erase(plan.events.ranks[0].begin() +
+                             static_cast<std::ptrdiff_t>(recv));
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kUnmatchedSend))
@@ -74,10 +75,10 @@ TEST(ScheduleVerifierTest, DroppedSendBlocksReceiverForever) {
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   CommPlan plan = build_comm_plan(spec);
   // Rank 1 ships its partials to rank 0: drop its first send.
-  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
+  const std::size_t send = find_op(plan.events.ranks[1], TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  plan.ranks[1].ops.erase(plan.ranks[1].ops.begin() +
-                          static_cast<std::ptrdiff_t>(send));
+  plan.events.ranks[1].erase(plan.events.ranks[1].begin() +
+                             static_cast<std::ptrdiff_t>(send));
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kUnmatchedRecv))
@@ -117,12 +118,12 @@ TEST(ScheduleVerifierTest, OffByOneVolumeTripsLemma1AndTheorem3) {
   CommPlan plan = build_comm_plan(spec);
   // Inflate one matched send/recv pair by one element: transport still
   // matches, but the closed-form volume checks must fire.
-  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
+  const std::size_t send = find_op(plan.events.ranks[1], TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  const std::uint64_t tag = plan.ranks[1].ops[send].tag;
+  const std::uint64_t tag = plan.events.ranks[1][send].tag;
   const std::uint32_t view = view_of_tag(tag);
-  plan.ranks[1].ops[send].units += kValueBytes;
-  for (TraceEvent& op : plan.ranks[0].ops) {
+  plan.events.ranks[1][send].units += kValueBytes;
+  for (TraceEvent& op : plan.events.ranks[0]) {
     if (op.kind == TraceEventKind::kRecv && op.tag == tag) {
       op.units += kValueBytes;
       break;
@@ -147,9 +148,9 @@ TEST(ScheduleVerifierTest, OffByOneVolumeTripsLemma1AndTheorem3) {
 TEST(ScheduleVerifierTest, PayloadSizeDisagreementIsFlagged) {
   const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
   CommPlan plan = build_comm_plan(spec);
-  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
+  const std::size_t send = find_op(plan.events.ranks[1], TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  plan.ranks[1].ops[send].units += kValueBytes;  // send only; recv unchanged
+  plan.events.ranks[1][send].units += kValueBytes;  // send only; recv unchanged
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_TRUE(has_violation(report, ViolationCode::kMessageSizeMismatch))
       << report.to_string();
@@ -161,12 +162,12 @@ TEST(ScheduleVerifierTest, ReceiveCycleIsReportedAsDeadlock) {
   // Prepend mutually-blocking receives (sends only after): a classic
   // head-of-line cycle between ranks 0 and 1.
   const std::uint64_t view = 0;  // the `all` scalar view tag
-  plan.ranks[0].ops.insert(plan.ranks[0].ops.begin(),
-                           {TraceEventKind::kRecv, 1, view, kValueBytes});
-  plan.ranks[1].ops.insert(plan.ranks[1].ops.begin(),
-                           {TraceEventKind::kRecv, 0, view, kValueBytes});
-  plan.ranks[0].ops.push_back({TraceEventKind::kSend, 1, view, kValueBytes});
-  plan.ranks[1].ops.push_back({TraceEventKind::kSend, 0, view, kValueBytes});
+  plan.events.ranks[0].insert(plan.events.ranks[0].begin(),
+                              {TraceEventKind::kRecv, 1, view, kValueBytes});
+  plan.events.ranks[1].insert(plan.events.ranks[1].begin(),
+                              {TraceEventKind::kRecv, 0, view, kValueBytes});
+  plan.events.ranks[0].push_back({TraceEventKind::kSend, 1, view, kValueBytes});
+  plan.events.ranks[1].push_back({TraceEventKind::kSend, 0, view, kValueBytes});
   const AnalysisReport report = verify_schedule(spec, plan);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_violation(report, ViolationCode::kDeadlock))
@@ -176,6 +177,19 @@ TEST(ScheduleVerifierTest, ReceiveCycleIsReportedAsDeadlock) {
       EXPECT_NE(v.message.find("wait-for cycle"), std::string::npos);
     }
   }
+}
+
+TEST(ScheduleVerifierTest, ReceiveFromAnAbsentRankBlocksForever) {
+  // A receive naming a rank the grid lacks never matches: the wait-for
+  // walk stops at it, and it is reported as blocked, not as a cycle.
+  const ScheduleSpec spec = spec_of({16, 8}, {1, 0});
+  CommPlan plan = build_comm_plan(spec);
+  plan.events.ranks[1].insert(plan.events.ranks[1].begin(),
+                              {TraceEventKind::kRecv, 2, 0, kValueBytes});
+  const AnalysisReport report = verify_schedule(spec, plan);
+  EXPECT_TRUE(has_violation(report, ViolationCode::kUnmatchedRecv))
+      << report.to_string();
+  EXPECT_FALSE(has_violation(report, ViolationCode::kDeadlock));
 }
 
 TEST(ScheduleVerifierTest, MemoryMutationsTripTheorem4Checks) {
@@ -251,12 +265,12 @@ TEST(ScheduleVerifierTest, NonViewTagsInThePlanAreFlagged) {
   // to the root's mask, which is no proper view. Both sides agree, so the
   // transport still matches; only the volume check can see the tag.
   const std::uint32_t root_mask = DimSet::full(2).mask();
-  const std::size_t send = find_op(plan.ranks[1].ops, TraceEventKind::kSend);
+  const std::size_t send = find_op(plan.events.ranks[1], TraceEventKind::kSend);
   ASSERT_NE(send, static_cast<std::size_t>(-1));
-  TraceEvent& sent = plan.ranks[1].ops[send];
+  TraceEvent& sent = plan.events.ranks[1][send];
   ASSERT_EQ(sent.peer, 0);
   const std::uint64_t tag = sent.tag;
-  for (TraceEvent& op : plan.ranks[0].ops) {
+  for (TraceEvent& op : plan.events.ranks[0]) {
     if (op.kind != TraceEventKind::kSend && op.peer == 1 && op.tag == tag &&
         op.offset == sent.offset) {
       op.tag = root_mask;
@@ -307,40 +321,15 @@ TEST(ScheduleVerifierTest, EveryViolationCodeHasADistinctName) {
   EXPECT_EQ(names.size(), 13u);
 }
 
-/// The trace a run of `plan` records with the codec off: each planned op
-/// as an event, every message's wire size equal to its logical size, each
-/// receive matched to its channel's next send and each combine to the
-/// rank's latest receive.
+/// The trace a run of `plan` records with the codec off: the planned
+/// events, linked as the run links them, every message's wire size equal
+/// to its logical size.
 EventTrace trace_of(const CommPlan& plan) {
-  std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::uint64_t>>
-      channels;
-  for (int r = 0; r < plan.num_ranks; ++r) {
-    const std::vector<TraceEvent>& ops =
-        plan.ranks[static_cast<std::size_t>(r)].ops;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == TraceEventKind::kSend) {
-        channels[{r, ops[i].peer, ops[i].tag}].push_back(i);
-      }
-    }
-  }
-  EventTrace trace;
-  for (int r = 0; r < plan.num_ranks; ++r) {
-    std::vector<TraceEvent>& events =
-        trace.ranks.emplace_back(plan.ranks[static_cast<std::size_t>(r)].ops);
-    std::uint64_t last_recv = kNoTraceSeq;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      TraceEvent& e = events[i];
-      if (e.kind == TraceEventKind::kCombine) {
-        e.operand_seq = last_recv;
-        continue;
-      }
-      e.wire = e.units;
-      if (e.kind == TraceEventKind::kRecv) {
-        std::deque<std::uint64_t>& sends = channels[{e.peer, r, e.tag}];
-        e.match_seq = sends.front();
-        sends.pop_front();
-        last_recv = i;
-      }
+  EventTrace trace = plan.events;
+  replay(trace);
+  for (std::vector<TraceEvent>& events : trace.ranks) {
+    for (TraceEvent& e : events) {
+      if (e.kind != TraceEventKind::kCombine) e.wire = e.units;
     }
   }
   return trace;
@@ -440,10 +429,10 @@ TEST(ScheduleVerifierTest, ReportRendersHumanAndJson) {
   EXPECT_NE(report.to_json().find("\"ok\":true"), std::string::npos);
 
   CommPlan plan = build_comm_plan(spec);
-  const std::size_t recv = find_op(plan.ranks[0].ops, TraceEventKind::kRecv);
+  const std::size_t recv = find_op(plan.events.ranks[0], TraceEventKind::kRecv);
   ASSERT_NE(recv, static_cast<std::size_t>(-1));
-  plan.ranks[0].ops.erase(plan.ranks[0].ops.begin() +
-                          static_cast<std::ptrdiff_t>(recv));
+  plan.events.ranks[0].erase(plan.events.ranks[0].begin() +
+                             static_cast<std::ptrdiff_t>(recv));
   const AnalysisReport broken = verify_schedule(spec, plan);
   EXPECT_NE(broken.to_string().find("schedule INVALID"), std::string::npos);
   EXPECT_NE(broken.to_json().find("\"ok\":false"), std::string::npos);
@@ -505,7 +494,7 @@ TEST(ScheduleVerifierTest, DroppedGatherSendBlocksRankZero) {
   CommPlan plan = build_comm_plan(spec);
   // Rank 3 leads the view that aggregates only the unsplit dimension 2:
   // drop the send that ships it to rank 0.
-  std::vector<TraceEvent>& ops = plan.ranks[3].ops;
+  std::vector<TraceEvent>& ops = plan.events.ranks[3];
   const auto gather = std::find_if(
       ops.begin(), ops.end(),
       [](const TraceEvent& op) { return op.tag >= kGatherTagBase; });
@@ -523,6 +512,87 @@ TEST(ScheduleVerifierTest, DroppedGatherSendBlocksRankZero) {
   EXPECT_EQ(blocked->rank, 0);
   // The construction volumes are untouched.
   EXPECT_FALSE(has_violation(report, ViolationCode::kEdgeVolumeMismatch));
+}
+
+TEST(ScheduleVerifierTest, DropSendRemovesExactlyOneSend) {
+  CommPlan plan = build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}));
+  const std::int64_t sends = count_kind(plan.events, TraceEventKind::kSend);
+  const std::string note =
+      apply_schedule_mutation(plan, ScheduleMutation::kDropSend);
+  EXPECT_FALSE(note.empty());
+  EXPECT_EQ(count_kind(plan.events, TraceEventKind::kSend), sends - 1);
+}
+
+TEST(ScheduleVerifierTest, TagCollisionMutationSwapsTwoChunkReceives) {
+  // The mutation swaps two chunk receives of one view from one source,
+  // with their combines: the same events, in another order on one rank.
+  const CommPlan clean =
+      build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}, /*cap=*/4));
+  CommPlan plan = clean;
+  const std::string note =
+      apply_schedule_mutation(plan, ScheduleMutation::kTagCollision);
+  EXPECT_FALSE(note.empty());
+  int changed_ranks = 0;
+  for (int r = 0; r < plan.num_ranks; ++r) {
+    const std::vector<TraceEvent>& before =
+        clean.events.ranks[static_cast<std::size_t>(r)];
+    const std::vector<TraceEvent>& after =
+        plan.events.ranks[static_cast<std::size_t>(r)];
+    if (before == after) continue;
+    ++changed_ranks;
+    std::vector<std::size_t> moved;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      if (after[i] != before[i]) moved.push_back(i);
+    }
+    // Two receives and the two combines that follow them.
+    ASSERT_EQ(moved.size(), 4u);
+    EXPECT_EQ(after[moved[0]], before[moved[2]]);
+    EXPECT_EQ(after[moved[2]], before[moved[0]]);
+    EXPECT_EQ(after[moved[0]].kind, TraceEventKind::kRecv);
+    EXPECT_EQ(after[moved[0]].peer, after[moved[2]].peer);
+    EXPECT_EQ(after[moved[0]].tag, after[moved[2]].tag);
+    EXPECT_NE(after[moved[0]].offset, after[moved[2]].offset);
+    EXPECT_EQ(after[moved[1]].kind, TraceEventKind::kCombine);
+    EXPECT_EQ(after[moved[1]].offset, after[moved[0]].offset);
+  }
+  EXPECT_EQ(changed_ranks, 1);
+  EXPECT_EQ(count_kind(plan.events, TraceEventKind::kRecv),
+            count_kind(clean.events, TraceEventKind::kRecv));
+}
+
+TEST(ScheduleVerifierTest, MutationsInexpressibleWithoutCommunication) {
+  for (ScheduleMutation mutation :
+       {ScheduleMutation::kDropSend, ScheduleMutation::kTagCollision}) {
+    CommPlan plan = build_comm_plan(spec_of({4, 4}, {0, 0}));
+    EXPECT_EQ(apply_schedule_mutation(plan, mutation), "")
+        << to_string(mutation);
+  }
+  // Unchunked, each source sends each view once: no two receives share
+  // a channel, so there is no pair to swap.
+  CommPlan plan = build_comm_plan(spec_of({4, 4, 4}, {2, 0, 0}));
+  EXPECT_EQ(apply_schedule_mutation(plan, ScheduleMutation::kTagCollision),
+            "");
+}
+
+TEST(ScheduleVerifierTest, DescribeRendersEvents) {
+  ScheduleSpec spec = spec_of({4, 4, 4}, {1, 1, 0});
+  spec.collect_result = true;
+  for (const std::vector<TraceEvent>& events :
+       build_comm_plan(spec).events.ranks) {
+    for (const TraceEvent& event : events) {
+      const std::string text = describe(event);
+      EXPECT_EQ(text.rfind(to_string(event.kind), 0), 0u) << text;
+      // The view is read off the tag, and the gather's events say so.
+      EXPECT_NE(text.find(
+                    "view " +
+                    DimSet::from_mask(view_of_tag(event.tag)).to_string()),
+                std::string::npos)
+          << text;
+      EXPECT_EQ(text.find("gather") != std::string::npos,
+                event.tag >= kGatherTagBase)
+          << text;
+    }
+  }
 }
 
 TEST(ScheduleVerifierTest, RejectsPlanGridMismatch) {

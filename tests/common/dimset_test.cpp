@@ -79,6 +79,20 @@ TEST(DimSetTest, MinMaxDim) {
   EXPECT_THROW(DimSet().max_dim(), InvalidArgument);
 }
 
+TEST(DimSetTest, PositionOfCountsTheMembersBelow) {
+  const DimSet s = DimSet::of({2, 5, 9, 31});
+  const std::vector<int> dims = s.dims();
+  for (int pos = 0; pos < static_cast<int>(dims.size()); ++pos) {
+    EXPECT_EQ(s.position_of(dims[static_cast<std::size_t>(pos)]), pos);
+  }
+  EXPECT_EQ(DimSet::single(0).position_of(0), 0);
+  // A dimension outside the set has no position.
+  EXPECT_THROW(s.position_of(3), InvalidArgument);
+  EXPECT_THROW(s.position_of(-1), InvalidArgument);
+  EXPECT_THROW(s.position_of(kMaxDims), InvalidArgument);
+  EXPECT_THROW(DimSet().position_of(0), InvalidArgument);
+}
+
 TEST(DimSetTest, DimsAscending) {
   EXPECT_EQ(DimSet::of({7, 0, 3}).dims(), (std::vector<int>{0, 3, 7}));
   EXPECT_TRUE(DimSet().dims().empty());

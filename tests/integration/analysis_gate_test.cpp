@@ -175,7 +175,7 @@ TEST(AnalysisGateTest, PlannedProgramMatchesRecordedTrace) {
           for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
             const std::vector<TraceEvent>& recorded =
                 report.run.trace.ranks[r];
-            std::vector<TraceEvent> planned = plan.ranks[r].ops;
+            std::vector<TraceEvent> planned = plan.events.ranks[r];
             ASSERT_EQ(recorded.size(), planned.size())
                 << where << " rank " << r;
             for (std::size_t i = 0; i < planned.size(); ++i) {

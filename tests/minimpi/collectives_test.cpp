@@ -15,7 +15,38 @@
 namespace cubist {
 namespace {
 
-using Kind = ReduceStep::Kind;
+using Kind = TraceEventKind;
+
+/// One step of a member's per-chunk schedule: a send to `peer`, or a
+/// receive from it (with the combine that folds it).
+struct Step {
+  Kind kind = Kind::kSend;
+  int peer = -1;
+
+  bool operator==(const Step&) const = default;
+};
+
+/// The steps of `program`'s first chunk, a program written for one tag
+/// and a one-element block (so one chunk): each send and each receive,
+/// every receive checked to be followed by the combine that folds it.
+std::vector<Step> steps_of(const std::vector<TraceEvent>& program) {
+  std::vector<Step> steps;
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    const TraceEvent& event = program[i];
+    EXPECT_EQ(event.offset, 0);
+    if (event.kind == Kind::kCombine) continue;
+    EXPECT_EQ(event.units, static_cast<std::int64_t>(sizeof(Value)));
+    if (event.kind == Kind::kRecv) {
+      EXPECT_LT(i + 1, program.size());
+      if (i + 1 < program.size()) {
+        EXPECT_EQ(program[i + 1],
+                  (TraceEvent{Kind::kCombine, event.peer, event.tag, 1, 0}));
+      }
+    }
+    steps.push_back({event.kind, event.peer});
+  }
+  return steps;
+}
 
 std::vector<int> iota_group(int g, int first = 0) {
   std::vector<int> group(static_cast<std::size_t>(g));
@@ -49,34 +80,35 @@ TEST(CollectivesTest, ToStringParseRoundTrip) {
 TEST(CollectivesTest, BinomialMatchesHistoricalSchedule) {
   // Non-contiguous ranks prove peers are ranks, not group indices.
   const std::vector<int> group{10, 11, 12, 13, 14, 15, 16, 17};
-  using Steps = std::vector<ReduceStep>;
+  using Steps = std::vector<Step>;
   const std::map<int, Steps> expected{
-      {0, {{Kind::kRecvCombine, 11}, {Kind::kRecvCombine, 12},
-           {Kind::kRecvCombine, 14}}},
+      {0, {{Kind::kRecv, 11}, {Kind::kRecv, 12}, {Kind::kRecv, 14}}},
       {1, {{Kind::kSend, 10}}},
-      {2, {{Kind::kRecvCombine, 13}, {Kind::kSend, 10}}},
+      {2, {{Kind::kRecv, 13}, {Kind::kSend, 10}}},
       {3, {{Kind::kSend, 12}}},
-      {4, {{Kind::kRecvCombine, 15}, {Kind::kRecvCombine, 16},
-           {Kind::kSend, 10}}},
+      {4, {{Kind::kRecv, 15}, {Kind::kRecv, 16}, {Kind::kSend, 10}}},
       {5, {{Kind::kSend, 14}}},
-      {6, {{Kind::kRecvCombine, 17}, {Kind::kSend, 14}}},
+      {6, {{Kind::kRecv, 17}, {Kind::kSend, 14}}},
       {7, {{Kind::kSend, 16}}},
   };
   for (const auto& [me, steps] : expected) {
-    EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kBinomial, group, me), steps)
+    EXPECT_EQ(steps_of(reduce_program(forced(ReduceAlgorithm::kBinomial),
+                                      group, me, 1, /*tag=*/3)),
+              steps)
         << "member " << me;
   }
 }
 
 TEST(CollectivesTest, RingIsAChainTowardGroupFront) {
   const std::vector<int> group{20, 21, 22, 23, 24};
-  using Steps = std::vector<ReduceStep>;
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 4),
-            (Steps{{Kind::kSend, 23}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 2),
-            (Steps{{Kind::kRecvCombine, 23}, {Kind::kSend, 21}}));
-  EXPECT_EQ(reduce_chunk_steps(ReduceAlgorithm::kRing, group, 0),
-            (Steps{{Kind::kRecvCombine, 21}}));
+  using Steps = std::vector<Step>;
+  const auto ring_steps = [&](int me) {
+    return steps_of(
+        reduce_program(forced(ReduceAlgorithm::kRing), group, me, 1, 3));
+  };
+  EXPECT_EQ(ring_steps(4), (Steps{{Kind::kSend, 23}}));
+  EXPECT_EQ(ring_steps(2), (Steps{{Kind::kRecv, 23}, {Kind::kSend, 21}}));
+  EXPECT_EQ(ring_steps(0), (Steps{{Kind::kRecv, 21}}));
 }
 
 /// Lemma-1 volume contract: under every algorithm, every member except
@@ -92,8 +124,8 @@ TEST(CollectivesTest, EveryAlgorithmSendsGroupMinusOnePerChunk) {
       std::multimap<int, int> receives;  // (from, to)
       for (int me = 0; me < g; ++me) {
         int my_sends = 0;
-        for (const ReduceStep& step :
-             reduce_chunk_steps(algorithm, group, me)) {
+        for (const Step& step :
+             steps_of(reduce_program(forced(algorithm), group, me, 1, 3))) {
           ASSERT_GE(step.peer, 0);
           ASSERT_LT(step.peer, g);
           ASSERT_NE(step.peer, group[static_cast<std::size_t>(me)]);

@@ -143,6 +143,17 @@ inline CubeResult reference_op_cube(const SparseArray& root, AggregateOp op) {
   return result;
 }
 
+/// Events of `kind` in `trace`, over every rank.
+inline std::int64_t count_kind(const EventTrace& trace, TraceEventKind kind) {
+  std::int64_t count = 0;
+  for (const std::vector<TraceEvent>& events : trace.ranks) {
+    count += std::count_if(
+        events.begin(), events.end(),
+        [kind](const TraceEvent& e) { return e.kind == kind; });
+  }
+  return count;
+}
+
 /// Sets the wire bytes of `send`, an event of `trace`, and of the receive
 /// that consumed it: the send shipped `wire` bytes, and the record stays
 /// consistent on both ends.

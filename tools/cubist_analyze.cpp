@@ -93,9 +93,7 @@ CaseResult run_case(const ShapeCase& shape, ScheduleMutation mutation) {
                   to_string(mutation));
     }
   }
-  for (const RankPlan& rank : plan.ranks) {
-    result.events += static_cast<std::int64_t>(rank.ops.size());
-  }
+  result.events = plan.events.total_events();
   result.report = verify_schedule(spec, plan);
   return result;
 }

@@ -56,12 +56,18 @@ deliberately looser):
      record: the volume report is derived from it and the post-run audit
      compares it with the certified plan, so a second writer would put
      events no plan holds into both.
+ 12. No assignment to `match_seq` or `operand_seq` in src/ outside
+     src/minimpi/comm.cpp (the run's links) and the replay
+     (src/minimpi/event_trace.{h,cpp}, the static ones).  A receive takes
+     the head of its channel by one rule, written once: the tuner, the
+     verifier and the audit all link events through `replay`, so a
+     fourth matcher beside it could drift from the transport unseen.
 
 Usage:  python3 tools/lint.py  [--root REPO_ROOT]  [--self-test]  [FILE ...]
 With FILE arguments only those files are linted; naming a file that is
 unreadable or not a .h/.cpp source is itself an error (exit 2).
 --self-test lints synthetic sources that must (and must not) trip the
-boundary rules (6-11), proving the rules still fire.
+boundary rules (6-12), proving the rules still fire.
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = bad
 invocation.
 """
@@ -102,6 +108,12 @@ RECORD_EVENT_ALLOWED_FILES = {
     "src/minimpi/runtime_state.h",
 }
 RECORD_EVENT_CALL = re.compile(r"(?<![\w_])record_event\s*\(")
+LINK_ASSIGN_ALLOWED_FILES = {
+    "src/minimpi/comm.cpp",
+    "src/minimpi/event_trace.h",
+    "src/minimpi/event_trace.cpp",
+}
+LINK_ASSIGN = re.compile(r"(?<![\w_])(?:match_seq|operand_seq)\s*=(?!=)")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -249,6 +261,13 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
                 "outside src/minimpi/comm.cpp — the event trace is the "
                 "run's one comm record; record through Comm's primitives")
 
+    if rel.startswith("src/") and rel not in LINK_ASSIGN_ALLOWED_FILES:
+        for match in LINK_ASSIGN.finditer(code):
+            problems.append(
+                f"{rel}:{line_of(code, match.start())}: event link assigned "
+                "outside src/minimpi/comm.cpp and the replay — link planned "
+                "events through `replay` (minimpi/event_trace.h)")
+
     check_macro_messages(rel, code, problems)
 
 
@@ -357,6 +376,18 @@ def self_test() -> int:
          "// state.record_event(rank, e) happens in comm.cpp only\n"
          "const char* s = \"record_event(\";\n"
          "int re_record_event(int); auto n = record_events(3);\n",
+         None),
+        # Events are linked in one place: the run's choke point and the
+        # replay. Reading or comparing a link is fine anywhere.
+        ("src/analysis/rogue_matcher.cpp",
+         "void f(TraceEvent& op, std::uint64_t last_recv) {\n"
+         "  op.operand_seq = last_recv;\n}\n",
+         "event link assigned outside src/minimpi/comm.cpp"),
+        ("src/analysis/schedule_verifier.cpp",
+         "bool f(const TraceEvent& e, std::uint64_t i) {\n"
+         "  int my_match_seq = 0;\n"
+         "  return e.match_seq == i || e.operand_seq != i ||\n"
+         "         my_match_seq <= 1;\n}\n",
          None),
     ]
     failures = []
