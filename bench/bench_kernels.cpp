@@ -188,9 +188,12 @@ BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
 /// build and serve-zipf workloads, 64^4 at 5% and 25% in 16^4 chunks (rows
 /// of 16 cells, four to a mask word), are BM_Generator/64x64x64x64/{5,25},
 /// and the 4-target root scan of the 25% input, which the sequential
-/// builds run, is BM_SparseMultiway/64x64x64x64/4. Generated chunks are
-/// coded (values 1..9); BM_SparseMultiway/64x64x64x64/raw/4 scans the same
-/// cells with a distinct value at each non-zero, so every chunk is raw.
+/// builds run, is BM_SparseMultiway/64x64x64x64/4. Its chunks keep bitmaps
+/// of their positions; the 5% input's, scanned by
+/// BM_SparseMultiway/64x64x64x64/d5/4, keep lists. Generated chunks are
+/// coded (values 1..9); BM_SparseMultiway/64x64x64x64/raw/4 scans the 25%
+/// input's cells with a distinct value at each non-zero, so every chunk is
+/// raw.
 const std::vector<std::int64_t> kServeSizes{16, 16, 16, 16, 8};
 const std::vector<std::int64_t> kFigure7Sizes{64, 64, 64, 64};
 
@@ -199,27 +202,29 @@ const std::vector<std::int64_t> kFigure7Sizes{64, 64, 64, 64};
 SparseArray raw_twin(const SparseArray& coded) {
   SparseArray raw(coded.shape(), coded.chunk_extents());
   for (std::int64_t c = 0; c < coded.num_chunks(); ++c) {
-    const auto offsets = coded.chunk_offsets(c);
+    std::vector<SparseArray::Offset> offsets =
+        coded.chunk_positions(c).to_vector();
     const auto values = coded.chunk_values(c);
     std::vector<Value> distinct(offsets.size());
     for (std::size_t n = 0; n < distinct.size(); ++n) {
       distinct[n] = values[n] + static_cast<Value>(n) / 65536.0;
     }
-    raw.set_chunk(c, {offsets.begin(), offsets.end()}, std::move(distinct));
+    raw.set_chunk(c, std::move(offsets), std::move(distinct));
     CUBIST_ASSERT(!raw.chunk_values(c).coded(), "chunk " << c << " is coded");
   }
   raw.finalize();
   return raw;
 }
 
-/// Arg 0: simultaneous targets. Scans `sizes` at 25% density in default
+/// Arg 0: simultaneous targets. Scans `sizes` at `density` in default
 /// chunks on the global pool, in the generated (coded) chunks or, when
 /// `raw`, in raw_twin's.
 void sparse_root_scan(benchmark::State& state,
-                      const std::vector<std::int64_t>& sizes, bool raw) {
+                      const std::vector<std::int64_t>& sizes, double density,
+                      bool raw) {
   SparseSpec spec;
   spec.sizes = sizes;
-  spec.density = 0.25;
+  spec.density = density;
   spec.seed = 13;
   const SparseArray generated = generate_sparse_global(spec);
   const SparseArray parent = raw ? raw_twin(generated) : generated;
@@ -254,15 +259,19 @@ void sparse_root_scan(benchmark::State& state,
       ->Arg(25)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/16x16x16x16x8",
-                               sparse_root_scan, kServeSizes, false)
+                               sparse_root_scan, kServeSizes, 0.25, false)
       ->Arg(5)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/64x64x64x64",
-                               sparse_root_scan, kFigure7Sizes, false)
+                               sparse_root_scan, kFigure7Sizes, 0.25, false)
+      ->Arg(4)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_SparseMultiway/64x64x64x64/d5",
+                               sparse_root_scan, kFigure7Sizes, 0.05, false)
       ->Arg(4)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_SparseMultiway/64x64x64x64/raw",
-                               sparse_root_scan, kFigure7Sizes, true)
+                               sparse_root_scan, kFigure7Sizes, 0.25, true)
       ->Arg(4)
       ->Unit(benchmark::kMillisecond);
   return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "common/mathutil.h"
@@ -385,16 +386,17 @@ namespace {
 
 /// Scans the chunks `stripe` touches in chunk order, combining each of
 /// its non-zeros into every member target in offset order. A chunk the
-/// stripe cuts gives one run of offsets per index of its dimensions
-/// before the cut one, found by binary search as offsets ascend. A chunk
-/// picks the run loop of its form, raw or coded, once; both combine the
-/// same contributions in the same order.
+/// stripe cuts gives one range of cells per index of its dimensions before
+/// the cut one. The chunk's positions hand out ascending offsets a batch at
+/// a time, from its list or decoded from its bitmap. A chunk picks the
+/// batch loop of its values' form, raw or coded, once; every form combines
+/// the same contributions in the same order.
 template <typename P>
 void scan_sparse_stripe(
     const SparseArray& parent, const ScanStripe& stripe,
     std::span<const AggregationTarget> targets,
     const std::vector<std::vector<std::int64_t>>& strides,
-    const std::vector<std::vector<std::int64_t>>& offset_table,
+    const std::vector<std::vector<std::int32_t>>& offset_table,
     std::span<const std::size_t> members) {
   const Shape& grid = parent.chunk_grid();
   const std::vector<std::int64_t>& unit = parent.chunk_extents();
@@ -406,7 +408,7 @@ void scan_sparse_stripe(
   const bool tabled = !offset_table[members.front()].empty();
   std::vector<Value*> bases(num_targets);
   std::vector<const std::int64_t*> target_strides(num_targets);
-  std::vector<const std::int64_t*> tables(num_targets);
+  std::vector<const std::int32_t*> tables(num_targets);
   for (std::size_t i = 0; i < num_targets; ++i) {
     bases[i] = targets[members[i]].child->data();
     target_strides[i] = strides[members[i]].data();
@@ -422,7 +424,8 @@ void scan_sparse_stripe(
   std::array<Value, SparseArray::kMaxCodes> contributions{};
   do {
     const std::int64_t id = grid.linear_index(chunk.data());
-    const auto offsets = parent.chunk_offsets(id);
+    const SparseArray::ChunkPositions positions = parent.chunk_positions(id);
+    if (positions.empty()) continue;
     std::int64_t volume = 1;
     for (int d = m - 1; d >= 0; --d) {
       extents[d] =
@@ -437,16 +440,26 @@ void scan_sparse_stripe(
       }
     }
     const bool table = tabled && volume == full_volume;
-    // The chunk's runs, for either form of its values: contribution_at(n)
-    // is the n-th non-zero's contribution.
+    // The chunk's cell ranges, for either form of its values:
+    // contribution_at(n) is the n-th non-zero's contribution.
     const auto scan_chunk = [&](auto contribution_at) {
-      const auto combine_run = [&](std::size_t begin, std::size_t end) {
+      // One batch of ascending offsets, the first of rank `rank`.
+      const auto combine_batch = [&](std::span<const SparseArray::Offset>
+                                         offsets,
+                                     std::size_t rank) {
         if (table) {
-          for (std::size_t n = begin; n < end; ++n) {
-            const auto off = offsets[n];
-            const Value v = contribution_at(n);
-            for (std::size_t i = 0; i < num_targets; ++i) {
-              P::combine(bases[i][base_ci[i] + tables[i][off]], v);
+          // Locals, not captures: where the compiler does not inline this
+          // lambda, a load through a captured reference repeats per
+          // non-zero.
+          Value* const* const out = bases.data();
+          const std::int64_t* const origin = base_ci.data();
+          const std::int32_t* const* const projected = tables.data();
+          const std::size_t count = num_targets;
+          for (std::size_t k = 0; k < offsets.size(); ++k) {
+            const auto off = offsets[k];
+            const Value v = contribution_at(rank + k);
+            for (std::size_t i = 0; i < count; ++i) {
+              P::combine(out[i][origin[i] + projected[i][off]], v);
             }
           }
           return;
@@ -455,8 +468,8 @@ void scan_sparse_stripe(
         // innermost row divides; the rest reuse its row's projections.
         std::int64_t row_begin = 0;
         std::int64_t row_end = 0;
-        for (std::size_t n = begin; n < end; ++n) {
-          const std::int64_t off = offsets[n];
+        for (std::size_t k = 0; k < offsets.size(); ++k) {
+          const std::int64_t off = offsets[k];
           if (off >= row_end) {
             std::int64_t rest = off;
             for (int d = 0; d < m - 1; ++d) {
@@ -472,7 +485,7 @@ void scan_sparse_stripe(
               }
             }
           }
-          const Value v = contribution_at(n);
+          const Value v = contribution_at(rank + k);
           for (std::size_t i = 0; i < num_targets; ++i) {
             P::combine(bases[i][row_ci[i] + (off - row_begin) *
                                                 target_strides[i][m - 1]],
@@ -480,21 +493,23 @@ void scan_sparse_stripe(
           }
         }
       };
+      SparseArray::ChunkPositions::Reader reader(positions);
+      const auto combine_cells = [&](std::int64_t lo, std::int64_t hi) {
+        reader.seek(lo, hi);
+        for (auto batch = reader.next(); !batch.empty(); batch = reader.next()) {
+          combine_batch(batch, reader.rank());
+        }
+      };
       const std::int64_t origin = chunk[dim] * unit[dim];
       const std::int64_t first = std::max<std::int64_t>(stripe.lo - origin, 0);
       const std::int64_t last = std::min(stripe.hi - origin, extents[dim]);
       if (first == 0 && last == extents[dim]) {
-        combine_run(0, offsets.size());
+        combine_cells(0, volume);
         return;
       }
       const std::int64_t inner = local_strides[dim];
-      auto it = offsets.begin();
       for (std::int64_t row = 0; row < volume; row += extents[dim] * inner) {
-        const auto begin =
-            std::lower_bound(it, offsets.end(), row + first * inner);
-        it = std::lower_bound(begin, offsets.end(), row + last * inner);
-        combine_run(static_cast<std::size_t>(begin - offsets.begin()),
-                    static_cast<std::size_t>(it - offsets.begin()));
+        combine_cells(row + first * inner, row + last * inner);
       }
     };
     const SparseArray::ChunkValues values = parent.chunk_values(id);
@@ -519,32 +534,37 @@ void scan_sparse_stripe(
 /// Every interior chunk shares the same shape, so the map (within-chunk
 /// offset) -> (child index contribution) is chunk-invariant. Built once
 /// per target, it makes an interior non-zero cost one table lookup plus
-/// one combine per target. Tables are built only when the non-zeros at
-/// least match a table's entries, and only while all of them fit
-/// scan_scratch_bound (at most the bytes of the children they feed): the
-/// lone target's pass, which scans the parent a second time for one
-/// target, gets its table first, and the other pass gets its tables if
-/// they fit beside it. A target without a table decodes every offset,
-/// which combines in the same order.
-std::vector<std::vector<std::int64_t>> chunk_offset_table(
+/// one combine per target. An entry is below the child's cell count, so
+/// it takes 4 bytes, and only children of fewer than 2^31 cells get
+/// tables. Tables are built only when the non-zeros at least match a
+/// table's entries, and only while all of them fit scan_scratch_bound (at
+/// most the bytes of the children they feed): the lone target's pass,
+/// which scans the parent a second time for one target, gets its table
+/// first, and the other pass gets its tables if they fit beside it. A
+/// target without a table decodes every offset, which combines in the same
+/// order.
+std::vector<std::vector<std::int32_t>> chunk_offset_table(
     const SparseArray& parent, std::span<const AggregationTarget> targets,
     const std::vector<std::vector<std::int64_t>>& strides,
     const StripePlan& plan, const AggregateOptions& options) {
   const Shape full_chunk_shape{parent.chunk_extents()};
   const std::int64_t full_volume = full_chunk_shape.size();
-  std::vector<std::vector<std::int64_t>> offset_table(targets.size());
+  std::vector<std::vector<std::int32_t>> offset_table(targets.size());
   if (parent.nnz() < full_volume) return offset_table;
   std::array<std::int64_t, 2> pass_targets{};  // [0] keep, [1] lone
+  std::array<bool, 2> tabled{true, true};
   for (const AggregationTarget& target : targets) {
-    ++pass_targets[target.aggregated_pos == plan.slab_dim ? 1 : 0];
+    const int pass = target.aggregated_pos == plan.slab_dim ? 1 : 0;
+    ++pass_targets[pass];
+    tabled[pass] = tabled[pass] &&
+                   target.child->size() <= std::numeric_limits<std::int32_t>::max();
   }
   std::int64_t budget =
       scan_scratch_bound(parent.shape(), target_positions(targets));
-  std::array<bool, 2> tabled{};
   for (const int pass : {1, 0}) {
     const std::int64_t bytes = pass_targets[pass] * full_volume *
-                               static_cast<std::int64_t>(sizeof(std::int64_t));
-    tabled[pass] = bytes <= budget;
+                               static_cast<std::int64_t>(sizeof(std::int32_t));
+    tabled[pass] = tabled[pass] && bytes <= budget;
     if (tabled[pass]) budget -= bytes;
   }
   std::vector<std::size_t> built;
@@ -568,7 +588,8 @@ std::vector<std::vector<std::int64_t>> chunk_offset_table(
           for (int d = 0; d < m; ++d) projected += local[d] * strides[c][d];
           std::vector<std::int64_t> idx = local;
           for (std::int64_t off = lo; off < hi; ++off) {
-            offset_table[c][static_cast<std::size_t>(off)] = projected;
+            offset_table[c][static_cast<std::size_t>(off)] =
+                static_cast<std::int32_t>(projected);
             const int d = chunk_box.next(idx);
             if (d >= 0) projected += steps[d];
           }
@@ -587,7 +608,7 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
   const StripePlan plan =
       plan_sparse_scan(parent.shape(), parent.chunk_extents(),
                        target_positions(targets), parent.nnz());
-  const std::vector<std::vector<std::int64_t>> offset_table =
+  const std::vector<std::vector<std::int32_t>> offset_table =
       chunk_offset_table(parent, targets, strides, plan, options);
   run_stripes(plan, targets, options,
               [&](const ScanStripe& stripe,
@@ -596,9 +617,9 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
                                       offset_table, members);
               });
   std::int64_t table_bytes = 0;
-  for (const std::vector<std::int64_t>& table : offset_table) {
+  for (const std::vector<std::int32_t>& table : offset_table) {
     table_bytes += std::ssize(table) *
-                   static_cast<std::int64_t>(sizeof(std::int64_t));
+                   static_cast<std::int64_t>(sizeof(std::int32_t));
   }
   return {parent.nnz(),
           parent.nnz() * static_cast<std::int64_t>(targets.size()),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 
 #include "common/mathutil.h"
 
@@ -55,7 +56,178 @@ bool encode(std::span<const Value> values,
   return true;
 }
 
+/// A bitmap's words: one bit per cell, 64 cells a word.
+constexpr std::int64_t kWordCells = 64;
+
+std::size_t words_for(std::int64_t volume) {
+  return static_cast<std::size_t>(ceil_div(volume, kWordCells));
+}
+
+/// True when a bitmap of `volume` cells takes fewer bytes than a list of
+/// `count` offsets: when more than 1/16 of the cells are non-zero.
+bool bitmap_is_smaller(std::size_t count, std::int64_t volume) {
+  return words_for(volume) * sizeof(std::uint64_t) <
+         count * sizeof(SparseArray::Offset);
+}
+
+std::vector<std::uint64_t> to_bitmap(std::span<const SparseArray::Offset> list,
+                                     std::int64_t volume) {
+  std::vector<std::uint64_t> words(words_for(volume));
+  for (const SparseArray::Offset offset : list) {
+    words[offset / kWordCells] |= std::uint64_t{1} << (offset % kWordCells);
+  }
+  return words;
+}
+
+/// Each byte value's set bits, ascending, as 16-bit lanes (the rest 0),
+/// and their count; 32 bytes, so an entry never straddles a cache line.
+struct alignas(32) ByteBits {
+  std::array<std::uint16_t, 8> at;
+  std::uint32_t count;
+};
+constexpr std::array<ByteBits, 256> kByteBits = [] {
+  std::array<ByteBits, 256> table{};
+  for (int byte = 0; byte < 256; ++byte) {
+    ByteBits& bits = table[static_cast<std::size_t>(byte)];
+    for (int bit = 0; bit < 8; ++bit) {
+      if ((byte >> bit) & 1) {
+        bits.at[bits.count++] = static_cast<std::uint16_t>(bit);
+      }
+    }
+  }
+  return table;
+}();
+
+/// Writes the offsets of cells [lo, hi) that `words` marks to `out`,
+/// ascending, and returns their count. A byte of bits writes all 8 lanes
+/// of its table entry, raised by the byte's first cell four lanes to a
+/// 64-bit add (no lane carries: an offset fits 16 bits), and advances by
+/// its count, with no branch on the bits; so `out` needs 8 entries past
+/// the count.
+std::size_t decode_bits(std::span<const std::uint64_t> words, std::int64_t lo,
+                        std::int64_t hi, SparseArray::Offset* out) {
+  constexpr std::uint64_t kLanes = 0x0001000100010001ULL;
+  const std::int64_t first = lo / kWordCells;
+  const std::int64_t last = (hi - 1) / kWordCells;
+  std::uint64_t base = static_cast<std::uint64_t>(first * kWordCells) * kLanes;
+  std::size_t count = 0;
+  for (std::int64_t w = first; w <= last; ++w) {
+    std::uint64_t word = words[static_cast<std::size_t>(w)];
+    if (w == first) word &= ~std::uint64_t{0} << (lo % kWordCells);
+    if (w == last) word &= ~std::uint64_t{0} >> (63 - (hi - 1) % kWordCells);
+    for (int byte = 0; byte < 8; ++byte, word >>= 8, base += 8 * kLanes) {
+      const ByteBits& bits = kByteBits[word & 0xff];
+      std::array<std::uint64_t, 2> lanes;
+      std::memcpy(lanes.data(), bits.at.data(), sizeof lanes);
+      lanes[0] += base;
+      lanes[1] += base;
+      std::memcpy(out + count, lanes.data(), sizeof lanes);
+      count += bits.count;
+    }
+  }
+  return count;
+}
+
+/// The number of cells in [lo, hi) that `words` marks.
+std::size_t count_bits(std::span<const std::uint64_t> words, std::int64_t lo,
+                       std::int64_t hi) {
+  if (lo >= hi) return 0;
+  const std::int64_t first = lo / kWordCells;
+  const std::int64_t last = (hi - 1) / kWordCells;
+  std::size_t count = 0;
+  for (std::int64_t w = first; w <= last; ++w) {
+    std::uint64_t word = words[static_cast<std::size_t>(w)];
+    if (w == first) word &= ~std::uint64_t{0} << (lo % kWordCells);
+    if (w == last) word &= ~std::uint64_t{0} >> (63 - (hi - 1) % kWordCells);
+    count += static_cast<std::size_t>(std::popcount(word));
+  }
+  return count;
+}
+
+/// Frees a vector's storage, not only its elements.
+template <typename T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
+void check_list(std::int64_t chunk_id, std::span<const SparseArray::Offset> list,
+                std::int64_t volume) {
+  for (std::size_t i = 1; i < list.size(); ++i) {
+    CUBIST_CHECK(list[i - 1] < list[i],
+                 "chunk " << chunk_id << ": offsets do not ascend strictly");
+  }
+  CUBIST_CHECK(list.empty() || list.back() < volume,
+               "chunk " << chunk_id << ": offset past its " << volume
+                        << " cells");
+}
+
+/// Checks a bitmap's size and that it marks no cell past `volume`, from its
+/// last word alone.
+void check_bitmap(std::int64_t chunk_id, std::span<const std::uint64_t> words,
+                  std::int64_t volume) {
+  CUBIST_CHECK(words.size() == words_for(volume),
+               "chunk " << chunk_id << ": bitmap of " << words.size()
+                        << " words for " << volume << " cells");
+  const std::int64_t tail = volume % kWordCells;
+  CUBIST_CHECK(tail == 0 || words.back() >> tail == 0,
+               "chunk " << chunk_id << ": bitmap marks a cell past its "
+                        << volume << " cells");
+}
+
 }  // namespace
+
+std::vector<SparseArray::Offset> SparseArray::ChunkPositions::to_vector()
+    const {
+  std::vector<Offset> offsets;
+  offsets.reserve(count_);
+  Reader reader(*this);
+  reader.seek(0, kMaxChunkCells);
+  for (auto batch = reader.next(); !batch.empty(); batch = reader.next()) {
+    offsets.insert(offsets.end(), batch.begin(), batch.end());
+  }
+  return offsets;
+}
+
+void SparseArray::ChunkPositions::Reader::seek(std::int64_t lo,
+                                               std::int64_t hi) {
+  CUBIST_DCHECK(lo >= at_, "position ranges must ascend");
+  const ChunkPositions& p = positions_;
+  if (p.bitmap()) {
+    const std::int64_t cells = std::ssize(p.words_) * kWordCells;
+    lo = std::min(lo, cells);
+    hi = std::min(hi, cells);
+    before_ += count_bits(p.words_, at_, lo);
+  } else {
+    before_ = static_cast<std::size_t>(
+        std::lower_bound(p.list_.begin() + static_cast<std::ptrdiff_t>(before_),
+                         p.list_.end(), lo) -
+        p.list_.begin());
+  }
+  at_ = lo;
+  hi_ = hi;
+}
+
+std::span<const SparseArray::Offset> SparseArray::ChunkPositions::Reader::next() {
+  const ChunkPositions& p = positions_;
+  if (!p.bitmap()) {
+    if (at_ >= hi_) return {};
+    const auto begin = p.list_.begin() + static_cast<std::ptrdiff_t>(before_);
+    const auto end = std::lower_bound(begin, p.list_.end(), hi_);
+    rank_ = before_;
+    before_ = static_cast<std::size_t>(end - p.list_.begin());
+    at_ = hi_;
+    return {begin, end};
+  }
+  while (at_ < hi_) {
+    const std::int64_t end = std::min(hi_, at_ + kBatchCells);
+    const std::size_t count = decode_bits(p.words_, at_, end, buffer_.data());
+    rank_ = before_;
+    before_ += count;
+    at_ = end;
+    if (count > 0) return {buffer_.data(), count};
+  }
+  return {};
+}
 
 SparseArray::SparseArray(Shape shape, std::vector<std::int64_t> chunk_extents)
     : shape_(std::move(shape)),
@@ -113,30 +285,28 @@ void SparseArray::push(const std::int64_t* index, Value value) {
   cells.values.push_back(value);
 }
 
-void SparseArray::check_chunk(std::int64_t chunk_id,
-                              std::span<const Offset> offsets) const {
+std::int64_t SparseArray::check_chunk(std::int64_t chunk_id) const {
   CUBIST_CHECK(chunk_id >= 0 && chunk_id < num_chunks(),
                "chunk id " << chunk_id << " out of range");
   CUBIST_CHECK(!finalized_, "chunk set after finalize");
   std::vector<std::int64_t> coords(static_cast<std::size_t>(ndim()));
   chunk_grid_.unravel(chunk_id, coords.data());
-  const std::int64_t volume = checked_product(chunk_shape_at(coords));
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    CUBIST_CHECK(offsets[i - 1] < offsets[i],
-                 "chunk " << chunk_id << ": offsets do not ascend strictly");
-  }
-  CUBIST_CHECK(offsets.empty() || offsets.back() < volume,
-               "chunk " << chunk_id << ": offset past its " << volume
-                        << " cells");
+  return checked_product(chunk_shape_at(coords));
 }
 
 SparseArray::ChunkRef SparseArray::make_chunk(std::vector<Offset> offsets,
-                                              std::vector<Value> values) {
+                                              std::vector<Value> values,
+                                              std::int64_t volume) {
   if (offsets.empty()) return nullptr;
-  Chunk chunk{std::move(offsets), {}, {}, {}};
+  Chunk chunk;
+  if (bitmap_is_smaller(offsets.size(), volume)) {
+    chunk.bitmap = to_bitmap(offsets, volume);
+  } else {
+    chunk.offsets = std::move(offsets);
+  }
   if (!encode(values, chunk.codes, chunk.dictionary)) {
-    chunk.codes = {};
-    chunk.dictionary = {};
+    release(chunk.codes);
+    release(chunk.dictionary);
     chunk.values = std::move(values);
   }
   return std::make_shared<const Chunk>(std::move(chunk));
@@ -150,22 +320,30 @@ void SparseArray::store_chunk(std::int64_t chunk_id, ChunkRef chunk) {
 
 void SparseArray::set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
                             std::vector<Value> values) {
-  check_chunk(chunk_id, offsets);
+  const std::int64_t volume = check_chunk(chunk_id);
+  check_list(chunk_id, offsets, volume);
   CUBIST_CHECK(offsets.size() == values.size(),
                "chunk " << chunk_id << ": offset and value counts differ");
   for (const Value value : values) {
     CUBIST_CHECK(value != Value{0}, "chunk " << chunk_id << ": zero value");
   }
-  store_chunk(chunk_id, make_chunk(std::move(offsets), std::move(values)));
+  store_chunk(chunk_id,
+              make_chunk(std::move(offsets), std::move(values), volume));
 }
 
 void SparseArray::set_coded_chunk(std::int64_t chunk_id,
-                                  std::vector<Offset> offsets,
+                                  std::vector<std::uint64_t> bitmap,
                                   std::vector<Code> codes,
                                   std::vector<Value> dictionary) {
-  check_chunk(chunk_id, offsets);
-  CUBIST_CHECK(offsets.size() == codes.size(),
-               "chunk " << chunk_id << ": offset and code counts differ");
+  const std::int64_t volume = check_chunk(chunk_id);
+  check_bitmap(chunk_id, bitmap, volume);
+  std::size_t count = 0;
+  for (const std::uint64_t word : bitmap) {
+    count += static_cast<std::size_t>(std::popcount(word));
+  }
+  CUBIST_CHECK(count == codes.size(),
+               "chunk " << chunk_id << ": " << count << " cells marked and "
+                        << codes.size() << " codes");
   CUBIST_CHECK(dictionary.size() <= kMaxCodes,
                "chunk " << chunk_id << ": dictionary of " << dictionary.size()
                         << " values exceeds " << kMaxCodes);
@@ -179,34 +357,48 @@ void SparseArray::set_coded_chunk(std::int64_t chunk_id,
                "chunk " << chunk_id << ": code " << int{top}
                         << " past its dictionary of " << dictionary.size()
                         << " values");
-  store_chunk(chunk_id,
-              offsets.empty()
-                  ? nullptr
-                  : std::make_shared<const Chunk>(
-                        Chunk{std::move(offsets), {}, std::move(codes),
-                              std::move(dictionary)}));
+  if (count == 0) {
+    store_chunk(chunk_id, nullptr);
+    return;
+  }
+  Chunk chunk{{}, {}, {}, std::move(codes), std::move(dictionary)};
+  if (bitmap_is_smaller(count, volume)) {
+    chunk.bitmap = std::move(bitmap);
+  } else {
+    chunk.offsets = ChunkPositions(bitmap, count).to_vector();
+  }
+  store_chunk(chunk_id, std::make_shared<const Chunk>(std::move(chunk)));
 }
 
 void SparseArray::share_chunk(std::int64_t chunk_id, const SparseArray& source,
                               std::int64_t source_chunk) {
   CUBIST_CHECK(source_chunk >= 0 && source_chunk < source.num_chunks(),
                "source chunk id " << source_chunk << " out of range");
-  // The chunk's values passed their checks when it was set in `source`.
-  check_chunk(chunk_id, source.chunk_offsets(source_chunk));
-  store_chunk(chunk_id, source.chunks_[static_cast<std::size_t>(source_chunk)]);
+  const std::int64_t volume = check_chunk(chunk_id);
+  // The chunk's values passed their checks when it was set in `source`;
+  // its positions must fit this array's chunk.
+  const ChunkRef& chunk = source.chunks_[static_cast<std::size_t>(source_chunk)];
+  if (chunk && !chunk->bitmap.empty()) {
+    check_bitmap(chunk_id, chunk->bitmap, volume);
+  } else if (chunk) {
+    check_list(chunk_id, chunk->offsets, volume);
+  }
+  store_chunk(chunk_id, chunk);
 }
 
 void SparseArray::finalize() {
+  std::vector<std::int64_t> coords(static_cast<std::size_t>(ndim()));
   for (std::size_t c = 0; c < pushed_.size(); ++c) {
     Chunk& cells = pushed_[c];
     if (cells.offsets.empty()) continue;
     // Pushed cells join the chunk's set ones in a new chunk: the set chunk
     // may be shared, so it is never edited.
-    if (const ChunkRef& set = chunks_[c]) {
-      cells.offsets.insert(cells.offsets.begin(), set->offsets.begin(),
-                           set->offsets.end());
-      const std::vector<Value> values =
-          chunk_values(static_cast<std::int64_t>(c)).to_vector();
+    const auto id = static_cast<std::int64_t>(c);
+    if (chunks_[c]) {
+      const std::vector<Offset> offsets = chunk_positions(id).to_vector();
+      cells.offsets.insert(cells.offsets.begin(), offsets.begin(),
+                           offsets.end());
+      const std::vector<Value> values = chunk_values(id).to_vector();
       cells.values.insert(cells.values.begin(), values.begin(), values.end());
     }
     if (!std::is_sorted(cells.offsets.begin(), cells.offsets.end())) {
@@ -230,14 +422,16 @@ void SparseArray::finalize() {
     CUBIST_CHECK(std::adjacent_find(cells.offsets.begin(),
                                     cells.offsets.end()) == cells.offsets.end(),
                  "chunk " << c << " has a duplicate offset");
-    chunks_[c] = make_chunk(std::move(cells.offsets), std::move(cells.values));
+    chunk_grid_.unravel(id, coords.data());
+    chunks_[c] = make_chunk(std::move(cells.offsets), std::move(cells.values),
+                            checked_product(chunk_shape_at(coords)));
   }
   pushed_ = std::vector<Chunk>();
   nnz_ = 0;
   bytes_ = 0;
   for (const ChunkRef& chunk : chunks_) {
     if (!chunk) continue;
-    nnz_ += std::ssize(chunk->offsets);
+    nnz_ += static_cast<std::int64_t>(chunk->size());
     bytes_ += static_cast<std::int64_t>(chunk->bytes());
   }
   finalized_ = true;
@@ -271,7 +465,7 @@ void SparseArray::for_each_nonzero(
     const auto base = chunk_base(chunk_coords);
     const auto extents = chunk_shape_at(chunk_coords);
     const Shape local_shape{extents};
-    const auto offsets = chunk_offsets(chunk_id);
+    const std::vector<Offset> offsets = chunk_positions(chunk_id).to_vector();
     const auto values = chunk_values(chunk_id);
     for (std::size_t i = 0; i < offsets.size(); ++i) {
       local_shape.unravel(static_cast<std::int64_t>(offsets[i]), index.data());

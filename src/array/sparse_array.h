@@ -1,22 +1,30 @@
 // SparseArray: the paper's chunk-offset compressed sparse format (§6).
 //
 // The array is divided into chunks. Each chunk stores only its non-zero
-// cells, as parallel vectors of (offset within the chunk, value); the offset
-// is the row-major linear index relative to the chunk's own extents. This is
-// exactly the "chunk-offset compression" of Zhao et al. that the paper's
-// experiments use for the input dataset.
+// cells: their positions, as row-major linear indices (offsets) relative to
+// the chunk's own extents, and their values in offset order. This is the
+// "chunk-offset compression" of Zhao et al. that the paper's experiments use
+// for the input dataset, with a second form for dense chunks.
 //
 // A chunk holds at most kMaxChunkCells = 2^16 cells, a rule of the format
 // that the constructor enforces, so an offset fits 16 bits. A chunk stores
-// its values in one of two forms. The coded form holds one 8-bit code per
-// non-zero and the chunk's own dictionary of at most kMaxCodes values, so a
-// non-zero takes 3 bytes: a 2-byte offset and a 1-byte code. The raw form
-// holds one 8-byte value per non-zero, so a non-zero takes 10 bytes. A
-// chunk is coded whenever its values take at most kMaxCodes bit patterns,
+// its positions in one of two forms, whichever is smaller: a list of one
+// 16-bit offset per non-zero, or a bitmap of one bit per cell (a word per
+// 64 cells). The bitmap is smaller when more than 1/16 of the chunk's cells
+// are non-zero, as at the paper's 25% density; the form follows from the
+// chunk's own non-zero count. Readers see ascending offsets either way
+// through chunk_positions(), a batch at a time; only this module knows the
+// bitmap's layout.
+//
+// A chunk stores its values in one of two forms as well. The coded form
+// holds one 8-bit code per non-zero and the chunk's own dictionary of at
+// most kMaxCodes values. The raw form holds one 8-byte value per non-zero.
+// A chunk is coded whenever its values take at most kMaxCodes bit patterns,
 // as generated inputs always do (values 1..9); a chunk of more distinct
-// values, which may hold up to 2^16, stays raw rather than pay 2-byte codes
-// and a dictionary beside its 8-byte values. Readers see one value per
-// non-zero through chunk_values() either way.
+// values stays raw rather than pay 2-byte codes and a dictionary beside its
+// 8-byte values. Readers see one value per non-zero through chunk_values()
+// either way. So a coded non-zero takes 3 bytes in a listed chunk, and one
+// byte plus the chunk's bits in a bitmap chunk.
 //
 // An array is filled either a whole chunk at a time through set_chunk()
 // (read_sparse does this), set_coded_chunk() (the generators) or
@@ -32,6 +40,7 @@
 // counts a shared chunk in every array that holds it.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -88,6 +97,37 @@ class SparseArray {
     std::span<const Value> dictionary_;
   };
 
+  /// A chunk's non-zero positions, in whichever form the chunk stores
+  /// them; empty for an empty chunk. Valid while the array holds the chunk.
+  /// The n-th offset in ascending order is the n-th non-zero, whose value
+  /// is chunk_values()[n].
+  class ChunkPositions {
+   public:
+    ChunkPositions() = default;
+
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    /// True when the chunk keeps a bit per cell, false when it keeps a list
+    /// of offsets.
+    bool bitmap() const { return !words_.empty(); }
+    /// The offsets, ascending, in one vector.
+    std::vector<Offset> to_vector() const;
+
+    /// Reads the offsets a batch at a time (below).
+    class Reader;
+
+   private:
+    friend class SparseArray;
+    explicit ChunkPositions(std::span<const Offset> list)
+        : list_(list), count_(list.size()) {}
+    ChunkPositions(std::span<const std::uint64_t> words, std::size_t count)
+        : words_(words), count_(count) {}
+
+    std::span<const Offset> list_;
+    std::span<const std::uint64_t> words_;
+    std::size_t count_ = 0;
+  };
+
   /// An empty sparse array with the given global shape, chunked by
   /// `chunk_extents` (clipped at the array boundary). Throws
   /// InvalidArgument when a chunk would hold more than kMaxChunkCells
@@ -114,8 +154,8 @@ class SparseArray {
     return static_cast<double>(nnz_) / static_cast<double>(shape_.size());
   }
   /// Heap footprint of the chunks' entries, recounted by finalize():
-  /// offsets, plus raw values or codes and dictionaries, counting shared
-  /// chunks in full.
+  /// offset lists or bitmaps, plus raw values or codes and dictionaries,
+  /// counting shared chunks in full.
   std::int64_t bytes() const { return bytes_; }
 
   /// Appends a non-zero cell. Cells may arrive in any order; `finalize()`
@@ -133,24 +173,29 @@ class SparseArray {
   /// the chunk's own clipped extents; they must ascend strictly and stay
   /// below the chunk's volume, and every value must be non-zero. Throws
   /// InvalidArgument otherwise, or when the id is out of range or the array
-  /// is finalized. The chunk is coded when its values take at most
-  /// kMaxCodes bit patterns, else stored raw. Distinct chunks may be set
-  /// concurrently.
+  /// is finalized. The chunk keeps a bitmap when it is smaller than the
+  /// list, and is coded when its values take at most kMaxCodes bit
+  /// patterns, else stored raw. Distinct chunks may be set concurrently.
   void set_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
                  std::vector<Value> values);
 
-  /// set_chunk() for a producer that already holds its values coded: the
-  /// n-th non-zero's value is dictionary[codes[n]]. Besides set_chunk()'s
-  /// checks, there must be one code per offset, each below the dictionary's
-  /// size, and at most kMaxCodes dictionary entries, none of them zero.
-  void set_coded_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
+  /// set_chunk() for a producer that holds its positions as a bitmap and
+  /// its values coded: bit b of bitmap[w] marks cell 64 w + b, and the n-th
+  /// non-zero's value is dictionary[codes[n]]. The bitmap must hold
+  /// ceil(volume / 64) words and mark no cell past the chunk's volume;
+  /// there must be one code per marked cell, each below the dictionary's
+  /// size, and at most kMaxCodes dictionary entries, none of them zero. A
+  /// chunk whose list of offsets is smaller keeps the list instead.
+  void set_coded_chunk(std::int64_t chunk_id,
+                       std::vector<std::uint64_t> bitmap,
                        std::vector<Code> codes, std::vector<Value> dictionary);
 
   /// Sets chunk `chunk_id` to chunk `source_chunk` of `source` without
   /// copying it: both arrays then hold the same immutable chunk. The
-  /// chunk passes set_chunk()'s checks against this array's chunk
-  /// geometry, so it must number its cells row-major over the same
-  /// extents. `source` may be read concurrently by other sharers.
+  /// chunk's positions pass set_chunk()'s checks against this array's
+  /// chunk geometry (a bitmap's size too, without decoding it), so it must
+  /// number its cells row-major over the same extents. `source` may be
+  /// read concurrently by other sharers.
   void share_chunk(std::int64_t chunk_id, const SparseArray& source,
                    std::int64_t source_chunk);
 
@@ -177,10 +222,11 @@ class SparseArray {
   std::vector<std::int64_t> chunk_base(
       const std::vector<std::int64_t>& chunk_coords) const;
 
-  std::span<const Offset> chunk_offsets(std::int64_t chunk_id) const {
+  ChunkPositions chunk_positions(std::int64_t chunk_id) const {
     const ChunkRef& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
-    return chunk ? std::span<const Offset>(chunk->offsets)
-                 : std::span<const Offset>();
+    if (!chunk) return {};
+    return chunk->bitmap.empty() ? ChunkPositions(chunk->offsets)
+                                 : ChunkPositions(chunk->bitmap, chunk->size());
   }
   ChunkValues chunk_values(std::int64_t chunk_id) const {
     const ChunkRef& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
@@ -190,16 +236,23 @@ class SparseArray {
   }
 
  private:
-  /// One form holds the values: `values` (raw), or `codes` and
-  /// `dictionary` (coded).
+  /// One form holds the positions: `offsets` (a list) or `bitmap`
+  /// (ceil(volume / 64) words). One form holds the values: `values` (raw),
+  /// or `codes` and `dictionary` (coded).
   struct Chunk {
     std::vector<Offset> offsets;
+    std::vector<std::uint64_t> bitmap;
     std::vector<Value> values;
     std::vector<Code> codes;
     std::vector<Value> dictionary;
 
+    /// The non-zero count.
+    std::size_t size() const {
+      return codes.empty() ? values.size() : codes.size();
+    }
     std::size_t bytes() const {
       return offsets.size() * sizeof(Offset) +
+             bitmap.size() * sizeof(std::uint64_t) +
              (values.size() + dictionary.size()) * sizeof(Value) +
              codes.size() * sizeof(Code);
     }
@@ -209,13 +262,13 @@ class SparseArray {
 
   /// Chunk grid coordinates and within-chunk offset of a global index.
   std::int64_t locate(const std::int64_t* index, Offset* offset_out) const;
-  /// The checks every way of setting a chunk makes: the id, the state, and
-  /// `offsets` against the chunk's geometry.
-  void check_chunk(std::int64_t chunk_id,
-                   std::span<const Offset> offsets) const;
-  /// A chunk of non-zero `values`, coded if it can be.
+  /// The checks every way of setting a chunk makes, on the id and the
+  /// state; returns the chunk's volume.
+  std::int64_t check_chunk(std::int64_t chunk_id) const;
+  /// A chunk of non-zero `values` at ascending `offsets` in `volume`
+  /// cells, in the smaller form of its positions, and coded if it can be.
   static ChunkRef make_chunk(std::vector<Offset> offsets,
-                             std::vector<Value> values);
+                             std::vector<Value> values, std::int64_t volume);
   /// Stores a validated chunk, dropping cells pushed to it before.
   void store_chunk(std::int64_t chunk_id, ChunkRef chunk);
 
@@ -229,6 +282,38 @@ class SparseArray {
   std::int64_t nnz_ = 0;
   std::int64_t bytes_ = 0;
   bool finalized_ = false;
+};
+
+/// Hands out the offsets of ascending cell ranges, a batch of at most
+/// kBatchCells cells at a time, each with the rank (the index among the
+/// chunk's non-zeros) of its first offset. A listed chunk's batch is a
+/// span of its list; a bitmap chunk's is decoded into the reader.
+class SparseArray::ChunkPositions::Reader {
+ public:
+  static constexpr std::int64_t kBatchCells = 1024;
+
+  explicit Reader(const ChunkPositions& positions)
+      : positions_(positions) {}
+
+  /// Starts the cell range [lo, hi); lo must not precede the previous
+  /// range's hi.
+  void seek(std::int64_t lo, std::int64_t hi);
+  /// The range's next batch of offsets, ascending; empty past its end.
+  std::span<const Offset> next();
+  /// The rank of the first offset the last next() returned.
+  std::size_t rank() const { return rank_; }
+
+ private:
+  ChunkPositions positions_;
+  /// The next cell to read, and the range's end.
+  std::int64_t at_ = 0;
+  std::int64_t hi_ = 0;
+  /// The non-zeros before cell at_.
+  std::size_t before_ = 0;
+  std::size_t rank_ = 0;
+  /// A bitmap batch's offsets. Decoding writes 8 entries a byte of
+  /// bits, whatever its count, so the buffer has 8 to spare.
+  std::array<Offset, kBatchCells + 8> buffer_;
 };
 
 }  // namespace cubist

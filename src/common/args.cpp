@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -117,9 +118,11 @@ bool ArgParser::parse(int argc, char** argv) {
     } else {
       name = arg;
       auto it = flags_.find(name);
-      // Non-boolean flags may take their value from the next argv entry.
+      // Non-boolean flags may take their value from the next argv entry,
+      // unless that entry is a flag itself: then the value is missing.
+      // (`--name=--x` still passes a value that begins with "--".)
       if (it != flags_.end() && it->second.kind != Kind::kBool &&
-          i + 1 < argc) {
+          i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
         value = argv[++i];
         value_present = true;
       }

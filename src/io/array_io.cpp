@@ -131,9 +131,11 @@ void write_sparse(const SparseArray& array, const std::string& path) {
   write_extents(out, array.shape().extents());
   write_raw(out, array.chunk_extents().data(),
             array.chunk_extents().size() * sizeof(std::int64_t));
-  // A coded chunk is written decoded: the file holds every value whole.
+  // A chunk is written decoded: the file holds a list of offsets and every
+  // value whole, whatever forms the chunk keeps in memory.
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
-    const auto offsets = array.chunk_offsets(c);
+    const std::vector<SparseArray::Offset> offsets =
+        array.chunk_positions(c).to_vector();
     const std::vector<Value> values = array.chunk_values(c).to_vector();
     write_pod(out, static_cast<std::int64_t>(offsets.size()));
     write_raw(out, offsets.data(),
@@ -165,8 +167,8 @@ SparseArray read_sparse(const std::string& path) {
   check_fits(checked_product(grid), sizeof(std::int64_t), left, "chunks");
   SparseArray array{Shape{extents}, chunk_extents};
 
-  // Each chunk goes through set_chunk(), which revalidates its entries and
-  // codes the chunk when it can.
+  // Each chunk goes through set_chunk(), which revalidates its entries,
+  // picks the form of its positions and codes the chunk when it can.
   constexpr std::int64_t kEntryBytes =
       sizeof(SparseArray::Offset) + sizeof(Value);
   std::vector<std::int64_t> chunk_coords(extents.size());

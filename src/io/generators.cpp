@@ -290,9 +290,8 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
         std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
         std::vector<std::int64_t> origin(static_cast<std::size_t>(n));
         std::vector<std::int64_t> gidx(static_cast<std::size_t>(n));
-        // The task's kept cells, grown a mask word at a time (never a cell
-        // at a time) and reused from chunk to chunk.
-        std::vector<SparseArray::Offset> offsets;
+        // The codes of the task's kept cells, grown a mask word at a time
+        // (never a cell at a time) and reused from chunk to chunk.
         std::vector<SparseArray::Code> codes;
         // Each segment of a mask word (below): its first global index less
         // its first bit, so the word's bit b in segment s is the cell
@@ -306,7 +305,9 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
             origin[d] = block.lo(d) + base[d];
             gidx[d] = origin[d];
           }
-          offsets.clear();
+          // The chunk's positions: its mask words, placed end to end.
+          std::vector<std::uint64_t> bitmap(static_cast<std::size_t>(
+              ceil_div(checked_product(extents), kMaskCells)));
           codes.clear();
           // A row is the chunk's cells in dimensions [row_dim, n). The
           // chunk spans every dimension after row_dim whole, as the array
@@ -325,8 +326,8 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
           // at most 32 cells, else 64 cells of one row at a time (a row's
           // last segment may be shorter, and fills its word alone). The
           // rows follow each other in the chunk, so bit b of a word is the
-          // chunk's cell word_offset + b; a row can be a whole 2^16-cell
-          // chunk, so the offset past the last word does not fit an Offset.
+          // chunk's cell word_offset + b, bit word_offset + b of the
+          // chunk's bitmap.
           const int segment =
               static_cast<int>(std::min(kMaskCells, row_length));
           std::int64_t word_offset = 0;
@@ -371,17 +372,21 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
             } while (rows_left &&
                      used + std::min(kMaskCells, row_length - i) <=
                          kMaskCells);
-            std::size_t kept = offsets.size();
+            const auto word = static_cast<std::size_t>(word_offset / kMaskCells);
+            const auto shift = static_cast<int>(word_offset % kMaskCells);
+            bitmap[word] |= mask << shift;
+            if (shift + used > kMaskCells) {
+              bitmap[word + 1] |= mask >> (kMaskCells - shift);
+            }
+            std::size_t kept = codes.size();
             const std::size_t size =
                 kept + static_cast<std::size_t>(std::popcount(mask));
-            if (size > offsets.capacity()) {
+            if (size > codes.capacity()) {
               // Powers of two, as push_back's doubling gives, so a task's
               // freed buffers fit the next task's; capacities grown from
               // the size fragment the heap and raise peak RSS.
-              offsets.reserve(std::bit_ceil(size));
               codes.reserve(std::bit_ceil(size));
             }
-            offsets.resize(size);
             codes.resize(size);
             // Segment s holds bits [s x segment, (s + 1) x segment): walking
             // `end` across the segments finds each kept cell's row without a
@@ -390,14 +395,12 @@ SparseArray generate_sparse_block(const SparseSpec& spec,
             for (int end = segment; mask != 0; mask &= mask - 1, ++kept) {
               const int bit = std::countr_zero(mask);
               for (; bit >= end; end += segment) ++s;
-              offsets[kept] =
-                  static_cast<SparseArray::Offset>(word_offset + bit);
               codes[kept] =
                   rule.code(firsts[s] + static_cast<std::uint64_t>(bit));
             }
             word_offset += used;
           }
-          out.set_coded_chunk(chunk_id, {offsets.begin(), offsets.end()},
+          out.set_coded_chunk(chunk_id, std::move(bitmap),
                               {codes.begin(), codes.end()},
                               {kValues.begin(), kValues.end()});
         }
@@ -429,8 +432,7 @@ SparseArray extract_block(const SparseArray& global, const BlockRange& block,
   std::vector<std::int64_t> target(static_cast<std::size_t>(n));
   std::vector<std::int64_t> index(static_cast<std::size_t>(n));
   for (std::int64_t source = 0; source < global.num_chunks(); ++source) {
-    const auto offsets = global.chunk_offsets(source);
-    if (offsets.empty()) continue;
+    if (global.chunk_positions(source).empty()) continue;
     global.chunk_grid().unravel(source, coords.data());
     const std::vector<std::int64_t> base = global.chunk_base(coords);
     const std::vector<std::int64_t> extents = global.chunk_shape_at(coords);
@@ -454,6 +456,8 @@ SparseArray extract_block(const SparseArray& global, const BlockRange& block,
     }
     // A chunk across the block's edge, or under a different chunking, is
     // decoded cell by cell.
+    const std::vector<SparseArray::Offset> offsets =
+        global.chunk_positions(source).to_vector();
     const auto values = global.chunk_values(source);
     const Shape chunk_shape{extents};
     for (std::size_t i = 0; i < offsets.size(); ++i) {

@@ -16,6 +16,7 @@
 #include "array/aggregate.h"
 #include "common/thread_pool.h"
 #include "core/sequential_builder.h"
+#include "io/generators.h"
 #include "test_util.h"
 
 namespace cubist {
@@ -338,13 +339,63 @@ TEST(AggregateDeterminismTest, NonIntegerSparseChildrenFollowInputOrder) {
     ASSERT_TRUE(plan.stripes.front().lone);
     expect_input_order(parent, *dense);
     for (std::int64_t c = 0; c < parent.num_chunks(); ++c) {
-      if (!parent.chunk_offsets(c).empty()) {
+      if (!parent.chunk_positions(c).empty()) {
         ++forms[parent.chunk_values(c).coded() ? 1 : 0];
       }
     }
   }
   EXPECT_GT(forms[0], 0);
   EXPECT_GT(forms[1], 0);
+}
+
+TEST(AggregateDeterminismTest, SparseChunksOfBothPositionFormsMatchBruteForce) {
+  // Zipf skew fills the 4x32x16 chunks at low coordinates past one
+  // non-zero in 16 cells, so they keep bitmaps, and leaves the far ones
+  // below it, so they keep lists. The lone child's stripes cut every chunk
+  // along dimension 1 into ranges of 16-cell rows, which start and end
+  // inside bitmap words.
+  SparseSpec spec;
+  spec.sizes = {256, 32, 16};
+  spec.chunk_extents = {4, 32, 16};
+  spec.density = 0.15;
+  spec.zipf_theta = 2.0;
+  spec.seed = 83;
+  const SparseArray parent = generate_sparse_global(spec);
+  std::array<std::int64_t, 2> forms{};  // [0] list, [1] bitmap
+  for (std::int64_t c = 0; c < parent.num_chunks(); ++c) {
+    if (!parent.chunk_positions(c).empty()) {
+      ++forms[parent.chunk_positions(c).bitmap() ? 1 : 0];
+    }
+  }
+  ASSERT_GT(forms[0], 0);
+  ASSERT_GT(forms[1], 0);
+  const StripePlan plan = plan_sparse_scan(
+      parent.shape(), parent.chunk_extents(), all_positions(3), parent.nnz());
+  ASSERT_GT(plan.stripes.size(), 2u);
+  ASSERT_TRUE(plan.stripes.front().lone);
+  const DenseArray dense = parent.to_dense();
+  for (const AggregateOp op : kAllOps) {
+    std::vector<DenseArray> expected;
+    for (int pos = 0; pos < 3; ++pos) {
+      expected.push_back(testing::brute_force_op(dense, pos, op));
+    }
+    const std::vector<DenseArray> reference = children_with_pool(parent, 1, op);
+    for (const int threads : {1, 2, 8}) {
+      std::vector<DenseArray> children =
+          children_with_pool(parent, threads, op);
+      expect_bit_identical(reference, children, threads, op);
+      for (int pos = 0; pos < 3; ++pos) {
+        DenseArray& child = children[static_cast<std::size_t>(pos)];
+        finalize_view(op, child);
+        const DenseArray& want = expected[static_cast<std::size_t>(pos)];
+        EXPECT_EQ(std::memcmp(want.data(), child.data(),
+                              static_cast<std::size_t>(want.bytes())),
+                  0)
+            << to_string(op) << " pos=" << pos << " with " << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 }  // namespace

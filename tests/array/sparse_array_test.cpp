@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <thread>
@@ -92,7 +93,8 @@ TEST(SparseArrayTest, FinalizeSortsOutOfOrderPushes) {
   s.push(std::vector<std::int64_t>{1}, 1.0);
   s.push(std::vector<std::int64_t>{3}, 3.0);
   s.finalize();
-  const auto offsets = s.chunk_offsets(0);
+  const std::vector<SparseArray::Offset> offsets =
+      s.chunk_positions(0).to_vector();
   ASSERT_EQ(offsets.size(), 3u);
   EXPECT_TRUE(offsets[0] < offsets[1] && offsets[1] < offsets[2]);
   const DenseArray dense = s.to_dense();
@@ -139,7 +141,7 @@ TEST(SparseArrayTest, ChunkOfTheCapHoldsItsLastOffset) {
   for (const SparseArray* s : {&set, &pushed}) {
     ASSERT_EQ(s->num_chunks(), 1);
     ASSERT_EQ(s->nnz(), 2);
-    EXPECT_EQ(s->chunk_offsets(0).back(), 65535);
+    EXPECT_EQ(s->chunk_positions(0).to_vector().back(), 65535);
     EXPECT_EQ(s->chunk_values(0)[1], 2.0);
     EXPECT_EQ(s->to_dense().at({15, 15, 15, 15}), 2.0);
   }
@@ -184,8 +186,10 @@ TEST(SparseArrayTest, SetChunkCodesUpTo256DistinctValues) {
   ASSERT_FALSE(raw.coded());
   EXPECT_EQ(raw.raw().size(), 512u);
   EXPECT_TRUE(raw.codes().empty() && raw.dictionary().empty());
-  // 3 bytes a coded non-zero plus its dictionary; 10 a raw one.
-  EXPECT_EQ(s.bytes(), 512 * 3 + 256 * 8 + 512 * 10);
+  // Every cell is non-zero, so each chunk keeps a bitmap of 8 words; then
+  // a byte a coded non-zero plus its dictionary, 8 bytes a raw one.
+  EXPECT_TRUE(s.chunk_positions(0).bitmap() && s.chunk_positions(1).bitmap());
+  EXPECT_EQ(s.bytes(), (64 + 512 + 256 * 8) + (64 + 512 * 8));
   const SparseArray copy = s;  // shares the raw chunk as it does coded ones
   EXPECT_EQ(copy.chunk_values(1).raw().data(), raw.raw().data());
   const DenseArray dense = s.to_dense();
@@ -214,43 +218,62 @@ TEST(SparseArrayTest, CodesCompareValuesBitwise) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(values.to_vector()[2]), nan_bits);
 }
 
+/// A bitmap word marking `cells`.
+std::uint64_t bits(std::initializer_list<int> cells) {
+  std::uint64_t word = 0;
+  for (const int cell : cells) word |= std::uint64_t{1} << cell;
+  return word;
+}
+
 TEST(SparseArrayTest, SetCodedChunkRejectsCodesItsDictionaryCannotName) {
   SparseArray s{Shape{{8}}, {8}};
   // A code at the dictionary's size.
-  EXPECT_THROW(s.set_coded_chunk(0, {1, 2}, {0, 2}, {1.0, 2.0}),
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1, 2})}, {0, 2}, {1.0, 2.0}),
                InvalidArgument);
   // A zero dictionary entry, even one no code names.
-  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, {1.0, 0.0}), InvalidArgument);
-  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, {1.0, -0.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1})}, {0}, {1.0, 0.0}),
+               InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1})}, {0}, {1.0, -0.0}),
+               InvalidArgument);
   // A dictionary of 257 values; 256 are allowed.
   std::vector<Value> dictionary(SparseArray::kMaxCodes + 1);
   for (std::size_t i = 0; i < dictionary.size(); ++i) {
     dictionary[i] = static_cast<Value>(i + 1);
   }
-  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, dictionary), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1})}, {0}, dictionary),
+               InvalidArgument);
   dictionary.pop_back();
-  // One code per offset.
-  EXPECT_THROW(s.set_coded_chunk(0, {1, 2}, {0}, {1.0}), InvalidArgument);
-  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0, 0}, {1.0}), InvalidArgument);
-  // And set_chunk's own checks.
-  EXPECT_THROW(s.set_coded_chunk(0, {2, 1}, {0, 0}, {1.0}), InvalidArgument);
-  EXPECT_THROW(s.set_coded_chunk(0, {8}, {0}, {1.0}), InvalidArgument);
-  EXPECT_THROW(s.set_coded_chunk(1, {0}, {0}, {1.0}), InvalidArgument);
-  s.set_coded_chunk(0, {1, 7}, {255, 0}, dictionary);
+  // One code per marked cell.
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1, 2})}, {0}, {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1})}, {0, 0}, {1.0}),
+               InvalidArgument);
+  // The bitmap against the chunk's 8 cells: one word, no cell past 7.
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({8})}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1}), 0}, {0}, {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(0, {}, {}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.set_coded_chunk(1, {bits({0})}, {0}, {1.0}),
+               InvalidArgument);
+  s.set_coded_chunk(0, {bits({1, 7})}, {255, 0}, dictionary);
   s.finalize();
   EXPECT_EQ(s.nnz(), 2);
   EXPECT_EQ(s.chunk_values(0).to_vector(), (std::vector<Value>{256.0, 1.0}));
-  EXPECT_THROW(s.set_coded_chunk(0, {1}, {0}, {1.0}), InvalidArgument);
+  // Two offsets take 4 bytes, a word 8: the chunk keeps the list.
+  EXPECT_FALSE(s.chunk_positions(0).bitmap());
+  EXPECT_EQ(s.chunk_positions(0).to_vector(),
+            (std::vector<SparseArray::Offset>{1, 7}));
+  EXPECT_THROW(s.set_coded_chunk(0, {bits({1})}, {0}, {1.0}),
+               InvalidArgument);
 }
 
 TEST(SparseArrayTest, FinalizeMergesPushedCellsIntoACodedChunk) {
   SparseArray s{Shape{{8}}, {8}};
-  s.set_coded_chunk(0, {1, 5}, {1, 0}, {3.0, 4.0});
+  s.set_coded_chunk(0, {bits({1, 5})}, {1, 0}, {3.0, 4.0});
   s.push(std::vector<std::int64_t>{3}, 4.0);
   s.push(std::vector<std::int64_t>{0}, 7.0);
   s.finalize();
-  const auto offsets = s.chunk_offsets(0);
-  EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
+  EXPECT_EQ(s.chunk_positions(0).to_vector(),
             (std::vector<SparseArray::Offset>{0, 1, 3, 5}));
   const SparseArray::ChunkValues values = s.chunk_values(0);
   ASSERT_TRUE(values.coded());
@@ -291,8 +314,7 @@ TEST(SparseArrayTest, SetChunkReplacesTheChunkAndFinalizeRecountsNnz) {
   s.set_chunk(0, {2, 3}, {2.0, 3.0});
   s.finalize();
   EXPECT_EQ(s.nnz(), 3);
-  const auto offsets = s.chunk_offsets(0);
-  EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
+  EXPECT_EQ(s.chunk_positions(0).to_vector(),
             (std::vector<SparseArray::Offset>{2, 3}));
 }
 
@@ -344,8 +366,7 @@ TEST(SparseArrayTest, DistinctChunksCanBeSetConcurrently) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::int64_t c = t; c < s.num_chunks(); c += kThreads) {
-        const auto offsets = reference.chunk_offsets(c);
-        s.set_chunk(c, {offsets.begin(), offsets.end()},
+        s.set_chunk(c, reference.chunk_positions(c).to_vector(),
                     reference.chunk_values(c).to_vector());
       }
     });
@@ -363,8 +384,9 @@ TEST(SparseArrayTest, CopiesShareChunks) {
   const SparseArray copy = original;
   std::int64_t shared = 0;
   for (std::int64_t c = 0; c < original.num_chunks(); ++c) {
-    if (original.chunk_offsets(c).empty()) continue;
-    EXPECT_EQ(copy.chunk_offsets(c).data(), original.chunk_offsets(c).data());
+    if (original.chunk_positions(c).empty()) continue;
+    // A chunk's positions and codes are held together: the same codes are
+    // the same chunk.
     ASSERT_TRUE(original.chunk_values(c).coded());
     EXPECT_EQ(copy.chunk_values(c).codes().data(),
               original.chunk_values(c).codes().data());
@@ -393,7 +415,6 @@ TEST(SparseArrayTest, ShareChunkPassesTheSetChunkChecks) {
   s.share_chunk(5, source, 5);  // an empty chunk shares as empty
   s.finalize();
   EXPECT_EQ(s.nnz(), 2);
-  EXPECT_EQ(s.chunk_offsets(0).data(), source.chunk_offsets(0).data());
   ASSERT_TRUE(source.chunk_values(0).coded());
   EXPECT_EQ(s.chunk_values(0).codes().data(),
             source.chunk_values(0).codes().data());
@@ -405,23 +426,21 @@ TEST(SparseArrayTest, PushIntoASharedChunkLeavesTheSourceUnchanged) {
   SparseArray source{Shape{{8}}, {4}};
   source.set_chunk(0, {1, 3}, {1.0, 3.0});
   source.finalize();
-  const SparseArray::Offset* source_offsets = source.chunk_offsets(0).data();
+  const SparseArray::Code* source_codes = source.chunk_values(0).codes().data();
 
   SparseArray s{Shape{{8}}, {4}};
   s.share_chunk(0, source, 0);
   s.push(std::vector<std::int64_t>{2}, 2.0);
   s.push(std::vector<std::int64_t>{0}, 5.0);
   s.finalize();
-  const auto offsets = s.chunk_offsets(0);
-  EXPECT_EQ(std::vector<SparseArray::Offset>(offsets.begin(), offsets.end()),
+  EXPECT_EQ(s.chunk_positions(0).to_vector(),
             (std::vector<SparseArray::Offset>{0, 1, 2, 3}));
   EXPECT_EQ(s.chunk_values(0).to_vector(),
             (std::vector<Value>{5.0, 1.0, 2.0, 3.0}));
   EXPECT_EQ(s.nnz(), 4);
 
-  EXPECT_EQ(source.chunk_offsets(0).data(), source_offsets);
-  const auto kept = source.chunk_offsets(0);
-  EXPECT_EQ(std::vector<SparseArray::Offset>(kept.begin(), kept.end()),
+  EXPECT_EQ(source.chunk_values(0).codes().data(), source_codes);
+  EXPECT_EQ(source.chunk_positions(0).to_vector(),
             (std::vector<SparseArray::Offset>{1, 3}));
   EXPECT_EQ(source.nnz(), 2);
 
@@ -430,7 +449,147 @@ TEST(SparseArrayTest, PushIntoASharedChunkLeavesTheSourceUnchanged) {
   dup.share_chunk(0, source, 0);
   dup.push(std::vector<std::int64_t>{3}, 4.0);
   EXPECT_THROW(dup.finalize(), InvalidArgument);
-  EXPECT_EQ(source.chunk_offsets(0).size(), 2u);
+  EXPECT_EQ(source.chunk_positions(0).size(), 2u);
+}
+
+TEST(SparseArrayTest, ChunkKeepsABitmapPastOneNonZeroInSixteenCells) {
+  // A 16^4 chunk's bitmap is 1,024 words, 8,192 bytes: the list of 4,096
+  // offsets takes as much, so it stays; 4,097 take more, so they do not.
+  const Shape shape{{16, 16, 16, 16}};
+  for (const std::size_t count : {std::size_t{4096}, std::size_t{4097}}) {
+    std::vector<SparseArray::Offset> offsets;
+    std::vector<Value> values;
+    for (std::size_t n = 0; n < count; ++n) {
+      // Every 16th cell, then cell 1 for the 4,097th.
+      offsets.push_back(static_cast<SparseArray::Offset>(n < 4096 ? 16 * n : 1));
+      values.push_back(static_cast<Value>(1 + n % 9));
+    }
+    std::sort(offsets.begin(), offsets.end());
+    SparseArray s{shape, shape.extents()};
+    s.set_chunk(0, offsets, values);
+    s.finalize();
+    const SparseArray::ChunkPositions positions = s.chunk_positions(0);
+    EXPECT_EQ(positions.bitmap(), count == 4097) << count;
+    EXPECT_EQ(positions.size(), count);
+    EXPECT_EQ(positions.to_vector(), offsets) << count;
+    EXPECT_EQ(s.chunk_values(0).to_vector(), values) << count;
+    // The positions, a code a non-zero and the nine-value dictionary.
+    const std::int64_t positions_bytes =
+        count == 4097 ? 1024 * 8 : static_cast<std::int64_t>(2 * count);
+    EXPECT_EQ(s.bytes(),
+              positions_bytes + static_cast<std::int64_t>(count) + 9 * 8)
+        << count;
+  }
+}
+
+TEST(SparseArrayTest, BitmapChunkOfARaggedVolumeHoldsItsLastCell) {
+  // 5x7x3 = 105 cells: two words, the second holding cells 64..104 in
+  // bits 0..40. Ten non-zeros take 20 bytes as a list, 16 as a bitmap.
+  const Shape shape{{5, 7, 3}};
+  const std::vector<SparseArray::Offset> offsets = {0,  1,  63, 64, 65,
+                                                    70, 99, 102, 103, 104};
+  std::vector<Value> values(offsets.size());
+  for (std::size_t n = 0; n < values.size(); ++n) {
+    values[n] = static_cast<Value>(n + 1);
+  }
+  SparseArray s{shape, shape.extents()};
+  s.set_chunk(0, offsets, values);
+  s.finalize();
+  ASSERT_TRUE(s.chunk_positions(0).bitmap());
+  EXPECT_EQ(s.chunk_positions(0).to_vector(), offsets);
+  EXPECT_EQ(s.bytes(), 16 + 10 + 10 * 8);
+  const DenseArray dense = s.to_dense();
+  EXPECT_EQ(dense.at({4, 6, 2}), 10.0);
+  EXPECT_EQ(dense.at({4, 6, 1}), 9.0);
+  EXPECT_EQ(dense.at({0, 0, 0}), 1.0);
+  EXPECT_EQ(testing::chunk_difference(s, SparseArray::from_dense(dense, {5, 7, 3})),
+            "");
+  // The generators' entry point takes the same bitmap, and no bit past
+  // cell 104.
+  SparseArray coded{shape, shape.extents()};
+  const std::vector<SparseArray::Code> codes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 0};
+  const std::uint64_t low = bits({0, 1, 63});
+  const std::uint64_t high = bits({0, 1, 6, 35, 38, 39, 40});
+  EXPECT_THROW(coded.set_coded_chunk(0, {low, high | bits({41})}, codes,
+                                     {1, 2, 3, 4, 5, 6, 7, 8, 9}),
+               InvalidArgument);
+  coded.set_coded_chunk(0, {low, high}, codes, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  coded.finalize();
+  ASSERT_TRUE(coded.chunk_positions(0).bitmap());
+  EXPECT_EQ(coded.chunk_positions(0).to_vector(), offsets);
+  EXPECT_EQ(coded.to_dense().at({4, 6, 2}), 1.0);
+}
+
+TEST(SparseArrayTest, BitmapChunksBySetChunkPushAndMergeAgree) {
+  // A 4x16 chunk of 64 cells, half of them non-zero: a bitmap however it
+  // is filled.
+  const Shape shape{{4, 16}};
+  std::vector<SparseArray::Offset> offsets;
+  std::vector<Value> values;
+  for (int cell = 0; cell < 64; cell += 2) {
+    offsets.push_back(static_cast<SparseArray::Offset>(cell));
+    values.push_back(static_cast<Value>(1 + cell % 7));
+  }
+  SparseArray set{shape, shape.extents()};
+  set.set_chunk(0, offsets, values);
+  set.finalize();
+  SparseArray pushed{shape, shape.extents()};
+  for (std::size_t n = offsets.size(); n-- > 0;) {  // out of order
+    pushed.push(std::vector<std::int64_t>{offsets[n] / 16, offsets[n] % 16},
+                values[n]);
+  }
+  pushed.finalize();
+  // The first 20 cells set as a bitmap chunk, the rest pushed into it.
+  SparseArray merged{shape, shape.extents()};
+  merged.set_chunk(0, {offsets.begin(), offsets.begin() + 20},
+                   {values.begin(), values.begin() + 20});
+  for (std::size_t n = 20; n < offsets.size(); ++n) {
+    merged.push(std::vector<std::int64_t>{offsets[n] / 16, offsets[n] % 16},
+                values[n]);
+  }
+  merged.finalize();
+  for (const SparseArray* s : {&set, &pushed, &merged}) {
+    ASSERT_TRUE(s->chunk_positions(0).bitmap());
+    EXPECT_EQ(s->nnz(), 32);
+    EXPECT_EQ(s->bytes(), 8 + 32 + 7 * 8);
+    EXPECT_EQ(testing::chunk_difference(*s, set), "");
+    EXPECT_EQ(s->chunk_positions(0).to_vector(), offsets);
+  }
+  // A pushed duplicate of a bitmap chunk's cell is rejected.
+  SparseArray dup{shape, shape.extents()};
+  dup.set_chunk(0, offsets, values);
+  dup.push(std::vector<std::int64_t>{3, 14}, 1.0);
+  EXPECT_THROW(dup.finalize(), InvalidArgument);
+}
+
+TEST(SparseArrayTest, ShareChunkOfABitmapSharesItsStorage) {
+  // 10x7 with 4x4 chunks: chunk 0 has 16 cells, ten of them non-zero.
+  const Shape shape{{10, 7}};
+  SparseArray source{shape, {4, 4}};
+  source.set_chunk(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 15},
+                   {1, 2, 3, 4, 5, 6, 7, 8, 9, 1});
+  // And a 105-cell array whose one chunk is two words.
+  SparseArray wide{Shape{{105}}, {105}};
+  wide.set_chunk(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+                 {1, 2, 3, 4, 5, 6, 7, 8, 9, 1});
+  source.finalize();
+  wide.finalize();
+  ASSERT_TRUE(source.chunk_positions(0).bitmap());
+  ASSERT_TRUE(wide.chunk_positions(0).bitmap());
+  SparseArray s{shape, {4, 4}};
+  // Chunk 5 is the 2x3 corner: cell 15 lies past its 6 cells.
+  EXPECT_THROW(s.share_chunk(5, source, 0), InvalidArgument);
+  s.share_chunk(0, source, 0);
+  s.finalize();
+  EXPECT_TRUE(s.chunk_positions(0).bitmap());
+  EXPECT_EQ(s.chunk_values(0).codes().data(),
+            source.chunk_values(0).codes().data());
+  EXPECT_EQ(s.bytes(), source.bytes());
+  EXPECT_EQ(testing::chunk_difference(s, source), "");
+  // Every marked cell of `wide` fits a 64-cell chunk, but its bitmap has
+  // two words where that chunk's has one.
+  SparseArray narrow{Shape{{64}}, {64}};
+  EXPECT_THROW(narrow.share_chunk(0, wide, 0), InvalidArgument);
 }
 
 }  // namespace

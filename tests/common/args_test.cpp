@@ -55,6 +55,24 @@ TEST(ArgParserTest, SpaceSeparatedForm) {
   EXPECT_EQ(*n, 23);
 }
 
+TEST(ArgParserTest, AFlagIsNeverTheValueOfTheFlagBeforeIt) {
+  // "--json --algorithm=ring" is two flags, the first without its value.
+  ArgParser parser("prog", "doc");
+  auto* json = parser.add_string("json", "", "report path");
+  auto* algorithm = parser.add_string("algorithm", "binomial", "algorithm");
+  Argv args({"prog", "--json", "--algorithm=ring"});
+  EXPECT_FALSE(parser.parse(args.argc(), args.argv()));
+  EXPECT_EQ(*json, "");
+  // The '=' form passes a value that begins with "--", and a negative
+  // number is still a value.
+  auto* n = parser.add_int("n", 0, "count");
+  Argv equals({"prog", "--json=--x", "--n", "-5", "--algorithm", "ring"});
+  ASSERT_TRUE(parser.parse(equals.argc(), equals.argv()));
+  EXPECT_EQ(*json, "--x");
+  EXPECT_EQ(*n, -5);
+  EXPECT_EQ(*algorithm, "ring");
+}
+
 TEST(ArgParserTest, BareBooleanSetsTrue) {
   ArgParser parser("prog", "doc");
   auto* v = parser.add_bool("verbose", false, "chatty");

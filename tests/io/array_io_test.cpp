@@ -106,7 +106,7 @@ TEST_F(ArrayIoTest, GeneratedArraysWriteThePinnedFileBytes) {
     EXPECT_EQ(testing::chunk_difference(loaded, original), "") << p.name;
     std::int64_t coded = 0;
     for (std::int64_t c = 0; c < loaded.num_chunks(); ++c) {
-      if (loaded.chunk_offsets(c).empty()) continue;
+      if (loaded.chunk_positions(c).empty()) continue;
       EXPECT_TRUE(loaded.chunk_values(c).coded()) << p.name << " chunk " << c;
       ++coded;
     }
@@ -309,8 +309,8 @@ TEST_F(ArrayIoTest, OneRowChunkOfTheCapRoundTrips) {
   SparseArray original = generate_sparse_global(spec);
   ASSERT_EQ(original.num_chunks(), 1);
   // The last cell at offset 65535, set whatever the hash kept there.
-  std::vector<SparseArray::Offset> offsets(original.chunk_offsets(0).begin(),
-                                           original.chunk_offsets(0).end());
+  std::vector<SparseArray::Offset> offsets =
+      original.chunk_positions(0).to_vector();
   std::vector<Value> values = original.chunk_values(0).to_vector();
   if (offsets.back() != 65535) {
     offsets.push_back(65535);

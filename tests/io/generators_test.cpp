@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <latch>
 #include <optional>
@@ -61,8 +62,8 @@ SparseArray reference_block(const SparseSpec& spec, const BlockRange& block) {
 }
 
 /// FNV-1a digest of each chunk's offsets and values, in chunk order. Each
-/// offset is hashed as a uint32, the width the pinned digests were taken
-/// at, and each value as its decoded 8-byte Value, the form they were
+/// decoded offset is hashed as a uint32, the width the pinned digests were
+/// taken at, and each value as its decoded 8-byte Value, the form they were
 /// taken in, so a digest names the cells, not how the chunk stores them.
 std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
   std::vector<std::uint64_t> digests;
@@ -73,7 +74,8 @@ std::vector<std::uint64_t> chunk_digests(const SparseArray& array) {
         h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
       }
     };
-    for (const SparseArray::Offset offset : array.chunk_offsets(c)) {
+    for (const SparseArray::Offset offset :
+         array.chunk_positions(c).to_vector()) {
       const auto wide = static_cast<std::uint32_t>(offset);
       mix(std::as_bytes(std::span(&wide, 1)));
     }
@@ -534,18 +536,21 @@ TEST(GeneratorsTest, GeneratedBytesMatchPinnedDigests) {
   }
 }
 
-TEST(GeneratorsTest, Figure7InputTakesThreeBytesANonZero) {
-  // The end-to-end benchmark's 64^4 input at 25%: every chunk is coded
-  // against the nine values 1..9, so a non-zero takes a 2-byte offset and
-  // a 1-byte code, and a chunk adds its 72-byte dictionary.
+TEST(GeneratorsTest, Figure7InputTakesABitACellAndAByteANonZero) {
+  // The end-to-end benchmark's 64^4 input at 25%: every 16^4 chunk holds
+  // more than one non-zero in 16 cells, so it keeps a bitmap of a bit a
+  // cell, and is coded against the nine values 1..9, so a non-zero takes
+  // a 1-byte code and a chunk adds its 72-byte dictionary.
   SparseSpec spec;
   spec.sizes = {64, 64, 64, 64};
   spec.density = 0.25;
   spec.seed = 1;
   const SparseArray input = generate_sparse_global(spec);
-  EXPECT_LE(input.bytes(), 3 * input.nnz() + 72 * input.num_chunks());
+  EXPECT_LE(input.bytes(), input.shape().size() / 8 + input.nnz() +
+                               72 * input.num_chunks());
   EXPECT_GT(input.nnz(), 4'000'000);
   for (std::int64_t c = 0; c < input.num_chunks(); ++c) {
+    ASSERT_TRUE(input.chunk_positions(c).bitmap()) << c;
     ASSERT_TRUE(input.chunk_values(c).coded()) << c;
   }
 }
@@ -604,6 +609,39 @@ TEST(ExtractBlockTest, UnalignedBlocksMatchTheReference) {
        {BlockRange({4, 2, 0, 0}, {8, 14, 8, 8}),
         BlockRange({3, 5, 1, 2}, {13, 16, 8, 7}),
         BlockRange({15, 0, 7, 3}, {16, 1, 8, 4})}) {
+    EXPECT_EQ(testing::chunk_difference(
+                  extract_block(global, block, {4, 4, 4, 4}),
+                  reference_extract(global, block, {4, 4, 4, 4})),
+              "")
+        << block.to_string();
+  }
+}
+
+TEST(ExtractBlockTest, BitmapChunksCutAtTheBlockEdgeMatchTheReference) {
+  // Zipf skew fills the low corner's 4^4 chunks past one non-zero in 16
+  // cells (bitmaps) and leaves the far ones below it (lists). Blocks whose
+  // edges cut chunks of both forms decode them cell by cell.
+  SparseSpec spec;
+  spec.sizes = {16, 16, 8, 8};
+  spec.density = 0.1;
+  spec.zipf_theta = 1.2;
+  spec.seed = 79;
+  spec.chunk_extents = {4, 4, 4, 4};
+  const SparseArray global = generate_sparse_global(spec);
+  std::array<std::int64_t, 2> forms{};  // [0] list, [1] bitmap
+  for (std::int64_t c = 0; c < global.num_chunks(); ++c) {
+    if (!global.chunk_positions(c).empty()) {
+      ++forms[global.chunk_positions(c).bitmap() ? 1 : 0];
+    }
+  }
+  ASSERT_GT(forms[0], 0);
+  ASSERT_GT(forms[1], 0);
+  // Edges inside the first chunk of every dimension, where the bitmaps
+  // are; one that keeps whole chunks beside cut ones; and a one-cell block.
+  for (const BlockRange& block :
+       {BlockRange({1, 2, 3, 1}, {15, 13, 8, 7}),
+        BlockRange({0, 0, 0, 0}, {6, 16, 8, 8}),
+        BlockRange({2, 1, 0, 3}, {3, 2, 1, 4})}) {
     EXPECT_EQ(testing::chunk_difference(
                   extract_block(global, block, {4, 4, 4, 4}),
                   reference_extract(global, block, {4, 4, 4, 4})),
@@ -671,14 +709,13 @@ TEST(ExtractBlockTest, AlignedChunksShareTheSourceStorage) {
     const SparseArray extracted = extract_block(global, block, {4, 4, 4, 4});
     std::int64_t shared = 0;
     for (std::int64_t c = 0; c < extracted.num_chunks(); ++c) {
-      if (extracted.chunk_offsets(c).empty()) continue;
+      if (extracted.chunk_positions(c).empty()) continue;
       extracted.chunk_grid().unravel(c, coords.data());
       for (int d = 0; d < 4; ++d) source_coords[d] = coords[d] + block.lo(d) / 4;
       const std::int64_t source =
           global.chunk_grid().linear_index(source_coords.data());
-      EXPECT_EQ(extracted.chunk_offsets(c).data(),
-                global.chunk_offsets(source).data())
-          << block.to_string() << " chunk " << c;
+      // A chunk's positions and codes are held together: the same codes
+      // are the same chunk.
       EXPECT_EQ(extracted.chunk_values(c).codes().data(),
                 global.chunk_values(source).codes().data())
           << block.to_string() << " chunk " << c;

@@ -100,13 +100,15 @@ inline std::string chunk_difference(const SparseArray& a,
     out << "nnz " << a.nnz() << " vs " << b.nnz();
   } else {
     for (std::int64_t c = 0; c < a.num_chunks(); ++c) {
-      const auto ao = a.chunk_offsets(c);
-      const auto bo = b.chunk_offsets(c);
-      // Decoded values: a raw and a coded chunk of the same cells are equal.
+      // Decoded positions and values: chunks of the same cells are equal
+      // whichever forms they keep.
+      const std::vector<SparseArray::Offset> ao =
+          a.chunk_positions(c).to_vector();
+      const std::vector<SparseArray::Offset> bo =
+          b.chunk_positions(c).to_vector();
       const std::vector<Value> av = a.chunk_values(c).to_vector();
       const std::vector<Value> bv = b.chunk_values(c).to_vector();
-      if (!std::equal(ao.begin(), ao.end(), bo.begin(), bo.end()) ||
-          av != bv) {
+      if (ao != bo || av != bv) {
         out << "chunk " << c << " differs (" << ao.size() << " vs "
             << bo.size() << " entries)";
         break;

@@ -117,22 +117,30 @@ disabled-vs-bare deltas ride along as evidence (they are noise at this
 scale and can even come out negative).
 
 In the default (kernel) mode it wraps bench/bench_kernels with
---benchmark_format=json, sweeps CUBIST_THREADS over a thread list, and
-normalizes the per-run JSON into one stable document:
+--benchmark_format=json, sweeps CUBIST_THREADS over a thread list, runs
+each row 5 times (3 under --smoke), and normalizes the per-run JSON into
+one stable document:
 
   {
-    "schema": "cubist-bench-kernels/1",
+    "schema": "cubist-bench-kernels/2",
     "nproc": <host cores>,
+    "repetitions": 5,    # runs per row and thread count
     "runs": [            # one entry per CUBIST_THREADS setting
       {"threads": 1, "benchmarks": [
          {"name": "BM_DenseMultiway/3/3", "real_time_ms": ...,
+          "real_time_ms_range": [min, max],
           "cpu_time_ms": ..., "items_per_second": ...}, ...]},
       ...
     ],
     "speedups": {        # multi-thread real-time speedup vs threads=1
-      "BM_DenseMultiway/3/3": {"threads": 4, "speedup": 2.9}, ...
+      "BM_DenseMultiway/3/3": {"threads": 4, "speedup": 2.9,
+                               "speedup_range": [2.5, 3.2]}, ...
     }
   }
+
+Every time and rate is the median of the row's runs; a range is the
+min-max of its runs, and a speedup's range pairs the slowest run of one
+thread count with the fastest of the other.
 
 The speedups block is how docs/PERFORMANCE.md's headline numbers are
 regenerated; CI's bench-smoke job runs `--smoke` (tiny min-time; the
@@ -159,9 +167,13 @@ DEFAULT_COMM_OUT = "BENCH_comm.json"
 DEFAULT_SERVING_OUT = "BENCH_serving.json"
 DEFAULT_OBS_OUT = "BENCH_obs.json"
 DEFAULT_BINARY_DIRS = ("build-release", "build")
-SCHEMA = "cubist-bench-kernels/1"
+SCHEMA = "cubist-bench-kernels/2"
 COMM_SCHEMA = "cubist-bench-comm/4"
 SERVING_SCHEMA = "cubist-bench-serving/3"
+# Runs per kernel row and thread count: one run cannot tell a row's
+# thread scaling from the host's noise.
+KERNEL_REPETITIONS = 5
+KERNEL_SMOKE_REPETITIONS = 3
 # Runs per BM_Serving corner: one run of a loaded corner lasts about
 # 0.01 s, so a single one cannot tell the cache's effect from noise.
 SERVING_REPETITIONS = 5
@@ -228,41 +240,56 @@ def to_ms(value, unit):
 
 
 def normalize(raw):
-    """One google-benchmark JSON document -> list of normalized entries."""
-    entries = []
+    """One google-benchmark JSON document -> one normalized entry per
+    benchmark: the median of its repeated runs, with the min-max of their
+    real times."""
+    runs_by_name = {}
     for bench in raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        unit = bench.get("time_unit", "ns")
+        runs_by_name.setdefault(bench["name"], []).append(bench)
+    entries = []
+    for name, benches in runs_by_name.items():
+        unit = benches[0].get("time_unit", "ns")
+        real = [to_ms(b["real_time"], unit) for b in benches]
         entry = {
-            "name": bench["name"],
-            "real_time_ms": round(to_ms(bench["real_time"], unit), 6),
-            "cpu_time_ms": round(to_ms(bench["cpu_time"], unit), 6),
-            "iterations": bench.get("iterations", 0),
+            "name": name,
+            "real_time_ms": round(statistics.median(real), 6),
+            "real_time_ms_range": [round(min(real), 6), round(max(real), 6)],
+            "cpu_time_ms": round(statistics.median(
+                [to_ms(b["cpu_time"], unit) for b in benches]), 6),
+            "iterations": benches[0].get("iterations", 0),
         }
-        if "items_per_second" in bench:
-            entry["items_per_second"] = round(bench["items_per_second"], 1)
+        if "items_per_second" in benches[0]:
+            entry["items_per_second"] = round(statistics.median(
+                [b["items_per_second"] for b in benches]), 1)
         entries.append(entry)
     return entries
 
 
 def compute_speedups(runs):
-    """Real-time speedup of the largest thread count vs threads=1."""
+    """Real-time speedup of the largest thread count vs threads=1, of the
+    medians, with the range the runs' min-max allow."""
     by_threads = {run["threads"]: run for run in runs}
     if 1 not in by_threads or len(by_threads) < 2:
         return {}
     top = max(by_threads)
     if top == 1:
         return {}
-    base = {b["name"]: b["real_time_ms"] for b in by_threads[1]["benchmarks"]}
+    base = {b["name"]: b for b in by_threads[1]["benchmarks"]}
     speedups = {}
     for bench in by_threads[top]["benchmarks"]:
-        name = bench["name"]
-        if name in base and bench["real_time_ms"] > 0:
-            speedups[name] = {
-                "threads": top,
-                "speedup": round(base[name] / bench["real_time_ms"], 3),
-            }
+        one = base.get(bench["name"])
+        if one is None or bench["real_time_ms"] <= 0:
+            continue
+        one_lo, one_hi = one["real_time_ms_range"]
+        top_lo, top_hi = bench["real_time_ms_range"]
+        speedups[bench["name"]] = {
+            "threads": top,
+            "speedup": round(one["real_time_ms"] / bench["real_time_ms"], 3),
+            "speedup_range": [round(one_lo / top_hi, 3),
+                              round(one_hi / top_lo, 3)],
+        }
     return speedups
 
 
@@ -918,17 +945,19 @@ def main():
 
     bench_filter = args.filter
     min_time = args.min_time
+    repetitions = KERNEL_REPETITIONS
     if args.smoke:
         bench_filter = (bench_filter or
                         "BM_DenseMultiway|BM_SparseMultiway|BM_Generator")
         min_time = 0.01
+        repetitions = KERNEL_SMOKE_REPETITIONS
 
     binary = find_binary(args.binary, "bench_kernels")
     runs = []
     for threads in threads_list:
         print(f"running {os.path.basename(binary)} with "
-              f"CUBIST_THREADS={threads} ...")
-        raw = run_once(binary, threads, bench_filter, min_time)
+              f"CUBIST_THREADS={threads}, {repetitions} runs per row ...")
+        raw = run_once(binary, threads, bench_filter, min_time, repetitions)
         runs.append({"threads": threads, "benchmarks": normalize(raw)})
 
     report = {
@@ -936,6 +965,7 @@ def main():
         "generated_by": "tools/bench_report.py",
         "smoke": args.smoke,
         "nproc": nproc,
+        "repetitions": repetitions,
         "runs": runs,
         "speedups": compute_speedups(runs),
     }
