@@ -152,9 +152,10 @@ BENCHMARK(BM_SparseMultiwayDensity)
 void BM_Projection(benchmark::State& state) {
   const DenseArray& parent = dense_fixture({48, 48, 48}, 9);
   DenseArray out{Shape{{48}}};
+  const BlockRange whole = BlockRange::whole(parent.shape());
   for (auto _ : state) {
     out.fill(0);
-    const AggregationStats stats = project(parent, {1}, &out);
+    const AggregationStats stats = project(parent, whole, {1}, &out);
     benchmark::DoNotOptimize(stats);
   }
   state.SetItemsProcessed(state.iterations() * parent.size());

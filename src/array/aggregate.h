@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "array/aggregate_op.h"
+#include "array/block.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
 
@@ -148,17 +149,19 @@ AggregationStats aggregate_children(const SparseArray& parent,
                                     const AggregateOptions& options = {},
                                     AggregateOp op = AggregateOp::kSum);
 
-/// Generic projection: aggregates away every parent dimension NOT listed
-/// in `kept_positions` (ascending positions into the parent's dimension
-/// list) in a single scan. `out` must have the kept extents and is
-/// accumulated into. Deliberately an independent, scalar code path from
-/// the multi-way kernels. Its callers are the reference verifier, the
-/// naive all-from-root baseline and PartialCube's on-the-fly
-/// projections; no builder calls it (tools/lint.py rule 8).
-AggregationStats project(const DenseArray& parent,
+/// Generic projection: sums the cells of `region`, a block of the parent,
+/// over every parent dimension NOT listed in `kept_positions` (ascending
+/// positions into the parent's dimension list) in a single scan. `out`
+/// must have the region's kept extents and is accumulated into. A dense
+/// parent walks only the region's cells, in row-major order, and reports
+/// them as cells_scanned; a sparse parent skips its non-zeros outside the
+/// region and reports nnz. A one-thread SUM path apart from the multi-way
+/// kernels, for PartialCube's on-the-fly answers and the per-child
+/// baseline; no builder calls it (tools/lint.py rule 8).
+AggregationStats project(const DenseArray& parent, const BlockRange& region,
                          const std::vector<int>& kept_positions,
                          DenseArray* out);
-AggregationStats project(const SparseArray& parent,
+AggregationStats project(const SparseArray& parent, const BlockRange& region,
                          const std::vector<int>& kept_positions,
                          DenseArray* out);
 

@@ -17,6 +17,12 @@ class BlockRange {
   BlockRange() = default;
   BlockRange(std::vector<std::int64_t> lo, std::vector<std::int64_t> hi);
 
+  /// The block of every cell of `shape`.
+  static BlockRange whole(const Shape& shape) {
+    return BlockRange(std::vector<std::int64_t>(shape.extents().size(), 0),
+                      shape.extents());
+  }
+
   int ndim() const { return static_cast<int>(lo_.size()); }
   std::int64_t lo(int d) const { return lo_[d]; }
   std::int64_t hi(int d) const { return hi_[d]; }

@@ -375,13 +375,16 @@ void SparseArray::share_chunk(std::int64_t chunk_id, const SparseArray& source,
   CUBIST_CHECK(source_chunk >= 0 && source_chunk < source.num_chunks(),
                "source chunk id " << source_chunk << " out of range");
   const std::int64_t volume = check_chunk(chunk_id);
-  // The chunk's values passed their checks when it was set in `source`;
-  // its positions must fit this array's chunk.
+  // The chunk passed every check when it was set in `source`, its list's
+  // ascent among them; its positions must fit this array's chunk, which
+  // the last offset or the last bitmap word decides.
   const ChunkRef& chunk = source.chunks_[static_cast<std::size_t>(source_chunk)];
   if (chunk && !chunk->bitmap.empty()) {
     check_bitmap(chunk_id, chunk->bitmap, volume);
   } else if (chunk) {
-    check_list(chunk_id, chunk->offsets, volume);
+    CUBIST_CHECK(chunk->offsets.back() < volume,
+                 "chunk " << chunk_id << ": offset past its " << volume
+                          << " cells");
   }
   store_chunk(chunk_id, chunk);
 }

@@ -1,17 +1,18 @@
-// Cube construction over an arbitrary spanning tree — the baseline engine.
+// Cube construction over an arbitrary spanning tree — the baselines.
 //
 // Lets the bench suite compare the aggregation tree against prior-work
 // trees (MMST, MNST/minimal-parent, naive all-from-root) under two scan
-// disciplines:
+// disciplines, both on the builders' one walk of the tree (walk_tree):
 //   * kMultiWay  — one scan of each internal node produces all its
 //     children simultaneously (what the aggregation tree enables; only
-//     valid when every edge drops exactly one dimension);
+//     valid when every edge drops exactly one dimension): the builders'
+//     TreeWalk over the SpanningTree, with their stats;
 //   * kPerChild  — every child triggers its own scan of its parent (the
 //     discipline of single-aggregate algorithms; works for any tree,
-//     including multi-dimension hops like all-from-root).
+//     including multi-dimension hops like all-from-root): one `project`
+//     of the parent per child.
 // Memory accounting matches the main builders: a node is live from its
-// computation until its write-back, which happens after its last child is
-// computed.
+// computation until its write-back, after its subtree is walked.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@ enum class ScanDiscipline {
   kPerChild,
 };
 
-/// Builds the full cube along `tree`. With kMultiWay, every edge of the
-/// tree must drop exactly one dimension (CHECK-enforced).
+/// Builds the full SUM cube along `tree`. With kMultiWay, every edge of
+/// the tree must drop exactly one dimension (else InvalidArgument).
 CubeResult build_cube_with_tree(const DenseArray& root,
                                 const SpanningTree& tree,
                                 ScanDiscipline discipline,

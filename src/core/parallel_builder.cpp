@@ -167,8 +167,9 @@ std::optional<CubeResult> build_cube_parallel_rank(
 
   std::optional<CubeResult> cube;
   if (collect_result && comm.rank() == 0) cube.emplace(global_sizes);
+  const AggregationTree tree(n);
   TreeWalk<RankHooks> walk(
-      n, AggregationTree(n).completion_order(), options.op, agg_options,
+      tree, tree.completion_order(), options.op, agg_options,
       RankHooks{comm, grid, global_sizes, options, pool, collect_result,
                 cube ? &*cube : nullptr});
   walk.run(local_root);

@@ -8,6 +8,25 @@
 #include "lattice/cube_lattice.h"
 
 namespace cubist {
+namespace {
+
+/// The cells of `source` that sum to the point `coords` of `view`: the
+/// view's dimensions pinned at the coordinates, the others whole.
+BlockRange point_region(DimSet source, DimSet view,
+                        const std::vector<std::int64_t>& coords,
+                        const std::vector<std::int64_t>& sizes) {
+  std::vector<std::int64_t> lo;
+  std::vector<std::int64_t> hi;
+  std::size_t coord = 0;
+  for (int d : source.dims()) {
+    const bool pinned = view.contains(d);
+    lo.push_back(pinned ? coords[coord] : 0);
+    hi.push_back(pinned ? coords[coord++] + 1 : sizes[d]);
+  }
+  return BlockRange(std::move(lo), std::move(hi));
+}
+
+}  // namespace
 
 PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
                                std::vector<DimSet> views, BuildStats* stats) {
@@ -17,7 +36,8 @@ PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
   // duplicates collapse into one flag in the table and the walk.
   AncestorTable routes = AncestorTable::build(CubeLattice(sizes), views);
   auto cube = std::make_shared<CubeResult>(sizes);
-  TreeWalk<> walk(input->ndim(), views, AggregateOp::kSum, AggregateOptions{});
+  TreeWalk<> walk(AggregationTree(input->ndim()), views, AggregateOp::kSum,
+                  AggregateOptions{});
   for (auto& [mask, view] : walk.run(*input)) {
     finalize_view(AggregateOp::kSum, view);
     cube->put(DimSet::from_mask(mask), std::move(view));
@@ -71,90 +91,35 @@ Value PartialCube::query_from(std::optional<DimSet> from, DimSet view,
                               const std::vector<std::int64_t>& coords,
                               std::int64_t* cells_scanned) const {
   views_->check_point(view, coords);
-  if (!from) {
-    // Fall through to the sparse input: one pass over the non-zeros.
-    const std::vector<int> dims = view.dims();
-    Value total = 0;
-    std::int64_t scanned = 0;
-    input().for_each_nonzero([&](const std::int64_t* idx, Value v) {
-      ++scanned;
-      for (std::size_t i = 0; i < dims.size(); ++i) {
-        if (idx[dims[i]] != coords[i]) return;
-      }
-      total += v;
-    });
-    if (cells_scanned != nullptr) *cells_scanned = scanned;
-    return total;
-  }
-
-  CUBIST_CHECK(view.is_subset_of(*from),
-               "source " << from->to_string() << " does not cover view "
-                         << view.to_string());
-  const DenseArray& source = views_->view(*from);
-  if (*from == view) {
+  if (from && *from == view) {
     if (cells_scanned != nullptr) *cells_scanned = 1;
-    return source.at(coords);
+    return views_->view(view).at(coords);
   }
-  // Aggregate the source over its free dimensions at the fixed coords.
-  const std::vector<int> source_dims = from->dims();
-  const int m = static_cast<int>(source_dims.size());
-  std::vector<int> free_positions;
-  std::int64_t base = 0;
-  {
-    std::size_t coord_index = 0;
-    for (int pos = 0; pos < m; ++pos) {
-      if (view.contains(source_dims[pos])) {
-        base += coords[coord_index++] * source.shape().stride(pos);
-      } else {
-        free_positions.push_back(pos);
-      }
-    }
-  }
-  // Odometer over the free dimensions.
-  Value total = 0;
-  std::int64_t scanned = 0;
-  std::vector<std::int64_t> free_index(free_positions.size(), 0);
-  while (true) {
-    std::int64_t offset = base;
-    for (std::size_t i = 0; i < free_positions.size(); ++i) {
-      offset += free_index[i] * source.shape().stride(free_positions[i]);
-    }
-    total += source[offset];
-    ++scanned;
-    // Advance.
-    std::size_t d = free_positions.size();
-    while (d > 0) {
-      --d;
-      if (++free_index[d] < source.shape().extent(free_positions[d])) {
-        break;
-      }
-      free_index[d] = 0;
-      if (d == 0) {
-        if (cells_scanned != nullptr) *cells_scanned = scanned;
-        return total;
-      }
-    }
-    if (free_positions.empty()) {
-      if (cells_scanned != nullptr) *cells_scanned = scanned;
-      return total;
-    }
-  }
+  // Resolved first, so an adopted cube rejects a root-view point at once.
+  const SparseArray* input_array = from ? nullptr : &input();
+  const DimSet source = from ? *from : DimSet::full(ndims());
+  CUBIST_CHECK(view.is_subset_of(source),
+               "source " << source.to_string() << " does not cover view "
+                         << view.to_string());
+  const BlockRange region = point_region(source, view, coords, sizes());
+  DenseArray point{Shape{}};
+  const AggregationStats scan =
+      from ? project(views_->view(*from), region, {}, &point)
+           : project(*input_array, region, {}, &point);
+  if (cells_scanned != nullptr) *cells_scanned = scan.cells_scanned;
+  return point[0];
 }
 
 DenseArray PartialCube::materialize_from(std::optional<DimSet> from,
                                          DimSet view,
                                          std::int64_t* cells_scanned) const {
-  const DimSet root = DimSet::full(ndims());
-  CUBIST_CHECK(view.is_subset_of(root), "view out of lattice");
-  if (from) {
-    CUBIST_CHECK(view.is_subset_of(*from),
-                 "source " << from->to_string() << " does not cover view "
-                           << view.to_string());
-  }
   // Resolved before the output is allocated, so a root-view query on an
   // adopted cube fails without allocating the root.
   const SparseArray* input_array = from ? nullptr : &input();
-  const DimSet source = from ? *from : root;
+  const DimSet source = from ? *from : DimSet::full(ndims());
+  CUBIST_CHECK(view.is_subset_of(source),
+               "source " << source.to_string() << " does not cover view "
+                         << view.to_string());
   std::vector<std::int64_t> extents;
   std::vector<int> kept;  // the view's positions among the source's dims
   for (int d : view.dims()) {
@@ -162,9 +127,11 @@ DenseArray PartialCube::materialize_from(std::optional<DimSet> from,
     kept.push_back(source.position_of(d));
   }
   DenseArray out{Shape{extents}};
+  const auto whole = [&](const auto& array) {
+    return project(array, BlockRange::whole(array.shape()), kept, &out);
+  };
   const AggregationStats scan =
-      from ? project(views_->view(*from), kept, &out)
-           : project(*input_array, kept, &out);
+      from ? whole(views_->view(*from)) : whole(*input_array);
   if (cells_scanned != nullptr) *cells_scanned = scan.cells_scanned;
   return out;
 }

@@ -2,11 +2,11 @@
 //
 // Materializes only a chosen subset of views (see view_selection.h); any
 // group-by on any view is still answerable, routed to the smallest
-// materialized ancestor and aggregated on the fly. The routes are one
-// AncestorTable, built with the cube, so every query is one table lookup.
-// The query cost in cells matches the linear model the selection
-// optimizes, so the storage/latency trade-off is directly measurable
-// (bench_partial).
+// materialized ancestor and aggregated on the fly by one `project` of it
+// (array/aggregate.h). The routes are one AncestorTable, built with the
+// cube, so every query is one table lookup. The query cost in cells
+// matches the linear model the selection optimizes, so the storage/latency
+// trade-off is directly measurable (bench_partial).
 //
 // The views are built by the aggregation-tree walk of the full-cube
 // builders (core/tree_walk.h), pruned to the selection, and held in a
@@ -94,7 +94,9 @@ class PartialCube {
 
   /// Point group-by routed through a caller-chosen source: `from` must be
   /// a materialized superset of `view` (nullopt = the raw input). Every
-  /// route first checks the coordinates against the cube's extents.
+  /// route first checks the coordinates against the cube's extents. The
+  /// view itself is one lookup (1 cell); an ancestor or the input is one
+  /// `project` of the point's region (|from| / |view| cells, or nnz).
   Value query_from(std::optional<DimSet> from, DimSet view,
                    const std::vector<std::int64_t>& coords,
                    std::int64_t* cells_scanned = nullptr) const;

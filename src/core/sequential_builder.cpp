@@ -10,7 +10,8 @@ template <typename Root>
 CubeResult build(const Root& root, BuildStats* stats, AggregateOp op,
                  const AggregateOptions& agg_options) {
   const int n = root.ndim();
-  TreeWalk<> walk(n, AggregationTree(n).completion_order(), op, agg_options);
+  const AggregationTree tree(n);
+  TreeWalk<> walk(tree, tree.completion_order(), op, agg_options);
   CubeResult result(root.shape().extents());
   for (auto& [mask, view] : walk.run(root)) {
     finalize_view(op, view);

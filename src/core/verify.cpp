@@ -1,5 +1,6 @@
 #include "core/verify.h"
 
+#include <array>
 #include <sstream>
 
 #include "array/aggregate.h"
@@ -8,20 +9,27 @@
 namespace cubist {
 namespace {
 
-template <typename Root>
-CubeResult reference_cube_impl(const Root& root) {
+/// Every proper view as a GROUP BY under `op`: it starts at the identity,
+/// combines the contribution of each cell `for_each_cell` visits (the
+/// root's non-empty cells, in the root's order), and is finalized.
+template <typename ForEachCell>
+CubeResult group_by_every_view(const Shape& root, AggregateOp op,
+                               const ForEachCell& for_each_cell) {
   const int n = root.ndim();
-  CubeResult result(root.shape().extents());
+  CubeResult result(root.extents());
   for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
     const DimSet view = DimSet::from_mask(mask);
     std::vector<std::int64_t> extents;
-    for (int d : view.dims()) {
-      extents.push_back(root.shape().extent(d));
-    }
-    DenseArray array{Shape{extents}};
-    // In the root, dimension id == position, so view.dims() doubles as the
-    // kept-position list.
-    project(root, view.dims(), &array);
+    for (int d : view.dims()) extents.push_back(root.extent(d));
+    DenseArray array{Shape{std::move(extents)}, identity_of(op)};
+    for_each_cell([&](const std::int64_t* index, Value value) {
+      std::int64_t cell = 0;
+      for (int d = 0, pos = 0; d < n; ++d) {
+        if (view.contains(d)) cell += index[d] * array.shape().stride(pos++);
+      }
+      combine(op, array[cell], contribution_of(op, value));
+    });
+    finalize_view(op, array);
     result.put(view, std::move(array));
   }
   return result;
@@ -29,12 +37,21 @@ CubeResult reference_cube_impl(const Root& root) {
 
 }  // namespace
 
-CubeResult reference_cube(const DenseArray& root) {
-  return reference_cube_impl(root);
+CubeResult reference_cube(const DenseArray& root, AggregateOp op) {
+  return group_by_every_view(root.shape(), op, [&](const auto& fn) {
+    std::array<std::int64_t, kMaxDims> index{};
+    for (std::int64_t linear = 0; linear < root.size(); ++linear) {
+      if (root[linear] == Value{0}) continue;  // an empty input cell
+      root.shape().unravel(linear, index.data());
+      fn(index.data(), root[linear]);
+    }
+  });
 }
 
-CubeResult reference_cube(const SparseArray& root) {
-  return reference_cube_impl(root);
+CubeResult reference_cube(const SparseArray& root, AggregateOp op) {
+  return group_by_every_view(root.shape(), op, [&](const auto& fn) {
+    root.for_each_nonzero(fn);
+  });
 }
 
 std::string compare_cubes(const CubeResult& expected,

@@ -1,23 +1,26 @@
 // Reference cube construction and cube comparison, for correctness tests.
 //
-// The reference path is deliberately independent of the aggregation tree:
-// every view is projected directly from the root in its own scan. Slow,
-// but there is no shared logic with the builders it validates.
+// The reference cube shares no code with the engine it validates: no tree
+// walk, no scan kernel and no `project`. Every view is its own GROUP BY
+// over the root's non-empty cells (Gray et al.), one pass per view. Slow;
+// it holds no array besides the cube it returns.
 #pragma once
 
 #include <string>
 
+#include "array/aggregate_op.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
 #include "core/cube_result.h"
 
 namespace cubist {
 
-/// Computes every proper view directly from the dense root.
-CubeResult reference_cube(const DenseArray& root);
-
-/// Computes every proper view directly from the sparse root.
-CubeResult reference_cube(const SparseArray& root);
+/// Every proper view of the root under `op`, finalized as the builders
+/// finalize theirs. A zero cell of a dense root is empty.
+CubeResult reference_cube(const DenseArray& root,
+                          AggregateOp op = AggregateOp::kSum);
+CubeResult reference_cube(const SparseArray& root,
+                          AggregateOp op = AggregateOp::kSum);
 
 /// Exact comparison of two cubes over the views stored in `expected`.
 /// Returns an empty string on success, else a description of the first

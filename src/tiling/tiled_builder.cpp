@@ -85,8 +85,8 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
     std::vector<std::int64_t> chunks = default_chunks(slab.extents());
     const SparseArray slab_root = extract_block(root, slab, std::move(chunks));
 
-    TreeWalk<> walk(n, AggregationTree(n).completion_order(), op,
-                    AggregateOptions{});
+    const AggregationTree tree(n);
+    TreeWalk<> walk(tree, tree.completion_order(), op, AggregateOptions{});
     ViewBlocks slab_views = walk.run(slab_root);
     const BuildStats& slab_stats = walk.stats();
     totals.cells_scanned += slab_stats.cells_scanned;

@@ -116,7 +116,7 @@ TEST(AggregateDeterminismTest, DenseStripedMatchesScalarProjection) {
     for (int d = 0; d < 3; ++d) {
       if (d != pos) kept.push_back(d);
     }
-    project(parent, kept, &expected);
+    project(parent, BlockRange::whole(parent.shape()), kept, &expected);
     EXPECT_EQ(children[static_cast<std::size_t>(pos)], expected)
         << "pos=" << pos;
   }
@@ -278,7 +278,7 @@ void expect_input_order(const ParentT& parent, const DenseArray& dense) {
           for (int d = 0; d < parent.ndim(); ++d) {
             if (d != pos) kept.push_back(d);
           }
-          project(parent, kept, &expected);
+          project(parent, BlockRange::whole(parent.shape()), kept, &expected);
           EXPECT_EQ(std::memcmp(expected.data(), child.data(),
                                 static_cast<std::size_t>(expected.bytes())),
                     0)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "common/rng.h"
 #include "test_util.h"
 
 namespace cubist {
@@ -227,14 +230,14 @@ TEST(AggregateSparseTest, OffsetTableRuleKeepsChildrenAndStats) {
 TEST(ProjectTest, KeepAllIsIdentityCopy) {
   const DenseArray parent = testing::iota_dense({3, 4});
   DenseArray out{parent.shape()};
-  project(parent, {0, 1}, &out);
+  project(parent, BlockRange::whole(parent.shape()), {0, 1}, &out);
   EXPECT_EQ(out, parent);
 }
 
 TEST(ProjectTest, KeepNoneSumsEverything) {
   const DenseArray parent = testing::iota_dense({3, 4});
   DenseArray out{Shape{std::vector<std::int64_t>{}}};
-  project(parent, {}, &out);
+  project(parent, BlockRange::whole(parent.shape()), {}, &out);
   EXPECT_EQ(out[0], parent.total());
 }
 
@@ -242,7 +245,7 @@ TEST(ProjectTest, MultiDimDropMatchesIteratedSingleDrops) {
   const DenseArray parent = testing::random_dense({4, 3, 5, 2}, 0.6, 13);
   // Drop dims 1 and 3 in one projection...
   DenseArray direct{Shape{{4, 5}}};
-  project(parent, {0, 2}, &direct);
+  project(parent, BlockRange::whole(parent.shape()), {0, 2}, &direct);
   // ...versus dropping 3 then 1 with the single-dim kernel.
   DenseArray step1{parent.shape().without_dim(3)};
   const AggregationTarget t1{3, &step1};
@@ -258,21 +261,117 @@ TEST(ProjectTest, SparseMatchesDense) {
   const SparseArray sparse = SparseArray::from_dense(dense, {3, 3, 3});
   DenseArray from_dense{Shape{{6}}};
   DenseArray from_sparse{Shape{{6}}};
-  project(dense, {1}, &from_dense);
-  project(sparse, {1}, &from_sparse);
+  project(dense, BlockRange::whole(dense.shape()), {1}, &from_dense);
+  project(sparse, BlockRange::whole(sparse.shape()), {1}, &from_sparse);
   EXPECT_EQ(from_dense, from_sparse);
 }
 
 TEST(ProjectTest, NonAscendingKeptPositionsRejected) {
   const DenseArray parent = testing::iota_dense({3, 4, 5});
   DenseArray out{Shape{{5, 3}}};
-  EXPECT_THROW(project(parent, {2, 0}, &out), InvalidArgument);
+  EXPECT_THROW(
+      project(parent, BlockRange::whole(parent.shape()), {2, 0}, &out),
+      InvalidArgument);
+}
+
+/// project()'s reference: every cell of `dense` inside `region` added at
+/// its kept coordinates, counted from the region's low corner.
+DenseArray plain_projection(const DenseArray& dense, const BlockRange& region,
+                            const std::vector<int>& kept) {
+  std::vector<std::int64_t> extents;
+  for (int pos : kept) extents.push_back(region.extent(pos));
+  DenseArray out{Shape{extents}};
+  std::vector<std::int64_t> index(static_cast<std::size_t>(dense.ndim()));
+  std::vector<std::int64_t> at(kept.size());
+  for (std::int64_t linear = 0; linear < dense.size(); ++linear) {
+    dense.shape().unravel(linear, index.data());
+    if (!region.contains(index.data())) continue;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      at[i] = index[kept[i]] - region.lo(kept[i]);
+    }
+    out.at(at) += dense[linear];
+  }
+  return out;
+}
+
+TEST(ProjectTest, RandomRegionsMatchAPlainLoop) {
+  // Regions of every size down to one cell, at both corners and at random
+  // places, keeping random positions, of dense and sparse sources.
+  Xoshiro256ss rng(2024);
+  const std::vector<std::vector<std::int64_t>> shapes{
+      {}, {1}, {9}, {5, 1, 6}, {4, 6, 3, 5}, {3, 2, 4, 2, 3}};
+  for (const std::vector<std::int64_t>& sizes : shapes) {
+    const int m = static_cast<int>(sizes.size());
+    const DenseArray dense = testing::random_dense(sizes, 0.4, 7 + sizes.size());
+    std::optional<SparseArray> sparse;
+    if (m > 0) {
+      sparse = SparseArray::from_dense(dense, std::vector<std::int64_t>(
+                                                  sizes.size(), 2));
+    }
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<std::int64_t> lo(sizes.size());
+      std::vector<std::int64_t> hi(sizes.size());
+      std::vector<int> kept;
+      for (int d = 0; d < m; ++d) {
+        const std::int64_t extent = sizes[static_cast<std::size_t>(d)];
+        if (trial == 0) {  // the whole source
+          lo[d] = 0;
+          hi[d] = extent;
+        } else if (trial == 1) {  // the far corner's one cell
+          lo[d] = extent - 1;
+          hi[d] = extent;
+        } else if (trial == 2) {  // the near corner's one cell
+          lo[d] = 0;
+          hi[d] = 1;
+        } else {
+          lo[d] = static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(extent)));
+          hi[d] = lo[d] + 1 +
+                  static_cast<std::int64_t>(rng.next_below(
+                      static_cast<std::uint64_t>(extent - lo[d])));
+        }
+        if (rng.next_below(2) == 0) kept.push_back(d);
+      }
+      const BlockRange region(lo, hi);
+      SCOPED_TRACE(::testing::Message()
+                   << dense.shape().to_string() << " region "
+                   << region.to_string() << ", " << kept.size() << " kept");
+      const DenseArray expected = plain_projection(dense, region, kept);
+      DenseArray out{expected.shape()};
+      const AggregationStats scan = project(dense, region, kept, &out);
+      EXPECT_EQ(out, expected);
+      EXPECT_EQ(scan.cells_scanned, region.size());
+      EXPECT_EQ(scan.updates, region.size());
+      if (sparse) {
+        DenseArray from_sparse{expected.shape()};
+        const AggregationStats sparse_scan =
+            project(*sparse, region, kept, &from_sparse);
+        EXPECT_EQ(from_sparse, expected);
+        EXPECT_EQ(sparse_scan.cells_scanned, sparse->nnz());
+      }
+    }
+  }
+}
+
+TEST(ProjectTest, RegionOutsideTheParentRejected) {
+  const DenseArray parent = testing::iota_dense({3, 4});
+  DenseArray out{Shape{{2}}};
+  EXPECT_THROW(project(parent, BlockRange({2, 0}, {4, 4}), {0}, &out),
+               InvalidArgument);
+  EXPECT_THROW(project(parent, BlockRange({0}, {2}), {0}, &out),
+               InvalidArgument);
+  const SparseArray sparse = SparseArray::from_dense(parent, {2, 2});
+  DenseArray row{Shape{{4}}};
+  EXPECT_THROW(project(sparse, BlockRange({0, 1}, {1, 5}), {1}, &row),
+               InvalidArgument);
 }
 
 TEST(ProjectTest, WrongOutputShapeRejected) {
   const DenseArray parent = testing::iota_dense({3, 4});
   DenseArray out{Shape{{3}}};
-  EXPECT_THROW(project(parent, {1}, &out), InvalidArgument);
+  EXPECT_THROW(
+      project(parent, BlockRange::whole(parent.shape()), {1}, &out),
+      InvalidArgument);
 }
 
 }  // namespace

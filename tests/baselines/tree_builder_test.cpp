@@ -110,6 +110,47 @@ TEST(TreeBuilderTest, AggregationTreePeakMatchesTheorem1) {
             sequential_memory_bound(CubeLattice(sizes)));
 }
 
+TEST(TreeBuilderTest, MmstAndMnstBuildsKeepTheirStats) {
+  // Both trees differ from the aggregation tree (9 and 7 parents), so each
+  // walk takes its own order; the numbers were recorded from the
+  // hand-written builder the shared walk replaced.
+  SparseSpec spec;
+  spec.sizes = {5, 9, 4, 7};
+  spec.density = 0.3;
+  spec.seed = 31;
+  const SparseArray root = generate_sparse_global(spec);
+  ASSERT_EQ(root.nnz(), 400);
+  const CubeLattice lattice(spec.sizes);
+  const CubeResult expected = reference_cube(root);
+  struct Pin {
+    const char* name;
+    SpanningTree tree;
+    ScanDiscipline discipline;
+    std::int64_t peak_live_bytes;
+    std::int64_t cells_scanned;
+    std::int64_t updates;
+  };
+  const SpanningTree mmst = SpanningTree::mmst(lattice, {2, 3, 2, 3});
+  const SpanningTree mnst = SpanningTree::minimal_parent(lattice);
+  const std::vector<Pin> pins{
+      {"MMST multi-way", mmst, ScanDiscipline::kMultiWay, 7976, 1132, 2852},
+      {"MMST per-child", mmst, ScanDiscipline::kPerChild, 3024, 2852, 2852},
+      {"MNST multi-way", mnst, ScanDiscipline::kMultiWay, 7744, 1060, 2740},
+      {"MNST per-child", mnst, ScanDiscipline::kPerChild, 2520, 2740, 2740},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    BuildStats stats;
+    const CubeResult cube =
+        build_cube_with_tree(root, pin.tree, pin.discipline, &stats);
+    EXPECT_EQ(compare_cubes(expected, cube), "");
+    EXPECT_EQ(stats.peak_live_bytes, pin.peak_live_bytes);
+    EXPECT_EQ(stats.cells_scanned, pin.cells_scanned);
+    EXPECT_EQ(stats.updates, pin.updates);
+    EXPECT_EQ(stats.written_bytes, 9120);
+  }
+}
+
 TEST(TreeBuilderTest, RankMismatchThrows) {
   const DenseArray root = testing::random_dense({4, 4}, 0.5, 1);
   EXPECT_THROW(build_cube_with_tree(root, SpanningTree::aggregation(3),

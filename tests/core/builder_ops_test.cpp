@@ -31,7 +31,7 @@ class BuilderOpsTest : public ::testing::TestWithParam<AggregateOp> {};
 TEST_P(BuilderOpsTest, SequentialMatchesReference) {
   const AggregateOp op = GetParam();
   const SparseArray root = generate_sparse_global(test_spec());
-  const CubeResult expected = testing::reference_op_cube(root, op);
+  const CubeResult expected = reference_cube(root, op);
   const CubeResult actual = build_cube_sequential(root, nullptr, op);
   EXPECT_EQ(compare_cubes(expected, actual), "") << to_string(op);
 }
@@ -81,7 +81,7 @@ TEST_P(BuilderOpsTest, TiledMatchesReference) {
   TiledBuildStats stats;
   const CubeResult tiled = build_cube_tiled(root, plan, &stats, op);
   EXPECT_EQ(stats.tiles, 3);
-  EXPECT_EQ(compare_cubes(testing::reference_op_cube(root, op), tiled), "")
+  EXPECT_EQ(compare_cubes(reference_cube(root, op), tiled), "")
       << to_string(op);
   EXPECT_EQ(tiled.query(DimSet::of({1, 2}), {0, 0}),
             op == AggregateOp::kCount ? 1.0 : 7.0)

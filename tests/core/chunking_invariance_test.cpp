@@ -139,11 +139,7 @@ TEST_P(ChunkingInvarianceTest, CubesAreBitIdenticalToTheOracles) {
   ThreadPool four(4);
   for (AggregateOp op : {AggregateOp::kSum, AggregateOp::kCount,
                          AggregateOp::kMin, AggregateOp::kMax}) {
-    std::optional<CubeResult> op_oracle;
-    if (op != AggregateOp::kSum) {
-      op_oracle.emplace(testing::reference_op_cube(arrays[0], op));
-    }
-    const CubeResult& oracle = op_oracle ? *op_oracle : sum_oracle;
+    const CubeResult oracle = reference_cube(arrays[0], op);
     for (const SparseArray& array : arrays) {
       for (ThreadPool* pool : {&one, &four}) {
         EXPECT_EQ(bit_difference(oracle, build_cube_sequential(

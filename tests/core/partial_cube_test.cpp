@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,6 +58,24 @@ TEST(PartialCubeTest, EveryViewQueryMatchesFullCube) {
       expected.shape().unravel(linear, coords.data());
       EXPECT_EQ(cube.query(view, coords), expected[linear])
           << view.to_string() << " @" << linear;
+      // Every route answers the same: the view itself when materialized
+      // (one cell), each materialized ancestor (|from| / |view| cells)
+      // and the input (nnz).
+      std::vector<std::optional<DimSet>> routes{std::nullopt};
+      for (DimSet from : cube.materialized_views()) {
+        if (view.is_subset_of(from)) routes.push_back(from);
+      }
+      for (const std::optional<DimSet>& from : routes) {
+        std::int64_t cells = 0;
+        EXPECT_EQ(cube.query_from(from, view, coords, &cells),
+                  expected[linear])
+            << view.to_string() << " @" << linear << " from "
+            << (from ? from->to_string() : "the input");
+        EXPECT_EQ(cells, !from         ? input.nnz()
+                         : *from == view ? 1
+                                         : lattice.view_cells(*from) /
+                                               lattice.view_cells(view));
+      }
     }
   }
 }
@@ -161,6 +180,13 @@ TEST(PartialCubeTest, AdoptSharesACompleteCubeWithoutAnInput) {
   EXPECT_THROW(cube.input(), InvalidArgument);
   EXPECT_THROW(cube.query(root, {0, 0, 0}), InvalidArgument);
   EXPECT_THROW(cube.materialize(root), InvalidArgument);
+  // A point routed to the input is rejected before any scan runs.
+  std::int64_t cells = -1;
+  EXPECT_THROW(cube.query_from(std::nullopt, root, {1, 2, 3}, &cells),
+               InvalidArgument);
+  EXPECT_THROW(cube.query_from(std::nullopt, DimSet::of({0}), {4}, &cells),
+               InvalidArgument);
+  EXPECT_EQ(cells, -1);
   EXPECT_THROW(PartialCube::adopt(nullptr), InvalidArgument);
 }
 

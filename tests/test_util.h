@@ -11,9 +11,7 @@
 #include "array/aggregate_op.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
-#include "common/dimset.h"
 #include "common/rng.h"
-#include "core/cube_result.h"
 #include "minimpi/event_trace.h"
 
 namespace cubist::testing {
@@ -116,33 +114,6 @@ inline std::string chunk_difference(const SparseArray& a,
     }
   }
   return out.str();
-}
-
-/// Brute-force cube under `op`, straight from the non-zeros: every proper
-/// view combines each non-zero's contribution at its projected cell.
-inline CubeResult reference_op_cube(const SparseArray& root, AggregateOp op) {
-  const int n = root.ndim();
-  CubeResult result(root.shape().extents());
-  for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
-    const DimSet view = DimSet::from_mask(mask);
-    std::vector<std::int64_t> extents;
-    for (int d : view.dims()) {
-      extents.push_back(root.shape().extent(d));
-    }
-    DenseArray array{Shape{extents}};
-    fill_identity(op, array);
-    std::vector<std::int64_t> coords;
-    root.for_each_nonzero([&](const std::int64_t* idx, Value v) {
-      coords.clear();
-      for (int d : view.dims()) {
-        coords.push_back(idx[d]);
-      }
-      combine(op, array.at(coords), contribution_of(op, v));
-    });
-    finalize_view(op, array);
-    result.put(view, std::move(array));
-  }
-  return result;
 }
 
 /// Events of `kind` in `trace`, over every rank.

@@ -34,12 +34,14 @@ deliberately looser):
      auditable; scattered ad-hoc clocks are how double-timing and
      mixed-epoch timestamps creep in.
   8. No call to `project(` outside its definition (src/array/aggregate.h,
-     src/array/aggregate.cpp), the reference verifier
-     (src/core/verify.cpp), the naive baseline (src/baselines/) and
-     PartialCube's on-the-fly projections (src/core/partial_cube.cpp).
-     `project` is the scalar one-view scan kept as an independent oracle;
-     every builder runs the aggregation-tree walk and the multi-way
-     kernels, so none may grow a second scan path.
+     src/array/aggregate.cpp), PartialCube's on-the-fly answers
+     (src/core/partial_cube.cpp: a routed point projects its one-cell
+     region, a routed view its whole source) and the per-child baseline
+     (src/baselines/).  `project` is the one-thread region scan apart
+     from the multi-way kernels: every builder runs the aggregation-tree
+     walk and the kernels, so none may grow a second scan path, and the
+     reference cube (src/core/verify.cpp) computes its own GROUP BY so
+     that it shares no code with the engine it checks.
   9. No `const_cast` in src/.  Shared SparseArray chunks, served
      PartialCube generations and cached QueryResults are read from many
      threads without locks; that is only safe while nothing writes
@@ -93,7 +95,6 @@ CHRONO_INCLUDE = re.compile(r"#\s*include\s*<chrono>")
 PROJECT_ALLOWED_FILES = {
     "src/array/aggregate.h",
     "src/array/aggregate.cpp",
-    "src/core/verify.cpp",
     "src/core/partial_cube.cpp",
 }
 PROJECT_ALLOWED_PREFIX = "src/baselines/"
@@ -234,9 +235,9 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
         for match in PROJECT_CALL.finditer(code):
             problems.append(
                 f"{rel}:{line_of(code, match.start())}: `project(` outside "
-                "the oracle, the naive baseline and PartialCube — build "
-                "views with the aggregation-tree walk and the multi-way "
-                "kernels")
+                "PartialCube and the per-child baseline — build views with "
+                "the aggregation-tree walk and the multi-way kernels; the "
+                "reference cube shares no code with them")
 
     if rel.startswith("src/"):
         for match in CONST_CAST.finditer(code):
@@ -309,16 +310,21 @@ def self_test() -> int:
         ("src/core/chrono_comment.cpp",
          "// std::chrono is banned outside src/obs/ and timer.h\n",
          None),
-        # The scalar projection is confined to the oracle, the baseline
-        # and PartialCube; names that merely contain it stay clean.
+        # The region projection is confined to PartialCube and the
+        # per-child baseline; the reference cube shares no code with the
+        # engine, so it may not call it either. Names that merely contain
+        # it stay clean.
         ("src/core/rogue_builder.cpp",
-         "void f() { project(view, kept, &out); }\n",
-         "`project(` outside the oracle"),
+         "void f() { project(view, region, kept, &out); }\n",
+         "`project(` outside PartialCube"),
+        ("src/core/verify.cpp",
+         "void f() { project(root, whole, view.dims(), &array); }\n",
+         "`project(` outside PartialCube"),
         ("src/core/partial_cube.cpp",
-         "void f() { project(view, kept, &out); }\n",
+         "void f() { project(view, region, kept, &out); }\n",
          None),
         ("src/baselines/tree_builder.cpp",
-         "void f() { track(project(a, kept, &out)); }\n",
+         "auto s = project(parent, whole, kept, &out);\n",
          None),
         ("src/core/project_comment.cpp",
          "// project(parent, kept, &out) is the oracle's scan\n"
