@@ -21,7 +21,7 @@ std::int64_t block_cells(const BlockRange& block, DimSet view) {
 }
 
 /// One rank's Figure-5 program as planned events: a visitor of
-/// AggregationTree::walk, the walk the builders' TreeWalk runs, so the
+/// walk_tree, the walk the builders' TreeWalk runs, so the
 /// plan's event order is the run's by construction. Where the per-rank
 /// hooks of core/parallel_builder.cpp touch data, this emits planned
 /// allocations, reduce operations, releases and write-backs, and, when
@@ -42,7 +42,7 @@ class RankPlanner {
                std::vector<TraceEvent>& events) {
     algorithm_by_group_ = &algorithm_by_group;
     events_ = &events;
-    tree_.walk(*this);
+    walk_tree(tree_, tree_.root(), *this);
     if (spec_.collect_result && rank_ == 0) plan_gather_receives();
     return std::move(plan_);
   }

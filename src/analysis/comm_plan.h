@@ -2,7 +2,7 @@
 //
 // `build_comm_plan` symbolically executes the per-rank SPMD program of
 // `build_cube_parallel_rank` without touching any data: it visits
-// AggregationTree::walk, the walk the builders run, and appends each
+// walk_tree, the walk the builders run, and appends each
 // child's reduction onto the lead processors as reduce_program writes it,
 // the tuned reduction program Comm::reduce executes. When the result is
 // collected it also plans the gather: each lead other than rank 0 sends a

@@ -45,7 +45,7 @@ std::vector<ScheduleEvent> AggregationTree::schedule() const {
       events.push_back({ScheduleEvent::Kind::kWriteBack, view});
     }
   } recorder;
-  walk(recorder);
+  walk_tree(*this, root(), recorder);
   return std::move(recorder.events);
 }
 
