@@ -54,10 +54,9 @@ class RankPlanner {
   /// layout, density, and thread count.
   void scan(DimSet view, const std::vector<DimSet>& children) {
     const std::vector<int> view_dims = view.dims();
-    std::vector<int> aggregated_positions;
+    std::vector<DimSet> dropped;
     for (DimSet child : children) {
-      aggregated_positions.push_back(
-          view.position_of(view.minus(child).min_dim()));
+      dropped.push_back(view.positions_of(view.minus(child)));
       plan_.memory.push_back({PlannedMemoryEvent::Kind::kAlloc, child.mask(),
                               view_bytes(child)});
     }
@@ -66,8 +65,7 @@ class RankPlanner {
     for (int d : view_dims) parent_extents.push_back(block_.extent(d));
     plan_.max_scan_scratch_bytes =
         std::max(plan_.max_scan_scratch_bytes,
-                 scan_scratch_bound(Shape{parent_extents},
-                                    aggregated_positions));
+                 scan_scratch_bound(Shape{parent_extents}, dropped));
   }
 
   /// Reduces `child` over the axis group of its aggregated dimension; only

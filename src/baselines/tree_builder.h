@@ -4,13 +4,13 @@
 // trees (MMST, MNST/minimal-parent, naive all-from-root) under two scan
 // disciplines, both on the builders' one walk of the tree (walk_tree):
 //   * kMultiWay  — one scan of each internal node produces all its
-//     children simultaneously (what the aggregation tree enables; only
-//     valid when every edge drops exactly one dimension): the builders'
-//     TreeWalk over the SpanningTree, with their stats;
+//     children simultaneously (what the aggregation tree enables): the
+//     builders' TreeWalk over the SpanningTree, with their stats;
 //   * kPerChild  — every child triggers its own scan of its parent (the
-//     discipline of single-aggregate algorithms; works for any tree,
-//     including multi-dimension hops like all-from-root): one `project`
-//     of the parent per child.
+//     discipline of single-aggregate algorithms): one one-target kernel
+//     scan of the parent per child.
+// Both run every tree, including multi-dimension hops like
+// all-from-root: a kernel target drops every dimension its edge drops.
 // Memory accounting matches the main builders: a node is live from its
 // computation until its write-back, after its subtree is walked.
 #pragma once
@@ -30,8 +30,7 @@ enum class ScanDiscipline {
   kPerChild,
 };
 
-/// Builds the full SUM cube along `tree`. With kMultiWay, every edge of
-/// the tree must drop exactly one dimension (else InvalidArgument).
+/// Builds the full SUM cube along `tree` under `discipline`.
 CubeResult build_cube_with_tree(const DenseArray& root,
                                 const SpanningTree& tree,
                                 ScanDiscipline discipline,

@@ -100,6 +100,14 @@ class DimSet {
     return __builtin_popcount(mask_ & ((std::uint32_t{1} << dim) - 1));
   }
 
+  /// The positions of `dims`' members in dims(), as a set: what a scan of
+  /// this view's array drops to leave out `dims`, a subset.
+  DimSet positions_of(DimSet dims) const {
+    DimSet positions;
+    for (int d : dims.dims()) positions = positions.with(position_of(d));
+    return positions;
+  }
+
   /// Dimension indices in ascending order.
   std::vector<int> dims() const {
     std::vector<int> out;

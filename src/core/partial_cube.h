@@ -2,11 +2,11 @@
 //
 // Materializes only a chosen subset of views (see view_selection.h); any
 // group-by on any view is still answerable, routed to the smallest
-// materialized ancestor and aggregated on the fly by one `project` of it
-// (array/aggregate.h). The routes are one AncestorTable, built with the
-// cube, so every query is one table lookup. The query cost in cells
-// matches the linear model the selection optimizes, so the storage/latency
-// trade-off is directly measurable (bench_partial).
+// materialized ancestor and aggregated on the fly by one scan of it with
+// the builders' kernels (array/aggregate.h). The routes are one AncestorTable,
+// built with the cube, so every query is one table lookup. The query cost in
+// cells matches the linear model the selection optimizes, so the
+// storage/latency trade-off is directly measurable (bench_partial).
 //
 // The views are built by the aggregation-tree walk of the full-cube
 // builders (core/tree_walk.h), pruned to the selection, and held in a
@@ -96,12 +96,12 @@ class PartialCube {
   /// a materialized superset of `view` (nullopt = the raw input). Every
   /// route first checks the coordinates against the cube's extents. The
   /// view itself is one lookup (1 cell); an ancestor or the input is one
-  /// `project` of the point's region (|from| / |view| cells, or nnz).
+  /// scan of the point's region (|from| / |view| cells, or its non-zeros).
   Value query_from(std::optional<DimSet> from, DimSet view,
                    const std::vector<std::int64_t>& coords,
                    std::int64_t* cells_scanned = nullptr) const;
 
-  /// Fully materializes ANY view on the fly by projecting the source
+  /// Fully materializes ANY view on the fly by aggregating the source
   /// `from` (same contract as query_from) down to `view` in one scan.
   /// `cells_scanned` reports |from| (dense source) or nnz (input source),
   /// the same price query_cost() charges; projecting a view out of

@@ -3,7 +3,6 @@
 #include <array>
 #include <sstream>
 
-#include "array/aggregate.h"
 #include "common/error.h"
 
 namespace cubist {
@@ -94,10 +93,18 @@ std::string validate_cube_consistency(const CubeResult& cube) {
       const DimSet parent_view = view.with(d);
       if (!cube.has(parent_view)) continue;
       const DenseArray& parent = cube.view(parent_view);
-      // Aggregate the parent along d and compare.
+      // Sum the parent along d, cell by cell, and compare.
+      const int pos = parent_view.position_of(d);
       DenseArray derived{child.shape()};
-      const AggregationTarget target{parent_view.position_of(d), &derived};
-      aggregate_children(parent, std::span(&target, 1));
+      std::array<std::int64_t, kMaxDims> index{};
+      for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
+        parent.shape().unravel(linear, index.data());
+        std::int64_t cell = 0;
+        for (int k = 0, c = 0; k < parent.ndim(); ++k) {
+          if (k != pos) cell += index[k] * derived.shape().stride(c++);
+        }
+        derived[cell] += parent[linear];
+      }
       if (!(derived == child)) {
         std::ostringstream out;
         out << "view " << view.to_string()

@@ -1,9 +1,9 @@
 // Reference cube construction and cube comparison, for correctness tests.
 //
 // The reference cube shares no code with the engine it validates: no tree
-// walk, no scan kernel and no `project`. Every view is its own GROUP BY
-// over the root's non-empty cells (Gray et al.), one pass per view. Slow;
-// it holds no array besides the cube it returns.
+// walk and no scan kernel (tools/lint.py rule 8). Every view is its own
+// GROUP BY over the root's non-empty cells (Gray et al.), one pass per
+// view. Slow; it holds no array besides the cube it returns.
 #pragma once
 
 #include <string>
@@ -29,10 +29,10 @@ CubeResult reference_cube(const SparseArray& root,
 std::string compare_cubes(const CubeResult& expected,
                           const CubeResult& actual);
 
-/// Internal-consistency check of a SUM cube: every stored view must equal
-/// each of its stored lattice parents aggregated along the extra
-/// dimension (drill-down/roll-up consistency). Returns an empty string on
-/// success, else the first violated edge. Useful for downstream users
+/// Internal-consistency check of a SUM cube: every stored view must equal each
+/// of its stored lattice parents summed cell by cell along the extra dimension
+/// (drill-down/roll-up consistency), with no engine code. Returns an empty
+/// string on success, else the first violated edge. Useful for downstream users
 /// validating cubes loaded from disk or assembled from other systems.
 std::string validate_cube_consistency(const CubeResult& cube);
 

@@ -12,8 +12,9 @@
 //  * Minimal-ancestor routing. The generation's AncestorTable
 //    (PartialCube::routes()) resolves every query's view to its cheapest
 //    materialized ancestor (Theorem-7 minimal-parent chain as fallback);
-//    unmaterialized views are projected out of the routed ancestor — or
-//    the raw input — on the fly. ServingStats records cells_scanned per
+//    unmaterialized views are aggregated out of the routed ancestor — or
+//    the raw input — on the fly by one kernel scan, whose parallel_for
+//    nests in a batch's (its caller runs its own chunks: no deadlock). ServingStats records cells_scanned per
 //    query class plus routing outcomes, so the linear cost model the
 //    view selection optimizes is directly observable.
 //

@@ -30,9 +30,11 @@ TEST(TreeBuilderTest, EveryTreeAndDisciplineProducesTheSameCube) {
   const CubeLattice lattice(root.shape().extents());
   const CubeResult expected = reference_cube(root);
 
+  // All-from-root's edges drop several dimensions: one scan of the root
+  // feeds every view under the multi-way discipline.
   const std::vector<SpanningTree> trees{
       SpanningTree::aggregation(3), SpanningTree::minimal_parent(lattice),
-      SpanningTree::mmst(lattice, {2, 2, 2})};
+      SpanningTree::mmst(lattice, {2, 2, 2}), SpanningTree::all_from_root(3)};
   for (const SpanningTree& tree : trees) {
     for (ScanDiscipline discipline :
          {ScanDiscipline::kMultiWay, ScanDiscipline::kPerChild}) {
@@ -40,10 +42,6 @@ TEST(TreeBuilderTest, EveryTreeAndDisciplineProducesTheSameCube) {
       EXPECT_EQ(compare_cubes(expected, actual), "");
     }
   }
-  // All-from-root has multi-dimension edges: per-child only.
-  const CubeResult naive = build_cube_with_tree(
-      root, SpanningTree::all_from_root(3), ScanDiscipline::kPerChild);
-  EXPECT_EQ(compare_cubes(expected, naive), "");
 }
 
 TEST(TreeBuilderTest, SparseRootWorksForAllTrees) {
@@ -67,13 +65,6 @@ TEST(TreeBuilderTest, SparseRootWorksForAllTrees) {
                                         root, SpanningTree::all_from_root(3),
                                         ScanDiscipline::kPerChild)),
             "");
-}
-
-TEST(TreeBuilderTest, MultiwayOnMultiDimEdgesRejected) {
-  const DenseArray root = testing::random_dense({4, 4}, 0.5, 1);
-  EXPECT_THROW(build_cube_with_tree(root, SpanningTree::all_from_root(2),
-                                    ScanDiscipline::kMultiWay),
-               InvalidArgument);
 }
 
 TEST(TreeBuilderTest, PerChildScansMoreThanMultiway) {

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "array/aggregate_op.h"
+#include "array/block.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
+#include "common/dimset.h"
 #include "common/rng.h"
 #include "minimpi/event_trace.h"
 
@@ -30,29 +32,67 @@ inline DenseArray random_dense(const std::vector<std::int64_t>& extents,
   return array;
 }
 
-/// Reference: aggregate `parent` along `pos` under `op` with a plain loop
-/// over non-empty cells. Raw input (`input_level`) marks empty cells with
-/// 0 and contributes contribution_of(op, cell); a live view marks them
-/// with the identity and contributes the cell itself.
+/// The plain loop behind input_order_scan: combines each non-empty cell
+/// `for_each_cell` visits inside `region` into its cell of the child that
+/// drops the positions in `dropped`, counted from the region's low corner.
+template <typename ForEachCell>
+DenseArray input_order_loop(const BlockRange& region, DimSet dropped,
+                            AggregateOp op, bool input_level,
+                            const ForEachCell& for_each_cell) {
+  std::vector<std::int64_t> extents;
+  for (int d = 0; d < region.ndim(); ++d) {
+    if (!dropped.contains(d)) extents.push_back(region.extent(d));
+  }
+  DenseArray out{Shape{extents}, identity_of(op)};
+  const Value empty = input_level ? Value{0} : identity_of(op);
+  std::vector<std::int64_t> at;
+  for_each_cell([&](const std::int64_t* index, Value cell) {
+    if (cell == empty || !region.contains(index)) return;
+    at.clear();
+    for (int d = 0; d < region.ndim(); ++d) {
+      if (!dropped.contains(d)) at.push_back(index[d] - region.lo(d));
+    }
+    combine(op, out.at(at), input_level ? contribution_of(op, cell) : cell);
+  });
+  return out;
+}
+
+/// Reference of one scan, sharing no code with the kernels: `region` of
+/// `parent` aggregated under `op` over the positions in `dropped`, each
+/// child cell combining its contributions in the parent's row-major order
+/// from the operator's identity, unfinalized like a kernel's child. Raw
+/// input (`input_level`) marks empty cells with 0 and contributes
+/// contribution_of(op, cell); a live view marks them with the identity and
+/// contributes the cell itself.
+inline DenseArray input_order_scan(const DenseArray& parent,
+                                   const BlockRange& region, DimSet dropped,
+                                   AggregateOp op = AggregateOp::kSum,
+                                   bool input_level = true) {
+  return input_order_loop(region, dropped, op, input_level, [&](auto visit) {
+    std::vector<std::int64_t> index(static_cast<std::size_t>(parent.ndim()));
+    for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
+      parent.shape().unravel(linear, index.data());
+      visit(index.data(), parent[linear]);
+    }
+  });
+}
+
+/// The same over a sparse parent's non-zeros, in for_each_nonzero's chunk
+/// order.
+inline DenseArray input_order_scan(const SparseArray& parent,
+                                   const BlockRange& region, DimSet dropped,
+                                   AggregateOp op = AggregateOp::kSum) {
+  return input_order_loop(region, dropped, op, /*input_level=*/true,
+                          [&](auto visit) { parent.for_each_nonzero(visit); });
+}
+
+/// Reference: aggregate `parent` along `pos` under `op` with the plain
+/// loop, finalized as the builders finalize their views.
 inline DenseArray brute_force_op(const DenseArray& parent, int pos,
                                  AggregateOp op, bool input_level = true) {
-  DenseArray out{parent.shape().without_dim(pos)};
-  fill_identity(op, out);
-  const Value empty = input_level ? Value{0} : identity_of(op);
-  const int m = parent.ndim();
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(m));
-  std::vector<std::int64_t> child_idx;
-  for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
-    const Value cell = parent[linear];
-    if (cell == empty) continue;
-    parent.shape().unravel(linear, idx.data());
-    child_idx.clear();
-    for (int d = 0; d < m; ++d) {
-      if (d != pos) child_idx.push_back(idx[d]);
-    }
-    combine(op, out.at(child_idx),
-            input_level ? contribution_of(op, cell) : cell);
-  }
+  DenseArray out =
+      input_order_scan(parent, BlockRange::whole(parent.shape()),
+                       DimSet::single(pos), op, input_level);
   finalize_view(op, out);
   return out;
 }

@@ -33,15 +33,12 @@ deliberately looser):
      (steady_clock) and the disabled-tracer overhead contract stays
      auditable; scattered ad-hoc clocks are how double-timing and
      mixed-epoch timestamps creep in.
-  8. No call to `project(` outside its definition (src/array/aggregate.h,
-     src/array/aggregate.cpp), PartialCube's on-the-fly answers
-     (src/core/partial_cube.cpp: a routed point projects its one-cell
-     region, a routed view its whole source) and the per-child baseline
-     (src/baselines/).  `project` is the one-thread region scan apart
-     from the multi-way kernels: every builder runs the aggregation-tree
-     walk and the kernels, so none may grow a second scan path, and the
-     reference cube (src/core/verify.cpp) computes its own GROUP BY so
-     that it shares no code with the engine it checks.
+  8. No call to the scan kernels (`aggregate_children(`) or the tree walk
+     (`TreeWalk`, `walk_tree(`) in the oracle (src/core/verify.cpp).
+     The reference cube computes each view as its own GROUP BY over the
+     root's non-empty cells, and the consistency check sums its parents
+     cell by cell, so that neither shares code with the engine they
+     check.
   9. No `const_cast` in src/.  Shared SparseArray chunks, served
      PartialCube generations and cached QueryResults are read from many
      threads without locks; that is only safe while nothing writes
@@ -92,13 +89,9 @@ CHRONO_ALLOWED_FILES = {"src/common/timer.h"}
 CHRONO_ALLOWED_PREFIX = "src/obs/"
 CHRONO_USE = re.compile(r"(?<![\w_])std\s*::\s*chrono(?![\w_])")
 CHRONO_INCLUDE = re.compile(r"#\s*include\s*<chrono>")
-PROJECT_ALLOWED_FILES = {
-    "src/array/aggregate.h",
-    "src/array/aggregate.cpp",
-    "src/core/partial_cube.cpp",
-}
-PROJECT_ALLOWED_PREFIX = "src/baselines/"
-PROJECT_CALL = re.compile(r"(?<![\w_])project\s*\(")
+ORACLE_FILE = "src/core/verify.cpp"
+ENGINE_USE = re.compile(
+    r"(?<![\w_])(?:aggregate_children\s*\(|TreeWalk(?![\w_])|walk_tree\s*\()")
 CONST_CAST = re.compile(r"(?<![\w_])const_cast\s*<")
 POINT_TO_POINT_ALLOWED_FILES = {"src/core/parallel_builder.cpp"}
 POINT_TO_POINT_ALLOWED_PREFIX = "src/minimpi/"
@@ -230,14 +223,12 @@ def lint_file(path: pathlib.Path, rel: str, problems: list) -> None:
                     "Timer or the obs tracer so all measurements share one "
                     "clock and the overhead contract stays auditable")
 
-    if (rel.startswith("src/") and rel not in PROJECT_ALLOWED_FILES
-            and not rel.startswith(PROJECT_ALLOWED_PREFIX)):
-        for match in PROJECT_CALL.finditer(code):
+    if rel == ORACLE_FILE:
+        for match in ENGINE_USE.finditer(code):
             problems.append(
-                f"{rel}:{line_of(code, match.start())}: `project(` outside "
-                "PartialCube and the per-child baseline — build views with "
-                "the aggregation-tree walk and the multi-way kernels; the "
-                "reference cube shares no code with them")
+                f"{rel}:{line_of(code, match.start())}: the engine's scan "
+                "kernels or tree walk in the oracle — the reference cube "
+                "shares no code with the engine it checks")
 
     if rel.startswith("src/"):
         for match in CONST_CAST.finditer(code):
@@ -310,25 +301,23 @@ def self_test() -> int:
         ("src/core/chrono_comment.cpp",
          "// std::chrono is banned outside src/obs/ and timer.h\n",
          None),
-        # The region projection is confined to PartialCube and the
-        # per-child baseline; the reference cube shares no code with the
-        # engine, so it may not call it either. Names that merely contain
-        # it stay clean.
-        ("src/core/rogue_builder.cpp",
-         "void f() { project(view, region, kept, &out); }\n",
-         "`project(` outside PartialCube"),
+        # The oracle shares no code with the engine: no scan kernel and no
+        # tree walk in it. Mentions in comments and strings, names that
+        # merely contain them, and the engine's own files stay clean.
         ("src/core/verify.cpp",
-         "void f() { project(root, whole, view.dims(), &array); }\n",
-         "`project(` outside PartialCube"),
+         "void f() { aggregate_children(parent, std::span(&t, 1)); }\n",
+         "the engine's scan kernels or tree walk in the oracle"),
+        ("src/core/verify.cpp",
+         "TreeWalk<> walk(tree, views, op, {});\n"
+         "void g() { walk_tree(tree, tree.root(), visit); }\n",
+         "the engine's scan kernels or tree walk in the oracle"),
+        ("src/core/verify.cpp",
+         "// aggregate_children(parent, targets) is the engine's scan\n"
+         "const char* s = \"TreeWalk walk_tree(tree\";\n"
+         "int my_aggregate_children(int); bool TreeWalker = true;\n",
+         None),
         ("src/core/partial_cube.cpp",
-         "void f() { project(view, region, kept, &out); }\n",
-         None),
-        ("src/baselines/tree_builder.cpp",
-         "auto s = project(parent, whole, kept, &out);\n",
-         None),
-        ("src/core/project_comment.cpp",
-         "// project(parent, kept, &out) is the oracle's scan\n"
-         "auto s = projection_strides(shape); int projected(0);\n",
+         "auto s = aggregate_children(view, std::span(&t, 1));\n",
          None),
         # Nothing writes through a const handle; the word in a comment or
         # inside an identifier is fine.
